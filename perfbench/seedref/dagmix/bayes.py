@@ -1,0 +1,305 @@
+"""Normal-Wishart conjugacy: updates, marginal likelihoods, MAP extraction.
+
+The prior over a joint Gaussian's (mean, precision) is parameterized by
+(nu, mu0, alpha, tau): mean | W ~ N(mu0, (nu W)^-1) and W ~ Wishart with
+alpha degrees of freedom and inverse scale tau.  Fractional case counts
+are allowed everywhere: expected statistics are absorbed exactly as if
+they came from a complete data set, with log-Gamma functions replacing
+factorial-style terms.
+
+Node-family scores restrict the prior to a variable subset Y by taking
+sub-blocks of (mu0, tau) and reducing alpha by (n - |Y|); that restriction
+makes Markov-equivalent structures score identically.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+from scipy.special import gammaln, multigammaln
+
+from .errors import (
+    ChildInParents,
+    DimensionMismatch,
+    EmptyFamily,
+    InsufficientData,
+    NegativeCount,
+    NonPsdScatter,
+    SingularParentBlock,
+)
+from .model import DagStructure, GaussianDag
+from .stats import SuffStats, _chol_with_jitter
+
+_LOG_PI = float(np.log(np.pi))
+_VARIANCE_FLOOR = 1e-12
+_PSD_TOL = 1e-8
+# Below this fractional count a posterior update is numerically the prior.
+_COUNT_FLOOR = 1e-250
+
+
+@dataclass(frozen=True)
+class NormalWishart:
+    """Hyperparameters (nu, mu0, alpha, tau); serves as prior and posterior."""
+
+    nu: float
+    mu0: np.ndarray
+    alpha: float
+    tau: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "mu0", np.asarray(self.mu0, dtype=float))
+        object.__setattr__(self, "tau", np.asarray(self.tau, dtype=float))
+        n = self.mu0.shape[0]
+        if self.tau.shape != (n, n):
+            raise DimensionMismatch("tau must be square with side len(mu0)")
+        if self.nu <= 0:
+            raise DimensionMismatch("nu must be positive")
+        if self.alpha <= n - 1:
+            raise DimensionMismatch(f"alpha must exceed n - 1 = {n - 1}")
+        if not np.allclose(self.tau, self.tau.T, atol=1e-10):
+            raise DimensionMismatch("tau must be symmetric")
+        _chol_with_jitter(self.tau, NonPsdScatter)
+
+    @property
+    def dim(self) -> int:
+        return self.mu0.shape[0]
+
+
+@dataclass(frozen=True)
+class DirichletPrior:
+    alphas: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "alphas", np.asarray(self.alphas, dtype=float))
+        if np.any(self.alphas <= 0):
+            raise DimensionMismatch("Dirichlet hyperparameters must be positive")
+
+    @property
+    def k(self) -> int:
+        return self.alphas.shape[0]
+
+
+def _checked_scatter(t: SuffStats) -> np.ndarray:
+    scatter = t.scatter()
+    scatter = 0.5 * (scatter + scatter.T)
+    min_eig = float(np.linalg.eigvalsh(scatter).min())
+    if min_eig < -_PSD_TOL:
+        raise NonPsdScatter(f"centered scatter has eigenvalue {min_eig:.3e}")
+    return scatter
+
+
+def posterior_update(prior: NormalWishart, t: SuffStats) -> NormalWishart:
+    """Absorb a statistics triple; the identity map when it is empty."""
+    if t.dim != prior.dim:
+        raise DimensionMismatch(f"statistics dim {t.dim}, prior dim {prior.dim}")
+    if t.n <= _COUNT_FLOOR:
+        return prior
+    n_count = t.n
+    scatter = _checked_scatter(t)
+    xbar = t.r / n_count
+    nu1 = prior.nu + n_count
+    diff = xbar - prior.mu0
+    tau1 = prior.tau + scatter + (prior.nu * n_count / nu1) * np.outer(diff, diff)
+    mu1 = (prior.nu * prior.mu0 + t.r) / nu1
+    return NormalWishart(nu1, mu1, prior.alpha + n_count, 0.5 * (tau1 + tau1.T))
+
+
+def _logdet_pd(mat: np.ndarray, error: type[Exception] = SingularParentBlock) -> float:
+    chol = _chol_with_jitter(mat, error)
+    return 2.0 * float(np.sum(np.log(np.diag(chol))))
+
+
+def family_marginal_loglik(
+    prior: NormalWishart, t: SuffStats, family: Sequence[int]
+) -> float:
+    """Log marginal likelihood of the data restricted to variable set Y.
+
+    Closed form for the saturated Gaussian on Y under the Y-restricted
+    prior, with ratios of prior and posterior normalizing constants:
+
+        -(N |Y| / 2) log pi + (|Y|/2) log(nu/nu')
+        + log Gamma_|Y|(alpha'/2) - log Gamma_|Y|(alpha/2)
+        + (alpha/2) log|tau_Y| - (alpha'/2) log|tau'_Y|
+
+    where primes denote the updated quantities and alpha is already
+    restricted.  Returns 0 for an empty batch.
+    """
+    family = tuple(int(i) for i in family)
+    if not family:
+        raise EmptyFamily("a family must contain at least one variable")
+    if len(set(family)) != len(family):
+        raise DimensionMismatch(f"family has duplicates: {family}")
+    size = len(family)
+    n_count = t.n
+    if n_count <= _COUNT_FLOOR:
+        return 0.0
+    idx = np.asarray(family)
+    alpha = prior.alpha - (prior.dim - size)
+    nu = prior.nu
+    mu = prior.mu0[idx]
+    tau = prior.tau[np.ix_(idx, idx)]
+    r = t.r[idx]
+    s = t.s[np.ix_(idx, idx)]
+    nu1 = nu + n_count
+    alpha1 = alpha + n_count
+    xbar = r / n_count
+    scatter = s - np.outer(r, r) / n_count
+    diff = xbar - mu
+    tau1 = tau + scatter + (nu * n_count / nu1) * np.outer(diff, diff)
+    tau1 = 0.5 * (tau1 + tau1.T)
+    return float(
+        -0.5 * n_count * size * _LOG_PI
+        + 0.5 * size * (np.log(nu) - np.log(nu1))
+        + multigammaln(alpha1 / 2.0, size)
+        - multigammaln(alpha / 2.0, size)
+        + 0.5 * alpha * _logdet_pd(tau)
+        - 0.5 * alpha1 * _logdet_pd(tau1)
+    )
+
+
+def local_score(
+    prior: NormalWishart, t: SuffStats, child: int, parents: Sequence[int]
+) -> float:
+    """Family score of one node: log p(d^{child u Pa}) - log p(d^{Pa})."""
+    parents = tuple(int(p) for p in parents)
+    if child in parents:
+        raise ChildInParents(f"node {child} appears in its own parent set")
+    top = family_marginal_loglik(prior, t, (child, *parents))
+    if not parents:
+        return top
+    return top - family_marginal_loglik(prior, t, parents)
+
+
+def structure_score(prior: NormalWishart, t: SuffStats, structure: DagStructure) -> float:
+    """Sum of family scores over all nodes of one component structure."""
+    return sum(
+        local_score(prior, t, i, ps) for i, ps in enumerate(structure.parents)
+    )
+
+
+def dirichlet_log_marglik(prior: DirichletPrior, counts: np.ndarray) -> float:
+    """Marginal likelihood of (fractional) component counts under a Dirichlet."""
+    counts = np.asarray(counts, dtype=float)
+    if counts.shape != (prior.k,):
+        raise DimensionMismatch(f"{prior.k} components but {counts.shape[0]} counts")
+    if np.any(counts < -1e-12):
+        raise NegativeCount(f"counts must be nonnegative, got min {counts.min()!r}")
+    counts = np.maximum(counts, 0.0)
+    a = prior.alphas
+    return float(
+        gammaln(a.sum())
+        - gammaln(a.sum() + counts.sum())
+        + np.sum(gammaln(a + counts) - gammaln(a))
+    )
+
+
+def dirichlet_map(prior: DirichletPrior, counts: np.ndarray) -> np.ndarray:
+    """MAP weights: mode (alpha + N - 1)/sum when proper, else posterior mean."""
+    counts = np.asarray(counts, dtype=float)
+    if counts.shape != (prior.k,):
+        raise DimensionMismatch(f"{prior.k} components but {counts.shape[0]} counts")
+    mode = prior.alphas + counts - 1.0
+    if np.all(mode > 0):
+        return mode / mode.sum()
+    mean = prior.alphas + counts
+    return mean / mean.sum()
+
+
+def map_parameters(
+    prior: NormalWishart, t: SuffStats, structure: DagStructure
+) -> GaussianDag:
+    """MAP regression parameters of ``structure`` given (expected) statistics.
+
+    The posterior joint mode over (mean, covariance) is mean mu' with
+    covariance tau'/(alpha'+n+2); each node's regression is read off that
+    joint, so coefficients solve against tau' sub-blocks and the
+    conditional variance is the Schur complement over the same divisor.
+    With this constant the output exactly maximizes the expected
+    complete-data log posterior, which also makes the EM that uses it
+    monotone in observed log likelihood plus log prior.
+    """
+    post = posterior_update(prior, t)
+    n = post.dim
+    divisor = post.alpha + n + 2.0
+    intercepts = np.empty(n)
+    variances = np.empty(n)
+    coefficients = []
+    for i, ps in enumerate(structure.parents):
+        if ps:
+            pa = list(ps)
+            chol = _chol_with_jitter(post.tau[np.ix_(pa, pa)], SingularParentBlock)
+            b = np.linalg.solve(chol.T, np.linalg.solve(chol, post.tau[pa, i]))
+            intercepts[i] = post.mu0[i] - b @ post.mu0[pa]
+            schur = post.tau[i, i] - post.tau[i, pa] @ b
+            variances[i] = max(schur / divisor, _VARIANCE_FLOOR)
+            coefficients.append(b)
+        else:
+            intercepts[i] = post.mu0[i]
+            variances[i] = max(post.tau[i, i] / divisor, _VARIANCE_FLOOR)
+            coefficients.append(np.zeros(0))
+    return GaussianDag(structure, intercepts, tuple(coefficients), variances)
+
+
+def map_joint(prior: NormalWishart, t: SuffStats) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior joint mode (mean, covariance) used by map_parameters."""
+    post = posterior_update(prior, t)
+    return post.mu0.copy(), post.tau / (post.alpha + post.dim + 2.0)
+
+
+def data_informed_prior(
+    data: np.ndarray, ess: float, base_prior: NormalWishart | None = None
+) -> NormalWishart:
+    """Normal-Wishart whose mode matches the data's MAP joint, at strength ess.
+
+    The complete observed data yields a MAP (mean, covariance) - under
+    ``base_prior`` when given, else the raw sample moments - and the
+    returned prior has that configuration as its mode with nu = ess and
+    alpha = ess + n + 1 (so the surplus alpha - (n+1) also equals ess).
+    Draws from it concentrate around the mode as ess grows.
+    """
+    data = np.asarray(data, dtype=float)
+    if data.ndim != 2:
+        raise DimensionMismatch("data must be a cases-by-variables matrix")
+    if np.isnan(data).any():
+        raise InsufficientData("the data-informed prior requires complete cases")
+    if ess <= 0:
+        raise DimensionMismatch("ess must be positive")
+    count, n = data.shape
+    t = SuffStats(float(count), data.sum(axis=0), data.T @ data)
+    if base_prior is None:
+        if count < n + 2:
+            raise InsufficientData(
+                f"{count} cases cannot pin a {n}-variable moment estimate; "
+                "supply a base prior or at least n + 2 cases"
+            )
+        mean = t.r / t.n
+        cov = t.scatter() / t.n
+        try:
+            _chol_with_jitter(cov, InsufficientData)
+        except InsufficientData:
+            raise InsufficientData("sample covariance is singular")
+    else:
+        mean, cov = map_joint(base_prior, t)
+    alpha = ess + n + 1.0
+    tau = (alpha + n + 2.0) * cov
+    return NormalWishart(ess, mean, alpha, 0.5 * (tau + tau.T))
+
+
+def sample_joint_parameters(
+    prior: NormalWishart, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw a (mean, covariance) pair from the Normal-Wishart."""
+    from scipy.stats import wishart
+
+    n = prior.dim
+    scale = np.linalg.inv(prior.tau)
+    scale = 0.5 * (scale + scale.T)
+    w = wishart.rvs(df=prior.alpha, scale=scale, random_state=rng)
+    w = np.atleast_2d(w)
+    cov = np.linalg.inv(w)
+    cov = 0.5 * (cov + cov.T)
+    chol = _chol_with_jitter(cov / prior.nu, NonPsdScatter)
+    mean = prior.mu0 + chol @ rng.standard_normal(n)
+    return mean, cov

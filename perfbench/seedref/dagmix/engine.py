@@ -1,0 +1,457 @@
+"""EM steps, schedules, initialization, and the interleaved fitting loop.
+
+One outer iteration runs a burst of EM at fixed structures, computes the
+expected complete-data statistics once, searches each component's
+structure over those statistics, and re-estimates parameters from the very
+same statistics.  The loop stops when structures stop changing across two
+consecutive search phases (after forcing one EM-to-convergence pass) or
+when the approximate marginal likelihood stops increasing, and the
+best-scoring iterate is returned.
+"""
+
+from __future__ import annotations
+
+import re
+import warnings
+from dataclasses import dataclass, replace
+from typing import Sequence
+
+import numpy as np
+
+from . import stats
+from .bayes import (
+    DirichletPrior,
+    NormalWishart,
+    data_informed_prior,
+    dirichlet_map,
+    map_parameters,
+    sample_joint_parameters,
+)
+from .errors import BadSchedule, DimensionMismatch, InsufficientData
+from .model import (
+    DagStructure,
+    GaussianDag,
+    MdagModel,
+    NoiseComponent,
+    complete_structure,
+    empty_structure,
+)
+from .rng import stream
+from .scoring import complete_model_score, completed_loglik, observed_loglik
+from .search import search_all_components
+
+WEIGHT_INIT_MODES = ("equal", "prior-mean", "dirichlet-draw")
+FAMILIES = ("mdag", "mdiag", "mfull")
+
+_COLLAPSE_THRESHOLD = 1e-10
+_COLLAPSE_STEPS = 3
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """How EM bursts, statistics computation, and search interleave.
+
+    ``em_steps`` is the number of EM steps per outer iteration, or None to
+    run EM to convergence each time.  ``outer_repeat`` keeps iterating the
+    whole phase until a termination rule fires.
+    """
+
+    em_steps: int | None = 10
+    outer_repeat: bool = True
+
+    def __post_init__(self):
+        if self.em_steps is not None and self.em_steps < 0:
+            raise BadSchedule("em_steps must be nonnegative")
+
+    _GRAMMAR = re.compile(
+        r"^\(\(EM\)(?:\^(?P<count>\d+)|\^?\*)\s*Ec\s*S\*\s*M\)(?P<outer>\*)?$"
+    )
+
+    @classmethod
+    def parse(cls, text: str) -> "Schedule":
+        match = cls._GRAMMAR.match(text.strip())
+        if not match:
+            raise BadSchedule(
+                f"schedule {text!r} not of the form ((EM)^k Ec S* M)* "
+                "with k a positive integer or *"
+            )
+        count = match.group("count")
+        if count is not None and int(count) == 0:
+            raise BadSchedule("the EM burst length must be positive")
+        return cls(
+            em_steps=int(count) if count is not None else None,
+            outer_repeat=match.group("outer") is not None,
+        )
+
+    def __str__(self) -> str:
+        burst = "*" if self.em_steps is None else f"^{self.em_steps}"
+        return f"((EM){burst} Ec S* M){'*' if self.outer_repeat else ''}"
+
+    @classmethod
+    def default(cls) -> "Schedule":
+        return cls(em_steps=10)
+
+    @classmethod
+    def full_em(cls) -> "Schedule":
+        return cls(em_steps=None)
+
+
+@dataclass(frozen=True)
+class PriorSpec:
+    """Hyperparameter recipe, bound to concrete (n, k) at fit time.
+
+    ``alpha`` defaults to nu + n; scalar ``mu0``/``tau`` broadcast to a
+    constant vector and a scaled identity.  Mixture-weight hyperparameters
+    put ``noise_alpha`` on the noise component and split the remaining
+    mass equally over the Gaussian components (total mass 1 without noise).
+    """
+
+    nu: float = 2.0
+    mu0: float | Sequence[float] = 0.0
+    alpha: float | None = None
+    tau: float | Sequence[Sequence[float]] = 1.0
+    noise_alpha: float = 0.01
+
+    def normal_wishart(self, n: int) -> NormalWishart:
+        mu0 = np.asarray(self.mu0, dtype=float)
+        if mu0.ndim == 0:
+            mu0 = np.full(n, float(mu0))
+        tau = np.asarray(self.tau, dtype=float)
+        if tau.ndim == 0:
+            tau = float(tau) * np.eye(n)
+        alpha = self.alpha if self.alpha is not None else self.nu + n
+        return NormalWishart(self.nu, mu0, alpha, tau)
+
+    def dirichlet(self, k: int, has_noise: bool) -> DirichletPrior:
+        if has_noise:
+            gauss_mass = 1.0 - self.noise_alpha
+            return DirichletPrior(
+                np.array([self.noise_alpha] + [gauss_mass / k] * k)
+            )
+        return DirichletPrior(np.full(k, 1.0 / k))
+
+
+@dataclass(frozen=True)
+class FitConfig:
+    k: int = 1
+    noise_bounds: tuple[Sequence[float], Sequence[float]] | None = None
+    prior: PriorSpec = PriorSpec()
+    ess: float = 200.0
+    convergence_ratio: float = 1e-6
+    seed: int = 0
+    schedule: Schedule = Schedule()
+    weight_init: str = "prior-mean"
+    max_outer: int = 200
+    max_em_steps: int = 500
+    family: str = "mdag"
+    max_parents: int | None = None
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise DimensionMismatch("at least one Gaussian component is required")
+        if self.ess <= 0:
+            raise DimensionMismatch("ess must be positive")
+        if not 0 < self.convergence_ratio < 1:
+            raise DimensionMismatch("convergence ratio must lie in (0, 1)")
+        if self.weight_init not in WEIGHT_INIT_MODES:
+            raise DimensionMismatch(
+                f"weight_init must be one of {WEIGHT_INIT_MODES}"
+            )
+        if self.family not in FAMILIES:
+            raise DimensionMismatch(f"family must be one of {FAMILIES}")
+
+    def noise_component(self) -> NoiseComponent | None:
+        if self.noise_bounds is None:
+            return None
+        lower, upper = self.noise_bounds
+        return NoiseComponent(np.asarray(lower, float), np.asarray(upper, float))
+
+
+@dataclass(frozen=True)
+class OuterIterate:
+    model: MdagModel
+    structures: tuple[DagStructure, ...]
+    stats: stats.MixtureStats
+    observed_loglik: float
+    complete_model_score: float
+    cheeseman_stutz: float
+
+
+@dataclass(frozen=True)
+class FitResult:
+    model: MdagModel  # the best iterate by Cheeseman-Stutz score
+    trace: tuple[OuterIterate, ...]
+    termination: str  # structure-stable | score-nonincreasing | iteration-cap
+    best_index: int
+    collapsed_components: tuple[int, ...] = ()
+
+    @property
+    def cheeseman_stutz(self) -> float:
+        return self.trace[self.best_index].cheeseman_stutz
+
+
+def _bind_priors(
+    config: FitConfig, n: int
+) -> tuple[tuple[NormalWishart, ...], DirichletPrior]:
+    nw = config.prior.normal_wishart(n)
+    return tuple(nw for _ in range(config.k)), config.prior.dirichlet(
+        config.k, config.noise_bounds is not None
+    )
+
+
+def _m_step(
+    mix_stats: stats.MixtureStats,
+    structures: Sequence[DagStructure],
+    priors: Sequence[NormalWishart],
+    dirichlet: DirichletPrior,
+    model: MdagModel,
+) -> MdagModel:
+    weights = dirichlet_map(dirichlet, mix_stats.counts())
+    offset = 1 if model.has_noise else 0
+    components = tuple(
+        map_parameters(priors[c], mix_stats.triples[offset + c], structures[c])
+        for c in range(len(structures))
+    )
+    return MdagModel(weights, components, model.noise)
+
+
+def _em_step_with_stats(
+    data: np.ndarray,
+    model: MdagModel,
+    priors: Sequence[NormalWishart],
+    dirichlet: DirichletPrior,
+) -> tuple[MdagModel, stats.MixtureStats]:
+    mix_stats = stats.expected_stats(data, model)
+    structures = tuple(g.structure for g in model.components)
+    return _m_step(mix_stats, structures, priors, dirichlet, model), mix_stats
+
+
+def em_step(
+    data: np.ndarray,
+    model: MdagModel,
+    priors: Sequence[NormalWishart],
+    dirichlet: DirichletPrior,
+) -> MdagModel:
+    """One E step plus one M step at fixed structures."""
+    return _em_step_with_stats(data, model, priors, dirichlet)[0]
+
+
+@dataclass(frozen=True)
+class EmTrace:
+    logliks: tuple[float, ...]  # observed log likelihood, index 0 = before any step
+    converged: bool
+    collapsed: tuple[int, ...]
+
+
+def run_em(
+    data: np.ndarray,
+    model: MdagModel,
+    priors: Sequence[NormalWishart],
+    dirichlet: DirichletPrior,
+    steps: int | None = None,
+    convergence_ratio: float = 1e-6,
+    max_steps: int = 500,
+) -> tuple[MdagModel, EmTrace]:
+    """Repeat em_step for a fixed burst or until the ratio rule fires.
+
+    The convergence rule compares each step's log-likelihood change with
+    the total change since initialization: stop once
+    (l_t - l_{t-1}) / (l_t - l_0) drops below ``convergence_ratio``.
+    """
+    budget = steps if steps is not None else max_steps
+    logliks = [observed_loglik(data, model)]
+    converged = False
+    collapse_streaks = np.zeros(model.k, dtype=int)
+    collapsed: set[int] = set()
+    offset = 1 if model.has_noise else 0
+    for _ in range(budget):
+        model, step_stats = _em_step_with_stats(data, model, priors, dirichlet)
+        counts = step_stats.counts()
+        for c in range(model.k):
+            if counts[offset + c] < _COLLAPSE_THRESHOLD:
+                collapse_streaks[c] += 1
+                if collapse_streaks[c] >= _COLLAPSE_STEPS and c not in collapsed:
+                    collapsed.add(c)
+                    warnings.warn(
+                        f"component {c} collapsed (expected count below "
+                        f"{_COLLAPSE_THRESHOLD} for {_COLLAPSE_STEPS} steps); "
+                        "retained at the prior mode",
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
+            else:
+                collapse_streaks[c] = 0
+        logliks.append(observed_loglik(data, model))
+        if steps is None and ratio_rule_fires(logliks, convergence_ratio):
+            converged = True
+            break
+    return model, EmTrace(tuple(logliks), converged, tuple(sorted(collapsed)))
+
+
+def ratio_rule_fires(logliks: Sequence[float], ratio: float) -> bool:
+    """Convergence rule on a log-likelihood trace (index 0 = initialization).
+
+    Fires when the last step's change, relative to the total change since
+    initialization, drops below ``ratio``.  While the total change is not
+    positive (possible early on, since MAP re-estimation can trade
+    likelihood for prior mass) the rule cannot fire, except at an exact
+    fixed point.
+    """
+    if len(logliks) < 2:
+        return False
+    total = logliks[-1] - logliks[0]
+    last = logliks[-1] - logliks[-2]
+    if total <= 0:
+        return last == 0.0
+    return last / total < ratio
+
+
+def _initial_weights(config: FitConfig, dirichlet: DirichletPrior) -> np.ndarray:
+    has_noise = config.noise_bounds is not None
+    if config.weight_init == "prior-mean":
+        return dirichlet.alphas / dirichlet.alphas.sum()
+    if config.weight_init == "equal":
+        if has_noise:
+            w0 = dirichlet.alphas[0] / dirichlet.alphas.sum()
+            return np.concatenate([[w0], np.full(config.k, (1.0 - w0) / config.k)])
+        return np.full(config.k, 1.0 / config.k)
+    rng = stream(config.seed, "init-weights", config.k)
+    return rng.dirichlet(dirichlet.alphas)
+
+
+def initialize(data: np.ndarray, config: FitConfig) -> MdagModel:
+    """Initial model: empty (or family-fixed) structures, parameters drawn
+    from a data-informed conjugate at strength ``config.ess``.
+
+    Each component draws its own (mean, covariance) from a Normal-Wishart
+    whose mode matches the complete-case MAP joint, which breaks the
+    symmetry between components; weights follow the configured mode.
+    Deterministic given the seed.
+    """
+    data = np.asarray(data, dtype=float)
+    if data.shape[0] == 0:
+        raise InsufficientData("cannot initialize from an empty data set")
+    n = data.shape[1]
+    priors, dirichlet = _bind_priors(config, n)
+    complete_rows = data[~np.isnan(data).any(axis=1)]
+    init_prior = data_informed_prior(complete_rows, config.ess, base_prior=priors[0])
+    if config.family == "mfull":
+        structure = complete_structure(n)
+    else:
+        structure = empty_structure(n)
+    components = []
+    for c in range(config.k):
+        rng = stream(config.seed, "init-params", c)
+        mean, cov = sample_joint_parameters(init_prior, rng)
+        components.append(GaussianDag.from_joint(structure, mean, cov))
+    weights = _initial_weights(config, dirichlet)
+    return MdagModel(weights, tuple(components), config.noise_component())
+
+
+def fit(data: np.ndarray, config: FitConfig) -> FitResult:
+    """Interleaved parameter and structure search over one component count.
+
+    Families with fixed structures (mdiag, mfull) skip the search phase and
+    run EM to convergence once; the mdag family follows the configured
+    schedule with the forced EM-to-convergence pass before declaring the
+    structures stable.
+    """
+    data = np.asarray(data, dtype=float)
+    priors, dirichlet = _bind_priors(config, data.shape[1])
+    model = initialize(data, config)
+    structures = tuple(g.structure for g in model.components)
+    searching = config.family == "mdag"
+    force_full_em = False
+    iterates: list[OuterIterate] = []
+    collapsed: set[int] = set()
+    termination = "iteration-cap"
+    prev_cs = None
+    for _ in range(config.max_outer):
+        steps = config.schedule.em_steps
+        if not searching or force_full_em:
+            steps = None
+        model, em_trace = run_em(
+            data,
+            model,
+            priors,
+            dirichlet,
+            steps=steps,
+            convergence_ratio=config.convergence_ratio,
+            max_steps=config.max_em_steps,
+        )
+        collapsed.update(em_trace.collapsed)
+        mix_stats = stats.expected_stats(data, model)
+        if searching:
+            new_structures = search_all_components(
+                mix_stats, structures, priors, max_parents=config.max_parents
+            )
+        else:
+            new_structures = structures
+        model = _m_step(mix_stats, new_structures, priors, dirichlet, model)
+        breakdown = complete_model_score(
+            mix_stats, new_structures, priors, dirichlet, model.noise
+        )
+        obs = observed_loglik(data, model)
+        cs = breakdown.total + obs - completed_loglik(mix_stats, model)
+        iterates.append(
+            OuterIterate(model, new_structures, mix_stats, obs, breakdown.total, cs)
+        )
+        unchanged = new_structures == structures
+        structures = new_structures
+        if not searching:
+            termination = "structure-stable"
+            break
+        if unchanged and (force_full_em or config.schedule.em_steps is None):
+            termination = "structure-stable"
+            break
+        force_full_em = unchanged
+        if prev_cs is not None and cs <= prev_cs:
+            termination = "score-nonincreasing"
+            break
+        prev_cs = cs
+        if not config.schedule.outer_repeat:
+            termination = "iteration-cap"
+            break
+    best_index = int(np.argmax([it.cheeseman_stutz for it in iterates]))
+    return FitResult(
+        iterates[best_index].model,
+        tuple(iterates),
+        termination,
+        best_index,
+        tuple(sorted(collapsed)),
+    )
+
+
+@dataclass(frozen=True)
+class SelectKResult:
+    best: FitResult
+    best_k: int
+    report: tuple[tuple[int, float], ...]  # (k, Cheeseman-Stutz score)
+    fits: tuple[FitResult, ...]
+
+
+def select_k(data: np.ndarray, config: FitConfig, k_max: int) -> SelectKResult:
+    """Grow the number of Gaussian components until the score clearly drops.
+
+    Fits k = 1, 2, ... and stops after the Cheeseman-Stutz score decreases
+    on two consecutive increments (or at k_max); the best-scoring k wins.
+    """
+    if k_max < 1:
+        raise DimensionMismatch("k_max must be at least 1")
+    fits: list[FitResult] = []
+    report: list[tuple[int, float]] = []
+    decreases = 0
+    for k in range(1, k_max + 1):
+        result = fit(data, replace(config, k=k))
+        fits.append(result)
+        report.append((k, result.cheeseman_stutz))
+        if k > 1 and report[-1][1] < report[-2][1]:
+            decreases += 1
+            if decreases >= 2:
+                break
+        else:
+            decreases = 0
+    best_pos = int(np.argmax([cs for _, cs in report]))
+    return SelectKResult(
+        fits[best_pos], report[best_pos][0], tuple(report), tuple(fits)
+    )

@@ -1,0 +1,420 @@
+"""Mixture-of-DAG model types, densities, moment conversion, and sampling.
+
+A component is a linear-Gaussian DAG: each node is a linear regression on
+its parents with Gaussian error.  A mixture combines several such
+components (optionally plus a fixed multivariate-uniform noise component,
+always at weight index 0) with a weight vector over components.
+
+All types are immutable after construction; densities and sampling are
+safe to call concurrently on shared models.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterator, Sequence
+
+import numpy as np
+
+from .errors import (
+    BadParentIndex,
+    CycleDetected,
+    DimensionMismatch,
+    PointOutsideNoiseBounds,
+)
+from .rng import as_generator
+
+LOG_2PI = float(np.log(2.0 * np.pi))
+
+_WEIGHT_SUM_TOL = 1e-12
+
+
+def _frozen_array(values, dtype=float) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True)
+class DagStructure:
+    """Acyclic parent-set list over ``n`` variables."""
+
+    n: int
+    parents: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "parents", tuple(tuple(int(p) for p in ps) for ps in self.parents)
+        )
+
+    def validate(self) -> None:
+        """Raise unless the structure is a well-formed DAG."""
+        if len(self.parents) != self.n:
+            raise BadParentIndex(
+                f"expected {self.n} parent sets, got {len(self.parents)}"
+            )
+        for i, ps in enumerate(self.parents):
+            for p in ps:
+                if not 0 <= p < self.n:
+                    raise BadParentIndex(f"node {i} has parent {p} outside [0, {self.n})")
+            if i in ps:
+                raise CycleDetected([i, i])
+            if len(set(ps)) != len(ps):
+                raise BadParentIndex(f"node {i} has duplicate parents {ps}")
+        self.topological_order  # noqa: B018 -- forces cycle detection
+
+    @cached_property
+    def topological_order(self) -> tuple[int, ...]:
+        """Topological ordering (parents before children); cached.
+
+        Raises CycleDetected listing one cycle if none exists.
+        """
+        indegree = [len(ps) for ps in self.parents]
+        children: list[list[int]] = [[] for _ in range(self.n)]
+        for i, ps in enumerate(self.parents):
+            for p in ps:
+                children[p].append(i)
+        ready = [i for i in range(self.n) if indegree[i] == 0]
+        order: list[int] = []
+        while ready:
+            node = ready.pop()
+            order.append(node)
+            for ch in children[node]:
+                indegree[ch] -= 1
+                if indegree[ch] == 0:
+                    ready.append(ch)
+        if len(order) < self.n:
+            raise CycleDetected(self._find_cycle())
+        return tuple(order)
+
+    def _find_cycle(self) -> list[int]:
+        # DFS over parent arcs; the first back-arc closes a cycle.
+        color = [0] * self.n  # 0 unvisited, 1 on stack, 2 done
+        trail: list[int] = []
+
+        def visit(u: int) -> list[int] | None:
+            color[u] = 1
+            trail.append(u)
+            for p in self.parents[u]:
+                if color[p] == 1:
+                    return trail[trail.index(p):] + [p]
+                if color[p] == 0:
+                    found = visit(p)
+                    if found:
+                        return found
+            trail.pop()
+            color[u] = 2
+            return None
+
+        for start in range(self.n):
+            if color[start] == 0:
+                cycle = visit(start)
+                if cycle:
+                    return cycle
+        raise AssertionError("no cycle found in a cyclic graph")
+
+    def arcs(self) -> Iterator[tuple[int, int]]:
+        for child, ps in enumerate(self.parents):
+            for parent in ps:
+                yield parent, child
+
+    def arc_count(self) -> int:
+        return sum(len(ps) for ps in self.parents)
+
+    def has_arc(self, u: int, v: int) -> bool:
+        return u in self.parents[v]
+
+    def with_parents(self, node: int, parents: Sequence[int]) -> "DagStructure":
+        new = list(self.parents)
+        new[node] = tuple(sorted(int(p) for p in parents))
+        return DagStructure(self.n, tuple(new))
+
+
+def empty_structure(n: int) -> DagStructure:
+    return DagStructure(n, tuple(() for _ in range(n)))
+
+
+def complete_structure(n: int) -> DagStructure:
+    """Saturated DAG in natural variable order (node i's parents are 0..i-1)."""
+    return DagStructure(n, tuple(tuple(range(i)) for i in range(n)))
+
+
+def validate(structure: DagStructure) -> None:
+    structure.validate()
+
+
+@dataclass(frozen=True)
+class GaussianDag:
+    """DagStructure plus per-node linear-regression parameters.
+
+    Node i has density N(intercepts[i] + coefficients[i] . x[parents],
+    variances[i]); variances must be positive and coefficient counts must
+    match the parent counts.
+    """
+
+    structure: DagStructure
+    intercepts: np.ndarray
+    coefficients: tuple[np.ndarray, ...]
+    variances: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "intercepts", _frozen_array(self.intercepts))
+        object.__setattr__(self, "variances", _frozen_array(self.variances))
+        object.__setattr__(
+            self, "coefficients", tuple(_frozen_array(c) for c in self.coefficients)
+        )
+        n = self.structure.n
+        if self.intercepts.shape != (n,) or self.variances.shape != (n,):
+            raise DimensionMismatch("parameter vectors must have length n")
+        if np.any(self.variances <= 0):
+            raise DimensionMismatch("conditional variances must be positive")
+        for i, coef in enumerate(self.coefficients):
+            if coef.shape != (len(self.structure.parents[i]),):
+                raise DimensionMismatch(
+                    f"node {i}: {coef.shape[0]} coefficients for "
+                    f"{len(self.structure.parents[i])} parents"
+                )
+
+    @property
+    def n(self) -> int:
+        return self.structure.n
+
+    def coefficient_matrix(self) -> np.ndarray:
+        """B with B[i, j] = coefficient of parent j in node i's regression."""
+        b = np.zeros((self.n, self.n))
+        for i, ps in enumerate(self.structure.parents):
+            b[i, list(ps)] = self.coefficients[i]
+        return b
+
+    @cached_property
+    def joint_moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and covariance of the implied joint Gaussian.
+
+        Solving x = m + Bx + e gives mean (I-B)^-1 m and covariance
+        (I-B)^-1 V (I-B)^-T with V = diag(variances).
+        """
+        b = self.coefficient_matrix()
+        inv = np.linalg.inv(np.eye(self.n) - b)
+        mean = inv @ self.intercepts
+        cov = inv @ np.diag(self.variances) @ inv.T
+        cov = 0.5 * (cov + cov.T)
+        mean.setflags(write=False)
+        cov.setflags(write=False)
+        return mean, cov
+
+    def log_density(self, x: np.ndarray) -> float:
+        """Sum over nodes of the conditional Gaussian log densities at x."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n,):
+            raise DimensionMismatch(f"point has shape {x.shape}, model has n={self.n}")
+        total = 0.0
+        for i, ps in enumerate(self.structure.parents):
+            center = self.intercepts[i]
+            if ps:
+                center += self.coefficients[i] @ x[list(ps)]
+            v = self.variances[i]
+            total += -0.5 * (LOG_2PI + np.log(v) + (x[i] - center) ** 2 / v)
+        return float(total)
+
+    @classmethod
+    def from_joint(
+        cls, structure: DagStructure, mean: np.ndarray, cov: np.ndarray
+    ) -> "GaussianDag":
+        """Read off the regression parameterization of ``structure`` whose
+        implied joint matches (mean, cov) on every node family."""
+        mean = np.asarray(mean, dtype=float)
+        cov = np.asarray(cov, dtype=float)
+        intercepts = np.empty(structure.n)
+        variances = np.empty(structure.n)
+        coefficients = []
+        for i, ps in enumerate(structure.parents):
+            if ps:
+                pa = list(ps)
+                b = np.linalg.solve(cov[np.ix_(pa, pa)], cov[pa, i])
+                intercepts[i] = mean[i] - b @ mean[pa]
+                variances[i] = max(cov[i, i] - cov[i, pa] @ b, 1e-12)
+                coefficients.append(b)
+            else:
+                intercepts[i] = mean[i]
+                variances[i] = max(cov[i, i], 1e-12)
+                coefficients.append(np.zeros(0))
+        return cls(structure, intercepts, tuple(coefficients), variances)
+
+
+def to_multivariate_gaussian(g: GaussianDag) -> tuple[np.ndarray, np.ndarray]:
+    return g.joint_moments
+
+
+@dataclass(frozen=True)
+class NoiseComponent:
+    """Fixed multivariate-uniform box; parameters are never learned."""
+
+    lower: np.ndarray
+    upper: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "lower", _frozen_array(self.lower))
+        object.__setattr__(self, "upper", _frozen_array(self.upper))
+        if self.lower.shape != self.upper.shape or self.lower.ndim != 1:
+            raise DimensionMismatch("noise bounds must be two equal-length vectors")
+        if np.any(self.upper <= self.lower):
+            raise DimensionMismatch("noise bounds require upper > lower per variable")
+
+    @property
+    def n(self) -> int:
+        return self.lower.shape[0]
+
+    @property
+    def log_volume(self) -> float:
+        return float(np.sum(np.log(self.upper - self.lower)))
+
+    def log_density(self, x: np.ndarray, observed: np.ndarray | None = None) -> float:
+        """Log density of the observed coordinates (all by default)."""
+        x = np.asarray(x, dtype=float)
+        if observed is None:
+            observed = np.ones(self.n, dtype=bool)
+        inside = np.all(
+            (x[observed] >= self.lower[observed]) & (x[observed] <= self.upper[observed])
+        )
+        if not inside:
+            return -np.inf
+        return float(-np.sum(np.log(self.upper[observed] - self.lower[observed])))
+
+
+@dataclass(frozen=True)
+class MdagModel:
+    """Mixture of Gaussian DAG components with optional uniform noise.
+
+    ``weights`` covers every component; when noise is present it owns
+    weight index 0 and ``components[j]`` has weight ``weights[j + 1]``.
+    """
+
+    weights: np.ndarray
+    components: tuple[GaussianDag, ...]
+    noise: NoiseComponent | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "weights", _frozen_array(self.weights))
+        object.__setattr__(self, "components", tuple(self.components))
+        expected = len(self.components) + (1 if self.noise is not None else 0)
+        if self.weights.shape != (expected,):
+            raise DimensionMismatch(
+                f"{expected} components but {self.weights.shape[0]} weights"
+            )
+        if np.any(self.weights < 0):
+            raise DimensionMismatch("weights must be nonnegative")
+        if abs(float(self.weights.sum()) - 1.0) > _WEIGHT_SUM_TOL:
+            raise DimensionMismatch(f"weights sum to {self.weights.sum()!r}, not 1")
+        ns = {g.n for g in self.components}
+        if self.noise is not None:
+            ns.add(self.noise.n)
+        if len(ns) > 1:
+            raise DimensionMismatch(f"components disagree on n: {sorted(ns)}")
+
+    @property
+    def n(self) -> int:
+        if self.components:
+            return self.components[0].n
+        assert self.noise is not None
+        return self.noise.n
+
+    @property
+    def has_noise(self) -> bool:
+        return self.noise is not None
+
+    @property
+    def k(self) -> int:
+        """Number of Gaussian components (the noise component not included)."""
+        return len(self.components)
+
+    @property
+    def n_components(self) -> int:
+        return len(self.weights)
+
+    def gaussian_weights(self) -> np.ndarray:
+        return self.weights[1:] if self.has_noise else self.weights
+
+    def component_log_densities(self, x: np.ndarray) -> np.ndarray:
+        """Per-component log density at a fully observed point, noise first."""
+        parts = []
+        if self.noise is not None:
+            parts.append(self.noise.log_density(x))
+        parts.extend(g.log_density(x) for g in self.components)
+        return np.array(parts)
+
+    def log_density(self, x: np.ndarray) -> float:
+        """log sum_c pi_c p(x | component c), computed in log space."""
+        logps = self.component_log_densities(x)
+        with np.errstate(divide="ignore"):
+            logw = np.where(self.weights > 0, np.log(self.weights), -np.inf)
+        total = _logsumexp(logw + logps)
+        if total == -np.inf:
+            raise PointOutsideNoiseBounds(
+                "point has zero density under every positive-weight component"
+            )
+        return total
+
+
+def _logsumexp(values: np.ndarray) -> float:
+    top = np.max(values)
+    if top == -np.inf:
+        return -np.inf
+    return float(top + np.log(np.sum(np.exp(values - top))))
+
+
+def component_log_density(g: GaussianDag, x: np.ndarray) -> float:
+    return g.log_density(x)
+
+
+def mdag_log_density(model: MdagModel, x: np.ndarray) -> float:
+    return model.log_density(x)
+
+
+def gaussian_logpdf_rows(
+    mean: np.ndarray, cov: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """Log density of each row under N(mean, cov) via one Cholesky factor."""
+    chol = np.linalg.cholesky(cov)
+    centered = rows - mean
+    solved = np.linalg.solve(chol, centered.T)
+    quad = np.sum(solved**2, axis=0)
+    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+    return -0.5 * (mean.shape[0] * LOG_2PI + logdet + quad)
+
+
+def sample(
+    model: MdagModel, count: int, seed_or_rng: int | np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ancestral sampling of ``count`` cases; returns (data, component labels).
+
+    Labels index the weight vector (0 is noise when present).  Deterministic
+    given a seed; a caller-owned Generator may be passed instead.
+    """
+    rng = as_generator(seed_or_rng)
+    data = np.empty((count, model.n))
+    labels = rng.choice(model.n_components, size=count, p=model.weights)
+    offset = 1 if model.has_noise else 0
+    if model.has_noise:
+        rows = labels == 0
+        m = int(rows.sum())
+        if m:
+            assert model.noise is not None
+            data[rows] = rng.uniform(
+                model.noise.lower, model.noise.upper, size=(m, model.n)
+            )
+    for j, g in enumerate(model.components):
+        rows = labels == j + offset
+        m = int(rows.sum())
+        if not m:
+            continue
+        shocks = rng.standard_normal((m, model.n)) * np.sqrt(g.variances)
+        block = np.empty((m, model.n))
+        for i in g.structure.topological_order:
+            ps = g.structure.parents[i]
+            center = np.full(m, g.intercepts[i])
+            if ps:
+                center = center + block[:, list(ps)] @ g.coefficients[i]
+            block[:, i] = center + shocks[:, i]
+        data[rows] = block
+    return data, labels

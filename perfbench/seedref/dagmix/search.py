@@ -1,0 +1,484 @@
+"""Greedy per-component DAG search and equivalence-class utilities.
+
+Because the criterion factors into per-component per-node terms, each
+component is searched independently and a move only touches the terms of
+the nodes whose parent sets change.  Equivalence-aware comparison goes
+through completed partially directed graphs (compelled arcs directed,
+reversible arcs undirected).
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from dataclasses import dataclass
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from .bayes import NormalWishart, local_score
+from .errors import DimensionMismatch
+from .model import DagStructure
+from .stats import MixtureStats, SuffStats
+
+SCORE_EPS = 1e-9
+
+_KIND_RANK = {"delete": 0, "reverse": 1, "add": 2}
+
+
+@dataclass(frozen=True)
+class ArcMove:
+    kind: str  # add | delete | reverse
+    source: int
+    target: int
+    component: int = 0
+
+
+@dataclass(frozen=True)
+class SearchStep:
+    """One accepted move with its gain and the resulting total score.
+
+    ``sideways`` marks covered-edge reversals taken while escaping a local
+    maximum; they stay within the current equivalence class (gain ~ 0) and
+    are only kept when a strictly improving move follows.
+    """
+
+    move: ArcMove
+    gain: float
+    total: float
+    sideways: bool = False
+
+
+def _reachable(structure: DagStructure, start: int, goal: int, skip_arc=None) -> bool:
+    """Directed reachability start -> goal, optionally ignoring one arc."""
+    children: list[list[int]] = [[] for _ in range(structure.n)]
+    for parent, child in structure.arcs():
+        if skip_arc is not None and (parent, child) == skip_arc:
+            continue
+        children[parent].append(child)
+    stack = [start]
+    seen = {start}
+    while stack:
+        node = stack.pop()
+        if node == goal:
+            return True
+        for ch in children[node]:
+            if ch not in seen:
+                seen.add(ch)
+                stack.append(ch)
+    return False
+
+
+def _closure(structure: DagStructure) -> np.ndarray:
+    """Boolean reachability matrix (closure[u, v] iff a path u ~> v exists)."""
+    reach = np.zeros((structure.n, structure.n), dtype=bool)
+    for parent, child in structure.arcs():
+        reach[parent, child] = True
+    for k in range(structure.n):
+        reach |= reach[:, k:k + 1] & reach[k:k + 1, :]
+    return reach
+
+
+def neighbors(structure: DagStructure) -> list[ArcMove]:
+    """All single-arc moves whose result is acyclic."""
+    reach = _closure(structure)
+    moves = []
+    for u in range(structure.n):
+        for v in range(structure.n):
+            if u == v:
+                continue
+            if structure.has_arc(u, v):
+                moves.append(ArcMove("delete", u, v))
+                # v -> u is legal unless some other path u ~> v remains
+                if not _reachable(structure, u, v, skip_arc=(u, v)):
+                    moves.append(ArcMove("reverse", u, v))
+            elif not reach[v, u]:
+                moves.append(ArcMove("add", u, v))
+    return moves
+
+
+def apply_move(structure: DagStructure, move: ArcMove) -> DagStructure:
+    u, v = move.source, move.target
+    if move.kind == "add":
+        return structure.with_parents(v, structure.parents[v] + (u,))
+    if move.kind == "delete":
+        return structure.with_parents(v, tuple(p for p in structure.parents[v] if p != u))
+    if move.kind == "reverse":
+        trimmed = structure.with_parents(v, tuple(p for p in structure.parents[v] if p != u))
+        return trimmed.with_parents(u, trimmed.parents[u] + (v,))
+    raise ValueError(f"unknown move kind {move.kind!r}")
+
+
+class _ScoreCache:
+    def __init__(self, prior: NormalWishart, t: SuffStats):
+        self.prior = prior
+        self.t = t
+        self._cache: dict[tuple[int, tuple[int, ...]], float] = {}
+
+    def node_score(self, node: int, parents: Iterable[int]) -> float:
+        key = (node, tuple(sorted(parents)))
+        hit = self._cache.get(key)
+        if hit is None:
+            hit = local_score(self.prior, self.t, node, key[1])
+            self._cache[key] = hit
+        return hit
+
+
+def _move_gain(cache: _ScoreCache, structure: DagStructure, move: ArcMove,
+               node_scores: np.ndarray) -> float:
+    u, v = move.source, move.target
+    if move.kind == "add":
+        return cache.node_score(v, structure.parents[v] + (u,)) - node_scores[v]
+    if move.kind == "delete":
+        trimmed = tuple(p for p in structure.parents[v] if p != u)
+        return cache.node_score(v, trimmed) - node_scores[v]
+    trimmed = tuple(p for p in structure.parents[v] if p != u)
+    return (
+        cache.node_score(v, trimmed)
+        - node_scores[v]
+        + cache.node_score(u, structure.parents[u] + (v,))
+        - node_scores[u]
+    )
+
+
+def _best_move(
+    cache: _ScoreCache,
+    structure: DagStructure,
+    node_scores: np.ndarray,
+    max_parents: int | None,
+) -> tuple[float, ArcMove] | None:
+    """Highest-gain legal move; ties break on (delete < reverse < add,
+    target, source) so runs are platform-independent."""
+    best: tuple[float, tuple[int, int, int], ArcMove] | None = None
+    for move in neighbors(structure):
+        if max_parents is not None:
+            if move.kind == "add" and len(structure.parents[move.target]) >= max_parents:
+                continue
+            if move.kind == "reverse" and len(structure.parents[move.source]) >= max_parents:
+                continue
+        gain = _move_gain(cache, structure, move, node_scores)
+        key = (_KIND_RANK[move.kind], move.target, move.source)
+        if best is None or gain > best[0] or (gain == best[0] and key < best[1]):
+            best = (gain, key, move)
+    if best is None:
+        return None
+    return best[0], best[2]
+
+
+def _covered_edges(structure: DagStructure) -> list[tuple[int, int]]:
+    """Arcs u -> v with Pa(v) = Pa(u) + {u}; reversing one is always legal
+    and keeps the equivalence class (hence the score) unchanged."""
+    return sorted(
+        (u, v)
+        for u, v in structure.arcs()
+        if set(structure.parents[v]) - {u} == set(structure.parents[u])
+    )
+
+
+_ESCAPE_BUDGET = 256
+
+
+def _escape_via_covered_reversals(
+    cache: _ScoreCache,
+    structure: DagStructure,
+    base_total: float,
+    max_parents: int | None,
+    eps: float,
+) -> tuple[list[ArcMove], ArcMove] | None:
+    """Search the equivalence class for a state with an improving move.
+
+    Breadth-first over covered-edge reversals (every state scores the same
+    as ``structure`` up to roundoff); returns the reversal path plus the
+    improving move of the first state whose best move beats ``base_total``
+    by more than eps, or None when the class offers no escape.
+    """
+    seen = {structure.parents}
+    frontier = deque([(structure, [])])
+    budget = _ESCAPE_BUDGET
+    while frontier and budget > 0:
+        state, path = frontier.popleft()
+        budget -= 1
+        if path:
+            scores = np.array(
+                [cache.node_score(i, ps) for i, ps in enumerate(state.parents)]
+            )
+            found = _best_move(cache, state, scores, max_parents)
+            if found is not None and scores.sum() + found[0] > base_total + eps:
+                return path, found[1]
+        for u, v in _covered_edges(state):
+            move = ArcMove("reverse", u, v)
+            nxt = apply_move(state, move)
+            if nxt.parents not in seen:
+                seen.add(nxt.parents)
+                frontier.append((nxt, path + [move]))
+    return None
+
+
+def greedy_component_search(
+    t: SuffStats,
+    prior: NormalWishart,
+    init: DagStructure,
+    max_parents: int | None = None,
+    eps: float = SCORE_EPS,
+    trace: list[SearchStep] | None = None,
+    component: int = 0,
+) -> DagStructure:
+    """Hill climbing over add/delete/reverse moves until nothing gains > eps.
+
+    Only the nodes whose parents change are rescored per move; the running
+    total is re-derived from the per-node scores after every acceptance so
+    incremental and full rescoring cannot drift apart.  When no single move
+    improves, the current equivalence class is explored through zero-gain
+    covered-edge reversals; an escape is accepted only when the reversal
+    path plus one more move strictly improves on the stuck score, so every
+    accepted transformation still increases the criterion and the search
+    terminates.  The returned structure has no improving neighbor.
+    """
+    structure = init
+    cache = _ScoreCache(prior, t)
+    node_scores = np.array(
+        [cache.node_score(i, ps) for i, ps in enumerate(structure.parents)]
+    )
+
+    def accept(move: ArcMove, sideways: bool) -> None:
+        nonlocal structure
+        before = float(node_scores.sum())
+        structure = apply_move(structure, move)
+        node_scores[move.target] = cache.node_score(
+            move.target, structure.parents[move.target]
+        )
+        if move.kind == "reverse":
+            node_scores[move.source] = cache.node_score(
+                move.source, structure.parents[move.source]
+            )
+        if trace is not None:
+            total = float(node_scores.sum())
+            trace.append(
+                SearchStep(
+                    ArcMove(move.kind, move.source, move.target, component),
+                    total - before,
+                    total,
+                    sideways,
+                )
+            )
+
+    while True:
+        found = _best_move(cache, structure, node_scores, max_parents)
+        if found is not None and found[0] > eps:
+            accept(found[1], sideways=False)
+            continue
+        escape = _escape_via_covered_reversals(
+            cache, structure, float(node_scores.sum()), max_parents, eps
+        )
+        if escape is None:
+            return structure
+        path, finishing_move = escape
+        for move in path:
+            accept(move, sideways=True)
+        accept(finishing_move, sideways=False)
+
+
+def search_all_components(
+    mix_stats: MixtureStats,
+    structures: Sequence[DagStructure],
+    priors: Sequence[NormalWishart],
+    max_parents: int | None = None,
+    eps: float = SCORE_EPS,
+    traces: list[list[SearchStep]] | None = None,
+) -> tuple[DagStructure, ...]:
+    """Independent greedy search per Gaussian component; noise untouched.
+
+    The statistics may carry a leading noise triple; the trailing triples
+    line up with ``structures``.
+    """
+    offset = mix_stats.n_components - len(structures)
+    if offset not in (0, 1):
+        raise DimensionMismatch(
+            f"{mix_stats.n_components} triples for {len(structures)} structures"
+        )
+    if len(priors) != len(structures):
+        raise DimensionMismatch("one prior per searched component")
+    out = []
+    for c, init in enumerate(structures):
+        trace = None
+        if traces is not None:
+            trace = []
+            traces.append(trace)
+        out.append(
+            greedy_component_search(
+                mix_stats.triples[offset + c],
+                priors[c],
+                init,
+                max_parents=max_parents,
+                eps=eps,
+                trace=trace,
+                component=c,
+            )
+        )
+    return tuple(out)
+
+
+# --- Markov-equivalence utilities -------------------------------------------
+
+
+@dataclass(frozen=True)
+class Cpdag:
+    """Completed partially directed graph: compelled arcs plus undirected edges."""
+
+    n: int
+    directed: frozenset[tuple[int, int]]
+    undirected: frozenset[tuple[int, int]]  # stored with smaller index first
+
+    def edge_mark(self, u: int, v: int):
+        """None, 'undirected', or the compelled (source, target) pair."""
+        if (min(u, v), max(u, v)) in self.undirected:
+            return "undirected"
+        if (u, v) in self.directed:
+            return (u, v)
+        if (v, u) in self.directed:
+            return (v, u)
+        return None
+
+
+def to_cpdag(structure: DagStructure) -> Cpdag:
+    """Orient exactly the compelled arcs of the structure's equivalence class.
+
+    Collider arcs are compelled outright; the remaining orientations follow
+    by closing under the standard propagation rules (no new colliders, no
+    cycles), and whatever stays unforced is undirected.
+    """
+    n = structure.n
+    adjacent = {frozenset((u, v)) for u, v in structure.arcs()}
+    directed: set[tuple[int, int]] = set()
+    for v, ps in enumerate(structure.parents):
+        for a in ps:
+            for b in ps:
+                if a < b and frozenset((a, b)) not in adjacent:
+                    directed.add((a, v))
+                    directed.add((b, v))
+    undirected = {
+        (min(u, v), max(u, v))
+        for u, v in structure.arcs()
+        if (u, v) not in directed and (v, u) not in directed
+    }
+
+    def neighbors_of(x: int) -> set[int]:
+        out = set()
+        for e in adjacent:
+            if x in e:
+                out |= e - {x}
+        return out
+
+    changed = True
+    while changed:
+        changed = False
+        for u, v in sorted(undirected):
+            orient = None
+            for a, b in ((u, v), (v, u)):
+                # meek rule 1: w -> a, w not adjacent to b  =>  a -> b
+                for w, t in directed:
+                    if t == a and frozenset((w, b)) not in adjacent:
+                        orient = (a, b)
+                        break
+                if orient:
+                    break
+                # meek rule 2: a -> w -> b with a - b  =>  a -> b
+                for w in neighbors_of(a) & neighbors_of(b):
+                    if (a, w) in directed and (w, b) in directed:
+                        orient = (a, b)
+                        break
+                if orient:
+                    break
+                # meek rule 3: a - w1 -> b, a - w2 -> b, w1, w2 non-adjacent
+                pointers = [
+                    w
+                    for w in neighbors_of(a)
+                    if (w, b) in directed
+                    and (min(a, w), max(a, w)) in undirected
+                ]
+                for i_ in range(len(pointers)):
+                    for j_ in range(i_ + 1, len(pointers)):
+                        if frozenset((pointers[i_], pointers[j_])) not in adjacent:
+                            orient = (a, b)
+                            break
+                    if orient:
+                        break
+                if orient:
+                    break
+            if orient:
+                undirected.discard((min(u, v), max(u, v)))
+                directed.add(orient)
+                changed = True
+    return Cpdag(n, frozenset(directed), frozenset(undirected))
+
+
+def markov_equivalent(a: DagStructure, b: DagStructure) -> bool:
+    return to_cpdag(a) == to_cpdag(b)
+
+
+def cpdag_hamming(a: DagStructure, b: DagStructure) -> int:
+    """Pairs of nodes whose completed-graph edge status differs.
+
+    Cheap equivalence-aware comparison, but it overstates the manipulation
+    count when an extra adjacency destroys compelled orientations; use
+    structural_difference for the faithful metric.
+    """
+    if a.n != b.n:
+        raise DimensionMismatch(f"structures have n={a.n} and n={b.n}")
+    ca = to_cpdag(a)
+    cb = to_cpdag(b)
+    count = 0
+    for u in range(a.n):
+        for v in range(u + 1, a.n):
+            if ca.edge_mark(u, v) != cb.edge_mark(u, v):
+                count += 1
+    return count
+
+
+_DIFFERENCE_STATE_CAP = 60000
+
+
+def structural_difference(learned: DagStructure, gold: DagStructure) -> int:
+    """Minimum number of arc manipulations from one structure to the other,
+    not counting manipulations that stay inside an equivalence class.
+
+    Shortest path over DAG space where covered-edge reversals (the moves
+    that preserve the distribution family) cost nothing and every other
+    addition, deletion, or reversal costs one.  Zero exactly when the
+    structures are Markov equivalent.
+    """
+    if learned.n != gold.n:
+        raise DimensionMismatch(f"structures have n={learned.n} and n={gold.n}")
+    target = to_cpdag(gold)
+    if to_cpdag(learned) == target:
+        return 0
+    dist: dict[tuple, int] = {learned.parents: 0}
+    dq: deque[DagStructure] = deque([learned])
+    done: set[tuple] = set()
+    while dq:
+        state = dq.popleft()
+        if state.parents in done:
+            continue
+        done.add(state.parents)
+        d = dist[state.parents]
+        if to_cpdag(state) == target:
+            return d
+        if len(dist) > _DIFFERENCE_STATE_CAP:
+            raise DimensionMismatch(
+                "structural difference search exceeded its state budget; "
+                "graphs of this size need the cpdag_hamming approximation"
+            )
+        covered = set(_covered_edges(state))
+        for move in neighbors(state):
+            cost = int(
+                not (move.kind == "reverse" and (move.source, move.target) in covered)
+            )
+            nxt = apply_move(state, move)
+            nd = d + cost
+            if nxt.parents in dist and dist[nxt.parents] <= nd:
+                continue
+            dist[nxt.parents] = nd
+            if cost == 0:
+                dq.appendleft(nxt)
+            else:
+                dq.append(nxt)
+    raise AssertionError("DAG space is connected; target must be reachable")

@@ -1,0 +1,348 @@
+"""Sufficient-statistic triples and their expected (E-step) counterparts.
+
+Each mixture component accumulates a triple (n, r, s): expected case
+count, expected sum of x, and expected sum of outer products x x^T.  With
+a hidden mixture indicator and possibly missing coordinates, the exact
+statistics are replaced by expectations under the current model, taken
+per case given whatever was observed for that case.  These expected
+statistics keep the full cross-product matrix so that structures visited
+later during search are supported no matter which dependencies they use.
+
+Missing values are NaN cells in the data matrix.  Cases are grouped by
+observation mask so per-mask quantities (marginal factorizations,
+conditional-moment operators) are computed once per sweep.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import (
+    AllComponentsZeroDensity,
+    BadComponentIndex,
+    DimensionMismatch,
+    ShapeMismatch,
+    SingularObservedBlock,
+)
+from .model import GaussianDag, MdagModel
+
+_JITTER = 1e-9
+
+
+@dataclass(frozen=True)
+class SuffStats:
+    """(n, r, s): case count, sum of x, sum of x x^T; n may be fractional."""
+
+    n: float
+    r: np.ndarray
+    s: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "r", np.asarray(self.r, dtype=float))
+        object.__setattr__(self, "s", np.asarray(self.s, dtype=float))
+        if self.s.shape != (self.r.shape[0], self.r.shape[0]):
+            raise ShapeMismatch("s must be square with side len(r)")
+
+    @property
+    def dim(self) -> int:
+        return self.r.shape[0]
+
+    @classmethod
+    def zero(cls, dim: int) -> "SuffStats":
+        return cls(0.0, np.zeros(dim), np.zeros((dim, dim)))
+
+    def scatter(self) -> np.ndarray:
+        """Centered scatter s - r r^T / n (zero matrix when n == 0)."""
+        if self.n <= 0:
+            return np.zeros_like(self.s)
+        return self.s - np.outer(self.r, self.r) / self.n
+
+    def add(self, other: "SuffStats") -> "SuffStats":
+        if self.dim != other.dim:
+            raise ShapeMismatch(f"dims {self.dim} and {other.dim}")
+        return SuffStats(self.n + other.n, self.r + other.r, self.s + other.s)
+
+
+@dataclass(frozen=True)
+class MixtureStats:
+    """Per-component SuffStats plus the number of cases they summarize.
+
+    Component order matches the model's weight vector; a noise component's
+    triple carries only its count (r and s stay zero and are never read).
+    With the mixture indicator as the only discrete variable, one triple
+    per component is the whole story; a model with further discrete
+    variables would instead keep a sparse map from observed discrete
+    configurations to triples.
+    """
+
+    triples: tuple[SuffStats, ...]
+    total_cases: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "triples", tuple(self.triples))
+
+    @property
+    def n_components(self) -> int:
+        return len(self.triples)
+
+    @property
+    def dim(self) -> int:
+        return self.triples[0].dim
+
+    def counts(self) -> np.ndarray:
+        return np.array([t.n for t in self.triples])
+
+
+def case_stats(x: np.ndarray, component: int, k: int) -> MixtureStats:
+    """Exact single-case statistics: component gets (1, x, x x^T), rest zero."""
+    x = np.asarray(x, dtype=float)
+    if not 0 <= component < k:
+        raise BadComponentIndex(f"component {component} outside [0, {k})")
+    dim = x.shape[0]
+    triples = [
+        SuffStats(1.0, x.copy(), np.outer(x, x)) if c == component else SuffStats.zero(dim)
+        for c in range(k)
+    ]
+    return MixtureStats(tuple(triples), 1.0)
+
+
+def merge(a: MixtureStats, b: MixtureStats) -> MixtureStats:
+    """Componentwise triple addition (the reduction step of a parallel sweep)."""
+    if a.n_components != b.n_components or a.dim != b.dim:
+        raise ShapeMismatch("mixture statistics have different shapes")
+    return MixtureStats(
+        tuple(ta.add(tb) for ta, tb in zip(a.triples, b.triples)),
+        a.total_cases + b.total_cases,
+    )
+
+
+def labeled_stats(data: np.ndarray, labels: np.ndarray, k: int) -> MixtureStats:
+    """Exact statistics for complete data with observed component labels."""
+    data = np.asarray(data, dtype=float)
+    labels = np.asarray(labels)
+    if np.isnan(data).any():
+        raise DimensionMismatch("labeled statistics require complete data")
+    if labels.shape != (data.shape[0],):
+        raise ShapeMismatch("one label per case required")
+    if labels.size and (labels.min() < 0 or labels.max() >= k):
+        raise BadComponentIndex(f"labels must lie in [0, {k})")
+    triples = []
+    for c in range(k):
+        rows = data[labels == c]
+        triples.append(SuffStats(float(rows.shape[0]), rows.sum(axis=0), rows.T @ rows))
+    return MixtureStats(tuple(triples), float(data.shape[0]))
+
+
+# --- per-mask Gaussian sub-block machinery ----------------------------------
+
+
+def _chol_with_jitter(mat: np.ndarray, error: type[Exception]) -> np.ndarray:
+    """Cholesky factor with a single 1e-9 diagonal-jitter retry."""
+    try:
+        return np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        try:
+            return np.linalg.cholesky(mat + _JITTER * np.eye(mat.shape[0]))
+        except np.linalg.LinAlgError:
+            raise error(f"block of side {mat.shape[0]} is not positive definite")
+
+
+def conditional_moments(
+    g: GaussianDag, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian conditional mean/covariance of the NaN coordinates of y.
+
+    Both are empty when everything is observed; with nothing observed the
+    unconditional joint moments are returned.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.shape != (g.n,):
+        raise DimensionMismatch(f"point has shape {y.shape}, model has n={g.n}")
+    observed = ~np.isnan(y)
+    mean, cov = g.joint_moments
+    if observed.all():
+        return np.zeros(0), np.zeros((0, 0))
+    if not observed.any():
+        return mean.copy(), cov.copy()
+    obs = np.flatnonzero(observed)
+    mis = np.flatnonzero(~observed)
+    chol = _chol_with_jitter(cov[np.ix_(obs, obs)], SingularObservedBlock)
+    gain = _chol_solve(chol, cov[np.ix_(obs, mis)]).T  # Sigma_mo Sigma_oo^-1
+    cond_mean = mean[mis] + gain @ (y[obs] - mean[obs])
+    cond_cov = cov[np.ix_(mis, mis)] - gain @ cov[np.ix_(obs, mis)]
+    return cond_mean, 0.5 * (cond_cov + cond_cov.T)
+
+
+def _chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    halfway = np.linalg.solve(chol, rhs)
+    return np.linalg.solve(chol.T, halfway)
+
+
+def _mask_groups(data: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    observed = ~np.isnan(data)
+    if observed.all():  # complete data: one group, no sorting pass
+        return [(np.ones(data.shape[1], dtype=bool), np.arange(data.shape[0]))]
+    masks, inverse = np.unique(observed, axis=0, return_inverse=True)
+    return [(masks[g], np.flatnonzero(inverse == g)) for g in range(masks.shape[0])]
+
+
+class _MarginalCache:
+    """Per-sweep cache of observed-block factorizations keyed by mask."""
+
+    def __init__(self, model: MdagModel):
+        self.model = model
+        self._cache: dict[tuple[int, bytes], tuple] = {}
+
+    def component_block(self, j: int, mask: np.ndarray):
+        key = (j, mask.tobytes())
+        hit = self._cache.get(key)
+        if hit is None:
+            mean, cov = self.model.components[j].joint_moments
+            obs = np.flatnonzero(mask)
+            mis = np.flatnonzero(~mask)
+            chol = _chol_with_jitter(cov[np.ix_(obs, obs)], SingularObservedBlock)
+            if mis.size:
+                gain = _chol_solve(chol, cov[np.ix_(obs, mis)]).T
+                cond_cov = cov[np.ix_(mis, mis)] - gain @ cov[np.ix_(obs, mis)]
+                cond_cov = 0.5 * (cond_cov + cond_cov.T)
+            else:
+                gain = np.zeros((0, obs.size))
+                cond_cov = np.zeros((0, 0))
+            hit = (mean, obs, mis, chol, gain, cond_cov)
+            self._cache[key] = hit
+        return hit
+
+
+def _group_component_loglik(
+    model: MdagModel, cache: _MarginalCache, mask: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """(len(rows), n_components) log density of the observed block per row."""
+    out = np.empty((rows.shape[0], model.n_components))
+    col = 0
+    obs = np.flatnonzero(mask)
+    if model.has_noise:
+        assert model.noise is not None
+        if obs.size:
+            lo = model.noise.lower[obs]
+            hi = model.noise.upper[obs]
+            inside = np.all((rows[:, obs] >= lo) & (rows[:, obs] <= hi), axis=1)
+            dens = -np.sum(np.log(hi - lo))
+            out[:, 0] = np.where(inside, dens, -np.inf)
+        else:
+            out[:, 0] = 0.0
+        col = 1
+    for j in range(model.k):
+        mean, obs_idx, _, chol, _, _ = cache.component_block(j, mask)
+        if obs_idx.size == 0:
+            out[:, col + j] = 0.0
+            continue
+        centered = rows[:, obs_idx] - mean[obs_idx]
+        solved = np.linalg.solve(chol, centered.T)
+        quad = np.sum(solved**2, axis=0)
+        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+        out[:, col + j] = -0.5 * (obs_idx.size * np.log(2 * np.pi) + logdet + quad)
+    return out
+
+
+def component_case_loglik(model: MdagModel, data: np.ndarray) -> np.ndarray:
+    """Matrix of per-case, per-component log densities of the observed parts.
+
+    Weight ordering (noise first when present); weights themselves are not
+    applied.  NaN cells mark missing coordinates.
+    """
+    data = np.asarray(data, dtype=float)
+    if data.ndim != 2 or data.shape[1] != model.n:
+        raise DimensionMismatch(f"data shape {data.shape} does not match n={model.n}")
+    cache = _MarginalCache(model)
+    out = np.empty((data.shape[0], model.n_components))
+    for mask, idx in _mask_groups(data):
+        out[idx] = _group_component_loglik(model, cache, mask, data[idx])
+    return out
+
+
+def _normalize_responsibilities(
+    logp: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        logw = np.where(weights > 0, np.log(weights), -np.inf)
+    scores = logp + logw
+    top = scores.max(axis=1, keepdims=True)
+    bad = ~np.isfinite(top[:, 0])
+    if bad.any():
+        raise AllComponentsZeroDensity(
+            f"{int(bad.sum())} case(s) have zero density under every component"
+        )
+    resp = np.exp(scores - top)
+    resp /= resp.sum(axis=1, keepdims=True)
+    return resp
+
+
+def responsibilities(model: MdagModel, y: np.ndarray) -> np.ndarray:
+    """Posterior probability of each component given one (partial) case.
+
+    With no observed coordinate the prior weights are returned.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.shape != (model.n,):
+        raise DimensionMismatch(f"point has shape {y.shape}, model has n={model.n}")
+    if np.isnan(y).all():
+        return model.weights.copy()
+    logp = component_case_loglik(model, y[None, :])
+    return _normalize_responsibilities(logp, model.weights)[0]
+
+
+def case_responsibilities(model: MdagModel, data: np.ndarray) -> np.ndarray:
+    """Responsibility matrix (cases x components) for a whole dataset."""
+    logp = component_case_loglik(model, np.asarray(data, dtype=float))
+    return _normalize_responsibilities(logp, model.weights)
+
+
+def expected_stats(data: np.ndarray, model: MdagModel) -> MixtureStats:
+    """Expected complete-data statistics of the mixture, one sweep over cases.
+
+    Per case and component: the count gains the responsibility r; the sum
+    gains r * E[x | y, c] (observed coordinates kept as observed, missing
+    ones replaced by the component's conditional mean); the outer-product
+    sum gains r * (E[x|y,c] E[x|y,c]^T + conditional covariance padded with
+    zeros on observed coordinates).  Dropping that covariance term would
+    understate second moments, so it is always added.  The noise component
+    only accumulates its count.
+    """
+    data = np.asarray(data, dtype=float)
+    if data.ndim != 2 or data.shape[1] != model.n:
+        raise DimensionMismatch(f"data shape {data.shape} does not match n={model.n}")
+    n = model.n
+    cache = _MarginalCache(model)
+    offset = 1 if model.has_noise else 0
+    counts = np.zeros(model.n_components)
+    sums = [np.zeros(n) for _ in range(model.n_components)]
+    outers = [np.zeros((n, n)) for _ in range(model.n_components)]
+    for mask, idx in _mask_groups(data):
+        rows = data[idx]
+        logp = _group_component_loglik(model, cache, mask, rows)
+        if mask.any():
+            resp = _normalize_responsibilities(logp, model.weights)
+        else:
+            resp = np.tile(model.weights, (rows.shape[0], 1))
+        counts += resp.sum(axis=0)
+        for j in range(model.k):
+            col = offset + j
+            r = resp[:, col]
+            mean, obs, mis, _, gain, cond_cov = cache.component_block(j, mask)
+            completed = np.empty_like(rows)
+            completed[:, obs] = rows[:, obs]
+            if mis.size:
+                completed[:, mis] = mean[mis] + (rows[:, obs] - mean[obs]) @ gain.T
+            sums[col] += r @ completed
+            outers[col] += (completed * r[:, None]).T @ completed
+            if mis.size:
+                pad = np.zeros((n, n))
+                pad[np.ix_(mis, mis)] = cond_cov
+                outers[col] += r.sum() * pad
+    triples = [
+        SuffStats(float(counts[c]), sums[c], 0.5 * (outers[c] + outers[c].T))
+        for c in range(model.n_components)
+    ]
+    return MixtureStats(tuple(triples), float(data.shape[0]))
