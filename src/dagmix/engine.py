@@ -27,7 +27,7 @@ from .bayes import (
     map_parameters,
     sample_joint_parameters,
 )
-from .errors import BadSchedule, DimensionMismatch, InsufficientData
+from .errors import BadSchedule, DimensionMismatch, InsufficientData, NonNumericValue
 from .model import (
     DagStructure,
     GaussianDag,
@@ -215,17 +215,6 @@ def _m_step(
     return MdagModel(weights, components, model.noise)
 
 
-def _em_step_with_stats(
-    data: np.ndarray,
-    model: MdagModel,
-    priors: Sequence[NormalWishart],
-    dirichlet: DirichletPrior,
-) -> tuple[MdagModel, stats.MixtureStats]:
-    mix_stats = stats.expected_stats(data, model)
-    structures = tuple(g.structure for g in model.components)
-    return _m_step(mix_stats, structures, priors, dirichlet, model), mix_stats
-
-
 def em_step(
     data: np.ndarray,
     model: MdagModel,
@@ -233,14 +222,21 @@ def em_step(
     dirichlet: DirichletPrior,
 ) -> MdagModel:
     """One E step plus one M step at fixed structures."""
-    return _em_step_with_stats(data, model, priors, dirichlet)[0]
+    mix_stats, _ = stats.expected_stats(data, model)
+    structures = tuple(g.structure for g in model.components)
+    return _m_step(mix_stats, structures, priors, dirichlet, model)
 
 
 @dataclass(frozen=True)
 class EmTrace:
-    logliks: tuple[float, ...]  # observed log likelihood, index 0 = before any step
+    """``logliks[t]``: the observed log likelihood from the E sweep at the
+    model after t steps (index 0 = before any step); ``stats``: the last
+    sweep's statistics, taken at the returned model."""
+
+    logliks: tuple[float, ...]
     converged: bool
     collapsed: tuple[int, ...]
+    stats: stats.MixtureStats
 
 
 def run_em(
@@ -252,21 +248,25 @@ def run_em(
     convergence_ratio: float = 1e-6,
     max_steps: int = 500,
 ) -> tuple[MdagModel, EmTrace]:
-    """Repeat em_step for a fixed burst or until the ratio rule fires.
+    """Repeat E and M steps for a fixed burst or until the ratio rule fires.
 
-    The convergence rule compares each step's log-likelihood change with
-    the total change since initialization: stop once
-    (l_t - l_{t-1}) / (l_t - l_0) drops below ``convergence_ratio``.
+    One E sweep per model gives the next M step's statistics and the
+    trace's log likelihood, so b steps make b + 1 sweeps.  The convergence
+    rule compares each step's log-likelihood change with the total change
+    since initialization: stop once (l_t - l_{t-1}) / (l_t - l_0) drops
+    below ``convergence_ratio``.
     """
     budget = steps if steps is not None else max_steps
-    logliks = [observed_loglik(data, model)]
+    structures = tuple(g.structure for g in model.components)
+    mix_stats, loglik = stats.expected_stats(data, model)
+    logliks = [loglik]
     converged = False
     collapse_streaks = np.zeros(model.k, dtype=int)
     collapsed: set[int] = set()
     offset = 1 if model.has_noise else 0
     for _ in range(budget):
-        model, step_stats = _em_step_with_stats(data, model, priors, dirichlet)
-        counts = step_stats.counts()
+        counts = mix_stats.counts()
+        model = _m_step(mix_stats, structures, priors, dirichlet, model)
         for c in range(model.k):
             if counts[offset + c] < _COLLAPSE_THRESHOLD:
                 collapse_streaks[c] += 1
@@ -281,11 +281,12 @@ def run_em(
                     )
             else:
                 collapse_streaks[c] = 0
-        logliks.append(observed_loglik(data, model))
+        mix_stats, loglik = stats.expected_stats(data, model)
+        logliks.append(loglik)
         if steps is None and ratio_rule_fires(logliks, convergence_ratio):
             converged = True
             break
-    return model, EmTrace(tuple(logliks), converged, tuple(sorted(collapsed)))
+    return model, EmTrace(tuple(logliks), converged, tuple(sorted(collapsed)), mix_stats)
 
 
 def ratio_rule_fires(logliks: Sequence[float], ratio: float) -> bool:
@@ -348,6 +349,19 @@ def initialize(data: np.ndarray, config: FitConfig) -> MdagModel:
     return MdagModel(weights, tuple(components), config.noise_component())
 
 
+def _checked_data(data) -> np.ndarray:
+    """Data as a cases-by-variables float matrix (n >= 1), cells finite or NaN."""
+    try:
+        data = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise NonNumericValue(f"data cells must be numbers: {exc}") from None
+    if data.ndim != 2 or data.shape[1] == 0:
+        raise DimensionMismatch(f"data must be cases by n >= 1 variables, not {data.shape}")
+    if np.isinf(data).any():
+        raise NonNumericValue("data cells must be finite numbers or NaN (missing)")
+    return data
+
+
 def fit(data: np.ndarray, config: FitConfig) -> FitResult:
     """Interleaved parameter and structure search over one component count.
 
@@ -356,7 +370,7 @@ def fit(data: np.ndarray, config: FitConfig) -> FitResult:
     schedule with the forced EM-to-convergence pass before declaring the
     structures stable.
     """
-    data = np.asarray(data, dtype=float)
+    data = _checked_data(data)
     priors, dirichlet = _bind_priors(config, data.shape[1])
     model = initialize(data, config)
     structures = tuple(g.structure for g in model.components)
@@ -380,7 +394,7 @@ def fit(data: np.ndarray, config: FitConfig) -> FitResult:
             max_steps=config.max_em_steps,
         )
         collapsed.update(em_trace.collapsed)
-        mix_stats = stats.expected_stats(data, model)
+        mix_stats = em_trace.stats
         if searching:
             new_structures = search_all_components(
                 mix_stats, structures, priors, max_parents=config.max_parents
@@ -436,6 +450,7 @@ def select_k(data: np.ndarray, config: FitConfig, k_max: int) -> SelectKResult:
     Fits k = 1, 2, ... and stops after the Cheeseman-Stutz score decreases
     on two consecutive increments (or at k_max); the best-scoring k wins.
     """
+    data = _checked_data(data)
     if k_max < 1:
         raise DimensionMismatch("k_max must be at least 1")
     fits: list[FitResult] = []

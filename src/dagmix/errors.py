@@ -100,6 +100,10 @@ class BadSchedule(DataError):
     pass
 
 
+class NonNumericValue(DataError):
+    """A data cell that is neither a finite number nor NaN (missing)."""
+
+
 # --- files / CLI ------------------------------------------------------------
 
 class RaggedRow(DataError):

@@ -140,10 +140,6 @@ def complete_structure(n: int) -> DagStructure:
     return DagStructure(n, tuple(tuple(range(i)) for i in range(n)))
 
 
-def validate(structure: DagStructure) -> None:
-    structure.validate()
-
-
 @dataclass(frozen=True)
 class GaussianDag:
     """DagStructure plus per-node linear-regression parameters.
@@ -240,10 +236,6 @@ class GaussianDag:
                 variances[i] = max(cov[i, i], 1e-12)
                 coefficients.append(np.zeros(0))
         return cls(structure, intercepts, tuple(coefficients), variances)
-
-
-def to_multivariate_gaussian(g: GaussianDag) -> tuple[np.ndarray, np.ndarray]:
-    return g.joint_moments
 
 
 @dataclass(frozen=True)
@@ -361,26 +353,6 @@ def _logsumexp(values: np.ndarray) -> float:
     if top == -np.inf:
         return -np.inf
     return float(top + np.log(np.sum(np.exp(values - top))))
-
-
-def component_log_density(g: GaussianDag, x: np.ndarray) -> float:
-    return g.log_density(x)
-
-
-def mdag_log_density(model: MdagModel, x: np.ndarray) -> float:
-    return model.log_density(x)
-
-
-def gaussian_logpdf_rows(
-    mean: np.ndarray, cov: np.ndarray, rows: np.ndarray
-) -> np.ndarray:
-    """Log density of each row under N(mean, cov) via one Cholesky factor."""
-    chol = np.linalg.cholesky(cov)
-    centered = rows - mean
-    solved = np.linalg.solve(chol, centered.T)
-    quad = np.sum(solved**2, axis=0)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    return -0.5 * (mean.shape[0] * LOG_2PI + logdet + quad)
 
 
 def sample(

@@ -20,6 +20,7 @@ from .bayes import DirichletPrior, NormalWishart, dirichlet_log_marglik, local_s
 from .errors import AllComponentsZeroDensity, DimensionMismatch, EmptyTestSet
 from .model import LOG_2PI, DagStructure, MdagModel
 from .stats import MixtureStats, SuffStats, _chol_with_jitter, component_case_loglik
+from .stats import _normalize_responsibilities
 from .errors import SingularObservedBlock
 
 
@@ -88,28 +89,19 @@ def observed_loglik(
     if data.shape[0] == 0:
         return 0.0
     logp = component_case_loglik(model, data)
+    if labels is None:
+        return float(np.sum(_normalize_responsibilities(logp, model.weights)[1]))
+    labels = np.asarray(labels)
+    if labels.shape != (data.shape[0],):
+        raise DimensionMismatch("one label per case required")
     with np.errstate(divide="ignore"):
         logw = np.where(model.weights > 0, np.log(model.weights), -np.inf)
-    if labels is not None:
-        labels = np.asarray(labels)
-        if labels.shape != (data.shape[0],):
-            raise DimensionMismatch("one label per case required")
-        picked = logw[labels] + logp[np.arange(data.shape[0]), labels]
-        if not np.all(np.isfinite(picked)):
-            raise AllComponentsZeroDensity(
-                "a case has zero density under its labeled component"
-            )
-        return float(np.sum(picked))
-    scores = logp + logw
-    top = scores.max(axis=1)
-    if not np.all(np.isfinite(top)):
+    picked = logw[labels] + logp[np.arange(data.shape[0]), labels]
+    if not np.all(np.isfinite(picked)):
         raise AllComponentsZeroDensity(
-            f"{int(np.sum(~np.isfinite(top)))} case(s) have zero density "
-            "under every positive-weight component"
+            "a case has zero density under its labeled component"
         )
-    return float(
-        np.sum(top + np.log(np.sum(np.exp(scores - top[:, None]), axis=1)))
-    )
+    return float(np.sum(picked))
 
 
 def gaussian_complete_loglik(t: SuffStats, mean: np.ndarray, cov: np.ndarray) -> float:

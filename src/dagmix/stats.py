@@ -149,6 +149,29 @@ def _chol_with_jitter(mat: np.ndarray, error: type[Exception]) -> np.ndarray:
             raise error(f"block of side {mat.shape[0]} is not positive definite")
 
 
+def gaussian_block(
+    mean: np.ndarray, cov: np.ndarray, mask: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Observed/missing split of N(mean, cov) under an observation mask.
+
+    Returns (obs, mis, chol, gain, cond_cov): the observed and missing
+    indices, the Cholesky factor of Sigma_oo, the regression gain
+    Sigma_mo Sigma_oo^-1, and the conditional covariance of the missing
+    coordinates given the observed ones.
+    """
+    obs = np.flatnonzero(mask)
+    mis = np.flatnonzero(~mask)
+    chol = _chol_with_jitter(cov[np.ix_(obs, obs)], SingularObservedBlock)
+    if mis.size:
+        gain = _chol_solve(chol, cov[np.ix_(obs, mis)]).T
+        cond_cov = cov[np.ix_(mis, mis)] - gain @ cov[np.ix_(obs, mis)]
+        cond_cov = 0.5 * (cond_cov + cond_cov.T)
+    else:
+        gain = np.zeros((0, obs.size))
+        cond_cov = np.zeros((0, 0))
+    return obs, mis, chol, gain, cond_cov
+
+
 def conditional_moments(
     g: GaussianDag, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -160,19 +183,9 @@ def conditional_moments(
     y = np.asarray(y, dtype=float)
     if y.shape != (g.n,):
         raise DimensionMismatch(f"point has shape {y.shape}, model has n={g.n}")
-    observed = ~np.isnan(y)
     mean, cov = g.joint_moments
-    if observed.all():
-        return np.zeros(0), np.zeros((0, 0))
-    if not observed.any():
-        return mean.copy(), cov.copy()
-    obs = np.flatnonzero(observed)
-    mis = np.flatnonzero(~observed)
-    chol = _chol_with_jitter(cov[np.ix_(obs, obs)], SingularObservedBlock)
-    gain = _chol_solve(chol, cov[np.ix_(obs, mis)]).T  # Sigma_mo Sigma_oo^-1
-    cond_mean = mean[mis] + gain @ (y[obs] - mean[obs])
-    cond_cov = cov[np.ix_(mis, mis)] - gain @ cov[np.ix_(obs, mis)]
-    return cond_mean, 0.5 * (cond_cov + cond_cov.T)
+    obs, mis, _, gain, cond_cov = gaussian_block(mean, cov, ~np.isnan(y))
+    return mean[mis] + gain @ (y[obs] - mean[obs]), cond_cov
 
 
 def _chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -200,17 +213,7 @@ class _MarginalCache:
         hit = self._cache.get(key)
         if hit is None:
             mean, cov = self.model.components[j].joint_moments
-            obs = np.flatnonzero(mask)
-            mis = np.flatnonzero(~mask)
-            chol = _chol_with_jitter(cov[np.ix_(obs, obs)], SingularObservedBlock)
-            if mis.size:
-                gain = _chol_solve(chol, cov[np.ix_(obs, mis)]).T
-                cond_cov = cov[np.ix_(mis, mis)] - gain @ cov[np.ix_(obs, mis)]
-                cond_cov = 0.5 * (cond_cov + cond_cov.T)
-            else:
-                gain = np.zeros((0, obs.size))
-                cond_cov = np.zeros((0, 0))
-            hit = (mean, obs, mis, chol, gain, cond_cov)
+            hit = (mean,) + gaussian_block(mean, cov, mask)
             self._cache[key] = hit
         return hit
 
@@ -264,7 +267,8 @@ def component_case_loglik(model: MdagModel, data: np.ndarray) -> np.ndarray:
 
 def _normalize_responsibilities(
     logp: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row posterior component probabilities and log sum_c pi_c p(y|c)."""
     with np.errstate(divide="ignore"):
         logw = np.where(weights > 0, np.log(weights), -np.inf)
     scores = logp + logw
@@ -272,11 +276,13 @@ def _normalize_responsibilities(
     bad = ~np.isfinite(top[:, 0])
     if bad.any():
         raise AllComponentsZeroDensity(
-            f"{int(bad.sum())} case(s) have zero density under every component"
+            f"{int(bad.sum())} case(s) have zero density under every "
+            "positive-weight component"
         )
     resp = np.exp(scores - top)
-    resp /= resp.sum(axis=1, keepdims=True)
-    return resp
+    total = resp.sum(axis=1, keepdims=True)
+    resp /= total
+    return resp, (top + np.log(total))[:, 0]
 
 
 def responsibilities(model: MdagModel, y: np.ndarray) -> np.ndarray:
@@ -290,16 +296,10 @@ def responsibilities(model: MdagModel, y: np.ndarray) -> np.ndarray:
     if np.isnan(y).all():
         return model.weights.copy()
     logp = component_case_loglik(model, y[None, :])
-    return _normalize_responsibilities(logp, model.weights)[0]
+    return _normalize_responsibilities(logp, model.weights)[0][0]
 
 
-def case_responsibilities(model: MdagModel, data: np.ndarray) -> np.ndarray:
-    """Responsibility matrix (cases x components) for a whole dataset."""
-    logp = component_case_loglik(model, np.asarray(data, dtype=float))
-    return _normalize_responsibilities(logp, model.weights)
-
-
-def expected_stats(data: np.ndarray, model: MdagModel) -> MixtureStats:
+def expected_stats(data: np.ndarray, model: MdagModel) -> tuple[MixtureStats, float]:
     """Expected complete-data statistics of the mixture, one sweep over cases.
 
     Per case and component: the count gains the responsibility r; the sum
@@ -309,6 +309,9 @@ def expected_stats(data: np.ndarray, model: MdagModel) -> MixtureStats:
     zeros on observed coordinates).  Dropping that covariance term would
     understate second moments, so it is always added.  The noise component
     only accumulates its count.
+
+    Also returns the observed log likelihood at ``model``, read off the
+    same densities; it equals ``scoring.observed_loglik`` bit for bit.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[1] != model.n:
@@ -319,12 +322,12 @@ def expected_stats(data: np.ndarray, model: MdagModel) -> MixtureStats:
     counts = np.zeros(model.n_components)
     sums = [np.zeros(n) for _ in range(model.n_components)]
     outers = [np.zeros((n, n)) for _ in range(model.n_components)]
+    row_loglik = np.empty(data.shape[0])
     for mask, idx in _mask_groups(data):
         rows = data[idx]
         logp = _group_component_loglik(model, cache, mask, rows)
-        if mask.any():
-            resp = _normalize_responsibilities(logp, model.weights)
-        else:
+        resp, row_loglik[idx] = _normalize_responsibilities(logp, model.weights)
+        if not mask.any():
             resp = np.tile(model.weights, (rows.shape[0], 1))
         counts += resp.sum(axis=0)
         for j in range(model.k):
@@ -345,4 +348,4 @@ def expected_stats(data: np.ndarray, model: MdagModel) -> MixtureStats:
         SuffStats(float(counts[c]), sums[c], 0.5 * (outers[c] + outers[c].T))
         for c in range(model.n_components)
     ]
-    return MixtureStats(tuple(triples), float(data.shape[0]))
+    return MixtureStats(tuple(triples), float(data.shape[0])), float(np.sum(row_loglik))

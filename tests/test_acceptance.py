@@ -196,9 +196,9 @@ def test_criterion_04_cheeseman_stutz_vs_importance_sampling():
         ),
     )
     m, _ = run_em(data, m, priors, dirichlet, steps=None, max_steps=3000, convergence_ratio=1e-10)
-    ms = expected_stats(data, m)
+    ms, _ = expected_stats(data, m)
     m = _m_step(ms, tuple(g.structure for g in m.components), priors, dirichlet, m)
-    ms = expected_stats(data, m)
+    ms, _ = expected_stats(data, m)
     cs = cheeseman_stutz_score(data, m, priors, dirichlet, ms)
 
     p = priors[0]

@@ -16,9 +16,16 @@ from dagmix.engine import (
     run_em,
     select_k,
 )
-from dagmix.errors import BadSchedule, InsufficientData
+from dagmix.errors import (
+    BadSchedule,
+    DataError,
+    DimensionMismatch,
+    InsufficientData,
+    NonNumericValue,
+)
 from dagmix.model import MdagModel, empty_structure, sample
 from dagmix.scoring import observed_loglik
+from dagmix.stats import expected_stats
 from conftest import single_node_model, two_component_1d
 
 
@@ -171,6 +178,21 @@ class TestRunEm:
         _, trace = run_em(data, m, priors, dirichlet, steps=None)
         assert np.all(np.diff(trace.logliks) >= -1e-7)
 
+    def test_returned_stats_are_a_fresh_sweep(self, rng):
+        # fit hands these statistics to search in place of a new sweep
+        data, _ = sample(two_component_1d(0.0, 4.0), 120, rng)
+        data[::9, 0] = np.nan
+        config = FitConfig(k=2, seed=0)
+        priors, dirichlet = _bind_priors(config, 1)
+        out, trace = run_em(data, initialize(data, config), priors, dirichlet, steps=6)
+        fresh, loglik = expected_stats(data, out)
+        assert loglik == trace.logliks[-1]
+        assert trace.stats.total_cases == fresh.total_cases
+        for got, want in zip(trace.stats.triples, fresh.triples):
+            assert got.n == want.n
+            assert np.array_equal(got.r, want.r)
+            assert np.array_equal(got.s, want.s)
+
 
 class TestInitialize:
     def test_deterministic(self, rng):
@@ -260,9 +282,10 @@ class TestFit:
         assert result.cheeseman_stutz >= result.trace[0].cheeseman_stutz
 
     def test_one_search_stats_per_outer_iteration(self, rng, monkeypatch):
-        # one outer iteration with an m-step burst computes the expected
-        # statistics once per EM step plus exactly once for the search, and
-        # the M step after the search reuses that object without recomputing
+        # one outer iteration with a burst of 4 EM steps sweeps once per
+        # model run_em visits: 4 + 1 sweeps.  The last one, at the model
+        # run_em returns, feeds the search and the M step after it, so fit
+        # computes no statistics of its own
         calls = {"n": 0}
         real = engine_module.stats.expected_stats
 
@@ -274,6 +297,22 @@ class TestFit:
         data, _ = sample(two_component_1d(0.0, 5.0), 150, rng)
         fit(data, FitConfig(k=2, seed=0, max_outer=1, schedule=Schedule(em_steps=4)))
         assert calls["n"] == 4 + 1
+
+    def test_one_observed_loglik_per_outer_iteration(self, rng, monkeypatch):
+        # EM traces read the log likelihood off the E sweeps; only the
+        # Cheeseman-Stutz score of each outer iteration evaluates it apart
+        calls = {"n": 0}
+        real = engine_module.observed_loglik
+
+        def counting(*args, **kwargs):
+            calls["n"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "observed_loglik", counting)
+        data, _ = sample(two_component_1d(0.0, 5.0), 150, rng)
+        result = fit(data, FitConfig(k=2, seed=0))
+        assert len(result.trace) > 1
+        assert calls["n"] == len(result.trace)
 
     def test_iteration_cap_termination(self, rng):
         # structures change in the first iteration; a cap of one records it
@@ -348,6 +387,29 @@ class TestWideModels:
         assert all(np.isfinite(it.cheeseman_stutz) for it in result.trace)
         assert all(np.isfinite(it.observed_loglik) for it in result.trace)
         assert all(len(ps) <= 1 for g in result.model.components for ps in g.structure.parents)
+
+
+_WITH_INF = np.random.default_rng(0).normal(size=(50, 2))
+_WITH_INF[7, 1] = np.inf
+
+
+@pytest.mark.parametrize(
+    "data, error",
+    [
+        (_WITH_INF, NonNumericValue),
+        (np.zeros(5), DimensionMismatch),
+        (np.zeros((5, 2, 2)), DimensionMismatch),
+        (np.zeros((5, 0)), DimensionMismatch),
+        (np.array([["0.5", "a"], ["1.0", "b"]]), NonNumericValue),
+    ],
+    ids=["inf-cell", "1-d", "3-d", "no-variables", "string-cells"],
+)
+def test_bad_data_is_a_data_error_at_entry(data, error):
+    assert issubclass(error, DataError)
+    with pytest.raises(error):
+        fit(data, FitConfig(k=2))
+    with pytest.raises(error):
+        select_k(data, FitConfig(), k_max=2)
 
 
 class TestSelectK:

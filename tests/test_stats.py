@@ -5,11 +5,20 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from dagmix.errors import AllComponentsZeroDensity, BadComponentIndex, ShapeMismatch
-from dagmix.model import DagStructure, GaussianDag, MdagModel, NoiseComponent, sample
+from dagmix.model import (
+    DagStructure,
+    GaussianDag,
+    MdagModel,
+    NoiseComponent,
+    complete_structure,
+    sample,
+)
+from dagmix.scoring import observed_loglik
 from dagmix.stats import (
     MixtureStats,
     SuffStats,
     case_stats,
+    component_case_loglik,
     conditional_moments,
     expected_stats,
     labeled_stats,
@@ -87,7 +96,7 @@ class TestMerge:
     def test_per_case_merge_equals_batch(self, rng):
         model = two_component_1d(0.0, 4.0)
         data, _ = sample(model, 40, rng)
-        batch = expected_stats(data, model)
+        batch, _ = expected_stats(data, model)
         resp = np.array([responsibilities(model, row) for row in data])
         acc = MixtureStats((SuffStats.zero(1), SuffStats.zero(1)), 0.0)
         for i, row in enumerate(data):
@@ -178,7 +187,7 @@ class TestExpectedStats:
         m = two_component_1d(0.0, 3.0)
         data, _ = sample(m, 60, rng)
         data[::7, 0] = np.nan
-        ms = expected_stats(data, m)
+        ms, _ = expected_stats(data, m)
         assert ms.counts().sum() == pytest.approx(60, abs=1e-8)
         assert ms.total_cases == 60
 
@@ -187,7 +196,7 @@ class TestExpectedStats:
         a, b = single_node_model(0.0), single_node_model(50.0)
         m = MdagModel(np.array([1.0, 0.0]), (a, b))
         data = rng.normal(0, 1, (30, 1))
-        ms = expected_stats(data, m)
+        ms, _ = expected_stats(data, m)
         exact = labeled_stats(data, np.zeros(30, dtype=int), 2)
         assert ms.triples[0].n == pytest.approx(exact.triples[0].n, rel=1e-10)
         assert np.allclose(ms.triples[0].r, exact.triples[0].r, rtol=1e-10)
@@ -196,7 +205,7 @@ class TestExpectedStats:
     def test_two_case_hand_enumeration(self):
         m = two_component_1d(0.0, 2.0)
         data = np.array([[0.5], [1.5]])
-        ms = expected_stats(data, m)
+        ms, _ = expected_stats(data, m)
         expected_triples = [np.zeros(3), np.zeros(3)]  # n, r, s per component
         for x in data[:, 0]:
             r = responsibilities(m, np.array([x]))
@@ -212,7 +221,7 @@ class TestExpectedStats:
         g = chain_model()
         m = MdagModel(np.array([1.0]), (g,))
         data = np.array([[1.0, np.nan]])
-        ms = expected_stats(data, m)
+        ms, _ = expected_stats(data, m)
         cm, cc = conditional_moments(g, data[0])
         assert ms.triples[0].s[1, 1] == pytest.approx(cm[0] ** 2 + cc[0, 0], abs=1e-12)
         assert ms.triples[0].s[0, 1] == pytest.approx(1.0 * cm[0], abs=1e-12)
@@ -224,7 +233,7 @@ class TestExpectedStats:
         data, _ = sample(m, 80, rng)
         data[rng.random(data.shape) < 0.2] = np.nan
         data = data[~np.isnan(data).all(axis=1)]
-        ms = expected_stats(data, m)
+        ms, _ = expected_stats(data, m)
         for t in ms.triples:
             if t.n > 1e-6:
                 assert np.linalg.eigvalsh(t.scatter()).min() >= -1e-8
@@ -233,10 +242,29 @@ class TestExpectedStats:
         noise = NoiseComponent(np.full(1, -10.0), np.full(1, 10.0))
         m = MdagModel(np.array([0.4, 0.6]), (single_node_model(0.0),), noise)
         data, _ = sample(m, 50, rng)
-        ms = expected_stats(data, m)
+        ms, _ = expected_stats(data, m)
         assert ms.triples[0].n > 0
         assert np.allclose(ms.triples[0].r, 0)
         assert np.allclose(ms.triples[0].s, 0)
+
+    @pytest.mark.parametrize("case", ["complete", "missing", "noise"])
+    def test_sweep_loglik_is_observed_loglik(self, rng, case):
+        # EM traces read the sweep's value in place of observed_loglik, so
+        # the two must agree bit for bit, all-missing rows included
+        g = random_gaussian_dag(random_dag(3, rng, p=0.5), rng)
+        h = random_gaussian_dag(random_dag(3, rng, p=0.5), rng)
+        noise = None
+        weights = np.array([0.5, 0.5])
+        if case == "noise":
+            noise = NoiseComponent(np.full(3, -50.0), np.full(3, 50.0))
+            weights = np.array([0.1, 0.45, 0.45])
+        m = MdagModel(weights, (g, h), noise)
+        data, _ = sample(m, 80, rng)
+        if case == "missing":
+            data[rng.random(data.shape) < 0.2] = np.nan
+            data[0] = np.nan
+        _, loglik = expected_stats(data, m)
+        assert loglik == observed_loglik(data, m)
 
 
 class TestLabeledStats:
@@ -249,3 +277,14 @@ class TestLabeledStats:
             assert ms.triples[c].n == len(rows)
             assert np.allclose(ms.triples[c].r, rows.sum(axis=0))
             assert np.allclose(ms.triples[c].s, rows.T @ rows)
+
+
+def test_component_case_loglik_matches_scipy(rng):
+    mean = rng.normal(0, 1, 3)
+    a = rng.normal(0, 1, (3, 3))
+    cov = a @ a.T + np.eye(3)
+    rows = rng.normal(0, 2, (20, 3))
+    g = GaussianDag.from_joint(complete_structure(3), mean, cov)
+    logp = component_case_loglik(MdagModel(np.array([1.0]), (g,)), rows)
+    expected = sps.multivariate_normal.logpdf(rows, mean=mean, cov=cov)
+    assert np.allclose(logp[:, 0], expected, atol=1e-10)
