@@ -21,6 +21,7 @@ import numpy as np
 
 from .engine import FitConfig, FitResult, PriorSpec, Schedule, fit, select_k
 from .errors import (
+    BadSchedule,
     CorruptFile,
     DagmixError,
     DimensionMismatch,
@@ -132,6 +133,14 @@ def model_to_json(model: MdagModel, metadata: dict | None = None) -> dict:
     return doc
 
 
+def _finite_array(values, what: str) -> np.ndarray:
+    # json reads NaN and Infinity, and NaN slips past every range check
+    arr = np.array(values, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise CorruptFile(f"model file has a non-finite {what}")
+    return arr
+
+
 def model_from_json(doc: dict) -> tuple[MdagModel, dict]:
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
@@ -141,19 +150,19 @@ def model_from_json(doc: dict) -> tuple[MdagModel, dict]:
         components = tuple(
             GaussianDag(
                 DagStructure(n, tuple(tuple(ps) for ps in comp["parents"])),
-                np.array(comp["intercepts"], dtype=float),
-                tuple(np.array(c, dtype=float) for c in comp["coefficients"]),
-                np.array(comp["variances"], dtype=float),
+                _finite_array(comp["intercepts"], "intercept"),
+                tuple(_finite_array(c, "coefficient") for c in comp["coefficients"]),
+                _finite_array(comp["variances"], "variance"),
             )
             for comp in doc["components"]
         )
         noise = None
         if doc.get("noise") is not None:
             noise = NoiseComponent(
-                np.array(doc["noise"]["lower"], dtype=float),
-                np.array(doc["noise"]["upper"], dtype=float),
+                _finite_array(doc["noise"]["lower"], "noise bound"),
+                _finite_array(doc["noise"]["upper"], "noise bound"),
             )
-        model = MdagModel(np.array(doc["weights"], dtype=float), components, noise)
+        model = MdagModel(_finite_array(doc["weights"], "weight"), components, noise)
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptFile(f"malformed model file: {exc}")
     for g in model.components:
@@ -189,7 +198,9 @@ def config_from_dict(doc: dict) -> FitConfig:
     if unknown:
         raise UnknownConfigKey(f"unknown config keys: {sorted(unknown)}")
     kwargs = dict(doc)
-    if "schedule" in kwargs and isinstance(kwargs["schedule"], str):
+    if "schedule" in kwargs:
+        if not isinstance(kwargs["schedule"], str):
+            raise BadSchedule(f"schedule {kwargs['schedule']!r} is not a string")
         kwargs["schedule"] = Schedule.parse(kwargs["schedule"])
     if "prior" in kwargs and isinstance(kwargs["prior"], dict):
         bad = set(kwargs["prior"]) - _PRIOR_KEYS
@@ -232,7 +243,10 @@ def _parse_noise_bounds(text: str, n: int) -> tuple[tuple[float, ...], tuple[flo
         lo, sep, hi = chunk.partition(":")
         if not sep:
             raise DimensionMismatch(f"noise bound {chunk!r} is not of the form lo:hi")
-        bounds.append((float(lo), float(hi)))
+        try:
+            bounds.append((float(lo), float(hi)))
+        except ValueError:
+            raise DimensionMismatch(f"noise bound {chunk!r} is not a pair of numbers")
     if len(bounds) == 1:
         bounds = bounds * n
     if len(bounds) != n:
@@ -338,9 +352,12 @@ def _cmd_recover(args) -> int:
         gold = GoldStandard(model, tuple(f"COMP{i + 1}" for i in range(model.k)))
     else:
         gold = default_gold_standard()
-    sizes = (
-        tuple(int(s) for s in args.sizes.split(",")) if args.sizes else RECOVERY_SIZES
-    )
+    sizes = RECOVERY_SIZES
+    if args.sizes:
+        try:
+            sizes = tuple(int(s) for s in args.sizes.split(","))
+        except ValueError:
+            raise DimensionMismatch(f"--sizes {args.sizes!r} is not a list of integers")
     config = _apply_overrides(load_config(args.config), args, gold.model.n)
     report = run_recovery(gold, args.seed or 0, sizes=sizes, config=config, k_max=args.k_max)
     header = ["size", "k", "top-3 weight"] + [f"diff {lab}" for lab in gold.labels]

@@ -119,9 +119,10 @@ def match_components(
 ) -> tuple[int | None, ...]:
     """Assign the largest learned components to gold components.
 
-    The top min(3, k) learned structures by weight are matched injectively
-    to the gold components so the total equivalence-aware difference is
-    minimal; ties resolve toward matching heavier components first.
+    The top min(len(gold), k) learned structures by weight are matched
+    injectively to the gold components so the total equivalence-aware
+    difference is minimal; ties resolve toward matching heavier components
+    first.
     Returns one difference per gold component (None where unmatched).
     """
     order = sorted(range(len(learned)), key=lambda j: -weights[j])[: len(gold)]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -124,11 +124,6 @@ class DagStructure:
 
     def has_arc(self, u: int, v: int) -> bool:
         return u in self.parents[v]
-
-    def with_parents(self, node: int, parents: Sequence[int]) -> "DagStructure":
-        new = list(self.parents)
-        new[node] = tuple(sorted(int(p) for p in parents))
-        return DagStructure(self.n, tuple(new))
 
 
 def empty_structure(n: int) -> DagStructure:
@@ -250,6 +245,8 @@ class NoiseComponent:
         object.__setattr__(self, "upper", _frozen_array(self.upper))
         if self.lower.shape != self.upper.shape or self.lower.ndim != 1:
             raise DimensionMismatch("noise bounds must be two equal-length vectors")
+        if not (np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper))):
+            raise DimensionMismatch("noise bounds must be finite")
         if np.any(self.upper <= self.lower):
             raise DimensionMismatch("noise bounds require upper > lower per variable")
 

@@ -17,11 +17,20 @@ from typing import Sequence
 import numpy as np
 
 from .bayes import DirichletPrior, NormalWishart, dirichlet_log_marglik, local_score
-from .errors import AllComponentsZeroDensity, DimensionMismatch, EmptyTestSet
+from .errors import (
+    AllComponentsZeroDensity,
+    DimensionMismatch,
+    EmptyTestSet,
+    SingularObservedBlock,
+)
 from .model import LOG_2PI, DagStructure, MdagModel
-from .stats import MixtureStats, SuffStats, _chol_with_jitter, component_case_loglik
-from .stats import _normalize_responsibilities
-from .errors import SingularObservedBlock
+from .stats import (
+    MixtureStats,
+    SuffStats,
+    _chol_with_jitter,
+    _normalize_responsibilities,
+    component_case_loglik,
+)
 
 
 @dataclass(frozen=True)

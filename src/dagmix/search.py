@@ -48,64 +48,63 @@ class SearchStep:
     sideways: bool = False
 
 
-def _reachable(structure: DagStructure, start: int, goal: int, skip_arc=None) -> bool:
-    """Directed reachability start -> goal, optionally ignoring one arc."""
-    children: list[list[int]] = [[] for _ in range(structure.n)]
-    for parent, child in structure.arcs():
-        if skip_arc is not None and (parent, child) == skip_arc:
-            continue
-        children[parent].append(child)
-    stack = [start]
-    seen = {start}
-    while stack:
-        node = stack.pop()
-        if node == goal:
-            return True
-        for ch in children[node]:
-            if ch not in seen:
-                seen.add(ch)
-                stack.append(ch)
-    return False
-
-
-def _closure(structure: DagStructure) -> np.ndarray:
-    """Boolean reachability matrix (closure[u, v] iff a path u ~> v exists)."""
-    reach = np.zeros((structure.n, structure.n), dtype=bool)
-    for parent, child in structure.arcs():
-        reach[parent, child] = True
-    for k in range(structure.n):
-        reach |= reach[:, k:k + 1] & reach[k:k + 1, :]
-    return reach
-
-
 def neighbors(structure: DagStructure) -> list[ArcMove]:
-    """All single-arc moves whose result is acyclic."""
-    reach = _closure(structure)
+    """All single-arc moves whose result is acyclic.
+
+    With ``reach`` the transitive closure of the arc matrix, adding u -> v
+    is legal iff v cannot reach u, and reversing u -> v is legal iff no path
+    u ~> v of two or more arcs exists, i.e. iff (arc @ reach)[u, v] is false
+    (such a path cannot run through u -> v itself without a cycle).
+    """
+    n = structure.n
+    arc = np.zeros((n, n), dtype=bool)
+    for parent, child in structure.arcs():
+        arc[parent, child] = True
+    reach = arc.copy()
+    for k in range(n):
+        reach |= reach[:, k:k + 1] & reach[k:k + 1, :]
+    long_path = (arc @ reach).tolist()
+    has_arc = arc.tolist()
+    reach = reach.tolist()
     moves = []
-    for u in range(structure.n):
-        for v in range(structure.n):
+    for u in range(n):
+        for v in range(n):
             if u == v:
                 continue
-            if structure.has_arc(u, v):
+            if has_arc[u][v]:
                 moves.append(ArcMove("delete", u, v))
-                # v -> u is legal unless some other path u ~> v remains
-                if not _reachable(structure, u, v, skip_arc=(u, v)):
+                if not long_path[u][v]:
                     moves.append(ArcMove("reverse", u, v))
-            elif not reach[v, u]:
+            elif not reach[v][u]:
                 moves.append(ArcMove("add", u, v))
     return moves
 
 
-def apply_move(structure: DagStructure, move: ArcMove) -> DagStructure:
+def _new_parents(
+    structure: DagStructure, move: ArcMove
+) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The (node, new parent set) pairs a move rewrites: the target first,
+    then the source for a reversal.  Every other node keeps its parents, so
+    these are the only family terms the move rescores, and only the last
+    pair can grow a parent set."""
     u, v = move.source, move.target
+    ps = structure.parents
     if move.kind == "add":
-        return structure.with_parents(v, structure.parents[v] + (u,))
+        return ((v, ps[v] + (u,)),)
+    at = ps[v].index(u)
+    trimmed = ps[v][:at] + ps[v][at + 1:]
     if move.kind == "delete":
-        return structure.with_parents(v, tuple(p for p in structure.parents[v] if p != u))
+        return ((v, trimmed),)
     if move.kind == "reverse":
-        trimmed = structure.with_parents(v, tuple(p for p in structure.parents[v] if p != u))
-        return trimmed.with_parents(u, trimmed.parents[u] + (v,))
+        return ((v, trimmed), (u, ps[u] + (v,)))
     raise ValueError(f"unknown move kind {move.kind!r}")
+
+
+def apply_move(structure: DagStructure, move: ArcMove) -> DagStructure:
+    parents = list(structure.parents)
+    for node, ps in _new_parents(structure, move):
+        parents[node] = tuple(sorted(ps))
+    return DagStructure(structure.n, tuple(parents))
 
 
 class _ScoreCache:
@@ -123,21 +122,12 @@ class _ScoreCache:
         return hit
 
 
-def _move_gain(cache: _ScoreCache, structure: DagStructure, move: ArcMove,
-               node_scores: np.ndarray) -> float:
-    u, v = move.source, move.target
-    if move.kind == "add":
-        return cache.node_score(v, structure.parents[v] + (u,)) - node_scores[v]
-    if move.kind == "delete":
-        trimmed = tuple(p for p in structure.parents[v] if p != u)
-        return cache.node_score(v, trimmed) - node_scores[v]
-    trimmed = tuple(p for p in structure.parents[v] if p != u)
-    return (
-        cache.node_score(v, trimmed)
-        - node_scores[v]
-        + cache.node_score(u, structure.parents[u] + (v,))
-        - node_scores[u]
-    )
+def _move_gain(cache: _ScoreCache, rewrites, node_scores: np.ndarray) -> float:
+    # folded left to right so a reversal sums ((a - b) + c) - d
+    gain = 0.0
+    for node, ps in rewrites:
+        gain = gain + cache.node_score(node, ps) - node_scores[node]
+    return gain
 
 
 def _best_move(
@@ -147,15 +137,17 @@ def _best_move(
     max_parents: int | None,
 ) -> tuple[float, ArcMove] | None:
     """Highest-gain legal move; ties break on (delete < reverse < add,
-    target, source) so runs are platform-independent."""
+    target, source) so runs are platform-independent.  With ``max_parents``
+    a move is skipped when a parent set it grows would exceed the cap;
+    shrinking a parent set is always allowed."""
     best: tuple[float, tuple[int, int, int], ArcMove] | None = None
     for move in neighbors(structure):
+        rewrites = _new_parents(structure, move)
         if max_parents is not None:
-            if move.kind == "add" and len(structure.parents[move.target]) >= max_parents:
+            node, ps = rewrites[-1]
+            if len(ps) > max_parents and len(ps) > len(structure.parents[node]):
                 continue
-            if move.kind == "reverse" and len(structure.parents[move.source]) >= max_parents:
-                continue
-        gain = _move_gain(cache, structure, move, node_scores)
+        gain = _move_gain(cache, rewrites, node_scores)
         key = (_KIND_RANK[move.kind], move.target, move.source)
         if best is None or gain > best[0] or (gain == best[0] and key < best[1]):
             best = (gain, key, move)
@@ -242,14 +234,9 @@ def greedy_component_search(
     def accept(move: ArcMove, sideways: bool) -> None:
         nonlocal structure
         before = float(node_scores.sum())
+        for node, ps in _new_parents(structure, move):
+            node_scores[node] = cache.node_score(node, ps)
         structure = apply_move(structure, move)
-        node_scores[move.target] = cache.node_score(
-            move.target, structure.parents[move.target]
-        )
-        if move.kind == "reverse":
-            node_scores[move.source] = cache.node_score(
-                move.source, structure.parents[move.source]
-            )
         if trace is not None:
             total = float(node_scores.sum())
             trace.append(

@@ -9,6 +9,7 @@ from dagmix.cli import (
     load_csv,
     load_model,
     main,
+    model_to_json,
     save_model,
     write_csv,
 )
@@ -126,6 +127,40 @@ class TestModelSerialization:
         assert np.array_equal(back.noise.upper, noise.upper)
 
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("weights", 0), float("nan")),
+            (("components", 0, "intercepts", 1), float("inf")),
+            (("components", 0, "coefficients", 1, 0), float("nan")),
+            (("components", 0, "variances", 0), float("nan")),
+            (("noise", "upper", 1), float("-inf")),
+        ],
+        ids=["weight", "intercept", "coefficient", "variance", "noise-bound"],
+    )
+    def test_non_finite_number_rejected(self, tmp_path, capsys, path, value):
+        from dagmix.model import DagStructure, GaussianDag, MdagModel, NoiseComponent
+
+        component = GaussianDag(
+            DagStructure(2, ((), (0,))),
+            np.zeros(2),
+            (np.zeros(0), np.array([0.5])),
+            np.ones(2),
+        )
+        noise = NoiseComponent(np.full(2, -5.0), np.full(2, 5.0))
+        doc = model_to_json(MdagModel(np.array([0.1, 0.9]), (component,), noise))
+        slot = doc
+        for key in path[:-1]:
+            slot = slot[key]
+        slot[path[-1]] = value
+        model_path = tmp_path / "m.json"
+        model_path.write_text(json.dumps(doc))  # json writes NaN and Infinity
+        data_path = str(tmp_path / "d.csv")
+        write_csv(data_path, Dataset(("x0", "x1"), np.zeros((3, 2))))
+        assert main(["score", "--model", str(model_path), "--test", data_path]) == 2
+        assert capsys.readouterr().err.startswith("CorruptFile: ")
+
+
 class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(UnknownConfigKey):
@@ -216,6 +251,27 @@ class TestCommands:
         path.write_text("a,b\n1\n")
         assert main(["fit", "--data", str(path), "--out", str(tmp_path / "x.json")]) == 2
         assert capsys.readouterr().err.startswith("RaggedRow:")
+
+    @pytest.mark.parametrize(
+        "argv, category",
+        [
+            (["fit", "--noise-bounds", "a:b"], "DimensionMismatch"),
+            (["fit", "--noise-bounds", "nan:20"], "DimensionMismatch"),
+            (["recover", "--sizes", "a,b"], "DimensionMismatch"),
+            (["fit", "--config", "CONFIG"], "BadSchedule"),
+        ],
+        ids=["noise-bounds", "nan-noise-bound", "sizes", "schedule"],
+    )
+    def test_bad_argument_exit_code(self, tmp_path, capsys, argv, category):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"schedule": 5}))
+        argv = [str(config_path) if a == "CONFIG" else a for a in argv]
+        if argv[0] == "fit":
+            argv += ["--data", self._write_data(tmp_path), "--out", str(tmp_path / "m.json")]
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"{category}: ")
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["fit"]) == 1

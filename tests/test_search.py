@@ -6,7 +6,7 @@ import pytest
 
 from dagmix.bayes import structure_score
 from dagmix.errors import DimensionMismatch
-from dagmix.model import DagStructure, empty_structure
+from dagmix.model import DagStructure, complete_structure, empty_structure
 from dagmix.search import (
     ArcMove,
     apply_move,
@@ -46,13 +46,15 @@ class TestNeighbors:
         moves = {(m.kind, m.source, m.target) for m in neighbors(s)}
         assert moves == {("delete", 0, 1), ("reverse", 0, 1)}
 
-    def test_against_brute_force_legality(self, rng):
-        # every produced move keeps the graph acyclic, and no legal move is missed
+    @pytest.mark.parametrize("n, p", [(5, 0.45), (7, 0.5)])
+    def test_against_brute_force_legality(self, rng, n, p):
+        # every produced move keeps the graph acyclic, and no legal move is
+        # missed; at n=7, p=0.5 paths of three or more arcs are common
         for _ in range(15):
-            s = random_dag(5, rng, p=0.45)
+            s = random_dag(n, rng, p=p)
             produced = {(m.kind, m.source, m.target) for m in neighbors(s)}
-            for u in range(5):
-                for v in range(5):
+            for u in range(n):
+                for v in range(n):
                     if u == v:
                         continue
                     for kind in ("add", "delete", "reverse"):
@@ -62,7 +64,7 @@ class TestNeighbors:
                             continue
                         candidate = apply_move(s, ArcMove(kind, u, v))
                         g = nx.DiGraph()
-                        g.add_nodes_from(range(5))
+                        g.add_nodes_from(range(n))
                         g.add_edges_from(candidate.arcs())
                         legal = nx.is_directed_acyclic_graph(g)
                         assert ((kind, u, v) in produced) == legal
@@ -127,6 +129,28 @@ class TestGreedySearch:
             stats_of(rows), prior, empty_structure(4), max_parents=1
         )
         assert all(len(ps) <= 1 for ps in out.parents)
+
+    def test_start_above_cap_deletes_but_never_grows_past_it(self, rng):
+        # deletions are never capped, even when they leave a set above the
+        # cap; only a parent set that a move grows must stay within it
+        rows = rng.standard_normal((300, 5)) @ rng.standard_normal((5, 5))
+        rows[:, 4] = rng.standard_normal(300)
+        prior = random_prior(5, rng)
+        trace = []
+        structure = complete_structure(5)
+        greedy_component_search(
+            stats_of(rows), prior, structure, max_parents=1, trace=trace
+        )
+        deleted_above_cap = False
+        for step in trace:
+            nxt = apply_move(structure, step.move)
+            for before, after in zip(structure.parents, nxt.parents):
+                if len(after) > len(before):
+                    assert len(after) <= 1
+                elif step.move.kind == "delete" and len(after) < len(before):
+                    deleted_above_cap |= len(after) > 1
+            structure = nxt
+        assert deleted_above_cap
 
     def test_returns_local_maximum(self, rng):
         rows = rng.standard_normal((250, 3)) @ rng.standard_normal((3, 3))
