@@ -141,6 +141,14 @@ def _finite_array(values, what: str) -> np.ndarray:
     return arr
 
 
+def _parent_sets(parents) -> tuple[tuple[int, ...], ...]:
+    # DagStructure would truncate a parent written as 0.7 to node 0
+    sets = tuple(tuple(ps) for ps in parents)
+    if not all(type(p) is int for ps in sets for p in ps):
+        raise CorruptFile("model file has a parent index that is not an integer")
+    return sets
+
+
 def model_from_json(doc: dict) -> tuple[MdagModel, dict]:
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
@@ -149,7 +157,7 @@ def model_from_json(doc: dict) -> tuple[MdagModel, dict]:
         n = int(doc["n"])
         components = tuple(
             GaussianDag(
-                DagStructure(n, tuple(tuple(ps) for ps in comp["parents"])),
+                DagStructure(n, _parent_sets(comp["parents"])),
                 _finite_array(comp["intercepts"], "intercept"),
                 tuple(_finite_array(c, "coefficient") for c in comp["coefficients"]),
                 _finite_array(comp["variances"], "variance"),
@@ -202,18 +210,26 @@ def config_from_dict(doc: dict) -> FitConfig:
         if not isinstance(kwargs["schedule"], str):
             raise BadSchedule(f"schedule {kwargs['schedule']!r} is not a string")
         kwargs["schedule"] = Schedule.parse(kwargs["schedule"])
-    if "prior" in kwargs and isinstance(kwargs["prior"], dict):
+    if "prior" in kwargs:
+        if not isinstance(kwargs["prior"], dict):
+            raise DimensionMismatch(f"prior {kwargs['prior']!r} is not an object")
         bad = set(kwargs["prior"]) - _PRIOR_KEYS
         if bad:
             raise UnknownConfigKey(f"unknown prior keys: {sorted(bad)}")
         kwargs["prior"] = PriorSpec(**kwargs["prior"])
-    if kwargs.get("noise_bounds") is not None:
-        lower, upper = kwargs["noise_bounds"]
-        kwargs["noise_bounds"] = (tuple(lower), tuple(upper))
+    bounds = kwargs.get("noise_bounds")
+    if bounds is not None:
+        if not (
+            isinstance(bounds, list) and len(bounds) == 2
+            and all(isinstance(b, list) for b in bounds)
+        ):
+            raise DimensionMismatch(f"noise_bounds {bounds!r} is not null or a pair of lists")
+        kwargs["noise_bounds"] = (tuple(bounds[0]), tuple(bounds[1]))
+    # the keys are known by now, so a TypeError comes from a bad value
     try:
         return FitConfig(**kwargs)
     except TypeError as exc:
-        raise UnknownConfigKey(str(exc))
+        raise DimensionMismatch(f"bad config value: {exc}")
 
 
 def config_to_dict(config: FitConfig) -> dict:

@@ -153,6 +153,8 @@ class FitConfig:
             raise DimensionMismatch("ess must be positive")
         if not 0 < self.convergence_ratio < 1:
             raise DimensionMismatch("convergence ratio must lie in (0, 1)")
+        if self.max_outer < 1:
+            raise DimensionMismatch("max_outer must be at least 1")
         if self.weight_init not in WEIGHT_INIT_MODES:
             raise DimensionMismatch(
                 f"weight_init must be one of {WEIGHT_INIT_MODES}"

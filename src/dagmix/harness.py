@@ -75,6 +75,8 @@ def generate_recovery_data(
     is a subset of the next larger one.  Returns size -> (data, labels).
     """
     sizes = sorted(int(s) for s in sizes)
+    if not sizes or sizes[0] < 1:
+        raise DimensionMismatch(f"sample sizes {sizes} must be one or more positive counts")
     if sizes[-1] > per_component * gold.model.k:
         raise DimensionMismatch(
             f"sizes cannot exceed the {per_component * gold.model.k}-case pool"

@@ -360,6 +360,8 @@ def sample(
     Labels index the weight vector (0 is noise when present).  Deterministic
     given a seed; a caller-owned Generator may be passed instead.
     """
+    if count < 0:
+        raise DimensionMismatch(f"cannot sample {count} cases")
     rng = as_generator(seed_or_rng)
     data = np.empty((count, model.n))
     labels = rng.choice(model.n_components, size=count, p=model.weights)

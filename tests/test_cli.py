@@ -135,8 +135,9 @@ class TestModelSerialization:
             (("components", 0, "coefficients", 1, 0), float("nan")),
             (("components", 0, "variances", 0), float("nan")),
             (("noise", "upper", 1), float("-inf")),
+            (("components", 0, "parents", 1, 0), 0.7),
         ],
-        ids=["weight", "intercept", "coefficient", "variance", "noise-bound"],
+        ids=["weight", "intercept", "coefficient", "variance", "noise-bound", "fractional-parent"],
     )
     def test_non_finite_number_rejected(self, tmp_path, capsys, path, value):
         from dagmix.model import DagStructure, GaussianDag, MdagModel, NoiseComponent
@@ -253,21 +254,41 @@ class TestCommands:
         assert capsys.readouterr().err.startswith("RaggedRow:")
 
     @pytest.mark.parametrize(
-        "argv, category",
+        "argv, config, category",
         [
-            (["fit", "--noise-bounds", "a:b"], "DimensionMismatch"),
-            (["fit", "--noise-bounds", "nan:20"], "DimensionMismatch"),
-            (["recover", "--sizes", "a,b"], "DimensionMismatch"),
-            (["fit", "--config", "CONFIG"], "BadSchedule"),
+            (["fit", "--noise-bounds", "a:b"], None, "DimensionMismatch"),
+            (["fit", "--noise-bounds", "nan:20"], None, "DimensionMismatch"),
+            (["recover", "--sizes", "a,b"], None, "DimensionMismatch"),
+            (["recover", "--sizes=-5,60"], None, "DimensionMismatch"),
+            (["generate", "--n", "-1"], None, "DimensionMismatch"),
+            (["fit"], {"schedule": 5}, "BadSchedule"),
+            (["fit"], {"max_outer": 0}, "DimensionMismatch"),
+            (["fit"], {"noise_bounds": 5}, "DimensionMismatch"),
+            (["fit"], {"prior": 3}, "DimensionMismatch"),
+            (["fit"], {"k": "x"}, "DimensionMismatch"),
         ],
-        ids=["noise-bounds", "nan-noise-bound", "sizes", "schedule"],
+        ids=[
+            "noise-bounds",
+            "nan-noise-bound",
+            "sizes",
+            "negative-size",
+            "negative-count",
+            "schedule",
+            "zero-max-outer",
+            "scalar-noise-bounds",
+            "scalar-prior",
+            "string-k",
+        ],
     )
-    def test_bad_argument_exit_code(self, tmp_path, capsys, argv, category):
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({"schedule": 5}))
-        argv = [str(config_path) if a == "CONFIG" else a for a in argv]
+    def test_bad_argument_exit_code(self, tmp_path, capsys, argv, config, category):
+        if config is not None:
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps(config))
+            argv = argv + ["--config", str(config_path)]
         if argv[0] == "fit":
-            argv += ["--data", self._write_data(tmp_path), "--out", str(tmp_path / "m.json")]
+            argv = argv + ["--data", self._write_data(tmp_path)]
+        if argv[0] in ("fit", "generate"):
+            argv = argv + ["--out", str(tmp_path / "out")]
         assert main(argv) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1

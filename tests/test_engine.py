@@ -412,6 +412,11 @@ def test_bad_data_is_a_data_error_at_entry(data, error):
         select_k(data, FitConfig(), k_max=2)
 
 
+def test_zero_outer_iterations_rejected():
+    with pytest.raises(DimensionMismatch):
+        FitConfig(max_outer=0)
+
+
 class TestSelectK:
     def test_prefers_single_component_on_null_data(self):
         wins = 0

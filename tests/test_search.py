@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dagmix.bayes import structure_score
-from dagmix.errors import DimensionMismatch
+from dagmix.errors import CycleDetected, DimensionMismatch
 from dagmix.model import DagStructure, complete_structure, empty_structure
 from dagmix.search import (
     ArcMove,
@@ -199,6 +199,27 @@ class TestSearchAllComponents:
         assert first == second
 
 
+def equivalence_class(s: DagStructure) -> set[frozenset]:
+    """Arc sets of every DAG equivalent to ``s``.
+
+    Covered-arc reversals connect an equivalence class (Chickering 1995),
+    so a search over them from ``s`` reaches every member.
+    """
+    start = frozenset(s.arcs())
+    seen = {start}
+    todo = [start]
+    while todo:
+        arcs = todo.pop()
+        parents = [{u for u, t in arcs if t == v} for v in range(s.n)]
+        for u, v in arcs:
+            if parents[v] == parents[u] | {u}:
+                member = arcs - {(u, v)} | {(v, u)}
+                if member not in seen:
+                    seen.add(member)
+                    todo.append(member)
+    return seen
+
+
 class TestCpdag:
     def test_single_arc_undirected(self):
         c = to_cpdag(DagStructure(2, ((), (0,))))
@@ -222,6 +243,22 @@ class TestCpdag:
                 oracle = skeleton_and_vstructs(dags[i]) == skeleton_and_vstructs(dags[j])
                 assert oracle == (to_cpdag(dags[i]) == to_cpdag(dags[j]))
                 assert oracle == markov_equivalent(dags[i], dags[j])
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_labels_match_equivalence_class(self, rng, n):
+        # compelled arcs are exactly those every member of the class shares
+        for _ in range(30):
+            s = random_dag(n, rng, p=0.5)
+            shared = frozenset.intersection(*equivalence_class(s))
+            c = to_cpdag(s)
+            assert c.directed == shared
+            assert c.undirected == {
+                (min(u, v), max(u, v)) for u, v in s.arcs() if (u, v) not in shared
+            }
+
+    def test_cycle_rejected(self):
+        with pytest.raises(CycleDetected):
+            to_cpdag(DagStructure(3, ((2,), (0,), (1,))))
 
 
 class TestStructuralDifference:
