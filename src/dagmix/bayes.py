@@ -29,11 +29,10 @@ from .errors import (
     NonPsdScatter,
     SingularParentBlock,
 )
-from .model import DagStructure, GaussianDag
-from .stats import SuffStats, _chol_with_jitter
+from .model import DagStructure, GaussianDag, _chol_logdet, _chol_with_jitter
+from .stats import SuffStats
 
 _LOG_PI = float(np.log(np.pi))
-_VARIANCE_FLOOR = 1e-12
 _PSD_TOL = 1e-8
 # Below this fractional count a posterior update is numerically the prior.
 _COUNT_FLOOR = 1e-250
@@ -106,11 +105,6 @@ def posterior_update(prior: NormalWishart, t: SuffStats) -> NormalWishart:
     return NormalWishart(nu1, mu1, prior.alpha + n_count, 0.5 * (tau1 + tau1.T))
 
 
-def _logdet_pd(mat: np.ndarray, error: type[Exception] = SingularParentBlock) -> float:
-    chol = _chol_with_jitter(mat, error)
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
-
-
 def family_marginal_loglik(
     prior: NormalWishart, t: SuffStats, family: Sequence[int]
 ) -> float:
@@ -154,8 +148,8 @@ def family_marginal_loglik(
         + 0.5 * size * (np.log(nu) - np.log(nu1))
         + multigammaln(alpha1 / 2.0, size)
         - multigammaln(alpha / 2.0, size)
-        + 0.5 * alpha * _logdet_pd(tau)
-        - 0.5 * alpha1 * _logdet_pd(tau1)
+        + 0.5 * alpha * _chol_logdet(_chol_with_jitter(tau, SingularParentBlock))
+        - 0.5 * alpha1 * _chol_logdet(_chol_with_jitter(tau1, SingularParentBlock))
     )
 
 
@@ -213,33 +207,13 @@ def map_parameters(
     """MAP regression parameters of ``structure`` given (expected) statistics.
 
     The posterior joint mode over (mean, covariance) is mean mu' with
-    covariance tau'/(alpha'+n+2); each node's regression is read off that
-    joint, so coefficients solve against tau' sub-blocks and the
-    conditional variance is the Schur complement over the same divisor.
-    With this constant the output exactly maximizes the expected
-    complete-data log posterior, which also makes the EM that uses it
-    monotone in observed log likelihood plus log prior.
+    covariance tau'/(alpha'+n+2) (``map_joint``); ``GaussianDag.from_joint``
+    reads each node's regression off that joint.  With this divisor the
+    output exactly maximizes the expected complete-data log posterior,
+    which also makes the EM that uses it monotone in observed log
+    likelihood plus log prior.
     """
-    post = posterior_update(prior, t)
-    n = post.dim
-    divisor = post.alpha + n + 2.0
-    intercepts = np.empty(n)
-    variances = np.empty(n)
-    coefficients = []
-    for i, ps in enumerate(structure.parents):
-        if ps:
-            pa = list(ps)
-            chol = _chol_with_jitter(post.tau[np.ix_(pa, pa)], SingularParentBlock)
-            b = np.linalg.solve(chol.T, np.linalg.solve(chol, post.tau[pa, i]))
-            intercepts[i] = post.mu0[i] - b @ post.mu0[pa]
-            schur = post.tau[i, i] - post.tau[i, pa] @ b
-            variances[i] = max(schur / divisor, _VARIANCE_FLOOR)
-            coefficients.append(b)
-        else:
-            intercepts[i] = post.mu0[i]
-            variances[i] = max(post.tau[i, i] / divisor, _VARIANCE_FLOOR)
-            coefficients.append(np.zeros(0))
-    return GaussianDag(structure, intercepts, tuple(coefficients), variances)
+    return GaussianDag.from_joint(structure, *map_joint(prior, t))
 
 
 def map_joint(prior: NormalWishart, t: SuffStats) -> tuple[np.ndarray, np.ndarray]:

@@ -184,7 +184,7 @@ def save_model(path: str, model: MdagModel, metadata: dict | None = None) -> Non
         fh.write("\n")
 
 
-def load_model(path: str) -> tuple[MdagModel, dict]:
+def _read_json_object(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -192,7 +192,11 @@ def load_model(path: str) -> tuple[MdagModel, dict]:
             raise CorruptFile(f"{path}: {exc}")
     if not isinstance(doc, dict):
         raise CorruptFile(f"{path}: expected a JSON object")
-    return model_from_json(doc)
+    return doc
+
+
+def load_model(path: str) -> tuple[MdagModel, dict]:
+    return model_from_json(_read_json_object(path))
 
 
 # --- configuration -----------------------------------------------------------
@@ -217,19 +221,7 @@ def config_from_dict(doc: dict) -> FitConfig:
         if bad:
             raise UnknownConfigKey(f"unknown prior keys: {sorted(bad)}")
         kwargs["prior"] = PriorSpec(**kwargs["prior"])
-    bounds = kwargs.get("noise_bounds")
-    if bounds is not None:
-        if not (
-            isinstance(bounds, list) and len(bounds) == 2
-            and all(isinstance(b, list) for b in bounds)
-        ):
-            raise DimensionMismatch(f"noise_bounds {bounds!r} is not null or a pair of lists")
-        kwargs["noise_bounds"] = (tuple(bounds[0]), tuple(bounds[1]))
-    # the keys are known by now, so a TypeError comes from a bad value
-    try:
-        return FitConfig(**kwargs)
-    except TypeError as exc:
-        raise DimensionMismatch(f"bad config value: {exc}")
+    return FitConfig(**kwargs)
 
 
 def config_to_dict(config: FitConfig) -> dict:
@@ -244,12 +236,7 @@ def config_to_dict(config: FitConfig) -> dict:
 def load_config(path: str | None) -> FitConfig:
     if path is None:
         return FitConfig()
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CorruptFile(f"{path}: {exc}")
-    return config_from_dict(doc)
+    return config_from_dict(_read_json_object(path))
 
 
 def _parse_noise_bounds(text: str, n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:

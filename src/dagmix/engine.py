@@ -11,6 +11,8 @@ best-scoring iterate is returned.
 
 from __future__ import annotations
 
+import math
+import numbers
 import re
 import warnings
 from dataclasses import dataclass, replace
@@ -45,6 +47,28 @@ FAMILIES = ("mdag", "mdiag", "mfull")
 
 _COLLAPSE_THRESHOLD = 1e-10
 _COLLAPSE_STEPS = 3
+
+
+def _check_numbers(obj, kind: type, *names: str, optional: bool = False) -> None:
+    """Raise DimensionMismatch unless each named field of ``obj`` holds a finite
+    ``kind`` number other than a bool, or None when ``optional``."""
+    for name in names:
+        value = getattr(obj, name)
+        if optional and value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
+            raise DimensionMismatch(f"{name} {value!r} is not a finite {kind.__name__} number")
+
+
+def _real_array(name: str, value) -> np.ndarray:
+    """``value`` as a finite integer or float array; DimensionMismatch otherwise."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
+        raise DimensionMismatch(f"{name} {value!r} is not an array of finite numbers")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -112,6 +136,12 @@ class PriorSpec:
     tau: float | Sequence[Sequence[float]] = 1.0
     noise_alpha: float = 0.01
 
+    def __post_init__(self):
+        _check_numbers(self, numbers.Real, "nu", "noise_alpha")
+        _check_numbers(self, numbers.Real, "alpha", optional=True)
+        _real_array("mu0", self.mu0)
+        _real_array("tau", self.tau)
+
     def normal_wishart(self, n: int) -> NormalWishart:
         mu0 = np.asarray(self.mu0, dtype=float)
         if mu0.ndim == 0:
@@ -147,6 +177,14 @@ class FitConfig:
     max_parents: int | None = None
 
     def __post_init__(self):
+        _check_numbers(self, numbers.Integral, "k", "max_outer", "max_em_steps", "seed")
+        _check_numbers(self, numbers.Integral, "max_parents", optional=True)
+        _check_numbers(self, numbers.Real, "ess", "convergence_ratio")
+        if self.noise_bounds is not None:
+            bounds = _real_array("noise_bounds", self.noise_bounds)
+            if bounds.ndim != 2 or len(bounds) != 2:
+                raise DimensionMismatch("noise_bounds must be a pair of vectors")
+            object.__setattr__(self, "noise_bounds", tuple(map(tuple, self.noise_bounds)))
         if self.k < 1:
             raise DimensionMismatch("at least one Gaussian component is required")
         if self.ess <= 0:
@@ -165,8 +203,7 @@ class FitConfig:
     def noise_component(self) -> NoiseComponent | None:
         if self.noise_bounds is None:
             return None
-        lower, upper = self.noise_bounds
-        return NoiseComponent(np.asarray(lower, float), np.asarray(upper, float))
+        return NoiseComponent(*self.noise_bounds)
 
 
 @dataclass(frozen=True)

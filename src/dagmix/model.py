@@ -22,12 +22,36 @@ from .errors import (
     CycleDetected,
     DimensionMismatch,
     PointOutsideNoiseBounds,
+    SingularParentBlock,
 )
 from .rng import as_generator
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 _WEIGHT_SUM_TOL = 1e-12
+_JITTER = 1e-9
+_VARIANCE_FLOOR = 1e-12
+
+
+def _chol_with_jitter(mat: np.ndarray, error: type[Exception]) -> np.ndarray:
+    """Cholesky factor with a single 1e-9 diagonal-jitter retry."""
+    try:
+        return np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        try:
+            return np.linalg.cholesky(mat + _JITTER * np.eye(mat.shape[0]))
+        except np.linalg.LinAlgError:
+            raise error(f"block of side {mat.shape[0]} is not positive definite")
+
+
+def _chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (L L^T) x = rhs given the Cholesky factor L."""
+    return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+
+
+def _chol_logdet(chol: np.ndarray) -> float:
+    """log|L L^T| given the Cholesky factor L."""
+    return 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -213,7 +237,8 @@ class GaussianDag:
         cls, structure: DagStructure, mean: np.ndarray, cov: np.ndarray
     ) -> "GaussianDag":
         """Read off the regression parameterization of ``structure`` whose
-        implied joint matches (mean, cov) on every node family."""
+        implied joint matches (mean, cov) on every node family; a parent
+        block that is not positive definite raises SingularParentBlock."""
         mean = np.asarray(mean, dtype=float)
         cov = np.asarray(cov, dtype=float)
         intercepts = np.empty(structure.n)
@@ -222,13 +247,14 @@ class GaussianDag:
         for i, ps in enumerate(structure.parents):
             if ps:
                 pa = list(ps)
-                b = np.linalg.solve(cov[np.ix_(pa, pa)], cov[pa, i])
+                chol = _chol_with_jitter(cov[np.ix_(pa, pa)], SingularParentBlock)
+                b = _chol_solve(chol, cov[pa, i])
                 intercepts[i] = mean[i] - b @ mean[pa]
-                variances[i] = max(cov[i, i] - cov[i, pa] @ b, 1e-12)
+                variances[i] = max(cov[i, i] - cov[i, pa] @ b, _VARIANCE_FLOOR)
                 coefficients.append(b)
             else:
                 intercepts[i] = mean[i]
-                variances[i] = max(cov[i, i], 1e-12)
+                variances[i] = max(cov[i, i], _VARIANCE_FLOOR)
                 coefficients.append(np.zeros(0))
         return cls(structure, intercepts, tuple(coefficients), variances)
 

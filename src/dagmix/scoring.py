@@ -23,11 +23,17 @@ from .errors import (
     EmptyTestSet,
     SingularObservedBlock,
 )
-from .model import LOG_2PI, DagStructure, MdagModel
+from .model import (
+    LOG_2PI,
+    DagStructure,
+    MdagModel,
+    _chol_logdet,
+    _chol_solve,
+    _chol_with_jitter,
+)
 from .stats import (
     MixtureStats,
     SuffStats,
-    _chol_with_jitter,
     _normalize_responsibilities,
     component_case_loglik,
 )
@@ -125,9 +131,8 @@ def gaussian_complete_loglik(t: SuffStats, mean: np.ndarray, cov: np.ndarray) ->
     d = t.dim
     m = t.s - np.outer(t.r, mean) - np.outer(mean, t.r) + t.n * np.outer(mean, mean)
     chol = _chol_with_jitter(cov, SingularObservedBlock)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    trace = float(np.trace(np.linalg.solve(chol.T, np.linalg.solve(chol, m))))
-    return -0.5 * t.n * (d * LOG_2PI + logdet) - 0.5 * trace
+    trace = float(np.trace(_chol_solve(chol, m)))
+    return -0.5 * t.n * (d * LOG_2PI + _chol_logdet(chol)) - 0.5 * trace
 
 
 def completed_loglik(mix_stats: MixtureStats, model: MdagModel) -> float:

@@ -26,9 +26,7 @@ from .errors import (
     ShapeMismatch,
     SingularObservedBlock,
 )
-from .model import GaussianDag, MdagModel
-
-_JITTER = 1e-9
+from .model import GaussianDag, MdagModel, _chol_logdet, _chol_solve, _chol_with_jitter
 
 
 @dataclass(frozen=True)
@@ -138,17 +136,6 @@ def labeled_stats(data: np.ndarray, labels: np.ndarray, k: int) -> MixtureStats:
 # --- per-mask Gaussian sub-block machinery ----------------------------------
 
 
-def _chol_with_jitter(mat: np.ndarray, error: type[Exception]) -> np.ndarray:
-    """Cholesky factor with a single 1e-9 diagonal-jitter retry."""
-    try:
-        return np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        try:
-            return np.linalg.cholesky(mat + _JITTER * np.eye(mat.shape[0]))
-        except np.linalg.LinAlgError:
-            raise error(f"block of side {mat.shape[0]} is not positive definite")
-
-
 def gaussian_block(
     mean: np.ndarray, cov: np.ndarray, mask: np.ndarray
 ) -> tuple[np.ndarray, ...]:
@@ -188,11 +175,6 @@ def conditional_moments(
     return mean[mis] + gain @ (y[obs] - mean[obs]), cond_cov
 
 
-def _chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    halfway = np.linalg.solve(chol, rhs)
-    return np.linalg.solve(chol.T, halfway)
-
-
 def _mask_groups(data: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     observed = ~np.isnan(data)
     if observed.all():  # complete data: one group, no sorting pass
@@ -201,25 +183,14 @@ def _mask_groups(data: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(masks[g], np.flatnonzero(inverse == g)) for g in range(masks.shape[0])]
 
 
-class _MarginalCache:
-    """Per-sweep cache of observed-block factorizations keyed by mask."""
-
-    def __init__(self, model: MdagModel):
-        self.model = model
-        self._cache: dict[tuple[int, bytes], tuple] = {}
-
-    def component_block(self, j: int, mask: np.ndarray):
-        key = (j, mask.tobytes())
-        hit = self._cache.get(key)
-        if hit is None:
-            mean, cov = self.model.components[j].joint_moments
-            hit = (mean,) + gaussian_block(mean, cov, mask)
-            self._cache[key] = hit
-        return hit
+def _component_blocks(model: MdagModel, mask: np.ndarray) -> list[tuple]:
+    """(mean,) + gaussian_block(mean, cov, mask) of every Gaussian component."""
+    moments = [g.joint_moments for g in model.components]
+    return [(mean,) + gaussian_block(mean, cov, mask) for mean, cov in moments]
 
 
 def _group_component_loglik(
-    model: MdagModel, cache: _MarginalCache, mask: np.ndarray, rows: np.ndarray
+    model: MdagModel, blocks: list[tuple], mask: np.ndarray, rows: np.ndarray
 ) -> np.ndarray:
     """(len(rows), n_components) log density of the observed block per row."""
     out = np.empty((rows.shape[0], model.n_components))
@@ -236,15 +207,14 @@ def _group_component_loglik(
         else:
             out[:, 0] = 0.0
         col = 1
-    for j in range(model.k):
-        mean, obs_idx, _, chol, _, _ = cache.component_block(j, mask)
+    for j, (mean, obs_idx, _, chol, _, _) in enumerate(blocks):
         if obs_idx.size == 0:
             out[:, col + j] = 0.0
             continue
         centered = rows[:, obs_idx] - mean[obs_idx]
         solved = np.linalg.solve(chol, centered.T)
         quad = np.sum(solved**2, axis=0)
-        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+        logdet = _chol_logdet(chol)
         out[:, col + j] = -0.5 * (obs_idx.size * np.log(2 * np.pi) + logdet + quad)
     return out
 
@@ -258,10 +228,10 @@ def component_case_loglik(model: MdagModel, data: np.ndarray) -> np.ndarray:
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[1] != model.n:
         raise DimensionMismatch(f"data shape {data.shape} does not match n={model.n}")
-    cache = _MarginalCache(model)
     out = np.empty((data.shape[0], model.n_components))
     for mask, idx in _mask_groups(data):
-        out[idx] = _group_component_loglik(model, cache, mask, data[idx])
+        blocks = _component_blocks(model, mask)
+        out[idx] = _group_component_loglik(model, blocks, mask, data[idx])
     return out
 
 
@@ -317,7 +287,6 @@ def expected_stats(data: np.ndarray, model: MdagModel) -> tuple[MixtureStats, fl
     if data.ndim != 2 or data.shape[1] != model.n:
         raise DimensionMismatch(f"data shape {data.shape} does not match n={model.n}")
     n = model.n
-    cache = _MarginalCache(model)
     offset = 1 if model.has_noise else 0
     counts = np.zeros(model.n_components)
     sums = [np.zeros(n) for _ in range(model.n_components)]
@@ -325,15 +294,15 @@ def expected_stats(data: np.ndarray, model: MdagModel) -> tuple[MixtureStats, fl
     row_loglik = np.empty(data.shape[0])
     for mask, idx in _mask_groups(data):
         rows = data[idx]
-        logp = _group_component_loglik(model, cache, mask, rows)
+        blocks = _component_blocks(model, mask)
+        logp = _group_component_loglik(model, blocks, mask, rows)
         resp, row_loglik[idx] = _normalize_responsibilities(logp, model.weights)
         if not mask.any():
             resp = np.tile(model.weights, (rows.shape[0], 1))
         counts += resp.sum(axis=0)
-        for j in range(model.k):
+        for j, (mean, obs, mis, _, gain, cond_cov) in enumerate(blocks):
             col = offset + j
             r = resp[:, col]
-            mean, obs, mis, _, gain, cond_cov = cache.component_block(j, mask)
             completed = np.empty_like(rows)
             completed[:, obs] = rows[:, obs]
             if mis.size:

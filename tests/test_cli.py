@@ -266,6 +266,16 @@ class TestCommands:
             (["fit"], {"noise_bounds": 5}, "DimensionMismatch"),
             (["fit"], {"prior": 3}, "DimensionMismatch"),
             (["fit"], {"k": "x"}, "DimensionMismatch"),
+            (["fit"], {"prior": {"nu": "x"}}, "DimensionMismatch"),
+            (["fit"], {"noise_bounds": [["a"], ["b"]]}, "DimensionMismatch"),
+            (["fit"], {"k": 1.5}, "DimensionMismatch"),
+            (["fit"], {"max_parents": "2"}, "DimensionMismatch"),
+            (["fit"], {"prior": {"tau": [[1, 0], [0]]}}, "DimensionMismatch"),
+            (["fit"], {"seed": 1.5}, "DimensionMismatch"),
+            (["fit"], {"ess": float("inf")}, "DimensionMismatch"),
+            (["fit"], {"prior": {"mu0": float("inf")}}, "DimensionMismatch"),
+            (["fit"], 5, "CorruptFile"),
+            (["fit"], "k", "CorruptFile"),
         ],
         ids=[
             "noise-bounds",
@@ -278,6 +288,16 @@ class TestCommands:
             "scalar-noise-bounds",
             "scalar-prior",
             "string-k",
+            "string-nu",
+            "string-noise-bounds",
+            "fractional-k",
+            "string-max-parents",
+            "ragged-tau",
+            "fractional-seed",
+            "infinite-ess",
+            "infinite-mu0",
+            "number-document",
+            "string-document",
         ],
     )
     def test_bad_argument_exit_code(self, tmp_path, capsys, argv, config, category):

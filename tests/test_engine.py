@@ -417,6 +417,30 @@ def test_zero_outer_iterations_rejected():
         FitConfig(max_outer=0)
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        lambda: FitConfig(k=True),
+        lambda: FitConfig(ess="200"),
+        lambda: FitConfig(noise_bounds=((0.0,), ("1",))),
+        lambda: PriorSpec(alpha="3"),
+        lambda: PriorSpec(mu0=[0.0, None]),
+    ],
+    ids=["bool-k", "string-ess", "string-bound", "string-alpha", "none-mu0"],
+)
+def test_wrongly_typed_config_value_rejected(config):
+    with pytest.raises(DimensionMismatch):
+        config()
+
+
+def test_numpy_numbers_accepted_in_config():
+    config = FitConfig(
+        k=np.int64(2), seed=np.uint32(7), ess=np.float32(50.0), max_parents=np.int8(1)
+    )
+    assert config.k == 2 and config.max_parents == 1
+    assert PriorSpec(nu=np.float64(3.0), tau=np.eye(2)).normal_wishart(2).nu == 3.0
+
+
 class TestSelectK:
     def test_prefers_single_component_on_null_data(self):
         wins = 0

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from dagmix.errors import CycleDetected, DimensionMismatch, PointOutsideNoiseBounds
+from dagmix.errors import (
+    CycleDetected,
+    DimensionMismatch,
+    PointOutsideNoiseBounds,
+    SingularParentBlock,
+)
 from dagmix.model import (
     DagStructure,
     GaussianDag,
@@ -104,6 +109,13 @@ class TestJointMoments:
         back = GaussianDag.from_joint(g.structure, mean, cov)
         assert np.allclose(back.intercepts, g.intercepts, atol=1e-9)
         assert np.allclose(back.variances, g.variances, atol=1e-9)
+
+    def test_from_joint_singular_parent_block(self):
+        # x0 and x1 are the same variable, so x2's parent block is singular;
+        # at variance 1e8 the 1e-9 diagonal jitter is lost to rounding
+        cov = np.array([[1e8, 1e8, 5e3], [1e8, 1e8, 5e3], [5e3, 5e3, 2.0]])
+        with pytest.raises(SingularParentBlock):
+            GaussianDag.from_joint(DagStructure(3, ((), (), (0, 1))), np.zeros(3), cov)
 
 
 class TestMarkovEquivalence:
