@@ -105,6 +105,76 @@ def posterior_update(prior: NormalWishart, t: SuffStats) -> NormalWishart:
     return NormalWishart(nu1, mu1, prior.alpha + n_count, 0.5 * (tau1 + tau1.T))
 
 
+class FamilyMarginals:
+    """Memo of ``family_marginal_loglik`` for one (prior, statistics) pair.
+
+    The posterior scale tau' of every family is a block of one matrix,
+    T' = tau + (s - r r^T / N) + (nu N / nu') (xbar - mu0)(xbar - mu0)^T,
+    built once: each term is elementwise, so its Y-block is bit-identical
+    to the same expression built from Y-sliced inputs.  The terms that
+    depend only on |Y| are cached by size, and each family's value by its
+    ordered tuple, so the F(Pa) term is shared by every child that
+    considers the same parent set.
+    """
+
+    def __init__(self, prior: NormalWishart, t: SuffStats):
+        if t.dim != prior.dim:
+            raise DimensionMismatch(f"statistics dim {t.dim}, prior dim {prior.dim}")
+        self.prior = prior
+        self.n_count = t.n
+        self._memo: dict[tuple[int, ...], float] = {}
+        self._by_size: dict[int, tuple[float, float, float]] = {}
+        if t.n <= _COUNT_FLOOR:
+            return
+        n_count = t.n
+        nu, nu1 = prior.nu, prior.nu + n_count
+        xbar = t.r / n_count
+        scatter = t.s - np.outer(t.r, t.r) / n_count
+        diff = xbar - prior.mu0
+        tau1 = prior.tau + scatter + (nu * n_count / nu1) * np.outer(diff, diff)
+        self._nu1 = nu1
+        self._scale = 0.5 * (tau1 + tau1.T)
+
+    def _size_terms(self, size: int) -> tuple[float, float, float]:
+        """(alpha, alpha', the four leading terms summed in formula order)."""
+        hit = self._by_size.get(size)
+        if hit is None:
+            prior, n_count = self.prior, self.n_count
+            alpha = prior.alpha - (prior.dim - size)
+            alpha1 = alpha + n_count
+            lead = (
+                -0.5 * n_count * size * _LOG_PI
+                + 0.5 * size * (np.log(prior.nu) - np.log(self._nu1))
+                + multigammaln(alpha1 / 2.0, size)
+                - multigammaln(alpha / 2.0, size)
+            )
+            hit = self._by_size[size] = (alpha, alpha1, lead)
+        return hit
+
+    def __call__(self, family: Sequence[int]) -> float:
+        family = tuple(map(int, family))
+        hit = self._memo.get(family)
+        if hit is not None:
+            return hit
+        if not family:
+            raise EmptyFamily("a family must contain at least one variable")
+        if len(set(family)) != len(family):
+            raise DimensionMismatch(f"family has duplicates: {family}")
+        if self.n_count <= _COUNT_FLOOR:
+            return 0.0
+        alpha, alpha1, lead = self._size_terms(len(family))
+        idx = np.array(family)
+        tau = self.prior.tau[idx[:, None], idx]
+        tau1 = self._scale[idx[:, None], idx]
+        value = float(
+            lead
+            + 0.5 * alpha * _chol_logdet(_chol_with_jitter(tau, SingularParentBlock))
+            - 0.5 * alpha1 * _chol_logdet(_chol_with_jitter(tau1, SingularParentBlock))
+        )
+        self._memo[family] = value
+        return value
+
+
 def family_marginal_loglik(
     prior: NormalWishart, t: SuffStats, family: Sequence[int]
 ) -> float:
@@ -118,58 +188,40 @@ def family_marginal_loglik(
         + (alpha/2) log|tau_Y| - (alpha'/2) log|tau'_Y|
 
     where primes denote the updated quantities and alpha is already
-    restricted.  Returns 0 for an empty batch.
+    restricted.  Returns 0 for an empty batch.  ``FamilyMarginals`` holds
+    the one implementation; use it directly to score many families.
     """
-    family = tuple(int(i) for i in family)
-    if not family:
-        raise EmptyFamily("a family must contain at least one variable")
-    if len(set(family)) != len(family):
-        raise DimensionMismatch(f"family has duplicates: {family}")
-    size = len(family)
-    n_count = t.n
-    if n_count <= _COUNT_FLOOR:
-        return 0.0
-    idx = np.asarray(family)
-    alpha = prior.alpha - (prior.dim - size)
-    nu = prior.nu
-    mu = prior.mu0[idx]
-    tau = prior.tau[np.ix_(idx, idx)]
-    r = t.r[idx]
-    s = t.s[np.ix_(idx, idx)]
-    nu1 = nu + n_count
-    alpha1 = alpha + n_count
-    xbar = r / n_count
-    scatter = s - np.outer(r, r) / n_count
-    diff = xbar - mu
-    tau1 = tau + scatter + (nu * n_count / nu1) * np.outer(diff, diff)
-    tau1 = 0.5 * (tau1 + tau1.T)
-    return float(
-        -0.5 * n_count * size * _LOG_PI
-        + 0.5 * size * (np.log(nu) - np.log(nu1))
-        + multigammaln(alpha1 / 2.0, size)
-        - multigammaln(alpha / 2.0, size)
-        + 0.5 * alpha * _chol_logdet(_chol_with_jitter(tau, SingularParentBlock))
-        - 0.5 * alpha1 * _chol_logdet(_chol_with_jitter(tau1, SingularParentBlock))
-    )
+    return FamilyMarginals(prior, t)(family)
 
 
 def local_score(
-    prior: NormalWishart, t: SuffStats, child: int, parents: Sequence[int]
+    prior: NormalWishart,
+    t: SuffStats,
+    child: int,
+    parents: Sequence[int],
+    marginals: FamilyMarginals | None = None,
 ) -> float:
-    """Family score of one node: log p(d^{child u Pa}) - log p(d^{Pa})."""
+    """Family score of one node: log p(d^{child u Pa}) - log p(d^{Pa}).
+
+    ``marginals``, when given, must be ``FamilyMarginals(prior, t)``; it
+    lets many calls share one posterior scale and one memo.
+    """
     parents = tuple(int(p) for p in parents)
     if child in parents:
         raise ChildInParents(f"node {child} appears in its own parent set")
-    top = family_marginal_loglik(prior, t, (child, *parents))
+    if marginals is None:
+        marginals = FamilyMarginals(prior, t)
+    top = marginals((child, *parents))
     if not parents:
         return top
-    return top - family_marginal_loglik(prior, t, parents)
+    return top - marginals(parents)
 
 
 def structure_score(prior: NormalWishart, t: SuffStats, structure: DagStructure) -> float:
     """Sum of family scores over all nodes of one component structure."""
+    marginals = FamilyMarginals(prior, t)
     return sum(
-        local_score(prior, t, i, ps) for i, ps in enumerate(structure.parents)
+        local_score(prior, t, i, ps, marginals) for i, ps in enumerate(structure.parents)
     )
 
 

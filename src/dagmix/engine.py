@@ -193,6 +193,10 @@ class FitConfig:
             raise DimensionMismatch("convergence ratio must lie in (0, 1)")
         if self.max_outer < 1:
             raise DimensionMismatch("max_outer must be at least 1")
+        if self.max_em_steps < 0:
+            raise DimensionMismatch("max_em_steps must not be negative")
+        if self.max_parents is not None and self.max_parents < 0:
+            raise DimensionMismatch("max_parents must not be negative")
         if self.weight_init not in WEIGHT_INIT_MODES:
             raise DimensionMismatch(
                 f"weight_init must be one of {WEIGHT_INIT_MODES}"

@@ -16,7 +16,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .bayes import DirichletPrior, NormalWishart, dirichlet_log_marglik, local_score
+from .bayes import (
+    DirichletPrior,
+    FamilyMarginals,
+    NormalWishart,
+    dirichlet_log_marglik,
+    local_score,
+)
 from .errors import (
     AllComponentsZeroDensity,
     DimensionMismatch,
@@ -78,9 +84,10 @@ def complete_model_score(
     locals_: list[tuple[float, ...]] = []
     for c, structure in enumerate(structures):
         t = mix_stats.triples[offset + c]
+        marginals = FamilyMarginals(priors[c], t)
         locals_.append(
             tuple(
-                local_score(priors[c], t, i, ps)
+                local_score(priors[c], t, i, ps, marginals)
                 for i, ps in enumerate(structure.parents)
             )
         )

@@ -15,14 +15,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bayes import NormalWishart, local_score
+from .bayes import FamilyMarginals, NormalWishart, local_score
 from .errors import DimensionMismatch
 from .model import DagStructure
 from .stats import MixtureStats, SuffStats
 
 SCORE_EPS = 1e-9
-
-_KIND_RANK = {"delete": 0, "reverse": 1, "add": 2}
 
 
 @dataclass(frozen=True)
@@ -48,35 +46,46 @@ class SearchStep:
     sideways: bool = False
 
 
-def neighbors(structure: DagStructure) -> list[ArcMove]:
-    """All single-arc moves whose result is acyclic.
+def _legal(structure: DagStructure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(add, delete, reverse): n x n masks, entry [u, v] for the move on u -> v.
 
     With ``reach`` the transitive closure of the arc matrix, adding u -> v
     is legal iff v cannot reach u, and reversing u -> v is legal iff no path
-    u ~> v of two or more arcs exists, i.e. iff (arc @ reach)[u, v] is false
-    (such a path cannot run through u -> v itself without a cycle).
+    u ~> v of two or more arcs exists, i.e. iff (arc @ reach)[u, v] is zero
+    (such a path cannot run through u -> v itself without a cycle).  The
+    closure comes from repeated squaring of a 0/1 float matrix, which each
+    round doubles the path length covered and is exact.
     """
     n = structure.n
-    arc = np.zeros((n, n), dtype=bool)
+    arc = np.zeros((n, n))
     for parent, child in structure.arcs():
-        arc[parent, child] = True
-    reach = arc.copy()
-    for k in range(n):
-        reach |= reach[:, k:k + 1] & reach[k:k + 1, :]
-    long_path = (arc @ reach).tolist()
-    has_arc = arc.tolist()
-    reach = reach.tolist()
+        arc[parent, child] = 1.0
+    reach = arc
+    while True:
+        longer = np.minimum(reach + reach @ reach, 1.0)
+        if (longer == reach).all():
+            break
+        reach = longer
+    has_arc = arc > 0
+    add = ~(has_arc | (reach > 0).T)
+    np.fill_diagonal(add, False)
+    return add, has_arc, has_arc & (arc @ reach == 0)
+
+
+def neighbors(structure: DagStructure) -> list[ArcMove]:
+    """All single-arc moves whose result is acyclic, in (source, target)
+    order with a delete before the reverse of the same arc."""
+    add, delete, reverse = _legal(structure)
+    sources, targets = np.nonzero(add | delete)
+    has_arc, reversible = delete.tolist(), reverse.tolist()
     moves = []
-    for u in range(n):
-        for v in range(n):
-            if u == v:
-                continue
-            if has_arc[u][v]:
-                moves.append(ArcMove("delete", u, v))
-                if not long_path[u][v]:
-                    moves.append(ArcMove("reverse", u, v))
-            elif not reach[v][u]:
-                moves.append(ArcMove("add", u, v))
+    for u, v in zip(sources.tolist(), targets.tolist()):
+        if has_arc[u][v]:
+            moves.append(ArcMove("delete", u, v))
+            if reversible[u][v]:
+                moves.append(ArcMove("reverse", u, v))
+        else:
+            moves.append(ArcMove("add", u, v))
     return moves
 
 
@@ -85,8 +94,7 @@ def _new_parents(
 ) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """The (node, new parent set) pairs a move rewrites: the target first,
     then the source for a reversal.  Every other node keeps its parents, so
-    these are the only family terms the move rescores, and only the last
-    pair can grow a parent set."""
+    these are the only family terms the move rescores."""
     u, v = move.source, move.target
     ps = structure.parents
     if move.kind == "add":
@@ -108,26 +116,39 @@ def apply_move(structure: DagStructure, move: ArcMove) -> DagStructure:
 
 
 class _ScoreCache:
+    """Node scores of one component, keyed by (node, sorted parents), over
+    one ``FamilyMarginals``; every miss goes through ``local_score``."""
+
     def __init__(self, prior: NormalWishart, t: SuffStats):
         self.prior = prior
         self.t = t
+        self.marginals = FamilyMarginals(prior, t)
         self._cache: dict[tuple[int, tuple[int, ...]], float] = {}
+        self._columns: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
 
     def node_score(self, node: int, parents: Iterable[int]) -> float:
         key = (node, tuple(sorted(parents)))
         hit = self._cache.get(key)
         if hit is None:
-            hit = local_score(self.prior, self.t, node, key[1])
+            hit = local_score(self.prior, self.t, node, key[1], self.marginals)
             self._cache[key] = hit
         return hit
 
-
-def _move_gain(cache: _ScoreCache, rewrites, node_scores: np.ndarray) -> float:
-    # folded left to right so a reversal sums ((a - b) + c) - d
-    gain = 0.0
-    for node, ps in rewrites:
-        gain = gain + cache.node_score(node, ps) - node_scores[node]
-    return gain
+    def column(
+        self, node: int, parents: tuple[int, ...], need: np.ndarray
+    ) -> np.ndarray:
+        """Entry u is the score of ``node`` with u toggled in ``parents``.
+        Only the entries ``need`` marks are filled; the others may be NaN."""
+        key = (node, parents)
+        col = self._columns.get(key)
+        if col is None:
+            col = self._columns[key] = np.full(self.t.dim, np.nan)
+        for u in np.flatnonzero(need & np.isnan(col)).tolist():
+            if u in parents:
+                col[u] = self.node_score(node, (p for p in parents if p != u))
+            else:
+                col[u] = self.node_score(node, parents + (u,))
+        return col
 
 
 def _best_move(
@@ -138,22 +159,39 @@ def _best_move(
 ) -> tuple[float, ArcMove] | None:
     """Highest-gain legal move; ties break on (delete < reverse < add,
     target, source) so runs are platform-independent.  With ``max_parents``
-    a move is skipped when a parent set it grows would exceed the cap;
-    shrinking a parent set is always allowed."""
-    best: tuple[float, tuple[int, int, int], ArcMove] | None = None
-    for move in neighbors(structure):
-        rewrites = _new_parents(structure, move)
-        if max_parents is not None:
-            node, ps = rewrites[-1]
-            if len(ps) > max_parents and len(ps) > len(structure.parents[node]):
-                continue
-        gain = _move_gain(cache, rewrites, node_scores)
-        key = (_KIND_RANK[move.kind], move.target, move.source)
-        if best is None or gain > best[0] or (gain == best[0] and key < best[1]):
-            best = (gain, key, move)
-    if best is None:
+    a move is skipped when the parent set it grows (the target's for an
+    add, the source's for a reversal) would exceed the cap; deletes are
+    never capped.
+
+    With S[u, v] the score of v with u toggled in its parent set, an add
+    or delete of u -> v gains S[u, v] - ns[v] and a reversal gains
+    ((S[u, v] - ns[v]) + S[v, u]) - ns[u].  Only the entries of S that a
+    legal, uncapped move reads are scored.
+    """
+    add, delete, reverse = _legal(structure)
+    if max_parents is not None:
+        grows = np.array([len(ps) < max_parents for ps in structure.parents])
+        add &= grows[None, :]
+        reverse &= grows[:, None]
+    if not (add.any() or delete.any()):
         return None
-    return best[0], best[2]
+    need = add | delete | reverse.T
+    scores = np.column_stack(
+        [cache.column(v, ps, need[:, v]) for v, ps in enumerate(structure.parents)]
+    )
+    single = scores - node_scores[None, :]
+    tables = (
+        ("delete", delete, single),
+        ("reverse", reverse, (single + scores.T) - node_scores[:, None]),
+        ("add", add, single),
+    )
+    best = max(gains[mask].max() for _, mask, gains in tables if mask.any())
+    for kind, mask, gains in tables:
+        hits = np.argwhere((mask & (gains == best)).T)
+        if len(hits):
+            v, u = hits[0].tolist()
+            return gains[u, v], ArcMove(kind, u, v)
+    return None
 
 
 def _covered_edges(structure: DagStructure) -> list[tuple[int, int]]:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 from scipy import stats as sps
-from scipy.special import gammaln
+from scipy.special import gammaln, multigammaln
 
 from dagmix.bayes import (
     DirichletPrior,
+    FamilyMarginals,
     NormalWishart,
     data_informed_prior,
     dirichlet_log_marglik,
@@ -16,8 +17,21 @@ from dagmix.bayes import (
     sample_joint_parameters,
     structure_score,
 )
-from dagmix.errors import ChildInParents, EmptyFamily, InsufficientData, NegativeCount
-from dagmix.model import DagStructure, GaussianDag, empty_structure
+from dagmix.errors import (
+    ChildInParents,
+    DimensionMismatch,
+    EmptyFamily,
+    InsufficientData,
+    NegativeCount,
+    SingularParentBlock,
+)
+from dagmix.model import (
+    DagStructure,
+    GaussianDag,
+    _chol_logdet,
+    _chol_with_jitter,
+    empty_structure,
+)
 from dagmix.stats import SuffStats
 from conftest import random_dag
 
@@ -134,6 +148,103 @@ class TestFamilyMarginal:
     def test_empty_family_rejected(self, rng):
         with pytest.raises(EmptyFamily):
             family_marginal_loglik(random_prior(2, rng), SuffStats.zero(2), ())
+
+
+def sliced_marginal_loglik(
+    prior: NormalWishart, t: SuffStats, family: tuple[int, ...]
+) -> float:
+    """The per-family formula on Y-sliced inputs, float order kept: the
+    oracle that ``FamilyMarginals`` must match bit for bit."""
+    size = len(family)
+    n_count = t.n
+    if n_count <= 1e-250:
+        return 0.0
+    idx = np.asarray(family)
+    alpha = prior.alpha - (prior.dim - size)
+    nu = prior.nu
+    mu = prior.mu0[idx]
+    tau = prior.tau[np.ix_(idx, idx)]
+    r = t.r[idx]
+    s = t.s[np.ix_(idx, idx)]
+    nu1 = nu + n_count
+    alpha1 = alpha + n_count
+    scatter = s - np.outer(r, r) / n_count
+    diff = r / n_count - mu
+    tau1 = tau + scatter + (nu * n_count / nu1) * np.outer(diff, diff)
+    tau1 = 0.5 * (tau1 + tau1.T)
+    return float(
+        -0.5 * n_count * size * np.log(np.pi)
+        + 0.5 * size * (np.log(nu) - np.log(nu1))
+        + multigammaln(alpha1 / 2.0, size)
+        - multigammaln(alpha / 2.0, size)
+        + 0.5 * alpha * _chol_logdet(_chol_with_jitter(tau, SingularParentBlock))
+        - 0.5 * alpha1 * _chol_logdet(_chol_with_jitter(tau1, SingularParentBlock))
+    )
+
+
+class TestFamilyMarginals:
+    def test_bit_identical_to_sliced_formula(self, rng):
+        # non-identity tau, non-zero mu0, fractional weights and families in
+        # unsorted order; the value read off the full posterior scale must
+        # equal the sliced formula exactly, on a miss and on a memo hit
+        for _ in range(40):
+            n = int(rng.integers(2, 13))
+            prior = random_prior(n, rng)
+            rows = rng.normal(0, 2, (int(rng.integers(1, 40)), n))
+            weights = rng.uniform(0.05, 1.0, len(rows))
+            t = SuffStats(
+                float(weights.sum()),
+                weights @ rows,
+                (weights[:, None] * rows).T @ rows,
+            )
+            marginals = FamilyMarginals(prior, t)
+            for _ in range(10):
+                size = int(rng.integers(1, n + 1))
+                family = tuple(int(i) for i in rng.choice(n, size=size, replace=False))
+                oracle = sliced_marginal_loglik(prior, t, family)
+                assert marginals(family) == oracle
+                assert marginals(family) == oracle
+                assert family_marginal_loglik(prior, t, family) == oracle
+                child, parents = family[0], family[1:]
+                expected = oracle
+                if parents:
+                    expected = oracle - sliced_marginal_loglik(prior, t, parents)
+                assert local_score(prior, t, child, parents, marginals) == expected
+                assert local_score(prior, t, child, parents) == expected
+
+    def test_zero_and_fractional_counts(self, rng):
+        prior = random_prior(3, rng)
+        assert FamilyMarginals(prior, SuffStats.zero(3))((2, 0)) == 0.0
+        rows = rng.normal(0, 1, (1, 3))
+        t = SuffStats(0.3, 0.3 * rows[0], 0.3 * np.outer(rows[0], rows[0]))
+        marginals = FamilyMarginals(prior, t)
+        for family in ((0,), (2, 1), (1, 0, 2)):
+            assert marginals(family) == sliced_marginal_loglik(prior, t, family)
+
+    def test_memo_is_keyed_by_ordered_family(self, rng):
+        prior = random_prior(3, rng)
+        t = stats_of(rng.normal(0, 1, (8, 3)))
+        marginals = FamilyMarginals(prior, t)
+        first = marginals((0, 2))
+        assert marginals((np.int64(0), 2)) is first
+        assert marginals((2, 0)) == sliced_marginal_loglik(prior, t, (2, 0))
+
+    def test_bad_families_rejected(self, rng):
+        prior = random_prior(3, rng)
+        for t in (SuffStats.zero(3), stats_of(rng.normal(0, 1, (5, 3)))):
+            marginals = FamilyMarginals(prior, t)
+            with pytest.raises(EmptyFamily):
+                marginals(())
+            with pytest.raises(DimensionMismatch):
+                marginals((1, 1))
+            with pytest.raises(DimensionMismatch):
+                local_score(prior, t, 0, (1, 1), marginals)
+            with pytest.raises(ChildInParents):
+                local_score(prior, t, 0, (2, 0), marginals)
+
+    def test_statistics_of_another_dimension_rejected(self, rng):
+        with pytest.raises(DimensionMismatch):
+            FamilyMarginals(random_prior(3, rng), SuffStats.zero(2))
 
 
 class TestLocalScore:

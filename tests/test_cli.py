@@ -263,6 +263,8 @@ class TestCommands:
             (["generate", "--n", "-1"], None, "DimensionMismatch"),
             (["fit"], {"schedule": 5}, "BadSchedule"),
             (["fit"], {"max_outer": 0}, "DimensionMismatch"),
+            (["fit"], {"max_parents": -1}, "DimensionMismatch"),
+            (["fit"], {"max_em_steps": -3}, "DimensionMismatch"),
             (["fit"], {"noise_bounds": 5}, "DimensionMismatch"),
             (["fit"], {"prior": 3}, "DimensionMismatch"),
             (["fit"], {"k": "x"}, "DimensionMismatch"),
@@ -285,6 +287,8 @@ class TestCommands:
             "negative-count",
             "schedule",
             "zero-max-outer",
+            "negative-max-parents",
+            "negative-max-em-steps",
             "scalar-noise-bounds",
             "scalar-prior",
             "string-k",

@@ -418,6 +418,15 @@ def test_zero_outer_iterations_rejected():
 
 
 @pytest.mark.parametrize(
+    "field", ["max_parents", "max_em_steps"], ids=["max-parents", "max-em-steps"]
+)
+def test_negative_count_rejected(field):
+    with pytest.raises(DimensionMismatch):
+        FitConfig(**{field: -1})
+    assert getattr(FitConfig(**{field: 0}), field) == 0
+
+
+@pytest.mark.parametrize(
     "config",
     [
         lambda: FitConfig(k=True),

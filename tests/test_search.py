@@ -4,11 +4,14 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from dagmix.bayes import structure_score
+from dagmix.bayes import NormalWishart, structure_score
 from dagmix.errors import CycleDetected, DimensionMismatch
 from dagmix.model import DagStructure, complete_structure, empty_structure
 from dagmix.search import (
     ArcMove,
+    _best_move,
+    _new_parents,
+    _ScoreCache,
     apply_move,
     cpdag_hamming,
     greedy_component_search,
@@ -18,7 +21,7 @@ from dagmix.search import (
     structural_difference,
     to_cpdag,
 )
-from dagmix.stats import MixtureStats, labeled_stats
+from dagmix.stats import MixtureStats, SuffStats, labeled_stats
 from conftest import random_dag
 from test_bayes import random_prior, stats_of
 
@@ -74,6 +77,92 @@ class TestNeighbors:
         moves = {(m.kind, m.source, m.target) for m in neighbors(s)}
         assert ("reverse", 0, 1) in moves
         assert ("reverse", 1, 2) in moves
+
+
+_KIND_RANK = {"delete": 0, "reverse": 1, "add": 2}
+
+
+def listed_best_move(cache, structure, node_scores, max_parents):
+    """The move-list form of ``_best_move``: score every legal move in turn,
+    folding gain = gain + score - old score from 0.0.  Returns the best
+    (gain, move) and how many moves reach that gain."""
+    best, ties = None, 0
+    for move in neighbors(structure):
+        rewrites = _new_parents(structure, move)
+        if max_parents is not None:
+            node, ps = rewrites[-1]
+            if len(ps) > max_parents and len(ps) > len(structure.parents[node]):
+                continue
+        gain = 0.0
+        for node, ps in rewrites:
+            gain = gain + cache.node_score(node, ps) - node_scores[node]
+        key = (_KIND_RANK[move.kind], move.target, move.source)
+        if best is None or gain > best[0]:
+            best, ties = (gain, key, move), 1
+        elif gain == best[0]:
+            ties += 1
+            if key < best[1]:
+                best = (gain, key, move)
+    return None if best is None else (best[0], best[2]), ties
+
+
+def twin_column_stats(rows):
+    """Statistics in which variables 0 and 1 are exactly the same column."""
+    rows = rows.copy()
+    rows[:, 1] = rows[:, 0]
+    t = stats_of(rows)
+    r, s = t.r.copy(), t.s.copy()
+    r[1] = r[0]
+    s[1, :] = s[0, :]
+    s[:, 1] = s[:, 0]
+    return SuffStats(t.n, r, s)
+
+
+class TestBestMove:
+    @pytest.mark.parametrize("cap", [None, 0, 1, 2])
+    def test_matches_move_list(self, rng, cap):
+        # same gain bit for bit, same move, and the same families scored;
+        # twin columns under a symmetric prior make exact gain ties, so the
+        # (kind, target, source) key decides, and with no cases every gain
+        # is 0.0, so it decides across kinds too
+        twin_ties = 0
+        for trial in range(30):
+            n = int(rng.integers(3, 11))
+            rows = rng.standard_normal((60, n)) @ rng.standard_normal((n, n))
+            prior = random_prior(n, rng)
+            if trial % 3 == 0:
+                t = stats_of(rows)
+            elif trial % 3 == 1:
+                t = twin_column_stats(rows)
+                prior = NormalWishart(2.0, np.zeros(n), n + 2.0, np.eye(n))
+            else:
+                t = SuffStats.zero(n)
+            vectorised, listed = _ScoreCache(prior, t), _ScoreCache(prior, t)
+            structure = random_dag(n, rng, p=float(rng.uniform(0.0, 0.8)))
+            for _ in range(6):
+                scores = np.array(
+                    [listed.node_score(i, ps) for i, ps in enumerate(structure.parents)]
+                )
+                for i, ps in enumerate(structure.parents):
+                    vectorised.node_score(i, ps)
+                found = _best_move(vectorised, structure, scores, cap)
+                expected, n_ties = listed_best_move(listed, structure, scores, cap)
+                assert vectorised._cache.keys() == listed._cache.keys()
+                if expected is None:
+                    assert found is None
+                    break
+                twin_ties += trial % 3 == 1 and n_ties > 1
+                assert found[1] == expected[1]
+                assert found[0] == expected[0]
+                structure = apply_move(structure, found[1])
+        assert twin_ties > 0
+
+    def test_no_legal_move(self, rng):
+        prior = random_prior(1, rng)
+        cache = _ScoreCache(prior, stats_of(rng.standard_normal((5, 1))))
+        assert _best_move(cache, empty_structure(1), np.zeros(1), None) is None
+        cache = _ScoreCache(random_prior(3, rng), stats_of(rng.standard_normal((5, 3))))
+        assert _best_move(cache, empty_structure(3), np.zeros(3), 0) is None
 
 
 class TestGreedySearch:
