@@ -80,37 +80,44 @@ class DirichletPrior:
         return self.alphas.shape[0]
 
 
-def _checked_scatter(t: SuffStats) -> np.ndarray:
-    scatter = t.scatter()
-    scatter = 0.5 * (scatter + scatter.T)
-    min_eig = float(np.linalg.eigvalsh(scatter).min())
-    if min_eig < -_PSD_TOL:
-        raise NonPsdScatter(f"centered scatter has eigenvalue {min_eig:.3e}")
-    return scatter
-
-
 def posterior_update(prior: NormalWishart, t: SuffStats) -> NormalWishart:
-    """Absorb a statistics triple; the identity map when it is empty."""
+    """Absorb a statistics triple; the identity map when it is empty.
+
+    The posterior scale is T' = tau + (s - r r^T / N)
+    + (nu N / nu') (xbar - mu0)(xbar - mu0)^T, symmetrized once at the end;
+    a centered scatter that is not positive semidefinite raises NonPsdScatter.
+    """
     if t.dim != prior.dim:
         raise DimensionMismatch(f"statistics dim {t.dim}, prior dim {prior.dim}")
     if t.n <= _COUNT_FLOOR:
         return prior
     n_count = t.n
-    scatter = _checked_scatter(t)
-    xbar = t.r / n_count
+    scatter = t.s - np.outer(t.r, t.r) / n_count
+    min_eig = float(np.linalg.eigvalsh(scatter).min())
+    if min_eig < -_PSD_TOL:
+        raise NonPsdScatter(f"centered scatter has eigenvalue {min_eig:.3e}")
     nu1 = prior.nu + n_count
-    diff = xbar - prior.mu0
+    diff = t.r / n_count - prior.mu0
     tau1 = prior.tau + scatter + (prior.nu * n_count / nu1) * np.outer(diff, diff)
     mu1 = (prior.nu * prior.mu0 + t.r) / nu1
     return NormalWishart(nu1, mu1, prior.alpha + n_count, 0.5 * (tau1 + tau1.T))
 
 
 class FamilyMarginals:
-    """Memo of ``family_marginal_loglik`` for one (prior, statistics) pair.
+    """Log marginal likelihoods of variable subsets Y for one (prior,
+    statistics) pair.
 
-    The posterior scale tau' of every family is a block of one matrix,
-    T' = tau + (s - r r^T / N) + (nu N / nu') (xbar - mu0)(xbar - mu0)^T,
-    built once: each term is elementwise, so its Y-block is bit-identical
+    Closed form for the saturated Gaussian on Y under the Y-restricted
+    prior, with ratios of prior and posterior normalizing constants:
+
+        -(N |Y| / 2) log pi + (|Y|/2) log(nu/nu')
+        + log Gamma_|Y|(alpha'/2) - log Gamma_|Y|(alpha/2)
+        + (alpha/2) log|tau_Y| - (alpha'/2) log|tau'_Y|
+
+    where primes denote the updated quantities and alpha is already
+    restricted; an empty batch scores 0.  The posterior scale tau'_Y of
+    every family is a block of the one matrix T' that ``posterior_update``
+    builds: each term of T' is elementwise, so its Y-block is bit-identical
     to the same expression built from Y-sliced inputs.  The terms that
     depend only on |Y| are cached by size, and each family's value by its
     ordered tuple, so the F(Pa) term is shared by every child that
@@ -118,22 +125,13 @@ class FamilyMarginals:
     """
 
     def __init__(self, prior: NormalWishart, t: SuffStats):
-        if t.dim != prior.dim:
-            raise DimensionMismatch(f"statistics dim {t.dim}, prior dim {prior.dim}")
+        post = posterior_update(prior, t)
         self.prior = prior
         self.n_count = t.n
+        self._nu1 = post.nu
+        self._scale = post.tau
         self._memo: dict[tuple[int, ...], float] = {}
         self._by_size: dict[int, tuple[float, float, float]] = {}
-        if t.n <= _COUNT_FLOOR:
-            return
-        n_count = t.n
-        nu, nu1 = prior.nu, prior.nu + n_count
-        xbar = t.r / n_count
-        scatter = t.s - np.outer(t.r, t.r) / n_count
-        diff = xbar - prior.mu0
-        tau1 = prior.tau + scatter + (nu * n_count / nu1) * np.outer(diff, diff)
-        self._nu1 = nu1
-        self._scale = 0.5 * (tau1 + tau1.T)
 
     def _size_terms(self, size: int) -> tuple[float, float, float]:
         """(alpha, alpha', the four leading terms summed in formula order)."""
@@ -173,25 +171,6 @@ class FamilyMarginals:
         )
         self._memo[family] = value
         return value
-
-
-def family_marginal_loglik(
-    prior: NormalWishart, t: SuffStats, family: Sequence[int]
-) -> float:
-    """Log marginal likelihood of the data restricted to variable set Y.
-
-    Closed form for the saturated Gaussian on Y under the Y-restricted
-    prior, with ratios of prior and posterior normalizing constants:
-
-        -(N |Y| / 2) log pi + (|Y|/2) log(nu/nu')
-        + log Gamma_|Y|(alpha'/2) - log Gamma_|Y|(alpha/2)
-        + (alpha/2) log|tau_Y| - (alpha'/2) log|tau'_Y|
-
-    where primes denote the updated quantities and alpha is already
-    restricted.  Returns 0 for an empty batch.  ``FamilyMarginals`` holds
-    the one implementation; use it directly to score many families.
-    """
-    return FamilyMarginals(prior, t)(family)
 
 
 def local_score(

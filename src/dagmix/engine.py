@@ -11,7 +11,6 @@ best-scoring iterate is returned.
 
 from __future__ import annotations
 
-import math
 import numbers
 import re
 import warnings
@@ -35,6 +34,7 @@ from .model import (
     GaussianDag,
     MdagModel,
     NoiseComponent,
+    _check_number,
     complete_structure,
     empty_structure,
 )
@@ -50,14 +50,12 @@ _COLLAPSE_STEPS = 3
 
 
 def _check_numbers(obj, kind: type, *names: str, optional: bool = False) -> None:
-    """Raise DimensionMismatch unless each named field of ``obj`` holds a finite
-    ``kind`` number other than a bool, or None when ``optional``."""
+    """``_check_number`` on each named field of ``obj``; with ``optional`` a
+    field may also hold None."""
     for name in names:
         value = getattr(obj, name)
-        if optional and value is None:
-            continue
-        if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
-            raise DimensionMismatch(f"{name} {value!r} is not a finite {kind.__name__} number")
+        if not (optional and value is None):
+            _check_number(name, value, kind)
 
 
 def _real_array(name: str, value) -> np.ndarray:
@@ -110,14 +108,6 @@ class Schedule:
     def __str__(self) -> str:
         burst = "*" if self.em_steps is None else f"^{self.em_steps}"
         return f"((EM){burst} Ec S* M){'*' if self.outer_repeat else ''}"
-
-    @classmethod
-    def default(cls) -> "Schedule":
-        return cls(em_steps=10)
-
-    @classmethod
-    def full_em(cls) -> "Schedule":
-        return cls(em_steps=None)
 
 
 @dataclass(frozen=True)
@@ -256,18 +246,6 @@ def _m_step(
         for c in range(len(structures))
     )
     return MdagModel(weights, components, model.noise)
-
-
-def em_step(
-    data: np.ndarray,
-    model: MdagModel,
-    priors: Sequence[NormalWishart],
-    dirichlet: DirichletPrior,
-) -> MdagModel:
-    """One E step plus one M step at fixed structures."""
-    mix_stats, _ = stats.expected_stats(data, model)
-    structures = tuple(g.structure for g in model.components)
-    return _m_step(mix_stats, structures, priors, dirichlet, model)
 
 
 @dataclass(frozen=True)
@@ -494,6 +472,7 @@ def select_k(data: np.ndarray, config: FitConfig, k_max: int) -> SelectKResult:
     on two consecutive increments (or at k_max); the best-scoring k wins.
     """
     data = _checked_data(data)
+    _check_number("k_max", k_max, numbers.Integral)
     if k_max < 1:
         raise DimensionMismatch("k_max must be at least 1")
     fits: list[FitResult] = []

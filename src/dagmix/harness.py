@@ -127,6 +127,8 @@ def match_components(
     first.
     Returns one difference per gold component (None where unmatched).
     """
+    if len(weights) != len(learned):
+        raise DimensionMismatch(f"{len(learned)} learned structures but {len(weights)} weights")
     order = sorted(range(len(learned)), key=lambda j: -weights[j])[: len(gold)]
     top = [learned[j] for j in order]
     cost = [

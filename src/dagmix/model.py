@@ -11,6 +11,8 @@ safe to call concurrently on shared models.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -52,6 +54,13 @@ def _chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _chol_logdet(chol: np.ndarray) -> float:
     """log|L L^T| given the Cholesky factor L."""
     return 2.0 * float(np.sum(np.log(np.diag(chol))))
+
+
+def _check_number(name: str, value, kind: type) -> None:
+    """Raise DimensionMismatch unless ``value`` is a finite ``kind`` number
+    other than a bool."""
+    if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
+        raise DimensionMismatch(f"{name} {value!r} is not a finite {kind.__name__} number")
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -145,9 +154,6 @@ class DagStructure:
 
     def arc_count(self) -> int:
         return sum(len(ps) for ps in self.parents)
-
-    def has_arc(self, u: int, v: int) -> bool:
-        return u in self.parents[v]
 
 
 def empty_structure(n: int) -> DagStructure:
@@ -284,17 +290,12 @@ class NoiseComponent:
     def log_volume(self) -> float:
         return float(np.sum(np.log(self.upper - self.lower)))
 
-    def log_density(self, x: np.ndarray, observed: np.ndarray | None = None) -> float:
-        """Log density of the observed coordinates (all by default)."""
+    def log_density(self, x: np.ndarray) -> float:
+        """Log density at a fully observed point."""
         x = np.asarray(x, dtype=float)
-        if observed is None:
-            observed = np.ones(self.n, dtype=bool)
-        inside = np.all(
-            (x[observed] >= self.lower[observed]) & (x[observed] <= self.upper[observed])
-        )
-        if not inside:
+        if not np.all((x >= self.lower) & (x <= self.upper)):
             return -np.inf
-        return float(-np.sum(np.log(self.upper[observed] - self.lower[observed])))
+        return -self.log_volume
 
 
 @dataclass(frozen=True)
@@ -386,6 +387,7 @@ def sample(
     Labels index the weight vector (0 is noise when present).  Deterministic
     given a seed; a caller-owned Generator may be passed instead.
     """
+    _check_number("count", count, numbers.Integral)
     if count < 0:
         raise DimensionMismatch(f"cannot sample {count} cases")
     rng = as_generator(seed_or_rng)

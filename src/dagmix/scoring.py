@@ -40,6 +40,7 @@ from .model import (
 from .stats import (
     MixtureStats,
     SuffStats,
+    _checked_labels,
     _normalize_responsibilities,
     component_case_loglik,
 )
@@ -107,18 +108,13 @@ def observed_loglik(
     indicator is treated as observed: each case contributes its own
     component's (weighted) density instead of the mixture.
     """
-    data = np.asarray(data, dtype=float)
-    if data.shape[0] == 0:
-        return 0.0
     logp = component_case_loglik(model, data)
     if labels is None:
         return float(np.sum(_normalize_responsibilities(logp, model.weights)[1]))
-    labels = np.asarray(labels)
-    if labels.shape != (data.shape[0],):
-        raise DimensionMismatch("one label per case required")
+    labels = _checked_labels(labels, logp.shape[0], model.n_components)
     with np.errstate(divide="ignore"):
         logw = np.where(model.weights > 0, np.log(model.weights), -np.inf)
-    picked = logw[labels] + logp[np.arange(data.shape[0]), labels]
+    picked = logw[labels] + logp[np.arange(labels.shape[0]), labels]
     if not np.all(np.isfinite(picked)):
         raise AllComponentsZeroDensity(
             "a case has zero density under its labeled component"

@@ -212,14 +212,13 @@ def _escape_via_covered_reversals(
     structure: DagStructure,
     base_total: float,
     max_parents: int | None,
-    eps: float,
 ) -> tuple[list[ArcMove], ArcMove] | None:
     """Search the equivalence class for a state with an improving move.
 
     Breadth-first over covered-edge reversals (every state scores the same
     as ``structure`` up to roundoff); returns the reversal path plus the
     improving move of the first state whose best move beats ``base_total``
-    by more than eps, or None when the class offers no escape.
+    by more than SCORE_EPS, or None when the class offers no escape.
     """
     seen = {structure.parents}
     frontier = deque([(structure, [])])
@@ -232,7 +231,7 @@ def _escape_via_covered_reversals(
                 [cache.node_score(i, ps) for i, ps in enumerate(state.parents)]
             )
             found = _best_move(cache, state, scores, max_parents)
-            if found is not None and scores.sum() + found[0] > base_total + eps:
+            if found is not None and scores.sum() + found[0] > base_total + SCORE_EPS:
                 return path, found[1]
         for u, v in _covered_edges(state):
             move = ArcMove("reverse", u, v)
@@ -248,11 +247,11 @@ def greedy_component_search(
     prior: NormalWishart,
     init: DagStructure,
     max_parents: int | None = None,
-    eps: float = SCORE_EPS,
     trace: list[SearchStep] | None = None,
     component: int = 0,
 ) -> DagStructure:
-    """Hill climbing over add/delete/reverse moves until nothing gains > eps.
+    """Hill climbing over add/delete/reverse moves until nothing gains more
+    than SCORE_EPS.
 
     Only the nodes whose parents change are rescored per move; the running
     total is re-derived from the per-node scores after every acceptance so
@@ -288,11 +287,11 @@ def greedy_component_search(
 
     while True:
         found = _best_move(cache, structure, node_scores, max_parents)
-        if found is not None and found[0] > eps:
+        if found is not None and found[0] > SCORE_EPS:
             accept(found[1], sideways=False)
             continue
         escape = _escape_via_covered_reversals(
-            cache, structure, float(node_scores.sum()), max_parents, eps
+            cache, structure, float(node_scores.sum()), max_parents
         )
         if escape is None:
             return structure
@@ -307,7 +306,6 @@ def search_all_components(
     structures: Sequence[DagStructure],
     priors: Sequence[NormalWishart],
     max_parents: int | None = None,
-    eps: float = SCORE_EPS,
     traces: list[list[SearchStep]] | None = None,
 ) -> tuple[DagStructure, ...]:
     """Independent greedy search per Gaussian component; noise untouched.
@@ -334,7 +332,6 @@ def search_all_components(
                 priors[c],
                 init,
                 max_parents=max_parents,
-                eps=eps,
                 trace=trace,
                 component=c,
             )
@@ -352,16 +349,6 @@ class Cpdag:
     n: int
     directed: frozenset[tuple[int, int]]
     undirected: frozenset[tuple[int, int]]  # stored with smaller index first
-
-    def edge_mark(self, u: int, v: int):
-        """None, 'undirected', or the compelled (source, target) pair."""
-        if (min(u, v), max(u, v)) in self.undirected:
-            return "undirected"
-        if (u, v) in self.directed:
-            return (u, v)
-        if (v, u) in self.directed:
-            return (v, u)
-        return None
 
 
 def to_cpdag(structure: DagStructure) -> Cpdag:
@@ -397,29 +384,6 @@ def to_cpdag(structure: DagStructure) -> Cpdag:
     return Cpdag(structure.n, frozenset(directed), frozenset(undirected))
 
 
-def markov_equivalent(a: DagStructure, b: DagStructure) -> bool:
-    return to_cpdag(a) == to_cpdag(b)
-
-
-def cpdag_hamming(a: DagStructure, b: DagStructure) -> int:
-    """Pairs of nodes whose completed-graph edge status differs.
-
-    Cheap equivalence-aware comparison, but it overstates the manipulation
-    count when an extra adjacency destroys compelled orientations; use
-    structural_difference for the faithful metric.
-    """
-    if a.n != b.n:
-        raise DimensionMismatch(f"structures have n={a.n} and n={b.n}")
-    ca = to_cpdag(a)
-    cb = to_cpdag(b)
-    count = 0
-    for u in range(a.n):
-        for v in range(u + 1, a.n):
-            if ca.edge_mark(u, v) != cb.edge_mark(u, v):
-                count += 1
-    return count
-
-
 _DIFFERENCE_STATE_CAP = 60000
 
 
@@ -448,8 +412,7 @@ def structural_difference(learned: DagStructure, gold: DagStructure) -> int:
             return d
         if len(dist) > _DIFFERENCE_STATE_CAP:
             raise DimensionMismatch(
-                "structural difference search exceeded its state budget; "
-                "graphs of this size need the cpdag_hamming approximation"
+                "structural difference search exceeded its state budget"
             )
         covered = set(_covered_edges(state))
         for move in neighbors(state):

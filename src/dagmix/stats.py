@@ -26,7 +26,7 @@ from .errors import (
     ShapeMismatch,
     SingularObservedBlock,
 )
-from .model import GaussianDag, MdagModel, _chol_logdet, _chol_solve, _chol_with_jitter
+from .model import MdagModel, _chol_logdet, _chol_solve, _chol_with_jitter
 
 
 @dataclass(frozen=True)
@@ -56,11 +56,6 @@ class SuffStats:
         if self.n <= 0:
             return np.zeros_like(self.s)
         return self.s - np.outer(self.r, self.r) / self.n
-
-    def add(self, other: "SuffStats") -> "SuffStats":
-        if self.dim != other.dim:
-            raise ShapeMismatch(f"dims {self.dim} and {other.dim}")
-        return SuffStats(self.n + other.n, self.r + other.r, self.s + other.s)
 
 
 @dataclass(frozen=True)
@@ -93,39 +88,24 @@ class MixtureStats:
         return np.array([t.n for t in self.triples])
 
 
-def case_stats(x: np.ndarray, component: int, k: int) -> MixtureStats:
-    """Exact single-case statistics: component gets (1, x, x x^T), rest zero."""
-    x = np.asarray(x, dtype=float)
-    if not 0 <= component < k:
-        raise BadComponentIndex(f"component {component} outside [0, {k})")
-    dim = x.shape[0]
-    triples = [
-        SuffStats(1.0, x.copy(), np.outer(x, x)) if c == component else SuffStats.zero(dim)
-        for c in range(k)
-    ]
-    return MixtureStats(tuple(triples), 1.0)
-
-
-def merge(a: MixtureStats, b: MixtureStats) -> MixtureStats:
-    """Componentwise triple addition (the reduction step of a parallel sweep)."""
-    if a.n_components != b.n_components or a.dim != b.dim:
-        raise ShapeMismatch("mixture statistics have different shapes")
-    return MixtureStats(
-        tuple(ta.add(tb) for ta, tb in zip(a.triples, b.triples)),
-        a.total_cases + b.total_cases,
-    )
+def _checked_labels(labels, cases: int, k: int) -> np.ndarray:
+    """``labels`` as one integer component index in [0, k) per case."""
+    labels = np.asarray(labels)
+    if labels.shape != (cases,):
+        raise ShapeMismatch("one label per case required")
+    if labels.size and (
+        labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= k
+    ):
+        raise BadComponentIndex(f"labels must be integers in [0, {k})")
+    return labels
 
 
 def labeled_stats(data: np.ndarray, labels: np.ndarray, k: int) -> MixtureStats:
     """Exact statistics for complete data with observed component labels."""
     data = np.asarray(data, dtype=float)
-    labels = np.asarray(labels)
     if np.isnan(data).any():
         raise DimensionMismatch("labeled statistics require complete data")
-    if labels.shape != (data.shape[0],):
-        raise ShapeMismatch("one label per case required")
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise BadComponentIndex(f"labels must lie in [0, {k})")
+    labels = _checked_labels(labels, data.shape[0], k)
     triples = []
     for c in range(k):
         rows = data[labels == c]
@@ -157,22 +137,6 @@ def gaussian_block(
         gain = np.zeros((0, obs.size))
         cond_cov = np.zeros((0, 0))
     return obs, mis, chol, gain, cond_cov
-
-
-def conditional_moments(
-    g: GaussianDag, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian conditional mean/covariance of the NaN coordinates of y.
-
-    Both are empty when everything is observed; with nothing observed the
-    unconditional joint moments are returned.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (g.n,):
-        raise DimensionMismatch(f"point has shape {y.shape}, model has n={g.n}")
-    mean, cov = g.joint_moments
-    obs, mis, _, gain, cond_cov = gaussian_block(mean, cov, ~np.isnan(y))
-    return mean[mis] + gain @ (y[obs] - mean[obs]), cond_cov
 
 
 def _mask_groups(data: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -253,20 +217,6 @@ def _normalize_responsibilities(
     total = resp.sum(axis=1, keepdims=True)
     resp /= total
     return resp, (top + np.log(total))[:, 0]
-
-
-def responsibilities(model: MdagModel, y: np.ndarray) -> np.ndarray:
-    """Posterior probability of each component given one (partial) case.
-
-    With no observed coordinate the prior weights are returned.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (model.n,):
-        raise DimensionMismatch(f"point has shape {y.shape}, model has n={model.n}")
-    if np.isnan(y).all():
-        return model.weights.copy()
-    logp = component_case_loglik(model, y[None, :])
-    return _normalize_responsibilities(logp, model.weights)[0][0]
 
 
 def expected_stats(data: np.ndarray, model: MdagModel) -> tuple[MixtureStats, float]:

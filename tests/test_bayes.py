@@ -10,7 +10,6 @@ from dagmix.bayes import (
     data_informed_prior,
     dirichlet_log_marglik,
     dirichlet_map,
-    family_marginal_loglik,
     local_score,
     map_parameters,
     posterior_update,
@@ -123,13 +122,13 @@ class TestPosteriorUpdate:
 class TestFamilyMarginal:
     def test_empty_batch(self, rng):
         prior = random_prior(2, rng)
-        assert family_marginal_loglik(prior, SuffStats.zero(2), (0,)) == 0.0
+        assert FamilyMarginals(prior, SuffStats.zero(2))((0,)) == 0.0
 
     def test_one_case_equals_student_t(self):
         nu, mu, alpha, tau = 1.5, 0.3, 2.2, 0.8
         prior = NormalWishart(nu, np.array([mu]), alpha, np.array([[tau]]))
         x = 1.7
-        value = family_marginal_loglik(prior, stats_of(np.array([[x]])), (0,))
+        value = FamilyMarginals(prior, stats_of(np.array([[x]])))((0,))
         scale = np.sqrt(tau * (nu + 1) / (nu * alpha))
         assert value == pytest.approx(sps.t.logpdf(x, df=alpha, loc=mu, scale=scale), abs=1e-12)
 
@@ -141,13 +140,13 @@ class TestFamilyMarginal:
             rows = rng.normal(0, 2, (count, n))
             size = int(rng.integers(1, n + 1))
             family = tuple(rng.choice(n, size=size, replace=False))
-            ours = family_marginal_loglik(prior, stats_of(rows), family)
+            ours = FamilyMarginals(prior, stats_of(rows))(family)
             oracle = sequential_marginal_loglik(prior, rows, family)
             assert ours == pytest.approx(oracle, abs=1e-8)
 
     def test_empty_family_rejected(self, rng):
         with pytest.raises(EmptyFamily):
-            family_marginal_loglik(random_prior(2, rng), SuffStats.zero(2), ())
+            FamilyMarginals(random_prior(2, rng), SuffStats.zero(2))(())
 
 
 def sliced_marginal_loglik(
@@ -204,7 +203,7 @@ class TestFamilyMarginals:
                 oracle = sliced_marginal_loglik(prior, t, family)
                 assert marginals(family) == oracle
                 assert marginals(family) == oracle
-                assert family_marginal_loglik(prior, t, family) == oracle
+                assert FamilyMarginals(prior, t)(family) == oracle
                 child, parents = family[0], family[1:]
                 expected = oracle
                 if parents:
@@ -251,7 +250,7 @@ class TestLocalScore:
     def test_orphan_equals_family(self, rng):
         prior = random_prior(2, rng)
         t = stats_of(rng.normal(0, 1, (6, 2)))
-        assert local_score(prior, t, 0, ()) == family_marginal_loglik(prior, t, (0,))
+        assert local_score(prior, t, 0, ()) == FamilyMarginals(prior, t)((0,))
 
     def test_chain_rule_both_orderings(self, rng):
         prior = random_prior(2, rng)

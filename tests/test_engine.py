@@ -9,7 +9,6 @@ from dagmix.engine import (
     PriorSpec,
     Schedule,
     _bind_priors,
-    em_step,
     fit,
     initialize,
     ratio_rule_fires,
@@ -31,12 +30,12 @@ from conftest import single_node_model, two_component_1d
 
 class TestSchedule:
     def test_default_round_trip(self):
-        s = Schedule.default()
+        s = Schedule()
         assert str(s) == "((EM)^10 Ec S* M)*"
         assert Schedule.parse(str(s)) == s
 
     def test_full_em_round_trip(self):
-        s = Schedule.full_em()
+        s = Schedule(em_steps=None)
         assert str(s) == "((EM)* Ec S* M)*"
         assert Schedule.parse(str(s)) == s
 
@@ -89,7 +88,7 @@ class TestEmStep:
         t = SuffStats(200.0, data.sum(axis=0), data.T @ data)
         g = map_parameters(priors[0], t, empty_structure(1))
         m = MdagModel(np.array([1.0]), (g,))
-        stepped = em_step(data, m, priors, dirichlet)
+        stepped, _ = run_em(data, m, priors, dirichlet, steps=1)
         assert np.allclose(stepped.components[0].intercepts, g.intercepts, atol=1e-10)
         assert np.allclose(stepped.components[0].variances, g.variances, atol=1e-10)
 
@@ -103,7 +102,7 @@ class TestEmStep:
         m = initialize(data, config)
         prev = None
         for _ in range(40):
-            m = em_step(data, m, priors, dirichlet)
+            m, _ = run_em(data, m, priors, dirichlet, steps=1)
             value = observed_loglik(data, m) + _log_prior_density(m, priors, dirichlet)
             if prev is not None:
                 assert value >= prev - 1e-9
@@ -114,14 +113,14 @@ class TestEmStep:
         data, _ = sample(gen, 400, rng)
         config = FitConfig(k=2, seed=1, prior=PriorSpec(mu0=3.0))
         priors, dirichlet = _bind_priors(config, 1)
-        # start from quantile-anchored components; em_step does the rest
+        # start from quantile-anchored components; EM does the rest
         lo, hi = np.quantile(data, [0.25, 0.75])
         m = MdagModel(
             np.array([0.5, 0.5]),
             (single_node_model(float(lo)), single_node_model(float(hi))),
         )
         for _ in range(50):
-            m = em_step(data, m, priors, dirichlet)
+            m, _ = run_em(data, m, priors, dirichlet, steps=1)
         means = sorted(float(g.intercepts[0]) for g in m.components)
         assert abs(means[0] - 0.0) < 0.1
         assert abs(means[1] - 6.0) < 0.1
@@ -410,6 +409,13 @@ def test_bad_data_is_a_data_error_at_entry(data, error):
         fit(data, FitConfig(k=2))
     with pytest.raises(error):
         select_k(data, FitConfig(), k_max=2)
+
+
+@pytest.mark.parametrize("k_max", [2.5, "2", True], ids=["fractional", "string", "bool"])
+def test_non_integer_k_max_rejected(k_max):
+    data = np.zeros((5, 1))
+    with pytest.raises(DimensionMismatch):
+        select_k(data, FitConfig(), k_max)
 
 
 def test_zero_outer_iterations_rejected():

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from dagmix.engine import FitConfig, PriorSpec
+from dagmix.errors import DimensionMismatch
 from dagmix.harness import (
     RECOVERY_SIZES,
     count_parameters,
@@ -124,6 +126,11 @@ class TestMatching:
         weights = [0.3, 0.3, 0.3, 0.1]
         diffs = match_components(learned, weights, gold)
         assert diffs == (0, 0, 0)
+
+    def test_one_weight_per_learned_structure(self):
+        gold = [g.structure for g in default_gold_standard().model.components]
+        with pytest.raises(DimensionMismatch):
+            match_components(gold, [0.5, 0.5], gold)
 
 
 class TestRecoveryRun:

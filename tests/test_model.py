@@ -183,6 +183,12 @@ class TestSampling:
         assert data.shape == (0, 1)
         assert labels.shape == (0,)
 
+    @pytest.mark.parametrize("count", [2.5, "2", True], ids=["fractional", "string", "bool"])
+    def test_non_integer_count_rejected(self, count):
+        m = MdagModel(np.array([1.0]), (single_node_model(0),))
+        with pytest.raises(DimensionMismatch):
+            sample(m, count, 0)
+
     def test_single_component_moments(self):
         m = MdagModel(np.array([1.0]), (single_node_model(0),))
         data, _ = sample(m, 100_000, 7)

@@ -4,7 +4,7 @@ from scipy import stats as sps
 from scipy.integrate import quad
 
 from dagmix.bayes import DirichletPrior, dirichlet_map, map_parameters
-from dagmix.errors import EmptyTestSet
+from dagmix.errors import BadComponentIndex, DimensionMismatch, EmptyTestSet
 from dagmix.model import (
     DagStructure,
     GaussianDag,
@@ -132,6 +132,22 @@ class TestObservedLoglik:
             for i in range(25)
         )
         assert ours == pytest.approx(by_hand, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "bad", [2, -1, 0.5], ids=["too-large", "negative", "fractional"]
+    )
+    def test_bad_labels_rejected(self, rng, bad):
+        m = two_component_1d(0.0, 4.0)
+        data, labels = sample(m, 10, rng)
+        labels = labels.astype(type(bad))
+        labels[3] = bad
+        with pytest.raises(BadComponentIndex):
+            observed_loglik(data, m, labels=labels)
+
+    def test_width_checked_on_empty_data(self):
+        m = MdagModel(np.array([1.0]), (single_node_model(0.0),))
+        with pytest.raises(DimensionMismatch):
+            observed_loglik(np.empty((0, 2)), m)
 
 
 class TestGaussianCompleteLoglik:

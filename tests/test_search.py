@@ -13,9 +13,7 @@ from dagmix.search import (
     _new_parents,
     _ScoreCache,
     apply_move,
-    cpdag_hamming,
     greedy_component_search,
-    markov_equivalent,
     neighbors,
     search_all_components,
     structural_difference,
@@ -61,9 +59,9 @@ class TestNeighbors:
                     if u == v:
                         continue
                     for kind in ("add", "delete", "reverse"):
-                        if kind == "add" and s.has_arc(u, v):
+                        if kind == "add" and u in s.parents[v]:
                             continue
-                        if kind in ("delete", "reverse") and not s.has_arc(u, v):
+                        if kind in ("delete", "reverse") and u not in s.parents[v]:
                             continue
                         candidate = apply_move(s, ArcMove(kind, u, v))
                         g = nx.DiGraph()
@@ -273,10 +271,12 @@ class TestSearchAllComponents:
 
         prior = NormalWishart(2.0, np.zeros(3), 5.0, np.eye(3))
         out = search_all_components(ms, (empty_structure(3),) * 2, (prior,) * 2)
-        assert out[0].has_arc(0, 1) or out[0].has_arc(1, 0)
-        assert not (out[0].has_arc(1, 2) or out[0].has_arc(2, 1))
-        assert out[1].has_arc(1, 2) or out[1].has_arc(2, 1)
-        assert not (out[1].has_arc(0, 1) or out[1].has_arc(1, 0))
+
+        def adjacent(s, u, v):
+            return u in s.parents[v] or v in s.parents[u]
+
+        assert adjacent(out[0], 0, 1) and not adjacent(out[0], 1, 2)
+        assert adjacent(out[1], 1, 2) and not adjacent(out[1], 0, 1)
 
     def test_order_independent(self, rng):
         data = rng.standard_normal((300, 3)) @ rng.standard_normal((3, 3))
@@ -331,7 +331,6 @@ class TestCpdag:
             for j in range(i + 1, len(dags)):
                 oracle = skeleton_and_vstructs(dags[i]) == skeleton_and_vstructs(dags[j])
                 assert oracle == (to_cpdag(dags[i]) == to_cpdag(dags[j]))
-                assert oracle == markov_equivalent(dags[i], dags[j])
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_labels_match_equivalence_class(self, rng, n):
@@ -370,7 +369,6 @@ class TestStructuralDifference:
         learned = DagStructure(5, ((1, 2), (2,), (4,), (2,), ()))
         gold = DagStructure(5, ((), (), (0, 1), (2,), (2,)))
         assert structural_difference(learned, gold) == 1
-        assert cpdag_hamming(learned, gold) == 5  # the approximation overcounts
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -392,4 +390,4 @@ class TestStructuralDifference:
     def test_zero_iff_equivalent(self, rng):
         for _ in range(20):
             a, b = random_dag(4, rng, p=0.5), random_dag(4, rng, p=0.5)
-            assert (structural_difference(a, b) == 0) == markov_equivalent(a, b)
+            assert (structural_difference(a, b) == 0) == (to_cpdag(a) == to_cpdag(b))

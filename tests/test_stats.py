@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import stats as sps
 
-from dagmix.errors import AllComponentsZeroDensity, BadComponentIndex, ShapeMismatch
+from dagmix.errors import AllComponentsZeroDensity, BadComponentIndex
 from dagmix.model import (
     DagStructure,
     GaussianDag,
@@ -14,17 +12,7 @@ from dagmix.model import (
     sample,
 )
 from dagmix.scoring import observed_loglik
-from dagmix.stats import (
-    MixtureStats,
-    SuffStats,
-    case_stats,
-    component_case_loglik,
-    conditional_moments,
-    expected_stats,
-    labeled_stats,
-    merge,
-    responsibilities,
-)
+from dagmix.stats import component_case_loglik, expected_stats, labeled_stats
 from conftest import random_dag, random_gaussian_dag, single_node_model, two_component_1d
 
 
@@ -33,102 +21,65 @@ def chain_model():
     return GaussianDag(structure, np.zeros(2), (np.zeros(0), np.ones(1)), np.ones(2))
 
 
-class TestCaseStats:
-    def test_outer_product_by_hand(self):
-        ms = case_stats(np.array([1.0, 2.0]), 0, 2)
-        assert ms.triples[0].n == 1.0
-        assert np.allclose(ms.triples[0].r, [1, 2])
-        assert np.allclose(ms.triples[0].s, [[1, 2], [2, 4]])
-        assert ms.triples[1].n == 0.0
-        assert np.allclose(ms.triples[1].s, 0)
+def one_case_counts(model: MdagModel, y) -> np.ndarray:
+    """Responsibilities of one (partial) case: the counts of a one-case sweep."""
+    ms, _ = expected_stats(np.asarray(y, dtype=float)[None, :], model)
+    return ms.counts()
 
-    def test_zero_vector(self):
-        ms = case_stats(np.zeros(3), 1, 2)
-        assert ms.triples[1].n == 1.0
-        assert np.allclose(ms.triples[1].r, 0)
-        assert np.allclose(ms.triples[1].s, 0)
 
-    def test_one_case_per_component(self):
-        total = case_stats(np.ones(2), 0, 3)
-        for c in (1, 2):
-            total = merge(total, case_stats(np.ones(2), c, 3))
-        assert np.allclose(total.counts(), 1.0)
+def one_case_moments(g: GaussianDag, y) -> tuple[np.ndarray, np.ndarray]:
+    """Conditional mean and covariance of the NaN cells of y, read off the
+    one-case statistics of a single-component mixture: r[mis] is the mean
+    and s[mis, mis] - r[mis] r[mis]^T the covariance."""
+    y = np.asarray(y, dtype=float)
+    ms, _ = expected_stats(y[None, :], MdagModel(np.array([1.0]), (g,)))
+    t = ms.triples[0]
+    mis = np.flatnonzero(np.isnan(y))
+    mean = t.r[mis]
+    return mean, t.s[np.ix_(mis, mis)] - np.outer(mean, mean)
 
-    def test_bad_component(self):
-        with pytest.raises(BadComponentIndex):
-            case_stats(np.zeros(2), 5, 2)
+
+def bayes_rule_1d(model: MdagModel, x: np.ndarray) -> np.ndarray:
+    """(cases, components) posterior probabilities of 1-d Gaussian
+    components, from their densities by Bayes' rule."""
+    means = [g.intercepts[0] for g in model.components]
+    sds = [np.sqrt(g.variances[0]) for g in model.components]
+    joint = model.weights * sps.norm.pdf(x[:, None], loc=means, scale=sds)
+    return joint / joint.sum(axis=1, keepdims=True)
 
 
 class TestMerge:
-    def test_identity(self, rng):
-        a = case_stats(rng.normal(size=2), 0, 2)
-        zero = MixtureStats((SuffStats.zero(2), SuffStats.zero(2)), 0.0)
-        merged = merge(a, zero)
-        for ta, tb in zip(merged.triples, a.triples):
-            assert ta.n == tb.n
-            assert np.array_equal(ta.r, tb.r)
-
-    @given(st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_commutative(self, seed_a, seed_b):
-        a = case_stats(np.random.default_rng(seed_a).normal(size=2), 0, 2)
-        b = case_stats(np.random.default_rng(seed_b).normal(size=2), 1, 2)
-        ab, ba = merge(a, b), merge(b, a)
-        for ta, tb in zip(ab.triples, ba.triples):
-            assert np.allclose(ta.s, tb.s, atol=1e-10)
-            assert np.allclose(ta.r, tb.r, atol=1e-10)
-
-    @given(st.integers(0, 2**31 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_associative(self, seed):
-        rng = np.random.default_rng(seed)
-        parts = [case_stats(rng.normal(size=2), int(rng.integers(2)), 2) for _ in range(3)]
-        left = merge(merge(parts[0], parts[1]), parts[2])
-        right = merge(parts[0], merge(parts[1], parts[2]))
-        for ta, tb in zip(left.triples, right.triples):
-            assert np.allclose(ta.s, tb.s, atol=1e-10)
-        assert left.total_cases == right.total_cases
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            merge(case_stats(np.zeros(2), 0, 2), case_stats(np.zeros(3), 0, 2))
-
     def test_per_case_merge_equals_batch(self, rng):
         model = two_component_1d(0.0, 4.0)
         data, _ = sample(model, 40, rng)
         batch, _ = expected_stats(data, model)
-        resp = np.array([responsibilities(model, row) for row in data])
-        acc = MixtureStats((SuffStats.zero(1), SuffStats.zero(1)), 0.0)
-        for i, row in enumerate(data):
-            inc_triples = tuple(
-                SuffStats(resp[i, c], resp[i, c] * row, resp[i, c] * np.outer(row, row))
-                for c in range(2)
-            )
-            acc = merge(acc, MixtureStats(inc_triples, 1.0))
-        for ta, tb in zip(acc.triples, batch.triples):
-            assert ta.n == pytest.approx(tb.n, abs=1e-10)
-            assert np.allclose(ta.s, tb.s, atol=1e-8)
+        resp = bayes_rule_1d(model, data[:, 0])
+        counts = resp.sum(axis=0)
+        squares = resp.T @ data[:, 0] ** 2
+        for c, tb in enumerate(batch.triples):
+            assert counts[c] == pytest.approx(tb.n, abs=1e-10)
+            assert np.allclose(squares[c], tb.s, atol=1e-8)
 
 
 class TestResponsibilities:
     def test_single_component(self):
         m = MdagModel(np.array([1.0]), (single_node_model(0.0),))
-        assert responsibilities(m, np.zeros(1)) == pytest.approx([1.0])
+        assert one_case_counts(m, np.zeros(1)) == pytest.approx([1.0])
 
     def test_midpoint_symmetry(self):
         m = two_component_1d(0.0, 5.0)
-        r = responsibilities(m, np.array([2.5]))
+        r = one_case_counts(m, np.array([2.5]))
         assert r == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_bayes_rule_oracle(self):
         m = two_component_1d(0.0, 5.0)
-        r = responsibilities(m, np.array([0.0]))
+        r = one_case_counts(m, np.array([0.0]))
         phi0, phi5 = sps.norm.pdf(0.0, 0, 1), sps.norm.pdf(0.0, 5, 1)
         assert r[0] == pytest.approx(phi0 / (phi0 + phi5), abs=1e-12)
 
     def test_unobserved_case_returns_weights(self):
         m = two_component_1d(0.0, 5.0, w=0.3)
-        r = responsibilities(m, np.array([np.nan]))
+        r = one_case_counts(m, np.array([np.nan]))
         assert np.allclose(r, [0.3, 0.7])
 
     def test_sum_to_one_nonnegative(self, rng):
@@ -139,7 +90,7 @@ class TestResponsibilities:
             y = rng.normal(0, 3, 3)
             if rng.random() < 0.5:
                 y[rng.integers(3)] = np.nan
-            r = responsibilities(m, y)
+            r = one_case_counts(m, y)
             assert np.all(r >= 0)
             assert r.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -147,25 +98,25 @@ class TestResponsibilities:
         noise = NoiseComponent(np.zeros(1), np.ones(1))
         m = MdagModel(np.array([1.0, 0.0]), (single_node_model(0.0),), noise)
         with pytest.raises(AllComponentsZeroDensity):
-            responsibilities(m, np.array([9.0]))
+            one_case_counts(m, np.array([9.0]))
 
 
 class TestConditionalMoments:
     def test_fully_observed_empty(self):
-        mean, cov = conditional_moments(chain_model(), np.array([1.0, 2.0]))
+        mean, cov = one_case_moments(chain_model(), np.array([1.0, 2.0]))
         assert mean.shape == (0,)
         assert cov.shape == (0, 0)
 
     def test_nothing_observed_unconditional(self):
         g = chain_model()
-        mean, cov = conditional_moments(g, np.array([np.nan, np.nan]))
+        mean, cov = one_case_moments(g, np.array([np.nan, np.nan]))
         jm, jc = g.joint_moments
         assert np.allclose(mean, jm)
         assert np.allclose(cov, jc)
 
     def test_bivariate_conditioning(self):
         # joint covariance [[1,1],[1,2]]: E[X1|X0=1] = 1, Var = 2 - 1 = 1
-        mean, cov = conditional_moments(chain_model(), np.array([1.0, np.nan]))
+        mean, cov = one_case_moments(chain_model(), np.array([1.0, np.nan]))
         assert mean == pytest.approx([1.0])
         assert cov[0, 0] == pytest.approx(1.0)
 
@@ -173,7 +124,7 @@ class TestConditionalMoments:
         g = random_gaussian_dag(random_dag(4, rng, p=0.6), rng)
         jm, jc = g.joint_moments
         y = np.array([0.7, np.nan, -1.2, np.nan])
-        mean, cov = conditional_moments(g, y)
+        mean, cov = one_case_moments(g, y)
         obs, mis = [0, 2], [1, 3]
         gain = jc[np.ix_(mis, obs)] @ np.linalg.inv(jc[np.ix_(obs, obs)])
         expect_mean = jm[mis] + gain @ (y[obs] - jm[obs])
@@ -207,8 +158,7 @@ class TestExpectedStats:
         data = np.array([[0.5], [1.5]])
         ms, _ = expected_stats(data, m)
         expected_triples = [np.zeros(3), np.zeros(3)]  # n, r, s per component
-        for x in data[:, 0]:
-            r = responsibilities(m, np.array([x]))
+        for x, r in zip(data[:, 0], bayes_rule_1d(m, data[:, 0])):
             for c in range(2):
                 expected_triples[c] += r[c] * np.array([1.0, x, x * x])
         for c in range(2):
@@ -222,9 +172,11 @@ class TestExpectedStats:
         m = MdagModel(np.array([1.0]), (g,))
         data = np.array([[1.0, np.nan]])
         ms, _ = expected_stats(data, m)
-        cm, cc = conditional_moments(g, data[0])
-        assert ms.triples[0].s[1, 1] == pytest.approx(cm[0] ** 2 + cc[0, 0], abs=1e-12)
-        assert ms.triples[0].s[0, 1] == pytest.approx(1.0 * cm[0], abs=1e-12)
+        jm, jc = g.joint_moments
+        cm = jm[1] + jc[1, 0] / jc[0, 0] * (1.0 - jm[0])
+        cc = jc[1, 1] - jc[1, 0] ** 2 / jc[0, 0]
+        assert ms.triples[0].s[1, 1] == pytest.approx(cm**2 + cc, abs=1e-12)
+        assert ms.triples[0].s[0, 1] == pytest.approx(1.0 * cm, abs=1e-12)
 
     def test_centered_scatter_psd(self, rng):
         g = random_gaussian_dag(random_dag(3, rng, p=0.5), rng)
@@ -277,6 +229,15 @@ class TestLabeledStats:
             assert ms.triples[c].n == len(rows)
             assert np.allclose(ms.triples[c].r, rows.sum(axis=0))
             assert np.allclose(ms.triples[c].s, rows.T @ rows)
+
+    @pytest.mark.parametrize(
+        "labels",
+        [np.full(6, 0.5), np.array([0, 1, 2, 3, 0, 1]), np.array([0, -1, 0, 1, 2, 0])],
+        ids=["fractional", "too-large", "negative"],
+    )
+    def test_bad_labels_rejected(self, labels):
+        with pytest.raises(BadComponentIndex):
+            labeled_stats(np.zeros((6, 2)), labels, 3)
 
 
 def test_component_case_loglik_matches_scipy(rng):
