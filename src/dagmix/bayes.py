@@ -85,7 +85,9 @@ def posterior_update(prior: NormalWishart, t: SuffStats) -> NormalWishart:
 
     The posterior scale is T' = tau + (s - r r^T / N)
     + (nu N / nu') (xbar - mu0)(xbar - mu0)^T, symmetrized once at the end;
-    a centered scatter that is not positive semidefinite raises NonPsdScatter.
+    a centered scatter with an eigenvalue below -_PSD_TOL * max(1, its
+    largest eigenvalue) raises NonPsdScatter.  The bound is relative because
+    the rounding of s - r r^T / N grows with the data's units and offset.
     """
     if t.dim != prior.dim:
         raise DimensionMismatch(f"statistics dim {t.dim}, prior dim {prior.dim}")
@@ -93,9 +95,9 @@ def posterior_update(prior: NormalWishart, t: SuffStats) -> NormalWishart:
         return prior
     n_count = t.n
     scatter = t.s - np.outer(t.r, t.r) / n_count
-    min_eig = float(np.linalg.eigvalsh(scatter).min())
-    if min_eig < -_PSD_TOL:
-        raise NonPsdScatter(f"centered scatter has eigenvalue {min_eig:.3e}")
+    eig = np.linalg.eigvalsh(scatter)
+    if eig[0] < -_PSD_TOL * max(1.0, float(eig[-1])):
+        raise NonPsdScatter(f"centered scatter has eigenvalue {eig[0]:.3e}")
     nu1 = prior.nu + n_count
     diff = t.r / n_count - prior.mu0
     tau1 = prior.tau + scatter + (prior.nu * n_count / nu1) * np.outer(diff, diff)

@@ -82,8 +82,11 @@ class Schedule:
     outer_repeat: bool = True
 
     def __post_init__(self):
-        if self.em_steps is not None and self.em_steps < 0:
-            raise BadSchedule("em_steps must be nonnegative")
+        steps = self.em_steps
+        if steps is not None and (
+            isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 0
+        ):
+            raise BadSchedule(f"em_steps {steps!r} is not a nonnegative integer or None")
 
     _GRAMMAR = re.compile(
         r"^\(\(EM\)(?:\^(?P<count>\d+)|\^?\*)\s*Ec\s*S\*\s*M\)(?P<outer>\*)?$"
@@ -170,6 +173,10 @@ class FitConfig:
         _check_numbers(self, numbers.Integral, "k", "max_outer", "max_em_steps", "seed")
         _check_numbers(self, numbers.Integral, "max_parents", optional=True)
         _check_numbers(self, numbers.Real, "ess", "convergence_ratio")
+        if not isinstance(self.schedule, Schedule):
+            raise DimensionMismatch(f"schedule {self.schedule!r} is not a Schedule")
+        if not isinstance(self.prior, PriorSpec):
+            raise DimensionMismatch(f"prior {self.prior!r} is not a PriorSpec")
         if self.noise_bounds is not None:
             bounds = _real_array("noise_bounds", self.noise_bounds)
             if bounds.ndim != 2 or len(bounds) != 2:

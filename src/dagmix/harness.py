@@ -131,18 +131,12 @@ def match_components(
         raise DimensionMismatch(f"{len(learned)} learned structures but {len(weights)} weights")
     order = sorted(range(len(learned)), key=lambda j: -weights[j])[: len(gold)]
     top = [learned[j] for j in order]
-    cost = [
-        [structural_difference(t, g) for g in gold] for t in top
-    ]
-    best_cost = None
-    best_assign = None
-    for perm in permutations(range(len(gold)), len(top)):
-        total = sum(cost[i][perm[i]] for i in range(len(top)))
-        if best_cost is None or total < best_cost:
-            best_cost = total
-            best_assign = perm
+    cost = [[structural_difference(t, g) for g in gold] for t in top]
+    best_assign = min(
+        permutations(range(len(gold)), len(top)),
+        key=lambda perm: sum(cost[i][g] for i, g in enumerate(perm)),
+    )
     diffs: list[int | None] = [None] * len(gold)
-    assert best_assign is not None
     for i, g in enumerate(best_assign):
         diffs[g] = cost[i][g]
     return tuple(diffs)

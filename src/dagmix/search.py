@@ -9,9 +9,11 @@ reversible arcs undirected).
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -204,42 +206,24 @@ def _covered_edges(structure: DagStructure) -> list[tuple[int, int]]:
     )
 
 
-_ESCAPE_BUDGET = 256
-
-
-def _escape_via_covered_reversals(
-    cache: _ScoreCache,
-    structure: DagStructure,
-    base_total: float,
-    max_parents: int | None,
-) -> tuple[list[ArcMove], ArcMove] | None:
-    """Search the equivalence class for a state with an improving move.
-
-    Breadth-first over covered-edge reversals (every state scores the same
-    as ``structure`` up to roundoff); returns the reversal path plus the
-    improving move of the first state whose best move beats ``base_total``
-    by more than SCORE_EPS, or None when the class offers no escape.
-    """
+def _class_walk(structure: DagStructure) -> Iterator[tuple[DagStructure, list[ArcMove]]]:
+    """Every member of the structure's equivalence class, each with the
+    covered-edge reversals that reach it, breadth-first from ``structure``
+    itself; covered reversals connect a class (Chickering 1995)."""
     seen = {structure.parents}
     frontier = deque([(structure, [])])
-    budget = _ESCAPE_BUDGET
-    while frontier and budget > 0:
+    while frontier:
         state, path = frontier.popleft()
-        budget -= 1
-        if path:
-            scores = np.array(
-                [cache.node_score(i, ps) for i, ps in enumerate(state.parents)]
-            )
-            found = _best_move(cache, state, scores, max_parents)
-            if found is not None and scores.sum() + found[0] > base_total + SCORE_EPS:
-                return path, found[1]
+        yield state, path
         for u, v in _covered_edges(state):
             move = ArcMove("reverse", u, v)
             nxt = apply_move(state, move)
             if nxt.parents not in seen:
                 seen.add(nxt.parents)
                 frontier.append((nxt, path + [move]))
-    return None
+
+
+_ESCAPE_BUDGET = 256
 
 
 def greedy_component_search(
@@ -256,11 +240,12 @@ def greedy_component_search(
     Only the nodes whose parents change are rescored per move; the running
     total is re-derived from the per-node scores after every acceptance so
     incremental and full rescoring cannot drift apart.  When no single move
-    improves, the current equivalence class is explored through zero-gain
-    covered-edge reversals; an escape is accepted only when the reversal
-    path plus one more move strictly improves on the stuck score, so every
-    accepted transformation still increases the criterion and the search
-    terminates.  The returned structure has no improving neighbor.
+    improves, up to ``_ESCAPE_BUDGET - 1`` other members of the equivalence
+    class are tried in ``_class_walk`` order; an escape is accepted only
+    when the zero-gain reversal path plus one more move strictly improves on
+    the stuck score, so every accepted transformation still increases the
+    criterion and the search terminates.  The returned structure has no
+    improving neighbor.
     """
     structure = init
     cache = _ScoreCache(prior, t)
@@ -290,15 +275,19 @@ def greedy_component_search(
         if found is not None and found[0] > SCORE_EPS:
             accept(found[1], sideways=False)
             continue
-        escape = _escape_via_covered_reversals(
-            cache, structure, float(node_scores.sum()), max_parents
-        )
-        if escape is None:
+        stuck = float(node_scores.sum())
+        for state, path in islice(_class_walk(structure), 1, _ESCAPE_BUDGET):
+            scores = np.array(
+                [cache.node_score(i, ps) for i, ps in enumerate(state.parents)]
+            )
+            found = _best_move(cache, state, scores, max_parents)
+            if found is not None and scores.sum() + found[0] > stuck + SCORE_EPS:
+                break
+        else:
             return structure
-        path, finishing_move = escape
         for move in path:
             accept(move, sideways=True)
-        accept(finishing_move, sideways=False)
+        accept(found[1], sideways=False)
 
 
 def search_all_components(
@@ -387,45 +376,51 @@ def to_cpdag(structure: DagStructure) -> Cpdag:
 _DIFFERENCE_STATE_CAP = 60000
 
 
+def _skeleton(structure: DagStructure) -> frozenset[tuple[int, int]]:
+    return frozenset((min(u, v), max(u, v)) for u, v in structure.arcs())
+
+
 def structural_difference(learned: DagStructure, gold: DagStructure) -> int:
     """Minimum number of arc manipulations from one structure to the other,
     not counting manipulations that stay inside an equivalence class.
 
-    Shortest path over DAG space where covered-edge reversals (the moves
-    that preserve the distribution family) cost nothing and every other
-    addition, deletion, or reversal costs one.  Zero exactly when the
-    structures are Markov equivalent.
+    A* over equivalence classes keyed by CPDAG, where every move of any
+    member that leaves its class (all but covered reversals) costs one.
+    The skeleton symmetric difference to ``gold`` bounds the distance left,
+    since one move changes at most one adjacency.  Zero exactly when the
+    structures are Markov equivalent; DimensionMismatch once more than
+    ``_DIFFERENCE_STATE_CAP`` class members have been walked.
     """
+    learned.validate()
+    gold.validate()
     if learned.n != gold.n:
         raise DimensionMismatch(f"structures have n={learned.n} and n={gold.n}")
-    target = to_cpdag(gold)
-    dist: dict[tuple, int] = {learned.parents: 0}
-    dq: deque[DagStructure] = deque([learned])
-    done: set[tuple] = set()
-    while dq:
-        state = dq.popleft()
-        if state.parents in done:
+    target, gold_skeleton = to_cpdag(gold), _skeleton(gold)
+    h = len(_skeleton(learned) ^ gold_skeleton)
+    best = {to_cpdag(learned): 0}
+    # ties go to the smaller bound (the deeper class), then the parent sets
+    heap = [(h, h, learned.parents)]
+    walked = 0
+    while heap:
+        f, h, parents = heapq.heappop(heap)
+        member = DagStructure(learned.n, parents)
+        cls, d = to_cpdag(member), f - h
+        if d > best[cls]:
             continue
-        done.add(state.parents)
-        d = dist[state.parents]
-        if to_cpdag(state) == target:
+        if cls == target:
             return d
-        if len(dist) > _DIFFERENCE_STATE_CAP:
-            raise DimensionMismatch(
-                "structural difference search exceeded its state budget"
-            )
-        covered = set(_covered_edges(state))
-        for move in neighbors(state):
-            cost = int(
-                not (move.kind == "reverse" and (move.source, move.target) in covered)
-            )
-            nxt = apply_move(state, move)
-            nd = d + cost
-            if nxt.parents in dist and dist[nxt.parents] <= nd:
-                continue
-            dist[nxt.parents] = nd
-            if cost == 0:
-                dq.appendleft(nxt)
-            else:
-                dq.append(nxt)
+        for state, _ in _class_walk(member):
+            walked += 1
+            if walked > _DIFFERENCE_STATE_CAP:
+                raise DimensionMismatch(
+                    "structural difference search exceeded its state budget"
+                )
+            for move in neighbors(state):
+                nxt = apply_move(state, move)
+                key = to_cpdag(nxt)  # cls again for a covered reversal
+                if key in best and best[key] <= d + 1:
+                    continue
+                best[key] = d + 1
+                h = len(_skeleton(nxt) ^ gold_skeleton)
+                heapq.heappush(heap, (d + 1 + h, h, nxt.parents))
     raise AssertionError("DAG space is connected; target must be reachable")

@@ -118,6 +118,28 @@ class TestPosteriorUpdate:
         with pytest.raises(NonPsdScatter):
             posterior_update(NormalWishart(1.0, np.zeros(2), 3.0, np.eye(2)), bad)
 
+    def test_scaled_non_psd_scatter_rejected(self):
+        # the tolerance grows with the largest eigenvalue, but a negative
+        # eigenvalue far above rounding still fails
+        from dagmix.errors import NonPsdScatter
+
+        bad = SuffStats(2.0, np.zeros(2), np.diag([1e12, -1e6]))
+        with pytest.raises(NonPsdScatter):
+            posterior_update(NormalWishart(1.0, np.zeros(2), 3.0, np.eye(2)), bad)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_shifted_collinear_data_fits(self, seed):
+        # s - r r^T / N cancels on data offset by 1e5: the exact scatter of
+        # (z, 3z + 1e5, w) is singular, and its rounded smallest eigenvalue
+        # falls below -1e-8 on these seeds
+        from dagmix.engine import FitConfig, fit
+
+        rng = np.random.default_rng(seed)
+        z, w = 1e4 * rng.standard_normal((2, 3000))
+        data = np.column_stack([z, 3 * z + 1e5, w])
+        structure = fit(data, FitConfig(k=1, seed=seed)).model.components[0].structure
+        assert set(structure.arcs()) in ({(0, 1)}, {(1, 0)})
+
 
 class TestFamilyMarginal:
     def test_empty_batch(self, rng):

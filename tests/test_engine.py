@@ -433,18 +433,34 @@ def test_negative_count_rejected(field):
 
 
 @pytest.mark.parametrize(
-    "config",
+    "config, error",
     [
-        lambda: FitConfig(k=True),
-        lambda: FitConfig(ess="200"),
-        lambda: FitConfig(noise_bounds=((0.0,), ("1",))),
-        lambda: PriorSpec(alpha="3"),
-        lambda: PriorSpec(mu0=[0.0, None]),
+        (lambda: FitConfig(k=True), DimensionMismatch),
+        (lambda: FitConfig(ess="200"), DimensionMismatch),
+        (lambda: FitConfig(noise_bounds=((0.0,), ("1",))), DimensionMismatch),
+        (lambda: PriorSpec(alpha="3"), DimensionMismatch),
+        (lambda: PriorSpec(mu0=[0.0, None]), DimensionMismatch),
+        (lambda: FitConfig(schedule="((EM)^3 Ec S* M)"), DimensionMismatch),
+        (lambda: FitConfig(prior={"nu": 2.0}), DimensionMismatch),
+        (lambda: Schedule(em_steps=2.5), BadSchedule),
+        (lambda: Schedule(em_steps="3"), BadSchedule),
+        (lambda: Schedule(em_steps=True), BadSchedule),
     ],
-    ids=["bool-k", "string-ess", "string-bound", "string-alpha", "none-mu0"],
+    ids=[
+        "bool-k",
+        "string-ess",
+        "string-bound",
+        "string-alpha",
+        "none-mu0",
+        "string-schedule",
+        "dict-prior",
+        "fractional-em-steps",
+        "string-em-steps",
+        "bool-em-steps",
+    ],
 )
-def test_wrongly_typed_config_value_rejected(config):
-    with pytest.raises(DimensionMismatch):
+def test_wrongly_typed_config_value_rejected(config, error):
+    with pytest.raises(error):
         config()
 
 
@@ -454,6 +470,7 @@ def test_numpy_numbers_accepted_in_config():
     )
     assert config.k == 2 and config.max_parents == 1
     assert PriorSpec(nu=np.float64(3.0), tau=np.eye(2)).normal_wishart(2).nu == 3.0
+    assert Schedule(em_steps=np.int64(3)).em_steps == 3
 
 
 class TestSelectK:

@@ -1,17 +1,20 @@
+from collections import deque
 from itertools import combinations
 
 import networkx as nx
 import numpy as np
 import pytest
 
+import dagmix.search as search_module
 from dagmix.bayes import NormalWishart, structure_score
-from dagmix.errors import CycleDetected, DimensionMismatch
+from dagmix.errors import BadParentIndex, CycleDetected, DimensionMismatch
 from dagmix.model import DagStructure, complete_structure, empty_structure
 from dagmix.search import (
     ArcMove,
     _best_move,
     _new_parents,
     _ScoreCache,
+    _covered_edges,
     apply_move,
     greedy_component_search,
     neighbors,
@@ -239,6 +242,28 @@ class TestGreedySearch:
             structure = nxt
         assert deleted_above_cap
 
+    def test_sideways_escape_trace_pinned(self):
+        # no single move improves after the ninth step; the escape reverses
+        # the covered arc 2 -> 1 and then deletes 3 -> 1
+        rng = np.random.default_rng(1)
+        rows = rng.standard_normal((300, 5)) @ rng.standard_normal((5, 5))
+        prior = random_prior(5, rng)
+        trace = []
+        greedy_component_search(stats_of(rows), prior, empty_structure(5), trace=trace)
+        assert [(s.move.kind, s.move.source, s.move.target, s.sideways) for s in trace] == [
+            ("add", 4, 1, False),
+            ("add", 3, 2, False),
+            ("add", 4, 3, False),
+            ("add", 0, 1, False),
+            ("add", 2, 1, False),
+            ("add", 3, 1, False),
+            ("add", 4, 2, False),
+            ("add", 0, 2, False),
+            ("add", 3, 0, False),
+            ("reverse", 2, 1, True),
+            ("delete", 3, 1, False),
+        ]
+
     def test_returns_local_maximum(self, rng):
         rows = rng.standard_normal((250, 3)) @ rng.standard_normal((3, 3))
         prior = random_prior(3, rng)
@@ -349,6 +374,35 @@ class TestCpdag:
             to_cpdag(DagStructure(3, ((2,), (0,), (1,))))
 
 
+def dag_space_difference(learned: DagStructure, gold: DagStructure) -> int:
+    """Oracle: 0-1 BFS over DAGs, where covered reversals cost 0 and every
+    other legal move costs 1, stopping at the first DAG in gold's class."""
+    target = to_cpdag(gold)
+    dist = {learned.parents: 0}
+    dq = deque([learned])
+    done = set()
+    while dq:
+        state = dq.popleft()
+        if state.parents in done:
+            continue
+        done.add(state.parents)
+        d = dist[state.parents]
+        if to_cpdag(state) == target:
+            return d
+        covered = set(_covered_edges(state))
+        for move in neighbors(state):
+            cost = int(not (move.kind == "reverse" and (move.source, move.target) in covered))
+            nxt = apply_move(state, move)
+            if dist.get(nxt.parents, d + cost + 1) <= d + cost:
+                continue
+            dist[nxt.parents] = d + cost
+            if cost == 0:
+                dq.appendleft(nxt)
+            else:
+                dq.append(nxt)
+    raise AssertionError("DAG space is connected; target must be reachable")
+
+
 class TestStructuralDifference:
     def test_identical_zero(self, rng):
         s = random_dag(4, rng)
@@ -373,6 +427,33 @@ class TestStructuralDifference:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             structural_difference(empty_structure(2), empty_structure(3))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [DagStructure(2, ((5,), ())), DagStructure(3, ((), ()))],
+        ids=["parent-out-of-range", "short-parent-list"],
+    )
+    def test_malformed_structure_rejected(self, bad):
+        good = empty_structure(bad.n)
+        for learned, gold in ((bad, good), (good, bad)):
+            with pytest.raises(BadParentIndex):
+                structural_difference(learned, gold)
+
+    @pytest.mark.parametrize("n, pairs, p", [(3, 25, 0.5), (4, 25, 0.45), (5, 4, 0.35)])
+    def test_matches_dag_space_bfs(self, rng, n, pairs, p):
+        for _ in range(pairs):
+            a, b = random_dag(n, rng, p=p), random_dag(n, rng, p=p)
+            assert structural_difference(a, b) == dag_space_difference(a, b)
+
+    def test_class_member_budget(self, monkeypatch):
+        # the cap counts class members walked: an equivalent pair walks
+        # none, and the empty graph walks a class per step on its six
+        # additions to the complete one
+        monkeypatch.setattr(search_module, "_DIFFERENCE_STATE_CAP", 5)
+        chain = DagStructure(4, ((), (0,), (1,), (2,)))
+        assert structural_difference(chain, chain) == 0
+        with pytest.raises(DimensionMismatch):
+            structural_difference(empty_structure(4), complete_structure(4))
 
     def test_pseudometric(self, rng):
         dags = [random_dag(4, rng, p=0.4) for _ in range(6)]
