@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg
 from scipy.special import gammaln, multigammaln
 
 from .errors import (
@@ -294,17 +295,37 @@ def data_informed_prior(
     return NormalWishart(ess, mean, alpha, 0.5 * (tau + tau.T))
 
 
+def _wishart_draw(df: float, scale: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One Wishart(df, scale) draw by Bartlett's decomposition.
+
+    The steps, their order and their calls on ``rng`` are those of
+    ``scipy.stats.wishart.rvs``, so the draw and the generator state after
+    it match that routine bit for bit without importing ``scipy.stats``.
+    Lower-triangular A holds N(0, 1) entries below the diagonal and
+    sqrt(chi-square(df - i)) on it; with C the lower Cholesky factor of
+    the scale, the draw is (C A)(C A)^T.
+    """
+    n = scale.shape[0]
+    # scipy.linalg's factor, as scipy.stats uses: numpy's differs in the
+    # last bits for many scales
+    chol = scipy.linalg.cholesky(scale, lower=True)
+    below = rng.normal(size=n * (n - 1) // 2)
+    diagonal = [rng.chisquare(df - i, size=1) ** 0.5 for i in range(n)]
+    a = np.zeros((n, n))
+    a[np.tril_indices(n, k=-1)] = below
+    a[np.diag_indices(n)] = np.concatenate(diagonal)
+    ca = np.dot(chol, a)
+    return np.dot(ca, ca.T)
+
+
 def sample_joint_parameters(
     prior: NormalWishart, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw a (mean, covariance) pair from the Normal-Wishart."""
-    from scipy.stats import wishart
-
     n = prior.dim
     scale = np.linalg.inv(prior.tau)
     scale = 0.5 * (scale + scale.T)
-    w = wishart.rvs(df=prior.alpha, scale=scale, random_state=rng)
-    w = np.atleast_2d(w)
+    w = _wishart_draw(prior.alpha, scale, rng)
     cov = np.linalg.inv(w)
     cov = 0.5 * (cov + cov.T)
     chol = _chol_with_jitter(cov / prior.nu, NonPsdScatter)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -67,28 +68,29 @@ def load_csv(path: str) -> Dataset:
     if not lines:
         raise EmptyFile(f"{path} has no header row")
     names = tuple(cell.strip() for cell in lines[0].split(","))
-    rows = []
+    # one flat list: floats, unlike a list per row, are not tracked by the
+    # garbage collector, so a large file triggers no collections
+    cells_kept: list[float] = []
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != len(names):
             raise RaggedRow(lineno)
-        row = np.empty(len(names))
+        row = []
         for j, cell in enumerate(cells):
             cell = cell.strip()
             if cell == "":
-                row[j] = np.nan
+                row.append(math.nan)
                 continue
             try:
                 value = float(cell)
             except ValueError:
                 raise NonNumericCell(lineno, names[j])
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise NonNumericCell(lineno, names[j])
-            row[j] = value
-        if not np.all(np.isnan(row)):
-            rows.append(row)
-    values = np.array(rows) if rows else np.empty((0, len(names)))
-    return Dataset(names, values)
+            row.append(value)
+        if not all(map(math.isnan, row)):
+            cells_kept.extend(row)
+    return Dataset(names, np.array(cells_kept, dtype=float).reshape(-1, len(names)))
 
 
 def write_csv(path: str, dataset: Dataset) -> None:

@@ -268,7 +268,7 @@ class EmTrace:
 
 
 def run_em(
-    data: np.ndarray,
+    data: np.ndarray | stats.CaseGroups,
     model: MdagModel,
     priors: Sequence[NormalWishart],
     dirichlet: DirichletPrior,
@@ -282,11 +282,14 @@ def run_em(
     trace's log likelihood, so b steps make b + 1 sweeps.  The convergence
     rule compares each step's log-likelihood change with the total change
     since initialization: stop once (l_t - l_{t-1}) / (l_t - l_0) drops
-    below ``convergence_ratio``.
+    below ``convergence_ratio``.  A raw data matrix is grouped once here;
+    a caller that runs EM repeatedly on the same data passes its
+    ``stats.group_cases``.
     """
+    cases = stats._grouped(data, model)
     budget = steps if steps is not None else max_steps
     structures = tuple(g.structure for g in model.components)
-    mix_stats, loglik = stats.expected_stats(data, model)
+    mix_stats, loglik = stats.expected_stats(cases, model)
     logliks = [loglik]
     converged = False
     collapse_streaks = np.zeros(model.k, dtype=int)
@@ -309,7 +312,7 @@ def run_em(
                     )
             else:
                 collapse_streaks[c] = 0
-        mix_stats, loglik = stats.expected_stats(data, model)
+        mix_stats, loglik = stats.expected_stats(cases, model)
         logliks.append(loglik)
         if steps is None and ratio_rule_fires(logliks, convergence_ratio):
             converged = True
@@ -401,6 +404,7 @@ def fit(data: np.ndarray, config: FitConfig) -> FitResult:
     data = _checked_data(data)
     priors, dirichlet = _bind_priors(config, data.shape[1])
     model = initialize(data, config)
+    cases = stats.group_cases(data)
     structures = tuple(g.structure for g in model.components)
     searching = config.family == "mdag"
     force_full_em = False
@@ -413,7 +417,7 @@ def fit(data: np.ndarray, config: FitConfig) -> FitResult:
         if not searching or force_full_em:
             steps = None
         model, em_trace = run_em(
-            data,
+            cases,
             model,
             priors,
             dirichlet,
@@ -433,7 +437,7 @@ def fit(data: np.ndarray, config: FitConfig) -> FitResult:
         breakdown = complete_model_score(
             mix_stats, new_structures, priors, dirichlet, model.noise
         )
-        obs = observed_loglik(data, model)
+        obs = observed_loglik(cases, model)
         cs = breakdown.total + obs - completed_loglik(mix_stats, model)
         iterates.append(
             OuterIterate(model, new_structures, mix_stats, obs, breakdown.total, cs)

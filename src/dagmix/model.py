@@ -101,12 +101,17 @@ class DagStructure:
     def topological_order(self) -> tuple[int, ...]:
         """Topological ordering (parents before children); cached.
 
-        Raises CycleDetected listing one cycle if none exists.
+        Raises BadParentIndex on a parent outside [0, n), and CycleDetected
+        listing one cycle if no ordering exists.
         """
         indegree = [len(ps) for ps in self.parents]
         children: list[list[int]] = [[] for _ in range(self.n)]
         for i, ps in enumerate(self.parents):
             for p in ps:
+                if not 0 <= p < self.n:
+                    raise BadParentIndex(
+                        f"node {i} has parent {p} outside [0, {self.n})"
+                    )
                 children[p].append(i)
         ready = [i for i in range(self.n) if indegree[i] == 0]
         order: list[int] = []

@@ -38,6 +38,7 @@ from .model import (
     _chol_with_jitter,
 )
 from .stats import (
+    CaseGroups,
     MixtureStats,
     SuffStats,
     _checked_labels,
@@ -99,9 +100,10 @@ def complete_model_score(
 
 
 def observed_loglik(
-    data: np.ndarray, model: MdagModel, labels: np.ndarray | None = None
+    data: np.ndarray | CaseGroups, model: MdagModel, labels: np.ndarray | None = None
 ) -> float:
-    """Log likelihood of the data at the model's parameters.
+    """Log likelihood of the data (a matrix or its ``group_cases``) at the
+    model's parameters.
 
     Missing coordinates are marginalized per component through the
     observed-block Gaussian marginals.  With ``labels`` the component

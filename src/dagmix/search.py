@@ -247,6 +247,7 @@ def greedy_component_search(
     criterion and the search terminates.  The returned structure has no
     improving neighbor.
     """
+    init.validate()
     structure = init
     cache = _ScoreCache(prior, t)
     node_scores = np.array(

@@ -22,6 +22,7 @@ from dagmix.errors import (
     EmptyFamily,
     InsufficientData,
     NegativeCount,
+    NonPsdScatter,
     SingularParentBlock,
 )
 from dagmix.model import (
@@ -468,6 +469,26 @@ class TestDataInformedPrior:
     def test_single_case_insufficient(self):
         with pytest.raises(InsufficientData):
             data_informed_prior(np.zeros((1, 3)), ess=10.0)
+
+    @pytest.mark.parametrize("n", [1, 5, 40])
+    def test_draw_matches_scipy_wishart(self, rng, n):
+        # the Bartlett draw repeats scipy.stats.wishart.rvs step for step:
+        # the same draw, and the generator left in the same state
+        prior = random_prior(n, rng)
+        prior = NormalWishart(prior.nu, prior.mu0, prior.alpha + 0.37, prior.tau)
+        ours_rng, scipy_rng = np.random.default_rng(n), np.random.default_rng(n)
+        mean, cov = sample_joint_parameters(prior, ours_rng)
+        scale = np.linalg.inv(prior.tau)
+        scale = 0.5 * (scale + scale.T)
+        w = sps.wishart.rvs(df=prior.alpha, scale=scale, random_state=scipy_rng)
+        w = np.atleast_2d(w)
+        want_cov = np.linalg.inv(w)
+        want_cov = 0.5 * (want_cov + want_cov.T)
+        chol = _chol_with_jitter(want_cov / prior.nu, NonPsdScatter)
+        want_mean = prior.mu0 + chol @ scipy_rng.standard_normal(n)
+        assert np.array_equal(cov, want_cov)
+        assert np.array_equal(mean, want_mean)
+        assert ours_rng.bit_generator.state == scipy_rng.bit_generator.state
 
     def test_base_prior_allows_tiny_data(self, rng):
         base = random_prior(3, rng)

@@ -84,6 +84,27 @@ class TestLoadCsv:
         assert back.names == original.names
         assert np.allclose(back.values, values, equal_nan=True, atol=1e-15)
 
+    def test_same_bytes_as_per_cell_parsing(self, tmp_path, rng):
+        values = rng.normal(0, 1e3, (200, 4)) * rng.choice([1e-8, 1.0, 1e8], (200, 4))
+        values[rng.random(values.shape) < 0.3] = np.nan
+        values[7] = np.nan
+        path = tmp_path / "d.csv"
+        write_csv(str(path), Dataset(("a", "b", "c", "d"), values))
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()[1:]
+        # one numpy row per line, one float() per cell
+        rows = []
+        for line in lines:
+            row = np.empty(4)
+            for j, cell in enumerate(line.split(",")):
+                row[j] = float(cell) if cell.strip() else np.nan
+            if not np.all(np.isnan(row)):
+                rows.append(row)
+        got = load_csv(str(path)).values
+        assert got.shape == (len(rows), 4) and len(rows) < 200
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.array(rows).tobytes()
+
 
 class TestModelSerialization:
     def test_round_trip_density_identity(self, tmp_path, rng):

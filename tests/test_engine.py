@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -243,8 +247,44 @@ class TestInitialize:
         b = initialize(data, FitConfig(k=2, seed=3))
         assert np.array_equal(a.components[0].intercepts, b.components[0].intercepts)
 
+    def test_leaves_scipy_stats_unimported(self):
+        # the Wishart draw follows scipy.stats' steps without importing it,
+        # so a fresh process does not pay that import on its first fit
+        src = os.path.dirname(os.path.dirname(engine_module.__file__))
+        code = (
+            f"import sys; sys.path.insert(0, {src!r})\n"
+            "import numpy as np\n"
+            "import dagmix\n"
+            "from dagmix import engine\n"
+            "data = np.random.default_rng(0).normal(size=(40, 3))\n"
+            "engine.initialize(data, engine.FitConfig(k=2))\n"
+            "print('scipy.stats' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
+
 
 class TestFit:
+    def test_groups_the_data_once(self, rng, monkeypatch):
+        # every E sweep and the Cheeseman-Stutz log likelihood of every
+        # outer iteration share the one grouping fit makes
+        calls = {"n": 0}
+        real = engine_module.stats.group_cases
+
+        def counting(data):
+            calls["n"] += 1
+            return real(data)
+
+        monkeypatch.setattr(engine_module.stats, "group_cases", counting)
+        x, _ = sample(two_component_1d(0.0, 5.0), 150, rng)
+        data = np.column_stack([x, x[:, 0] + rng.standard_normal(150)])
+        data[::9, 0] = np.nan
+        result = fit(data, FitConfig(k=2, seed=0, schedule=Schedule(em_steps=3)))
+        assert len(result.trace) > 1
+        assert calls["n"] == 1
+
     def test_single_component_recovers_dependence(self, rng):
         x0 = rng.standard_normal(400)
         data = np.column_stack([x0, x0 + 0.3 * rng.standard_normal(400)])

@@ -166,6 +166,16 @@ class TestBestMove:
         assert _best_move(cache, empty_structure(3), np.zeros(3), 0) is None
 
 
+@pytest.mark.parametrize("parent", [5, -1], ids=["past-n", "negative"])
+def test_out_of_range_parent_rejected(rng, parent):
+    bad = DagStructure(2, ((parent,), ()))
+    with pytest.raises(BadParentIndex):
+        to_cpdag(bad)
+    t = stats_of(rng.standard_normal((20, 2)))
+    with pytest.raises(BadParentIndex):
+        greedy_component_search(t, random_prior(2, rng), bad)
+
+
 class TestGreedySearch:
     def test_independent_data_stays_empty(self, rng):
         rows = rng.standard_normal((400, 3))

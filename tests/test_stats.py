@@ -2,17 +2,33 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from dagmix.errors import AllComponentsZeroDensity, BadComponentIndex
+import dagmix.stats as stats_module
+from dagmix.errors import (
+    AllComponentsZeroDensity,
+    BadComponentIndex,
+    SingularObservedBlock,
+)
 from dagmix.model import (
     DagStructure,
     GaussianDag,
     MdagModel,
     NoiseComponent,
+    _chol_logdet,
+    _chol_solve,
+    _chol_with_jitter,
     complete_structure,
     sample,
 )
 from dagmix.scoring import observed_loglik
-from dagmix.stats import component_case_loglik, expected_stats, labeled_stats
+from dagmix.stats import (
+    MixtureStats,
+    SuffStats,
+    _normalize_responsibilities,
+    component_case_loglik,
+    expected_stats,
+    group_cases,
+    labeled_stats,
+)
 from conftest import random_dag, random_gaussian_dag, single_node_model, two_component_1d
 
 
@@ -249,3 +265,198 @@ def test_component_case_loglik_matches_scipy(rng):
     logp = component_case_loglik(MdagModel(np.array([1.0]), (g,)), rows)
     expected = sps.multivariate_normal.logpdf(rows, mean=mean, cov=cov)
     assert np.allclose(logp[:, 0], expected, atol=1e-10)
+
+
+# --- the sweep as it ran before cases were grouped once per data set ---------
+# One group per mask, regrouped on every call, and one factorisation and
+# solve per (mask, component) pair.  The grouped sweep keeps every float
+# operation of this code, so the two agree with ==.
+
+
+def reference_groups(data):
+    observed = ~np.isnan(data)
+    if observed.all():
+        return [(np.ones(data.shape[1], dtype=bool), np.arange(data.shape[0]))]
+    masks, inverse = np.unique(observed, axis=0, return_inverse=True)
+    return [(masks[g], np.flatnonzero(inverse == g)) for g in range(masks.shape[0])]
+
+
+def reference_blocks(model, mask):
+    blocks = []
+    for mean, cov in (g.joint_moments for g in model.components):
+        obs, mis = np.flatnonzero(mask), np.flatnonzero(~mask)
+        chol = _chol_with_jitter(cov[np.ix_(obs, obs)], SingularObservedBlock)
+        if mis.size:
+            gain = _chol_solve(chol, cov[np.ix_(obs, mis)]).T
+            cond_cov = cov[np.ix_(mis, mis)] - gain @ cov[np.ix_(obs, mis)]
+            cond_cov = 0.5 * (cond_cov + cond_cov.T)
+        else:
+            gain, cond_cov = np.zeros((0, obs.size)), np.zeros((0, 0))
+        blocks.append((mean, obs, mis, chol, gain, cond_cov))
+    return blocks
+
+
+def reference_group_loglik(model, blocks, mask, rows):
+    out = np.empty((rows.shape[0], model.n_components))
+    col = 0
+    obs = np.flatnonzero(mask)
+    if model.has_noise:
+        if obs.size:
+            lo, hi = model.noise.lower[obs], model.noise.upper[obs]
+            inside = np.all((rows[:, obs] >= lo) & (rows[:, obs] <= hi), axis=1)
+            out[:, 0] = np.where(inside, -np.sum(np.log(hi - lo)), -np.inf)
+        else:
+            out[:, 0] = 0.0
+        col = 1
+    for j, (mean, obs_idx, _, chol, _, _) in enumerate(blocks):
+        if obs_idx.size == 0:
+            out[:, col + j] = 0.0
+            continue
+        solved = np.linalg.solve(chol, (rows[:, obs_idx] - mean[obs_idx]).T)
+        quad = np.sum(solved**2, axis=0)
+        logdet = _chol_logdet(chol)
+        out[:, col + j] = -0.5 * (obs_idx.size * np.log(2 * np.pi) + logdet + quad)
+    return out
+
+
+def reference_component_case_loglik(model, data):
+    out = np.empty((data.shape[0], model.n_components))
+    for mask, idx in reference_groups(data):
+        blocks = reference_blocks(model, mask)
+        out[idx] = reference_group_loglik(model, blocks, mask, data[idx])
+    return out
+
+
+def reference_expected_stats(data, model):
+    n = model.n
+    offset = 1 if model.has_noise else 0
+    counts = np.zeros(model.n_components)
+    sums = [np.zeros(n) for _ in range(model.n_components)]
+    outers = [np.zeros((n, n)) for _ in range(model.n_components)]
+    row_loglik = np.empty(data.shape[0])
+    for mask, idx in reference_groups(data):
+        rows = data[idx]
+        blocks = reference_blocks(model, mask)
+        logp = reference_group_loglik(model, blocks, mask, rows)
+        resp, row_loglik[idx] = _normalize_responsibilities(logp, model.weights)
+        if not mask.any():
+            resp = np.tile(model.weights, (rows.shape[0], 1))
+        counts += resp.sum(axis=0)
+        for j, (mean, obs, mis, _, gain, cond_cov) in enumerate(blocks):
+            col = offset + j
+            r = resp[:, col]
+            completed = np.empty_like(rows)
+            completed[:, obs] = rows[:, obs]
+            if mis.size:
+                completed[:, mis] = mean[mis] + (rows[:, obs] - mean[obs]) @ gain.T
+            sums[col] += r @ completed
+            outers[col] += (completed * r[:, None]).T @ completed
+            if mis.size:
+                pad = np.zeros((n, n))
+                pad[np.ix_(mis, mis)] = cond_cov
+                outers[col] += r.sum() * pad
+    triples = [
+        SuffStats(float(counts[c]), sums[c], 0.5 * (outers[c] + outers[c].T))
+        for c in range(model.n_components)
+    ]
+    return MixtureStats(tuple(triples), float(data.shape[0])), float(np.sum(row_loglik))
+
+
+def near_singular_component(n: int) -> GaussianDag:
+    """x1 = x0 plus noise of variance 1e-20, so any Sigma_oo holding both
+    is singular in floating point and needs the jitter retry."""
+    parents = tuple((0,) if i == 1 else () for i in range(n))
+    coefs = tuple(np.ones(len(ps)) for ps in parents)
+    variances = np.ones(n)
+    variances[1] = 1e-20
+    return GaussianDag(DagStructure(n, parents), np.zeros(n), coefs, variances)
+
+
+def assert_same_sweep(data, model):
+    want, want_ll = reference_expected_stats(data, model)
+    for grouped in (data, group_cases(data)):
+        got, got_ll = expected_stats(grouped, model)
+        assert got_ll == want_ll
+        assert got.total_cases == want.total_cases
+        for tg, tw in zip(got.triples, want.triples):
+            assert tg.n == tw.n
+            assert np.array_equal(tg.r, tw.r)
+            assert np.array_equal(tg.s, tw.s)
+        assert np.array_equal(
+            component_case_loglik(model, grouped),
+            reference_component_case_loglik(model, data),
+        )
+
+
+class TestGroupedSweep:
+    @staticmethod
+    def random_model(rng, n, k, noise=False):
+        comps = tuple(
+            random_gaussian_dag(random_dag(n, rng, p=0.5), rng) for _ in range(k)
+        )
+        if not noise:
+            return MdagModel(rng.dirichlet(np.ones(k)), comps)
+        bounds = NoiseComponent(np.full(n, -40.0), np.full(n, 40.0))
+        return MdagModel(rng.dirichlet(np.ones(k + 1)), comps, bounds)
+
+    def test_random_masks(self, rng):
+        for _ in range(30):
+            n, k = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+            model = self.random_model(rng, n, k, noise=rng.random() < 0.3)
+            data = rng.normal(0, 3, (int(rng.integers(1, 300)), n))
+            data[rng.random(data.shape) < rng.choice([0.0, 0.15, 0.5])] = np.nan
+            assert_same_sweep(data, model)
+
+    def test_all_missing_and_one_observed_cell(self, rng):
+        model = self.random_model(rng, 4, 3)
+        data = rng.normal(0, 2, (60, 4))
+        data[rng.random(data.shape) < 0.3] = np.nan
+        data[[3, 17]] = np.nan
+        data[[5, 40], :] = np.nan
+        data[[5, 40], 2] = [0.4, -1.1]
+        assert_same_sweep(data, model)
+
+    def test_noise_component(self, rng):
+        model = self.random_model(rng, 3, 2, noise=True)
+        data = rng.normal(0, 20, (120, 3))
+        data[rng.random(data.shape) < 0.2] = np.nan
+        assert_same_sweep(data, model)
+
+    def test_jitter_retry_inside_stacked_factorisation(self, rng, monkeypatch):
+        odd = near_singular_component(3)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(odd.joint_moments[1])
+        others = tuple(random_gaussian_dag(random_dag(3, rng), rng) for _ in range(2))
+        model = MdagModel(np.array([0.3, 0.4, 0.3]), (others[0], odd, others[1]))
+        data = rng.normal(0, 1, (80, 3))
+        data[rng.random(data.shape) < 0.25] = np.nan
+        retries = {"n": 0}
+
+        def counting(mat, error):
+            retries["n"] += 1
+            return _chol_with_jitter(mat, error)
+
+        monkeypatch.setattr(stats_module, "_chol_with_jitter", counting)
+        assert_same_sweep(data, model)
+        assert retries["n"] > 0
+
+    def test_large_complete_block_solved_per_component(self, rng):
+        # above the stacked-solve cell count each component solves alone
+        model = self.random_model(rng, 12, 3)
+        data = rng.normal(0, 2, (stats_module._STACKED_SOLVE_CELLS // 12 + 50, 12))
+        assert_same_sweep(data, model)
+        data[0, 0] = np.nan
+        assert_same_sweep(data, model)
+
+    def test_groups(self, rng):
+        data = rng.normal(0, 1, (50, 3))
+        data[rng.random(data.shape) < 0.3] = np.nan
+        cases = group_cases(data)
+        assert (cases.cases, cases.n) == (50, 3)
+        seen = np.concatenate([g.idx for g in cases.groups])
+        assert sorted(seen) == list(range(50))
+        for g in cases.groups:
+            assert np.all(np.diff(g.idx) > 0)
+            assert np.all(~np.isnan(data[g.idx]) == g.mask)
+            assert np.array_equal(g.rows, data[g.idx], equal_nan=True)
+            assert np.array_equal(g.rows_obs, data[g.idx][:, g.obs])
