@@ -15,7 +15,7 @@ makes Markov-equivalent structures score identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -30,7 +30,7 @@ from .errors import (
     NonPsdScatter,
     SingularParentBlock,
 )
-from .model import DagStructure, GaussianDag, _chol_logdet, _chol_with_jitter
+from .model import DagStructure, GaussianDag, _chol_with_jitter
 from .stats import SuffStats
 
 _LOG_PI = float(np.log(np.pi))
@@ -124,7 +124,8 @@ class FamilyMarginals:
     to the same expression built from Y-sliced inputs.  The terms that
     depend only on |Y| are cached by size, and each family's value by its
     ordered tuple, so the F(Pa) term is shared by every child that
-    considers the same parent set.
+    considers the same parent set.  ``fill`` computes a batch of families
+    with one stacked factorisation per size; a call is a one-family fill.
     """
 
     def __init__(self, prior: NormalWishart, t: SuffStats):
@@ -155,25 +156,57 @@ class FamilyMarginals:
     def __call__(self, family: Sequence[int]) -> float:
         family = tuple(map(int, family))
         hit = self._memo.get(family)
-        if hit is not None:
-            return hit
-        if not family:
-            raise EmptyFamily("a family must contain at least one variable")
-        if len(set(family)) != len(family):
-            raise DimensionMismatch(f"family has duplicates: {family}")
-        if self.n_count <= _COUNT_FLOOR:
-            return 0.0
-        alpha, alpha1, lead = self._size_terms(len(family))
-        idx = np.array(family)
-        tau = self.prior.tau[idx[:, None], idx]
-        tau1 = self._scale[idx[:, None], idx]
-        value = float(
-            lead
-            + 0.5 * alpha * _chol_logdet(_chol_with_jitter(tau, SingularParentBlock))
-            - 0.5 * alpha1 * _chol_logdet(_chol_with_jitter(tau1, SingularParentBlock))
-        )
-        self._memo[family] = value
-        return value
+        if hit is None:
+            self.fill((family,))
+            hit = self._memo[family]
+        return hit
+
+    def fill(self, families: Iterable[tuple[int, ...]]) -> None:
+        """Memoise the value of every family not yet memoised, one stacked
+        factorisation per family size.
+
+        Families are tuples of ints.  Per size, every tau_Y block and every
+        tau'_Y block is gathered with one fancy index and each stack is
+        factored in one call; the log-determinants are read off the stacked
+        diagonals in the float order of ``_chol_logdet``, so each value
+        equals the one its family gets when filled alone.
+        """
+        todo: dict[int, dict[tuple[int, ...], None]] = {}
+        for family in families:
+            if family in self._memo:
+                continue
+            if not family:
+                raise EmptyFamily("a family must contain at least one variable")
+            if len(set(family)) != len(family):
+                raise DimensionMismatch(f"family has duplicates: {family}")
+            todo.setdefault(len(family), {})[family] = None
+        for size, batch in todo.items():
+            if self.n_count <= _COUNT_FLOOR:
+                self._memo.update(dict.fromkeys(batch, 0.0))
+                continue
+            alpha, alpha1, lead = self._size_terms(size)
+            idx = np.array(list(batch))
+            rows, cols = idx[:, :, None], idx[:, None, :]
+            values = (
+                lead
+                + 0.5 * alpha * _stacked_logdets(self.prior.tau[rows, cols])
+                - 0.5 * alpha1 * _stacked_logdets(self._scale[rows, cols])
+            )
+            self._memo.update(zip(batch, values.tolist()))
+
+
+def _stacked_logdets(blocks: np.ndarray) -> np.ndarray:
+    """log|B| of every block of a (m, p, p) stack, from one stacked Cholesky.
+
+    When a block is not positive definite the stack raises, and each block
+    is factored on its own with the jitter retry, so a jittered block gets
+    the same factor as when factored alone."""
+    try:
+        chols = np.linalg.cholesky(blocks)
+    except np.linalg.LinAlgError:
+        factors = [_chol_with_jitter(b, SingularParentBlock) for b in blocks]
+        chols = np.array(factors).reshape(blocks.shape)
+    return 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
 
 
 def local_score(

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .bayes import FamilyMarginals, NormalWishart, local_score
-from .errors import DimensionMismatch
+from .errors import BadParentIndex, DimensionMismatch
 from .model import DagStructure
 from .stats import MixtureStats, SuffStats
 
@@ -56,12 +56,19 @@ def _legal(structure: DagStructure) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     u ~> v of two or more arcs exists, i.e. iff (arc @ reach)[u, v] is zero
     (such a path cannot run through u -> v itself without a cycle).  The
     closure comes from repeated squaring of a 0/1 float matrix, which each
-    round doubles the path length covered and is exact.
+    round doubles the path length covered and is exact.  Raises
+    BadParentIndex on a parent outside [0, n) or a parent list of another
+    length.
     """
     n = structure.n
+    if len(structure.parents) != n:
+        raise BadParentIndex(f"expected {n} parent sets, got {len(structure.parents)}")
     arc = np.zeros((n, n))
-    for parent, child in structure.arcs():
-        arc[parent, child] = 1.0
+    for child, ps in enumerate(structure.parents):
+        for parent in ps:
+            if not 0 <= parent < n:
+                raise BadParentIndex(f"node {child} has parent {parent} outside [0, {n})")
+            arc[parent, child] = 1.0
     reach = arc
     while True:
         longer = np.minimum(reach + reach @ reach, 1.0)
@@ -119,7 +126,14 @@ def apply_move(structure: DagStructure, move: ArcMove) -> DagStructure:
 
 class _ScoreCache:
     """Node scores of one component, keyed by (node, sorted parents), over
-    one ``FamilyMarginals``; every miss goes through ``local_score``."""
+    one ``FamilyMarginals``, and the gain matrix S read off them.
+
+    S[u, v] is the score of v with u toggled in its parent set.  ``gains``
+    keeps S from one call to the next and swaps in only the columns whose
+    parent set changed; each (node, parents) column is cached, so a
+    structure that returns to a parent set, or an equivalent state the
+    escape walks, reads the entries already scored.
+    """
 
     def __init__(self, prior: NormalWishart, t: SuffStats):
         self.prior = prior
@@ -127,30 +141,56 @@ class _ScoreCache:
         self.marginals = FamilyMarginals(prior, t)
         self._cache: dict[tuple[int, tuple[int, ...]], float] = {}
         self._columns: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
+        self._gains = np.full((t.dim, t.dim), np.nan)
+        self._gain_parents: list[tuple[int, ...] | None] = [None] * t.dim
 
     def node_score(self, node: int, parents: Iterable[int]) -> float:
-        key = (node, tuple(sorted(parents)))
+        return self._score((node, tuple(sorted(parents))))
+
+    def _score(self, key: tuple[int, tuple[int, ...]]) -> float:
         hit = self._cache.get(key)
         if hit is None:
-            hit = local_score(self.prior, self.t, node, key[1], self.marginals)
+            hit = local_score(self.prior, self.t, key[0], key[1], self.marginals)
             self._cache[key] = hit
         return hit
 
-    def column(
-        self, node: int, parents: tuple[int, ...], need: np.ndarray
-    ) -> np.ndarray:
-        """Entry u is the score of ``node`` with u toggled in ``parents``.
-        Only the entries ``need`` marks are filled; the others may be NaN."""
-        key = (node, parents)
-        col = self._columns.get(key)
-        if col is None:
-            col = self._columns[key] = np.full(self.t.dim, np.nan)
-        for u in np.flatnonzero(need & np.isnan(col)).tolist():
-            if u in parents:
-                col[u] = self.node_score(node, (p for p in parents if p != u))
-            else:
-                col[u] = self.node_score(node, parents + (u,))
-        return col
+    def gains(self, parents: Sequence[tuple[int, ...]], need: np.ndarray) -> np.ndarray:
+        """S for the structure with these parent sets.  Every entry ``need``
+        marks holds its score; the others may hold NaN or an older score.
+
+        Columns whose parent set differs from the last call's (the target
+        of a move, and the source of a reversal) are swapped for the cached
+        column of the new set.  The marked entries still NaN are then scored
+        together: both families of each, child + parents and parents, go to
+        one ``FamilyMarginals.fill`` before the node scores are read.
+        """
+        scores = self._gains
+        for v, ps in enumerate(parents):
+            if self._gain_parents[v] != ps:
+                self._gain_parents[v] = ps
+                col = self._columns.get((v, ps))
+                if col is None:
+                    col = self._columns[(v, ps)] = np.full(len(parents), np.nan)
+                scores[:, v] = col
+        us, vs = np.nonzero(need & np.isnan(scores))
+        if not len(us):
+            return scores
+        keys = []
+        for u, v in zip(us.tolist(), vs.tolist()):
+            ps = parents[v]
+            toggled = tuple(p for p in ps if p != u) if u in ps else ps + (u,)
+            keys.append((v, tuple(sorted(toggled))))
+        families = []
+        for key in keys:
+            if key not in self._cache:
+                families.append((key[0], *key[1]))
+                if key[1]:
+                    families.append(key[1])
+        self.marginals.fill(families)
+        scores[us, vs] = [self._score(key) for key in keys]
+        for v in set(vs.tolist()):
+            self._columns[(v, parents[v])][:] = scores[:, v]
+        return scores
 
 
 def _best_move(
@@ -177,10 +217,7 @@ def _best_move(
         reverse &= grows[:, None]
     if not (add.any() or delete.any()):
         return None
-    need = add | delete | reverse.T
-    scores = np.column_stack(
-        [cache.column(v, ps, need[:, v]) for v, ps in enumerate(structure.parents)]
-    )
+    scores = cache.gains(structure.parents, add | delete | reverse.T)
     single = scores - node_scores[None, :]
     tables = (
         ("delete", delete, single),

@@ -41,6 +41,18 @@ def stats_of(data: np.ndarray) -> SuffStats:
     return SuffStats(float(len(data)), data.sum(axis=0), data.T @ data)
 
 
+def twin_column_stats(rows):
+    """Statistics in which variables 0 and 1 are exactly the same column."""
+    rows = rows.copy()
+    rows[:, 1] = rows[:, 0]
+    t = stats_of(rows)
+    r, s = t.r.copy(), t.s.copy()
+    r[1] = r[0]
+    s[1, :] = s[0, :]
+    s[:, 1] = s[:, 0]
+    return SuffStats(t.n, r, s)
+
+
 def random_prior(n: int, rng: np.random.Generator) -> NormalWishart:
     a = rng.normal(0, 1, (n, n))
     return NormalWishart(
@@ -234,6 +246,48 @@ class TestFamilyMarginals:
                 assert local_score(prior, t, child, parents, marginals) == expected
                 assert local_score(prior, t, child, parents) == expected
 
+    @pytest.mark.parametrize("tau", ["identity", "random"])
+    def test_fill_equals_sliced_formula(self, rng, tau):
+        # one stacked factorisation per size gives every family the value of
+        # the per-family formula; sizes 8 and up reach numpy's pairwise
+        # summation in the log-determinant sum
+        for n in (3, 8, 20, 33, 40):
+            if tau == "identity":
+                prior = NormalWishart(2.0, np.zeros(n), n + 2.0, np.eye(n))
+            else:
+                prior = random_prior(n, rng)
+            rows = rng.normal(0, 2, (30, n)) @ rng.normal(0, 1, (n, n))
+            weights = rng.uniform(0.05, 1.0, len(rows))
+            for t in (
+                stats_of(rows),
+                SuffStats(
+                    float(weights.sum()),
+                    weights @ rows,
+                    (weights[:, None] * rows).T @ rows,
+                ),
+                SuffStats.zero(n),
+            ):
+                families = [
+                    tuple(int(i) for i in rng.choice(n, size=size, replace=False))
+                    for size in range(1, min(n, 20) + 1)
+                    for _ in range(4)
+                ]
+                marginals = FamilyMarginals(prior, t)
+                marginals.fill(families + families[:5])
+                for family in families:
+                    assert marginals(family) == sliced_marginal_loglik(prior, t, family)
+
+    def test_fill_skips_memoised_families(self, rng):
+        prior = random_prior(4, rng)
+        marginals = FamilyMarginals(prior, stats_of(rng.normal(0, 1, (9, 4))))
+        first = marginals((3, 1))
+        marginals.fill([(3, 1), (0, 2), (0,)])
+        assert marginals((3, 1)) is first
+        with pytest.raises(EmptyFamily):
+            marginals.fill([(0, 1), ()])
+        with pytest.raises(DimensionMismatch):
+            marginals.fill([(2, 2)])
+
     def test_zero_and_fractional_counts(self, rng):
         prior = random_prior(3, rng)
         assert FamilyMarginals(prior, SuffStats.zero(3))((2, 0)) == 0.0
@@ -267,6 +321,46 @@ class TestFamilyMarginals:
     def test_statistics_of_another_dimension_rejected(self, rng):
         with pytest.raises(DimensionMismatch):
             FamilyMarginals(random_prior(3, rng), SuffStats.zero(2))
+
+
+def alternating_twin_stats(rng: np.random.Generator, n: int) -> SuffStats:
+    """Twin columns 0 and 1 of 64 cases of +-1, so their centred scatter
+    block is exactly [[64, 64], [64, 64]] and a plain Cholesky of it fails."""
+    rows = rng.standard_normal((64, n)) @ rng.standard_normal((n, n))
+    rows[:, 0] = np.tile([1.0, -1.0], 32)
+    return twin_column_stats(rows)
+
+
+class TestStackedFallback:
+    # tau is zero on variables 0 and 1, so the twin block of T' is singular
+    # and every tau_Y block that touches 0 or 1 needs the jitter retry
+    tau = np.diag([0.0, 0.0, 1.0, 1.0, 1.0])
+    families = [(2, 3), (0, 1), (4, 2), (1, 0), (3, 0), (0, 1, 2), (2, 3, 4)]
+
+    def test_jitter_rescued_block_keeps_its_value(self, rng):
+        prior = NormalWishart(1.0, np.zeros(5), 7.0, self.tau)
+        t = alternating_twin_stats(rng, 5)
+        scale = posterior_update(prior, t).tau
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(scale[:2, :2])
+        marginals = FamilyMarginals(prior, t)
+        marginals.fill(self.families)
+        for family in self.families:
+            alone = FamilyMarginals(prior, t)(family)
+            assert marginals(family) == alone
+            assert alone == sliced_marginal_loglik(prior, t, family)
+
+    def test_block_past_jitter_raises_singular_parent_block(self, rng):
+        # the checks of NormalWishart keep such a scale out of the library,
+        # so the twin block is pushed below zero after construction
+        prior = NormalWishart(1.0, np.zeros(5), 7.0, self.tau)
+        t = alternating_twin_stats(rng, 5)
+        marginals = FamilyMarginals(prior, t)
+        marginals._scale = marginals._scale.copy()
+        marginals._scale[1, 1] -= 1e-6
+        with pytest.raises(SingularParentBlock):
+            marginals.fill(self.families)
+        assert marginals((2, 3)) == sliced_marginal_loglik(prior, t, (2, 3))
 
 
 class TestLocalScore:

@@ -15,6 +15,7 @@ from dagmix.search import (
     _new_parents,
     _ScoreCache,
     _covered_edges,
+    _legal,
     apply_move,
     greedy_component_search,
     neighbors,
@@ -24,7 +25,7 @@ from dagmix.search import (
 )
 from dagmix.stats import MixtureStats, SuffStats, labeled_stats
 from conftest import random_dag
-from test_bayes import random_prior, stats_of
+from test_bayes import random_prior, stats_of, twin_column_stats
 
 
 def skeleton_and_vstructs(s: DagStructure):
@@ -107,18 +108,6 @@ def listed_best_move(cache, structure, node_scores, max_parents):
     return None if best is None else (best[0], best[2]), ties
 
 
-def twin_column_stats(rows):
-    """Statistics in which variables 0 and 1 are exactly the same column."""
-    rows = rows.copy()
-    rows[:, 1] = rows[:, 0]
-    t = stats_of(rows)
-    r, s = t.r.copy(), t.s.copy()
-    r[1] = r[0]
-    s[1, :] = s[0, :]
-    s[:, 1] = s[:, 0]
-    return SuffStats(t.n, r, s)
-
-
 class TestBestMove:
     @pytest.mark.parametrize("cap", [None, 0, 1, 2])
     def test_matches_move_list(self, rng, cap):
@@ -171,12 +160,52 @@ def test_out_of_range_parent_rejected(rng, parent):
     bad = DagStructure(2, ((parent,), ()))
     with pytest.raises(BadParentIndex):
         to_cpdag(bad)
+    with pytest.raises(BadParentIndex):
+        _legal(bad)
+    with pytest.raises(BadParentIndex):
+        neighbors(bad)
     t = stats_of(rng.standard_normal((20, 2)))
     with pytest.raises(BadParentIndex):
         greedy_component_search(t, random_prior(2, rng), bad)
 
 
+def rebuilt_gains(cache, parents, need):
+    """``_ScoreCache.gains`` without the kept matrix: a fresh S on every
+    call, each marked entry read through ``node_score`` on its own."""
+    n = len(parents)
+    scores = np.full((n, n), np.nan)
+    us, vs = np.nonzero(need)
+    for u, v in zip(us.tolist(), vs.tolist()):
+        ps = parents[v]
+        toggled = [p for p in ps if p != u] if u in ps else ps + (u,)
+        scores[u, v] = cache.node_score(v, toggled)
+    return scores
+
+
 class TestGreedySearch:
+    def test_kept_gains_match_rebuilt_gains(self, rng, monkeypatch):
+        # same structure and same steps, gains and totals compared with ==,
+        # whether S is kept between steps or rebuilt on every step; escape
+        # states read S too
+        escapes = 0
+        for cap in (None, 0, 1, 2, 3):
+            for trial in range(12):
+                n = int(rng.integers(2, 11))
+                rows = rng.standard_normal((int(rng.integers(30, 300)), n))
+                rows = rows @ rng.standard_normal((n, n))
+                t = twin_column_stats(rows) if trial % 4 == 3 else stats_of(rows)
+                prior = random_prior(n, rng)
+                init = random_dag(n, rng, p=float(rng.uniform(0.0, 0.6)))
+                kept_trace, rebuilt_trace = [], []
+                kept = greedy_component_search(t, prior, init, cap, kept_trace)
+                with monkeypatch.context() as patch:
+                    patch.setattr(_ScoreCache, "gains", rebuilt_gains)
+                    rebuilt = greedy_component_search(t, prior, init, cap, rebuilt_trace)
+                assert kept == rebuilt
+                assert kept_trace == rebuilt_trace
+                escapes += any(step.sideways for step in kept_trace)
+        assert escapes > 0
+
     def test_independent_data_stays_empty(self, rng):
         rows = rng.standard_normal((400, 3))
         prior = random_prior(3, rng)
