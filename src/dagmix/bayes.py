@@ -22,6 +22,7 @@ import scipy.linalg
 from scipy.special import gammaln, multigammaln
 
 from .errors import (
+    BadParentIndex,
     ChildInParents,
     DimensionMismatch,
     EmptyFamily,
@@ -123,9 +124,10 @@ class FamilyMarginals:
     builds: each term of T' is elementwise, so its Y-block is bit-identical
     to the same expression built from Y-sliced inputs.  The terms that
     depend only on |Y| are cached by size, and each family's value by its
-    ordered tuple, so the F(Pa) term is shared by every child that
-    considers the same parent set.  ``fill`` computes a batch of families
-    with one stacked factorisation per size; a call is a one-family fill.
+    sorted tuple: one value per variable set, whichever order a caller
+    lists it in, so set terms that cancel in exact arithmetic cancel in
+    floats too.  ``fill`` computes a batch of families with one stacked
+    factorisation per size; a call is a one-family fill.
     """
 
     def __init__(self, prior: NormalWishart, t: SuffStats):
@@ -154,32 +156,36 @@ class FamilyMarginals:
         return hit
 
     def __call__(self, family: Sequence[int]) -> float:
-        family = tuple(map(int, family))
-        hit = self._memo.get(family)
+        hit = self._memo.get(tuple(sorted(map(int, family))))
         if hit is None:
-            self.fill((family,))
-            hit = self._memo[family]
+            hit = self.fill((family,))[0]
         return hit
 
-    def fill(self, families: Iterable[tuple[int, ...]]) -> None:
+    def fill(self, families: Iterable[Sequence[int]]) -> list[float]:
         """Memoise the value of every family not yet memoised, one stacked
-        factorisation per family size.
+        factorisation per family size; return every family's value.
 
-        Families are tuples of ints.  Per size, every tau_Y block and every
-        tau'_Y block is gathered with one fancy index and each stack is
+        Per size, every tau_Y block and every tau'_Y block of the sorted
+        families is gathered with one fancy index and each stack is
         factored in one call; the log-determinants are read off the stacked
         diagonals in the float order of ``_chol_logdet``, so each value
-        equals the one its family gets when filled alone.
+        equals the one its family gets when filled alone.  A variable
+        outside [0, n) raises BadParentIndex.
         """
+        keys = [tuple(sorted(map(int, family))) for family in families]
         todo: dict[int, dict[tuple[int, ...], None]] = {}
-        for family in families:
-            if family in self._memo:
+        for key in keys:
+            if key in self._memo:
                 continue
-            if not family:
+            if not key:
                 raise EmptyFamily("a family must contain at least one variable")
-            if len(set(family)) != len(family):
-                raise DimensionMismatch(f"family has duplicates: {family}")
-            todo.setdefault(len(family), {})[family] = None
+            if len(set(key)) != len(key):
+                raise DimensionMismatch(f"family has duplicates: {key}")
+            if key[0] < 0 or key[-1] >= self.prior.dim:
+                raise BadParentIndex(
+                    f"family {key} has a variable outside [0, {self.prior.dim})"
+                )
+            todo.setdefault(len(key), {})[key] = None
         for size, batch in todo.items():
             if self.n_count <= _COUNT_FLOOR:
                 self._memo.update(dict.fromkeys(batch, 0.0))
@@ -193,6 +199,7 @@ class FamilyMarginals:
                 - 0.5 * alpha1 * _stacked_logdets(self._scale[rows, cols])
             )
             self._memo.update(zip(batch, values.tolist()))
+        return [self._memo[key] for key in keys]
 
 
 def _stacked_logdets(blocks: np.ndarray) -> np.ndarray:

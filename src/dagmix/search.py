@@ -125,14 +125,17 @@ def apply_move(structure: DagStructure, move: ArcMove) -> DagStructure:
 
 
 class _ScoreCache:
-    """Node scores of one component, keyed by (node, sorted parents), over
-    one ``FamilyMarginals``, and the gain matrix S read off them.
+    """Node scores of one component, keyed by (node, sorted parents), and
+    the set terms of its gains, all over one ``FamilyMarginals``.
 
-    S[u, v] is the score of v with u toggled in its parent set.  ``gains``
-    keeps S from one call to the next and swaps in only the columns whose
-    parent set changed; each (node, parents) column is cached, so a
-    structure that returns to a parent set, or an equivalent state the
-    escape walks, reads the entries already scored.
+    With F(Y) the family marginal of variable set Y (F of the empty set is
+    0), node v with parents P scores F(v + P) - F(P).  ``gains`` keeps two
+    n x n matrices from one call to the next: T[0][u, v] = F(v + P') and
+    T[1][u, v] = F(P'), where P' is v's parent set with u toggled.  It
+    swaps in only the columns whose parent set changed; each (node,
+    parents) column is cached, so a structure that returns to a parent
+    set, or an equivalent state the escape walks, reads the terms already
+    computed.
     """
 
     def __init__(self, prior: NormalWishart, t: SuffStats):
@@ -141,74 +144,85 @@ class _ScoreCache:
         self.marginals = FamilyMarginals(prior, t)
         self._cache: dict[tuple[int, tuple[int, ...]], float] = {}
         self._columns: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
-        self._gains = np.full((t.dim, t.dim), np.nan)
+        self._terms = np.full((2, t.dim, t.dim), np.nan)
+        self._node_terms = np.zeros((2, t.dim))
         self._gain_parents: list[tuple[int, ...] | None] = [None] * t.dim
 
     def node_score(self, node: int, parents: Iterable[int]) -> float:
-        return self._score((node, tuple(sorted(parents))))
-
-    def _score(self, key: tuple[int, tuple[int, ...]]) -> float:
+        key = (node, tuple(sorted(parents)))
         hit = self._cache.get(key)
         if hit is None:
             hit = local_score(self.prior, self.t, key[0], key[1], self.marginals)
             self._cache[key] = hit
         return hit
 
-    def gains(self, parents: Sequence[tuple[int, ...]], need: np.ndarray) -> np.ndarray:
-        """S for the structure with these parent sets.  Every entry ``need``
-        marks holds its score; the others may hold NaN or an older score.
+    def gains(
+        self, parents: Sequence[tuple[int, ...]], need: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(T, N) for the structure with these parent sets, where N[0][v] =
+        F(v + Pa(v)) and N[1][v] = F(Pa(v)).  Every entry of T that ``need``
+        marks holds its terms; the others may hold NaN or older terms.
 
         Columns whose parent set differs from the last call's (the target
         of a move, and the source of a reversal) are swapped for the cached
-        column of the new set.  The marked entries still NaN are then scored
-        together: both families of each, child + parents and parents, go to
-        one ``FamilyMarginals.fill`` before the node scores are read.
+        column of the new set.  The marked entries still NaN are then filled
+        together: both families of each go to one ``FamilyMarginals.fill``.
         """
-        scores = self._gains
+        terms, nodes = self._terms, self._node_terms
         for v, ps in enumerate(parents):
             if self._gain_parents[v] != ps:
                 self._gain_parents[v] = ps
                 col = self._columns.get((v, ps))
                 if col is None:
-                    col = self._columns[(v, ps)] = np.full(len(parents), np.nan)
-                scores[:, v] = col
-        us, vs = np.nonzero(need & np.isnan(scores))
+                    col = self._columns[(v, ps)] = np.full((2, len(parents)), np.nan)
+                terms[:, :, v] = col
+                nodes[:, v] = self.marginals((v, *ps)), self.marginals(ps) if ps else 0.0
+        us, vs = np.nonzero(need & np.isnan(terms[0]))
         if not len(us):
-            return scores
-        keys = []
+            return terms, nodes
+        tops, bases = [], []
         for u, v in zip(us.tolist(), vs.tolist()):
             ps = parents[v]
             toggled = tuple(p for p in ps if p != u) if u in ps else ps + (u,)
-            keys.append((v, tuple(sorted(toggled))))
-        families = []
-        for key in keys:
-            if key not in self._cache:
-                families.append((key[0], *key[1]))
-                if key[1]:
-                    families.append(key[1])
-        self.marginals.fill(families)
-        scores[us, vs] = [self._score(key) for key in keys]
+            tops.append((v, *toggled))
+            bases.append(toggled)
+        values = self.marginals.fill(tops + [b for b in bases if b])
+        terms[0, us, vs] = values[: len(tops)]
+        rest = iter(values[len(tops):])
+        terms[1, us, vs] = [next(rest) if b else 0.0 for b in bases]
         for v in set(vs.tolist()):
-            self._columns[(v, parents[v])][:] = scores[:, v]
-        return scores
+            self._columns[(v, parents[v])][:] = terms[:, :, v]
+        return terms, nodes
 
 
-def _best_move(
-    cache: _ScoreCache,
-    structure: DagStructure,
-    node_scores: np.ndarray,
-    max_parents: int | None,
-) -> tuple[float, ArcMove] | None:
-    """Highest-gain legal move; ties break on (delete < reverse < add,
-    target, source) so runs are platform-independent.  With ``max_parents``
-    a move is skipped when the parent set it grows (the target's for an
-    add, the source's for a reversal) would exceed the cap; deletes are
-    never capped.
+def _ordered_sum(terms: list[np.ndarray]) -> np.ndarray:
+    """Elementwise sum of equal-shape arrays, each element's terms added in
+    ascending order, so the result depends only on the multiset of terms."""
+    ordered = np.sort(terms, axis=0)
+    total = ordered[0]
+    for term in ordered[1:]:
+        total = total + term
+    return total
 
-    With S[u, v] the score of v with u toggled in its parent set, an add
-    or delete of u -> v gains S[u, v] - ns[v] and a reversal gains
-    ((S[u, v] - ns[v]) + S[v, u]) - ns[u].  Only the entries of S that a
-    legal, uncapped move reads are scored.
+
+def _move_gains(
+    cache: _ScoreCache, structure: DagStructure, max_parents: int | None
+) -> tuple[tuple[str, np.ndarray, np.ndarray], ...] | None:
+    """(kind, legal mask, gain matrix) for delete, reverse and add, entry
+    [u, v] for the move on u -> v; None when no add or delete is legal.
+    With ``max_parents`` a move is skipped when the parent set it grows
+    (the target's for an add, the source's for a reversal) would exceed
+    the cap; deletes are never capped.
+
+    Each gain is one canonical sum of set terms: the F terms the move adds
+    to the score summed in ascending order, minus the F terms it removes
+    summed the same way.  An add or delete of u -> v gains
+    (F(v + P') + F(P)) - (F(P') + F(v + P)), with P the parents of v and P'
+    those parents with u toggled; a reversal sums four terms a side.  Moves
+    that reach Markov-equivalent structures change the same multiset of set
+    terms, so their gains are equal bit for bit (a covered reversal gains
+    exactly 0) and the tie key, not rounding, decides between them.  Only
+    the terms that a legal, uncapped move reads are computed.
     """
     add, delete, reverse = _legal(structure)
     if max_parents is not None:
@@ -217,13 +231,27 @@ def _best_move(
         reverse &= grows[:, None]
     if not (add.any() or delete.any()):
         return None
-    scores = cache.gains(structure.parents, add | delete | reverse.T)
-    single = scores - node_scores[None, :]
-    tables = (
-        ("delete", delete, single),
-        ("reverse", reverse, (single + scores.T) - node_scores[:, None]),
-        ("add", add, single),
+    (top, base), (node_top, node_base) = cache.gains(
+        structure.parents, add | delete | reverse.T
     )
+    single = (top + node_base[None, :]) - (base + node_top[None, :])
+    reversal = np.full_like(single, -np.inf)
+    u, v = np.nonzero(reverse)
+    if len(u):
+        reversal[u, v] = _ordered_sum(
+            [top[u, v], node_base[v], top[v, u], node_base[u]]
+        ) - _ordered_sum([base[u, v], node_top[v], base[v, u], node_top[u]])
+    return ("delete", delete, single), ("reverse", reverse, reversal), ("add", add, single)
+
+
+def _best_move(
+    cache: _ScoreCache, structure: DagStructure, max_parents: int | None
+) -> tuple[float, ArcMove] | None:
+    """Highest-gain legal move (see ``_move_gains``); ties break on
+    (delete < reverse < add, target, source)."""
+    tables = _move_gains(cache, structure, max_parents)
+    if tables is None:
+        return None
     best = max(gains[mask].max() for _, mask, gains in tables if mask.any())
     for kind, mask, gains in tables:
         hits = np.argwhere((mask & (gains == best)).T)
@@ -309,7 +337,7 @@ def greedy_component_search(
             )
 
     while True:
-        found = _best_move(cache, structure, node_scores, max_parents)
+        found = _best_move(cache, structure, max_parents)
         if found is not None and found[0] > SCORE_EPS:
             accept(found[1], sideways=False)
             continue
@@ -318,7 +346,7 @@ def greedy_component_search(
             scores = np.array(
                 [cache.node_score(i, ps) for i, ps in enumerate(state.parents)]
             )
-            found = _best_move(cache, state, scores, max_parents)
+            found = _best_move(cache, state, max_parents)
             if found is not None and scores.sum() + found[0] > stuck + SCORE_EPS:
                 break
         else:

@@ -17,6 +17,7 @@ from dagmix.bayes import (
     structure_score,
 )
 from dagmix.errors import (
+    BadParentIndex,
     ChildInParents,
     DimensionMismatch,
     EmptyFamily,
@@ -220,7 +221,8 @@ class TestFamilyMarginals:
     def test_bit_identical_to_sliced_formula(self, rng):
         # non-identity tau, non-zero mu0, fractional weights and families in
         # unsorted order; the value read off the full posterior scale must
-        # equal the sliced formula exactly, on a miss and on a memo hit
+        # equal the sliced formula on the sorted family exactly, on a miss
+        # and on a memo hit
         for _ in range(40):
             n = int(rng.integers(2, 13))
             prior = random_prior(n, rng)
@@ -235,14 +237,16 @@ class TestFamilyMarginals:
             for _ in range(10):
                 size = int(rng.integers(1, n + 1))
                 family = tuple(int(i) for i in rng.choice(n, size=size, replace=False))
-                oracle = sliced_marginal_loglik(prior, t, family)
+                oracle = sliced_marginal_loglik(prior, t, tuple(sorted(family)))
                 assert marginals(family) == oracle
                 assert marginals(family) == oracle
                 assert FamilyMarginals(prior, t)(family) == oracle
                 child, parents = family[0], family[1:]
                 expected = oracle
                 if parents:
-                    expected = oracle - sliced_marginal_loglik(prior, t, parents)
+                    expected = oracle - sliced_marginal_loglik(
+                        prior, t, tuple(sorted(parents))
+                    )
                 assert local_score(prior, t, child, parents, marginals) == expected
                 assert local_score(prior, t, child, parents) == expected
 
@@ -273,9 +277,10 @@ class TestFamilyMarginals:
                     for _ in range(4)
                 ]
                 marginals = FamilyMarginals(prior, t)
-                marginals.fill(families + families[:5])
-                for family in families:
-                    assert marginals(family) == sliced_marginal_loglik(prior, t, family)
+                values = marginals.fill(families + families[:5])
+                for family, value in zip(families, values):
+                    expected = sliced_marginal_loglik(prior, t, tuple(sorted(family)))
+                    assert marginals(family) == value == expected
 
     def test_fill_skips_memoised_families(self, rng):
         prior = random_prior(4, rng)
@@ -295,15 +300,34 @@ class TestFamilyMarginals:
         t = SuffStats(0.3, 0.3 * rows[0], 0.3 * np.outer(rows[0], rows[0]))
         marginals = FamilyMarginals(prior, t)
         for family in ((0,), (2, 1), (1, 0, 2)):
-            assert marginals(family) == sliced_marginal_loglik(prior, t, family)
+            expected = sliced_marginal_loglik(prior, t, tuple(sorted(family)))
+            assert marginals(family) == expected
 
-    def test_memo_is_keyed_by_ordered_family(self, rng):
+    def test_memo_is_keyed_by_variable_set(self, rng):
         prior = random_prior(3, rng)
         t = stats_of(rng.normal(0, 1, (8, 3)))
         marginals = FamilyMarginals(prior, t)
         first = marginals((0, 2))
         assert marginals((np.int64(0), 2)) is first
-        assert marginals((2, 0)) == sliced_marginal_loglik(prior, t, (2, 0))
+        assert marginals((2, 0)) is first
+        assert first == sliced_marginal_loglik(prior, t, (0, 2))
+        assert marginals.fill([(2, 0), (1, 2, 0)])[0] is first
+        assert marginals((0, 2, 1)) is marginals((1, 0, 2))
+
+    @pytest.mark.parametrize("variable", [-1, 3], ids=["negative", "past-n"])
+    def test_out_of_range_variable_rejected(self, rng, variable):
+        # -1 must not wrap around to variable 2, nor 3 reach numpy's IndexError
+        prior = random_prior(3, rng)
+        for t in (SuffStats.zero(3), stats_of(rng.normal(0, 1, (5, 3)))):
+            marginals = FamilyMarginals(prior, t)
+            with pytest.raises(BadParentIndex):
+                marginals((variable,))
+            with pytest.raises(BadParentIndex):
+                marginals.fill([(0,), (1, variable)])
+            with pytest.raises(BadParentIndex):
+                local_score(prior, t, 0, (variable,), marginals)
+            with pytest.raises(BadParentIndex):
+                local_score(prior, t, variable, (0,))
 
     def test_bad_families_rejected(self, rng):
         prior = random_prior(3, rng)
@@ -348,7 +372,7 @@ class TestStackedFallback:
         for family in self.families:
             alone = FamilyMarginals(prior, t)(family)
             assert marginals(family) == alone
-            assert alone == sliced_marginal_loglik(prior, t, family)
+            assert alone == sliced_marginal_loglik(prior, t, tuple(sorted(family)))
 
     def test_block_past_jitter_raises_singular_parent_block(self, rng):
         # the checks of NormalWishart keep such a scale out of the library,

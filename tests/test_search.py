@@ -16,6 +16,7 @@ from dagmix.search import (
     _ScoreCache,
     _covered_edges,
     _legal,
+    _move_gains,
     apply_move,
     greedy_component_search,
     neighbors,
@@ -84,10 +85,15 @@ class TestNeighbors:
 _KIND_RANK = {"delete": 0, "reverse": 1, "add": 2}
 
 
-def listed_best_move(cache, structure, node_scores, max_parents):
+def listed_best_move(cache, structure, max_parents):
     """The move-list form of ``_best_move``: score every legal move in turn,
-    folding gain = gain + score - old score from 0.0.  Returns the best
-    (gain, move) and how many moves reach that gain."""
+    as the F terms it adds summed in ascending order minus the F terms it
+    removes summed in ascending order.  Returns the best (gain, move) and
+    how many moves reach that gain."""
+
+    def family(nodes):
+        return cache.marginals(nodes) if nodes else 0.0
+
     best, ties = None, 0
     for move in neighbors(structure):
         rewrites = _new_parents(structure, move)
@@ -95,9 +101,12 @@ def listed_best_move(cache, structure, node_scores, max_parents):
             node, ps = rewrites[-1]
             if len(ps) > max_parents and len(ps) > len(structure.parents[node]):
                 continue
-        gain = 0.0
+        added, removed = [], []
         for node, ps in rewrites:
-            gain = gain + cache.node_score(node, ps) - node_scores[node]
+            old = structure.parents[node]
+            added += [family((node, *ps)), family(old)]
+            removed += [family(ps), family((node, *old))]
+        gain = sum(sorted(added)) - sum(sorted(removed))
         key = (_KIND_RANK[move.kind], move.target, move.source)
         if best is None or gain > best[0]:
             best, ties = (gain, key, move), 1
@@ -130,14 +139,12 @@ class TestBestMove:
             vectorised, listed = _ScoreCache(prior, t), _ScoreCache(prior, t)
             structure = random_dag(n, rng, p=float(rng.uniform(0.0, 0.8)))
             for _ in range(6):
-                scores = np.array(
-                    [listed.node_score(i, ps) for i, ps in enumerate(structure.parents)]
-                )
-                for i, ps in enumerate(structure.parents):
-                    vectorised.node_score(i, ps)
-                found = _best_move(vectorised, structure, scores, cap)
-                expected, n_ties = listed_best_move(listed, structure, scores, cap)
-                assert vectorised._cache.keys() == listed._cache.keys()
+                for cache in (vectorised, listed):
+                    for i, ps in enumerate(structure.parents):
+                        cache.node_score(i, ps)
+                found = _best_move(vectorised, structure, cap)
+                expected, n_ties = listed_best_move(listed, structure, cap)
+                assert vectorised.marginals._memo.keys() == listed.marginals._memo.keys()
                 if expected is None:
                     assert found is None
                     break
@@ -147,12 +154,38 @@ class TestBestMove:
                 structure = apply_move(structure, found[1])
         assert twin_ties > 0
 
+    def test_score_equivalent_moves_gain_equally(self, rng):
+        # add u -> v and add v -> u with Pa(u) = Pa(v) reach Markov-equivalent
+        # structures, so their gains are equal with ==, and a covered
+        # reversal stays in its class, so it gains exactly 0
+        pairs = covered = 0
+        for _ in range(40):
+            n = int(rng.integers(3, 9))
+            rows = rng.standard_normal((80, n)) @ rng.standard_normal((n, n))
+            cache = _ScoreCache(random_prior(n, rng), stats_of(rows))
+            structure = random_dag(n, rng, p=float(rng.uniform(0.0, 0.6)))
+            tables = {kind: (mask, gains) for kind, mask, gains in
+                      _move_gains(cache, structure, None)}
+            add_mask, add_gains = tables["add"]
+            ps = structure.parents
+            for u, v in combinations(range(n), 2):
+                if set(ps[u]) == set(ps[v]) and u not in ps[v] and v not in ps[u]:
+                    assert add_mask[u, v] and add_mask[v, u]
+                    assert add_gains[u, v] == add_gains[v, u]
+                    pairs += 1
+            reverse_mask, reverse_gains = tables["reverse"]
+            for u, v in _covered_edges(structure):
+                assert reverse_mask[u, v]
+                assert reverse_gains[u, v] == 0.0
+                covered += 1
+        assert pairs > 20 and covered > 20
+
     def test_no_legal_move(self, rng):
         prior = random_prior(1, rng)
         cache = _ScoreCache(prior, stats_of(rng.standard_normal((5, 1))))
-        assert _best_move(cache, empty_structure(1), np.zeros(1), None) is None
+        assert _best_move(cache, empty_structure(1), None) is None
         cache = _ScoreCache(random_prior(3, rng), stats_of(rng.standard_normal((5, 3))))
-        assert _best_move(cache, empty_structure(3), np.zeros(3), 0) is None
+        assert _best_move(cache, empty_structure(3), 0) is None
 
 
 @pytest.mark.parametrize("parent", [5, -1], ids=["past-n", "negative"])
@@ -170,16 +203,23 @@ def test_out_of_range_parent_rejected(rng, parent):
 
 
 def rebuilt_gains(cache, parents, need):
-    """``_ScoreCache.gains`` without the kept matrix: a fresh S on every
-    call, each marked entry read through ``node_score`` on its own."""
+    """``_ScoreCache.gains`` without the kept matrices: fresh terms on
+    every call, each marked entry read through ``FamilyMarginals`` on its
+    own."""
+
+    def family(nodes):
+        return cache.marginals(nodes) if nodes else 0.0
+
     n = len(parents)
-    scores = np.full((n, n), np.nan)
+    terms = np.full((2, n, n), np.nan)
     us, vs = np.nonzero(need)
     for u, v in zip(us.tolist(), vs.tolist()):
         ps = parents[v]
-        toggled = [p for p in ps if p != u] if u in ps else ps + (u,)
-        scores[u, v] = cache.node_score(v, toggled)
-    return scores
+        toggled = tuple(p for p in ps if p != u) if u in ps else ps + (u,)
+        terms[:, u, v] = family((v, *toggled)), family(toggled)
+    nodes = np.array([[family((v, *ps)) for v, ps in enumerate(parents)],
+                      [family(ps) for ps in parents]])
+    return terms, nodes
 
 
 class TestGreedySearch:
