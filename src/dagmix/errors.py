@@ -58,10 +58,6 @@ class AllComponentsZeroDensity(NumericalError):
     pass
 
 
-class SingularObservedBlock(NumericalError):
-    pass
-
-
 class NonPsdScatter(NumericalError):
     pass
 

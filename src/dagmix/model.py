@@ -214,6 +214,23 @@ class GaussianDag:
         return b
 
     @cached_property
+    def regression_form(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(A, c, log|V|) with A = V^-1/2 (I - B), c = V^-1/2 m and V =
+        diag(variances).
+
+        z = A x - c holds the standardised residual of every node's
+        regression at x, so log p(x) = -(n log 2pi + log|V| + |z|^2) / 2 with
+        no joint covariance and no factorisation; A^T A is the joint
+        precision (Heckerman & Geiger 1995).
+        """
+        scale = 1.0 / np.sqrt(self.variances)
+        a = (np.eye(self.n) - self.coefficient_matrix()) * scale[:, None]
+        c = self.intercepts * scale
+        a.setflags(write=False)
+        c.setflags(write=False)
+        return a, c, float(np.sum(np.log(self.variances)))
+
+    @cached_property
     def joint_moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Mean and covariance of the implied joint Gaussian.
 

@@ -23,20 +23,8 @@ from .bayes import (
     dirichlet_log_marglik,
     local_score,
 )
-from .errors import (
-    AllComponentsZeroDensity,
-    DimensionMismatch,
-    EmptyTestSet,
-    SingularObservedBlock,
-)
-from .model import (
-    LOG_2PI,
-    DagStructure,
-    MdagModel,
-    _chol_logdet,
-    _chol_solve,
-    _chol_with_jitter,
-)
+from .errors import AllComponentsZeroDensity, DimensionMismatch, EmptyTestSet
+from .model import LOG_2PI, DagStructure, GaussianDag, MdagModel
 from .stats import (
     CaseGroups,
     MixtureStats,
@@ -124,20 +112,19 @@ def observed_loglik(
     return float(np.sum(picked))
 
 
-def gaussian_complete_loglik(t: SuffStats, mean: np.ndarray, cov: np.ndarray) -> float:
-    """Complete-data Gaussian log likelihood evaluated from a triple.
+def gaussian_complete_loglik(t: SuffStats, g: GaussianDag) -> float:
+    """Complete-data log likelihood of a DAG component evaluated from a triple.
 
-    Uses sum_l log N(x_l; mean, cov) = -(n/2)(d log 2pi + log|cov|)
-    - tr(cov^-1 M)/2 with M = s - r mean^T - mean r^T + n mean mean^T, so
-    the raw cases are never revisited.
+    With (A, c, log|V|) the component's ``regression_form``, each case
+    contributes -(n log 2pi + log|V| + |A x - c|^2) / 2, and the squared
+    residuals sum over the cases to tr(A s A^T) - 2 c^T A r + N c^T c, so
+    the raw cases are never revisited and nothing is factored.
     """
     if t.n <= 0:
         return 0.0
-    d = t.dim
-    m = t.s - np.outer(t.r, mean) - np.outer(mean, t.r) + t.n * np.outer(mean, mean)
-    chol = _chol_with_jitter(cov, SingularObservedBlock)
-    trace = float(np.trace(_chol_solve(chol, m)))
-    return -0.5 * t.n * (d * LOG_2PI + _chol_logdet(chol)) - 0.5 * trace
+    a, c, log_var = g.regression_form
+    quad = np.sum((a @ t.s) * a) - 2.0 * (c @ (a @ t.r)) + t.n * (c @ c)
+    return -0.5 * (t.n * (t.dim * LOG_2PI + log_var) + quad)
 
 
 def completed_loglik(mix_stats: MixtureStats, model: MdagModel) -> float:
@@ -160,8 +147,7 @@ def completed_loglik(mix_stats: MixtureStats, model: MdagModel) -> float:
         if t.n <= 0:
             continue
         w = model.weights[offset + j]
-        mean, cov = g.joint_moments
-        total += t.n * np.log(w) + gaussian_complete_loglik(t, mean, cov)
+        total += t.n * np.log(w) + gaussian_complete_loglik(t, g)
     return float(total)
 
 

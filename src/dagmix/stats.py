@@ -10,9 +10,13 @@ later during search are supported no matter which dependencies they use.
 
 Missing values are NaN cells in the data matrix.  ``group_cases`` groups
 the cases by observation mask once per data set, with the rows and index
-arrays of each group, so a sweep only computes what depends on the model:
-per mask, the marginal factorizations and conditional-moment operators of
-all components at once.
+arrays of each group, so a sweep only computes what depends on the model.
+The sweep works in regression form: each DAG component is read as
+z = A x - c, its nodes' standardised regression residuals, so a complete
+case is scored with one product and no factorisation, and a mask with m
+missing cells conditions every component at once through one stacked QR
+factorisation of the m columns of A they touch.  No joint covariance is
+formed.
 """
 
 from __future__ import annotations
@@ -26,9 +30,8 @@ from .errors import (
     BadComponentIndex,
     DimensionMismatch,
     ShapeMismatch,
-    SingularObservedBlock,
 )
-from .model import MdagModel, _chol_logdet, _chol_solve, _chol_with_jitter
+from .model import LOG_2PI, MdagModel
 
 
 @dataclass(frozen=True)
@@ -118,16 +121,27 @@ def labeled_stats(data: np.ndarray, labels: np.ndarray, k: int) -> MixtureStats:
 # --- cases grouped by observation mask ---------------------------------------
 
 
+# Cases per partial sum of a reduction over cases.  A BLAS product over a
+# long case dimension adds in an order that depends on the thread count:
+# measured with OpenBLAS, products over 256 cases gave the same bytes at one
+# and two threads and products over 1,024 cases did not.  Sums over cases
+# therefore run in blocks of this many cases, added in order.
+_CASE_BLOCK = 256
+
+
 @dataclass(frozen=True, eq=False)
 class CaseGroup:
     """The cases that share one observation mask, with every piece of a
     sweep over them that depends on the data alone.
 
     ``idx`` lists the cases in ascending order and ``rows`` holds their
-    data; ``rows_obs`` is ``rows[:, obs]`` (``rows`` itself when nothing is
-    missing).  ``oo``, ``om`` and ``mm`` are the index meshes of the
-    observed-observed, observed-missing and missing-missing blocks of an
-    n x n matrix.
+    data.  ``padded`` is ``rows`` with its missing cells set to 0, a
+    column of ones appended, and rows of zeros appended up to a whole
+    number of ``_CASE_BLOCK``-case blocks; ``design`` is its first
+    ``len(idx)`` rows restricted to the observed columns and the ones
+    column, whose indices into ``padded``'s columns are ``design_cols``.
+    ``mm`` is the index mesh of the missing-missing block of an n x n
+    matrix.
     """
 
     mask: np.ndarray
@@ -135,9 +149,9 @@ class CaseGroup:
     obs: np.ndarray
     mis: np.ndarray
     rows: np.ndarray
-    rows_obs: np.ndarray
-    oo: tuple[np.ndarray, np.ndarray]
-    om: tuple[np.ndarray, np.ndarray]
+    padded: np.ndarray
+    design: np.ndarray
+    design_cols: np.ndarray
     mm: tuple[np.ndarray, np.ndarray]
 
 
@@ -155,11 +169,13 @@ class CaseGroups:
 def _case_group(mask: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> CaseGroup:
     obs = np.flatnonzero(mask)
     mis = np.flatnonzero(~mask)
-    rows_obs = rows if mis.size == 0 else rows[:, obs]
-    return CaseGroup(
-        mask, idx, obs, mis, rows, rows_obs,
-        np.ix_(obs, obs), np.ix_(obs, mis), np.ix_(mis, mis),
-    )
+    cases, n = rows.shape
+    padded = np.zeros((-(-cases // _CASE_BLOCK) * _CASE_BLOCK, n + 1))
+    padded[:cases, obs] = rows[:, obs]
+    padded[:cases, n] = 1.0
+    cols = np.append(obs, n)
+    design = padded[:cases] if not mis.size else padded[:cases, cols]
+    return CaseGroup(mask, idx, obs, mis, rows, padded, design, cols, np.ix_(mis, mis))
 
 
 def group_cases(data: np.ndarray) -> CaseGroups:
@@ -195,92 +211,96 @@ def _grouped(data: np.ndarray | CaseGroups, model: MdagModel) -> CaseGroups:
     return cases
 
 
-# --- per-mask Gaussian sub-blocks ---------------------------------------------
-
-# Observed cells of a group up to which the density solves of all components
-# run as one stacked call.  Measured with one BLAS thread: stacking halves
-# the time of blocks of a few hundred cells and costs a third more at
-# 40 x 3000, where copying the stacked right-hand side dominates.
-_STACKED_SOLVE_CELLS = 8192
+# --- the E sweep in regression form ------------------------------------------
 
 
-def _joint_stack(model: MdagModel) -> tuple[np.ndarray, np.ndarray]:
-    """(k, n) means and (k, n, n) covariances of the Gaussian components."""
-    moments = [g.joint_moments for g in model.components]
+def _regression_stack(model: MdagModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(k, n + 1, n) W, the (k, n, n) A of the Gaussian components and
+    their (k,) n log 2pi + log|V| (see ``GaussianDag.regression_form``).
+
+    W stacks A^T over -c^T, so a case with a 1 appended has residuals
+    z = A x - c equal to [x, 1] W."""
+    forms = [g.regression_form for g in model.components]
     n = model.n
-    means = np.array([mean for mean, _ in moments]).reshape(-1, n)
-    covs = np.array([cov for _, cov in moments]).reshape(-1, n, n)
-    return means, covs
+    a = np.array([f[0] for f in forms]).reshape(-1, n, n)
+    c = np.array([f[1] for f in forms]).reshape(-1, 1, n)
+    const = n * LOG_2PI + np.array([f[2] for f in forms])
+    return np.concatenate([a.transpose(0, 2, 1), -c], axis=1), a, const
 
 
-def _observed_factors(covs: np.ndarray, group: CaseGroup) -> np.ndarray:
-    """Cholesky factors of every component's Sigma_oo, in one stacked call.
+def _condition(
+    model: MdagModel, stack: tuple[np.ndarray, np.ndarray, np.ndarray], group: CaseGroup
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """One mask's cases under every component at once.
 
-    When a block is not positive definite the stack raises, and each block
-    is factored on its own with the jitter retry, so a jittered component
-    gets the same factor as when factored alone."""
-    blocks = covs[:, group.oo[0], group.oo[1]]
-    try:
-        return np.linalg.cholesky(blocks)
-    except np.linalg.LinAlgError:
-        factors = [_chol_with_jitter(b, SingularObservedBlock) for b in blocks]
-        return np.array(factors).reshape(blocks.shape)
+    Returns the (n_components, cases) log densities of the observed cells
+    and, for a mask with missing cells, each Gaussian component's
+    conditional means of the missing cells, (k, cases, m), and their
+    conditional covariance, (k, m, m).
 
-
-def _conditionals(
-    covs: np.ndarray, chols: np.ndarray, group: CaseGroup
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Per component, the regression gain Sigma_mo Sigma_oo^-1 of the missing
-    coordinates on the observed ones, and their conditional covariance."""
-    # C order: each component's block then has the memory layout of a block
-    # indexed alone, and the products below round exactly as they did
-    covs_om = np.ascontiguousarray(covs[:, group.om[0], group.om[1]])
-    covs_mm = np.ascontiguousarray(covs[:, group.mm[0], group.mm[1]])
-    gains = np.linalg.solve(
-        chols.transpose(0, 2, 1), np.linalg.solve(chols, covs_om)
-    ).transpose(0, 2, 1)
-    cond_covs = []
-    for gain, cov_om, cov_mm in zip(gains, covs_om, covs_mm):
-        cond_cov = cov_mm - gain @ cov_om
-        cond_covs.append(0.5 * (cond_cov + cond_cov.T))
-    return gains, cond_covs
-
-
-def _group_loglik(
-    model: MdagModel, means: np.ndarray, chols: np.ndarray, group: CaseGroup
-) -> np.ndarray:
-    """(cases in group, n_components) log density of the observed block."""
-    rows = group.rows_obs
-    obs = group.obs
-    out = np.empty((rows.shape[0], model.n_components))
+    With z_o = A_o x_o - c and the QR factorisation A_m = QR of the
+    missing columns, the conditional mean is x_m* = -R^-1 Q^T z_o, the
+    conditional covariance is R^-1 R^-T, and log p(x_o) = log p(x_o, x_m*)
+    + (m/2) log 2pi - sum log|R_ii|.  QR works on A_m itself; the
+    precision block A_m^T A_m would square its condition number.
+    """
+    w, a, const = stack
+    obs, mis = group.obs, group.mis
+    k, n = a.shape[0], model.n
+    cases = group.design.shape[0]
+    logp = np.empty((model.n_components, cases))
     col = 0
     if model.has_noise:
         assert model.noise is not None
         if obs.size:
+            rows = group.design[:, :-1]
             lo = model.noise.lower[obs]
             hi = model.noise.upper[obs]
             inside = np.all((rows >= lo) & (rows <= hi), axis=1)
             dens = -np.sum(np.log(hi - lo))
-            out[:, 0] = np.where(inside, dens, -np.inf)
+            logp[0] = np.where(inside, dens, -np.inf)
         else:
-            out[:, 0] = 0.0
+            logp[0] = 0.0
         col = 1
-    if obs.size == 0:
-        out[:, col:] = 0.0
-        return out
-    if rows.size <= _STACKED_SOLVE_CELLS:  # small blocks: one call for all
-        centered = rows - means[:, None, obs]
-        solved = np.linalg.solve(chols, centered.transpose(0, 2, 1))
-    else:  # large blocks: a stacked right-hand side costs more than the calls
-        solved = [
-            np.linalg.solve(chol, (rows - mean[obs]).T)
-            for chol, mean in zip(chols, means)
-        ]
-    for j, chol in enumerate(chols):
-        quad = np.sum(solved[j] ** 2, axis=0)
-        logdet = _chol_logdet(chol)
-        out[:, col + j] = -0.5 * (obs.size * np.log(2 * np.pi) + logdet + quad)
-    return out
+    # (k, cases, n) residuals of every component from one product
+    w_obs = w if not mis.size else w[:, group.design_cols]
+    z = group.design @ w_obs.transpose(1, 0, 2).reshape(w_obs.shape[1], k * n)
+    z = z.reshape(cases, k, n).transpose(1, 0, 2)
+    if not mis.size:
+        logp[col:] = -0.5 * (const[:, None] + np.einsum("kij,kij->ki", z, z))
+        return logp, None, None
+    a_mis = a[:, :, mis]
+    q, r = np.linalg.qr(a_mis)
+    # G = R^-1 Q^T by back substitution, one row of R at a time
+    g = np.empty((k, mis.size, n))
+    for i in reversed(range(mis.size)):
+        rest = q[:, :, i] - np.einsum("kj,kjn->kn", r[:, i, i + 1:], g[:, i + 1:])
+        g[:, i] = rest / r[:, i, i, None]
+    filled = -(z @ g.transpose(0, 2, 1))
+    if obs.size:
+        z = z + filled @ a_mis.transpose(0, 2, 1)
+        logdiag = np.sum(np.log(np.abs(np.diagonal(r, axis1=1, axis2=2))), axis=1)
+        logp[col:] = (
+            -0.5 * (const[:, None] + np.einsum("kij,kij->ki", z, z))
+            + (0.5 * mis.size * LOG_2PI - logdiag)[:, None]
+        )
+    else:
+        logp[col:] = 0.0
+    return logp, filled, g @ g.transpose(0, 2, 1)
+
+
+def _densities(
+    model: MdagModel, cases: CaseGroups
+) -> tuple[np.ndarray, list[tuple[np.ndarray | None, np.ndarray | None]]]:
+    """``_condition`` over every mask: the (cases, n_components) log
+    densities, a transposed view, and each group's conditionals."""
+    stack = _regression_stack(model)
+    logp = np.empty((model.n_components, cases.cases))
+    conditionals = []
+    for group in cases.groups:
+        logp[:, group.idx], *moments = _condition(model, stack, group)
+        conditionals.append(moments)
+    return logp.T, conditionals
 
 
 def component_case_loglik(
@@ -292,33 +312,30 @@ def component_case_loglik(
     applied.  ``data`` is a matrix with NaN cells marking missing
     coordinates, or its ``group_cases``.
     """
-    cases = _grouped(data, model)
-    means, covs = _joint_stack(model)
-    out = np.empty((cases.cases, model.n_components))
-    for group in cases.groups:
-        chols = _observed_factors(covs, group)
-        out[group.idx] = _group_loglik(model, means, chols, group)
-    return out
+    return _densities(model, _grouped(data, model))[0]
 
 
 def _normalize_responsibilities(
     logp: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row posterior component probabilities and log sum_c pi_c p(y|c)."""
+    """Per-row posterior component probabilities and log sum_c pi_c p(y|c).
+
+    Works on the transpose, so each reduction over components adds whole
+    rows of cases."""
     with np.errstate(divide="ignore"):
         logw = np.where(weights > 0, np.log(weights), -np.inf)
-    scores = logp + logw
-    top = scores.max(axis=1, keepdims=True)
-    bad = ~np.isfinite(top[:, 0])
+    scores = logp.T + logw[:, None]
+    top = scores.max(axis=0)
+    bad = ~np.isfinite(top)
     if bad.any():
         raise AllComponentsZeroDensity(
             f"{int(bad.sum())} case(s) have zero density under every "
             "positive-weight component"
         )
     resp = np.exp(scores - top)
-    total = resp.sum(axis=1, keepdims=True)
+    total = resp.sum(axis=0)
     resp /= total
-    return resp, (top + np.log(total))[:, 0]
+    return resp.T, top + np.log(total)
 
 
 def expected_stats(
@@ -336,42 +353,43 @@ def expected_stats(
     covariance term would understate second moments, so it is always
     added.  The noise component only accumulates its count.
 
+    The sums and outer products come from one weighted product of each
+    completion, with its column of ones, per block of ``_CASE_BLOCK``
+    cases; the blocks are added in order, so the statistics do not depend
+    on the BLAS thread count.
+
     Also returns the observed log likelihood at ``model``, read off the
     same densities; it equals ``scoring.observed_loglik`` bit for bit.
     """
     cases = _grouped(data, model)
-    n = model.n
+    n, k = model.n, model.k
     offset = 1 if model.has_noise else 0
+    logp, conditionals = _densities(model, cases)
+    resp_all, row_loglik = _normalize_responsibilities(logp, model.weights)
     counts = np.zeros(model.n_components)
-    sums = [np.zeros(n) for _ in range(model.n_components)]
-    outers = [np.zeros((n, n)) for _ in range(model.n_components)]
-    row_loglik = np.empty(cases.cases)
-    means, covs = _joint_stack(model)
-    for group in cases.groups:
-        rows, rows_obs, obs, mis = group.rows, group.rows_obs, group.obs, group.mis
-        chols = _observed_factors(covs, group)
-        logp = _group_loglik(model, means, chols, group)
-        resp, row_loglik[group.idx] = _normalize_responsibilities(logp, model.weights)
-        if not obs.size:
-            resp = np.tile(model.weights, (rows.shape[0], 1))
+    moments = np.zeros((k, n + 1, n + 1))
+    for group, (filled, cond_covs) in zip(cases.groups, conditionals):
+        size, mis = group.idx.size, group.mis
+        resp = resp_all[group.idx]
+        if not group.obs.size:
+            resp = np.tile(model.weights, (size, 1))
         counts += resp.sum(axis=0)
+        blocks = group.padded
         if mis.size:
-            gains, cond_covs = _conditionals(covs, chols, group)
-        for j, mean in enumerate(means):
-            col = offset + j
-            r = resp[:, col]
-            completed = rows
-            if mis.size:
-                completed = rows.copy()
-                completed[:, mis] = mean[mis] + (rows_obs - mean[obs]) @ gains[j].T
-            sums[col] += r @ completed
-            outers[col] += (completed * r[:, None]).T @ completed
-            if mis.size:
-                pad = np.zeros((n, n))
-                pad[group.mm] = cond_covs[j]
-                outers[col] += r.sum() * pad
-    triples = [
-        SuffStats(float(counts[c]), sums[c], 0.5 * (outers[c] + outers[c].T))
-        for c in range(model.n_components)
-    ]
+            blocks = np.repeat(blocks[None], k, axis=0)
+            blocks[:, :size, mis] = filled
+        count = group.padded.shape[0] // _CASE_BLOCK
+        blocks = blocks.reshape(*blocks.shape[:-2], count, _CASE_BLOCK, n + 1)
+        r = np.zeros((k, count * _CASE_BLOCK))
+        r[:, :size] = resp[:, offset:].T
+        weighted = r.reshape(k, count, _CASE_BLOCK, 1) * blocks
+        moments += (weighted.swapaxes(-1, -2) @ blocks).sum(axis=1)
+        if mis.size:
+            moments[:, group.mm[0], group.mm[1]] += r.sum(axis=1)[:, None, None] * cond_covs
+    triples = [SuffStats(float(counts[0]), np.zeros(n), np.zeros((n, n)))] * offset
+    for j in range(k):
+        outer = moments[j, :n, :n]
+        triples.append(
+            SuffStats(float(counts[offset + j]), moments[j, n, :n], 0.5 * (outer + outer.T))
+        )
     return MixtureStats(tuple(triples), float(cases.cases)), float(np.sum(row_loglik))

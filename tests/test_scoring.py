@@ -157,7 +157,19 @@ class TestGaussianCompleteLoglik:
         rows = rng.normal(0, 2, (15, 3))
         t = SuffStats(15.0, rows.sum(axis=0), rows.T @ rows)
         expected = sps.multivariate_normal.logpdf(rows, mean=mean, cov=cov).sum()
-        assert gaussian_complete_loglik(t, mean, cov) == pytest.approx(expected, abs=1e-8)
+        assert gaussian_complete_loglik(t, g) == pytest.approx(expected, abs=1e-8)
+
+    def test_weighted_triple_matches_log_density(self, rng):
+        # fractional case weights, as expected statistics carry; the oracle
+        # sums each node's conditional density case by case
+        for _ in range(20):
+            n = int(rng.integers(1, 9))
+            g = random_gaussian_dag(random_dag(n, rng, p=0.5), rng)
+            rows = rng.normal(0, 3, (int(rng.integers(1, 50)), n))
+            w = rng.uniform(0.0, 1.0, rows.shape[0])
+            t = SuffStats(float(w.sum()), w @ rows, (w[:, None] * rows).T @ rows)
+            expected = sum(wi * g.log_density(x) for wi, x in zip(w, rows))
+            assert gaussian_complete_loglik(t, g) == pytest.approx(expected, rel=1e-10)
 
 
 class TestCheesemanStutz:
