@@ -186,10 +186,9 @@ class _ScoreCache:
             toggled = tuple(p for p in ps if p != u) if u in ps else ps + (u,)
             tops.append((v, *toggled))
             bases.append(toggled)
-        values = self.marginals.fill(tops + [b for b in bases if b])
-        terms[0, us, vs] = values[: len(tops)]
-        rest = iter(values[len(tops):])
-        terms[1, us, vs] = [next(rest) if b else 0.0 for b in bases]
+        values = iter(self.marginals.fill(tops + [b for b in bases if b]))
+        terms[0, us, vs] = [next(values) for _ in tops]
+        terms[1, us, vs] = [next(values) if b else 0.0 for b in bases]
         for v in set(vs.tolist()):
             self._columns[(v, parents[v])][:] = terms[:, :, v]
         return terms, nodes

@@ -134,10 +134,10 @@ class CaseGroup:
     """The cases that share one observation mask, with every piece of a
     sweep over them that depends on the data alone.
 
-    ``idx`` lists the cases in ascending order and ``rows`` holds their
-    data.  ``padded`` is ``rows`` with its missing cells set to 0, a
-    column of ones appended, and rows of zeros appended up to a whole
-    number of ``_CASE_BLOCK``-case blocks; ``design`` is its first
+    ``idx`` lists the cases in ascending order.  ``padded`` holds their
+    data with the missing cells set to 0, a column of ones appended, and
+    rows of zeros appended up to a whole number of ``_CASE_BLOCK``-case
+    blocks; ``design`` is its first
     ``len(idx)`` rows restricted to the observed columns and the ones
     column, whose indices into ``padded``'s columns are ``design_cols``.
     ``mm`` is the index mesh of the missing-missing block of an n x n
@@ -148,7 +148,6 @@ class CaseGroup:
     idx: np.ndarray
     obs: np.ndarray
     mis: np.ndarray
-    rows: np.ndarray
     padded: np.ndarray
     design: np.ndarray
     design_cols: np.ndarray
@@ -175,7 +174,7 @@ def _case_group(mask: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> CaseGrou
     padded[:cases, n] = 1.0
     cols = np.append(obs, n)
     design = padded[:cases] if not mis.size else padded[:cases, cols]
-    return CaseGroup(mask, idx, obs, mis, rows, padded, design, cols, np.ix_(mis, mis))
+    return CaseGroup(mask, idx, obs, mis, padded, design, cols, np.ix_(mis, mis))
 
 
 def group_cases(data: np.ndarray) -> CaseGroups:

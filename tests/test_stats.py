@@ -531,7 +531,6 @@ class TestGroupedSweep:
         for g in cases.groups:
             assert np.all(np.diff(g.idx) > 0)
             assert np.all(~np.isnan(data[g.idx]) == g.mask)
-            assert np.array_equal(g.rows, data[g.idx], equal_nan=True)
             size = len(g.idx)
             assert g.padded.shape[0] % 256 == 0 and g.padded.shape[0] - size < 256
             assert np.array_equal(g.padded[:size, :3], np.nan_to_num(data[g.idx]))
