@@ -9,14 +9,12 @@ statistics keep the full cross-product matrix so that structures visited
 later during search are supported no matter which dependencies they use.
 
 Missing values are NaN cells in the data matrix.  ``group_cases`` groups
-the cases by observation mask once per data set, with the rows and index
-arrays of each group, so a sweep only computes what depends on the model.
-The sweep works in regression form: each DAG component is read as
-z = A x - c, its nodes' standardised regression residuals, so a complete
-case is scored with one product and no factorisation, and a mask with m
-missing cells conditions every component at once through one stacked QR
-factorisation of the m columns of A they touch.  No joint covariance is
-formed.
+the cases by observation mask once per data set, so a sweep only computes
+what depends on the model.  The sweep works in regression form: each DAG
+component is read as z = A x - c, its nodes' standardised regression
+residuals, so complete cases are scored with one product and no joint
+covariance, and a mask with missing cells conditions every component at
+once through one stacked QR factorisation of the columns of A it misses.
 """
 
 from __future__ import annotations
@@ -135,13 +133,10 @@ class CaseGroup:
     sweep over them that depends on the data alone.
 
     ``idx`` lists the cases in ascending order.  ``padded`` holds their
-    data with the missing cells set to 0, a column of ones appended, and
-    rows of zeros appended up to a whole number of ``_CASE_BLOCK``-case
-    blocks; ``design`` is its first
-    ``len(idx)`` rows restricted to the observed columns and the ones
-    column, whose indices into ``padded``'s columns are ``design_cols``.
-    ``mm`` is the index mesh of the missing-missing block of an n x n
-    matrix.
+    data, missing cells 0, with a column of ones and zero rows up to whole
+    ``_CASE_BLOCK``-case blocks; ``design`` is its case rows in the columns
+    ``design_cols``, the observed ones and the ones column.  ``mm`` is the
+    index mesh of the missing-missing block of an n x n matrix.
     """
 
     mask: np.ndarray
@@ -213,24 +208,11 @@ def _grouped(data: np.ndarray | CaseGroups, model: MdagModel) -> CaseGroups:
 # --- the E sweep in regression form ------------------------------------------
 
 
-def _regression_stack(model: MdagModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(k, n + 1, n) W, the (k, n, n) A of the Gaussian components and
-    their (k,) n log 2pi + log|V| (see ``GaussianDag.regression_form``).
-
-    W stacks A^T over -c^T, so a case with a 1 appended has residuals
-    z = A x - c equal to [x, 1] W."""
-    forms = [g.regression_form for g in model.components]
-    n = model.n
-    a = np.array([f[0] for f in forms]).reshape(-1, n, n)
-    c = np.array([f[1] for f in forms]).reshape(-1, 1, n)
-    const = n * LOG_2PI + np.array([f[2] for f in forms])
-    return np.concatenate([a.transpose(0, 2, 1), -c], axis=1), a, const
-
-
 def _condition(
-    model: MdagModel, stack: tuple[np.ndarray, np.ndarray, np.ndarray], group: CaseGroup
+    model: MdagModel, w: np.ndarray, a: np.ndarray, const: np.ndarray, group: CaseGroup
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """One mask's cases under every component at once.
+    """One mask's cases under every component at once, from the stacked
+    regression forms of ``_densities``.
 
     Returns the (n_components, cases) log densities of the observed cells
     and, for a mask with missing cells, each Gaussian component's
@@ -243,61 +225,61 @@ def _condition(
     + (m/2) log 2pi - sum log|R_ii|.  QR works on A_m itself; the
     precision block A_m^T A_m would square its condition number.
     """
-    w, a, const = stack
     obs, mis = group.obs, group.mis
     k, n = a.shape[0], model.n
     cases = group.design.shape[0]
     logp = np.empty((model.n_components, cases))
-    col = 0
-    if model.has_noise:
-        assert model.noise is not None
-        if obs.size:
-            rows = group.design[:, :-1]
-            lo = model.noise.lower[obs]
-            hi = model.noise.upper[obs]
-            inside = np.all((rows >= lo) & (rows <= hi), axis=1)
-            dens = -np.sum(np.log(hi - lo))
-            logp[0] = np.where(inside, dens, -np.inf)
-        else:
-            logp[0] = 0.0
-        col = 1
+    col = 1 if model.has_noise else 0
+    if model.noise is not None:  # uniform on the observed cells' box
+        rows, lo, hi = group.design[:, :-1], model.noise.lower[obs], model.noise.upper[obs]
+        inside = np.all((rows >= lo) & (rows <= hi), axis=1)
+        logp[0] = np.where(inside, -np.sum(np.log(hi - lo)), -np.inf)
     # (k, cases, n) residuals of every component from one product
     w_obs = w if not mis.size else w[:, group.design_cols]
     z = group.design @ w_obs.transpose(1, 0, 2).reshape(w_obs.shape[1], k * n)
     z = z.reshape(cases, k, n).transpose(1, 0, 2)
-    if not mis.size:
-        logp[col:] = -0.5 * (const[:, None] + np.einsum("kij,kij->ki", z, z))
-        return logp, None, None
-    a_mis = a[:, :, mis]
-    q, r = np.linalg.qr(a_mis)
-    # G = R^-1 Q^T by back substitution, one row of R at a time
-    g = np.empty((k, mis.size, n))
-    for i in reversed(range(mis.size)):
-        rest = q[:, :, i] - np.einsum("kj,kjn->kn", r[:, i, i + 1:], g[:, i + 1:])
-        g[:, i] = rest / r[:, i, i, None]
-    filled = -(z @ g.transpose(0, 2, 1))
-    if obs.size:
+    filled = cond_covs = None
+    correction = np.zeros(k)
+    if mis.size:
+        a_mis = a[:, :, mis]
+        q, r = np.linalg.qr(a_mis)
+        # G = R^-1 Q^T by back substitution, one row of R at a time
+        g = np.empty((k, mis.size, n))
+        for i in reversed(range(mis.size)):
+            rest = q[:, :, i] - np.einsum("kj,kjn->kn", r[:, i, i + 1:], g[:, i + 1:])
+            g[:, i] = rest / r[:, i, i, None]
+        filled = -(z @ g.transpose(0, 2, 1))
+        cond_covs = g @ g.transpose(0, 2, 1)
         z = z + filled @ a_mis.transpose(0, 2, 1)
         logdiag = np.sum(np.log(np.abs(np.diagonal(r, axis1=1, axis2=2))), axis=1)
-        logp[col:] = (
-            -0.5 * (const[:, None] + np.einsum("kij,kij->ki", z, z))
-            + (0.5 * mis.size * LOG_2PI - logdiag)[:, None]
-        )
-    else:
-        logp[col:] = 0.0
-    return logp, filled, g @ g.transpose(0, 2, 1)
+        correction = 0.5 * mis.size * LOG_2PI - logdiag
+    if obs.size:
+        quad = np.einsum("kij,kij->ki", z, z)
+        logp[col:] = -0.5 * (const[:, None] + quad) + correction[:, None]
+    else:  # nothing observed: every density is 1
+        logp[:] = 0.0
+    return logp, filled, cond_covs
 
 
 def _densities(
     model: MdagModel, cases: CaseGroups
 ) -> tuple[np.ndarray, list[tuple[np.ndarray | None, np.ndarray | None]]]:
     """``_condition`` over every mask: the (cases, n_components) log
-    densities, a transposed view, and each group's conditionals."""
-    stack = _regression_stack(model)
+    densities, a transposed view, and each group's conditionals.
+
+    The Gaussian components' A and n log 2pi + log|V| are stacked, (k, n, n)
+    and (k,), and so is W, A^T over -c^T, with which a case x with a 1
+    appended has the residuals z = A x - c = [x, 1] W."""
+    forms = [g.regression_form for g in model.components]
+    n = model.n
+    a = np.array([f[0] for f in forms]).reshape(-1, n, n)
+    c = np.array([f[1] for f in forms]).reshape(-1, 1, n)
+    w = np.concatenate([a.transpose(0, 2, 1), -c], axis=1)
+    const = n * LOG_2PI + np.array([f[2] for f in forms])
     logp = np.empty((model.n_components, cases.cases))
     conditionals = []
     for group in cases.groups:
-        logp[:, group.idx], *moments = _condition(model, stack, group)
+        logp[:, group.idx], *moments = _condition(model, w, a, const, group)
         conditionals.append(moments)
     return logp.T, conditionals
 
