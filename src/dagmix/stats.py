@@ -132,20 +132,16 @@ class CaseGroup:
     """The cases that share one observation mask, with every piece of a
     sweep over them that depends on the data alone.
 
-    ``idx`` lists the cases in ascending order.  ``padded`` holds their
-    data, missing cells 0, with a column of ones and zero rows up to whole
-    ``_CASE_BLOCK``-case blocks; ``design`` is its case rows in the columns
-    ``design_cols``, the observed ones and the ones column.  ``mm`` is the
-    index mesh of the missing-missing block of an n x n matrix.
+    ``idx`` lists the cases in ascending order.  ``design`` holds their
+    data, missing cells 0, with a column of ones.  ``mm`` is the index mesh
+    of the missing-missing block of an n x n matrix.
     """
 
     mask: np.ndarray
     idx: np.ndarray
     obs: np.ndarray
     mis: np.ndarray
-    padded: np.ndarray
     design: np.ndarray
-    design_cols: np.ndarray
     mm: tuple[np.ndarray, np.ndarray]
 
 
@@ -164,12 +160,10 @@ def _case_group(mask: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> CaseGrou
     obs = np.flatnonzero(mask)
     mis = np.flatnonzero(~mask)
     cases, n = rows.shape
-    padded = np.zeros((-(-cases // _CASE_BLOCK) * _CASE_BLOCK, n + 1))
-    padded[:cases, obs] = rows[:, obs]
-    padded[:cases, n] = 1.0
-    cols = np.append(obs, n)
-    design = padded[:cases] if not mis.size else padded[:cases, cols]
-    return CaseGroup(mask, idx, obs, mis, padded, design, cols, np.ix_(mis, mis))
+    design = np.zeros((cases, n + 1))
+    design[:, obs] = rows[:, obs]
+    design[:, n] = 1.0
+    return CaseGroup(mask, idx, obs, mis, design, np.ix_(mis, mis))
 
 
 def group_cases(data: np.ndarray) -> CaseGroups:
@@ -231,13 +225,12 @@ def _condition(
     logp = np.empty((model.n_components, cases))
     col = 1 if model.has_noise else 0
     if model.noise is not None:  # uniform on the observed cells' box
-        rows, lo, hi = group.design[:, :-1], model.noise.lower[obs], model.noise.upper[obs]
+        rows, lo, hi = group.design[:, obs], model.noise.lower[obs], model.noise.upper[obs]
         inside = np.all((rows >= lo) & (rows <= hi), axis=1)
         logp[0] = np.where(inside, -np.sum(np.log(hi - lo)), -np.inf)
-    # (k, cases, n) residuals of every component from one product
-    w_obs = w if not mis.size else w[:, group.design_cols]
-    z = group.design @ w_obs.transpose(1, 0, 2).reshape(w_obs.shape[1], k * n)
-    z = z.reshape(cases, k, n).transpose(1, 0, 2)
+    # (k, cases, n) residuals of every component from one product; a
+    # missing cell is 0 in the design, so z holds z_o = A_o x_o - c
+    z = (group.design @ w).reshape(cases, k, n).transpose(1, 0, 2)
     filled = cond_covs = None
     correction = np.zeros(k)
     if mis.size:
@@ -268,13 +261,15 @@ def _densities(
     densities, a transposed view, and each group's conditionals.
 
     The Gaussian components' A and n log 2pi + log|V| are stacked, (k, n, n)
-    and (k,), and so is W, A^T over -c^T, with which a case x with a 1
-    appended has the residuals z = A x - c = [x, 1] W."""
+    and (k,), and W, (n + 1, k n), holds each component's A^T over -c^T
+    side by side, so a case x with a 1 appended has the residuals
+    z = A x - c of every component in [x, 1] W."""
     forms = [g.regression_form for g in model.components]
     n = model.n
     a = np.array([f[0] for f in forms]).reshape(-1, n, n)
     c = np.array([f[1] for f in forms]).reshape(-1, 1, n)
     w = np.concatenate([a.transpose(0, 2, 1), -c], axis=1)
+    w = w.transpose(1, 0, 2).reshape(n + 1, -1)
     const = n * LOG_2PI + np.array([f[2] for f in forms])
     logp = np.empty((model.n_components, cases.cases))
     conditionals = []
@@ -355,16 +350,19 @@ def expected_stats(
         if not group.obs.size:
             resp = np.tile(model.weights, (size, 1))
         counts += resp.sum(axis=0)
-        blocks = group.padded
+        completed = group.design
         if mis.size:
-            blocks = np.repeat(blocks[None], k, axis=0)
-            blocks[:, :size, mis] = filled
-        count = group.padded.shape[0] // _CASE_BLOCK
-        blocks = blocks.reshape(*blocks.shape[:-2], count, _CASE_BLOCK, n + 1)
-        r = np.zeros((k, count * _CASE_BLOCK))
-        r[:, :size] = resp[:, offset:].T
-        weighted = r.reshape(k, count, _CASE_BLOCK, 1) * blocks
-        moments += (weighted.swapaxes(-1, -2) @ blocks).sum(axis=1)
+            completed = np.repeat(completed[None], k, axis=0)
+            completed[:, :, mis] = filled
+        r = np.ascontiguousarray(resp[:, offset:].T)  # the product is slower on a strided r
+        weighted = r[:, :, None] * completed
+        full = size - size % _CASE_BLOCK
+        if full:  # the whole blocks in one batched product
+            shape = (-1, _CASE_BLOCK, n + 1)
+            blocks = completed[..., :full, :].reshape(*completed.shape[:-2], *shape)
+            weighted_blocks = weighted[:, :full].reshape(k, *shape)
+            moments += (weighted_blocks.swapaxes(-1, -2) @ blocks).sum(axis=1)
+        moments += weighted[:, full:].swapaxes(-1, -2) @ completed[..., full:, :]
         if mis.size:
             moments[:, group.mm[0], group.mm[1]] += r.sum(axis=1)[:, None, None] * cond_covs
     triples = [SuffStats(float(counts[0]), np.zeros(n), np.zeros((n, n)))] * offset

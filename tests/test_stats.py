@@ -531,9 +531,6 @@ class TestGroupedSweep:
         for g in cases.groups:
             assert np.all(np.diff(g.idx) > 0)
             assert np.all(~np.isnan(data[g.idx]) == g.mask)
-            size = len(g.idx)
-            assert g.padded.shape[0] % 256 == 0 and g.padded.shape[0] - size < 256
-            assert np.array_equal(g.padded[:size, :3], np.nan_to_num(data[g.idx]))
-            assert np.all(g.padded[:size, 3] == 1.0) and np.all(g.padded[size:] == 0.0)
-            assert np.array_equal(g.design[:, :-1], data[g.idx][:, g.obs])
-            assert np.array_equal(g.design, g.padded[:size, g.design_cols])
+            assert g.design.shape == (len(g.idx), 4)
+            assert np.array_equal(g.design[:, :3], np.nan_to_num(data[g.idx]))
+            assert np.all(g.design[:, 3] == 1.0)
