@@ -1,4 +1,14 @@
-"""Mixtures of Gaussian DAG models: learning, scoring, and benchmarks."""
+"""Mixtures of Gaussian DAG models: learning, scoring, and benchmarks.
+
+The checked boundary is the names in ``__all__``, ``cli.main``, the model
+readers (``cli.load_model``, ``cli.model_from_json``) and the config readers
+(``cli.load_config``, ``cli.config_from_dict``).  Each checks its input once,
+where it enters, and a bad input raises an ``errors.DagmixError`` subclass
+whose category names the problem: a ``DataError`` for bad input, a
+``NumericalError`` for a computation the input drove out of range.
+Everything else is internal and assumes validated input, so the EM and
+search loops repeat no checks.
+"""
 
 from .model import (
     DagStructure,

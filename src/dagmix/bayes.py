@@ -10,6 +10,11 @@ factorial-style terms.
 Node-family scores restrict the prior to a variable subset Y by taking
 sub-blocks of (mu0, tau) and reducing alpha by (n - |Y|); that restriction
 makes Markov-equivalent structures score identically.
+
+These functions are internal and assume validated input: user
+hyperparameters are checked once, in ``PriorSpec.normal_wishart``, and
+every other value is built from them and from data checked at the entry
+points that the package docstring lists.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .errors import (
     InsufficientData,
     NegativeCount,
     NonPsdScatter,
+    NumericalOverflow,
     SingularParentBlock,
 )
 from .model import DagStructure, GaussianDag, _chol_with_jitter
@@ -42,26 +48,16 @@ _COUNT_FLOOR = 1e-250
 
 @dataclass(frozen=True)
 class NormalWishart:
-    """Hyperparameters (nu, mu0, alpha, tau); serves as prior and posterior."""
+    """Hyperparameters (nu, mu0, alpha, tau); serves as prior and posterior.
+
+    Unchecked: ``PriorSpec.normal_wishart`` validates the user's prior, and
+    posteriors and data-informed priors are built from validated values.
+    """
 
     nu: float
     mu0: np.ndarray
     alpha: float
     tau: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mu0", np.asarray(self.mu0, dtype=float))
-        object.__setattr__(self, "tau", np.asarray(self.tau, dtype=float))
-        n = self.mu0.shape[0]
-        if self.tau.shape != (n, n):
-            raise DimensionMismatch("tau must be square with side len(mu0)")
-        if self.nu <= 0:
-            raise DimensionMismatch("nu must be positive")
-        if self.alpha <= n - 1:
-            raise DimensionMismatch(f"alpha must exceed n - 1 = {n - 1}")
-        if not np.allclose(self.tau, self.tau.T, atol=1e-10):
-            raise DimensionMismatch("tau must be symmetric")
-        _chol_with_jitter(self.tau, NonPsdScatter)
 
     @property
     def dim(self) -> int:
@@ -89,14 +85,15 @@ def posterior_update(prior: NormalWishart, t: SuffStats) -> NormalWishart:
     + (nu N / nu') (xbar - mu0)(xbar - mu0)^T, symmetrized once at the end;
     a centered scatter with an eigenvalue below -_PSD_TOL * max(1, its
     largest eigenvalue) raises NonPsdScatter.  The bound is relative because
-    the rounding of s - r r^T / N grows with the data's units and offset.
+    the rounding of s - r r^T / N grows with the data's units and offset.  A
+    scatter that overflowed raises NumericalOverflow.
     """
-    if t.dim != prior.dim:
-        raise DimensionMismatch(f"statistics dim {t.dim}, prior dim {prior.dim}")
     if t.n <= _COUNT_FLOOR:
         return prior
     n_count = t.n
     scatter = t.s - np.outer(t.r, t.r) / n_count
+    if not np.isfinite(scatter.sum()):  # eigvalsh misreads non-finite input
+        raise NumericalOverflow("the statistics overflow; rescale the data")
     eig = np.linalg.eigvalsh(scatter)
     if eig[0] < -_PSD_TOL * max(1.0, float(eig[-1])):
         raise NonPsdScatter(f"centered scatter has eigenvalue {eig[0]:.3e}")
@@ -239,14 +236,6 @@ def local_score(
     return top - marginals(parents)
 
 
-def structure_score(prior: NormalWishart, t: SuffStats, structure: DagStructure) -> float:
-    """Sum of family scores over all nodes of one component structure."""
-    marginals = FamilyMarginals(prior, t)
-    return sum(
-        local_score(prior, t, i, ps, marginals) for i, ps in enumerate(structure.parents)
-    )
-
-
 def dirichlet_log_marglik(prior: DirichletPrior, counts: np.ndarray) -> float:
     """Marginal likelihood of (fractional) component counts under a Dirichlet."""
     counts = np.asarray(counts, dtype=float)
@@ -265,9 +254,6 @@ def dirichlet_log_marglik(prior: DirichletPrior, counts: np.ndarray) -> float:
 
 def dirichlet_map(prior: DirichletPrior, counts: np.ndarray) -> np.ndarray:
     """MAP weights: mode (alpha + N - 1)/sum when proper, else posterior mean."""
-    counts = np.asarray(counts, dtype=float)
-    if counts.shape != (prior.k,):
-        raise DimensionMismatch(f"{prior.k} components but {counts.shape[0]} counts")
     mode = prior.alphas + counts - 1.0
     if np.all(mode > 0):
         return mode / mode.sum()
@@ -332,6 +318,8 @@ def data_informed_prior(
         mean, cov = map_joint(base_prior, t)
     alpha = ess + n + 1.0
     tau = (alpha + n + 2.0) * cov
+    if not np.isfinite(tau).all():
+        raise NumericalOverflow("the initial prior scale overflows; rescale the data")
     return NormalWishart(ess, mean, alpha, 0.5 * (tau + tau.T))
 
 

@@ -22,7 +22,6 @@ import numpy as np
 
 from .engine import FitConfig, FitResult, PriorSpec, Schedule, fit, select_k
 from .errors import (
-    BadSchedule,
     CorruptFile,
     DagmixError,
     DimensionMismatch,
@@ -51,18 +50,21 @@ class Dataset:
     values: np.ndarray  # NaN marks a missing cell
 
     @property
-    def n_cases(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def n_vars(self) -> int:
         return self.values.shape[1]
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise CorruptFile(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def load_csv(path: str) -> Dataset:
     """Read a dataset; rows with no observed value at all are dropped."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n").rstrip("\r") for line in fh]
+    lines = [line.rstrip("\r") for line in _read_text(path).split("\n")]
     while lines and lines[-1] == "":
         lines.pop()
     if not lines:
@@ -173,7 +175,7 @@ def model_from_json(doc: dict) -> tuple[MdagModel, dict]:
                 _finite_array(doc["noise"]["upper"], "noise bound"),
             )
         model = MdagModel(_finite_array(doc["weights"], "weight"), components, noise)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptFile(f"malformed model file: {exc}")
     for g in model.components:
         g.structure.validate()
@@ -187,11 +189,10 @@ def save_model(path: str, model: MdagModel, metadata: dict | None = None) -> Non
 
 
 def _read_json_object(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CorruptFile(f"{path}: {exc}")
+    try:
+        doc = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise CorruptFile(f"{path}: {exc}")
     if not isinstance(doc, dict):
         raise CorruptFile(f"{path}: expected a JSON object")
     return doc
@@ -213,8 +214,6 @@ def config_from_dict(doc: dict) -> FitConfig:
         raise UnknownConfigKey(f"unknown config keys: {sorted(unknown)}")
     kwargs = dict(doc)
     if "schedule" in kwargs:
-        if not isinstance(kwargs["schedule"], str):
-            raise BadSchedule(f"schedule {kwargs['schedule']!r} is not a string")
         kwargs["schedule"] = Schedule.parse(kwargs["schedule"])
     if "prior" in kwargs:
         if not isinstance(kwargs["prior"], dict):

@@ -28,13 +28,20 @@ from .bayes import (
     map_parameters,
     sample_joint_parameters,
 )
-from .errors import BadSchedule, DimensionMismatch, InsufficientData, NonNumericValue
+from .errors import (
+    BadSchedule,
+    DimensionMismatch,
+    InsufficientData,
+    NonNumericValue,
+    NonPsdScatter,
+)
 from .model import (
     DagStructure,
     GaussianDag,
     MdagModel,
     NoiseComponent,
     _check_number,
+    _chol_with_jitter,
     complete_structure,
     empty_structure,
 )
@@ -94,6 +101,8 @@ class Schedule:
 
     @classmethod
     def parse(cls, text: str) -> "Schedule":
+        if not isinstance(text, str):
+            raise BadSchedule(f"schedule {text!r} is not a string")
         match = cls._GRAMMAR.match(text.strip())
         if not match:
             raise BadSchedule(
@@ -136,6 +145,9 @@ class PriorSpec:
         _real_array("tau", self.tau)
 
     def normal_wishart(self, n: int) -> NormalWishart:
+        """The Normal-Wishart over n variables.  User hyperparameters enter
+        here, so this is where they are checked: mu0 of length n, tau n x n,
+        symmetric and positive definite, nu > 0 and alpha > n - 1."""
         mu0 = np.asarray(self.mu0, dtype=float)
         if mu0.ndim == 0:
             mu0 = np.full(n, float(mu0))
@@ -143,6 +155,15 @@ class PriorSpec:
         if tau.ndim == 0:
             tau = float(tau) * np.eye(n)
         alpha = self.alpha if self.alpha is not None else self.nu + n
+        if mu0.shape != (n,) or tau.shape != (n, n):
+            raise DimensionMismatch(f"mu0 must have length {n} and tau side {n}")
+        if self.nu <= 0:
+            raise DimensionMismatch("nu must be positive")
+        if alpha <= n - 1:
+            raise DimensionMismatch(f"alpha must exceed n - 1 = {n - 1}")
+        if not np.allclose(tau, tau.T, atol=1e-10):
+            raise DimensionMismatch("tau must be symmetric")
+        _chol_with_jitter(tau, NonPsdScatter)
         return NormalWishart(self.nu, mu0, alpha, tau)
 
     def dirichlet(self, k: int, has_noise: bool) -> DirichletPrior:
@@ -351,20 +372,25 @@ def _initial_weights(config: FitConfig, dirichlet: DirichletPrior) -> np.ndarray
     return rng.dirichlet(dirichlet.alphas)
 
 
-def initialize(data: np.ndarray, config: FitConfig) -> MdagModel:
+def initialize(
+    data: np.ndarray,
+    config: FitConfig,
+    bound: tuple[tuple[NormalWishart, ...], DirichletPrior] | None = None,
+) -> MdagModel:
     """Initial model: empty (or family-fixed) structures, parameters drawn
     from a data-informed conjugate at strength ``config.ess``.
 
     Each component draws its own (mean, covariance) from a Normal-Wishart
     whose mode matches the complete-case MAP joint, which breaks the
     symmetry between components; weights follow the configured mode.
-    Deterministic given the seed.
+    Deterministic given the seed.  ``bound`` is ``_bind_priors(config, n)``
+    when the caller has already bound the priors.
     """
     data = np.asarray(data, dtype=float)
     if data.shape[0] == 0:
         raise InsufficientData("cannot initialize from an empty data set")
     n = data.shape[1]
-    priors, dirichlet = _bind_priors(config, n)
+    priors, dirichlet = bound if bound is not None else _bind_priors(config, n)
     complete_rows = data[~np.isnan(data).any(axis=1)]
     init_prior = data_informed_prior(complete_rows, config.ess, base_prior=priors[0])
     if config.family == "mfull":
@@ -403,7 +429,7 @@ def fit(data: np.ndarray, config: FitConfig) -> FitResult:
     """
     data = _checked_data(data)
     priors, dirichlet = _bind_priors(config, data.shape[1])
-    model = initialize(data, config)
+    model = initialize(data, config, (priors, dirichlet))
     cases = stats.group_cases(data)
     structures = tuple(g.structure for g in model.components)
     searching = config.family == "mdag"

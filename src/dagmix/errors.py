@@ -62,6 +62,10 @@ class NonPsdScatter(NumericalError):
     pass
 
 
+class NumericalOverflow(NumericalError):
+    """Statistics or a prior scale beyond the float range."""
+
+
 class SingularParentBlock(NumericalError):
     pass
 

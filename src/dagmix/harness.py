@@ -16,9 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import FitConfig, SelectKResult, select_k
+from .engine import FitConfig, SelectKResult, _checked_data, select_k
 from .errors import DimensionMismatch
-from .model import DagStructure, GaussianDag, MdagModel, sample
+from .model import DagStructure, GaussianDag, MdagModel, _check_count, sample
 from .rng import stream
 from .scoring import predictive_score
 from .search import structural_difference
@@ -74,7 +74,9 @@ def generate_recovery_data(
     each smaller set is a prefix of one fixed shuffle, so every data set
     is a subset of the next larger one.  Returns size -> (data, labels).
     """
-    sizes = sorted(int(s) for s in sizes)
+    for size in sizes:
+        _check_count("sample size", size)
+    sizes = sorted(sizes)
     if not sizes or sizes[0] < 1:
         raise DimensionMismatch(f"sample sizes {sizes} must be one or more positive counts")
     if sizes[-1] > per_component * gold.model.k:
@@ -207,6 +209,7 @@ def run_baseline_comparison(
 ) -> tuple[FamilyScore, ...]:
     """Fit each model family with its own component-count search and score
     the selected model on held-out data."""
+    test = _checked_data(test)
     scores = []
     for family in families:
         result = select_k(train, replace(config, family=family), k_max)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -63,6 +64,14 @@ def _check_number(name: str, value, kind: type) -> None:
         raise DimensionMismatch(f"{name} {value!r} is not a finite {kind.__name__} number")
 
 
+def _check_count(name: str, value) -> None:
+    """Raise DimensionMismatch unless ``value`` is a nonnegative integer
+    other than a bool."""
+    _check_number(name, value, numbers.Integral)
+    if value < 0:
+        raise DimensionMismatch(f"{name} {value!r} is negative")
+
+
 def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
@@ -71,15 +80,20 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DagStructure:
-    """Acyclic parent-set list over ``n`` variables."""
+    """Acyclic parent-set list over ``n`` variables.
+
+    Construction checks that every parent is an integer; ``validate``
+    checks the rest."""
 
     n: int
     parents: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "parents", tuple(tuple(int(p) for p in ps) for ps in self.parents)
-        )
+        try:
+            parents = tuple(tuple(operator.index(p) for p in ps) for ps in self.parents)
+        except TypeError:
+            raise BadParentIndex(f"parents {self.parents!r} are not integer lists") from None
+        object.__setattr__(self, "parents", parents)
 
     def validate(self) -> None:
         """Raise unless the structure is a well-formed DAG."""
@@ -101,9 +115,12 @@ class DagStructure:
     def topological_order(self) -> tuple[int, ...]:
         """Topological ordering (parents before children); cached.
 
-        Raises BadParentIndex on a parent outside [0, n), and CycleDetected
-        listing one cycle if no ordering exists.
+        Raises BadParentIndex on a parent list of another length than n or
+        a parent outside [0, n), and CycleDetected listing one cycle if no
+        ordering exists.
         """
+        if len(self.parents) != self.n:
+            raise BadParentIndex(f"expected {self.n} parent sets, got {len(self.parents)}")
         indegree = [len(ps) for ps in self.parents]
         children: list[list[int]] = [[] for _ in range(self.n)]
         for i, ps in enumerate(self.parents):
@@ -162,11 +179,13 @@ class DagStructure:
 
 
 def empty_structure(n: int) -> DagStructure:
+    _check_count("n", n)
     return DagStructure(n, tuple(() for _ in range(n)))
 
 
 def complete_structure(n: int) -> DagStructure:
     """Saturated DAG in natural variable order (node i's parents are 0..i-1)."""
+    _check_count("n", n)
     return DagStructure(n, tuple(tuple(range(i)) for i in range(n)))
 
 
@@ -175,8 +194,8 @@ class GaussianDag:
     """DagStructure plus per-node linear-regression parameters.
 
     Node i has density N(intercepts[i] + coefficients[i] . x[parents],
-    variances[i]); variances must be positive and coefficient counts must
-    match the parent counts.
+    variances[i]); every parameter must be finite, variances positive, and
+    coefficient counts must match the parent counts.
     """
 
     structure: DagStructure
@@ -193,14 +212,13 @@ class GaussianDag:
         n = self.structure.n
         if self.intercepts.shape != (n,) or self.variances.shape != (n,):
             raise DimensionMismatch("parameter vectors must have length n")
+        if [c.shape for c in self.coefficients] != [(len(ps),) for ps in self.structure.parents]:
+            raise DimensionMismatch("each node needs one coefficient per parent")
+        values = np.concatenate([self.intercepts, self.variances, *self.coefficients])
+        if not np.isfinite(values).all():
+            raise DimensionMismatch("parameters must be finite")
         if np.any(self.variances <= 0):
             raise DimensionMismatch("conditional variances must be positive")
-        for i, coef in enumerate(self.coefficients):
-            if coef.shape != (len(self.structure.parents[i]),):
-                raise DimensionMismatch(
-                    f"node {i}: {coef.shape[0]} coefficients for "
-                    f"{len(self.structure.parents[i])} parents"
-                )
 
     @property
     def n(self) -> int:
@@ -266,7 +284,10 @@ class GaussianDag:
     ) -> "GaussianDag":
         """Read off the regression parameterization of ``structure`` whose
         implied joint matches (mean, cov) on every node family; a parent
-        block that is not positive definite raises SingularParentBlock."""
+        block that is not positive definite raises SingularParentBlock.
+
+        The M step calls this on every step, so it is not a checked entry
+        point: the structure must be valid and the joint of its size."""
         mean = np.asarray(mean, dtype=float)
         cov = np.asarray(cov, dtype=float)
         intercepts = np.empty(structure.n)
@@ -315,6 +336,8 @@ class NoiseComponent:
     def log_density(self, x: np.ndarray) -> float:
         """Log density at a fully observed point."""
         x = np.asarray(x, dtype=float)
+        if x.shape != (self.n,):
+            raise DimensionMismatch(f"point has shape {x.shape}, box has n={self.n}")
         if not np.all((x >= self.lower) & (x <= self.upper)):
             return -np.inf
         return -self.log_volume
@@ -338,9 +361,9 @@ class MdagModel:
         expected = len(self.components) + (1 if self.noise is not None else 0)
         if self.weights.shape != (expected,):
             raise DimensionMismatch(
-                f"{expected} components but {self.weights.shape[0]} weights"
+                f"{expected} components but weights of shape {self.weights.shape}"
             )
-        if np.any(self.weights < 0):
+        if not np.all(self.weights >= 0):  # NaN fails too
             raise DimensionMismatch("weights must be nonnegative")
         if abs(float(self.weights.sum()) - 1.0) > _WEIGHT_SUM_TOL:
             raise DimensionMismatch(f"weights sum to {self.weights.sum()!r}, not 1")
@@ -409,9 +432,9 @@ def sample(
     Labels index the weight vector (0 is noise when present).  Deterministic
     given a seed; a caller-owned Generator may be passed instead.
     """
-    _check_number("count", count, numbers.Integral)
-    if count < 0:
-        raise DimensionMismatch(f"cannot sample {count} cases")
+    _check_count("count", count)
+    if not isinstance(seed_or_rng, np.random.Generator):
+        _check_count("seed", seed_or_rng)
     rng = as_generator(seed_or_rng)
     data = np.empty((count, model.n))
     labels = rng.choice(model.n_components, size=count, p=model.weights)

@@ -7,6 +7,10 @@ changes exactly one term.  The Cheeseman-Stutz score corrects that value
 back toward the observed-data marginal likelihood with a likelihood ratio
 between the observed data and its completion, both evaluated at the MAP
 parameters.
+
+These functions are internal and assume validated input: data, models and
+statistics arrive through the checked entry points that the package
+docstring lists, or are built from them.
 """
 
 from __future__ import annotations

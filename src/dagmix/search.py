@@ -4,7 +4,8 @@ Because the criterion factors into per-component per-node terms, each
 component is searched independently and a move only touches the terms of
 the nodes whose parent sets change.  Equivalence-aware comparison goes
 through completed partially directed graphs (compelled arcs directed,
-reversible arcs undirected).
+reversible arcs undirected).  Internal: input is validated where it
+enters the package (see its docstring).
 """
 
 from __future__ import annotations
@@ -306,10 +307,10 @@ def greedy_component_search(
     incremental and full rescoring cannot drift apart.  When no single move
     improves, up to ``_ESCAPE_BUDGET - 1`` other members of the equivalence
     class are tried in ``_class_walk`` order; an escape is accepted only
-    when the zero-gain reversal path plus one more move strictly improves on
-    the stuck score, so every accepted transformation still increases the
-    criterion and the search terminates.  The returned structure has no
-    improving neighbor.
+    when one more move gains more than SCORE_EPS; the covered reversals
+    before it gain exactly 0 (``_move_gains``), so every accepted
+    transformation still increases the criterion and the search terminates.
+    The returned structure has no improving neighbor.
     """
     init.validate()
     structure = init
@@ -340,13 +341,9 @@ def greedy_component_search(
         if found is not None and found[0] > SCORE_EPS:
             accept(found[1], sideways=False)
             continue
-        stuck = float(node_scores.sum())
         for state, path in islice(_class_walk(structure), 1, _ESCAPE_BUDGET):
-            scores = np.array(
-                [cache.node_score(i, ps) for i, ps in enumerate(state.parents)]
-            )
             found = _best_move(cache, state, max_parents)
-            if found is not None and scores.sum() + found[0] > stuck + SCORE_EPS:
+            if found is not None and found[0] > SCORE_EPS:
                 break
         else:
             return structure

@@ -15,6 +15,10 @@ component is read as z = A x - c, its nodes' standardised regression
 residuals, so complete cases are scored with one product and no joint
 covariance, and a mask with missing cells conditions every component at
 once through one stacked QR factorisation of the columns of A it misses.
+
+These functions are internal and assume validated input: data and models
+arrive through the checked entry points that the package docstring lists,
+and statistics are built from them.
 """
 
 from __future__ import annotations
@@ -40,19 +44,9 @@ class SuffStats:
     r: np.ndarray
     s: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", np.asarray(self.r, dtype=float))
-        object.__setattr__(self, "s", np.asarray(self.s, dtype=float))
-        if self.s.shape != (self.r.shape[0], self.r.shape[0]):
-            raise ShapeMismatch("s must be square with side len(r)")
-
     @property
     def dim(self) -> int:
         return self.r.shape[0]
-
-    @classmethod
-    def zero(cls, dim: int) -> "SuffStats":
-        return cls(0.0, np.zeros(dim), np.zeros((dim, dim)))
 
     def scatter(self) -> np.ndarray:
         """Centered scatter s - r r^T / n (zero matrix when n == 0)."""

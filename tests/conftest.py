@@ -1,7 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
+from dagmix.bayes import FamilyMarginals, NormalWishart, local_score
 from dagmix.model import DagStructure, GaussianDag, MdagModel, empty_structure
+from dagmix.stats import SuffStats
+
+# the same examples on every run, no per-example deadline (a fit's first
+# call pays for imports), and a bounded count unless a test sets its own
+settings.register_profile("dagmix", derandomize=True, deadline=None, max_examples=50)
+settings.load_profile("dagmix")
+
+
+def zero_stats(dim: int) -> SuffStats:
+    """The statistics of no cases."""
+    return SuffStats(0.0, np.zeros(dim), np.zeros((dim, dim)))
+
+
+def structure_score(prior: NormalWishart, t: SuffStats, structure: DagStructure) -> float:
+    """Sum of family scores over all nodes of one component structure."""
+    marginals = FamilyMarginals(prior, t)
+    return sum(
+        local_score(prior, t, i, ps, marginals) for i, ps in enumerate(structure.parents)
+    )
 
 
 def random_dag(n: int, rng: np.random.Generator, p: float = 0.4) -> DagStructure:

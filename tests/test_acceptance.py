@@ -15,7 +15,6 @@ from dagmix.bayes import (
     NormalWishart,
     dirichlet_map,
     map_parameters,
-    structure_score,
 )
 from dagmix.cli import Dataset, main, write_csv
 from dagmix.engine import (
@@ -49,7 +48,7 @@ from dagmix.scoring import (
 )
 from dagmix.search import greedy_component_search, apply_move
 from dagmix.stats import SuffStats, expected_stats, labeled_stats
-from conftest import random_dag
+from conftest import random_dag, structure_score
 
 
 def _report(number: int, name: str, elapsed: float, budget: float, detail: str):

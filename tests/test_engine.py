@@ -25,6 +25,7 @@ from dagmix.errors import (
     DimensionMismatch,
     InsufficientData,
     NonNumericValue,
+    NonPsdScatter,
 )
 from dagmix.model import MdagModel, empty_structure, sample
 from dagmix.scoring import observed_loglik
@@ -69,6 +70,22 @@ class TestPriorSpec:
         nw = PriorSpec(nu=2.0).normal_wishart(4)
         assert nw.alpha == 6.0
         assert np.allclose(nw.tau, np.eye(4))
+
+    @pytest.mark.parametrize(
+        "spec, error",
+        [
+            (PriorSpec(mu0=[0.0, 0.0, 0.0]), DimensionMismatch),
+            (PriorSpec(tau=np.eye(3)), DimensionMismatch),
+            (PriorSpec(nu=0.0), DimensionMismatch),
+            (PriorSpec(alpha=1.0), DimensionMismatch),
+            (PriorSpec(tau=[[1.0, 0.5], [0.0, 1.0]]), DimensionMismatch),
+            (PriorSpec(tau=[[1.0, 2.0], [2.0, 1.0]]), NonPsdScatter),
+        ],
+        ids=["long-mu0", "large-tau", "zero-nu", "small-alpha", "asymmetric-tau", "indefinite-tau"],
+    )
+    def test_bad_hyperparameters_rejected_when_bound(self, spec, error):
+        with pytest.raises(error):
+            spec.normal_wishart(2)
 
     def test_dirichlet_with_noise(self):
         d = PriorSpec().dirichlet(3, has_noise=True)

@@ -22,7 +22,13 @@ from dagmix.scoring import (
     predictive_score,
 )
 from dagmix.stats import MixtureStats, SuffStats, labeled_stats
-from conftest import random_dag, random_gaussian_dag, single_node_model, two_component_1d
+from conftest import (
+    random_dag,
+    random_gaussian_dag,
+    single_node_model,
+    two_component_1d,
+    zero_stats,
+)
 from test_bayes import random_prior, sequential_marginal_loglik
 
 
@@ -39,7 +45,7 @@ def map_model_for(ms, structures, priors, dirichlet, noise=None):
 class TestCompleteModelScore:
     def test_zero_stats_zero_score(self, rng):
         prior = random_prior(2, rng)
-        ms = MixtureStats((SuffStats.zero(2), SuffStats.zero(2)), 0.0)
+        ms = MixtureStats((zero_stats(2), zero_stats(2)), 0.0)
         breakdown = complete_model_score(
             ms, (empty_structure(2),) * 2, (prior,) * 2, DirichletPrior(np.ones(2))
         )
@@ -87,7 +93,7 @@ class TestCompleteModelScore:
     def test_noise_term(self, rng):
         noise = NoiseComponent(np.zeros(1), np.full(1, 2.0))
         prior = random_prior(1, rng)
-        triples = (SuffStats(3.0, np.zeros(1), np.zeros((1, 1))), SuffStats.zero(1))
+        triples = (SuffStats(3.0, np.zeros(1), np.zeros((1, 1))), zero_stats(1))
         ms = MixtureStats(triples, 3.0)
         breakdown = complete_model_score(
             ms, (empty_structure(1),), (prior,), DirichletPrior(np.ones(2)), noise

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import dagmix.search as search_module
-from dagmix.bayes import NormalWishart, structure_score
+from dagmix.bayes import NormalWishart
+from dagmix.engine import PriorSpec
 from dagmix.errors import BadParentIndex, CycleDetected, DimensionMismatch
-from dagmix.model import DagStructure, complete_structure, empty_structure
+from dagmix.harness import default_gold_standard
+from dagmix.model import DagStructure, complete_structure, empty_structure, sample
 from dagmix.search import (
     ArcMove,
     _best_move,
@@ -25,7 +27,7 @@ from dagmix.search import (
     to_cpdag,
 )
 from dagmix.stats import MixtureStats, SuffStats, labeled_stats
-from conftest import random_dag
+from conftest import random_dag, structure_score, zero_stats
 from test_bayes import random_prior, stats_of, twin_column_stats
 
 
@@ -135,7 +137,7 @@ class TestBestMove:
                 t = twin_column_stats(rows)
                 prior = NormalWishart(2.0, np.zeros(n), n + 2.0, np.eye(n))
             else:
-                t = SuffStats.zero(n)
+                t = zero_stats(n)
             vectorised, listed = _ScoreCache(prior, t), _ScoreCache(prior, t)
             structure = random_dag(n, rng, p=float(rng.uniform(0.0, 0.8)))
             for _ in range(6):
@@ -220,6 +222,18 @@ def rebuilt_gains(cache, parents, need):
     nodes = np.array([[family((v, *ps)) for v, ps in enumerate(parents)],
                       [family(ps) for ps in parents]])
     return terms, nodes
+
+
+class BoundedTrace(list):
+    """A search trace that fails a search after ``limit`` accepted moves."""
+
+    def __init__(self, limit: int):
+        super().__init__()
+        self.limit = limit
+
+    def append(self, step):
+        assert len(self) < self.limit, "the search did not end"
+        super().append(step)
 
 
 class TestGreedySearch:
@@ -342,6 +356,18 @@ class TestGreedySearch:
             ("reverse", 2, 1, True),
             ("delete", 3, 1, False),
         ]
+
+    def test_escape_ends_when_totals_are_huge(self):
+        # with alpha = 1e15 the totals are near -1.5e16, where equivalent
+        # structures' re-derived totals differ by a few units of rounding;
+        # read as a gain, that took the covered reversal 0 -> 2 and back
+        # forever
+        data, _ = sample(default_gold_standard().model, 200, 0)
+        t = SuffStats(200.0, data.sum(axis=0), data.T @ data)
+        prior = PriorSpec(alpha=1e15).normal_wishart(5)
+        trace = BoundedTrace(1000)
+        out = greedy_component_search(t, prior, empty_structure(5), trace=trace)
+        assert out.arc_count() > 0
 
     def test_returns_local_maximum(self, rng):
         rows = rng.standard_normal((250, 3)) @ rng.standard_normal((3, 3))

@@ -374,6 +374,7 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 THREAD_PROBE = """
 import hashlib
 import numpy as np
+from dagmix.engine import FitConfig, Schedule, fit
 from dagmix.model import DagStructure, GaussianDag, MdagModel, sample
 from dagmix.stats import expected_stats
 
@@ -396,6 +397,14 @@ stats, loglik = expected_stats(data, model)
 h = hashlib.sha256(np.float64(loglik).tobytes())
 for t in stats.triples:
     h.update(np.float64(t.n).tobytes() + t.r.tobytes() + t.s.tobytes())
+print(h.hexdigest())
+# a whole fit of three outer iterations: E sweeps, M steps, search and CS
+config = FitConfig(k=3, max_parents=2, max_outer=3, schedule=Schedule(em_steps=10))
+result = fit(data, config)
+h = hashlib.sha256(np.float64(result.cheeseman_stutz).tobytes() + result.model.weights.tobytes())
+for g in result.model.components:
+    h.update(repr(g.structure.parents).encode() + g.intercepts.tobytes() + g.variances.tobytes())
+    h.update(b"".join(c.tobytes() for c in g.coefficients))
 print(h.hexdigest())
 """
 
@@ -507,8 +516,9 @@ class TestGroupedSweep:
         assert cov[0, 0] == pytest.approx(1e-20, rel=1e-6)
 
     def test_sweep_bytes_do_not_depend_on_blas_threads(self):
-        # one n=40 sweep over 3000 cases in a fresh interpreter per thread
-        # count; only one and two threads are checked
+        # one n=40 sweep over 3000 cases, then a fit of the same data, in a
+        # fresh interpreter per thread count; only one and two threads are
+        # checked
         digests = []
         for threads in ("1", "2"):
             env = {**os.environ, "PYTHONPATH": SRC}
@@ -517,8 +527,8 @@ class TestGroupedSweep:
                 [sys.executable, "-c", THREAD_PROBE], env=env, check=True,
                 capture_output=True, text=True, timeout=120,
             )
-            digests.append(out.stdout.strip())
-        assert len(digests[0]) == 64
+            digests.append(out.stdout.split())
+        assert [len(d) for d in digests[0]] == [64, 64]
         assert digests[0] == digests[1]
 
     def test_groups(self, rng):
