@@ -6,8 +6,9 @@ readers (``cli.load_model``, ``cli.model_from_json``) and the config readers
 where it enters, and a bad input raises an ``errors.DagmixError`` subclass
 whose category names the problem: a ``DataError`` for bad input, a
 ``NumericalError`` for a computation the input drove out of range.
-Everything else is internal and assumes validated input, so the EM and
-search loops repeat no checks.
+Everything else is internal and assumes validated input; inside the EM and
+search loops only the public constructors, the range check of each new
+family and the PSD test of each posterior still run.
 """
 
 from .model import (

@@ -91,7 +91,7 @@ def posterior_update(prior: NormalWishart, t: SuffStats) -> NormalWishart:
     if t.n <= _COUNT_FLOOR:
         return prior
     n_count = t.n
-    scatter = t.s - np.outer(t.r, t.r) / n_count
+    scatter = t.scatter()
     if not np.isfinite(scatter.sum()):  # eigvalsh misreads non-finite input
         raise NumericalOverflow("the statistics overflow; rescale the data")
     eig = np.linalg.eigvalsh(scatter)

@@ -251,11 +251,10 @@ class FitResult:
         return self.trace[self.best_index].cheeseman_stutz
 
 
-def _bind_priors(
-    config: FitConfig, n: int
-) -> tuple[tuple[NormalWishart, ...], DirichletPrior]:
-    nw = config.prior.normal_wishart(n)
-    return tuple(nw for _ in range(config.k)), config.prior.dirichlet(
+def _bind_priors(config: FitConfig, n: int) -> tuple[NormalWishart, DirichletPrior]:
+    """The fit's one Normal-Wishart, shared by every Gaussian component,
+    and its Dirichlet over the mixture weights."""
+    return config.prior.normal_wishart(n), config.prior.dirichlet(
         config.k, config.noise_bounds is not None
     )
 
@@ -263,15 +262,14 @@ def _bind_priors(
 def _m_step(
     mix_stats: stats.MixtureStats,
     structures: Sequence[DagStructure],
-    priors: Sequence[NormalWishart],
+    prior: NormalWishart,
     dirichlet: DirichletPrior,
     model: MdagModel,
 ) -> MdagModel:
     weights = dirichlet_map(dirichlet, mix_stats.counts())
-    offset = 1 if model.has_noise else 0
     components = tuple(
-        map_parameters(priors[c], mix_stats.triples[offset + c], structures[c])
-        for c in range(len(structures))
+        map_parameters(prior, t, structure)
+        for t, structure in zip(mix_stats.triples, structures, strict=True)
     )
     return MdagModel(weights, components, model.noise)
 
@@ -291,7 +289,7 @@ class EmTrace:
 def run_em(
     data: np.ndarray | stats.CaseGroups,
     model: MdagModel,
-    priors: Sequence[NormalWishart],
+    prior: NormalWishart,
     dirichlet: DirichletPrior,
     steps: int | None = None,
     convergence_ratio: float = 1e-6,
@@ -315,12 +313,10 @@ def run_em(
     converged = False
     collapse_streaks = np.zeros(model.k, dtype=int)
     collapsed: set[int] = set()
-    offset = 1 if model.has_noise else 0
     for _ in range(budget):
-        counts = mix_stats.counts()
-        model = _m_step(mix_stats, structures, priors, dirichlet, model)
-        for c in range(model.k):
-            if counts[offset + c] < _COLLAPSE_THRESHOLD:
+        model = _m_step(mix_stats, structures, prior, dirichlet, model)
+        for c, t in enumerate(mix_stats.triples):
+            if t.n < _COLLAPSE_THRESHOLD:
                 collapse_streaks[c] += 1
                 if collapse_streaks[c] >= _COLLAPSE_STEPS and c not in collapsed:
                     collapsed.add(c)
@@ -375,7 +371,7 @@ def _initial_weights(config: FitConfig, dirichlet: DirichletPrior) -> np.ndarray
 def initialize(
     data: np.ndarray,
     config: FitConfig,
-    bound: tuple[tuple[NormalWishart, ...], DirichletPrior] | None = None,
+    bound: tuple[NormalWishart, DirichletPrior] | None = None,
 ) -> MdagModel:
     """Initial model: empty (or family-fixed) structures, parameters drawn
     from a data-informed conjugate at strength ``config.ess``.
@@ -390,9 +386,9 @@ def initialize(
     if data.shape[0] == 0:
         raise InsufficientData("cannot initialize from an empty data set")
     n = data.shape[1]
-    priors, dirichlet = bound if bound is not None else _bind_priors(config, n)
+    prior, dirichlet = bound if bound is not None else _bind_priors(config, n)
     complete_rows = data[~np.isnan(data).any(axis=1)]
-    init_prior = data_informed_prior(complete_rows, config.ess, base_prior=priors[0])
+    init_prior = data_informed_prior(complete_rows, config.ess, base_prior=prior)
     if config.family == "mfull":
         structure = complete_structure(n)
     else:
@@ -419,6 +415,13 @@ def _checked_data(data) -> np.ndarray:
     return data
 
 
+def _checked_config(config) -> FitConfig:
+    """``config`` itself; DimensionMismatch unless it is a FitConfig."""
+    if not isinstance(config, FitConfig):
+        raise DimensionMismatch(f"config {config!r} is not a FitConfig")
+    return config
+
+
 def fit(data: np.ndarray, config: FitConfig) -> FitResult:
     """Interleaved parameter and structure search over one component count.
 
@@ -428,8 +431,9 @@ def fit(data: np.ndarray, config: FitConfig) -> FitResult:
     structures stable.
     """
     data = _checked_data(data)
-    priors, dirichlet = _bind_priors(config, data.shape[1])
-    model = initialize(data, config, (priors, dirichlet))
+    config = _checked_config(config)
+    prior, dirichlet = _bind_priors(config, data.shape[1])
+    model = initialize(data, config, (prior, dirichlet))
     cases = stats.group_cases(data)
     structures = tuple(g.structure for g in model.components)
     searching = config.family == "mdag"
@@ -445,7 +449,7 @@ def fit(data: np.ndarray, config: FitConfig) -> FitResult:
         model, em_trace = run_em(
             cases,
             model,
-            priors,
+            prior,
             dirichlet,
             steps=steps,
             convergence_ratio=config.convergence_ratio,
@@ -455,13 +459,13 @@ def fit(data: np.ndarray, config: FitConfig) -> FitResult:
         mix_stats = em_trace.stats
         if searching:
             new_structures = search_all_components(
-                mix_stats, structures, priors, max_parents=config.max_parents
+                mix_stats, structures, prior, max_parents=config.max_parents
             )
         else:
             new_structures = structures
-        model = _m_step(mix_stats, new_structures, priors, dirichlet, model)
+        model = _m_step(mix_stats, new_structures, prior, dirichlet, model)
         breakdown = complete_model_score(
-            mix_stats, new_structures, priors, dirichlet, model.noise
+            mix_stats, new_structures, prior, dirichlet, model.noise
         )
         obs = observed_loglik(cases, model)
         cs = breakdown.total + obs - completed_loglik(mix_stats, model)
@@ -509,6 +513,7 @@ def select_k(data: np.ndarray, config: FitConfig, k_max: int) -> SelectKResult:
     on two consecutive increments (or at k_max); the best-scoring k wins.
     """
     data = _checked_data(data)
+    config = _checked_config(config)
     _check_number("k_max", k_max, numbers.Integral)
     if k_max < 1:
         raise DimensionMismatch("k_max must be at least 1")

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import FitConfig, SelectKResult, _checked_data, select_k
+from .engine import FitConfig, SelectKResult, _checked_config, _checked_data, select_k
 from .errors import DimensionMismatch
 from .model import DagStructure, GaussianDag, MdagModel, _check_count, sample
 from .rng import stream
@@ -168,7 +168,7 @@ def run_recovery(
     No noise component is used: the data comes straight from the gold
     model.  The fit seed is tied to the harness seed for regenerable rows.
     """
-    base = config if config is not None else FitConfig()
+    base = FitConfig() if config is None else _checked_config(config)
     base = replace(base, noise_bounds=None, seed=seed)
     datasets = generate_recovery_data(gold, seed, sizes=sizes)
     rows = []
@@ -210,6 +210,7 @@ def run_baseline_comparison(
     """Fit each model family with its own component-count search and score
     the selected model on held-out data."""
     test = _checked_data(test)
+    config = _checked_config(config)
     scores = []
     for family in families:
         result = select_k(train, replace(config, family=family), k_max)

@@ -82,29 +82,33 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 class DagStructure:
     """Acyclic parent-set list over ``n`` variables.
 
-    Construction checks that every parent is an integer; ``validate``
-    checks the rest."""
+    Construction checks that there is one parent list per node and that
+    every parent is an integer in [0, n); ``validate`` checks the rest."""
 
     n: int
     parents: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        n = self.n
+        parents = []
         try:
-            parents = tuple(tuple(operator.index(p) for p in ps) for ps in self.parents)
+            for ps in self.parents:
+                ps = tuple(map(operator.index, ps))
+                for p in ps:
+                    if not 0 <= p < n:
+                        raise BadParentIndex(
+                            f"node {len(parents)} has parent {p} outside [0, {n})"
+                        )
+                parents.append(ps)
         except TypeError:
             raise BadParentIndex(f"parents {self.parents!r} are not integer lists") from None
-        object.__setattr__(self, "parents", parents)
+        if len(parents) != n:
+            raise BadParentIndex(f"expected {n} parent sets, got {len(parents)}")
+        object.__setattr__(self, "parents", tuple(parents))
 
     def validate(self) -> None:
         """Raise unless the structure is a well-formed DAG."""
-        if len(self.parents) != self.n:
-            raise BadParentIndex(
-                f"expected {self.n} parent sets, got {len(self.parents)}"
-            )
         for i, ps in enumerate(self.parents):
-            for p in ps:
-                if not 0 <= p < self.n:
-                    raise BadParentIndex(f"node {i} has parent {p} outside [0, {self.n})")
             if i in ps:
                 raise CycleDetected([i, i])
             if len(set(ps)) != len(ps):
@@ -115,20 +119,12 @@ class DagStructure:
     def topological_order(self) -> tuple[int, ...]:
         """Topological ordering (parents before children); cached.
 
-        Raises BadParentIndex on a parent list of another length than n or
-        a parent outside [0, n), and CycleDetected listing one cycle if no
-        ordering exists.
+        Raises CycleDetected listing one cycle if no ordering exists.
         """
-        if len(self.parents) != self.n:
-            raise BadParentIndex(f"expected {self.n} parent sets, got {len(self.parents)}")
         indegree = [len(ps) for ps in self.parents]
         children: list[list[int]] = [[] for _ in range(self.n)]
         for i, ps in enumerate(self.parents):
             for p in ps:
-                if not 0 <= p < self.n:
-                    raise BadParentIndex(
-                        f"node {i} has parent {p} outside [0, {self.n})"
-                    )
                 children[p].append(i)
         ready = [i for i in range(self.n) if indegree[i] == 0]
         order: list[int] = []

@@ -6,7 +6,9 @@ plus per-component per-node family scores, so changing one parent set
 changes exactly one term.  The Cheeseman-Stutz score corrects that value
 back toward the observed-data marginal likelihood with a likelihood ratio
 between the observed data and its completion, both evaluated at the MAP
-parameters.
+parameters.  Both read a ``MixtureStats``: one triple per Gaussian
+component, zipped with the structures or components, and the noise
+component's count apart; one Normal-Wishart prior serves every component.
 
 These functions are internal and assume validated input: data, models and
 statistics arrive through the checked entry points that the package
@@ -27,7 +29,7 @@ from .bayes import (
     dirichlet_log_marglik,
     local_score,
 )
-from .errors import AllComponentsZeroDensity, DimensionMismatch, EmptyTestSet
+from .errors import AllComponentsZeroDensity, EmptyTestSet
 from .model import LOG_2PI, DagStructure, GaussianDag, MdagModel
 from .stats import (
     CaseGroups,
@@ -55,39 +57,29 @@ class ScoreBreakdown:
 def complete_model_score(
     mix_stats: MixtureStats,
     structures: Sequence[DagStructure],
-    priors: Sequence[NormalWishart],
+    prior: NormalWishart,
     dirichlet: DirichletPrior,
     noise=None,
 ) -> ScoreBreakdown:
     """Factored score of the statistics under per-component structures.
 
-    The statistics triples must be ordered like the model weights (noise
-    first when a noise component exists); the noise component contributes
-    its fixed uniform mass, never a learned term.
+    ``structures[c]`` is scored on ``mix_stats.triples[c]``; the noise
+    component, present when ``noise`` is given, contributes its fixed
+    uniform mass over ``mix_stats.noise_count`` cases, never a learned term.
     """
-    n_structures = len(structures)
-    offset = mix_stats.n_components - n_structures
-    if offset not in (0, 1) or (offset == 1) != (noise is not None):
-        raise DimensionMismatch(
-            f"{mix_stats.n_components} statistic triples for {n_structures} "
-            f"structures (noise={'yes' if noise is not None else 'no'})"
-        )
-    if len(priors) != n_structures:
-        raise DimensionMismatch("one Normal-Wishart prior per Gaussian component")
     c_term = dirichlet_log_marglik(dirichlet, mix_stats.counts())
     locals_: list[tuple[float, ...]] = []
-    for c, structure in enumerate(structures):
-        t = mix_stats.triples[offset + c]
-        marginals = FamilyMarginals(priors[c], t)
+    for t, structure in zip(mix_stats.triples, structures, strict=True):
+        marginals = FamilyMarginals(prior, t)
         locals_.append(
             tuple(
-                local_score(priors[c], t, i, ps, marginals)
+                local_score(prior, t, i, ps, marginals)
                 for i, ps in enumerate(structure.parents)
             )
         )
     noise_term = 0.0
     if noise is not None:
-        noise_term = -mix_stats.triples[0].n * noise.log_volume
+        noise_term = -mix_stats.noise_count * noise.log_volume
     return ScoreBreakdown(c_term, tuple(locals_), noise_term)
 
 
@@ -137,20 +129,12 @@ def completed_loglik(mix_stats: MixtureStats, model: MdagModel) -> float:
     Each component contributes n_c log pi_c plus its complete-data Gaussian
     log likelihood (or the fixed uniform mass for the noise component).
     """
-    if mix_stats.n_components != model.n_components:
-        raise DimensionMismatch("statistics and model component counts differ")
     total = 0.0
-    offset = 1 if model.has_noise else 0
-    if model.has_noise:
-        t0 = mix_stats.triples[0]
-        if t0.n > 0:
-            assert model.noise is not None
-            total += t0.n * (np.log(model.weights[0]) - model.noise.log_volume)
-    for j, g in enumerate(model.components):
-        t = mix_stats.triples[offset + j]
+    if model.noise is not None and mix_stats.noise_count > 0:
+        total += mix_stats.noise_count * (np.log(model.weights[0]) - model.noise.log_volume)
+    for t, g, w in zip(mix_stats.triples, model.components, model.gaussian_weights(), strict=True):
         if t.n <= 0:
             continue
-        w = model.weights[offset + j]
         total += t.n * np.log(w) + gaussian_complete_loglik(t, g)
     return float(total)
 
@@ -158,7 +142,7 @@ def completed_loglik(mix_stats: MixtureStats, model: MdagModel) -> float:
 def cheeseman_stutz_score(
     data: np.ndarray,
     model: MdagModel,
-    priors: Sequence[NormalWishart],
+    prior: NormalWishart,
     dirichlet: DirichletPrior,
     mix_stats: MixtureStats,
     labels: np.ndarray | None = None,
@@ -173,7 +157,7 @@ def cheeseman_stutz_score(
     and the exact closed form is recovered.
     """
     structures = tuple(g.structure for g in model.components)
-    breakdown = complete_model_score(mix_stats, structures, priors, dirichlet, model.noise)
+    breakdown = complete_model_score(mix_stats, structures, prior, dirichlet, model.noise)
     return (
         breakdown.total
         + observed_loglik(data, model, labels)

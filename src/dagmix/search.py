@@ -4,8 +4,10 @@ Because the criterion factors into per-component per-node terms, each
 component is searched independently and a move only touches the terms of
 the nodes whose parent sets change.  Equivalence-aware comparison goes
 through completed partially directed graphs (compelled arcs directed,
-reversible arcs undirected).  Internal: input is validated where it
-enters the package (see its docstring).
+reversible arcs undirected).  Search reads a ``MixtureStats`` as one
+triple per Gaussian component, zipped with the structures, under one
+Normal-Wishart prior.  Internal: input is validated where it enters the
+package (see its docstring).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .bayes import FamilyMarginals, NormalWishart, local_score
-from .errors import BadParentIndex, DimensionMismatch
+from .errors import DimensionMismatch
 from .model import DagStructure
 from .stats import MixtureStats, SuffStats
 
@@ -57,18 +59,12 @@ def _legal(structure: DagStructure) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     u ~> v of two or more arcs exists, i.e. iff (arc @ reach)[u, v] is zero
     (such a path cannot run through u -> v itself without a cycle).  The
     closure comes from repeated squaring of a 0/1 float matrix, which each
-    round doubles the path length covered and is exact.  Raises
-    BadParentIndex on a parent outside [0, n) or a parent list of another
-    length.
+    round doubles the path length covered and is exact.
     """
     n = structure.n
-    if len(structure.parents) != n:
-        raise BadParentIndex(f"expected {n} parent sets, got {len(structure.parents)}")
     arc = np.zeros((n, n))
     for child, ps in enumerate(structure.parents):
         for parent in ps:
-            if not 0 <= parent < n:
-                raise BadParentIndex(f"node {child} has parent {parent} outside [0, {n})")
             arc[parent, child] = 1.0
     reach = arc
     while True:
@@ -355,36 +351,21 @@ def greedy_component_search(
 def search_all_components(
     mix_stats: MixtureStats,
     structures: Sequence[DagStructure],
-    priors: Sequence[NormalWishart],
+    prior: NormalWishart,
     max_parents: int | None = None,
     traces: list[list[SearchStep]] | None = None,
 ) -> tuple[DagStructure, ...]:
-    """Independent greedy search per Gaussian component; noise untouched.
-
-    The statistics may carry a leading noise triple; the trailing triples
-    line up with ``structures``.
-    """
-    offset = mix_stats.n_components - len(structures)
-    if offset not in (0, 1):
-        raise DimensionMismatch(
-            f"{mix_stats.n_components} triples for {len(structures)} structures"
-        )
-    if len(priors) != len(structures):
-        raise DimensionMismatch("one prior per searched component")
+    """Independent greedy search per Gaussian component, ``structures[c]``
+    from ``mix_stats.triples[c]``; the noise component has no structure."""
     out = []
-    for c, init in enumerate(structures):
+    for c, (t, init) in enumerate(zip(mix_stats.triples, structures, strict=True)):
         trace = None
         if traces is not None:
             trace = []
             traces.append(trace)
         out.append(
             greedy_component_search(
-                mix_stats.triples[offset + c],
-                priors[c],
-                init,
-                max_parents=max_parents,
-                trace=trace,
-                component=c,
+                t, prior, init, max_parents=max_parents, trace=trace, component=c
             )
         )
     return tuple(out)

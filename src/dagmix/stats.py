@@ -1,7 +1,8 @@
 """Sufficient-statistic triples and their expected (E-step) counterparts.
 
-Each mixture component accumulates a triple (n, r, s): expected case
-count, expected sum of x, and expected sum of outer products x x^T.  With
+Each Gaussian mixture component accumulates a triple (n, r, s): expected
+case count, expected sum of x, and expected sum of outer products x x^T;
+a noise component accumulates only its expected count.  With
 a hidden mixture indicator and possibly missing coordinates, the exact
 statistics are replaced by expectations under the current model, taken
 per case given whatever was observed for that case.  These expected
@@ -57,32 +58,26 @@ class SuffStats:
 
 @dataclass(frozen=True)
 class MixtureStats:
-    """Per-component SuffStats plus the number of cases they summarize.
+    """One SuffStats per Gaussian component, plus the noise component's
+    expected count (None without a noise component).
 
-    Component order matches the model's weight vector; a noise component's
-    triple carries only its count (r and s stay zero and are never read).
-    With the mixture indicator as the only discrete variable, one triple
-    per component is the whole story; a model with further discrete
-    variables would instead keep a sparse map from observed discrete
-    configurations to triples.
+    ``triples[c]`` summarizes the cases of ``model.components[c]``, so a
+    consumer zips the triples with the structures or components;
+    ``counts()`` is the one place that lists the counts in the order of the
+    model's weight vector, noise first.  With the mixture indicator as the
+    only discrete variable, one triple per component is the whole story; a
+    model with further discrete variables would instead keep a sparse map
+    from observed discrete configurations to triples.
     """
 
     triples: tuple[SuffStats, ...]
-    total_cases: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "triples", tuple(self.triples))
-
-    @property
-    def n_components(self) -> int:
-        return len(self.triples)
-
-    @property
-    def dim(self) -> int:
-        return self.triples[0].dim
+    noise_count: float | None = None
 
     def counts(self) -> np.ndarray:
-        return np.array([t.n for t in self.triples])
+        counts = [t.n for t in self.triples]
+        if self.noise_count is not None:
+            counts.insert(0, self.noise_count)
+        return np.array(counts)
 
 
 def _checked_labels(labels, cases: int, k: int) -> np.ndarray:
@@ -107,7 +102,7 @@ def labeled_stats(data: np.ndarray, labels: np.ndarray, k: int) -> MixtureStats:
     for c in range(k):
         rows = data[labels == c]
         triples.append(SuffStats(float(rows.shape[0]), rows.sum(axis=0), rows.T @ rows))
-    return MixtureStats(tuple(triples), float(data.shape[0]))
+    return MixtureStats(tuple(triples))
 
 
 # --- cases grouped by observation mask ---------------------------------------
@@ -321,7 +316,8 @@ def expected_stats(
     the outer-product sum gains r * (E[x|y,c] E[x|y,c]^T + conditional
     covariance padded with zeros on observed coordinates).  Dropping that
     covariance term would understate second moments, so it is always
-    added.  The noise component only accumulates its count.
+    added.  The noise component only accumulates its count,
+    ``MixtureStats.noise_count``.
 
     The sums and outer products come from one weighted product of each
     completion, with its column of ones, per block of ``_CASE_BLOCK``
@@ -359,10 +355,11 @@ def expected_stats(
         moments += weighted[:, full:].swapaxes(-1, -2) @ completed[..., full:, :]
         if mis.size:
             moments[:, group.mm[0], group.mm[1]] += r.sum(axis=1)[:, None, None] * cond_covs
-    triples = [SuffStats(float(counts[0]), np.zeros(n), np.zeros((n, n)))] * offset
+    triples = []
     for j in range(k):
         outer = moments[j, :n, :n]
         triples.append(
             SuffStats(float(counts[offset + j]), moments[j, n, :n], 0.5 * (outer + outer.T))
         )
-    return MixtureStats(tuple(triples), float(cases.cases)), float(np.sum(row_loglik))
+    noise_count = float(counts[0]) if offset else None
+    return MixtureStats(tuple(triples), noise_count), float(np.sum(row_loglik))

@@ -106,7 +106,7 @@ def test_criterion_01_conjugate_oracle_equivalence():
         )
         dirichlet = DirichletPrior(rng.uniform(0.3, 2.0, k))
         ms = labeled_stats(rows, labels, k)
-        factored = complete_model_score(ms, structures, (prior,) * k, dirichlet).total
+        factored = complete_model_score(ms, structures, prior, dirichlet).total
         oracle = _polya_urn_oracle(dirichlet.alphas, labels)
         for c, structure in enumerate(structures):
             comp_rows = rows[labels == c]
@@ -161,8 +161,8 @@ def test_criterion_03_cheeseman_stutz_exact_on_complete_data():
             map_parameters(prior, ms.triples[c], structures[c]) for c in range(k)
         )
         m = MdagModel(weights, comps)
-        cs = cheeseman_stutz_score(rows, m, (prior,) * k, dirichlet, ms, labels=labels)
-        closed = complete_model_score(ms, structures, (prior,) * k, dirichlet).total
+        cs = cheeseman_stutz_score(rows, m, prior, dirichlet, ms, labels=labels)
+        closed = complete_model_score(ms, structures, prior, dirichlet).total
         worst = max(worst, abs(cs - closed))
     assert worst <= 1e-8
     _report(3, "cheeseman-stutz-exactness", time.time() - start, 10, f"worst gap {worst:.2e}")
@@ -180,28 +180,27 @@ def test_criterion_04_cheeseman_stutz_vs_importance_sampling():
     data, labels = sample(gen, 20, stream(1, "c4data"))
     spec = PriorSpec(nu=0.5, mu0=4.0, tau=1.0)
     config = FitConfig(k=2, seed=1, prior=spec)
-    priors, dirichlet = _bind_priors(config, 1)
+    prior, dirichlet = _bind_priors(config, 1)
     # the score's premise is MAP parameters: warm-start EM inside the
     # dominant basin and run it to convergence before scoring
     ms0 = labeled_stats(data, labels, 2)
     m = _m_step(
         ms0,
         (empty_structure(1),) * 2,
-        priors,
+        prior,
         dirichlet,
         MdagModel(
             np.array([0.5, 0.5]),
             (GaussianDag(empty_structure(1), np.zeros(1), (np.zeros(0),), np.ones(1)),) * 2,
         ),
     )
-    m, _ = run_em(data, m, priors, dirichlet, steps=None, max_steps=3000, convergence_ratio=1e-10)
+    m, _ = run_em(data, m, prior, dirichlet, steps=None, max_steps=3000, convergence_ratio=1e-10)
     ms, _ = expected_stats(data, m)
-    m = _m_step(ms, tuple(g.structure for g in m.components), priors, dirichlet, m)
+    m = _m_step(ms, tuple(g.structure for g in m.components), prior, dirichlet, m)
     ms, _ = expected_stats(data, m)
-    cs = cheeseman_stutz_score(data, m, priors, dirichlet, ms)
+    cs = cheeseman_stutz_score(data, m, prior, dirichlet, ms)
 
-    p = priors[0]
-    nu, mu0, alpha, tau = p.nu, float(p.mu0[0]), p.alpha, float(p.tau[0, 0])
+    nu, mu0, alpha, tau = prior.nu, float(prior.mu0[0]), prior.alpha, float(prior.tau[0, 0])
     rng = stream(2, "c4is")
     draws = 1_000_000
     w = rng.dirichlet(dirichlet.alphas, size=draws)
@@ -230,10 +229,10 @@ def test_criterion_05_em_correctness():
     for seed in range(20):
         data, _ = sample(gold.model, 3000, stream(seed, "c5"))
         config = FitConfig(k=3, seed=seed)
-        priors, dirichlet = _bind_priors(config, 5)
+        prior, dirichlet = _bind_priors(config, 5)
         m = initialize(data, config)
         m, trace = run_em(
-            data, m, priors, dirichlet, steps=None, convergence_ratio=1e-6, max_steps=400
+            data, m, prior, dirichlet, steps=None, convergence_ratio=1e-6, max_steps=400
         )
         steps = np.diff(trace.logliks)
         if steps.size:

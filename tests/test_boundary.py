@@ -163,6 +163,10 @@ CONFIG_FIELDS = some_broken(
 )
 
 
+# values passed where a FitConfig belongs
+NOT_CONFIGS = st.sampled_from([None, "x", 3, PriorSpec(), Schedule()])
+
+
 def build_config(fields):
     """FitConfig from fuzzed fields over SMALL, a ``prior`` dict built into
     a PriorSpec first; None when either constructor raised a DagmixError."""
@@ -216,7 +220,7 @@ def test_structure_builders(n):
 
 @st.composite
 def component_args(draw):
-    """(structure or None, intercepts, coefficients, variances) of a valid
+    """(n, parents, intercepts, coefficients, variances) of a valid
     component over 1 to 3 nodes, with at most one part broken."""
     n = draw(st.integers(1, 3))
     parents = draw(dags(n))
@@ -234,28 +238,22 @@ def component_args(draw):
         args["coefficients"] = draw(st.lists(VECTORS, max_size=4))
     elif broken is not None:
         args[broken] = draw(st.one_of(VECTORS, arrays(n)))
-    structure = returns_or_raises_dagmix(DagStructure, n, parents)
-    return structure, args["intercepts"], tuple(args["coefficients"]), args["variances"]
+    return n, parents, args["intercepts"], tuple(args["coefficients"]), args["variances"]
 
 
 @given(args=component_args(), point=st.one_of(VECTORS, arrays(3)))
 @example(
-    args=(
-        DagStructure(2, ((), (0,))),
-        np.full(2, np.nan),
-        (np.zeros(0), np.ones(1)),
-        np.full(2, np.nan),
-    ),
+    args=(2, ((), (0,)), np.full(2, np.nan), (np.zeros(0), np.ones(1)), np.full(2, np.nan)),
     point=np.zeros(2),
 )
-@example(
-    args=(DagStructure(2, ((),)), np.zeros(2), (np.zeros(0), np.zeros(0)), np.ones(2)),
-    point=np.zeros(2),
-)
+@example(args=(2, ((),), np.zeros(2), (np.zeros(0), np.zeros(0)), np.ones(2)), point=np.zeros(2))
+@example(args=(3, ((), ()), np.zeros(3), (np.zeros(0), np.zeros(0)), np.ones(3)), point=[0, 0, 100])
 def test_gaussian_dag(args, point):
-    if args[0] is None:
+    n, parents, *params = args
+    structure = returns_or_raises_dagmix(DagStructure, n, parents)
+    if structure is None:
         return
-    g = returns_or_raises_dagmix(GaussianDag, *args)
+    g = returns_or_raises_dagmix(GaussianDag, structure, *params)
     if g is not None:
         # a component that constructs has a density, not NaN, at any point
         assert not np.isnan(g.log_density(np.zeros(g.n)))
@@ -322,24 +320,36 @@ def test_prior_spec(fields, n, k):
 
 
 @settings(max_examples=60)
-@given(data=MATRICES, fields=CONFIG_FIELDS)
+@given(data=MATRICES, fields=st.one_of(CONFIG_FIELDS, NOT_CONFIGS))
 @example(data=GOLD_DATA * 1e160, fields={})
 @example(data=GOLD_DATA, fields={"prior": {"alpha": 1e15}})
 @example(data=GOLD_DATA, fields={"prior": {"mu0": 1e160}})
 @example(data=GOLD_DATA, fields={"prior": {"mu0": [0.0, 0.0, 0.0]}})
 @example(data=np.empty((0, 3)), fields={})
+@example(data=np.zeros((5, 2)), fields="x")
 def test_fit(data, fields):
-    config = build_config(fields)
-    if config is not None:
-        returns_or_raises_dagmix(fit, data, config)
+    config = fields  # not a FitConfig, unless fields builds one
+    if isinstance(fields, dict):
+        config = build_config(fields)
+        if config is None:
+            return
+    returns_or_raises_dagmix(fit, data, config)
 
 
 @settings(max_examples=20)
-@given(data=MATRICES, fields=CONFIG_FIELDS, k_max=st.one_of(st.integers(1, 2), BAD_COUNTS))
+@given(
+    data=MATRICES,
+    fields=st.one_of(CONFIG_FIELDS, NOT_CONFIGS),
+    k_max=st.one_of(st.integers(1, 2), BAD_COUNTS),
+)
+@example(data=np.zeros((5, 2)), fields=None, k_max=2)
 def test_select_k(data, fields, k_max):
-    config = build_config(fields)
-    if config is not None:
-        returns_or_raises_dagmix(select_k, data, config, k_max)
+    config = fields  # not a FitConfig, unless fields builds one
+    if isinstance(fields, dict):
+        config = build_config(fields)
+        if config is None:
+            return
+    returns_or_raises_dagmix(select_k, data, config, k_max)
 
 
 @settings(max_examples=15)
@@ -348,10 +358,13 @@ def test_select_k(data, fields, k_max):
     test=st.one_of(MATRICES, st.just([["a"]])),
     families=st.lists(st.sampled_from(["mdag", "mdiag", "mfull", "x"]), max_size=2),
     k_max=st.sampled_from([1, 2, 0, 1.5, "1"]),
+    config=st.one_of(st.just(FitConfig(**SMALL)), NOT_CONFIGS),
 )
-@example(train=GOLD_DATA[:20], test=[["a"]], families=["mdiag"], k_max=1)
-def test_baseline_comparison(train, test, families, k_max):
-    config = FitConfig(**SMALL)
+@example(
+    train=GOLD_DATA[:20], test=[["a"]], families=["mdiag"], k_max=1, config=FitConfig(**SMALL)
+)
+@example(train=np.zeros((5, 2)), test=np.zeros((5, 2)), families=["mdag"], k_max=1, config="x")
+def test_baseline_comparison(train, test, families, k_max, config):
     returns_or_raises_dagmix(run_baseline_comparison, train, test, config, families, k_max)
 
 
@@ -364,11 +377,14 @@ def test_baseline_comparison(train, test, families, k_max):
         max_size=2,
     ),
     k_max=st.sampled_from([1, 2, 0, 1.5]),
+    # None would fit with the full default FitConfig, too slow here
+    config=st.one_of(st.just(FitConfig(**SMALL)), NOT_CONFIGS.filter(lambda c: c is not None)),
 )
-@example(seed=0, sizes=[10, 20], k_max=2)
-@example(seed=0, sizes=["a"], k_max=1)
-def test_recovery(seed, sizes, k_max):
-    returns_or_raises_dagmix(run_recovery, GOLD, seed, sizes, FitConfig(**SMALL), k_max)
+@example(seed=0, sizes=[10, 20], k_max=2, config=FitConfig(**SMALL))
+@example(seed=0, sizes=["a"], k_max=1, config=FitConfig(**SMALL))
+@example(seed=0, sizes=[10], k_max=1, config="x")
+def test_recovery(seed, sizes, k_max, config):
+    returns_or_raises_dagmix(run_recovery, GOLD, seed, sizes, config, k_max)
 
 
 # --- files and the command line ---------------------------------------------------

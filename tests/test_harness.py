@@ -86,7 +86,7 @@ class TestLabeledRecoveryOracle:
         ms = labeled_stats(data, labels, 3)
         prior = PriorSpec().normal_wishart(5)
         learned = search_all_components(
-            ms, tuple(empty_structure(5) for _ in range(3)), (prior,) * 3
+            ms, tuple(empty_structure(5) for _ in range(3)), prior
         )
         diffs = [
             structural_difference(learned[c], gold.model.components[c].structure)

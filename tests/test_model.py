@@ -3,6 +3,7 @@ import pytest
 from scipy import stats as sps
 
 from dagmix.errors import (
+    BadParentIndex,
     CycleDetected,
     DimensionMismatch,
     PointOutsideNoiseBounds,
@@ -39,10 +40,20 @@ class TestValidate:
             DagStructure(1, ((0,),)).validate()
 
     def test_bad_parent_index(self):
-        from dagmix.errors import BadParentIndex
-
         with pytest.raises(BadParentIndex):
             DagStructure(2, ((), (5,))).validate()
+
+    def test_short_parent_list_rejected(self):
+        # a component over it once scored two of three nodes and ignored x2
+        with pytest.raises(BadParentIndex):
+            GaussianDag(
+                DagStructure(3, ((), ())), np.zeros(3), (np.zeros(0), np.zeros(0)), np.ones(3)
+            )
+
+    def test_parent_past_n_rejected_before_from_joint(self):
+        # from_joint once met such a parent with a raw IndexError
+        with pytest.raises(BadParentIndex):
+            GaussianDag.from_joint(DagStructure(3, ((5,), (), ())), np.zeros(3), np.eye(3))
 
     def test_cycle_error_lists_a_cycle(self):
         with pytest.raises(CycleDetected) as err:

@@ -32,22 +32,18 @@ from conftest import (
 from test_bayes import random_prior, sequential_marginal_loglik
 
 
-def map_model_for(ms, structures, priors, dirichlet, noise=None):
-    offset = 1 if noise is not None else 0
+def map_model_for(ms, structures, prior, dirichlet, noise=None):
     weights = dirichlet_map(dirichlet, ms.counts())
-    comps = tuple(
-        map_parameters(priors[c], ms.triples[offset + c], structures[c])
-        for c in range(len(structures))
-    )
+    comps = tuple(map_parameters(prior, t, s) for t, s in zip(ms.triples, structures))
     return MdagModel(weights, comps, noise)
 
 
 class TestCompleteModelScore:
     def test_zero_stats_zero_score(self, rng):
         prior = random_prior(2, rng)
-        ms = MixtureStats((zero_stats(2), zero_stats(2)), 0.0)
+        ms = MixtureStats((zero_stats(2), zero_stats(2)))
         breakdown = complete_model_score(
-            ms, (empty_structure(2),) * 2, (prior,) * 2, DirichletPrior(np.ones(2))
+            ms, (empty_structure(2),) * 2, prior, DirichletPrior(np.ones(2))
         )
         assert breakdown.total == 0.0
 
@@ -57,7 +53,7 @@ class TestCompleteModelScore:
         ms = labeled_stats(rows, np.zeros(9, dtype=int), 1)
         structure = DagStructure(3, ((), (0,), (0, 1)))
         breakdown = complete_model_score(
-            ms, (structure,), (prior,), DirichletPrior(np.ones(1))
+            ms, (structure,), prior, DirichletPrior(np.ones(1))
         )
         # saturated family: full-set marginal via an independent sequential oracle
         oracle = sequential_marginal_loglik(prior, rows, (0, 1, 2))
@@ -70,7 +66,7 @@ class TestCompleteModelScore:
         ms = labeled_stats(rows, labels, 2)
         structures = (DagStructure(2, ((), (0,))), empty_structure(2))
         breakdown = complete_model_score(
-            ms, structures, (prior,) * 2, DirichletPrior(np.ones(2))
+            ms, structures, prior, DirichletPrior(np.ones(2))
         )
         recomputed = breakdown.c_term + breakdown.noise_term
         recomputed += sum(sum(ls) for ls in breakdown.local_scores)
@@ -83,20 +79,19 @@ class TestCompleteModelScore:
         structures = (DagStructure(2, ((), (0,))), empty_structure(2))
         d = DirichletPrior(np.full(2, 0.7))
         a = complete_model_score(
-            labeled_stats(rows, labels, 2), structures, (prior,) * 2, d
+            labeled_stats(rows, labels, 2), structures, prior, d
         )
         b = complete_model_score(
-            labeled_stats(rows, 1 - labels, 2), structures[::-1], (prior,) * 2, d
+            labeled_stats(rows, 1 - labels, 2), structures[::-1], prior, d
         )
         assert a.total == pytest.approx(b.total, abs=1e-10)
 
     def test_noise_term(self, rng):
         noise = NoiseComponent(np.zeros(1), np.full(1, 2.0))
         prior = random_prior(1, rng)
-        triples = (SuffStats(3.0, np.zeros(1), np.zeros((1, 1))), zero_stats(1))
-        ms = MixtureStats(triples, 3.0)
+        ms = MixtureStats((zero_stats(1),), noise_count=3.0)
         breakdown = complete_model_score(
-            ms, (empty_structure(1),), (prior,), DirichletPrior(np.ones(2)), noise
+            ms, (empty_structure(1),), prior, DirichletPrior(np.ones(2)), noise
         )
         assert breakdown.noise_term == pytest.approx(-3.0 * np.log(2.0), abs=1e-12)
 
@@ -192,11 +187,9 @@ class TestCheesemanStutz:
             prior = random_prior(n, rng)
             dirichlet = DirichletPrior(np.full(k, 1.0 / k))
             ms = labeled_stats(rows, labels, k)
-            m = map_model_for(ms, structures, (prior,) * k, dirichlet)
-            cs = cheeseman_stutz_score(
-                rows, m, (prior,) * k, dirichlet, ms, labels=labels
-            )
-            closed = complete_model_score(ms, structures, (prior,) * k, dirichlet).total
+            m = map_model_for(ms, structures, prior, dirichlet)
+            cs = cheeseman_stutz_score(rows, m, prior, dirichlet, ms, labels=labels)
+            closed = complete_model_score(ms, structures, prior, dirichlet).total
             assert cs == pytest.approx(closed, abs=1e-8)
 
     def test_trace_recomputable(self, rng):
@@ -206,9 +199,9 @@ class TestCheesemanStutz:
         data, _ = sample(m, 120, rng)
         config = FitConfig(k=2, seed=0)
         result = fit(data, config)
-        priors, dirichlet = _bind_priors(config, 1)
+        prior, dirichlet = _bind_priors(config, 1)
         for it in result.trace:
-            again = cheeseman_stutz_score(data, it.model, priors, dirichlet, it.stats)
+            again = cheeseman_stutz_score(data, it.model, prior, dirichlet, it.stats)
             assert again == pytest.approx(it.cheeseman_stutz, abs=1e-10)
 
 
@@ -220,8 +213,8 @@ class TestFactorability:
         d = DirichletPrior(np.ones(1))
         before_structure = DagStructure(3, ((), (0,), ()))
         after_structure = DagStructure(3, ((), (0,), (1,)))
-        before = complete_model_score(ms, (before_structure,), (prior,), d)
-        after = complete_model_score(ms, (after_structure,), (prior,), d)
+        before = complete_model_score(ms, (before_structure,), prior, d)
+        after = complete_model_score(ms, (after_structure,), prior, d)
         assert before.local_scores[0][0] == after.local_scores[0][0]
         assert before.local_scores[0][1] == after.local_scores[0][1]
         assert before.local_scores[0][2] != after.local_scores[0][2]
@@ -271,6 +264,7 @@ class TestCompletedLoglik:
         noise = NoiseComponent(np.full(1, -8.0), np.full(1, 8.0))
         m = MdagModel(np.array([0.25, 0.75]), (single_node_model(0.0),), noise)
         data, labels = sample(m, 50, rng)
-        ms = labeled_stats(data, labels, 2)
+        by_label = labeled_stats(data, labels, 2)  # label 0 is the noise component
+        ms = MixtureStats(by_label.triples[1:], noise_count=by_label.triples[0].n)
         expected = observed_loglik(data, m, labels=labels)
         assert completed_loglik(ms, m) == pytest.approx(expected, abs=1e-8)
