@@ -19,12 +19,11 @@ points that the package docstring lists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy.special import gammaln, multigammaln
 
 from .errors import (
     BadParentIndex,
@@ -44,6 +43,20 @@ _LOG_PI = float(np.log(np.pi))
 _PSD_TOL = 1e-8
 # Below this fractional count a posterior update is numerically the prior.
 _COUNT_FLOOR = 1e-250
+
+# log|Gamma(x)| elementwise
+_gammaln = np.vectorize(math.lgamma, otypes=[float])
+
+
+def _multigammaln(a: float, d: int) -> float:
+    """log Gamma_d(a) = (d(d-1)/4) log pi + sum_{j=1..d} log Gamma(a - (j-1)/2).
+
+    Summed in the float order of ``scipy.special.multigammaln``: the
+    constant, plus ``np.sum`` over the d terms in order of j.  Callers keep
+    a > (d-1)/2, so no term reaches a pole of Gamma.
+    """
+    terms = np.array([math.lgamma(a - (j - 1.0) / 2) for j in range(1, d + 1)])
+    return (d * (d - 1) * 0.25) * _LOG_PI + np.sum(terms)
 
 
 @dataclass(frozen=True)
@@ -146,8 +159,8 @@ class FamilyMarginals:
             lead = (
                 -0.5 * n_count * size * _LOG_PI
                 + 0.5 * size * (np.log(prior.nu) - np.log(self._nu1))
-                + multigammaln(alpha1 / 2.0, size)
-                - multigammaln(alpha / 2.0, size)
+                + _multigammaln(alpha1 / 2.0, size)
+                - _multigammaln(alpha / 2.0, size)
             )
             hit = self._by_size[size] = (alpha, alpha1, lead)
         return hit
@@ -246,9 +259,9 @@ def dirichlet_log_marglik(prior: DirichletPrior, counts: np.ndarray) -> float:
     counts = np.maximum(counts, 0.0)
     a = prior.alphas
     return float(
-        gammaln(a.sum())
-        - gammaln(a.sum() + counts.sum())
-        + np.sum(gammaln(a + counts) - gammaln(a))
+        _gammaln(a.sum())
+        - _gammaln(a.sum() + counts.sum())
+        + np.sum(_gammaln(a + counts) - _gammaln(a))
     )
 
 
@@ -326,17 +339,16 @@ def data_informed_prior(
 def _wishart_draw(df: float, scale: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One Wishart(df, scale) draw by Bartlett's decomposition.
 
-    The steps, their order and their calls on ``rng`` are those of
-    ``scipy.stats.wishart.rvs``, so the draw and the generator state after
-    it match that routine bit for bit without importing ``scipy.stats``.
     Lower-triangular A holds N(0, 1) entries below the diagonal and
     sqrt(chi-square(df - i)) on it; with C the lower Cholesky factor of
-    the scale, the draw is (C A)(C A)^T.
+    the scale, the draw is (C A)(C A)^T.  The steps, their order and their
+    calls on ``rng`` are those of ``scipy.stats.wishart.rvs``, so the
+    generator state after a draw matches that routine's.  C is numpy's
+    factor, where scipy takes ``scipy.linalg.cholesky``'s; the two differ
+    in the last bits for some scales, and then so do the draws.
     """
     n = scale.shape[0]
-    # scipy.linalg's factor, as scipy.stats uses: numpy's differs in the
-    # last bits for many scales
-    chol = scipy.linalg.cholesky(scale, lower=True)
+    chol = np.linalg.cholesky(scale)
     below = rng.normal(size=n * (n - 1) // 2)
     diagonal = [rng.chisquare(df - i, size=1) ** 0.5 for i in range(n)]
     a = np.zeros((n, n))

@@ -44,14 +44,6 @@ class DimensionMismatch(DataError):
     pass
 
 
-class BadComponentIndex(DataError):
-    pass
-
-
-class ShapeMismatch(DataError):
-    pass
-
-
 # --- statistics / conjugate machinery --------------------------------------
 
 class AllComponentsZeroDensity(NumericalError):

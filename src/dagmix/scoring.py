@@ -29,13 +29,12 @@ from .bayes import (
     dirichlet_log_marglik,
     local_score,
 )
-from .errors import AllComponentsZeroDensity, EmptyTestSet
+from .errors import EmptyTestSet
 from .model import LOG_2PI, DagStructure, GaussianDag, MdagModel
 from .stats import (
     CaseGroups,
     MixtureStats,
     SuffStats,
-    _checked_labels,
     _normalize_responsibilities,
     component_case_loglik,
 )
@@ -83,29 +82,15 @@ def complete_model_score(
     return ScoreBreakdown(c_term, tuple(locals_), noise_term)
 
 
-def observed_loglik(
-    data: np.ndarray | CaseGroups, model: MdagModel, labels: np.ndarray | None = None
-) -> float:
+def observed_loglik(data: np.ndarray | CaseGroups, model: MdagModel) -> float:
     """Log likelihood of the data (a matrix or its ``group_cases``) at the
     model's parameters.
 
     Missing coordinates are marginalized per component through the
-    observed-block Gaussian marginals.  With ``labels`` the component
-    indicator is treated as observed: each case contributes its own
-    component's (weighted) density instead of the mixture.
+    observed-block Gaussian marginals.
     """
     logp = component_case_loglik(model, data)
-    if labels is None:
-        return float(np.sum(_normalize_responsibilities(logp, model.weights)[1]))
-    labels = _checked_labels(labels, logp.shape[0], model.n_components)
-    with np.errstate(divide="ignore"):
-        logw = np.where(model.weights > 0, np.log(model.weights), -np.inf)
-    picked = logw[labels] + logp[np.arange(labels.shape[0]), labels]
-    if not np.all(np.isfinite(picked)):
-        raise AllComponentsZeroDensity(
-            "a case has zero density under its labeled component"
-        )
-    return float(np.sum(picked))
+    return float(np.sum(_normalize_responsibilities(logp, model.weights)[1]))
 
 
 def gaussian_complete_loglik(t: SuffStats, g: GaussianDag) -> float:
@@ -145,7 +130,6 @@ def cheeseman_stutz_score(
     prior: NormalWishart,
     dirichlet: DirichletPrior,
     mix_stats: MixtureStats,
-    labels: np.ndarray | None = None,
 ) -> float:
     """Approximate log marginal likelihood of the observed data.
 
@@ -160,7 +144,7 @@ def cheeseman_stutz_score(
     breakdown = complete_model_score(mix_stats, structures, prior, dirichlet, model.noise)
     return (
         breakdown.total
-        + observed_loglik(data, model, labels)
+        + observed_loglik(data, model)
         - completed_loglik(mix_stats, model)
     )
 

@@ -28,12 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AllComponentsZeroDensity,
-    BadComponentIndex,
-    DimensionMismatch,
-    ShapeMismatch,
-)
+from .errors import AllComponentsZeroDensity, DimensionMismatch
 from .model import LOG_2PI, MdagModel
 
 
@@ -78,31 +73,6 @@ class MixtureStats:
         if self.noise_count is not None:
             counts.insert(0, self.noise_count)
         return np.array(counts)
-
-
-def _checked_labels(labels, cases: int, k: int) -> np.ndarray:
-    """``labels`` as one integer component index in [0, k) per case."""
-    labels = np.asarray(labels)
-    if labels.shape != (cases,):
-        raise ShapeMismatch("one label per case required")
-    if labels.size and (
-        labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= k
-    ):
-        raise BadComponentIndex(f"labels must be integers in [0, {k})")
-    return labels
-
-
-def labeled_stats(data: np.ndarray, labels: np.ndarray, k: int) -> MixtureStats:
-    """Exact statistics for complete data with observed component labels."""
-    data = np.asarray(data, dtype=float)
-    if np.isnan(data).any():
-        raise DimensionMismatch("labeled statistics require complete data")
-    labels = _checked_labels(labels, data.shape[0], k)
-    triples = []
-    for c in range(k):
-        rows = data[labels == c]
-        triples.append(SuffStats(float(rows.shape[0]), rows.sum(axis=0), rows.T @ rows))
-    return MixtureStats(tuple(triples))
 
 
 # --- cases grouped by observation mask ---------------------------------------

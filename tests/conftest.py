@@ -4,7 +4,8 @@ from hypothesis import settings
 
 from dagmix.bayes import FamilyMarginals, NormalWishart, local_score
 from dagmix.model import DagStructure, GaussianDag, MdagModel, empty_structure
-from dagmix.stats import SuffStats
+from dagmix.scoring import cheeseman_stutz_score, observed_loglik
+from dagmix.stats import MixtureStats, SuffStats, component_case_loglik
 
 # the same examples on every run, no per-example deadline (a fit's first
 # call pays for imports), and a bounded count unless a test sets its own
@@ -15,6 +16,38 @@ settings.load_profile("dagmix")
 def zero_stats(dim: int) -> SuffStats:
     """The statistics of no cases."""
     return SuffStats(0.0, np.zeros(dim), np.zeros((dim, dim)))
+
+
+def labeled_stats(
+    data: np.ndarray, labels: np.ndarray, k: int, noise: bool = False
+) -> MixtureStats:
+    """Exact statistics of complete data whose component labels are known.
+
+    A label indexes the weight vector of a k-entry mixture, as ``sample``
+    returns them: with ``noise``, label 0 is the noise component, which
+    keeps only its count, and labels 1..k-1 the Gaussian components.
+    """
+    def triple(rows):
+        return SuffStats(float(rows.shape[0]), rows.sum(axis=0), rows.T @ rows)
+
+    first = 1 if noise else 0
+    triples = tuple(triple(data[labels == c]) for c in range(first, k))
+    return MixtureStats(triples, float(np.sum(labels == 0)) if noise else None)
+
+
+def labeled_loglik(data: np.ndarray, model: MdagModel, labels: np.ndarray) -> float:
+    """Log likelihood with the component indicator observed: each case adds
+    its own component's weighted density in place of the mixture's."""
+    logp = component_case_loglik(model, data)
+    return float(np.sum(np.log(model.weights[labels]) + logp[np.arange(len(labels)), labels]))
+
+
+def labeled_cheeseman_stutz(data, labels, model, prior, dirichlet, mix_stats) -> float:
+    """The Cheeseman-Stutz score with the component indicator observed: the
+    library's score with its observed-data term swapped for the labelled
+    one.  On exact labelled statistics the correction then cancels."""
+    cs = cheeseman_stutz_score(data, model, prior, dirichlet, mix_stats)
+    return cs - observed_loglik(data, model) + labeled_loglik(data, model, labels)
 
 
 def structure_score(prior: NormalWishart, t: SuffStats, structure: DagStructure) -> float:

@@ -47,8 +47,8 @@ from dagmix.scoring import (
     observed_loglik,
 )
 from dagmix.search import greedy_component_search, apply_move
-from dagmix.stats import SuffStats, expected_stats, labeled_stats
-from conftest import random_dag, structure_score
+from dagmix.stats import SuffStats, expected_stats
+from conftest import labeled_cheeseman_stutz, labeled_stats, random_dag, structure_score
 
 
 def _report(number: int, name: str, elapsed: float, budget: float, detail: str):
@@ -161,7 +161,7 @@ def test_criterion_03_cheeseman_stutz_exact_on_complete_data():
             map_parameters(prior, ms.triples[c], structures[c]) for c in range(k)
         )
         m = MdagModel(weights, comps)
-        cs = cheeseman_stutz_score(rows, m, prior, dirichlet, ms, labels=labels)
+        cs = labeled_cheeseman_stutz(rows, labels, m, prior, dirichlet, ms)
         closed = complete_model_score(ms, structures, prior, dirichlet).total
         worst = max(worst, abs(cs - closed))
     assert worst <= 1e-8

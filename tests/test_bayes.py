@@ -7,6 +7,8 @@ from dagmix.bayes import (
     DirichletPrior,
     FamilyMarginals,
     NormalWishart,
+    _gammaln,
+    _multigammaln,
     data_informed_prior,
     dirichlet_log_marglik,
     dirichlet_map,
@@ -188,7 +190,10 @@ def sliced_marginal_loglik(
     prior: NormalWishart, t: SuffStats, family: tuple[int, ...]
 ) -> float:
     """The per-family formula on Y-sliced inputs, float order kept: the
-    oracle that ``FamilyMarginals`` must match bit for bit."""
+    oracle that ``FamilyMarginals`` must match bit for bit.  Its gamma terms
+    come from the library's ``_multigammaln``, which ``TestLogGamma`` checks
+    against scipy, so a match checks the blocks of the one posterior scale
+    T' against the same formula built from sliced inputs."""
     size = len(family)
     n_count = t.n
     if n_count <= 1e-250:
@@ -209,8 +214,8 @@ def sliced_marginal_loglik(
     return float(
         -0.5 * n_count * size * np.log(np.pi)
         + 0.5 * size * (np.log(nu) - np.log(nu1))
-        + multigammaln(alpha1 / 2.0, size)
-        - multigammaln(alpha / 2.0, size)
+        + _multigammaln(alpha1 / 2.0, size)
+        - _multigammaln(alpha / 2.0, size)
         + 0.5 * alpha * _chol_logdet(_chol_with_jitter(tau, SingularParentBlock))
         - 0.5 * alpha1 * _chol_logdet(_chol_with_jitter(tau1, SingularParentBlock))
     )
@@ -427,6 +432,41 @@ class TestScoreEquivalence:
             assert max(scores) - min(scores) < 1e-8
             # the collider encodes different constraints; no equality expected
             assert abs(structure_score(prior, t, collider) - scores[0]) > 0
+
+
+class TestLogGamma:
+    # math.lgamma and scipy's gammaln round differently in the last bits, so
+    # the library's helpers must match scipy within a stated tolerance, not
+    # exactly: 1e-13 relative, with the same bound in absolute terms where
+    # |log Gamma| < 1 (near its zeros at 1 and 2).  The measured gap is
+    # about 1e-15 of max(1, |value|).
+    TOL = dict(rel=1e-13, abs=1e-13)
+
+    @staticmethod
+    def arguments(rng):
+        """The range a fit reaches: half-integer degrees of freedom,
+        fractional counts and Dirichlet hyperparameters, and counts added to
+        them up to 1e7."""
+        return np.concatenate(
+            [
+                np.arange(1, 2001) / 2.0,
+                rng.uniform(0.01, 100.0, 2000),
+                10.0 ** rng.uniform(2.0, 7.0, 2000),
+                [1e7, 1e7 + 0.5],
+            ]
+        )
+
+    def test_gammaln_matches_scipy(self, rng):
+        x = self.arguments(rng)
+        assert _gammaln(x) == pytest.approx(gammaln(x), **self.TOL)
+        assert _gammaln(x.reshape(2, -1)).shape == (2, x.size // 2)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 20, 40])
+    def test_multigammaln_matches_scipy(self, rng, d):
+        # a > (d - 1) / 2, as alpha > dim - 1 at the boundary keeps it;
+        # d from 8 up reaches numpy's pairwise summation
+        for a in (d - 1) / 2.0 + self.arguments(rng)[::8]:
+            assert _multigammaln(a, d) == pytest.approx(multigammaln(a, d), **self.TOL)
 
 
 class TestDirichlet:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dagmix.engine as engine_module
+from dagmix.cli import Dataset, write_csv
 from dagmix.engine import (
     FitConfig,
     PriorSpec,
@@ -262,23 +263,31 @@ class TestInitialize:
         b = initialize(data, FitConfig(k=2, seed=3))
         assert np.array_equal(a.components[0].intercepts, b.components[0].intercepts)
 
-    def test_leaves_scipy_stats_unimported(self):
-        # the Wishart draw follows scipy.stats' steps without importing it,
-        # so a fresh process does not pay that import on its first fit
+    def test_fit_runs_with_scipy_blocked(self, tmp_path):
+        # the library needs numpy alone: a fresh process in which importing
+        # scipy fails runs `dagmix fit` on a CSV with missing cells, and
+        # loads no scipy module on the way
         src = os.path.dirname(os.path.dirname(engine_module.__file__))
+        data = np.random.default_rng(0).normal(size=(60, 3))
+        data[::7, 1] = np.nan
+        csv = tmp_path / "data.csv"
+        write_csv(str(csv), Dataset(("a", "b", "c"), data))
         code = (
-            f"import sys; sys.path.insert(0, {src!r})\n"
-            "import numpy as np\n"
-            "import dagmix\n"
-            "from dagmix import engine\n"
-            "data = np.random.default_rng(0).normal(size=(40, 3))\n"
-            "engine.initialize(data, engine.FitConfig(k=2))\n"
-            "print('scipy.stats' in sys.modules)\n"
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "from dagmix import cli\n"
+            f"code = cli.main(['fit', '--data', {str(csv)!r}, '--k', '2', "
+            f"'--schedule', '((EM)^5 Ec S* M)', '--out', {str(tmp_path / 'model.json')!r}])\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+            "and sys.modules[m] is not None)\n"
+            "print(code, loaded)\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip().splitlines()[-1] == "0 []"
+        assert (tmp_path / "model.json").is_file()
 
 
 class TestFit:

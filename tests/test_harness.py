@@ -15,7 +15,7 @@ from dagmix.harness import (
 from dagmix.model import DagStructure, MdagModel, empty_structure, sample
 from dagmix.rng import stream
 from dagmix.search import search_all_components, structural_difference
-from dagmix.stats import labeled_stats
+from conftest import labeled_stats
 
 
 class TestDefaultGoldStandard:

@@ -4,7 +4,7 @@ from scipy import stats as sps
 from scipy.integrate import quad
 
 from dagmix.bayes import DirichletPrior, dirichlet_map, map_parameters
-from dagmix.errors import BadComponentIndex, DimensionMismatch, EmptyTestSet
+from dagmix.errors import DimensionMismatch, EmptyTestSet
 from dagmix.model import (
     DagStructure,
     GaussianDag,
@@ -21,8 +21,11 @@ from dagmix.scoring import (
     observed_loglik,
     predictive_score,
 )
-from dagmix.stats import MixtureStats, SuffStats, labeled_stats
+from dagmix.stats import MixtureStats, SuffStats
 from conftest import (
+    labeled_cheeseman_stutz,
+    labeled_loglik,
+    labeled_stats,
     random_dag,
     random_gaussian_dag,
     single_node_model,
@@ -124,26 +127,16 @@ class TestObservedLoglik:
         assert ours == pytest.approx(np.log(marginal), abs=1e-8)
 
     def test_labels_select_terms(self, rng):
+        # the labelled log likelihood is a test oracle, checked here case by case
         m = two_component_1d(0.0, 4.0, w=0.3)
         data, labels = sample(m, 25, rng)
-        ours = observed_loglik(data, m, labels=labels)
+        ours = labeled_loglik(data, m, labels)
         by_hand = sum(
             np.log(m.weights[labels[i]])
             + m.components[labels[i]].log_density(data[i])
             for i in range(25)
         )
         assert ours == pytest.approx(by_hand, abs=1e-9)
-
-    @pytest.mark.parametrize(
-        "bad", [2, -1, 0.5], ids=["too-large", "negative", "fractional"]
-    )
-    def test_bad_labels_rejected(self, rng, bad):
-        m = two_component_1d(0.0, 4.0)
-        data, labels = sample(m, 10, rng)
-        labels = labels.astype(type(bad))
-        labels[3] = bad
-        with pytest.raises(BadComponentIndex):
-            observed_loglik(data, m, labels=labels)
 
     def test_width_checked_on_empty_data(self):
         m = MdagModel(np.array([1.0]), (single_node_model(0.0),))
@@ -188,7 +181,7 @@ class TestCheesemanStutz:
             dirichlet = DirichletPrior(np.full(k, 1.0 / k))
             ms = labeled_stats(rows, labels, k)
             m = map_model_for(ms, structures, prior, dirichlet)
-            cs = cheeseman_stutz_score(rows, m, prior, dirichlet, ms, labels=labels)
+            cs = labeled_cheeseman_stutz(rows, labels, m, prior, dirichlet, ms)
             closed = complete_model_score(ms, structures, prior, dirichlet).total
             assert cs == pytest.approx(closed, abs=1e-8)
 
@@ -257,14 +250,13 @@ class TestCompletedLoglik:
         data, labels = sample(m, 40, rng)
         ms = labeled_stats(data, labels, 2)
         assert completed_loglik(ms, m) == pytest.approx(
-            observed_loglik(data, m, labels=labels), abs=1e-8
+            labeled_loglik(data, m, labels), abs=1e-8
         )
 
     def test_noise_share(self, rng):
         noise = NoiseComponent(np.full(1, -8.0), np.full(1, 8.0))
         m = MdagModel(np.array([0.25, 0.75]), (single_node_model(0.0),), noise)
         data, labels = sample(m, 50, rng)
-        by_label = labeled_stats(data, labels, 2)  # label 0 is the noise component
-        ms = MixtureStats(by_label.triples[1:], noise_count=by_label.triples[0].n)
-        expected = observed_loglik(data, m, labels=labels)
+        ms = labeled_stats(data, labels, 2, noise=True)
+        expected = labeled_loglik(data, m, labels)
         assert completed_loglik(ms, m) == pytest.approx(expected, abs=1e-8)

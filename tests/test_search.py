@@ -25,8 +25,8 @@ from dagmix.search import (
     structural_difference,
     to_cpdag,
 )
-from dagmix.stats import MixtureStats, SuffStats, labeled_stats
-from conftest import random_dag, structure_score, zero_stats
+from dagmix.stats import MixtureStats, SuffStats
+from conftest import labeled_stats, random_dag, structure_score, zero_stats
 from test_bayes import random_prior, stats_of, twin_column_stats
 
 
