@@ -30,7 +30,6 @@ from .errors import (
     ChildInParents,
     DimensionMismatch,
     EmptyFamily,
-    InsufficientData,
     NegativeCount,
     NonPsdScatter,
     NumericalOverflow,
@@ -177,10 +176,10 @@ class FamilyMarginals:
 
         Per size, every tau_Y block and every tau'_Y block of the sorted
         families is gathered with one fancy index and each stack is
-        factored in one call; the log-determinants are read off the stacked
-        diagonals in the float order of ``_chol_logdet``, so each value
-        equals the one its family gets when filled alone.  A variable
-        outside [0, n) raises BadParentIndex.
+        factored in one call; each log-determinant is twice the sum of the
+        logs of its own factor's diagonal, so each value equals the one its
+        family gets when filled alone.  A variable outside [0, n) raises
+        BadParentIndex.
         """
         keys = [tuple(sorted(map(int, family))) for family in families]
         todo: dict[int, dict[tuple[int, ...], None]] = {}
@@ -226,23 +225,12 @@ def _stacked_logdets(blocks: np.ndarray) -> np.ndarray:
     return 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
 
 
-def local_score(
-    prior: NormalWishart,
-    t: SuffStats,
-    child: int,
-    parents: Sequence[int],
-    marginals: FamilyMarginals | None = None,
-) -> float:
-    """Family score of one node: log p(d^{child u Pa}) - log p(d^{Pa}).
-
-    ``marginals``, when given, must be ``FamilyMarginals(prior, t)``; it
-    lets many calls share one posterior scale and one memo.
-    """
+def local_score(marginals: FamilyMarginals, child: int, parents: Sequence[int]) -> float:
+    """Family score of one node, log p(d^{child u Pa}) - log p(d^{Pa}), read
+    off the family marginals of one (prior, statistics) pair."""
     parents = tuple(int(p) for p in parents)
     if child in parents:
         raise ChildInParents(f"node {child} appears in its own parent set")
-    if marginals is None:
-        marginals = FamilyMarginals(prior, t)
     top = marginals((child, *parents))
     if not parents:
         return top
@@ -295,40 +283,17 @@ def map_joint(prior: NormalWishart, t: SuffStats) -> tuple[np.ndarray, np.ndarra
     return post.mu0.copy(), post.tau / (post.alpha + post.dim + 2.0)
 
 
-def data_informed_prior(
-    data: np.ndarray, ess: float, base_prior: NormalWishart | None = None
-) -> NormalWishart:
+def data_informed_prior(data: np.ndarray, ess: float, prior: NormalWishart) -> NormalWishart:
     """Normal-Wishart whose mode matches the data's MAP joint, at strength ess.
 
-    The complete observed data yields a MAP (mean, covariance) - under
-    ``base_prior`` when given, else the raw sample moments - and the
-    returned prior has that configuration as its mode with nu = ess and
-    alpha = ess + n + 1 (so the surplus alpha - (n+1) also equals ess).
-    Draws from it concentrate around the mode as ess grows.
+    ``data`` holds complete cases, and ``ess`` is positive.  Their MAP
+    (mean, covariance) under ``prior`` is the mode of the returned
+    Normal-Wishart, with nu = ess and alpha = ess + n + 1 (so the surplus
+    alpha - (n+1) also equals ess).  Draws from it concentrate around the
+    mode as ess grows.
     """
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2:
-        raise DimensionMismatch("data must be a cases-by-variables matrix")
-    if np.isnan(data).any():
-        raise InsufficientData("the data-informed prior requires complete cases")
-    if ess <= 0:
-        raise DimensionMismatch("ess must be positive")
     count, n = data.shape
-    t = SuffStats(float(count), data.sum(axis=0), data.T @ data)
-    if base_prior is None:
-        if count < n + 2:
-            raise InsufficientData(
-                f"{count} cases cannot pin a {n}-variable moment estimate; "
-                "supply a base prior or at least n + 2 cases"
-            )
-        mean = t.r / t.n
-        cov = t.scatter() / t.n
-        try:
-            _chol_with_jitter(cov, InsufficientData)
-        except InsufficientData:
-            raise InsufficientData("sample covariance is singular")
-    else:
-        mean, cov = map_joint(base_prior, t)
+    mean, cov = map_joint(prior, SuffStats(float(count), data.sum(axis=0), data.T @ data))
     alpha = ess + n + 1.0
     tau = (alpha + n + 2.0) * cov
     if not np.isfinite(tau).all():

@@ -158,7 +158,10 @@ def model_from_json(doc: dict) -> tuple[MdagModel, dict]:
     if version != FORMAT_VERSION:
         raise VersionMismatch(f"model file version {version!r}, expected {FORMAT_VERSION!r}")
     try:
-        n = int(doc["n"])
+        n = doc["n"]
+        if type(n) is not int:
+            # int() would read 5.7 or "5" as 5, and a bool as 0 or 1
+            raise CorruptFile(f"model file has a node count {n!r} that is not an integer")
         components = tuple(
             GaussianDag(
                 DagStructure(n, _parent_sets(comp["parents"])),

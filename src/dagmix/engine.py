@@ -388,7 +388,7 @@ def initialize(
     n = data.shape[1]
     prior, dirichlet = bound if bound is not None else _bind_priors(config, n)
     complete_rows = data[~np.isnan(data).any(axis=1)]
-    init_prior = data_informed_prior(complete_rows, config.ess, base_prior=prior)
+    init_prior = data_informed_prior(complete_rows, config.ess, prior)
     if config.family == "mfull":
         structure = complete_structure(n)
     else:
@@ -400,6 +400,31 @@ def initialize(
         components.append(GaussianDag.from_joint(structure, mean, cov))
     weights = _initial_weights(config, dirichlet)
     return MdagModel(weights, tuple(components), config.noise_component())
+
+
+def cheeseman_stutz(
+    data: np.ndarray | stats.CaseGroups,
+    model: MdagModel,
+    prior: NormalWishart,
+    dirichlet: DirichletPrior,
+    mix_stats: stats.MixtureStats,
+) -> tuple[float, float, float]:
+    """(complete-model score, observed log likelihood, Cheeseman-Stutz score)
+    of the data (a matrix or its ``group_cases``) at the model.
+
+    The Cheeseman-Stutz score approximates the log marginal likelihood of
+    the observed data: the complete-model score of the completion that
+    ``mix_stats`` summarizes, plus the log ratio of the observed-data
+    likelihood to the completed-data likelihood, both at the model's
+    parameters.  The caller must pass parameters that are MAP for the
+    model's structures, and the statistics that produced them.  When the
+    completion is the data itself the correction cancels and the exact
+    closed form is recovered.
+    """
+    structures = tuple(g.structure for g in model.components)
+    complete = complete_model_score(mix_stats, structures, prior, dirichlet, model.noise).total
+    obs = observed_loglik(data, model)
+    return complete, obs, complete + obs - completed_loglik(mix_stats, model)
 
 
 def _checked_data(data) -> np.ndarray:
@@ -464,14 +489,8 @@ def fit(data: np.ndarray, config: FitConfig) -> FitResult:
         else:
             new_structures = structures
         model = _m_step(mix_stats, new_structures, prior, dirichlet, model)
-        breakdown = complete_model_score(
-            mix_stats, new_structures, prior, dirichlet, model.noise
-        )
-        obs = observed_loglik(cases, model)
-        cs = breakdown.total + obs - completed_loglik(mix_stats, model)
-        iterates.append(
-            OuterIterate(model, new_structures, mix_stats, obs, breakdown.total, cs)
-        )
+        complete, obs, cs = cheeseman_stutz(cases, model, prior, dirichlet, mix_stats)
+        iterates.append(OuterIterate(model, new_structures, mix_stats, obs, complete, cs))
         unchanged = new_structures == structures
         structures = new_structures
         if not searching:

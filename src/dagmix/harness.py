@@ -168,6 +168,8 @@ def run_recovery(
     No noise component is used: the data comes straight from the gold
     model.  The fit seed is tied to the harness seed for regenerable rows.
     """
+    if not isinstance(gold, GoldStandard):
+        raise DimensionMismatch(f"gold {gold!r} is not a GoldStandard")
     base = FitConfig() if config is None else _checked_config(config)
     base = replace(base, noise_bounds=None, seed=seed)
     datasets = generate_recovery_data(gold, seed, sizes=sizes)

@@ -52,11 +52,6 @@ def _chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
 
 
-def _chol_logdet(chol: np.ndarray) -> float:
-    """log|L L^T| given the Cholesky factor L."""
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
-
-
 def _check_number(name: str, value, kind: type) -> None:
     """Raise DimensionMismatch unless ``value`` is a finite ``kind`` number
     other than a bool."""

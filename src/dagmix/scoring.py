@@ -3,12 +3,13 @@
 The complete-model score treats a set of (expected) statistics as if they
 summarized a complete data set: a Dirichlet term for the component counts
 plus per-component per-node family scores, so changing one parent set
-changes exactly one term.  The Cheeseman-Stutz score corrects that value
-back toward the observed-data marginal likelihood with a likelihood ratio
-between the observed data and its completion, both evaluated at the MAP
-parameters.  Both read a ``MixtureStats``: one triple per Gaussian
-component, zipped with the structures or components, and the noise
-component's count apart; one Normal-Wishart prior serves every component.
+changes exactly one term.  The observed log likelihood and the completed
+log likelihood are the two halves of the correction that
+``engine.cheeseman_stutz`` adds to it, both at the MAP parameters; that is
+the one place the Cheeseman-Stutz score is computed.  The functions here
+read a ``MixtureStats``: one triple per Gaussian component, zipped with the
+structures or components, and the noise component's count apart; one
+Normal-Wishart prior serves every component.
 
 These functions are internal and assume validated input: data, models and
 statistics arrive through the checked entry points that the package
@@ -71,10 +72,7 @@ def complete_model_score(
     for t, structure in zip(mix_stats.triples, structures, strict=True):
         marginals = FamilyMarginals(prior, t)
         locals_.append(
-            tuple(
-                local_score(prior, t, i, ps, marginals)
-                for i, ps in enumerate(structure.parents)
-            )
+            tuple(local_score(marginals, i, ps) for i, ps in enumerate(structure.parents))
         )
     noise_term = 0.0
     if noise is not None:
@@ -122,31 +120,6 @@ def completed_loglik(mix_stats: MixtureStats, model: MdagModel) -> float:
             continue
         total += t.n * np.log(w) + gaussian_complete_loglik(t, g)
     return float(total)
-
-
-def cheeseman_stutz_score(
-    data: np.ndarray,
-    model: MdagModel,
-    prior: NormalWishart,
-    dirichlet: DirichletPrior,
-    mix_stats: MixtureStats,
-) -> float:
-    """Approximate log marginal likelihood of the observed data.
-
-    Complete-model score of the completion, plus the log ratio of the
-    observed-data likelihood to the completed-data likelihood, both at the
-    model's (MAP) parameters.  The caller must pass parameters that are
-    MAP for the structures being scored, and the statistics that produced
-    them.  When the completion is the data itself the correction cancels
-    and the exact closed form is recovered.
-    """
-    structures = tuple(g.structure for g in model.components)
-    breakdown = complete_model_score(mix_stats, structures, prior, dirichlet, model.noise)
-    return (
-        breakdown.total
-        + observed_loglik(data, model)
-        - completed_loglik(mix_stats, model)
-    )
 
 
 def predictive_score(test_data: np.ndarray, model: MdagModel) -> float:

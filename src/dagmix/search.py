@@ -16,7 +16,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -122,8 +122,7 @@ def apply_move(structure: DagStructure, move: ArcMove) -> DagStructure:
 
 
 class _ScoreCache:
-    """Node scores of one component, keyed by (node, sorted parents), and
-    the set terms of its gains, all over one ``FamilyMarginals``.
+    """The set terms of one component's gains, over one ``FamilyMarginals``.
 
     With F(Y) the family marginal of variable set Y (F of the empty set is
     0), node v with parents P scores F(v + P) - F(P).  ``gains`` keeps two
@@ -136,22 +135,11 @@ class _ScoreCache:
     """
 
     def __init__(self, prior: NormalWishart, t: SuffStats):
-        self.prior = prior
-        self.t = t
         self.marginals = FamilyMarginals(prior, t)
-        self._cache: dict[tuple[int, tuple[int, ...]], float] = {}
         self._columns: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
         self._terms = np.full((2, t.dim, t.dim), np.nan)
         self._node_terms = np.zeros((2, t.dim))
         self._gain_parents: list[tuple[int, ...] | None] = [None] * t.dim
-
-    def node_score(self, node: int, parents: Iterable[int]) -> float:
-        key = (node, tuple(sorted(parents)))
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = local_score(self.prior, self.t, key[0], key[1], self.marginals)
-            self._cache[key] = hit
-        return hit
 
     def gains(
         self, parents: Sequence[tuple[int, ...]], need: np.ndarray
@@ -312,14 +300,14 @@ def greedy_component_search(
     structure = init
     cache = _ScoreCache(prior, t)
     node_scores = np.array(
-        [cache.node_score(i, ps) for i, ps in enumerate(structure.parents)]
+        [local_score(cache.marginals, i, ps) for i, ps in enumerate(structure.parents)]
     )
 
     def accept(move: ArcMove, sideways: bool) -> None:
         nonlocal structure
         before = float(node_scores.sum())
         for node, ps in _new_parents(structure, move):
-            node_scores[node] = cache.node_score(node, ps)
+            node_scores[node] = local_score(cache.marginals, node, ps)
         structure = apply_move(structure, move)
         if trace is not None:
             total = float(node_scores.sum())

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import settings
 
 from dagmix.bayes import FamilyMarginals, NormalWishart, local_score
+from dagmix.engine import cheeseman_stutz
 from dagmix.model import DagStructure, GaussianDag, MdagModel, empty_structure
-from dagmix.scoring import cheeseman_stutz_score, observed_loglik
 from dagmix.stats import MixtureStats, SuffStats, component_case_loglik
 
 # the same examples on every run, no per-example deadline (a fit's first
@@ -46,16 +46,19 @@ def labeled_cheeseman_stutz(data, labels, model, prior, dirichlet, mix_stats) ->
     """The Cheeseman-Stutz score with the component indicator observed: the
     library's score with its observed-data term swapped for the labelled
     one.  On exact labelled statistics the correction then cancels."""
-    cs = cheeseman_stutz_score(data, model, prior, dirichlet, mix_stats)
-    return cs - observed_loglik(data, model) + labeled_loglik(data, model, labels)
+    _, obs, cs = cheeseman_stutz(data, model, prior, dirichlet, mix_stats)
+    return cs - obs + labeled_loglik(data, model, labels)
 
 
 def structure_score(prior: NormalWishart, t: SuffStats, structure: DagStructure) -> float:
     """Sum of family scores over all nodes of one component structure."""
     marginals = FamilyMarginals(prior, t)
-    return sum(
-        local_score(prior, t, i, ps, marginals) for i, ps in enumerate(structure.parents)
-    )
+    return sum(local_score(marginals, i, ps) for i, ps in enumerate(structure.parents))
+
+
+def chol_logdet(chol: np.ndarray) -> float:
+    """log|L L^T| given the Cholesky factor L."""
+    return 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
 def random_dag(n: int, rng: np.random.Generator, p: float = 0.4) -> DagStructure:

@@ -13,6 +13,7 @@ from dagmix.bayes import (
     dirichlet_log_marglik,
     dirichlet_map,
     local_score,
+    map_joint,
     map_parameters,
     posterior_update,
     sample_joint_parameters,
@@ -22,7 +23,6 @@ from dagmix.errors import (
     ChildInParents,
     DimensionMismatch,
     EmptyFamily,
-    InsufficientData,
     NegativeCount,
     NonPsdScatter,
     SingularParentBlock,
@@ -30,12 +30,11 @@ from dagmix.errors import (
 from dagmix.model import (
     DagStructure,
     GaussianDag,
-    _chol_logdet,
     _chol_with_jitter,
     empty_structure,
 )
 from dagmix.stats import SuffStats
-from conftest import random_dag, structure_score, zero_stats
+from conftest import chol_logdet, random_dag, structure_score, zero_stats
 
 
 def stats_of(data: np.ndarray) -> SuffStats:
@@ -216,8 +215,8 @@ def sliced_marginal_loglik(
         + 0.5 * size * (np.log(nu) - np.log(nu1))
         + _multigammaln(alpha1 / 2.0, size)
         - _multigammaln(alpha / 2.0, size)
-        + 0.5 * alpha * _chol_logdet(_chol_with_jitter(tau, SingularParentBlock))
-        - 0.5 * alpha1 * _chol_logdet(_chol_with_jitter(tau1, SingularParentBlock))
+        + 0.5 * alpha * chol_logdet(_chol_with_jitter(tau, SingularParentBlock))
+        - 0.5 * alpha1 * chol_logdet(_chol_with_jitter(tau1, SingularParentBlock))
     )
 
 
@@ -251,8 +250,7 @@ class TestFamilyMarginals:
                     expected = oracle - sliced_marginal_loglik(
                         prior, t, tuple(sorted(parents))
                     )
-                assert local_score(prior, t, child, parents, marginals) == expected
-                assert local_score(prior, t, child, parents) == expected
+                assert local_score(marginals, child, parents) == expected
 
     @pytest.mark.parametrize("tau", ["identity", "random"])
     def test_fill_equals_sliced_formula(self, rng, tau):
@@ -329,9 +327,9 @@ class TestFamilyMarginals:
             with pytest.raises(BadParentIndex):
                 marginals.fill([(0,), (1, variable)])
             with pytest.raises(BadParentIndex):
-                local_score(prior, t, 0, (variable,), marginals)
+                local_score(marginals, 0, (variable,))
             with pytest.raises(BadParentIndex):
-                local_score(prior, t, variable, (0,))
+                local_score(marginals, variable, (0,))
 
     def test_bad_families_rejected(self, rng):
         prior = random_prior(3, rng)
@@ -342,9 +340,9 @@ class TestFamilyMarginals:
             with pytest.raises(DimensionMismatch):
                 marginals((1, 1))
             with pytest.raises(DimensionMismatch):
-                local_score(prior, t, 0, (1, 1), marginals)
+                local_score(marginals, 0, (1, 1))
             with pytest.raises(ChildInParents):
-                local_score(prior, t, 0, (2, 0), marginals)
+                local_score(marginals, 0, (2, 0))
 
 
 def alternating_twin_stats(rng: np.random.Generator, n: int) -> SuffStats:
@@ -391,21 +389,22 @@ class TestLocalScore:
     def test_orphan_equals_family(self, rng):
         prior = random_prior(2, rng)
         t = stats_of(rng.normal(0, 1, (6, 2)))
-        assert local_score(prior, t, 0, ()) == FamilyMarginals(prior, t)((0,))
+        assert local_score(FamilyMarginals(prior, t), 0, ()) == FamilyMarginals(prior, t)((0,))
 
     def test_chain_rule_both_orderings(self, rng):
         prior = random_prior(2, rng)
-        t = stats_of(rng.normal(0, 1, (9, 2)))
-        forward = local_score(prior, t, 1, (0,)) + local_score(prior, t, 0, ())
-        backward = local_score(prior, t, 0, (1,)) + local_score(prior, t, 1, ())
+        marginals = FamilyMarginals(prior, stats_of(rng.normal(0, 1, (9, 2))))
+        forward = local_score(marginals, 1, (0,)) + local_score(marginals, 0, ())
+        backward = local_score(marginals, 0, (1,)) + local_score(marginals, 1, ())
         assert forward == pytest.approx(backward, abs=1e-10)
 
     def test_empty_batch_zero(self, rng):
-        assert local_score(random_prior(3, rng), zero_stats(3), 0, (1, 2)) == 0.0
+        marginals = FamilyMarginals(random_prior(3, rng), zero_stats(3))
+        assert local_score(marginals, 0, (1, 2)) == 0.0
 
     def test_child_in_parents(self, rng):
         with pytest.raises(ChildInParents):
-            local_score(random_prior(2, rng), zero_stats(2), 0, (0,))
+            local_score(FamilyMarginals(random_prior(2, rng), zero_stats(2)), 0, (0,))
 
 
 class TestScoreEquivalence:
@@ -594,34 +593,27 @@ class TestMapParameters:
 
 
 class TestDataInformedPrior:
-    def test_mode_matches_sample_moments(self, rng):
-        rows = rng.normal(0, 1, (4000, 2))
-        # normalize to exact standard moments so the mode is pinned
-        rows = (rows - rows.mean(axis=0)) / rows.std(axis=0)
-        rows = rows @ np.linalg.inv(np.linalg.cholesky(np.cov(rows.T, bias=True))).T
-        informed = data_informed_prior(rows, ess=200.0)
-        assert np.allclose(informed.mu0, 0.0, atol=1e-10)
-        n = 2
-        mode_cov = informed.tau / (informed.alpha + n + 2.0)
-        assert np.allclose(mode_cov, np.eye(2), atol=1e-8)
-        assert informed.nu == 200.0
-        assert informed.alpha == pytest.approx(200.0 + n + 1)
+    def test_mode_is_the_map_joint_under_the_prior(self, rng):
+        prior = random_prior(3, rng)
+        rows = rng.normal(0, 1, (50, 3))
+        mean, cov = map_joint(prior, stats_of(rows))
+        informed = data_informed_prior(rows, 20.0, prior)
+        assert np.array_equal(informed.mu0, mean)
+        assert np.allclose(informed.tau / (informed.alpha + 3 + 2.0), cov, rtol=1e-12)
+        assert informed.alpha == 20.0 + 3 + 1
 
     def test_draw_spread_shrinks_with_ess(self, rng):
         rows = rng.normal(0, 1, (500, 2))
+        prior = NormalWishart(2.0, np.zeros(2), 4.0, np.eye(2))  # PriorSpec's default
         spreads = []
         for ess in (50.0, 5000.0):
-            informed = data_informed_prior(rows, ess=ess)
+            informed = data_informed_prior(rows, ess, prior)
             means = np.array(
                 [sample_joint_parameters(informed, rng)[0] for _ in range(200)]
             )
             spreads.append(means.std(axis=0).mean())
         # 100x the strength should shrink the spread about 10x
         assert spreads[1] < spreads[0] / 5
-
-    def test_single_case_insufficient(self):
-        with pytest.raises(InsufficientData):
-            data_informed_prior(np.zeros((1, 3)), ess=10.0)
 
     @pytest.mark.parametrize("n", [1, 5, 40])
     def test_draw_matches_scipy_wishart(self, rng, n):
@@ -645,5 +637,5 @@ class TestDataInformedPrior:
 
     def test_base_prior_allows_tiny_data(self, rng):
         base = random_prior(3, rng)
-        informed = data_informed_prior(rng.normal(0, 1, (1, 3)), 10.0, base_prior=base)
+        informed = data_informed_prior(rng.normal(0, 1, (1, 3)), 10.0, base)
         assert informed.nu == 10.0

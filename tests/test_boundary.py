@@ -379,12 +379,17 @@ def test_baseline_comparison(train, test, families, k_max, config):
     k_max=st.sampled_from([1, 2, 0, 1.5]),
     # None would fit with the full default FitConfig, too slow here
     config=st.one_of(st.just(FitConfig(**SMALL)), NOT_CONFIGS.filter(lambda c: c is not None)),
+    gold=st.just(GOLD),
 )
-@example(seed=0, sizes=[10, 20], k_max=2, config=FitConfig(**SMALL))
-@example(seed=0, sizes=["a"], k_max=1, config=FitConfig(**SMALL))
-@example(seed=0, sizes=[10], k_max=1, config="x")
-def test_recovery(seed, sizes, k_max, config):
-    returns_or_raises_dagmix(run_recovery, GOLD, seed, sizes, config, k_max)
+@example(seed=0, sizes=[10, 20], k_max=2, config=FitConfig(**SMALL), gold=GOLD)
+@example(seed=0, sizes=["a"], k_max=1, config=FitConfig(**SMALL), gold=GOLD)
+@example(seed=0, sizes=[10], k_max=1, config="x", gold=GOLD)
+@example(seed=0, sizes=[10], k_max=1, config=FitConfig(**SMALL), gold=GOLD.model)
+@example(seed=0, sizes=[10], k_max=1, config=FitConfig(**SMALL), gold=0)
+@example(seed=0, sizes=[10], k_max=1, config=FitConfig(**SMALL), gold="x")
+@example(seed=0, sizes=[10], k_max=1, config=FitConfig(**SMALL), gold=None)
+def test_recovery(seed, sizes, k_max, config, gold):
+    returns_or_raises_dagmix(run_recovery, gold, seed, sizes, config, k_max)
 
 
 # --- files and the command line ---------------------------------------------------

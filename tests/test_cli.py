@@ -157,8 +157,23 @@ class TestModelSerialization:
             (("components", 0, "variances", 0), float("nan")),
             (("noise", "upper", 1), float("-inf")),
             (("components", 0, "parents", 1, 0), 0.7),
+            (("n",), 2.7),
+            (("n",), 2.0),
+            (("n",), "2"),
+            (("n",), True),
         ],
-        ids=["weight", "intercept", "coefficient", "variance", "noise-bound", "fractional-parent"],
+        ids=[
+            "weight",
+            "intercept",
+            "coefficient",
+            "variance",
+            "noise-bound",
+            "fractional-parent",
+            "fractional-node-count",
+            "float-node-count",
+            "string-node-count",
+            "bool-node-count",
+        ],
     )
     def test_non_finite_number_rejected(self, tmp_path, capsys, path, value):
         from dagmix.model import DagStructure, GaussianDag, MdagModel, NoiseComponent

@@ -14,7 +14,6 @@ from dagmix.model import (
     sample,
 )
 from dagmix.scoring import (
-    cheeseman_stutz_score,
     complete_model_score,
     completed_loglik,
     gaussian_complete_loglik,
@@ -185,17 +184,26 @@ class TestCheesemanStutz:
             closed = complete_model_score(ms, structures, prior, dirichlet).total
             assert cs == pytest.approx(closed, abs=1e-8)
 
-    def test_trace_recomputable(self, rng):
-        from dagmix.engine import FitConfig, fit, _bind_priors
+    @pytest.mark.parametrize("case", ["complete", "missing", "noise"])
+    def test_trace_recomputable(self, rng, case):
+        # fit scores every iterate with the one Cheeseman-Stutz function, so
+        # calling it again on the iterate's model and statistics repeats
+        # all three numbers exactly
+        from dagmix.engine import FitConfig, _bind_priors, cheeseman_stutz, fit
+        from dagmix.harness import default_gold_standard
 
-        m = two_component_1d(0.0, 5.0)
-        data, _ = sample(m, 120, rng)
+        data, _ = sample(default_gold_standard().model, 200, rng)
         config = FitConfig(k=2, seed=0)
+        if case == "missing":
+            data[rng.random(data.shape) < 0.15] = np.nan
+        if case == "noise":
+            bounds = (data.min(axis=0) - 1.0, data.max(axis=0) + 1.0)
+            config = FitConfig(k=2, seed=0, noise_bounds=bounds)
         result = fit(data, config)
-        prior, dirichlet = _bind_priors(config, 1)
+        prior, dirichlet = _bind_priors(config, data.shape[1])
         for it in result.trace:
-            again = cheeseman_stutz_score(data, it.model, prior, dirichlet, it.stats)
-            assert again == pytest.approx(it.cheeseman_stutz, abs=1e-10)
+            again = cheeseman_stutz(data, it.model, prior, dirichlet, it.stats)
+            assert again == (it.complete_model_score, it.observed_loglik, it.cheeseman_stutz)
 
 
 class TestFactorability:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dagmix.search as search_module
-from dagmix.bayes import NormalWishart
+from dagmix.bayes import NormalWishart, local_score
 from dagmix.engine import PriorSpec
 from dagmix.errors import BadParentIndex, CycleDetected, DimensionMismatch
 from dagmix.harness import default_gold_standard
@@ -142,7 +142,7 @@ class TestBestMove:
             for _ in range(6):
                 for cache in (vectorised, listed):
                     for i, ps in enumerate(structure.parents):
-                        cache.node_score(i, ps)
+                        local_score(cache.marginals, i, ps)
                 found = _best_move(vectorised, structure, cap)
                 expected, n_ties = listed_best_move(listed, structure, cap)
                 assert vectorised.marginals._memo.keys() == listed.marginals._memo.keys()
@@ -389,7 +389,7 @@ class TestSearchAllComponents:
         data = np.vstack([rows_a, rows_b])
         labels = np.repeat([0, 1], 400)
         ms = labeled_stats(data, labels, 2)
-        from dagmix.bayes import NormalWishart
+        from dagmix.bayes import NormalWishart, local_score
 
         prior = NormalWishart(2.0, np.zeros(3), 5.0, np.eye(3))
         out = search_all_components(ms, (empty_structure(3),) * 2, prior)

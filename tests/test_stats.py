@@ -12,7 +12,6 @@ from dagmix.model import (
     GaussianDag,
     MdagModel,
     NoiseComponent,
-    _chol_logdet,
     _chol_solve,
     _chol_with_jitter,
     complete_structure,
@@ -28,6 +27,7 @@ from dagmix.stats import (
     group_cases,
 )
 from conftest import (
+    chol_logdet,
     labeled_stats,
     random_dag,
     random_gaussian_dag,
@@ -314,7 +314,7 @@ def reference_group_loglik(model, blocks, mask, rows):
             continue
         solved = np.linalg.solve(chol, (rows[:, obs_idx] - mean[obs_idx]).T)
         quad = np.sum(solved**2, axis=0)
-        logdet = _chol_logdet(chol)
+        logdet = chol_logdet(chol)
         out[:, col + j] = -0.5 * (obs_idx.size * np.log(2 * np.pi) + logdet + quad)
     return out
 
