@@ -326,12 +326,23 @@ def _wishart_draw(df: float, scale: np.ndarray, rng: np.random.Generator) -> np.
 def sample_joint_parameters(
     prior: NormalWishart, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw a (mean, covariance) pair from the Normal-Wishart."""
+    """Draw a (mean, covariance) pair from the Normal-Wishart.
+
+    A scale tau that cannot be inverted, whose inverse cannot be factored,
+    or that gives a precision draw that cannot be inverted raises
+    NumericalOverflow: it comes from data too large in magnitude for the
+    draw's arithmetic.
+    """
     n = prior.dim
-    scale = np.linalg.inv(prior.tau)
-    scale = 0.5 * (scale + scale.T)
-    w = _wishart_draw(prior.alpha, scale, rng)
-    cov = np.linalg.inv(w)
+    try:
+        scale = np.linalg.inv(prior.tau)
+        scale = 0.5 * (scale + scale.T)
+        w = _wishart_draw(prior.alpha, scale, rng)
+        cov = np.linalg.inv(w)
+    except np.linalg.LinAlgError:
+        raise NumericalOverflow(
+            "the prior scale is out of range for a Wishart draw; rescale the data"
+        ) from None
     cov = 0.5 * (cov + cov.T)
     chol = _chol_with_jitter(cov / prior.nu, NonPsdScatter)
     mean = prior.mu0 + chol @ rng.standard_normal(n)

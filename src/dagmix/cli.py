@@ -185,10 +185,14 @@ def model_from_json(doc: dict) -> tuple[MdagModel, dict]:
     return model, doc.get("metadata", {})
 
 
-def save_model(path: str, model: MdagModel, metadata: dict | None = None) -> None:
+def _write_json(path: str, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_json(model, metadata), fh, indent=1)
+        json.dump(doc, fh, indent=1)
         fh.write("\n")
+
+
+def save_model(path: str, model: MdagModel, metadata: dict | None = None) -> None:
+    _write_json(path, model_to_json(model, metadata))
 
 
 def _read_json_object(path: str) -> dict:
@@ -369,27 +373,15 @@ def _cmd_recover(args) -> int:
     report = run_recovery(gold, args.seed or 0, sizes=sizes, config=config, k_max=args.k_max)
     header = ["size", "k", "top-3 weight"] + [f"diff {lab}" for lab in gold.labels]
     print(" ".join(f"{h:>12}" for h in header))
-    rows_json = []
     for row in report.rows:
         diffs = ["-" if d is None else str(d) for d in row.arc_differences]
         cells = [str(row.sample_size), str(row.learned_k), f"{row.top_weight_sum:.2f}"] + diffs
         print(" ".join(f"{c:>12}" for c in cells))
-        rows_json.append(
-            {
-                "sample_size": row.sample_size,
-                "learned_k": row.learned_k,
-                "top_weight_sum": row.top_weight_sum,
-                "arc_differences": list(row.arc_differences),
-            }
-        )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"format_version": FORMAT_VERSION, "seed": report.seed, "rows": rows_json},
-                fh,
-                indent=1,
-            )
-            fh.write("\n")
+        rows_json = [dataclasses.asdict(row) for row in report.rows]
+        _write_json(
+            args.out, {"format_version": FORMAT_VERSION, "seed": report.seed, "rows": rows_json}
+        )
     return 0
 
 
@@ -397,7 +389,7 @@ def _cmd_compare(args) -> int:
     train = load_csv(args.data)
     test = load_csv(args.test)
     config = _apply_overrides(load_config(args.config), args, train.n_vars)
-    families = ("mdag", "mdiag", "mfull") if args.family == "all" else (args.family,)
+    families = ("mdag", "mdiag", "mfull") if args.families == "all" else (args.families,)
     scores = run_baseline_comparison(
         train.values, test.values, config, families=families, k_max=args.k_max
     )
@@ -410,9 +402,7 @@ def _cmd_compare(args) -> int:
         )
         rows_json.append(dataclasses.asdict(s))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"format_version": FORMAT_VERSION, "families": rows_json}, fh, indent=1)
-            fh.write("\n")
+        _write_json(args.out, {"format_version": FORMAT_VERSION, "families": rows_json})
     return 0
 
 
@@ -482,7 +472,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="MDAG vs fixed-structure baselines")
     common(p, data=True, test=True)
-    p.add_argument("--family", choices=("all", "mdag", "mdiag", "mfull"), default="all")
+    # its own dest: "all" is not a FitConfig family, so it is never a config override
+    p.add_argument(
+        "--family", dest="families", choices=("all", "mdag", "mdiag", "mfull"), default="all"
+    )
     p.add_argument("--k-max", dest="k_max", type=int, default=8)
     p.add_argument("--out", help="write the comparison JSON here")
     p.set_defaults(func=_cmd_compare)

@@ -62,10 +62,6 @@ class SingularParentBlock(NumericalError):
     pass
 
 
-class PointOutsideNoiseBounds(NumericalError):
-    pass
-
-
 class EmptyFamily(DataError):
     pass
 

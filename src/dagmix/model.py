@@ -1,12 +1,14 @@
-"""Mixture-of-DAG model types, densities, moment conversion, and sampling.
+"""Mixture-of-DAG model types, their regression form, the regression
+read-off of a joint Gaussian, and sampling.
 
 A component is a linear-Gaussian DAG: each node is a linear regression on
 its parents with Gaussian error.  A mixture combines several such
 components (optionally plus a fixed multivariate-uniform noise component,
 always at weight index 0) with a weight vector over components.
 
-All types are immutable after construction; densities and sampling are
-safe to call concurrently on shared models.
+All types are immutable after construction; sampling is safe to call
+concurrently on shared models.  Densities are evaluated in one place, the
+E sweep of ``stats``, from each component's ``regression_form``.
 """
 
 from __future__ import annotations
@@ -24,12 +26,9 @@ from .errors import (
     BadParentIndex,
     CycleDetected,
     DimensionMismatch,
-    PointOutsideNoiseBounds,
     SingularParentBlock,
 )
 from .rng import as_generator
-
-LOG_2PI = float(np.log(2.0 * np.pi))
 
 _WEIGHT_SUM_TOL = 1e-12
 _JITTER = 1e-9
@@ -215,59 +214,26 @@ class GaussianDag:
     def n(self) -> int:
         return self.structure.n
 
-    def coefficient_matrix(self) -> np.ndarray:
-        """B with B[i, j] = coefficient of parent j in node i's regression."""
-        b = np.zeros((self.n, self.n))
-        for i, ps in enumerate(self.structure.parents):
-            b[i, list(ps)] = self.coefficients[i]
-        return b
-
     @cached_property
     def regression_form(self) -> tuple[np.ndarray, np.ndarray, float]:
         """(A, c, log|V|) with A = V^-1/2 (I - B), c = V^-1/2 m and V =
-        diag(variances).
+        diag(variances), where B[i, j] is the coefficient of parent j in
+        node i's regression.
 
         z = A x - c holds the standardised residual of every node's
         regression at x, so log p(x) = -(n log 2pi + log|V| + |z|^2) / 2 with
         no joint covariance and no factorisation; A^T A is the joint
         precision (Heckerman & Geiger 1995).
         """
+        b = np.zeros((self.n, self.n))
+        for i, ps in enumerate(self.structure.parents):
+            b[i, list(ps)] = self.coefficients[i]
         scale = 1.0 / np.sqrt(self.variances)
-        a = (np.eye(self.n) - self.coefficient_matrix()) * scale[:, None]
+        a = (np.eye(self.n) - b) * scale[:, None]
         c = self.intercepts * scale
         a.setflags(write=False)
         c.setflags(write=False)
         return a, c, float(np.sum(np.log(self.variances)))
-
-    @cached_property
-    def joint_moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and covariance of the implied joint Gaussian.
-
-        Solving x = m + Bx + e gives mean (I-B)^-1 m and covariance
-        (I-B)^-1 V (I-B)^-T with V = diag(variances).
-        """
-        b = self.coefficient_matrix()
-        inv = np.linalg.inv(np.eye(self.n) - b)
-        mean = inv @ self.intercepts
-        cov = inv @ np.diag(self.variances) @ inv.T
-        cov = 0.5 * (cov + cov.T)
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        return mean, cov
-
-    def log_density(self, x: np.ndarray) -> float:
-        """Sum over nodes of the conditional Gaussian log densities at x."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise DimensionMismatch(f"point has shape {x.shape}, model has n={self.n}")
-        total = 0.0
-        for i, ps in enumerate(self.structure.parents):
-            center = self.intercepts[i]
-            if ps:
-                center += self.coefficients[i] @ x[list(ps)]
-            v = self.variances[i]
-            total += -0.5 * (LOG_2PI + np.log(v) + (x[i] - center) ** 2 / v)
-        return float(total)
 
     @classmethod
     def from_joint(
@@ -324,15 +290,6 @@ class NoiseComponent:
     def log_volume(self) -> float:
         return float(np.sum(np.log(self.upper - self.lower)))
 
-    def log_density(self, x: np.ndarray) -> float:
-        """Log density at a fully observed point."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise DimensionMismatch(f"point has shape {x.shape}, box has n={self.n}")
-        if not np.all((x >= self.lower) & (x <= self.upper)):
-            return -np.inf
-        return -self.log_volume
-
 
 @dataclass(frozen=True)
 class MdagModel:
@@ -386,33 +343,6 @@ class MdagModel:
 
     def gaussian_weights(self) -> np.ndarray:
         return self.weights[1:] if self.has_noise else self.weights
-
-    def component_log_densities(self, x: np.ndarray) -> np.ndarray:
-        """Per-component log density at a fully observed point, noise first."""
-        parts = []
-        if self.noise is not None:
-            parts.append(self.noise.log_density(x))
-        parts.extend(g.log_density(x) for g in self.components)
-        return np.array(parts)
-
-    def log_density(self, x: np.ndarray) -> float:
-        """log sum_c pi_c p(x | component c), computed in log space."""
-        logps = self.component_log_densities(x)
-        with np.errstate(divide="ignore"):
-            logw = np.where(self.weights > 0, np.log(self.weights), -np.inf)
-        total = _logsumexp(logw + logps)
-        if total == -np.inf:
-            raise PointOutsideNoiseBounds(
-                "point has zero density under every positive-weight component"
-            )
-        return total
-
-
-def _logsumexp(values: np.ndarray) -> float:
-    top = np.max(values)
-    if top == -np.inf:
-        return -np.inf
-    return float(top + np.log(np.sum(np.exp(values - top))))
 
 
 def sample(

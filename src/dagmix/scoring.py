@@ -31,8 +31,9 @@ from .bayes import (
     local_score,
 )
 from .errors import EmptyTestSet
-from .model import LOG_2PI, DagStructure, GaussianDag, MdagModel
+from .model import DagStructure, GaussianDag, MdagModel
 from .stats import (
+    LOG_2PI,
     CaseGroups,
     MixtureStats,
     SuffStats,

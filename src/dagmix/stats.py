@@ -29,7 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllComponentsZeroDensity, DimensionMismatch
-from .model import LOG_2PI, MdagModel
+from .model import MdagModel
+
+LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy import stats as sps
 
 from dagmix.bayes import FamilyMarginals, NormalWishart, local_score
 from dagmix.engine import cheeseman_stutz
@@ -59,6 +60,34 @@ def structure_score(prior: NormalWishart, t: SuffStats, structure: DagStructure)
 def chol_logdet(chol: np.ndarray) -> float:
     """log|L L^T| given the Cholesky factor L."""
     return 2.0 * float(np.sum(np.log(np.diag(chol))))
+
+
+def joint_moments(g: GaussianDag) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of the joint Gaussian a DAG component implies.
+
+    Solving x = m + Bx + e gives mean (I-B)^-1 m and covariance
+    (I-B)^-1 V (I-B)^-T, with B[i, j] the coefficient of parent j in node
+    i's regression and V = diag(variances).
+    """
+    b = np.zeros((g.n, g.n))
+    for i, ps in enumerate(g.structure.parents):
+        b[i, list(ps)] = g.coefficients[i]
+    inv = np.linalg.inv(np.eye(g.n) - b)
+    cov = inv @ np.diag(g.variances) @ inv.T
+    return inv @ g.intercepts, 0.5 * (cov + cov.T)
+
+
+def node_log_density(g: GaussianDag, x: np.ndarray) -> np.ndarray:
+    """Log density of a DAG component at a point, or at each row of a
+    matrix: the sum over nodes of each node's conditional normal given its
+    parents.  It needs no joint covariance, so it also holds where that is
+    singular in floats."""
+    x = np.asarray(x, dtype=float)
+    total = 0.0
+    for i, ps in enumerate(g.structure.parents):
+        center = g.intercepts[i] + x[..., list(ps)] @ g.coefficients[i]
+        total = total + sps.norm.logpdf(x[..., i], center, np.sqrt(g.variances[i]))
+    return total
 
 
 def random_dag(n: int, rng: np.random.Generator, p: float = 0.4) -> DagStructure:

@@ -34,7 +34,7 @@ from dagmix.model import (
     empty_structure,
 )
 from dagmix.stats import SuffStats
-from conftest import chol_logdet, random_dag, structure_score, zero_stats
+from conftest import chol_logdet, joint_moments, random_dag, structure_score, zero_stats
 
 
 def stats_of(data: np.ndarray) -> SuffStats:
@@ -514,7 +514,7 @@ def expected_log_posterior(
 ) -> float:
     """Expected complete-data log posterior of the component parameters,
     written independently: Q(theta) + log NIW(mean, covariance)."""
-    mean, cov = g.joint_moments
+    mean, cov = joint_moments(g)
     n = prior.dim
     m_mat = (
         t.s

@@ -23,6 +23,7 @@ from dagmix.errors import (
 )
 from dagmix.harness import default_gold_standard
 from dagmix.model import sample
+from dagmix.stats import component_case_loglik
 from conftest import two_component_1d
 
 
@@ -113,9 +114,10 @@ class TestModelSerialization:
         save_model(str(path), gold.model, {"seed": 7})
         back, meta = load_model(str(path))
         assert meta["seed"] == 7
-        for _ in range(100):
-            x = rng.normal(5, 8, 5)
-            assert back.log_density(x) == gold.model.log_density(x)
+        rows = rng.normal(5, 8, (100, 5))
+        assert np.array_equal(
+            component_case_loglik(back, rows), component_case_loglik(gold.model, rows)
+        )
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "m.json"
@@ -268,6 +270,13 @@ class TestCommands:
         )
         assert code == 0
         assert "mdiag" in capsys.readouterr().out
+
+    def test_compare_defaults_to_every_family(self, tmp_path, capsys):
+        # the default, --family all, picks the families and is no FitConfig value
+        data_path = self._write_data(tmp_path, n=150, seed=3)
+        assert main(["compare", "--data", data_path, "--test", data_path, "--k-max", "2"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split()[0] for row in rows] == ["mdag", "mdiag", "mfull"]
 
     def test_recover_small(self, tmp_path, capsys):
         out_path = str(tmp_path / "report.json")

@@ -27,11 +27,12 @@ from dagmix.errors import (
     InsufficientData,
     NonNumericValue,
     NonPsdScatter,
+    NumericalOverflow,
 )
 from dagmix.model import MdagModel, empty_structure, sample
 from dagmix.scoring import observed_loglik
 from dagmix.stats import expected_stats
-from conftest import single_node_model, two_component_1d
+from conftest import joint_moments, single_node_model, two_component_1d
 
 
 class TestSchedule:
@@ -151,7 +152,7 @@ class TestEmStep:
 def _log_prior_density(model, p, dirichlet):
     total = float(np.sum((dirichlet.alphas - 1) * np.log(model.weights)))
     for g in model.components:
-        mean, cov = g.joint_moments
+        mean, cov = joint_moments(g)
         sign, logdet = np.linalg.slogdet(cov)
         diff = mean - p.mu0
         total += (
@@ -262,6 +263,14 @@ class TestInitialize:
         a = initialize(data, FitConfig(k=2, seed=3))
         b = initialize(data, FitConfig(k=2, seed=3))
         assert np.array_equal(a.components[0].intercepts, b.components[0].intercepts)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_huge_data_overflows_the_initial_draw(self):
+        # at magnitude 1e153 the initial prior's scale overflows where it is
+        # symmetrised, and the Wishart draw cannot factor its inverse
+        data = np.random.default_rng(0).normal(size=(20, 2)) * 1e153
+        with pytest.raises(NumericalOverflow):
+            fit(data, FitConfig(k=1, max_outer=1))
 
     def test_fit_runs_with_scipy_blocked(self, tmp_path):
         # the library needs numpy alone: a fresh process in which importing

@@ -15,7 +15,7 @@ from dagmix.harness import (
 from dagmix.model import DagStructure, MdagModel, empty_structure, sample
 from dagmix.rng import stream
 from dagmix.search import search_all_components, structural_difference
-from conftest import labeled_stats
+from conftest import joint_moments, labeled_stats
 
 
 class TestDefaultGoldStandard:
@@ -39,13 +39,13 @@ class TestDefaultGoldStandard:
 
     def test_third_component_mean_propagates_intercepts(self):
         # intercept five at every node, pushed through the fanout structure
-        mean, _ = default_gold_standard().model.components[2].joint_moments
+        mean, _ = joint_moments(default_gold_standard().model.components[2])
         assert np.allclose(mean, [5.0, 5.0, 15.0, 20.0, 20.0])
 
     def test_first_two_components_centered(self):
         gold = default_gold_standard()
         for c in (0, 1):
-            mean, _ = gold.model.components[c].joint_moments
+            mean, _ = joint_moments(gold.model.components[c])
             assert np.allclose(mean, 0.0)
 
 

@@ -3,10 +3,10 @@ import pytest
 from scipy import stats as sps
 
 from dagmix.errors import (
+    AllComponentsZeroDensity,
     BadParentIndex,
     CycleDetected,
     DimensionMismatch,
-    PointOutsideNoiseBounds,
     SingularParentBlock,
 )
 from dagmix.model import (
@@ -14,10 +14,18 @@ from dagmix.model import (
     GaussianDag,
     MdagModel,
     NoiseComponent,
-    empty_structure,
     sample,
 )
-from conftest import random_dag, random_gaussian_dag, single_node_model, two_component_1d
+from dagmix.scoring import observed_loglik
+from dagmix.stats import component_case_loglik
+from conftest import (
+    joint_moments,
+    node_log_density,
+    random_dag,
+    random_gaussian_dag,
+    single_node_model,
+    two_component_1d,
+)
 
 STD_NORMAL_AT_MODE = -0.9189385332046727  # -log(sqrt(2 pi))
 
@@ -25,6 +33,11 @@ STD_NORMAL_AT_MODE = -0.9189385332046727  # -log(sqrt(2 pi))
 def chain_model() -> GaussianDag:
     structure = DagStructure(2, ((), (0,)))
     return GaussianDag(structure, np.zeros(2), (np.zeros(0), np.ones(1)), np.ones(2))
+
+
+def sweep_log_density(g: GaussianDag, rows) -> np.ndarray:
+    """The E sweep's log density of one component at each row."""
+    return component_case_loglik(MdagModel(np.ones(1), (g,)), np.atleast_2d(rows))[:, 0]
 
 
 class TestValidate:
@@ -66,57 +79,32 @@ class TestValidate:
 class TestComponentDensity:
     def test_standard_normal_at_mode(self):
         g = single_node_model(0.0)
-        assert g.log_density(np.zeros(1)) == pytest.approx(STD_NORMAL_AT_MODE, abs=1e-12)
+        assert sweep_log_density(g, np.zeros(1)) == pytest.approx([STD_NORMAL_AT_MODE], abs=1e-12)
 
     def test_chain_at_origin(self):
         # two standard-normal factors: node 1 is centered because x0 = 0
-        assert chain_model().log_density(np.zeros(2)) == pytest.approx(
-            2 * STD_NORMAL_AT_MODE, abs=1e-12
+        assert sweep_log_density(chain_model(), np.zeros(2)) == pytest.approx(
+            [2 * STD_NORMAL_AT_MODE], abs=1e-12
         )
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            chain_model().log_density(np.zeros(3))
+            sweep_log_density(chain_model(), np.zeros(3))
 
     def test_matches_joint_density_on_random_graphs(self, rng):
         for _ in range(25):
             n = int(rng.integers(1, 6))
             g = random_gaussian_dag(random_dag(n, rng), rng)
-            x = rng.normal(0, 2, n)
-            mean, cov = g.joint_moments
-            expected = sps.multivariate_normal.logpdf(x, mean=mean, cov=cov)
-            assert g.log_density(x) == pytest.approx(expected, abs=1e-9)
+            rows = rng.normal(0, 2, (4, n))
+            mean, cov = joint_moments(g)
+            expected = sps.multivariate_normal.logpdf(rows, mean=mean, cov=cov)
+            np.testing.assert_allclose(sweep_log_density(g, rows), expected, rtol=0, atol=1e-9)
 
 
 class TestJointMoments:
-    def test_empty_graph_identity(self):
-        g = GaussianDag(
-            empty_structure(2), np.zeros(2), (np.zeros(0), np.zeros(0)), np.ones(2)
-        )
-        mean, cov = g.joint_moments
-        assert np.allclose(mean, 0)
-        assert np.allclose(cov, np.eye(2))
-
-    def test_chain_covariance(self):
-        # moment recursion: var(x1) = 1 + 1, cov(x0, x1) = 1
-        mean, cov = chain_model().joint_moments
-        assert np.allclose(mean, [0, 0])
-        assert np.allclose(cov, [[1, 1], [1, 2]])
-
-    def test_single_node_shift(self):
-        mean, cov = single_node_model(5.0).joint_moments
-        assert np.allclose(mean, [5.0])
-        assert np.allclose(cov, [[1.0]])
-
-    def test_covariance_positive_definite(self, rng):
-        for _ in range(20):
-            g = random_gaussian_dag(random_dag(4, rng, p=0.6), rng)
-            _, cov = g.joint_moments
-            assert np.linalg.eigvalsh(cov).min() > 0
-
     def test_from_joint_round_trip(self, rng):
         g = random_gaussian_dag(random_dag(4, rng, p=0.6), rng)
-        mean, cov = g.joint_moments
+        mean, cov = joint_moments(g)
         back = GaussianDag.from_joint(g.structure, mean, cov)
         assert np.allclose(back.intercepts, g.intercepts, atol=1e-9)
         assert np.allclose(back.variances, g.variances, atol=1e-9)
@@ -133,38 +121,37 @@ class TestMarkovEquivalence:
     def test_equivalent_parameterizations_match_densities(self, rng):
         # X -> Y and Y -> X parameterized to the same joint agree everywhere
         forward = chain_model()
-        mean, cov = forward.joint_moments
+        mean, cov = joint_moments(forward)
         backward = GaussianDag.from_joint(DagStructure(2, ((1,), ())), mean, cov)
-        for _ in range(50):
-            x = rng.normal(0, 3, 2)
-            assert forward.log_density(x) == pytest.approx(
-                backward.log_density(x), abs=1e-9
-            )
+        rows = rng.normal(0, 3, (50, 2))
+        np.testing.assert_allclose(
+            sweep_log_density(forward, rows), sweep_log_density(backward, rows), rtol=0, atol=1e-9
+        )
 
 
 class TestMixtureDensity:
     def test_single_component_degenerate(self):
         g = chain_model()
         m = MdagModel(np.array([1.0]), (g,))
-        x = np.array([0.3, -0.2])
-        assert m.log_density(x) == pytest.approx(g.log_density(x), abs=0)
+        x = np.array([[0.3, -0.2]])
+        assert observed_loglik(x, m) == sweep_log_density(g, x)[0]
 
     def test_identical_components_symmetry(self):
         g = chain_model()
         m = MdagModel(np.array([0.5, 0.5]), (g, g))
-        x = np.array([1.0, 2.0])
-        assert m.log_density(x) == pytest.approx(g.log_density(x), abs=1e-12)
+        x = np.array([[1.0, 2.0]])
+        assert observed_loglik(x, m) == pytest.approx(node_log_density(g, x[0]), abs=1e-12)
 
     def test_two_means_value(self):
         m = two_component_1d(0.0, 5.0)
         expected = np.log(0.5 * sps.norm.pdf(0.0, 0, 1) + 0.5 * sps.norm.pdf(0.0, 5, 1))
-        assert m.log_density(np.zeros(1)) == pytest.approx(expected, abs=1e-12)
+        assert observed_loglik(np.zeros((1, 1)), m) == pytest.approx(expected, abs=1e-12)
 
     def test_one_hot_weights_exact(self):
         a, b = single_node_model(0.0), single_node_model(3.0)
         m = MdagModel(np.array([0.0, 1.0]), (a, b))
-        x = np.array([1.5])
-        assert m.log_density(x) == b.log_density(x)
+        x = np.array([[1.5]])
+        assert observed_loglik(x, m) == sweep_log_density(b, x)[0]
 
     def test_weight_sum_enforced(self):
         with pytest.raises(DimensionMismatch):
@@ -173,8 +160,8 @@ class TestMixtureDensity:
     def test_noise_only_model_outside_bounds(self):
         noise = NoiseComponent(np.zeros(1), np.ones(1))
         m = MdagModel(np.array([1.0, 0.0]), (single_node_model(0),), noise)
-        with pytest.raises(PointOutsideNoiseBounds):
-            m.log_density(np.array([4.0]))
+        with pytest.raises(AllComponentsZeroDensity):
+            observed_loglik(np.array([[4.0]]), m)
 
     def test_noise_inside_bounds(self):
         noise = NoiseComponent(np.zeros(2), np.array([2.0, 4.0]))
@@ -182,9 +169,9 @@ class TestMixtureDensity:
         m = MdagModel(np.array([0.5, 0.5]), (g,), noise)
         x = np.array([1.0, 1.0])
         by_hand = np.logaddexp(
-            np.log(0.5) - np.log(2.0) - np.log(4.0), np.log(0.5) + g.log_density(x)
+            np.log(0.5) - np.log(2.0) - np.log(4.0), np.log(0.5) + node_log_density(g, x)
         )
-        assert m.log_density(x) == pytest.approx(by_hand, abs=1e-12)
+        assert observed_loglik(x[None], m) == pytest.approx(by_hand, abs=1e-12)
 
 
 class TestSampling:
@@ -223,7 +210,7 @@ class TestSampling:
         m = MdagModel(np.array([1.0]), (g,))
         count = 40_000
         data, _ = sample(m, count, 5)
-        mean, cov = g.joint_moments
+        mean, cov = joint_moments(g)
         tol = 5.0 / np.sqrt(count)
         scale = np.sqrt(np.diag(cov))
         assert np.all(np.abs(data.mean(axis=0) - mean) < 5 * tol * scale)

@@ -28,7 +28,9 @@ from dagmix.stats import (
 )
 from conftest import (
     chol_logdet,
+    joint_moments,
     labeled_stats,
+    node_log_density,
     random_dag,
     random_gaussian_dag,
     single_node_model,
@@ -130,7 +132,7 @@ class TestConditionalMoments:
     def test_nothing_observed_unconditional(self):
         g = chain_model()
         mean, cov = one_case_moments(g, np.array([np.nan, np.nan]))
-        jm, jc = g.joint_moments
+        jm, jc = joint_moments(g)
         assert np.allclose(mean, jm)
         assert np.allclose(cov, jc)
 
@@ -142,7 +144,7 @@ class TestConditionalMoments:
 
     def test_matches_scipy_conditional(self, rng):
         g = random_gaussian_dag(random_dag(4, rng, p=0.6), rng)
-        jm, jc = g.joint_moments
+        jm, jc = joint_moments(g)
         y = np.array([0.7, np.nan, -1.2, np.nan])
         mean, cov = one_case_moments(g, y)
         obs, mis = [0, 2], [1, 3]
@@ -191,7 +193,7 @@ class TestExpectedStats:
         m = MdagModel(np.array([1.0]), (g,))
         data = np.array([[1.0, np.nan]])
         ms, _ = expected_stats(data, m)
-        jm, jc = g.joint_moments
+        jm, jc = joint_moments(g)
         cm = jm[1] + jc[1, 0] / jc[0, 0] * (1.0 - jm[0])
         cc = jc[1, 1] - jc[1, 0] ** 2 / jc[0, 0]
         assert ms.triples[0].s[1, 1] == pytest.approx(cm**2 + cc, abs=1e-12)
@@ -283,7 +285,7 @@ def reference_groups(data):
 
 def reference_blocks(model, mask):
     blocks = []
-    for mean, cov in (g.joint_moments for g in model.components):
+    for mean, cov in map(joint_moments, model.components):
         obs, mis = np.flatnonzero(mask), np.flatnonzero(~mask)
         chol = _chol_with_jitter(cov[np.ix_(obs, obs)], np.linalg.LinAlgError)
         if mis.size:
@@ -479,7 +481,12 @@ class TestGroupedSweep:
             model = self.random_model(rng, n, k, noise=rng.random() < 0.3)
             rows = rng.normal(0, 3, (int(rng.integers(1, 40)), n))
             logp = component_case_loglik(model, rows)
-            want = np.array([model.component_log_densities(x) for x in rows])
+            want = np.column_stack([node_log_density(g, rows) for g in model.components])
+            if model.noise is not None:
+                lo, hi = model.noise.lower, model.noise.upper
+                inside = np.all((rows >= lo) & (rows <= hi), axis=1)
+                noise = np.where(inside, -model.noise.log_volume, -np.inf)
+                want = np.column_stack([noise, want])
             assert np.array_equal(np.isfinite(logp), np.isfinite(want))
             np.testing.assert_allclose(logp, want, rtol=1e-12)
 
@@ -490,7 +497,7 @@ class TestGroupedSweep:
         # and every mask finite densities and statistics
         odd = near_singular_component(3)
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(odd.joint_moments[1])
+            np.linalg.cholesky(joint_moments(odd)[1])
         others = tuple(random_gaussian_dag(random_dag(3, rng), rng) for _ in range(2))
         model = MdagModel(np.array([0.3, 0.4, 0.3]), (others[0], odd, others[1]))
         data = rng.normal(0, 1, (400, 3))
@@ -500,7 +507,7 @@ class TestGroupedSweep:
         logp = component_case_loglik(model, cases)
         assert np.all(np.isfinite(logp))
         complete = ~np.isnan(data).any(axis=1)
-        want = [odd.log_density(x) for x in data[complete]]
+        want = node_log_density(odd, data[complete])
         assert max(want) < -1e15
         np.testing.assert_allclose(logp[complete, 1], want, rtol=1e-12)
         stats, loglik = expected_stats(cases, model)
