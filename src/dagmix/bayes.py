@@ -296,9 +296,10 @@ def data_informed_prior(data: np.ndarray, ess: float, prior: NormalWishart) -> N
     mean, cov = map_joint(prior, SuffStats(float(count), data.sum(axis=0), data.T @ data))
     alpha = ess + n + 1.0
     tau = (alpha + n + 2.0) * cov
+    tau = 0.5 * (tau + tau.T)
     if not np.isfinite(tau).all():
         raise NumericalOverflow("the initial prior scale overflows; rescale the data")
-    return NormalWishart(ess, mean, alpha, 0.5 * (tau + tau.T))
+    return NormalWishart(ess, mean, alpha, tau)
 
 
 def _wishart_draw(df: float, scale: np.ndarray, rng: np.random.Generator) -> np.ndarray:

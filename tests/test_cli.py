@@ -23,6 +23,7 @@ from dagmix.errors import (
 )
 from dagmix.harness import default_gold_standard
 from dagmix.model import sample
+from dagmix.scoring import observed_loglik
 from dagmix.stats import component_case_loglik
 from conftest import two_component_1d
 
@@ -118,6 +119,9 @@ class TestModelSerialization:
         assert np.array_equal(
             component_case_loglik(back, rows), component_case_loglik(gold.model, rows)
         )
+        # the mixture density also reads the saved weights
+        assert np.array_equal(back.weights, gold.model.weights)
+        assert observed_loglik(rows, back) == observed_loglik(rows, gold.model)
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "m.json"

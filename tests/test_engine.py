@@ -266,8 +266,7 @@ class TestInitialize:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_huge_data_overflows_the_initial_draw(self):
-        # at magnitude 1e153 the initial prior's scale overflows where it is
-        # symmetrised, and the Wishart draw cannot factor its inverse
+        # at magnitude 1e153 the initial prior's symmetrised scale overflows
         data = np.random.default_rng(0).normal(size=(20, 2)) * 1e153
         with pytest.raises(NumericalOverflow):
             fit(data, FitConfig(k=1, max_outer=1))
