@@ -7,8 +7,9 @@ where it enters, and a bad input raises an ``errors.DagmixError`` subclass
 whose category names the problem: a ``DataError`` for bad input, a
 ``NumericalError`` for a computation the input drove out of range.
 Everything else is internal and assumes validated input; inside the EM and
-search loops only the public constructors, the range check of each new
-family and the PSD test of each posterior still run.
+search loops only the PSD test of each posterior and the public model
+constructors that the M step calls still run.  A ``DagStructure`` is a DAG
+by construction, and search builds one only for each result it returns.
 """
 
 from .model import (

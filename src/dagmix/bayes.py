@@ -14,7 +14,9 @@ makes Markov-equivalent structures score identically.
 These functions are internal and assume validated input: user
 hyperparameters are checked once, in ``PriorSpec.normal_wishart``, and
 every other value is built from them and from data checked at the entry
-points that the package docstring lists.
+points that the package docstring lists.  Every node family comes from a
+``DagStructure``, whose constructor checked it, so families are not
+checked again here.
 """
 
 from __future__ import annotations
@@ -26,10 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
-    BadParentIndex,
-    ChildInParents,
     DimensionMismatch,
-    EmptyFamily,
     NegativeCount,
     NonPsdScatter,
     NumericalOverflow,
@@ -178,22 +177,15 @@ class FamilyMarginals:
         families is gathered with one fancy index and each stack is
         factored in one call; each log-determinant is twice the sum of the
         logs of its own factor's diagonal, so each value equals the one its
-        family gets when filled alone.  A variable outside [0, n) raises
-        BadParentIndex.
+        family gets when filled alone.  Families come from the node families
+        of checked structures, so each is a nonempty set of variables in
+        [0, n).
         """
         keys = [tuple(sorted(map(int, family))) for family in families]
         todo: dict[int, dict[tuple[int, ...], None]] = {}
         for key in keys:
             if key in self._memo:
                 continue
-            if not key:
-                raise EmptyFamily("a family must contain at least one variable")
-            if len(set(key)) != len(key):
-                raise DimensionMismatch(f"family has duplicates: {key}")
-            if key[0] < 0 or key[-1] >= self.prior.dim:
-                raise BadParentIndex(
-                    f"family {key} has a variable outside [0, {self.prior.dim})"
-                )
             todo.setdefault(len(key), {})[key] = None
         for size, batch in todo.items():
             if self.n_count <= _COUNT_FLOOR:
@@ -228,9 +220,6 @@ def _stacked_logdets(blocks: np.ndarray) -> np.ndarray:
 def local_score(marginals: FamilyMarginals, child: int, parents: Sequence[int]) -> float:
     """Family score of one node, log p(d^{child u Pa}) - log p(d^{Pa}), read
     off the family marginals of one (prior, statistics) pair."""
-    parents = tuple(int(p) for p in parents)
-    if child in parents:
-        raise ChildInParents(f"node {child} appears in its own parent set")
     top = marginals((child, *parents))
     if not parents:
         return top

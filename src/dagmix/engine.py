@@ -80,9 +80,9 @@ def _real_array(name: str, value) -> np.ndarray:
 class Schedule:
     """How EM bursts, statistics computation, and search interleave.
 
-    ``em_steps`` is the number of EM steps per outer iteration, or None to
-    run EM to convergence each time.  ``outer_repeat`` keeps iterating the
-    whole phase until a termination rule fires.
+    ``em_steps`` is the positive number of EM steps per outer iteration, or
+    None to run EM to convergence each time.  ``outer_repeat`` keeps
+    iterating the whole phase until a termination rule fires.
     """
 
     em_steps: int | None = 10
@@ -91,9 +91,9 @@ class Schedule:
     def __post_init__(self):
         steps = self.em_steps
         if steps is not None and (
-            isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 0
+            isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1
         ):
-            raise BadSchedule(f"em_steps {steps!r} is not a nonnegative integer or None")
+            raise BadSchedule(f"em_steps {steps!r} is not a positive integer or None")
 
     _GRAMMAR = re.compile(
         r"^\(\(EM\)(?:\^(?P<count>\d+)|\^?\*)\s*Ec\s*S\*\s*M\)(?P<outer>\*)?$"
@@ -110,8 +110,6 @@ class Schedule:
                 "with k a positive integer or *"
             )
         count = match.group("count")
-        if count is not None and int(count) == 0:
-            raise BadSchedule("the EM burst length must be positive")
         return cls(
             em_steps=int(count) if count is not None else None,
             outer_repeat=match.group("outer") is not None,

@@ -62,14 +62,6 @@ class SingularParentBlock(NumericalError):
     pass
 
 
-class EmptyFamily(DataError):
-    pass
-
-
-class ChildInParents(DataError):
-    pass
-
-
 class NegativeCount(DataError):
     pass
 

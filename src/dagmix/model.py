@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator
 
@@ -72,15 +72,48 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _topological_order(parents: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """An order with parents before children, by Kahn's algorithm.
+
+    Raises CycleDetected listing one cycle, as [a, ..., a] along parent
+    arcs, when no such order exists; a self-loop lists [i, i]."""
+    indegree = [len(ps) for ps in parents]
+    children: list[list[int]] = [[] for _ in parents]
+    for i, ps in enumerate(parents):
+        for p in ps:
+            children[p].append(i)
+    ready = [i for i, d in enumerate(indegree) if d == 0]
+    order: list[int] = []
+    while ready:
+        node = ready.pop()
+        order.append(node)
+        for ch in children[node]:
+            indegree[ch] -= 1
+            if indegree[ch] == 0:
+                ready.append(ch)
+    if len(order) == len(parents):
+        return tuple(order)
+    # every node left has a parent left too: follow such parents until one repeats
+    left = set(range(len(parents))).difference(order)
+    node, trail = min(left), {}
+    while node not in trail:
+        trail[node] = len(trail)
+        node = next(p for p in parents[node] if p in left)
+    raise CycleDetected(list(trail)[trail[node]:] + [node])
+
+
 @dataclass(frozen=True)
 class DagStructure:
     """Acyclic parent-set list over ``n`` variables.
 
-    Construction checks that there is one parent list per node and that
-    every parent is an integer in [0, n); ``validate`` checks the rest."""
+    Construction is the one place a structure is checked: one parent list
+    per node, every parent an integer in [0, n), no duplicate parent and no
+    cycle (a self-loop is one).  So every instance is a DAG, and its
+    ``topological_order`` (parents before children) is computed here."""
 
     n: int
     parents: tuple[tuple[int, ...], ...]
+    topological_order: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n
@@ -93,71 +126,15 @@ class DagStructure:
                         raise BadParentIndex(
                             f"node {len(parents)} has parent {p} outside [0, {n})"
                         )
+                if len(set(ps)) != len(ps):
+                    raise BadParentIndex(f"node {len(parents)} has duplicate parents {ps}")
                 parents.append(ps)
         except TypeError:
             raise BadParentIndex(f"parents {self.parents!r} are not integer lists") from None
         if len(parents) != n:
             raise BadParentIndex(f"expected {n} parent sets, got {len(parents)}")
         object.__setattr__(self, "parents", tuple(parents))
-
-    def validate(self) -> None:
-        """Raise unless the structure is a well-formed DAG."""
-        for i, ps in enumerate(self.parents):
-            if i in ps:
-                raise CycleDetected([i, i])
-            if len(set(ps)) != len(ps):
-                raise BadParentIndex(f"node {i} has duplicate parents {ps}")
-        self.topological_order  # noqa: B018 -- forces cycle detection
-
-    @cached_property
-    def topological_order(self) -> tuple[int, ...]:
-        """Topological ordering (parents before children); cached.
-
-        Raises CycleDetected listing one cycle if no ordering exists.
-        """
-        indegree = [len(ps) for ps in self.parents]
-        children: list[list[int]] = [[] for _ in range(self.n)]
-        for i, ps in enumerate(self.parents):
-            for p in ps:
-                children[p].append(i)
-        ready = [i for i in range(self.n) if indegree[i] == 0]
-        order: list[int] = []
-        while ready:
-            node = ready.pop()
-            order.append(node)
-            for ch in children[node]:
-                indegree[ch] -= 1
-                if indegree[ch] == 0:
-                    ready.append(ch)
-        if len(order) < self.n:
-            raise CycleDetected(self._find_cycle())
-        return tuple(order)
-
-    def _find_cycle(self) -> list[int]:
-        # DFS over parent arcs; the first back-arc closes a cycle.
-        color = [0] * self.n  # 0 unvisited, 1 on stack, 2 done
-        trail: list[int] = []
-
-        def visit(u: int) -> list[int] | None:
-            color[u] = 1
-            trail.append(u)
-            for p in self.parents[u]:
-                if color[p] == 1:
-                    return trail[trail.index(p):] + [p]
-                if color[p] == 0:
-                    found = visit(p)
-                    if found:
-                        return found
-            trail.pop()
-            color[u] = 2
-            return None
-
-        for start in range(self.n):
-            if color[start] == 0:
-                cycle = visit(start)
-                if cycle:
-                    return cycle
-        raise AssertionError("no cycle found in a cyclic graph")
+        object.__setattr__(self, "topological_order", _topological_order(self.parents))
 
     def arcs(self) -> Iterator[tuple[int, int]]:
         for child, ps in enumerate(self.parents):
@@ -244,7 +221,8 @@ class GaussianDag:
         block that is not positive definite raises SingularParentBlock.
 
         The M step calls this on every step, so it is not a checked entry
-        point: the structure must be valid and the joint of its size."""
+        point: the structure is a DAG by construction, and the joint must be
+        of its size."""
         mean = np.asarray(mean, dtype=float)
         cov = np.asarray(cov, dtype=float)
         intercepts = np.empty(structure.n)

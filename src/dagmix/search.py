@@ -7,7 +7,8 @@ through completed partially directed graphs (compelled arcs directed,
 reversible arcs undirected).  Search reads a ``MixtureStats`` as one
 triple per Gaussian component, zipped with the structures, under one
 Normal-Wishart prior.  Internal: input is validated where it enters the
-package (see its docstring).
+package (see its docstring).  A search state is a plain tuple of parent
+sets; only a search's result is built as a ``DagStructure``.
 """
 
 from __future__ import annotations
@@ -22,10 +23,14 @@ import numpy as np
 
 from .bayes import FamilyMarginals, NormalWishart, local_score
 from .errors import DimensionMismatch
-from .model import DagStructure
+from .model import DagStructure, _topological_order
 from .stats import MixtureStats, SuffStats
 
 SCORE_EPS = 1e-9
+
+# One parent set per node.  A state is reached only by legal moves from a
+# DagStructure, which its constructor checked, so every state is a DAG.
+_Parents = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -51,7 +56,7 @@ class SearchStep:
     sideways: bool = False
 
 
-def _legal(structure: DagStructure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _legal(parents: _Parents) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(add, delete, reverse): n x n masks, entry [u, v] for the move on u -> v.
 
     With ``reach`` the transitive closure of the arc matrix, adding u -> v
@@ -61,9 +66,9 @@ def _legal(structure: DagStructure) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     closure comes from repeated squaring of a 0/1 float matrix, which each
     round doubles the path length covered and is exact.
     """
-    n = structure.n
+    n = len(parents)
     arc = np.zeros((n, n))
-    for child, ps in enumerate(structure.parents):
+    for child, ps in enumerate(parents):
         for parent in ps:
             arc[parent, child] = 1.0
     reach = arc
@@ -78,10 +83,10 @@ def _legal(structure: DagStructure) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return add, has_arc, has_arc & (arc @ reach == 0)
 
 
-def neighbors(structure: DagStructure) -> list[ArcMove]:
+def neighbors(parents: _Parents) -> list[ArcMove]:
     """All single-arc moves whose result is acyclic, in (source, target)
     order with a delete before the reverse of the same arc."""
-    add, delete, reverse = _legal(structure)
+    add, delete, reverse = _legal(parents)
     sources, targets = np.nonzero(add | delete)
     has_arc, reversible = delete.tolist(), reverse.tolist()
     moves = []
@@ -96,29 +101,28 @@ def neighbors(structure: DagStructure) -> list[ArcMove]:
 
 
 def _new_parents(
-    structure: DagStructure, move: ArcMove
+    parents: _Parents, move: ArcMove
 ) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """The (node, new parent set) pairs a move rewrites: the target first,
     then the source for a reversal.  Every other node keeps its parents, so
     these are the only family terms the move rescores."""
     u, v = move.source, move.target
-    ps = structure.parents
     if move.kind == "add":
-        return ((v, ps[v] + (u,)),)
-    at = ps[v].index(u)
-    trimmed = ps[v][:at] + ps[v][at + 1:]
+        return ((v, parents[v] + (u,)),)
+    at = parents[v].index(u)
+    trimmed = parents[v][:at] + parents[v][at + 1:]
     if move.kind == "delete":
         return ((v, trimmed),)
     if move.kind == "reverse":
-        return ((v, trimmed), (u, ps[u] + (v,)))
+        return ((v, trimmed), (u, parents[u] + (v,)))
     raise ValueError(f"unknown move kind {move.kind!r}")
 
 
-def apply_move(structure: DagStructure, move: ArcMove) -> DagStructure:
-    parents = list(structure.parents)
-    for node, ps in _new_parents(structure, move):
-        parents[node] = tuple(sorted(ps))
-    return DagStructure(structure.n, tuple(parents))
+def apply_move(parents: _Parents, move: ArcMove) -> _Parents:
+    out = list(parents)
+    for node, ps in _new_parents(parents, move):
+        out[node] = tuple(sorted(ps))
+    return tuple(out)
 
 
 class _ScoreCache:
@@ -190,7 +194,7 @@ def _ordered_sum(terms: list[np.ndarray]) -> np.ndarray:
 
 
 def _move_gains(
-    cache: _ScoreCache, structure: DagStructure, max_parents: int | None
+    cache: _ScoreCache, parents: _Parents, max_parents: int | None
 ) -> tuple[tuple[str, np.ndarray, np.ndarray], ...] | None:
     """(kind, legal mask, gain matrix) for delete, reverse and add, entry
     [u, v] for the move on u -> v; None when no add or delete is legal.
@@ -208,15 +212,15 @@ def _move_gains(
     exactly 0) and the tie key, not rounding, decides between them.  Only
     the terms that a legal, uncapped move reads are computed.
     """
-    add, delete, reverse = _legal(structure)
+    add, delete, reverse = _legal(parents)
     if max_parents is not None:
-        grows = np.array([len(ps) < max_parents for ps in structure.parents])
+        grows = np.array([len(ps) < max_parents for ps in parents])
         add &= grows[None, :]
         reverse &= grows[:, None]
     if not (add.any() or delete.any()):
         return None
     (top, base), (node_top, node_base) = cache.gains(
-        structure.parents, add | delete | reverse.T
+        parents, add | delete | reverse.T
     )
     single = (top + node_base[None, :]) - (base + node_top[None, :])
     reversal = np.full_like(single, -np.inf)
@@ -229,11 +233,11 @@ def _move_gains(
 
 
 def _best_move(
-    cache: _ScoreCache, structure: DagStructure, max_parents: int | None
+    cache: _ScoreCache, parents: _Parents, max_parents: int | None
 ) -> tuple[float, ArcMove] | None:
     """Highest-gain legal move (see ``_move_gains``); ties break on
     (delete < reverse < add, target, source)."""
-    tables = _move_gains(cache, structure, max_parents)
+    tables = _move_gains(cache, parents, max_parents)
     if tables is None:
         return None
     best = max(gains[mask].max() for _, mask, gains in tables if mask.any())
@@ -245,30 +249,28 @@ def _best_move(
     return None
 
 
-def _covered_edges(structure: DagStructure) -> list[tuple[int, int]]:
+def _covered_edges(parents: _Parents) -> list[tuple[int, int]]:
     """Arcs u -> v with Pa(v) = Pa(u) + {u}; reversing one is always legal
     and keeps the equivalence class (hence the score) unchanged."""
     return sorted(
-        (u, v)
-        for u, v in structure.arcs()
-        if set(structure.parents[v]) - {u} == set(structure.parents[u])
+        (u, v) for v, ps in enumerate(parents) for u in ps if set(ps) - {u} == set(parents[u])
     )
 
 
-def _class_walk(structure: DagStructure) -> Iterator[tuple[DagStructure, list[ArcMove]]]:
-    """Every member of the structure's equivalence class, each with the
-    covered-edge reversals that reach it, breadth-first from ``structure``
+def _class_walk(parents: _Parents) -> Iterator[tuple[_Parents, list[ArcMove]]]:
+    """Every member of the parent sets' equivalence class, each with the
+    covered-edge reversals that reach it, breadth-first from ``parents``
     itself; covered reversals connect a class (Chickering 1995)."""
-    seen = {structure.parents}
-    frontier = deque([(structure, [])])
+    seen = {parents}
+    frontier = deque([(parents, [])])
     while frontier:
         state, path = frontier.popleft()
         yield state, path
         for u, v in _covered_edges(state):
             move = ArcMove("reverse", u, v)
             nxt = apply_move(state, move)
-            if nxt.parents not in seen:
-                seen.add(nxt.parents)
+            if nxt not in seen:
+                seen.add(nxt)
                 frontier.append((nxt, path + [move]))
 
 
@@ -296,19 +298,18 @@ def greedy_component_search(
     transformation still increases the criterion and the search terminates.
     The returned structure has no improving neighbor.
     """
-    init.validate()
-    structure = init
+    parents = init.parents
     cache = _ScoreCache(prior, t)
     node_scores = np.array(
-        [local_score(cache.marginals, i, ps) for i, ps in enumerate(structure.parents)]
+        [local_score(cache.marginals, i, ps) for i, ps in enumerate(parents)]
     )
 
     def accept(move: ArcMove, sideways: bool) -> None:
-        nonlocal structure
+        nonlocal parents
         before = float(node_scores.sum())
-        for node, ps in _new_parents(structure, move):
+        for node, ps in _new_parents(parents, move):
             node_scores[node] = local_score(cache.marginals, node, ps)
-        structure = apply_move(structure, move)
+        parents = apply_move(parents, move)
         if trace is not None:
             total = float(node_scores.sum())
             trace.append(
@@ -321,16 +322,16 @@ def greedy_component_search(
             )
 
     while True:
-        found = _best_move(cache, structure, max_parents)
+        found = _best_move(cache, parents, max_parents)
         if found is not None and found[0] > SCORE_EPS:
             accept(found[1], sideways=False)
             continue
-        for state, path in islice(_class_walk(structure), 1, _ESCAPE_BUDGET):
+        for state, path in islice(_class_walk(parents), 1, _ESCAPE_BUDGET):
             found = _best_move(cache, state, max_parents)
             if found is not None and found[0] > SCORE_EPS:
                 break
         else:
-            return structure
+            return DagStructure(init.n, parents)
         for move in path:
             accept(move, sideways=True)
         accept(found[1], sideways=False)
@@ -371,25 +372,26 @@ class Cpdag:
     undirected: frozenset[tuple[int, int]]  # stored with smaller index first
 
 
-def to_cpdag(structure: DagStructure) -> Cpdag:
-    """Orient exactly the compelled arcs of the structure's equivalence class.
+def to_cpdag(parents: _Parents) -> Cpdag:
+    """Orient exactly the compelled arcs of the equivalence class of the DAG
+    with these parent sets.
 
     One pass in topological order (Chickering 1995): the arcs into ``y``
     take their labels from the compelled arcs into ``x``, the parent of
     ``y`` latest in that order, and from the parents of ``y`` that are not
     adjacent to ``x``.  Every arc into ``y`` is labelled before any child
-    of ``y`` is visited.  Raises CycleDetected on a cyclic structure.
+    of ``y`` is visited.  Raises CycleDetected on cyclic parent sets.
     """
-    order = structure.topological_order
+    order = _topological_order(parents)
     rank = {v: i for i, v in enumerate(order)}
     directed: set[tuple[int, int]] = set()
     undirected: set[tuple[int, int]] = set()
     for y in order:
-        ps = structure.parents[y]
+        ps = parents[y]
         if not ps:
             continue
         x = max(ps, key=rank.__getitem__)
-        px = structure.parents[x]
+        px = parents[x]
         compelled = False
         for w in px:
             if (w, x) in directed:
@@ -401,14 +403,14 @@ def to_cpdag(structure: DagStructure) -> Cpdag:
             directed.update((p, y) for p in ps)
         else:
             undirected.update((min(p, y), max(p, y)) for p in ps if (p, y) not in directed)
-    return Cpdag(structure.n, frozenset(directed), frozenset(undirected))
+    return Cpdag(len(parents), frozenset(directed), frozenset(undirected))
 
 
 _DIFFERENCE_STATE_CAP = 60000
 
 
-def _skeleton(structure: DagStructure) -> frozenset[tuple[int, int]]:
-    return frozenset((min(u, v), max(u, v)) for u, v in structure.arcs())
+def _skeleton(parents: _Parents) -> frozenset[tuple[int, int]]:
+    return frozenset((min(u, v), max(u, v)) for v, ps in enumerate(parents) for u in ps)
 
 
 def structural_difference(learned: DagStructure, gold: DagStructure) -> int:
@@ -422,25 +424,22 @@ def structural_difference(learned: DagStructure, gold: DagStructure) -> int:
     structures are Markov equivalent; DimensionMismatch once more than
     ``_DIFFERENCE_STATE_CAP`` class members have been walked.
     """
-    learned.validate()
-    gold.validate()
     if learned.n != gold.n:
         raise DimensionMismatch(f"structures have n={learned.n} and n={gold.n}")
-    target, gold_skeleton = to_cpdag(gold), _skeleton(gold)
-    h = len(_skeleton(learned) ^ gold_skeleton)
-    best = {to_cpdag(learned): 0}
+    target, gold_skeleton = to_cpdag(gold.parents), _skeleton(gold.parents)
+    h = len(_skeleton(learned.parents) ^ gold_skeleton)
+    best = {to_cpdag(learned.parents): 0}
     # ties go to the smaller bound (the deeper class), then the parent sets
     heap = [(h, h, learned.parents)]
     walked = 0
     while heap:
         f, h, parents = heapq.heappop(heap)
-        member = DagStructure(learned.n, parents)
-        cls, d = to_cpdag(member), f - h
+        cls, d = to_cpdag(parents), f - h
         if d > best[cls]:
             continue
         if cls == target:
             return d
-        for state, _ in _class_walk(member):
+        for state, _ in _class_walk(parents):
             walked += 1
             if walked > _DIFFERENCE_STATE_CAP:
                 raise DimensionMismatch(
@@ -453,5 +452,5 @@ def structural_difference(learned: DagStructure, gold: DagStructure) -> int:
                     continue
                 best[key] = d + 1
                 h = len(_skeleton(nxt) ^ gold_skeleton)
-                heapq.heappush(heap, (d + 1 + h, h, nxt.parents))
+                heapq.heappush(heap, (d + 1 + h, h, nxt))
     raise AssertionError("DAG space is connected; target must be reachable")

@@ -267,7 +267,7 @@ def test_criterion_06_delta_scoring_equals_full_rescoring():
         structure = empty_structure(n)
         greedy_component_search(t, prior, structure, trace=trace)
         for step in trace:
-            structure = apply_move(structure, step.move)
+            structure = DagStructure(n, apply_move(structure.parents, step.move))
             full = structure_score(prior, t, structure)
             worst = max(worst, abs(full - step.total))
             total_moves += 1

@@ -229,9 +229,9 @@ class TestConfig:
 
 
 class TestCommands:
-    def _write_data(self, tmp_path, n=200, seed=3):
+    def _write_data(self, tmp_path, n=200, seed=3, name="data.csv"):
         data, _ = sample(two_component_1d(0.0, 6.0), n, seed)
-        path = tmp_path / "data.csv"
+        path = tmp_path / name
         write_csv(str(path), Dataset(("x0",), data))
         return str(path)
 
@@ -261,8 +261,8 @@ class TestCommands:
         assert "cheeseman-stutz" in out
 
     def test_compare_runs(self, tmp_path, capsys):
-        data_path = self._write_data(tmp_path, n=150, seed=3)
-        test_path = self._write_data(tmp_path, n=100, seed=4)
+        data_path = self._write_data(tmp_path, n=150, seed=3, name="train.csv")
+        test_path = self._write_data(tmp_path, n=100, seed=4, name="test.csv")
         code = main(
             [
                 "compare",

@@ -55,10 +55,14 @@ class TestSchedule:
         assert not s.outer_repeat
         assert Schedule.parse(str(s)) == s
 
-    @given(st.integers(1, 999), st.booleans())
+    @given(st.integers(0, 999), st.booleans())
     @settings(max_examples=30, deadline=None)
     def test_round_trip_property(self, steps, outer):
-        s = Schedule(em_steps=steps, outer_repeat=outer)
+        # a schedule that constructs can be read back from its text form
+        try:
+            s = Schedule(em_steps=steps, outer_repeat=outer)
+        except BadSchedule:
+            return
         assert Schedule.parse(str(s)) == s
 
     def test_rejects_garbage(self):
@@ -517,6 +521,7 @@ def test_negative_count_rejected(field):
         (lambda: Schedule(em_steps=2.5), BadSchedule),
         (lambda: Schedule(em_steps="3"), BadSchedule),
         (lambda: Schedule(em_steps=True), BadSchedule),
+        (lambda: Schedule(em_steps=0), BadSchedule),
     ],
     ids=[
         "bool-k",
@@ -529,6 +534,7 @@ def test_negative_count_rejected(field):
         "fractional-em-steps",
         "string-em-steps",
         "bool-em-steps",
+        "zero-em-steps",
     ],
 )
 def test_wrongly_typed_config_value_rejected(config, error):

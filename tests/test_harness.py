@@ -31,7 +31,6 @@ class TestDefaultGoldStandard:
     def test_valid_and_unit_parameterized(self):
         gold = default_gold_standard()
         for g in gold.model.components:
-            g.structure.validate()
             assert np.allclose(g.variances, 1.0)
             for coeffs in g.coefficients:
                 assert np.allclose(coeffs, 1.0)

@@ -42,19 +42,36 @@ def sweep_log_density(g: GaussianDag, rows) -> np.ndarray:
 
 class TestValidate:
     def test_chain_is_acyclic(self):
-        DagStructure(3, ((), (0,), (1,))).validate()
+        assert DagStructure(3, ((), (0,), (1,))).topological_order == (0, 1, 2)
 
     def test_two_cycle_rejected(self):
         with pytest.raises(CycleDetected):
-            DagStructure(2, ((1,), (0,))).validate()
+            DagStructure(2, ((1,), (0,)))
 
     def test_self_loop_rejected(self):
-        with pytest.raises(CycleDetected):
-            DagStructure(1, ((0,),)).validate()
+        with pytest.raises(CycleDetected) as err:
+            DagStructure(1, ((0,),))
+        assert err.value.cycle == (0, 0)
 
     def test_bad_parent_index(self):
         with pytest.raises(BadParentIndex):
-            DagStructure(2, ((), (5,))).validate()
+            DagStructure(2, ((), (5,)))
+
+    def test_duplicate_parent_rejected(self):
+        # it once constructed, and a component on it then sampled x1 ~ 3 x0
+        # while its regression form read x1 ~ 2 x0
+        with pytest.raises(BadParentIndex):
+            DagStructure(2, ((), (0, 0)))
+
+    def test_long_cycle_rejected(self):
+        # a recursive cycle search once raised RecursionError here
+        n = 1200
+        parents = tuple(((i - 1) % n,) for i in range(n))
+        with pytest.raises(CycleDetected) as err:
+            DagStructure(n, parents)
+        cycle = err.value.cycle
+        assert len(cycle) == n + 1 and cycle[0] == cycle[-1]
+        assert all(p in parents[c] for c, p in zip(cycle, cycle[1:]))
 
     def test_short_parent_list_rejected(self):
         # a component over it once scored two of three nodes and ignored x2
@@ -70,7 +87,7 @@ class TestValidate:
 
     def test_cycle_error_lists_a_cycle(self):
         with pytest.raises(CycleDetected) as err:
-            DagStructure(3, ((2,), (0,), (1,))).validate()
+            DagStructure(3, ((2,), (0,), (1,)))
         cycle = err.value.cycle
         assert cycle[0] == cycle[-1]
         assert len(cycle) >= 3

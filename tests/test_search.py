@@ -42,15 +42,14 @@ def skeleton_and_vstructs(s: DagStructure):
 
 class TestNeighbors:
     def test_two_isolated_nodes(self):
-        moves = neighbors(empty_structure(2))
+        moves = neighbors(empty_structure(2).parents)
         assert {(m.kind, m.source, m.target) for m in moves} == {
             ("add", 0, 1),
             ("add", 1, 0),
         }
 
     def test_single_arc(self):
-        s = DagStructure(2, ((), (0,)))
-        moves = {(m.kind, m.source, m.target) for m in neighbors(s)}
+        moves = {(m.kind, m.source, m.target) for m in neighbors(((), (0,)))}
         assert moves == {("delete", 0, 1), ("reverse", 0, 1)}
 
     @pytest.mark.parametrize("n, p", [(5, 0.45), (7, 0.5)])
@@ -59,7 +58,7 @@ class TestNeighbors:
         # missed; at n=7, p=0.5 paths of three or more arcs are common
         for _ in range(15):
             s = random_dag(n, rng, p=p)
-            produced = {(m.kind, m.source, m.target) for m in neighbors(s)}
+            produced = {(m.kind, m.source, m.target) for m in neighbors(s.parents)}
             for u in range(n):
                 for v in range(n):
                     if u == v:
@@ -69,16 +68,15 @@ class TestNeighbors:
                             continue
                         if kind in ("delete", "reverse") and u not in s.parents[v]:
                             continue
-                        candidate = apply_move(s, ArcMove(kind, u, v))
+                        candidate = apply_move(s.parents, ArcMove(kind, u, v))
                         g = nx.DiGraph()
                         g.add_nodes_from(range(n))
-                        g.add_edges_from(candidate.arcs())
+                        g.add_edges_from((p, c) for c, ps in enumerate(candidate) for p in ps)
                         legal = nx.is_directed_acyclic_graph(g)
                         assert ((kind, u, v) in produced) == legal
 
     def test_chain_middle_reverse_allowed(self):
-        s = DagStructure(3, ((), (0,), (1,)))
-        moves = {(m.kind, m.source, m.target) for m in neighbors(s)}
+        moves = {(m.kind, m.source, m.target) for m in neighbors(((), (0,), (1,)))}
         assert ("reverse", 0, 1) in moves
         assert ("reverse", 1, 2) in moves
 
@@ -86,7 +84,7 @@ class TestNeighbors:
 _KIND_RANK = {"delete": 0, "reverse": 1, "add": 2}
 
 
-def listed_best_move(cache, structure, max_parents):
+def listed_best_move(cache, parents, max_parents):
     """The move-list form of ``_best_move``: score every legal move in turn,
     as the F terms it adds summed in ascending order minus the F terms it
     removes summed in ascending order.  Returns the best (gain, move) and
@@ -96,15 +94,15 @@ def listed_best_move(cache, structure, max_parents):
         return cache.marginals(nodes) if nodes else 0.0
 
     best, ties = None, 0
-    for move in neighbors(structure):
-        rewrites = _new_parents(structure, move)
+    for move in neighbors(parents):
+        rewrites = _new_parents(parents, move)
         if max_parents is not None:
             node, ps = rewrites[-1]
-            if len(ps) > max_parents and len(ps) > len(structure.parents[node]):
+            if len(ps) > max_parents and len(ps) > len(parents[node]):
                 continue
         added, removed = [], []
         for node, ps in rewrites:
-            old = structure.parents[node]
+            old = parents[node]
             added += [family((node, *ps)), family(old)]
             removed += [family(ps), family((node, *old))]
         gain = sum(sorted(added)) - sum(sorted(removed))
@@ -138,13 +136,13 @@ class TestBestMove:
             else:
                 t = zero_stats(n)
             vectorised, listed = _ScoreCache(prior, t), _ScoreCache(prior, t)
-            structure = random_dag(n, rng, p=float(rng.uniform(0.0, 0.8)))
+            parents = random_dag(n, rng, p=float(rng.uniform(0.0, 0.8))).parents
             for _ in range(6):
                 for cache in (vectorised, listed):
-                    for i, ps in enumerate(structure.parents):
+                    for i, ps in enumerate(parents):
                         local_score(cache.marginals, i, ps)
-                found = _best_move(vectorised, structure, cap)
-                expected, n_ties = listed_best_move(listed, structure, cap)
+                found = _best_move(vectorised, parents, cap)
+                expected, n_ties = listed_best_move(listed, parents, cap)
                 assert vectorised.marginals._memo.keys() == listed.marginals._memo.keys()
                 if expected is None:
                     assert found is None
@@ -152,7 +150,7 @@ class TestBestMove:
                 twin_ties += trial % 3 == 1 and n_ties > 1
                 assert found[1] == expected[1]
                 assert found[0] == expected[0]
-                structure = apply_move(structure, found[1])
+                parents = apply_move(parents, found[1])
         assert twin_ties > 0
 
     def test_score_equivalent_moves_gain_equally(self, rng):
@@ -164,18 +162,17 @@ class TestBestMove:
             n = int(rng.integers(3, 9))
             rows = rng.standard_normal((80, n)) @ rng.standard_normal((n, n))
             cache = _ScoreCache(random_prior(n, rng), stats_of(rows))
-            structure = random_dag(n, rng, p=float(rng.uniform(0.0, 0.6)))
+            ps = random_dag(n, rng, p=float(rng.uniform(0.0, 0.6))).parents
             tables = {kind: (mask, gains) for kind, mask, gains in
-                      _move_gains(cache, structure, None)}
+                      _move_gains(cache, ps, None)}
             add_mask, add_gains = tables["add"]
-            ps = structure.parents
             for u, v in combinations(range(n), 2):
                 if set(ps[u]) == set(ps[v]) and u not in ps[v] and v not in ps[u]:
                     assert add_mask[u, v] and add_mask[v, u]
                     assert add_gains[u, v] == add_gains[v, u]
                     pairs += 1
             reverse_mask, reverse_gains = tables["reverse"]
-            for u, v in _covered_edges(structure):
+            for u, v in _covered_edges(ps):
                 assert reverse_mask[u, v]
                 assert reverse_gains[u, v] == 0.0
                 covered += 1
@@ -184,9 +181,9 @@ class TestBestMove:
     def test_no_legal_move(self, rng):
         prior = random_prior(1, rng)
         cache = _ScoreCache(prior, stats_of(rng.standard_normal((5, 1))))
-        assert _best_move(cache, empty_structure(1), None) is None
+        assert _best_move(cache, empty_structure(1).parents, None) is None
         cache = _ScoreCache(random_prior(3, rng), stats_of(rng.standard_normal((5, 3))))
-        assert _best_move(cache, empty_structure(3), 0) is None
+        assert _best_move(cache, empty_structure(3).parents, 0) is None
 
 
 @pytest.mark.parametrize("parent", [5, -1], ids=["past-n", "negative"])
@@ -291,7 +288,7 @@ class TestGreedySearch:
         structure = empty_structure(4)
         final = greedy_component_search(t, prior, structure, trace=trace)
         for step in trace:
-            structure = apply_move(structure, step.move)
+            structure = DagStructure(4, apply_move(structure.parents, step.move))
             assert structure_score(prior, t, structure) == pytest.approx(
                 step.total, abs=1e-10
             )
@@ -317,14 +314,15 @@ class TestGreedySearch:
             stats_of(rows), prior, structure, max_parents=1, trace=trace
         )
         deleted_above_cap = False
+        parents = structure.parents
         for step in trace:
-            nxt = apply_move(structure, step.move)
-            for before, after in zip(structure.parents, nxt.parents):
+            nxt = apply_move(parents, step.move)
+            for before, after in zip(parents, nxt):
                 if len(after) > len(before):
                     assert len(after) <= 1
                 elif step.move.kind == "delete" and len(after) < len(before):
                     deleted_above_cap |= len(after) > 1
-            structure = nxt
+            parents = nxt
         assert deleted_above_cap
 
     def test_sideways_escape_trace_pinned(self):
@@ -367,8 +365,34 @@ class TestGreedySearch:
         t = stats_of(rows)
         out = greedy_component_search(t, prior, empty_structure(3))
         base = structure_score(prior, t, out)
-        for move in neighbors(out):
-            assert structure_score(prior, t, apply_move(out, move)) <= base + 1e-9
+        for move in neighbors(out.parents):
+            neighbor = DagStructure(3, apply_move(out.parents, move))
+            assert structure_score(prior, t, neighbor) <= base + 1e-9
+
+
+def test_search_states_are_not_structures(monkeypatch):
+    # search walks plain parent tuples: a greedy search builds (and checks)
+    # only the structure it returns, escape states included, and the
+    # structural difference builds none
+    rng = np.random.default_rng(1)  # escapes, as in the pinned trace above
+    rows = rng.standard_normal((300, 5)) @ rng.standard_normal((5, 5))
+    prior = random_prior(5, rng)
+    start, gold = empty_structure(5), default_gold_standard().model.components[2].structure
+    built = []
+    post_init = DagStructure.__post_init__
+
+    def counted(self):
+        built.append(self.parents)
+        post_init(self)
+
+    monkeypatch.setattr(DagStructure, "__post_init__", counted)
+    trace = []
+    out = greedy_component_search(stats_of(rows), prior, start, trace=trace)
+    assert any(step.sideways for step in trace)
+    assert built == [out.parents]
+    built.clear()
+    assert structural_difference(start, gold) == 4
+    assert built == []
 
 
 class TestSearchAllComponents:
@@ -433,18 +457,18 @@ def equivalence_class(s: DagStructure) -> set[frozenset]:
 
 class TestCpdag:
     def test_single_arc_undirected(self):
-        c = to_cpdag(DagStructure(2, ((), (0,))))
+        c = to_cpdag(((), (0,)))
         assert not c.directed
         assert c.undirected == frozenset({(0, 1)})
 
     def test_collider_compelled(self):
-        c = to_cpdag(DagStructure(3, ((), (), (0, 1))))
+        c = to_cpdag(((), (), (0, 1)))
         assert c.directed == frozenset({(0, 2), (1, 2)})
         assert not c.undirected
 
     def test_collider_tail_compelled(self):
         # 0 -> 2 <- 1 with 2 -> 3: the tail arc is compelled too
-        c = to_cpdag(DagStructure(4, ((), (), (0, 1), (2,))))
+        c = to_cpdag(((), (), (0, 1), (2,)))
         assert (2, 3) in c.directed
 
     def test_equivalence_iff_same_cpdag(self, rng):
@@ -452,7 +476,7 @@ class TestCpdag:
         for i in range(len(dags)):
             for j in range(i + 1, len(dags)):
                 oracle = skeleton_and_vstructs(dags[i]) == skeleton_and_vstructs(dags[j])
-                assert oracle == (to_cpdag(dags[i]) == to_cpdag(dags[j]))
+                assert oracle == (to_cpdag(dags[i].parents) == to_cpdag(dags[j].parents))
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_labels_match_equivalence_class(self, rng, n):
@@ -460,7 +484,7 @@ class TestCpdag:
         for _ in range(30):
             s = random_dag(n, rng, p=0.5)
             shared = frozenset.intersection(*equivalence_class(s))
-            c = to_cpdag(s)
+            c = to_cpdag(s.parents)
             assert c.directed == shared
             assert c.undirected == {
                 (min(u, v), max(u, v)) for u, v in s.arcs() if (u, v) not in shared
@@ -468,31 +492,31 @@ class TestCpdag:
 
     def test_cycle_rejected(self):
         with pytest.raises(CycleDetected):
-            to_cpdag(DagStructure(3, ((2,), (0,), (1,))))
+            to_cpdag(((2,), (0,), (1,)))
 
 
 def dag_space_difference(learned: DagStructure, gold: DagStructure) -> int:
     """Oracle: 0-1 BFS over DAGs, where covered reversals cost 0 and every
     other legal move costs 1, stopping at the first DAG in gold's class."""
-    target = to_cpdag(gold)
+    target = to_cpdag(gold.parents)
     dist = {learned.parents: 0}
-    dq = deque([learned])
+    dq = deque([learned.parents])
     done = set()
     while dq:
         state = dq.popleft()
-        if state.parents in done:
+        if state in done:
             continue
-        done.add(state.parents)
-        d = dist[state.parents]
+        done.add(state)
+        d = dist[state]
         if to_cpdag(state) == target:
             return d
         covered = set(_covered_edges(state))
         for move in neighbors(state):
             cost = int(not (move.kind == "reverse" and (move.source, move.target) in covered))
             nxt = apply_move(state, move)
-            if dist.get(nxt.parents, d + cost + 1) <= d + cost:
+            if dist.get(nxt, d + cost + 1) <= d + cost:
                 continue
-            dist[nxt.parents] = d + cost
+            dist[nxt] = d + cost
             if cost == 0:
                 dq.appendleft(nxt)
             else:
@@ -569,4 +593,5 @@ class TestStructuralDifference:
     def test_zero_iff_equivalent(self, rng):
         for _ in range(20):
             a, b = random_dag(4, rng, p=0.5), random_dag(4, rng, p=0.5)
-            assert (structural_difference(a, b) == 0) == (to_cpdag(a) == to_cpdag(b))
+            same_class = to_cpdag(a.parents) == to_cpdag(b.parents)
+            assert (structural_difference(a, b) == 0) == same_class
