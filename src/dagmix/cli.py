@@ -493,6 +493,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"FileNotFound: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # a directory where a file belongs, no permission
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,8 +14,11 @@ the cases by observation mask once per data set, so a sweep only computes
 what depends on the model.  The sweep works in regression form: each DAG
 component is read as z = A x - c, its nodes' standardised regression
 residuals, so complete cases are scored with one product and no joint
-covariance, and a mask with missing cells conditions every component at
-once through one stacked QR factorisation of the columns of A it misses.
+covariance.  A mask with missing cells conditions every component on the
+QR factorisation of the columns of A it misses; those factors depend on
+the model alone, so they are built once per sweep, before the cases are
+visited, with one stacked QR for all masks with the same number of
+missing cells.
 
 These functions are internal and assume validated input: data and models
 arrive through the checked entry points that the package docstring lists,
@@ -163,22 +166,82 @@ def _grouped(data: np.ndarray | CaseGroups, model: MdagModel) -> CaseGroups:
 # --- the E sweep in regression form ------------------------------------------
 
 
+def _regression_stack(model: MdagModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Gaussian components' regression forms, stacked: A, (k, n, n);
+    W, (n + 1, k n), each component's A^T over -c^T side by side, so a case
+    x with a 1 appended has the residuals z = A x - c of every component in
+    [x, 1] W; and n log 2pi + log|V|, (k,)."""
+    forms = [g.regression_form for g in model.components]
+    n = model.n
+    a = np.array([f[0] for f in forms]).reshape(-1, n, n)
+    c = np.array([f[1] for f in forms]).reshape(-1, 1, n)
+    w = np.concatenate([a.transpose(0, 2, 1), -c], axis=1)
+    w = w.transpose(1, 0, 2).reshape(n + 1, -1)
+    const = n * LOG_2PI + np.array([f[2] for f in forms])
+    return a, w, const
+
+
+_Factors = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _mask_factors(a: np.ndarray, groups: tuple[CaseGroup, ...]) -> list[_Factors | None]:
+    """Each group's model-only factors, built once per sweep: for a mask
+    with m missing cells, G = R^-1 Q^T, (k, m, n), the conditional
+    covariance G G^T = R^-1 R^-T, (k, m, m), and the log density correction
+    (m/2) log 2pi - sum log|R_ii|, (k,), from the QR factorisation
+    A_m = QR of the columns of A it misses; None for a complete mask.
+
+    The A_m of every mask with m missing cells are stacked, (masks k, n,
+    m), and factored by one QR, one back substitution and one product.
+    These call LAPACK and BLAS once per matrix, so each mask's factors have
+    the bytes that its own factorisation would give.  QR works on A_m
+    itself; the precision block A_m^T A_m would square its condition
+    number."""
+    k, n = a.shape[:2]
+    by_count: dict[int, list[int]] = {}
+    for i, group in enumerate(groups):
+        if group.mis.size:
+            by_count.setdefault(group.mis.size, []).append(i)
+    factors: list[_Factors | None] = [None] * len(groups)
+    for m, members in by_count.items():
+        a_mis = np.concatenate([a[:, :, groups[i].mis] for i in members])
+        q, r = np.linalg.qr(a_mis)
+        del a_mis
+        # G = R^-1 Q^T by back substitution, one row of R at a time
+        g = np.empty((q.shape[0], m, n))
+        for i in reversed(range(m)):
+            rest = q[:, :, i] - np.einsum("kj,kjn->kn", r[:, i, i + 1:], g[:, i + 1:])
+            g[:, i] = rest / r[:, i, i, None]
+        del q
+        covs = g @ g.transpose(0, 2, 1)
+        logdiag = np.sum(np.log(np.abs(np.diagonal(r, axis1=1, axis2=2))), axis=1)
+        correction = 0.5 * m * LOG_2PI - logdiag
+        for j, i in enumerate(members):
+            rows = slice(j * k, (j + 1) * k)
+            factors[i] = (g[rows], covs[rows], correction[rows])
+    return factors
+
+
 def _condition(
-    model: MdagModel, w: np.ndarray, a: np.ndarray, const: np.ndarray, group: CaseGroup
+    model: MdagModel,
+    w: np.ndarray,
+    a: np.ndarray,
+    const: np.ndarray,
+    group: CaseGroup,
+    factors: _Factors | None,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """One mask's cases under every component at once, from the stacked
-    regression forms of ``_densities``.
+    regression forms and the mask's factors, which ``_mask_factors`` built
+    before the sweep; only the products with the cases are left here.
 
     Returns the (n_components, cases) log densities of the observed cells
     and, for a mask with missing cells, each Gaussian component's
     conditional means of the missing cells, (k, cases, m), and their
     conditional covariance, (k, m, m).
 
-    With z_o = A_o x_o - c and the QR factorisation A_m = QR of the
-    missing columns, the conditional mean is x_m* = -R^-1 Q^T z_o, the
-    conditional covariance is R^-1 R^-T, and log p(x_o) = log p(x_o, x_m*)
-    + (m/2) log 2pi - sum log|R_ii|.  QR works on A_m itself; the
-    precision block A_m^T A_m would square its condition number.
+    With z_o = A_o x_o - c and G = R^-1 Q^T, the conditional mean is
+    x_m* = -G z_o and log p(x_o) = log p(x_o, x_m*) + (m/2) log 2pi
+    - sum log|R_ii|.
     """
     obs, mis = group.obs, group.mis
     k, n = a.shape[0], model.n
@@ -194,19 +257,10 @@ def _condition(
     z = (group.design @ w).reshape(cases, k, n).transpose(1, 0, 2)
     filled = cond_covs = None
     correction = np.zeros(k)
-    if mis.size:
-        a_mis = a[:, :, mis]
-        q, r = np.linalg.qr(a_mis)
-        # G = R^-1 Q^T by back substitution, one row of R at a time
-        g = np.empty((k, mis.size, n))
-        for i in reversed(range(mis.size)):
-            rest = q[:, :, i] - np.einsum("kj,kjn->kn", r[:, i, i + 1:], g[:, i + 1:])
-            g[:, i] = rest / r[:, i, i, None]
+    if factors is not None:
+        g, cond_covs, correction = factors
         filled = -(z @ g.transpose(0, 2, 1))
-        cond_covs = g @ g.transpose(0, 2, 1)
-        z = z + filled @ a_mis.transpose(0, 2, 1)
-        logdiag = np.sum(np.log(np.abs(np.diagonal(r, axis1=1, axis2=2))), axis=1)
-        correction = 0.5 * mis.size * LOG_2PI - logdiag
+        z = z + filled @ a[:, :, mis].transpose(0, 2, 1)
     if obs.size:
         quad = np.einsum("kij,kij->ki", z, z)
         logp[col:] = -0.5 * (const[:, None] + quad) + correction[:, None]
@@ -218,24 +272,16 @@ def _condition(
 def _densities(
     model: MdagModel, cases: CaseGroups
 ) -> tuple[np.ndarray, list[tuple[np.ndarray | None, np.ndarray | None]]]:
-    """``_condition`` over every mask: the (cases, n_components) log
-    densities, a transposed view, and each group's conditionals.
-
-    The Gaussian components' A and n log 2pi + log|V| are stacked, (k, n, n)
-    and (k,), and W, (n + 1, k n), holds each component's A^T over -c^T
-    side by side, so a case x with a 1 appended has the residuals
-    z = A x - c of every component in [x, 1] W."""
-    forms = [g.regression_form for g in model.components]
-    n = model.n
-    a = np.array([f[0] for f in forms]).reshape(-1, n, n)
-    c = np.array([f[1] for f in forms]).reshape(-1, 1, n)
-    w = np.concatenate([a.transpose(0, 2, 1), -c], axis=1)
-    w = w.transpose(1, 0, 2).reshape(n + 1, -1)
-    const = n * LOG_2PI + np.array([f[2] for f in forms])
+    """``_condition`` over every mask, in group order: the (cases,
+    n_components) log densities, a transposed view, and each group's
+    conditionals.  The masks' factors are built first, once per sweep, with
+    one stacked QR per missing-cell count."""
+    a, w, const = _regression_stack(model)
+    factors = _mask_factors(a, cases.groups)
     logp = np.empty((model.n_components, cases.cases))
     conditionals = []
-    for group in cases.groups:
-        logp[:, group.idx], *moments = _condition(model, w, a, const, group)
+    for group, group_factors in zip(cases.groups, factors):
+        logp[:, group.idx], *moments = _condition(model, w, a, const, group, group_factors)
         conditionals.append(moments)
     return logp.T, conditionals
 

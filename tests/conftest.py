@@ -6,7 +6,7 @@ from scipy import stats as sps
 from dagmix.bayes import FamilyMarginals, NormalWishart, local_score
 from dagmix.engine import cheeseman_stutz
 from dagmix.model import DagStructure, GaussianDag, MdagModel, empty_structure
-from dagmix.stats import MixtureStats, SuffStats, component_case_loglik
+from dagmix.stats import LOG_2PI, MixtureStats, SuffStats, component_case_loglik
 
 # the same examples on every run, no per-example deadline (a fit's first
 # call pays for imports), and a bounded count unless a test sets its own
@@ -88,6 +88,23 @@ def node_log_density(g: GaussianDag, x: np.ndarray) -> np.ndarray:
         center = g.intercepts[i] + x[..., list(ps)] @ g.coefficients[i]
         total = total + sps.norm.logpdf(x[..., i], center, np.sqrt(g.variances[i]))
     return total
+
+
+def per_mask_factors(a: np.ndarray, mis: np.ndarray):
+    """One mask's factors from its own QR of A's missing columns, the
+    reference for the sweep's stacked factorisation: G = R^-1 Q^T, its
+    G G^T and the log density correction (m/2) log 2pi - sum log|R_ii|, or
+    None for a complete mask."""
+    if not mis.size:
+        return None
+    k, n = a.shape[:2]
+    q, r = np.linalg.qr(a[:, :, mis])
+    g = np.empty((k, mis.size, n))
+    for i in reversed(range(mis.size)):
+        rest = q[:, :, i] - np.einsum("kj,kjn->kn", r[:, i, i + 1:], g[:, i + 1:])
+        g[:, i] = rest / r[:, i, i, None]
+    logdiag = np.sum(np.log(np.abs(np.diagonal(r, axis1=1, axis2=2))), axis=1)
+    return g, g @ g.transpose(0, 2, 1), 0.5 * mis.size * LOG_2PI - logdiag
 
 
 def random_dag(n: int, rng: np.random.Generator, p: float = 0.4) -> DagStructure:

@@ -296,6 +296,24 @@ class TestCommands:
         assert main(["fit", "--data", "no-such.csv", "--out", "x.json"]) == 2
         assert "FileNotFound" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--data", "{dir}", "--out", "{tmp}/m.json"],
+            ["score", "--model", "{dir}", "--test", "{data}"],
+            ["fit", "--data", "{data}", "--out", "{tmp}/m.json", "--config", "{dir}"],
+            ["generate", "--n", "5", "--out", "{dir}"],
+        ],
+        ids=["fit-data", "score-model", "config", "generate-out"],
+    )
+    def test_directory_path_exit_code(self, tmp_path, capsys, argv):
+        # a directory where a file belongs: one category line, a data error
+        (tmp_path / "dir").mkdir()
+        paths = {"dir": tmp_path / "dir", "tmp": tmp_path, "data": self._write_data(tmp_path)}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("IsADirectoryError: ") and err.count("\n") == 1
+
     def test_data_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1\n")

@@ -21,7 +21,10 @@ from dagmix.scoring import observed_loglik
 from dagmix.stats import (
     MixtureStats,
     SuffStats,
+    _condition,
+    _densities,
     _normalize_responsibilities,
+    _regression_stack,
     component_case_loglik,
     expected_stats,
     group_cases,
@@ -31,6 +34,7 @@ from conftest import (
     joint_moments,
     labeled_stats,
     node_log_density,
+    per_mask_factors,
     random_dag,
     random_gaussian_dag,
     single_node_model,
@@ -518,6 +522,39 @@ class TestGroupedSweep:
         mean, cov = one_case_moments(odd, np.array([0.7, np.nan, -1.2]))
         assert mean == pytest.approx([0.7], rel=1e-12)
         assert cov[0, 0] == pytest.approx(1e-20, rel=1e-6)
+
+    def assert_per_mask_bytes(self, data, model):
+        cases = group_cases(data)
+        logp, conditionals = _densities(model, cases)
+        a, w, const = _regression_stack(model)
+        for group, got in zip(cases.groups, conditionals, strict=True):
+            want_logp, *want = _condition(
+                model, w, a, const, group, per_mask_factors(a, group.mis)
+            )
+            assert np.array_equal(logp[group.idx].T, want_logp)
+            for got_part, want_part in zip(got, want, strict=True):
+                assert (got_part is None) == (want_part is None)
+                assert got_part is None or np.array_equal(got_part, want_part)
+
+    def test_stacked_factors_give_per_mask_bytes(self, rng):
+        # several masks per missing-cell count, each count stacked into one
+        # QR, against each mask factored on its own
+        for _ in range(30):
+            n, k = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+            model = self.random_model(rng, n, k, noise=rng.random() < 0.3)
+            data = rng.normal(0, 3, (300, n))
+            data[rng.random(data.shape) < rng.uniform(0.2, 0.6)] = np.nan
+            data[:3] = np.nan  # nothing observed: m = n
+            counts = [g.mis.size for g in group_cases(data).groups]
+            assert n in counts and max(np.bincount(counts)[1:n]) > 1
+            self.assert_per_mask_bytes(data, model)
+
+    def test_one_mask_stack(self, rng):
+        model = self.random_model(rng, 5, 3, noise=True)
+        data = rng.normal(0, 3, (50, 5))
+        data[:, [1, 3]] = np.nan
+        assert len(group_cases(data).groups) == 1
+        self.assert_per_mask_bytes(data, model)
 
     def test_sweep_bytes_do_not_depend_on_blas_threads(self):
         # one n=40 sweep over 3000 cases, then a fit of the same data, in a
