@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    NegativeCount,
     NonPsdScatter,
     NumericalOverflow,
     SingularParentBlock,
@@ -127,10 +126,11 @@ class FamilyMarginals:
         + (alpha/2) log|tau_Y| - (alpha'/2) log|tau'_Y|
 
     where primes denote the updated quantities and alpha is already
-    restricted; an empty batch scores 0.  The posterior scale tau'_Y of
-    every family is a block of the one matrix T' that ``posterior_update``
-    builds: each term of T' is elementwise, so its Y-block is bit-identical
-    to the same expression built from Y-sliced inputs.  The terms that
+    restricted; an empty batch and the empty set score 0.  The posterior
+    scale tau'_Y of every family is a block of the one matrix T' that
+    ``posterior_update`` builds: each term of T' is elementwise, so its
+    Y-block is bit-identical to the same expression built from Y-sliced
+    inputs.  The terms that
     depend only on |Y| are cached by size, and each family's value by its
     sorted tuple: one value per variable set, whichever order a caller
     lists it in, so set terms that cancel in exact arithmetic cancel in
@@ -144,7 +144,7 @@ class FamilyMarginals:
         self.n_count = t.n
         self._nu1 = post.nu
         self._scale = post.tau
-        self._memo: dict[tuple[int, ...], float] = {}
+        self._memo: dict[tuple[int, ...], float] = {(): 0.0}
         self._by_size: dict[int, tuple[float, float, float]] = {}
 
     def _size_terms(self, size: int) -> tuple[float, float, float]:
@@ -164,7 +164,7 @@ class FamilyMarginals:
         return hit
 
     def __call__(self, family: Sequence[int]) -> float:
-        hit = self._memo.get(tuple(sorted(map(int, family))))
+        hit = self._memo.get(tuple(sorted(family)))
         if hit is None:
             hit = self.fill((family,))[0]
         return hit
@@ -178,10 +178,10 @@ class FamilyMarginals:
         factored in one call; each log-determinant is twice the sum of the
         logs of its own factor's diagonal, so each value equals the one its
         family gets when filled alone.  Families come from the node families
-        of checked structures, so each is a nonempty set of variables in
-        [0, n).
+        of checked structures, so each is a set of integers in [0, n); the
+        empty set is memoised from the start.
         """
-        keys = [tuple(sorted(map(int, family))) for family in families]
+        keys = [tuple(sorted(family)) for family in families]
         todo: dict[int, dict[tuple[int, ...], None]] = {}
         for key in keys:
             if key in self._memo:
@@ -204,36 +204,21 @@ class FamilyMarginals:
 
 
 def _stacked_logdets(blocks: np.ndarray) -> np.ndarray:
-    """log|B| of every block of a (m, p, p) stack, from one stacked Cholesky.
-
-    When a block is not positive definite the stack raises, and each block
-    is factored on its own with the jitter retry, so a jittered block gets
-    the same factor as when factored alone."""
-    try:
-        chols = np.linalg.cholesky(blocks)
-    except np.linalg.LinAlgError:
-        factors = [_chol_with_jitter(b, SingularParentBlock) for b in blocks]
-        chols = np.array(factors).reshape(blocks.shape)
+    """log|B| of every block of a (m, p, p) stack, from one stacked Cholesky
+    with the jitter retry."""
+    chols = _chol_with_jitter(blocks, SingularParentBlock)
     return 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
 
 
 def local_score(marginals: FamilyMarginals, child: int, parents: Sequence[int]) -> float:
     """Family score of one node, log p(d^{child u Pa}) - log p(d^{Pa}), read
     off the family marginals of one (prior, statistics) pair."""
-    top = marginals((child, *parents))
-    if not parents:
-        return top
-    return top - marginals(parents)
+    return marginals((child, *parents)) - marginals(parents)
 
 
 def dirichlet_log_marglik(prior: DirichletPrior, counts: np.ndarray) -> float:
-    """Marginal likelihood of (fractional) component counts under a Dirichlet."""
-    counts = np.asarray(counts, dtype=float)
-    if counts.shape != (prior.k,):
-        raise DimensionMismatch(f"{prior.k} components but {counts.shape[0]} counts")
-    if np.any(counts < -1e-12):
-        raise NegativeCount(f"counts must be nonnegative, got min {counts.min()!r}")
-    counts = np.maximum(counts, 0.0)
+    """Marginal likelihood of (fractional) component counts under a
+    Dirichlet; the counts are sums of responsibilities, so nonnegative."""
     a = prior.alphas
     return float(
         _gammaln(a.sum())

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -188,6 +190,22 @@ def _write_json(path: str, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
+
+
+def _check_writable(path: str) -> None:
+    """Raise the OSError that opening ``path`` for writing would raise, for
+    a directory, a missing parent directory or no write permission; create
+    nothing."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)  # the errno's subclass
 
 
 def save_model(path: str, model: MdagModel, metadata: dict | None = None) -> None:
@@ -483,6 +501,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "out", None):  # fail before the computation, not after
+            _check_writable(args.out)
         return args.func(args)
     except SystemExit2 as exc:
         print(f"Usage: {exc}", file=sys.stderr)

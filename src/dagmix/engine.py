@@ -460,15 +460,14 @@ def fit(data: np.ndarray, config: FitConfig) -> FitResult:
     cases = stats.group_cases(data)
     structures = tuple(g.structure for g in model.components)
     searching = config.family == "mdag"
-    force_full_em = False
+    # fixed structures never change, so their first pass is the forced one
+    force_full_em = not searching
     iterates: list[OuterIterate] = []
     collapsed: set[int] = set()
     termination = "iteration-cap"
     prev_cs = None
     for _ in range(config.max_outer):
-        steps = config.schedule.em_steps
-        if not searching or force_full_em:
-            steps = None
+        steps = None if force_full_em else config.schedule.em_steps
         model, em_trace = run_em(
             cases,
             model,
@@ -491,9 +490,6 @@ def fit(data: np.ndarray, config: FitConfig) -> FitResult:
         iterates.append(OuterIterate(model, new_structures, mix_stats, obs, complete, cs))
         unchanged = new_structures == structures
         structures = new_structures
-        if not searching:
-            termination = "structure-stable"
-            break
         if unchanged and (force_full_em or config.schedule.em_steps is None):
             termination = "structure-stable"
             break

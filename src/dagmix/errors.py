@@ -62,10 +62,6 @@ class SingularParentBlock(NumericalError):
     pass
 
 
-class NegativeCount(DataError):
-    pass
-
-
 class InsufficientData(DataError):
     pass
 

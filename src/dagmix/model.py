@@ -36,10 +36,14 @@ _VARIANCE_FLOOR = 1e-12
 
 
 def _chol_with_jitter(mat: np.ndarray, error: type[Exception]) -> np.ndarray:
-    """Cholesky factor with a single 1e-9 diagonal-jitter retry."""
+    """Cholesky factor of a matrix, or of each matrix of a (m, p, p) stack,
+    with a single 1e-9 diagonal-jitter retry per matrix: a retried matrix
+    gets the factor it gets alone."""
     try:
         return np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
+        if mat.ndim == 3:
+            return np.array([_chol_with_jitter(m, error) for m in mat]).reshape(mat.shape)
         try:
             return np.linalg.cholesky(mat + _JITTER * np.eye(mat.shape[0]))
         except np.linalg.LinAlgError:
@@ -223,8 +227,6 @@ class GaussianDag:
         The M step calls this on every step, so it is not a checked entry
         point: the structure is a DAG by construction, and the joint must be
         of its size."""
-        mean = np.asarray(mean, dtype=float)
-        cov = np.asarray(cov, dtype=float)
         intercepts = np.empty(structure.n)
         variances = np.empty(structure.n)
         coefficients = []
@@ -271,7 +273,8 @@ class NoiseComponent:
 
 @dataclass(frozen=True)
 class MdagModel:
-    """Mixture of Gaussian DAG components with optional uniform noise.
+    """Mixture of Gaussian DAG components with optional uniform noise, over
+    n >= 1 variables.
 
     ``weights`` covers every component; when noise is present it owns
     weight index 0 and ``components[j]`` has weight ``weights[j + 1]``.
@@ -298,6 +301,8 @@ class MdagModel:
             ns.add(self.noise.n)
         if len(ns) > 1:
             raise DimensionMismatch(f"components disagree on n: {sorted(ns)}")
+        if ns == {0}:
+            raise DimensionMismatch("a model needs at least one variable")
 
     @property
     def n(self) -> int:

@@ -113,9 +113,7 @@ def _new_parents(
     trimmed = parents[v][:at] + parents[v][at + 1:]
     if move.kind == "delete":
         return ((v, trimmed),)
-    if move.kind == "reverse":
-        return ((v, trimmed), (u, parents[u] + (v,)))
-    raise ValueError(f"unknown move kind {move.kind!r}")
+    return ((v, trimmed), (u, parents[u] + (v,)))
 
 
 def apply_move(parents: _Parents, move: ArcMove) -> _Parents:
@@ -128,14 +126,14 @@ def apply_move(parents: _Parents, move: ArcMove) -> _Parents:
 class _ScoreCache:
     """The set terms of one component's gains, over one ``FamilyMarginals``.
 
-    With F(Y) the family marginal of variable set Y (F of the empty set is
-    0), node v with parents P scores F(v + P) - F(P).  ``gains`` keeps two
-    n x n matrices from one call to the next: T[0][u, v] = F(v + P') and
-    T[1][u, v] = F(P'), where P' is v's parent set with u toggled.  It
-    swaps in only the columns whose parent set changed; each (node,
-    parents) column is cached, so a structure that returns to a parent
-    set, or an equivalent state the escape walks, reads the terms already
-    computed.
+    With F(Y) the family marginal of variable set Y (``FamilyMarginals``
+    scores the empty set 0), node v with parents P scores F(v + P) - F(P).
+    ``gains`` keeps two n x n matrices from one call to the next:
+    T[0][u, v] = F(v + P') and T[1][u, v] = F(P'), where P' is v's parent
+    set with u toggled.  It swaps in only the columns whose parent set
+    changed; each (node, parents) column is cached, so a structure that
+    returns to a parent set, or an equivalent state the escape walks, reads
+    the terms already computed.
     """
 
     def __init__(self, prior: NormalWishart, t: SuffStats):
@@ -165,7 +163,7 @@ class _ScoreCache:
                 if col is None:
                     col = self._columns[(v, ps)] = np.full((2, len(parents)), np.nan)
                 terms[:, :, v] = col
-                nodes[:, v] = self.marginals((v, *ps)), self.marginals(ps) if ps else 0.0
+                nodes[:, v] = self.marginals((v, *ps)), self.marginals(ps)
         us, vs = np.nonzero(need & np.isnan(terms[0]))
         if not len(us):
             return terms, nodes
@@ -175,9 +173,9 @@ class _ScoreCache:
             toggled = tuple(p for p in ps if p != u) if u in ps else ps + (u,)
             tops.append((v, *toggled))
             bases.append(toggled)
-        values = iter(self.marginals.fill(tops + [b for b in bases if b]))
-        terms[0, us, vs] = [next(values) for _ in tops]
-        terms[1, us, vs] = [next(values) if b else 0.0 for b in bases]
+        values = self.marginals.fill(tops + bases)
+        terms[0, us, vs] = values[: len(tops)]
+        terms[1, us, vs] = values[len(tops):]
         for v in set(vs.tolist()):
             self._columns[(v, parents[v])][:] = terms[:, :, v]
         return terms, nodes

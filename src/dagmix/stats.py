@@ -50,9 +50,7 @@ class SuffStats:
         return self.r.shape[0]
 
     def scatter(self) -> np.ndarray:
-        """Centered scatter s - r r^T / n (zero matrix when n == 0)."""
-        if self.n <= 0:
-            return np.zeros_like(self.s)
+        """Centered scatter s - r r^T / n of a triple with n > 0."""
         return self.s - np.outer(self.r, self.r) / self.n
 
 
@@ -132,9 +130,6 @@ def _case_group(mask: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> CaseGrou
 
 def group_cases(data: np.ndarray) -> CaseGroups:
     """Group the cases of a data matrix (NaN cells missing) by observation mask."""
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2:
-        raise DimensionMismatch(f"data shape {data.shape} is not cases by variables")
     cases, n = data.shape
     observed = ~np.isnan(data)
     if observed.all():  # complete data: one group, no sorting pass

@@ -18,11 +18,7 @@ from dagmix.bayes import (
     posterior_update,
     sample_joint_parameters,
 )
-from dagmix.errors import (
-    NegativeCount,
-    NonPsdScatter,
-    SingularParentBlock,
-)
+from dagmix.errors import NonPsdScatter, SingularParentBlock
 from dagmix.model import (
     DagStructure,
     GaussianDag,
@@ -331,6 +327,12 @@ class TestStackedFallback:
             alone = FamilyMarginals(prior, t)(family)
             assert marginals(family) == alone
             assert alone == sliced_marginal_loglik(prior, t, tuple(sorted(family)))
+        # the rescued block beside positive-definite ones: one retry each,
+        # so every block of the stack gets the factor it gets alone
+        blocks = np.array([scale[np.ix_(f, f)] for f in ((2, 3), (0, 1), (3, 4))])
+        stacked = _chol_with_jitter(blocks, SingularParentBlock)
+        for block, factor in zip(blocks, stacked):
+            assert np.array_equal(factor, _chol_with_jitter(block, SingularParentBlock))
 
     def test_block_past_jitter_raises_singular_parent_block(self, rng):
         # the checks of NormalWishart keep such a scale out of the library,
@@ -349,7 +351,10 @@ class TestLocalScore:
     def test_orphan_equals_family(self, rng):
         prior = random_prior(2, rng)
         t = stats_of(rng.normal(0, 1, (6, 2)))
-        assert local_score(FamilyMarginals(prior, t), 0, ()) == FamilyMarginals(prior, t)((0,))
+        assert FamilyMarginals(prior, t)(()) == 0.0
+        for v in (0, 1):
+            marginals = FamilyMarginals(prior, t)
+            assert local_score(marginals, v, ()).hex() == marginals((v,)).hex()
 
     def test_chain_rule_both_orderings(self, rng):
         prior = random_prior(2, rng)
@@ -442,10 +447,6 @@ class TestDirichlet:
             gammaln(2.0) - gammaln(3.0) + 2 * (gammaln(1.5) - gammaln(1.0))
         )
         assert dirichlet_log_marglik(prior, counts) == pytest.approx(expected, abs=1e-12)
-
-    def test_negative_count(self):
-        with pytest.raises(NegativeCount):
-            dirichlet_log_marglik(DirichletPrior(np.ones(2)), np.array([-1.0, 2.0]))
 
     def test_map_symmetric(self):
         w = dirichlet_map(DirichletPrior(np.array([2.0, 2.0])), np.zeros(2))

@@ -274,6 +274,7 @@ def test_gaussian_dag(args):
 @example(k=2, weights=np.array([np.nan, 0.5]), noise=None, count=3, seed=0)
 @example(k=2, weights=None, noise=None, count=3, seed="x")
 @example(k=0, weights=None, noise=(np.zeros(2), np.ones(2)), count=3, seed=0)
+@example(k=0, weights=None, noise=(np.zeros(0), np.zeros(0)), count=0, seed=0)
 def test_mixture(k, weights, noise, count, seed):
     if noise is not None:
         noise = returns_or_raises_dagmix(NoiseComponent, *noise)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from dagmix import cli
 from dagmix.cli import (
     Dataset,
     config_from_dict,
@@ -313,6 +314,35 @@ class TestCommands:
         assert main([arg.format(**paths) for arg in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("IsADirectoryError: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, category",
+        [
+            (["fit", "--data", "{data}", "--k", "2", "--out", "{dir}"], "IsADirectoryError"),
+            (["fit", "--data", "{data}", "--out", "{tmp}/missing/m.json"], "FileNotFound"),
+            (["select-k", "--data", "{data}", "--out", "{tmp}/missing/x.json"], "FileNotFound"),
+            (["recover", "--sizes", "93", "--out", "{dir}"], "IsADirectoryError"),
+            (
+                ["compare", "--data", "{data}", "--test", "{data}", "--out", "{dir}"],
+                "IsADirectoryError",
+            ),
+        ],
+        ids=["fit-dir", "fit-no-parent", "select-k-no-parent", "recover-dir", "compare-dir"],
+    )
+    def test_out_checked_before_computing(self, tmp_path, capsys, monkeypatch, argv, category):
+        # an --out that cannot be written fails at once, with nothing computed
+        def never(*args, **kwargs):
+            raise AssertionError("computed before --out was checked")
+
+        for name in ("fit", "select_k", "run_recovery", "run_baseline_comparison"):
+            monkeypatch.setattr(cli, name, never)
+        (tmp_path / "dir").mkdir()
+        paths = {"dir": tmp_path / "dir", "tmp": tmp_path, "data": self._write_data(tmp_path)}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"{category}: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "dir"]
+        assert not any((tmp_path / "dir").iterdir())
 
     def test_data_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
