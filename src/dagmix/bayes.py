@@ -34,12 +34,10 @@ from .errors import (
     SingularParentBlock,
 )
 from .model import DagStructure, GaussianDag, _chol_with_jitter
-from .stats import SuffStats
+from .stats import COUNT_FLOOR, SuffStats
 
 _LOG_PI = float(np.log(np.pi))
 _PSD_TOL = 1e-8
-# Below this fractional count a posterior update is numerically the prior.
-_COUNT_FLOOR = 1e-250
 
 # log|Gamma(x)| elementwise
 _gammaln = np.vectorize(math.lgamma, otypes=[float])
@@ -98,7 +96,7 @@ def posterior_update(prior: NormalWishart, t: SuffStats) -> NormalWishart:
     the rounding of s - r r^T / N grows with the data's units and offset.  A
     scatter that overflowed raises NumericalOverflow.
     """
-    if t.n <= _COUNT_FLOOR:
+    if t.n <= COUNT_FLOOR:
         return prior
     n_count = t.n
     scatter = t.scatter()
@@ -188,7 +186,7 @@ class FamilyMarginals:
                 continue
             todo.setdefault(len(key), {})[key] = None
         for size, batch in todo.items():
-            if self.n_count <= _COUNT_FLOOR:
+            if self.n_count <= COUNT_FLOOR:
                 self._memo.update(dict.fromkeys(batch, 0.0))
                 continue
             alpha, alpha1, lead = self._size_terms(size)

@@ -435,13 +435,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dagmix", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=False, test=False, model=False, out=None):
+    def common(p, data=False, test=False, out=None):
         if data:
             p.add_argument("--data", required=True, help="training CSV")
         if test:
             p.add_argument("--test", required=True, help="held-out CSV")
-        if model:
-            p.add_argument("--model", required=True, help="model JSON file")
         if out is not None:
             p.add_argument("--out", required=out, help="output path")
         p.add_argument("--config", help="JSON config mirroring FitConfig")

@@ -285,7 +285,7 @@ class EmTrace:
 
 
 def run_em(
-    data: np.ndarray | stats.CaseGroups,
+    cases: stats.CaseGroups,
     model: MdagModel,
     prior: NormalWishart,
     dirichlet: DirichletPrior,
@@ -299,11 +299,8 @@ def run_em(
     trace's log likelihood, so b steps make b + 1 sweeps.  The convergence
     rule compares each step's log-likelihood change with the total change
     since initialization: stop once (l_t - l_{t-1}) / (l_t - l_0) drops
-    below ``convergence_ratio``.  A raw data matrix is grouped once here;
-    a caller that runs EM repeatedly on the same data passes its
-    ``stats.group_cases``.
+    below ``convergence_ratio``.
     """
-    cases = stats._grouped(data, model)
     budget = steps if steps is not None else max_steps
     structures = tuple(g.structure for g in model.components)
     mix_stats, loglik = stats.expected_stats(cases, model)
@@ -401,14 +398,14 @@ def initialize(
 
 
 def cheeseman_stutz(
-    data: np.ndarray | stats.CaseGroups,
+    cases: stats.CaseGroups,
     model: MdagModel,
     prior: NormalWishart,
     dirichlet: DirichletPrior,
     mix_stats: stats.MixtureStats,
 ) -> tuple[float, float, float]:
     """(complete-model score, observed log likelihood, Cheeseman-Stutz score)
-    of the data (a matrix or its ``group_cases``) at the model.
+    of the cases at the model.
 
     The Cheeseman-Stutz score approximates the log marginal likelihood of
     the observed data: the complete-model score of the completion that
@@ -420,8 +417,8 @@ def cheeseman_stutz(
     closed form is recovered.
     """
     structures = tuple(g.structure for g in model.components)
-    complete = complete_model_score(mix_stats, structures, prior, dirichlet, model.noise).total
-    obs = observed_loglik(data, model)
+    complete = complete_model_score(mix_stats, structures, prior, dirichlet, model.noise)
+    obs = observed_loglik(cases, model)
     return complete, obs, complete + obs - completed_loglik(mix_stats, model)
 
 

@@ -20,7 +20,7 @@ from .engine import FitConfig, SelectKResult, _checked_config, _checked_data, se
 from .errors import DimensionMismatch
 from .model import DagStructure, GaussianDag, MdagModel, _check_count, sample
 from .rng import stream
-from .scoring import predictive_score
+from .scoring import _checked_heldout, predictive_score
 from .search import structural_difference
 
 RECOVERY_SIZES = (93, 186, 375, 750, 1500, 3000)
@@ -210,16 +210,22 @@ def run_baseline_comparison(
     k_max: int = 8,
 ) -> tuple[FamilyScore, ...]:
     """Fit each model family with its own component-count search and score
-    the selected model on held-out data."""
-    test = _checked_data(test)
+    the selected model on held-out data.  Every input is checked before
+    the first fit."""
+    train, test = _checked_data(train), _checked_data(test)
+    test = _checked_heldout(test, train.shape[1])
     config = _checked_config(config)
+    try:
+        configs = [replace(config, family=family) for family in families]
+    except TypeError:  # not iterable
+        raise DimensionMismatch(f"families {families!r} is not a list of families") from None
     scores = []
-    for family in families:
-        result = select_k(train, replace(config, family=family), k_max)
+    for family_config in configs:
+        result = select_k(train, family_config, k_max)
         model = result.best.model
         scores.append(
             FamilyScore(
-                family,
+                family_config.family,
                 result.best_k,
                 result.best.cheeseman_stutz,
                 predictive_score(test, model),

@@ -13,12 +13,13 @@ Normal-Wishart prior serves every component.
 
 These functions are internal and assume validated input: data, models and
 statistics arrive through the checked entry points that the package
-docstring lists, or are built from them.
+docstring lists, or are built from them.  Each score is a float, and the
+log likelihoods take ``CaseGroups``; held-out data enters through
+``predictive_score``, which checks it (``_checked_heldout``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -30,29 +31,18 @@ from .bayes import (
     dirichlet_log_marglik,
     local_score,
 )
-from .errors import EmptyTestSet
+from .errors import DimensionMismatch, EmptyTestSet
 from .model import DagStructure, GaussianDag, MdagModel
 from .stats import (
+    COUNT_FLOOR,
     LOG_2PI,
     CaseGroups,
     MixtureStats,
     SuffStats,
     _normalize_responsibilities,
     component_case_loglik,
+    group_cases,
 )
-
-
-@dataclass(frozen=True)
-class ScoreBreakdown:
-    """Additive pieces of the complete-model score."""
-
-    c_term: float
-    local_scores: tuple[tuple[float, ...], ...]  # per Gaussian component, per node
-    noise_term: float
-
-    @property
-    def total(self) -> float:
-        return self.c_term + self.noise_term + sum(sum(ls) for ls in self.local_scores)
 
 
 def complete_model_score(
@@ -61,7 +51,7 @@ def complete_model_score(
     prior: NormalWishart,
     dirichlet: DirichletPrior,
     noise=None,
-) -> ScoreBreakdown:
+) -> float:
     """Factored score of the statistics under per-component structures.
 
     ``structures[c]`` is scored on ``mix_stats.triples[c]``; the noise
@@ -69,26 +59,21 @@ def complete_model_score(
     uniform mass over ``mix_stats.noise_count`` cases, never a learned term.
     """
     c_term = dirichlet_log_marglik(dirichlet, mix_stats.counts())
-    locals_: list[tuple[float, ...]] = []
+    noise_term = 0.0 if noise is None else -mix_stats.noise_count * noise.log_volume
+    locals_ = []
     for t, structure in zip(mix_stats.triples, structures, strict=True):
         marginals = FamilyMarginals(prior, t)
-        locals_.append(
-            tuple(local_score(marginals, i, ps) for i, ps in enumerate(structure.parents))
-        )
-    noise_term = 0.0
-    if noise is not None:
-        noise_term = -mix_stats.noise_count * noise.log_volume
-    return ScoreBreakdown(c_term, tuple(locals_), noise_term)
+        locals_.append([local_score(marginals, i, ps) for i, ps in enumerate(structure.parents)])
+    return c_term + noise_term + sum(sum(ls) for ls in locals_)
 
 
-def observed_loglik(data: np.ndarray | CaseGroups, model: MdagModel) -> float:
-    """Log likelihood of the data (a matrix or its ``group_cases``) at the
-    model's parameters.
+def observed_loglik(cases: CaseGroups, model: MdagModel) -> float:
+    """Log likelihood of the cases at the model's parameters.
 
     Missing coordinates are marginalized per component through the
     observed-block Gaussian marginals.
     """
-    logp = component_case_loglik(model, data)
+    logp = component_case_loglik(model, cases)
     return float(np.sum(_normalize_responsibilities(logp, model.weights)[1]))
 
 
@@ -100,7 +85,7 @@ def gaussian_complete_loglik(t: SuffStats, g: GaussianDag) -> float:
     residuals sum over the cases to tr(A s A^T) - 2 c^T A r + N c^T c, so
     the raw cases are never revisited and nothing is factored.
     """
-    if t.n <= 0:
+    if t.n <= COUNT_FLOOR:
         return 0.0
     a, c, log_var = g.regression_form
     quad = np.sum((a @ t.s) * a) - 2.0 * (c @ (a @ t.r)) + t.n * (c @ c)
@@ -114,18 +99,27 @@ def completed_loglik(mix_stats: MixtureStats, model: MdagModel) -> float:
     log likelihood (or the fixed uniform mass for the noise component).
     """
     total = 0.0
-    if model.noise is not None and mix_stats.noise_count > 0:
+    if model.noise is not None and mix_stats.noise_count > COUNT_FLOOR:
         total += mix_stats.noise_count * (np.log(model.weights[0]) - model.noise.log_volume)
     for t, g, w in zip(mix_stats.triples, model.components, model.gaussian_weights(), strict=True):
-        if t.n <= 0:
+        if t.n <= COUNT_FLOOR:
             continue
         total += t.n * np.log(w) + gaussian_complete_loglik(t, g)
     return float(total)
 
 
+def _checked_heldout(data: np.ndarray, n: int) -> np.ndarray:
+    """Held-out data as a matrix of n columns and at least one case: the
+    one check of data width against a model, made where held-out data enters."""
+    data = np.asarray(data, dtype=float)
+    if data.ndim != 2 or data.shape[1] != n:
+        raise DimensionMismatch(f"data shape {data.shape} does not match n={n}")
+    if data.shape[0] == 0:
+        raise EmptyTestSet("predictive score needs at least one test case")
+    return data
+
+
 def predictive_score(test_data: np.ndarray, model: MdagModel) -> float:
     """Mean per-case log density of held-out data at the MAP parameters."""
-    test_data = np.asarray(test_data, dtype=float)
-    if test_data.shape[0] == 0:
-        raise EmptyTestSet("predictive score needs at least one test case")
-    return observed_loglik(test_data, model) / test_data.shape[0]
+    cases = group_cases(_checked_heldout(test_data, model.n))
+    return observed_loglik(cases, model) / cases.cases

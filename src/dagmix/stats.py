@@ -20,9 +20,9 @@ the model alone, so they are built once per sweep, before the cases are
 visited, with one stacked QR for all masks with the same number of
 missing cells.
 
-These functions are internal and assume validated input: data and models
-arrive through the checked entry points that the package docstring lists,
-and statistics are built from them.
+The sweep takes ``CaseGroups`` alone and checks no input: ``fit`` groups
+its checked data once, and held-out data is checked where it enters
+(``scoring.predictive_score``).
 """
 
 from __future__ import annotations
@@ -31,10 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllComponentsZeroDensity, DimensionMismatch
+from .errors import AllComponentsZeroDensity
 from .model import MdagModel
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+# A count at or below this stands for no cases: a triple's posterior is its
+# prior, and neither a triple nor the noise count adds to a likelihood.
+COUNT_FLOOR = 1e-250
 
 
 @dataclass(frozen=True)
@@ -145,17 +148,6 @@ def group_cases(data: np.ndarray) -> CaseGroups:
         for mask, idx in zip(masks, np.split(order, np.cumsum(sizes)[:-1]))
     )
     return CaseGroups(groups, cases, n)
-
-
-def _grouped(data: np.ndarray | CaseGroups, model: MdagModel) -> CaseGroups:
-    """``data`` as CaseGroups (grouped here if it is a raw matrix) over the
-    model's n variables."""
-    cases = data if isinstance(data, CaseGroups) else group_cases(data)
-    if cases.n != model.n:
-        raise DimensionMismatch(
-            f"data shape {(cases.cases, cases.n)} does not match n={model.n}"
-        )
-    return cases
 
 
 # --- the E sweep in regression form ------------------------------------------
@@ -281,16 +273,13 @@ def _densities(
     return logp.T, conditionals
 
 
-def component_case_loglik(
-    model: MdagModel, data: np.ndarray | CaseGroups
-) -> np.ndarray:
+def component_case_loglik(model: MdagModel, cases: CaseGroups) -> np.ndarray:
     """Matrix of per-case, per-component log densities of the observed parts.
 
     Weight ordering (noise first when present); weights themselves are not
-    applied.  ``data`` is a matrix with NaN cells marking missing
-    coordinates, or its ``group_cases``.
+    applied.
     """
-    return _densities(model, _grouped(data, model))[0]
+    return _densities(model, cases)[0]
 
 
 def _normalize_responsibilities(
@@ -316,21 +305,16 @@ def _normalize_responsibilities(
     return resp.T, top + np.log(total)
 
 
-def expected_stats(
-    data: np.ndarray | CaseGroups, model: MdagModel
-) -> tuple[MixtureStats, float]:
+def expected_stats(cases: CaseGroups, model: MdagModel) -> tuple[MixtureStats, float]:
     """Expected complete-data statistics of the mixture, one sweep over cases.
 
-    ``data`` is a matrix with NaN cells marking missing coordinates, or its
-    ``group_cases``; a caller that sweeps the same data repeatedly groups
-    it once.  Per case and component: the count gains the responsibility
-    r; the sum gains r * E[x | y, c] (observed coordinates kept as
-    observed, missing ones replaced by the component's conditional mean);
-    the outer-product sum gains r * (E[x|y,c] E[x|y,c]^T + conditional
-    covariance padded with zeros on observed coordinates).  Dropping that
-    covariance term would understate second moments, so it is always
-    added.  The noise component only accumulates its count,
-    ``MixtureStats.noise_count``.
+    Per case and component: the count gains the responsibility r; the sum
+    gains r * E[x | y, c] (observed coordinates kept as observed, missing
+    ones replaced by the component's conditional mean); the outer-product
+    sum gains r * (E[x|y,c] E[x|y,c]^T + conditional covariance padded
+    with zeros on observed coordinates).  Dropping that covariance term
+    would understate second moments, so it is always added.  The noise
+    component only accumulates its count, ``MixtureStats.noise_count``.
 
     The sums and outer products come from one weighted product of each
     completion, with its column of ones, per block of ``_CASE_BLOCK``
@@ -340,7 +324,6 @@ def expected_stats(
     Also returns the observed log likelihood at ``model``, read off the
     same densities; it equals ``scoring.observed_loglik`` bit for bit.
     """
-    cases = _grouped(data, model)
     n, k = model.n, model.k
     offset = 1 if model.has_noise else 0
     logp, conditionals = _densities(model, cases)

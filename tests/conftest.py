@@ -6,7 +6,7 @@ from scipy import stats as sps
 from dagmix.bayes import FamilyMarginals, NormalWishart, local_score
 from dagmix.engine import cheeseman_stutz
 from dagmix.model import DagStructure, GaussianDag, MdagModel, empty_structure
-from dagmix.stats import LOG_2PI, MixtureStats, SuffStats, component_case_loglik
+from dagmix.stats import LOG_2PI, MixtureStats, SuffStats, component_case_loglik, group_cases
 
 # the same examples on every run, no per-example deadline (a fit's first
 # call pays for imports), and a bounded count unless a test sets its own
@@ -39,7 +39,7 @@ def labeled_stats(
 def labeled_loglik(data: np.ndarray, model: MdagModel, labels: np.ndarray) -> float:
     """Log likelihood with the component indicator observed: each case adds
     its own component's weighted density in place of the mixture's."""
-    logp = component_case_loglik(model, data)
+    logp = component_case_loglik(model, group_cases(data))
     return float(np.sum(np.log(model.weights[labels]) + logp[np.arange(len(labels)), labels]))
 
 
@@ -47,7 +47,7 @@ def labeled_cheeseman_stutz(data, labels, model, prior, dirichlet, mix_stats) ->
     """The Cheeseman-Stutz score with the component indicator observed: the
     library's score with its observed-data term swapped for the labelled
     one.  On exact labelled statistics the correction then cancels."""
-    _, obs, cs = cheeseman_stutz(data, model, prior, dirichlet, mix_stats)
+    _, obs, cs = cheeseman_stutz(group_cases(data), model, prior, dirichlet, mix_stats)
     return cs - obs + labeled_loglik(data, model, labels)
 
 

@@ -44,7 +44,7 @@ from dagmix.model import (
 from dagmix.rng import stream
 from dagmix.scoring import complete_model_score
 from dagmix.search import greedy_component_search, apply_move
-from dagmix.stats import SuffStats, expected_stats
+from dagmix.stats import SuffStats, expected_stats, group_cases
 from conftest import labeled_cheeseman_stutz, labeled_stats, random_dag, structure_score
 
 
@@ -103,7 +103,7 @@ def test_criterion_01_conjugate_oracle_equivalence():
         )
         dirichlet = DirichletPrior(rng.uniform(0.3, 2.0, k))
         ms = labeled_stats(rows, labels, k)
-        factored = complete_model_score(ms, structures, prior, dirichlet).total
+        factored = complete_model_score(ms, structures, prior, dirichlet)
         oracle = _polya_urn_oracle(dirichlet.alphas, labels)
         for c, structure in enumerate(structures):
             comp_rows = rows[labels == c]
@@ -159,7 +159,7 @@ def test_criterion_03_cheeseman_stutz_exact_on_complete_data():
         )
         m = MdagModel(weights, comps)
         cs = labeled_cheeseman_stutz(rows, labels, m, prior, dirichlet, ms)
-        closed = complete_model_score(ms, structures, prior, dirichlet).total
+        closed = complete_model_score(ms, structures, prior, dirichlet)
         worst = max(worst, abs(cs - closed))
     assert worst <= 1e-8
     _report(3, "cheeseman-stutz-exactness", time.time() - start, 10, f"worst gap {worst:.2e}")
@@ -191,11 +191,12 @@ def test_criterion_04_cheeseman_stutz_vs_importance_sampling():
             (GaussianDag(empty_structure(1), np.zeros(1), (np.zeros(0),), np.ones(1)),) * 2,
         ),
     )
-    m, _ = run_em(data, m, prior, dirichlet, steps=None, max_steps=3000, convergence_ratio=1e-10)
-    ms, _ = expected_stats(data, m)
+    cases = group_cases(data)
+    m, _ = run_em(cases, m, prior, dirichlet, steps=None, max_steps=3000, convergence_ratio=1e-10)
+    ms, _ = expected_stats(cases, m)
     m = _m_step(ms, tuple(g.structure for g in m.components), prior, dirichlet, m)
-    ms, _ = expected_stats(data, m)
-    cs = cheeseman_stutz(data, m, prior, dirichlet, ms)[2]
+    ms, _ = expected_stats(cases, m)
+    cs = cheeseman_stutz(cases, m, prior, dirichlet, ms)[2]
 
     nu, mu0, alpha, tau = prior.nu, float(prior.mu0[0]), prior.alpha, float(prior.tau[0, 0])
     rng = stream(2, "c4is")
@@ -229,7 +230,8 @@ def test_criterion_05_em_correctness():
         prior, dirichlet = _bind_priors(config, 5)
         m = initialize(data, config)
         m, trace = run_em(
-            data, m, prior, dirichlet, steps=None, convergence_ratio=1e-6, max_steps=400
+            group_cases(data), m, prior, dirichlet, steps=None, convergence_ratio=1e-6,
+            max_steps=400,
         )
         steps = np.diff(trace.logliks)
         if steps.size:

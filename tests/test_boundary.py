@@ -49,7 +49,7 @@ from dagmix.cli import (
     model_to_json,
 )
 from dagmix.errors import DagmixError
-from dagmix.stats import component_case_loglik
+from dagmix.stats import component_case_loglik, group_cases
 
 # the inputs overflow on purpose; numpy's overflow warnings are expected
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -256,7 +256,7 @@ def test_gaussian_dag(args):
     if g is not None:
         # a component that constructs has a density, not NaN, in the E sweep
         model = MdagModel(np.ones(1), (g,))
-        assert not np.isnan(component_case_loglik(model, np.zeros((1, g.n)))).any()
+        assert not np.isnan(component_case_loglik(model, group_cases(np.zeros((1, g.n))))).any()
         returns_or_raises_dagmix(sample, model, 3, 0)
 
 
@@ -285,7 +285,7 @@ def test_mixture(k, weights, noise, count, seed):
         weights = np.full(size, 1.0 / max(size, 1))
     model = returns_or_raises_dagmix(MdagModel, weights, GOLD.model.components[:k], noise)
     if model is not None:
-        assert not np.isnan(component_case_loglik(model, np.zeros((1, model.n)))).any()
+        assert not np.isnan(component_case_loglik(model, group_cases(np.zeros((1, model.n))))).any()
         returns_or_raises_dagmix(sample, model, count, seed)
 
 

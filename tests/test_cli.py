@@ -25,7 +25,7 @@ from dagmix.errors import (
 from dagmix.harness import default_gold_standard
 from dagmix.model import sample
 from dagmix.scoring import observed_loglik
-from dagmix.stats import component_case_loglik
+from dagmix.stats import component_case_loglik, group_cases
 from conftest import two_component_1d
 
 
@@ -116,7 +116,7 @@ class TestModelSerialization:
         save_model(str(path), gold.model, {"seed": 7})
         back, meta = load_model(str(path))
         assert meta["seed"] == 7
-        rows = rng.normal(5, 8, (100, 5))
+        rows = group_cases(rng.normal(5, 8, (100, 5)))
         assert np.array_equal(
             component_case_loglik(back, rows), component_case_loglik(gold.model, rows)
         )
@@ -454,6 +454,16 @@ class TestCommands:
         write_csv(data_path, Dataset(("x0",), np.array([[9.0]])))
         assert main(["score", "--model", model_path, "--test", data_path]) == 3
         assert capsys.readouterr().err.startswith("AllComponentsZeroDensity:")
+
+    def test_score_rejects_a_wider_test_set(self, tmp_path, capsys):
+        # held-out data is checked against the model's width where it enters
+        model_path = str(tmp_path / "m.json")
+        save_model(model_path, two_component_1d(0.0, 1.0))
+        data_path = str(tmp_path / "wide.csv")
+        write_csv(data_path, Dataset(("x0", "x1"), np.zeros((3, 2))))
+        assert main(["score", "--model", model_path, "--test", data_path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("DimensionMismatch: ") and err.count("\n") == 1
 
     def test_noise_bounds_flag(self, tmp_path):
         data_path = self._write_data(tmp_path)

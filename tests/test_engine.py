@@ -31,7 +31,7 @@ from dagmix.errors import (
 )
 from dagmix.model import MdagModel, empty_structure, sample
 from dagmix.scoring import observed_loglik
-from dagmix.stats import expected_stats
+from dagmix.stats import expected_stats, group_cases
 from conftest import joint_moments, single_node_model, two_component_1d
 
 
@@ -115,7 +115,7 @@ class TestEmStep:
         t = SuffStats(200.0, data.sum(axis=0), data.T @ data)
         g = map_parameters(prior, t, empty_structure(1))
         m = MdagModel(np.array([1.0]), (g,))
-        stepped, _ = run_em(data, m, prior, dirichlet, steps=1)
+        stepped, _ = run_em(group_cases(data), m, prior, dirichlet, steps=1)
         assert np.allclose(stepped.components[0].intercepts, g.intercepts, atol=1e-10)
         assert np.allclose(stepped.components[0].variances, g.variances, atol=1e-10)
 
@@ -127,10 +127,11 @@ class TestEmStep:
         config = FitConfig(k=2, seed=4)
         prior, dirichlet = _bind_priors(config, 1)
         m = initialize(data, config)
+        cases = group_cases(data)
         prev = None
         for _ in range(40):
-            m, _ = run_em(data, m, prior, dirichlet, steps=1)
-            value = observed_loglik(data, m) + _log_prior_density(m, prior, dirichlet)
+            m, _ = run_em(cases, m, prior, dirichlet, steps=1)
+            value = observed_loglik(cases, m) + _log_prior_density(m, prior, dirichlet)
             if prev is not None:
                 assert value >= prev - 1e-9
             prev = value
@@ -146,8 +147,9 @@ class TestEmStep:
             np.array([0.5, 0.5]),
             (single_node_model(float(lo)), single_node_model(float(hi))),
         )
+        cases = group_cases(data)
         for _ in range(50):
-            m, _ = run_em(data, m, prior, dirichlet, steps=1)
+            m, _ = run_em(cases, m, prior, dirichlet, steps=1)
         means = sorted(float(g.intercepts[0]) for g in m.components)
         assert abs(means[0] - 0.0) < 0.1
         assert abs(means[1] - 6.0) < 0.1
@@ -173,7 +175,7 @@ class TestRunEm:
         config = FitConfig(k=2, seed=0)
         prior, dirichlet = _bind_priors(config, 1)
         m = initialize(data, config)
-        out, trace = run_em(data, m, prior, dirichlet, steps=0)
+        out, trace = run_em(group_cases(data), m, prior, dirichlet, steps=0)
         assert out is m
         assert len(trace.logliks) == 1
 
@@ -183,7 +185,7 @@ class TestRunEm:
         prior, dirichlet = _bind_priors(config, 1)
         m = initialize(data, config)
         _, trace = run_em(
-            data, m, prior, dirichlet, steps=None, convergence_ratio=1e-6
+            group_cases(data), m, prior, dirichlet, steps=None, convergence_ratio=1e-6
         )
         assert trace.converged
         logliks = trace.logliks
@@ -200,7 +202,7 @@ class TestRunEm:
         config = FitConfig(k=3, seed=5)
         prior, dirichlet = _bind_priors(config, 5)
         m = initialize(data, config)
-        _, trace = run_em(data, m, prior, dirichlet, steps=None)
+        _, trace = run_em(group_cases(data), m, prior, dirichlet, steps=None)
         assert np.all(np.diff(trace.logliks) >= -1e-7)
 
     def test_returned_stats_are_a_fresh_sweep(self, rng):
@@ -209,8 +211,9 @@ class TestRunEm:
         data[::9, 0] = np.nan
         config = FitConfig(k=2, seed=0)
         prior, dirichlet = _bind_priors(config, 1)
-        out, trace = run_em(data, initialize(data, config), prior, dirichlet, steps=6)
-        fresh, loglik = expected_stats(data, out)
+        cases = group_cases(data)
+        out, trace = run_em(cases, initialize(data, config), prior, dirichlet, steps=6)
+        fresh, loglik = expected_stats(cases, out)
         assert loglik == trace.logliks[-1]
         for got, want in zip(trace.stats.triples, fresh.triples):
             assert got.n == want.n
@@ -430,7 +433,7 @@ class TestComponentCollapse:
             np.array([1.0 - 1e-12, 1e-12]),
             (single_node_model(1000.0), single_node_model(-1000.0, variance=1e-6)),
         )
-        out, trace = run_em(data, stranded, prior, dirichlet, steps=5)
+        out, trace = run_em(group_cases(data), stranded, prior, dirichlet, steps=5)
         assert 1 in trace.collapsed
         assert out.k == 2  # still present, parameters at the prior mode
         assert abs(out.components[1].intercepts[0]) < 1.0

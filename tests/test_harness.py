@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from dagmix import harness
 from dagmix.engine import FitConfig, PriorSpec
-from dagmix.errors import DimensionMismatch
+from dagmix.errors import DimensionMismatch, EmptyTestSet
 from dagmix.harness import (
     RECOVERY_SIZES,
     count_parameters,
@@ -170,6 +171,28 @@ class TestParameterCounts:
 
 
 class TestBaselineComparison:
+    @pytest.mark.parametrize(
+        "test_width, test_cases, families, error",
+        [
+            (5, 0, ("mdag",), EmptyTestSet),
+            (4, 10, ("mdag",), DimensionMismatch),
+            (5, 10, ("mdag", "bogus"), DimensionMismatch),
+            (5, 10, 5, DimensionMismatch),
+        ],
+        ids=["empty-test", "narrow-test", "bad-family", "families-not-a-list"],
+    )
+    def test_inputs_checked_before_fitting(
+        self, monkeypatch, test_width, test_cases, families, error
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("fitted before the inputs were checked")
+
+        monkeypatch.setattr(harness, "select_k", never)
+        train, _ = sample(default_gold_standard().model, 50, 0)
+        test = np.zeros((test_cases, test_width))
+        with pytest.raises(error):
+            run_baseline_comparison(train, test, FitConfig(), families=families)
+
     def test_families_and_ordering(self):
         gold = default_gold_standard()
         train, _ = sample(gold.model, 700, stream(5, "train"))

@@ -16,8 +16,8 @@ from dagmix.model import (
     NoiseComponent,
     sample,
 )
-from dagmix.scoring import observed_loglik
-from dagmix.stats import component_case_loglik
+from dagmix.scoring import observed_loglik, predictive_score
+from dagmix.stats import component_case_loglik, group_cases
 from conftest import (
     joint_moments,
     node_log_density,
@@ -37,7 +37,8 @@ def chain_model() -> GaussianDag:
 
 def sweep_log_density(g: GaussianDag, rows) -> np.ndarray:
     """The E sweep's log density of one component at each row."""
-    return component_case_loglik(MdagModel(np.ones(1), (g,)), np.atleast_2d(rows))[:, 0]
+    cases = group_cases(np.atleast_2d(rows))
+    return component_case_loglik(MdagModel(np.ones(1), (g,)), cases)[:, 0]
 
 
 class TestValidate:
@@ -105,8 +106,9 @@ class TestComponentDensity:
         )
 
     def test_dimension_mismatch(self):
+        # the sweep trusts its cases; held-out data is checked where it enters
         with pytest.raises(DimensionMismatch):
-            sweep_log_density(chain_model(), np.zeros(3))
+            predictive_score(np.zeros((1, 3)), MdagModel(np.ones(1), (chain_model(),)))
 
     def test_matches_joint_density_on_random_graphs(self, rng):
         for _ in range(25):
@@ -151,24 +153,27 @@ class TestMixtureDensity:
         g = chain_model()
         m = MdagModel(np.array([1.0]), (g,))
         x = np.array([[0.3, -0.2]])
-        assert observed_loglik(x, m) == sweep_log_density(g, x)[0]
+        assert observed_loglik(group_cases(x), m) == sweep_log_density(g, x)[0]
 
     def test_identical_components_symmetry(self):
         g = chain_model()
         m = MdagModel(np.array([0.5, 0.5]), (g, g))
         x = np.array([[1.0, 2.0]])
-        assert observed_loglik(x, m) == pytest.approx(node_log_density(g, x[0]), abs=1e-12)
+        assert observed_loglik(group_cases(x), m) == pytest.approx(
+            node_log_density(g, x[0]), abs=1e-12
+        )
 
     def test_two_means_value(self):
         m = two_component_1d(0.0, 5.0)
         expected = np.log(0.5 * sps.norm.pdf(0.0, 0, 1) + 0.5 * sps.norm.pdf(0.0, 5, 1))
-        assert observed_loglik(np.zeros((1, 1)), m) == pytest.approx(expected, abs=1e-12)
+        got = observed_loglik(group_cases(np.zeros((1, 1))), m)
+        assert got == pytest.approx(expected, abs=1e-12)
 
     def test_one_hot_weights_exact(self):
         a, b = single_node_model(0.0), single_node_model(3.0)
         m = MdagModel(np.array([0.0, 1.0]), (a, b))
         x = np.array([[1.5]])
-        assert observed_loglik(x, m) == sweep_log_density(b, x)[0]
+        assert observed_loglik(group_cases(x), m) == sweep_log_density(b, x)[0]
 
     def test_weight_sum_enforced(self):
         with pytest.raises(DimensionMismatch):
@@ -178,7 +183,7 @@ class TestMixtureDensity:
         noise = NoiseComponent(np.zeros(1), np.ones(1))
         m = MdagModel(np.array([1.0, 0.0]), (single_node_model(0),), noise)
         with pytest.raises(AllComponentsZeroDensity):
-            observed_loglik(np.array([[4.0]]), m)
+            observed_loglik(group_cases(np.array([[4.0]])), m)
 
     def test_noise_inside_bounds(self):
         noise = NoiseComponent(np.zeros(2), np.array([2.0, 4.0]))
@@ -188,7 +193,7 @@ class TestMixtureDensity:
         by_hand = np.logaddexp(
             np.log(0.5) - np.log(2.0) - np.log(4.0), np.log(0.5) + node_log_density(g, x)
         )
-        assert observed_loglik(x[None], m) == pytest.approx(by_hand, abs=1e-12)
+        assert observed_loglik(group_cases(x[None]), m) == pytest.approx(by_hand, abs=1e-12)
 
 
 class TestSampling:
