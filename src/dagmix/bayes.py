@@ -132,8 +132,9 @@ class FamilyMarginals:
     depend only on |Y| are cached by size, and each family's value by its
     sorted tuple: one value per variable set, whichever order a caller
     lists it in, so set terms that cancel in exact arithmetic cancel in
-    floats too.  ``fill`` computes a batch of families with one stacked
-    factorisation per size; a call is a one-family fill.
+    floats too.  ``fill`` is the one reader: it computes a batch of
+    families with one stacked factorisation per size, so each caller asks
+    for all the families it needs in one call.
     """
 
     def __init__(self, prior: NormalWishart, t: SuffStats):
@@ -159,12 +160,6 @@ class FamilyMarginals:
                 - _multigammaln(alpha / 2.0, size)
             )
             hit = self._by_size[size] = (alpha, alpha1, lead)
-        return hit
-
-    def __call__(self, family: Sequence[int]) -> float:
-        hit = self._memo.get(tuple(sorted(family)))
-        if hit is None:
-            hit = self.fill((family,))[0]
         return hit
 
     def fill(self, families: Iterable[Sequence[int]]) -> list[float]:
@@ -211,7 +206,14 @@ def _stacked_logdets(blocks: np.ndarray) -> np.ndarray:
 def local_score(marginals: FamilyMarginals, child: int, parents: Sequence[int]) -> float:
     """Family score of one node, log p(d^{child u Pa}) - log p(d^{Pa}), read
     off the family marginals of one (prior, statistics) pair."""
-    return marginals((child, *parents)) - marginals(parents)
+    top, base = marginals.fill(((child, *parents), parents))
+    return top - base
+
+
+def node_families(nodes: Iterable[tuple[int, Sequence[int]]]) -> list[Sequence[int]]:
+    """The two families that each (node, parents) pair's score reads,
+    child plus parents then parents, pair after pair."""
+    return [family for v, ps in nodes for family in ((v, *ps), ps)]
 
 
 def dirichlet_log_marglik(prior: DirichletPrior, counts: np.ndarray) -> float:

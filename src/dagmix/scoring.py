@@ -29,7 +29,7 @@ from .bayes import (
     FamilyMarginals,
     NormalWishart,
     dirichlet_log_marglik,
-    local_score,
+    node_families,
 )
 from .errors import DimensionMismatch, EmptyTestSet
 from .model import DagStructure, GaussianDag, MdagModel
@@ -62,8 +62,8 @@ def complete_model_score(
     noise_term = 0.0 if noise is None else -mix_stats.noise_count * noise.log_volume
     locals_ = []
     for t, structure in zip(mix_stats.triples, structures, strict=True):
-        marginals = FamilyMarginals(prior, t)
-        locals_.append([local_score(marginals, i, ps) for i, ps in enumerate(structure.parents)])
+        values = FamilyMarginals(prior, t).fill(node_families(enumerate(structure.parents)))
+        locals_.append([top - base for top, base in zip(values[::2], values[1::2])])
     return c_term + noise_term + sum(sum(ls) for ls in locals_)
 
 

@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .bayes import FamilyMarginals, NormalWishart, local_score
+from .bayes import FamilyMarginals, NormalWishart, local_score, node_families
 from .errors import DimensionMismatch
 from .model import DagStructure, _topological_order
 from .stats import MixtureStats, SuffStats
@@ -152,30 +152,26 @@ class _ScoreCache:
 
         Columns whose parent set differs from the last call's (the target
         of a move, and the source of a reversal) are swapped for the cached
-        column of the new set.  The marked entries still NaN are then filled
-        together: both families of each go to one ``FamilyMarginals.fill``.
+        column of the new set.  The node terms of those columns and both
+        families of every marked entry still NaN are then read in one
+        ``FamilyMarginals.fill``.
         """
         terms, nodes = self._terms, self._node_terms
-        for v, ps in enumerate(parents):
-            if self._gain_parents[v] != ps:
-                self._gain_parents[v] = ps
-                col = self._columns.get((v, ps))
-                if col is None:
-                    col = self._columns[(v, ps)] = np.full((2, len(parents)), np.nan)
-                terms[:, :, v] = col
-                nodes[:, v] = self.marginals((v, *ps)), self.marginals(ps)
+        changed = [v for v, ps in enumerate(parents) if self._gain_parents[v] != ps]
+        for v in changed:
+            ps = self._gain_parents[v] = parents[v]
+            col = self._columns.get((v, ps))
+            if col is None:
+                col = self._columns[(v, ps)] = np.full((2, len(parents)), np.nan)
+            terms[:, :, v] = col
         us, vs = np.nonzero(need & np.isnan(terms[0]))
-        if not len(us):
-            return terms, nodes
-        tops, bases = [], []
+        pairs = [(v, parents[v]) for v in changed]
         for u, v in zip(us.tolist(), vs.tolist()):
             ps = parents[v]
-            toggled = tuple(p for p in ps if p != u) if u in ps else ps + (u,)
-            tops.append((v, *toggled))
-            bases.append(toggled)
-        values = self.marginals.fill(tops + bases)
-        terms[0, us, vs] = values[: len(tops)]
-        terms[1, us, vs] = values[len(tops):]
+            pairs.append((v, tuple(p for p in ps if p != u) if u in ps else ps + (u,)))
+        values = np.reshape(self.marginals.fill(node_families(pairs)), (-1, 2)).T
+        nodes[:, changed] = values[:, : len(changed)]
+        terms[:, us, vs] = values[:, len(changed) :]
         for v in set(vs.tolist()):
             self._columns[(v, parents[v])][:] = terms[:, :, v]
         return terms, nodes
@@ -298,6 +294,7 @@ def greedy_component_search(
     """
     parents = init.parents
     cache = _ScoreCache(prior, t)
+    cache.marginals.fill(node_families(enumerate(parents)))
     node_scores = np.array(
         [local_score(cache.marginals, i, ps) for i, ps in enumerate(parents)]
     )

@@ -150,13 +150,13 @@ class TestPosteriorUpdate:
 class TestFamilyMarginal:
     def test_empty_batch(self, rng):
         prior = random_prior(2, rng)
-        assert FamilyMarginals(prior, zero_stats(2))((0,)) == 0.0
+        assert FamilyMarginals(prior, zero_stats(2)).fill([(0,)])[0] == 0.0
 
     def test_one_case_equals_student_t(self):
         nu, mu, alpha, tau = 1.5, 0.3, 2.2, 0.8
         prior = NormalWishart(nu, np.array([mu]), alpha, np.array([[tau]]))
         x = 1.7
-        value = FamilyMarginals(prior, stats_of(np.array([[x]])))((0,))
+        value = FamilyMarginals(prior, stats_of(np.array([[x]]))).fill([(0,)])[0]
         scale = np.sqrt(tau * (nu + 1) / (nu * alpha))
         assert value == pytest.approx(sps.t.logpdf(x, df=alpha, loc=mu, scale=scale), abs=1e-12)
 
@@ -168,7 +168,7 @@ class TestFamilyMarginal:
             rows = rng.normal(0, 2, (count, n))
             size = int(rng.integers(1, n + 1))
             family = tuple(rng.choice(n, size=size, replace=False))
-            ours = FamilyMarginals(prior, stats_of(rows))(family)
+            ours = FamilyMarginals(prior, stats_of(rows)).fill([family])[0]
             oracle = sequential_marginal_loglik(prior, rows, family)
             assert ours == pytest.approx(oracle, abs=1e-8)
 
@@ -229,9 +229,9 @@ class TestFamilyMarginals:
                 size = int(rng.integers(1, n + 1))
                 family = tuple(int(i) for i in rng.choice(n, size=size, replace=False))
                 oracle = sliced_marginal_loglik(prior, t, tuple(sorted(family)))
-                assert marginals(family) == oracle
-                assert marginals(family) == oracle
-                assert FamilyMarginals(prior, t)(family) == oracle
+                assert marginals.fill([family])[0] == oracle
+                assert marginals.fill([family])[0] == oracle
+                assert FamilyMarginals(prior, t).fill([family])[0] == oracle
                 child, parents = family[0], family[1:]
                 expected = oracle
                 if parents:
@@ -270,35 +270,35 @@ class TestFamilyMarginals:
                 values = marginals.fill(families + families[:5])
                 for family, value in zip(families, values):
                     expected = sliced_marginal_loglik(prior, t, tuple(sorted(family)))
-                    assert marginals(family) == value == expected
+                    assert marginals.fill([family])[0] == value == expected
 
     def test_fill_skips_memoised_families(self, rng):
         prior = random_prior(4, rng)
         marginals = FamilyMarginals(prior, stats_of(rng.normal(0, 1, (9, 4))))
-        first = marginals((3, 1))
+        first = marginals.fill([(3, 1)])[0]
         marginals.fill([(3, 1), (0, 2), (0,)])
-        assert marginals((3, 1)) is first
+        assert marginals.fill([(3, 1)])[0] is first
 
     def test_zero_and_fractional_counts(self, rng):
         prior = random_prior(3, rng)
-        assert FamilyMarginals(prior, zero_stats(3))((2, 0)) == 0.0
+        assert FamilyMarginals(prior, zero_stats(3)).fill([(2, 0)])[0] == 0.0
         rows = rng.normal(0, 1, (1, 3))
         t = SuffStats(0.3, 0.3 * rows[0], 0.3 * np.outer(rows[0], rows[0]))
         marginals = FamilyMarginals(prior, t)
         for family in ((0,), (2, 1), (1, 0, 2)):
             expected = sliced_marginal_loglik(prior, t, tuple(sorted(family)))
-            assert marginals(family) == expected
+            assert marginals.fill([family])[0] == expected
 
     def test_memo_is_keyed_by_variable_set(self, rng):
         prior = random_prior(3, rng)
         t = stats_of(rng.normal(0, 1, (8, 3)))
         marginals = FamilyMarginals(prior, t)
-        first = marginals((0, 2))
-        assert marginals((np.int64(0), 2)) is first
-        assert marginals((2, 0)) is first
+        first = marginals.fill([(0, 2)])[0]
+        assert marginals.fill([(np.int64(0), 2)])[0] is first
+        assert marginals.fill([(2, 0)])[0] is first
         assert first == sliced_marginal_loglik(prior, t, (0, 2))
         assert marginals.fill([(2, 0), (1, 2, 0)])[0] is first
-        assert marginals((0, 2, 1)) is marginals((1, 0, 2))
+        assert marginals.fill([(0, 2, 1)])[0] is marginals.fill([(1, 0, 2)])[0]
 
 
 def alternating_twin_stats(rng: np.random.Generator, n: int) -> SuffStats:
@@ -324,8 +324,8 @@ class TestStackedFallback:
         marginals = FamilyMarginals(prior, t)
         marginals.fill(self.families)
         for family in self.families:
-            alone = FamilyMarginals(prior, t)(family)
-            assert marginals(family) == alone
+            alone = FamilyMarginals(prior, t).fill([family])[0]
+            assert marginals.fill([family])[0] == alone
             assert alone == sliced_marginal_loglik(prior, t, tuple(sorted(family)))
         # the rescued block beside positive-definite ones: one retry each,
         # so every block of the stack gets the factor it gets alone
@@ -344,17 +344,17 @@ class TestStackedFallback:
         marginals._scale[1, 1] -= 1e-6
         with pytest.raises(SingularParentBlock):
             marginals.fill(self.families)
-        assert marginals((2, 3)) == sliced_marginal_loglik(prior, t, (2, 3))
+        assert marginals.fill([(2, 3)])[0] == sliced_marginal_loglik(prior, t, (2, 3))
 
 
 class TestLocalScore:
     def test_orphan_equals_family(self, rng):
         prior = random_prior(2, rng)
         t = stats_of(rng.normal(0, 1, (6, 2)))
-        assert FamilyMarginals(prior, t)(()) == 0.0
+        assert FamilyMarginals(prior, t).fill([()])[0] == 0.0
         for v in (0, 1):
             marginals = FamilyMarginals(prior, t)
-            assert local_score(marginals, v, ()).hex() == marginals((v,)).hex()
+            assert local_score(marginals, v, ()).hex() == marginals.fill([(v,)])[0].hex()
 
     def test_chain_rule_both_orderings(self, rng):
         prior = random_prior(2, rng)

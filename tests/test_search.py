@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 import dagmix.search as search_module
-from dagmix.bayes import NormalWishart, local_score
+from dagmix.bayes import DirichletPrior, FamilyMarginals, NormalWishart, local_score
 from dagmix.engine import PriorSpec
 from dagmix.errors import BadParentIndex, CycleDetected, DimensionMismatch
 from dagmix.harness import default_gold_standard
 from dagmix.model import DagStructure, complete_structure, empty_structure, sample
+from dagmix.scoring import complete_model_score
 from dagmix.search import (
     ArcMove,
     _best_move,
@@ -91,7 +92,7 @@ def listed_best_move(cache, parents, max_parents):
     how many moves reach that gain."""
 
     def family(nodes):
-        return cache.marginals(nodes) if nodes else 0.0
+        return cache.marginals.fill([nodes])[0]
 
     best, ties = None, 0
     for move in neighbors(parents):
@@ -199,7 +200,7 @@ def rebuilt_gains(cache, parents, need):
     own."""
 
     def family(nodes):
-        return cache.marginals(nodes) if nodes else 0.0
+        return cache.marginals.fill([nodes])[0]
 
     n = len(parents)
     terms = np.full((2, n, n), np.nan)
@@ -393,6 +394,33 @@ def test_search_states_are_not_structures(monkeypatch):
     built.clear()
     assert structural_difference(start, gold) == 4
     assert built == []
+
+
+def test_each_caller_reads_its_families_in_one_fill(rng, monkeypatch):
+    # complete_model_score fills each Gaussian component's node families in
+    # one call, and a search's first fill holds every family of its start
+    calls = []
+    fill = FamilyMarginals.fill
+
+    def recorded(self, families):
+        families = [tuple(sorted(f)) for f in families]
+        calls.append(set(families))
+        return fill(self, families)
+
+    def families_of(structure):
+        return {tuple(sorted(f)) for v, ps in enumerate(structure.parents) for f in ((v, *ps), ps)}
+
+    monkeypatch.setattr(FamilyMarginals, "fill", recorded)
+    n = 6
+    prior = random_prior(n, rng)
+    rows = rng.standard_normal((90, n)) @ rng.standard_normal((n, n))
+    structures = [random_dag(n, rng, p=0.5) for _ in range(3)]
+    ms = MixtureStats(tuple(stats_of(rows[c::3]) for c in range(3)))
+    complete_model_score(ms, structures, prior, DirichletPrior(np.ones(3)))
+    assert calls == [families_of(s) for s in structures]
+    calls.clear()
+    greedy_component_search(stats_of(rows), prior, structures[0])
+    assert calls[0] == families_of(structures[0])
 
 
 class TestSearchAllComponents:
