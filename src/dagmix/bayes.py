@@ -206,7 +206,7 @@ def _stacked_logdets(blocks: np.ndarray) -> np.ndarray:
 def local_score(marginals: FamilyMarginals, child: int, parents: Sequence[int]) -> float:
     """Family score of one node, log p(d^{child u Pa}) - log p(d^{Pa}), read
     off the family marginals of one (prior, statistics) pair."""
-    top, base = marginals.fill(((child, *parents), parents))
+    top, base = marginals.fill(node_families([(child, parents)]))
     return top - base
 
 

@@ -41,7 +41,7 @@ from .harness import (
     run_recovery,
 )
 from .model import DagStructure, GaussianDag, MdagModel, NoiseComponent, sample
-from .rng import stream
+from .rng import check_seed, stream
 from .scoring import predictive_score
 
 FORMAT_VERSION = "1"
@@ -351,7 +351,7 @@ def _cmd_generate(args) -> int:
         model, _ = load_model(args.model)
     else:
         model = default_gold_standard().model
-    data, _ = sample(model, args.n, stream(args.seed, "generate"))
+    data, _ = sample(model, args.n, stream(check_seed(args.seed), "generate"))
     names = tuple(f"x{i}" for i in range(model.n))
     write_csv(args.out, Dataset(names, data))
     return 0

@@ -45,7 +45,7 @@ from .model import (
     complete_structure,
     empty_structure,
 )
-from .rng import stream
+from .rng import check_seed, stream
 from .scoring import complete_model_score, completed_loglik, observed_loglik
 from .search import search_all_components
 
@@ -191,6 +191,7 @@ class FitConfig:
     def __post_init__(self):
         _check_numbers(self, numbers.Integral, "k", "max_outer", "max_em_steps", "seed")
         _check_numbers(self, numbers.Integral, "max_parents", optional=True)
+        check_seed(self.seed)
         _check_numbers(self, numbers.Real, "ess", "convergence_ratio")
         if not isinstance(self.schedule, Schedule):
             raise DimensionMismatch(f"schedule {self.schedule!r} is not a Schedule")

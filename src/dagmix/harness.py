@@ -77,8 +77,10 @@ def generate_recovery_data(
     for size in sizes:
         _check_count("sample size", size)
     sizes = sorted(sizes)
-    if not sizes or sizes[0] < 1:
-        raise DimensionMismatch(f"sample sizes {sizes} must be one or more positive counts")
+    if not sizes or sizes[0] < 1 or len(set(sizes)) < len(sizes):
+        raise DimensionMismatch(
+            f"sample sizes {sizes} must be one or more distinct positive counts"
+        )
     if sizes[-1] > per_component * gold.model.k:
         raise DimensionMismatch(
             f"sizes cannot exceed the {per_component * gold.model.k}-case pool"

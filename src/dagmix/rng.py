@@ -12,7 +12,17 @@ import hashlib
 
 import numpy as np
 
+from .errors import DimensionMismatch
+
 _MASK64 = (1 << 64) - 1
+
+
+def check_seed(seed: int) -> int:
+    """The master seed, if it lies in [0, 2^64); outside that range it
+    would share its streams with the seed it equals modulo 2^64."""
+    if not 0 <= seed <= _MASK64:
+        raise DimensionMismatch(f"seed {seed} lies outside [0, 2**64)")
+    return seed
 
 
 def _entropy_word(token: object) -> int:

@@ -357,6 +357,10 @@ class TestCommands:
             (["fit", "--noise-bounds", "nan:20"], None, "DimensionMismatch"),
             (["recover", "--sizes", "a,b"], None, "DimensionMismatch"),
             (["recover", "--sizes=-5,60"], None, "DimensionMismatch"),
+            (["recover", "--sizes", "60,60"], None, "DimensionMismatch"),
+            (["generate", "--n", "5", "--seed", "-1"], None, "DimensionMismatch"),
+            (["generate", "--n", "5", "--seed", str(2**64)], None, "DimensionMismatch"),
+            (["fit", "--seed", str(2**64)], None, "DimensionMismatch"),
             (["generate", "--n", "-1"], None, "DimensionMismatch"),
             (["fit"], {"schedule": 5}, "BadSchedule"),
             (["fit"], {"max_outer": 0}, "DimensionMismatch"),
@@ -381,6 +385,10 @@ class TestCommands:
             "nan-noise-bound",
             "sizes",
             "negative-size",
+            "repeated-size",
+            "negative-generate-seed",
+            "generate-seed-past-64-bits",
+            "fit-seed-past-64-bits",
             "negative-count",
             "schedule",
             "zero-max-outer",

@@ -545,6 +545,14 @@ def test_wrongly_typed_config_value_rejected(config, error):
         config()
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "past-64-bits"])
+def test_seed_outside_64_bits_rejected(seed):
+    # masked to 64 bits it would learn what seed % 2**64 learns
+    with pytest.raises(DimensionMismatch):
+        FitConfig(seed=seed)
+    assert FitConfig(seed=seed % 2**64).seed == seed % 2**64
+
+
 def test_numpy_numbers_accepted_in_config():
     config = FitConfig(
         k=np.int64(2), seed=np.uint32(7), ess=np.float32(50.0), max_parents=np.int8(1)

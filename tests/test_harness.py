@@ -70,6 +70,13 @@ class TestRecoveryData:
         _, labels = datasets[3000]
         assert np.bincount(labels).tolist() == [1000, 1000, 1000]
 
+    def test_repeated_size_rejected(self):
+        # keyed by size, a repeated size would give one row for two requests
+        with pytest.raises(DimensionMismatch):
+            generate_recovery_data(default_gold_standard(), seed=0, sizes=(60, 60))
+        with pytest.raises(DimensionMismatch):
+            run_recovery(default_gold_standard(), 0, sizes=(93, 60, 93), k_max=1)
+
     def test_deterministic(self):
         a = generate_recovery_data(default_gold_standard(), seed=3)
         b = generate_recovery_data(default_gold_standard(), seed=3)
