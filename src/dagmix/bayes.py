@@ -28,7 +28,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     NonPsdScatter,
     NumericalOverflow,
     SingularParentBlock,
@@ -74,12 +73,13 @@ class NormalWishart:
 
 @dataclass(frozen=True)
 class DirichletPrior:
+    """Mixture-weight hyperparameters; unchecked, since ``PriorSpec.dirichlet``
+    builds them positive from validated values."""
+
     alphas: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "alphas", np.asarray(self.alphas, dtype=float))
-        if np.any(self.alphas <= 0):
-            raise DimensionMismatch("Dirichlet hyperparameters must be positive")
 
     @property
     def k(self) -> int:

@@ -49,7 +49,6 @@ from .rng import check_seed, stream
 from .scoring import complete_model_score, completed_loglik, observed_loglik
 from .search import search_all_components
 
-WEIGHT_INIT_MODES = ("equal", "prior-mean", "dirichlet-draw")
 FAMILIES = ("mdag", "mdiag", "mfull")
 
 _COLLAPSE_THRESHOLD = 1e-10
@@ -165,7 +164,14 @@ class PriorSpec:
         return NormalWishart(self.nu, mu0, alpha, tau)
 
     def dirichlet(self, k: int, has_noise: bool) -> DirichletPrior:
+        """The Dirichlet over k Gaussian weights, after the noise weight when
+        ``has_noise``.  ``noise_alpha`` enters only then, so it is checked
+        here: it must lie in (0, 1) to leave the Gaussians positive mass."""
         if has_noise:
+            if not 0 < self.noise_alpha < 1:
+                raise DimensionMismatch(
+                    f"noise_alpha {self.noise_alpha!r} must lie in (0, 1)"
+                )
             gauss_mass = 1.0 - self.noise_alpha
             return DirichletPrior(
                 np.array([self.noise_alpha] + [gauss_mass / k] * k)
@@ -182,7 +188,6 @@ class FitConfig:
     convergence_ratio: float = 1e-6
     seed: int = 0
     schedule: Schedule = Schedule()
-    weight_init: str = "prior-mean"
     max_outer: int = 200
     max_em_steps: int = 500
     family: str = "mdag"
@@ -214,10 +219,6 @@ class FitConfig:
             raise DimensionMismatch("max_em_steps must not be negative")
         if self.max_parents is not None and self.max_parents < 0:
             raise DimensionMismatch("max_parents must not be negative")
-        if self.weight_init not in WEIGHT_INIT_MODES:
-            raise DimensionMismatch(
-                f"weight_init must be one of {WEIGHT_INIT_MODES}"
-            )
         if self.family not in FAMILIES:
             raise DimensionMismatch(f"family must be one of {FAMILIES}")
 
@@ -351,38 +352,20 @@ def ratio_rule_fires(logliks: Sequence[float], ratio: float) -> bool:
     return last / total < ratio
 
 
-def _initial_weights(config: FitConfig, dirichlet: DirichletPrior) -> np.ndarray:
-    has_noise = config.noise_bounds is not None
-    if config.weight_init == "prior-mean":
-        return dirichlet.alphas / dirichlet.alphas.sum()
-    if config.weight_init == "equal":
-        if has_noise:
-            w0 = dirichlet.alphas[0] / dirichlet.alphas.sum()
-            return np.concatenate([[w0], np.full(config.k, (1.0 - w0) / config.k)])
-        return np.full(config.k, 1.0 / config.k)
-    rng = stream(config.seed, "init-weights", config.k)
-    return rng.dirichlet(dirichlet.alphas)
-
-
-def initialize(
-    data: np.ndarray,
-    config: FitConfig,
-    bound: tuple[NormalWishart, DirichletPrior] | None = None,
-) -> MdagModel:
+def initialize(data: np.ndarray, config: FitConfig) -> MdagModel:
     """Initial model: empty (or family-fixed) structures, parameters drawn
     from a data-informed conjugate at strength ``config.ess``.
 
     Each component draws its own (mean, covariance) from a Normal-Wishart
     whose mode matches the complete-case MAP joint, which breaks the
-    symmetry between components; weights follow the configured mode.
-    Deterministic given the seed.  ``bound`` is ``_bind_priors(config, n)``
-    when the caller has already bound the priors.
+    symmetry between components; the weights start at the Dirichlet
+    prior's mean.  Deterministic given the seed.
     """
     data = np.asarray(data, dtype=float)
     if data.shape[0] == 0:
         raise InsufficientData("cannot initialize from an empty data set")
     n = data.shape[1]
-    prior, dirichlet = bound if bound is not None else _bind_priors(config, n)
+    prior, dirichlet = _bind_priors(config, n)
     complete_rows = data[~np.isnan(data).any(axis=1)]
     init_prior = data_informed_prior(complete_rows, config.ess, prior)
     if config.family == "mfull":
@@ -394,7 +377,7 @@ def initialize(
         rng = stream(config.seed, "init-params", c)
         mean, cov = sample_joint_parameters(init_prior, rng)
         components.append(GaussianDag.from_joint(structure, mean, cov))
-    weights = _initial_weights(config, dirichlet)
+    weights = dirichlet.alphas / dirichlet.alphas.sum()
     return MdagModel(weights, tuple(components), config.noise_component())
 
 
@@ -454,7 +437,7 @@ def fit(data: np.ndarray, config: FitConfig) -> FitResult:
     data = _checked_data(data)
     config = _checked_config(config)
     prior, dirichlet = _bind_priors(config, data.shape[1])
-    model = initialize(data, config, (prior, dirichlet))
+    model = initialize(data, config)
     cases = stats.group_cases(data)
     structures = tuple(g.structure for g in model.components)
     searching = config.family == "mdag"

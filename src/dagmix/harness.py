@@ -24,6 +24,7 @@ from .scoring import _checked_heldout, predictive_score
 from .search import structural_difference
 
 RECOVERY_SIZES = (93, 186, 375, 750, 1500, 3000)
+RECOVERY_PER_COMPONENT = 1000
 
 
 @dataclass(frozen=True)
@@ -66,11 +67,10 @@ def generate_recovery_data(
     gold: GoldStandard,
     seed: int,
     sizes: Sequence[int] = RECOVERY_SIZES,
-    per_component: int = 1000,
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Nested subsamples of a stratified draw from the gold model.
 
-    The largest set takes ``per_component`` cases from every component;
+    The pool takes ``RECOVERY_PER_COMPONENT`` cases from every component;
     each smaller set is a prefix of one fixed shuffle, so every data set
     is a subset of the next larger one.  Returns size -> (data, labels).
     """
@@ -81,19 +81,18 @@ def generate_recovery_data(
         raise DimensionMismatch(
             f"sample sizes {sizes} must be one or more distinct positive counts"
         )
-    if sizes[-1] > per_component * gold.model.k:
-        raise DimensionMismatch(
-            f"sizes cannot exceed the {per_component * gold.model.k}-case pool"
-        )
+    pool = RECOVERY_PER_COMPONENT * gold.model.k
+    if sizes[-1] > pool:
+        raise DimensionMismatch(f"sizes cannot exceed the {pool}-case pool")
     blocks = []
     labels = []
     for c, g in enumerate(gold.model.components):
         one_hot = np.zeros(gold.model.k)
         one_hot[c] = 1.0
         comp_model = MdagModel(one_hot, gold.model.components)
-        rows, _ = sample(comp_model, per_component, stream(seed, "gold-sample", c))
+        rows, _ = sample(comp_model, RECOVERY_PER_COMPONENT, stream(seed, "gold-sample", c))
         blocks.append(rows)
-        labels.append(np.full(per_component, c))
+        labels.append(np.full(RECOVERY_PER_COMPONENT, c))
     data = np.vstack(blocks)
     label_vec = np.concatenate(labels)
     order = stream(seed, "gold-shuffle").permutation(data.shape[0])

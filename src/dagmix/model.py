@@ -70,8 +70,8 @@ def _check_count(name: str, value) -> None:
         raise DimensionMismatch(f"{name} {value!r} is negative")
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _frozen_array(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
 

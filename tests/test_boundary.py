@@ -139,7 +139,6 @@ CONFIG_FIELDS = some_broken(
         "convergence_ratio": st.floats(1e-9, 0.5),
         "seed": st.integers(0, 2**64),
         "schedule": st.builds(Schedule, st.one_of(st.none(), st.integers(1, 3)), st.booleans()),
-        "weight_init": st.sampled_from(["equal", "prior-mean", "dirichlet-draw"]),
         "max_outer": st.integers(1, 2),
         "max_em_steps": st.integers(0, 4),
         "family": st.sampled_from(["mdag", "mdiag", "mfull"]),
@@ -155,7 +154,6 @@ CONFIG_FIELDS = some_broken(
         "convergence_ratio": st.one_of(BAD_REALS, st.just(1.0)),
         "seed": st.one_of(BAD_COUNTS, st.just(-(2**70))),
         "schedule": st.sampled_from(["((EM)^2 Ec S* M)*", 5, None]),
-        "weight_init": st.sampled_from(["x", 1, None]),
         "max_outer": BAD_COUNTS,
         "max_em_steps": BAD_COUNTS,
         "family": st.sampled_from(["x", 1, None]),

@@ -1,4 +1,6 @@
 import json
+import os
+import re
 
 import numpy as np
 import pytest
@@ -214,6 +216,16 @@ class TestConfig:
         with pytest.raises(UnknownConfigKey):
             config_from_dict({"prior": {"mu": 3}})
 
+    def test_readme_example_parses(self):
+        # the README's config example names only keys that FitConfig has
+        readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+        with open(readme, encoding="utf-8") as f:
+            text = f.read()
+        block = re.search(r"A config file example:\s*```json\n(.*?)```", text, re.S)
+        config = config_from_dict(json.loads(block.group(1)))
+        assert config.k == 3
+        assert config.schedule == Schedule(em_steps=10)
+
     def test_schedule_string(self):
         config = config_from_dict({"schedule": "((EM)^7 Ec S* M)*", "k": 2})
         assert config.schedule == Schedule(em_steps=7)
@@ -362,6 +374,12 @@ class TestCommands:
             (["generate", "--n", "5", "--seed", str(2**64)], None, "DimensionMismatch"),
             (["fit", "--seed", str(2**64)], None, "DimensionMismatch"),
             (["generate", "--n", "-1"], None, "DimensionMismatch"),
+            (["fit"], {"weight_init": "equal"}, "UnknownConfigKey"),
+            (
+                ["fit", "--noise-bounds=-50:50"],
+                {"prior": {"noise_alpha": 1.5}},
+                "DimensionMismatch",
+            ),
             (["fit"], {"schedule": 5}, "BadSchedule"),
             (["fit"], {"max_outer": 0}, "DimensionMismatch"),
             (["fit"], {"max_parents": -1}, "DimensionMismatch"),
@@ -390,6 +408,8 @@ class TestCommands:
             "generate-seed-past-64-bits",
             "fit-seed-past-64-bits",
             "negative-count",
+            "weight-init",
+            "noise-alpha-past-one",
             "schedule",
             "zero-max-outer",
             "negative-max-parents",

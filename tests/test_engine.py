@@ -98,6 +98,13 @@ class TestPriorSpec:
         assert d.alphas[0] == pytest.approx(0.01)
         assert np.allclose(d.alphas[1:], 0.99 / 3)
 
+    @pytest.mark.parametrize("noise_alpha", [0.0, 1.0, 1.5, -0.2])
+    def test_noise_alpha_outside_unit_interval_rejected(self, noise_alpha):
+        spec = PriorSpec(noise_alpha=noise_alpha)
+        with pytest.raises(DimensionMismatch, match="noise_alpha"):
+            spec.dirichlet(3, has_noise=True)
+        assert spec.dirichlet(3, has_noise=False).k == 3  # unused without noise
+
     def test_dirichlet_without_noise(self):
         d = PriorSpec().dirichlet(4, has_noise=False)
         assert np.allclose(d.alphas, 0.25)
@@ -235,10 +242,10 @@ class TestInitialize:
     def test_prior_mean_weights_with_noise(self, rng):
         data, _ = sample(two_component_1d(0.0, 3.0), 60, rng)
         lo, hi = data.min() - 1, data.max() + 1
-        config = FitConfig(
-            k=3, seed=0, noise_bounds=((float(lo),), (float(hi),)), weight_init="equal"
-        )
+        config = FitConfig(k=3, seed=0, noise_bounds=((float(lo),), (float(hi),)))
         m = initialize(data, config)
+        _, dirichlet = _bind_priors(config, 1)
+        assert np.array_equal(m.weights, dirichlet.alphas / dirichlet.alphas.sum())
         assert m.weights[0] == pytest.approx(0.01)
         assert np.allclose(m.weights[1:], 0.33)
 

@@ -1,19 +1,26 @@
 """What learning must not depend on: the labels of variables and of
-components at the scoring layer, and the order of the cases at the fit
-level.  The paper's criterion is a function of the data set and the model
-class, and none of these enter it."""
+components at the scoring layer, the labels of variables in structure
+search, and the order of the cases at the fit level.  The paper's criterion
+is a function of the data set and the model class, and none of these enter
+it."""
 
 import numpy as np
 import pytest
 
 from dagmix.bayes import DirichletPrior, NormalWishart
-from dagmix.engine import FitConfig, cheeseman_stutz, fit
+from dagmix.engine import FitConfig, _bind_priors, cheeseman_stutz, fit
 from dagmix.harness import default_gold_standard
-from dagmix.model import DagStructure, GaussianDag, MdagModel, sample
+from dagmix.model import (
+    DagStructure,
+    GaussianDag,
+    MdagModel,
+    empty_structure,
+    sample,
+)
 from dagmix.rng import stream
 from dagmix.scoring import complete_model_score, completed_loglik, observed_loglik
-from dagmix.search import to_cpdag
-from dagmix.stats import expected_stats, group_cases
+from dagmix.search import search_all_components, to_cpdag
+from dagmix.stats import MixtureStats, SuffStats, expected_stats, group_cases
 from conftest import random_dag, random_gaussian_dag
 from test_bayes import random_prior
 
@@ -89,6 +96,37 @@ class TestRelabelling:
             expected = scores(data, model, prior, dirichlet)
             got = scores(data, moved, prior, DirichletPrior(dirichlet.alphas[perm]))
             np.testing.assert_allclose(got, expected, rtol=RELABEL_REL, atol=0)
+
+
+@pytest.mark.parametrize("data_seed", [0, 1])
+def test_search_variables(data_seed):
+    # the statistics of a one-iteration gold fit, searched from empty
+    # structures with the variables in the given order and permuted; the
+    # tie key may pick another member of a class, so classes are compared
+    data, _ = sample(default_gold_standard().model, 1500, stream(data_seed, "generate"))
+    config = FitConfig(k=3, seed=data_seed, max_outer=1)
+    mix_stats = fit(data, config).trace[0].stats
+    prior, _ = _bind_priors(config, data.shape[1])
+    empty = [empty_structure(prior.dim)] * config.k
+    expected = [to_cpdag(g.parents) for g in search_all_components(mix_stats, empty, prior)]
+    rng = stream(data_seed, "variable-order")
+    for _ in range(5):
+        perm = rng.permutation(prior.dim)
+        triples = tuple(
+            SuffStats(t.n, t.r[perm], t.s[np.ix_(perm, perm)]) for t in mix_stats.triples
+        )
+        moved_prior = NormalWishart(
+            prior.nu, prior.mu0[perm], prior.alpha, prior.tau[np.ix_(perm, perm)]
+        )
+        found = search_all_components(MixtureStats(triples), empty, moved_prior)
+        # moved variable j is variable perm[j]
+        back = []
+        for g in found:
+            parents = [()] * prior.dim
+            for j, ps in enumerate(g.parents):
+                parents[perm[j]] = tuple(sorted(int(perm[p]) for p in ps))
+            back.append(to_cpdag(tuple(parents)))
+        assert back == expected
 
 
 def classes(result):
