@@ -7,9 +7,10 @@ where it enters, and a bad input raises an ``errors.DagmixError`` subclass
 whose category names the problem: a ``DataError`` for bad input, a
 ``NumericalError`` for a computation the input drove out of range.
 Everything else is internal and assumes validated input; inside the EM and
-search loops only the PSD test of each posterior and the public model
-constructors that the M step calls still run.  A ``DagStructure`` is a DAG
-by construction, and search builds one only for each result it returns.
+search loops only the PSD test of each posterior and one finiteness check
+of the arrays each M step writes still run; the public model constructors
+run only on the model an EM burst returns.  A ``DagStructure`` is a DAG by
+construction, and search builds one only for each result it returns.
 """
 
 from .model import (

@@ -32,8 +32,8 @@ from .errors import (
     NumericalOverflow,
     SingularParentBlock,
 )
-from .model import DagStructure, GaussianDag, _chol_with_jitter
-from .stats import COUNT_FLOOR, SuffStats
+from .model import FamilyPlan, NoiseComponent, StackedParams, _chol_with_jitter
+from .stats import COUNT_FLOOR, MixtureStats, SuffStats
 
 _LOG_PI = float(np.log(np.pi))
 _PSD_TOL = 1e-8
@@ -86,30 +86,59 @@ class DirichletPrior:
         return self.alphas.shape[0]
 
 
-def posterior_update(prior: NormalWishart, t: SuffStats) -> NormalWishart:
-    """Absorb a statistics triple; the identity map when it is empty.
+def _posteriors(
+    prior: NormalWishart, triples: Sequence[SuffStats]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The posteriors of k statistics triples under one prior, stacked: nu',
+    (k,), mu', (k, n), alpha', (k,), and T', (k, n, n).  A triple with no
+    cases keeps the prior.
 
     The posterior scale is T' = tau + (s - r r^T / N)
     + (nu N / nu') (xbar - mu0)(xbar - mu0)^T, symmetrized once at the end;
     a centered scatter with an eigenvalue below -_PSD_TOL * max(1, its
     largest eigenvalue) raises NonPsdScatter.  The bound is relative because
     the rounding of s - r r^T / N grows with the data's units and offset.  A
-    scatter that overflowed raises NumericalOverflow.
+    scatter that overflowed raises NumericalOverflow.  Every step is
+    elementwise, or one LAPACK call per matrix (eigvalsh, for the PSD test
+    alone), so each triple's posterior has the bytes it gets alone.
     """
-    if t.n <= COUNT_FLOOR:
-        return prior
-    n_count = t.n
-    scatter = t.scatter()
-    if not np.isfinite(scatter.sum()):  # eigvalsh misreads non-finite input
+    k = len(triples)
+    nu = np.full(k, float(prior.nu))
+    mu = np.tile(prior.mu0, (k, 1))
+    alpha = np.full(k, float(prior.alpha))
+    tau = np.tile(prior.tau, (k, 1, 1))
+    live = [j for j, t in enumerate(triples) if t.n > COUNT_FLOOR]
+    if not live:
+        return nu, mu, alpha, tau
+    n_count = np.array([triples[j].n for j in live])
+    r = np.array([triples[j].r for j in live])
+    s = np.array([triples[j].s for j in live])
+    scatter = s - (r[:, :, None] * r[:, None, :]) / n_count[:, None, None]
+    # eigvalsh misreads non-finite input
+    if not np.isfinite(scatter.reshape(len(live), -1).sum(axis=1)).all():
         raise NumericalOverflow("the statistics overflow; rescale the data")
     eig = np.linalg.eigvalsh(scatter)
-    if eig[0] < -_PSD_TOL * max(1.0, float(eig[-1])):
-        raise NonPsdScatter(f"centered scatter has eigenvalue {eig[0]:.3e}")
+    bad = eig[:, 0] < -_PSD_TOL * np.maximum(1.0, eig[:, -1])
+    if bad.any():
+        raise NonPsdScatter(f"centered scatter has eigenvalue {eig[bad, 0][0]:.3e}")
     nu1 = prior.nu + n_count
-    diff = t.r / n_count - prior.mu0
-    tau1 = prior.tau + scatter + (prior.nu * n_count / nu1) * np.outer(diff, diff)
-    mu1 = (prior.nu * prior.mu0 + t.r) / nu1
-    return NormalWishart(nu1, mu1, prior.alpha + n_count, 0.5 * (tau1 + tau1.T))
+    diff = r / n_count[:, None] - prior.mu0
+    shrink = (prior.nu * n_count / nu1)[:, None, None]
+    tau1 = prior.tau + scatter + shrink * (diff[:, :, None] * diff[:, None, :])
+    nu[live] = nu1
+    mu[live] = (prior.nu * prior.mu0 + r) / nu1[:, None]
+    alpha[live] = prior.alpha + n_count
+    tau[live] = 0.5 * (tau1 + tau1.transpose(0, 2, 1))
+    return nu, mu, alpha, tau
+
+
+def posterior_update(prior: NormalWishart, t: SuffStats) -> NormalWishart:
+    """Absorb a statistics triple (``_posteriors`` with k = 1); the
+    identity map when it is empty."""
+    if t.n <= COUNT_FLOOR:
+        return prior
+    nu, mu, alpha, tau = _posteriors(prior, (t,))
+    return NormalWishart(float(nu[0]), mu[0], float(alpha[0]), tau[0])
 
 
 class FamilyMarginals:
@@ -237,24 +266,43 @@ def dirichlet_map(prior: DirichletPrior, counts: np.ndarray) -> np.ndarray:
 
 
 def map_parameters(
-    prior: NormalWishart, t: SuffStats, structure: DagStructure
-) -> GaussianDag:
-    """MAP regression parameters of ``structure`` given (expected) statistics.
+    mix_stats: MixtureStats,
+    plan: FamilyPlan,
+    prior: NormalWishart,
+    dirichlet: DirichletPrior,
+    noise: NoiseComponent | None,
+) -> StackedParams:
+    """The M step: MAP weights and regression parameters of the structures
+    in ``plan`` given (expected) statistics, written straight into the
+    arrays the E sweep reads.
 
-    The posterior joint mode over (mean, covariance) is mean mu' with
-    covariance tau'/(alpha'+n+2) (``map_joint``); ``GaussianDag.from_joint``
-    reads each node's regression off that joint.  With this divisor the
-    output exactly maximizes the expected complete-data log posterior,
-    which also makes the EM that uses it monotone in observed log
-    likelihood plus log prior.
+    Each component's posterior joint mode over (mean, covariance) is mean
+    mu' with covariance tau'/(alpha'+n+2) (``_map_joints``), and
+    ``FamilyPlan.read_off`` reads every node's regression off it.  With
+    this divisor the output exactly maximizes the expected complete-data
+    log posterior, which also makes the EM that uses it monotone in
+    observed log likelihood plus log prior.  A component with no cases
+    keeps the prior's mode.
     """
-    return GaussianDag.from_joint(structure, *map_joint(prior, t))
+    weights = dirichlet_map(dirichlet, mix_stats.counts())
+    means, covs = _map_joints(prior, mix_stats.triples)
+    return StackedParams(weights, *plan.read_off(means, covs), noise)
+
+
+def _map_joints(
+    prior: NormalWishart, triples: Sequence[SuffStats]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior joint modes (means, (k, n), covariances, (k, n, n)) of k
+    triples under one prior."""
+    nu, mu, alpha, tau = _posteriors(prior, triples)
+    return mu, tau / (alpha + prior.dim + 2.0)[:, None, None]
 
 
 def map_joint(prior: NormalWishart, t: SuffStats) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior joint mode (mean, covariance) used by map_parameters."""
-    post = posterior_update(prior, t)
-    return post.mu0.copy(), post.tau / (post.alpha + post.dim + 2.0)
+    """Posterior joint mode (mean, covariance) of one triple: ``_map_joints``
+    with k = 1."""
+    means, covs = _map_joints(prior, (t,))
+    return means[0], covs[0]
 
 
 def data_informed_prior(data: np.ndarray, ess: float, prior: NormalWishart) -> NormalWishart:

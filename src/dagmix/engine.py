@@ -24,7 +24,6 @@ from .bayes import (
     DirichletPrior,
     NormalWishart,
     data_informed_prior,
-    dirichlet_map,
     map_parameters,
     sample_joint_parameters,
 )
@@ -37,6 +36,7 @@ from .errors import (
 )
 from .model import (
     DagStructure,
+    FamilyPlan,
     GaussianDag,
     MdagModel,
     NoiseComponent,
@@ -259,21 +259,6 @@ def _bind_priors(config: FitConfig, n: int) -> tuple[NormalWishart, DirichletPri
     )
 
 
-def _m_step(
-    mix_stats: stats.MixtureStats,
-    structures: Sequence[DagStructure],
-    prior: NormalWishart,
-    dirichlet: DirichletPrior,
-    model: MdagModel,
-) -> MdagModel:
-    weights = dirichlet_map(dirichlet, mix_stats.counts())
-    components = tuple(
-        map_parameters(prior, t, structure)
-        for t, structure in zip(mix_stats.triples, structures, strict=True)
-    )
-    return MdagModel(weights, components, model.noise)
-
-
 @dataclass(frozen=True)
 class EmTrace:
     """``logliks[t]``: the observed log likelihood from the E sweep at the
@@ -297,21 +282,26 @@ def run_em(
 ) -> tuple[MdagModel, EmTrace]:
     """Repeat E and M steps for a fixed burst or until the ratio rule fires.
 
-    One E sweep per model gives the next M step's statistics and the
+    One E sweep per step gives the next M step's statistics and the
     trace's log likelihood, so b steps make b + 1 sweeps.  The convergence
     rule compares each step's log-likelihood change with the total change
     since initialization: stop once (l_t - l_{t-1}) / (l_t - l_0) drops
     below ``convergence_ratio``.
+
+    The structures stay fixed, so the whole burst uses the model's one
+    ``FamilyPlan``; each M step hands its ``StackedParams`` straight to the
+    next sweep, and a model is built only for the parameters returned.
     """
     budget = steps if steps is not None else max_steps
-    structures = tuple(g.structure for g in model.components)
-    mix_stats, loglik = stats.expected_stats(cases, model)
+    plan = model.plan
+    params = model.stacked
+    mix_stats, loglik = stats.expected_stats(cases, params)
     logliks = [loglik]
     converged = False
     collapse_streaks = np.zeros(model.k, dtype=int)
     collapsed: set[int] = set()
     for _ in range(budget):
-        model = _m_step(mix_stats, structures, prior, dirichlet, model)
+        params = map_parameters(mix_stats, plan, prior, dirichlet, model.noise)
         for c, t in enumerate(mix_stats.triples):
             if t.n < _COLLAPSE_THRESHOLD:
                 collapse_streaks[c] += 1
@@ -326,11 +316,13 @@ def run_em(
                     )
             else:
                 collapse_streaks[c] = 0
-        mix_stats, loglik = stats.expected_stats(cases, model)
+        mix_stats, loglik = stats.expected_stats(cases, params)
         logliks.append(loglik)
         if steps is None and ratio_rule_fires(logliks, convergence_ratio):
             converged = True
             break
+    if len(logliks) > 1:
+        model = plan.model(params)
     return model, EmTrace(tuple(logliks), converged, tuple(sorted(collapsed)), mix_stats)
 
 
@@ -466,10 +458,12 @@ def fit(data: np.ndarray, config: FitConfig) -> FitResult:
             )
         else:
             new_structures = structures
-        model = _m_step(mix_stats, new_structures, prior, dirichlet, model)
+        unchanged = new_structures == structures
+        # one plan per structure set: the next burst reuses this one
+        plan = model.plan if unchanged else FamilyPlan(new_structures)
+        model = plan.model(map_parameters(mix_stats, plan, prior, dirichlet, model.noise))
         complete, obs, cs = cheeseman_stutz(cases, model, prior, dirichlet, mix_stats)
         iterates.append(OuterIterate(model, new_structures, mix_stats, obs, complete, cs))
-        unchanged = new_structures == structures
         structures = new_structures
         if unchanged and (force_full_em or config.schedule.em_steps is None):
             termination = "structure-stable"

@@ -8,7 +8,12 @@ always at weight index 0) with a weight vector over components.
 
 All types are immutable after construction; sampling is safe to call
 concurrently on shared models.  Densities are evaluated in one place, the
-E sweep of ``stats``, from each component's ``regression_form``.
+E sweep of ``stats``, from a ``StackedParams``: the mixture's weights and
+noise component with every Gaussian component's regression form stacked.
+The M step writes one directly, and ``MdagModel.stacked`` builds one from
+a model.  A ``FamilyPlan`` lists every node family of a structure set as
+gather indices, so the regressions of every component are read off their
+joint Gaussians in one stacked pass per parent count.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .errors import (
 )
 from .rng import as_generator
 
+LOG_2PI = float(np.log(2.0 * np.pi))
 _WEIGHT_SUM_TOL = 1e-12
 _JITTER = 1e-9
 _VARIANCE_FLOOR = 1e-12
@@ -70,10 +76,20 @@ def _check_count(name: str, value) -> None:
         raise DimensionMismatch(f"{name} {value!r} is negative")
 
 
-def _frozen_array(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+def _frozen_array(name: str, values) -> np.ndarray:
+    """A read-only float copy of ``values``; DimensionMismatch when they are
+    not an array of numbers."""
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        raise DimensionMismatch(f"{name} {values!r} are not an array of numbers") from None
     arr.setflags(write=False)
     return arr
+
+
+def _check_type(name: str, value, kind: type) -> None:
+    if not isinstance(value, kind):
+        raise DimensionMismatch(f"{name} {value!r} is not a {kind.__name__}")
 
 
 def _topological_order(parents: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
@@ -121,6 +137,7 @@ class DagStructure:
 
     def __post_init__(self):
         n = self.n
+        _check_count("n", n)
         parents = []
         try:
             for ps in self.parents:
@@ -175,11 +192,14 @@ class GaussianDag:
     variances: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "intercepts", _frozen_array(self.intercepts))
-        object.__setattr__(self, "variances", _frozen_array(self.variances))
-        object.__setattr__(
-            self, "coefficients", tuple(_frozen_array(c) for c in self.coefficients)
-        )
+        _check_type("structure", self.structure, DagStructure)
+        object.__setattr__(self, "intercepts", _frozen_array("intercepts", self.intercepts))
+        object.__setattr__(self, "variances", _frozen_array("variances", self.variances))
+        try:
+            coefficients = tuple(_frozen_array("coefficients", c) for c in self.coefficients)
+        except TypeError:
+            raise DimensionMismatch(f"coefficients {self.coefficients!r} are not a list") from None
+        object.__setattr__(self, "coefficients", coefficients)
         n = self.structure.n
         if self.intercepts.shape != (n,) or self.variances.shape != (n,):
             raise DimensionMismatch("parameter vectors must have length n")
@@ -199,22 +219,18 @@ class GaussianDag:
     def regression_form(self) -> tuple[np.ndarray, np.ndarray, float]:
         """(A, c, log|V|) with A = V^-1/2 (I - B), c = V^-1/2 m and V =
         diag(variances), where B[i, j] is the coefficient of parent j in
-        node i's regression.
+        node i's regression: ``_regression_arrays`` with k = 1.
 
         z = A x - c holds the standardised residual of every node's
         regression at x, so log p(x) = -(n log 2pi + log|V| + |z|^2) / 2 with
         no joint covariance and no factorisation; A^T A is the joint
         precision (Heckerman & Geiger 1995).
         """
-        b = np.zeros((self.n, self.n))
-        for i, ps in enumerate(self.structure.parents):
-            b[i, list(ps)] = self.coefficients[i]
-        scale = 1.0 / np.sqrt(self.variances)
-        a = (np.eye(self.n) - b) * scale[:, None]
-        c = self.intercepts * scale
+        a, c, log_var = _regression_arrays(*_stacked_components((self,), self.n))
+        a, c = a[0], c[0]
         a.setflags(write=False)
         c.setflags(write=False)
-        return a, c, float(np.sum(np.log(self.variances)))
+        return a, c, float(log_var[0])
 
     @classmethod
     def from_joint(
@@ -224,25 +240,185 @@ class GaussianDag:
         implied joint matches (mean, cov) on every node family; a parent
         block that is not positive definite raises SingularParentBlock.
 
-        The M step calls this on every step, so it is not a checked entry
-        point: the structure is a DAG by construction, and the joint must be
-        of its size."""
-        intercepts = np.empty(structure.n)
-        variances = np.empty(structure.n)
-        coefficients = []
-        for i, ps in enumerate(structure.parents):
-            if ps:
-                pa = list(ps)
-                chol = _chol_with_jitter(cov[np.ix_(pa, pa)], SingularParentBlock)
-                b = _chol_solve(chol, cov[pa, i])
-                intercepts[i] = mean[i] - b @ mean[pa]
-                variances[i] = max(cov[i, i] - cov[i, pa] @ b, _VARIANCE_FLOOR)
-                coefficients.append(b)
+        ``FamilyPlan.read_off`` with k = 1.  The joint must be of the
+        structure's size."""
+        plan = FamilyPlan((structure,))
+        intercepts, variances, b = plan.read_off(np.asarray(mean)[None], np.asarray(cov)[None])
+        return _component(structure, intercepts[0], variances[0], b[0])
+
+
+def _component(
+    structure: DagStructure, intercepts: np.ndarray, variances: np.ndarray, b: np.ndarray
+) -> GaussianDag:
+    """The component whose node i has coefficients b[i, parents of i]."""
+    coefficients = tuple(b[i, list(ps)] for i, ps in enumerate(structure.parents))
+    return GaussianDag(structure, intercepts, coefficients, variances)
+
+
+def _stacked_components(
+    components: tuple[GaussianDag, ...], n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The intercepts, (k, n), variances, (k, n), and coefficient matrices
+    B, (k, n, n), of k components over n variables."""
+    b = np.zeros((len(components), n, n))
+    for j, g in enumerate(components):
+        for i, ps in enumerate(g.structure.parents):
+            b[j, i, list(ps)] = g.coefficients[i]
+    intercepts = np.array([g.intercepts for g in components]).reshape(-1, n)
+    variances = np.array([g.variances for g in components]).reshape(-1, n)
+    return intercepts, variances, b
+
+
+def _regression_arrays(
+    intercepts: np.ndarray, variances: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The regression forms of k components, stacked: A = V^-1/2 (I - B),
+    (k, n, n), c = V^-1/2 m, (k, n), and log|V|, (k,).  The one routine
+    that builds a regression form: every step is elementwise or a sum along
+    one row, so each component's arrays have the bytes they get alone."""
+    n = intercepts.shape[1]
+    scale = 1.0 / np.sqrt(variances)
+    a = (np.eye(n) - b) * scale[:, :, None]
+    return a, intercepts * scale, np.sum(np.log(variances), axis=1)
+
+
+@dataclass(frozen=True, eq=False)
+class StackedParams:
+    """What the E sweep reads of a mixture: its weights and noise component,
+    and its k Gaussian components' regressions stacked.
+
+    ``intercepts`` and ``variances`` are (k, n); ``b[j, i]`` holds the
+    coefficients of node i's regression in component j, 0 off its parents.
+    Built from these: ``a``, each component's A, (k, n, n); ``w``, (n + 1,
+    k n), each component's A^T over -c^T side by side, so a case x with a
+    1 appended has the residuals z = A x - c of every component in
+    [x, 1] W; and ``const``, n log 2pi + log|V|, (k,).  Unchecked: the M
+    step checks what it writes, and ``MdagModel.stacked`` reads a checked
+    model.
+    """
+
+    weights: np.ndarray
+    intercepts: np.ndarray
+    variances: np.ndarray
+    b: np.ndarray
+    noise: NoiseComponent | None
+    a: np.ndarray = field(init=False, repr=False)
+    w: np.ndarray = field(init=False, repr=False)
+    const: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        k, n = self.intercepts.shape
+        a, c, log_var = _regression_arrays(self.intercepts, self.variances, self.b)
+        w = np.concatenate([a.transpose(0, 2, 1), -c[:, None, :]], axis=1)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "w", w.transpose(1, 0, 2).reshape(n + 1, k * n))
+        object.__setattr__(self, "const", n * LOG_2PI + log_var)
+
+    @property
+    def n(self) -> int:
+        return self.intercepts.shape[1]
+
+    @property
+    def k(self) -> int:
+        return self.intercepts.shape[0]
+
+    @property
+    def has_noise(self) -> bool:
+        return self.noise is not None
+
+    @property
+    def n_components(self) -> int:
+        return len(self.weights)
+
+
+@dataclass(frozen=True, eq=False)
+class FamilyPlan:
+    """Every node family of a structure set, grouped by parent count.
+
+    ``groups`` holds one (component, node, parents) triple of index arrays
+    per parent count p, in increasing p: the component and the node of
+    each family, (m,), and its parents, (m, p).  A plan depends on the
+    structures alone, so a burst of EM steps at fixed structures builds it
+    once."""
+
+    structures: tuple[DagStructure, ...]
+    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] = field(
+        init=False, repr=False
+    )
+
+    def __post_init__(self):
+        by_count: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}
+        for j, structure in enumerate(self.structures):
+            for i, ps in enumerate(structure.parents):
+                by_count.setdefault(len(ps), []).append((j, i, ps))
+        groups = []
+        for p, families in sorted(by_count.items()):
+            comp, node, parents = zip(*families)
+            groups.append((
+                np.array(comp),
+                np.array(node),
+                np.array(parents, dtype=np.intp).reshape(len(families), p),
+            ))
+        object.__setattr__(self, "groups", tuple(groups))
+
+    def read_off(
+        self, means: np.ndarray, covs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The intercepts, variances and coefficient matrices B of the
+        structures whose implied joints match (means[j], covs[j]), (k, n)
+        and (k, n, n), on every node family.
+
+        Node i with parents P gets coefficients b = C_PP^-1 C_Pi, intercept
+        m_i - b . m_P and variance C_ii - C_iP b, floored at
+        _VARIANCE_FLOOR.  Per parent count, every C_PP is gathered by one
+        fancy index and factored by one stacked Cholesky with the jitter
+        retry, b comes from two stacked solves and each dot product from a
+        (1, p) @ (p, 1) matmul: LAPACK and BLAS run once per matrix, so
+        each family gets the bytes it gets alone.  A C_PP past the jitter
+        raises SingularParentBlock, and a non-finite result
+        DimensionMismatch."""
+        k, n = means.shape
+        intercepts = np.empty((k, n))
+        variances = np.empty((k, n))
+        b = np.zeros((k, n, n))
+        for comp, node, parents in self.groups:
+            var = covs[comp, node, node]
+            if parents.shape[1]:
+                rows, cols = comp[:, None], node[:, None]
+                chol = _chol_with_jitter(
+                    covs[comp[:, None, None], parents[:, :, None], parents[:, None, :]],
+                    SingularParentBlock,
+                )
+                coef = np.linalg.solve(
+                    chol.transpose(0, 2, 1),
+                    np.linalg.solve(chol, covs[rows, parents, cols][:, :, None]),
+                )
+                coef_t = coef.transpose(0, 2, 1)
+                intercepts[comp, node] = (
+                    means[comp, node] - (coef_t @ means[rows, parents][:, :, None])[:, 0, 0]
+                )
+                var = var - (covs[rows, cols, parents][:, None, :] @ coef)[:, 0, 0]
+                b[rows, cols, parents] = coef[:, :, 0]
             else:
-                intercepts[i] = mean[i]
-                variances[i] = max(cov[i, i], _VARIANCE_FLOOR)
-                coefficients.append(np.zeros(0))
-        return cls(structure, intercepts, tuple(coefficients), variances)
+                intercepts[comp, node] = means[comp, node]
+            variances[comp, node] = np.maximum(var, _VARIANCE_FLOOR)
+        if not (np.isfinite(intercepts).all() and np.isfinite(b).all()
+                and np.isfinite(variances).all()):
+            raise DimensionMismatch("parameters must be finite")
+        return intercepts, variances, b
+
+    def model(self, params: StackedParams) -> "MdagModel":
+        """The mixture whose components have these structures and the
+        parameters of ``params``, built through the public constructors.
+        It keeps ``params`` and this plan, so its next sweep and burst do
+        not rebuild them."""
+        components = tuple(
+            _component(s, params.intercepts[j], params.variances[j], params.b[j])
+            for j, s in enumerate(self.structures)
+        )
+        model = MdagModel(params.weights, components, params.noise)
+        vars(model).update(stacked=params, plan=self)
+        return model
 
 
 @dataclass(frozen=True)
@@ -253,8 +429,8 @@ class NoiseComponent:
     upper: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "lower", _frozen_array(self.lower))
-        object.__setattr__(self, "upper", _frozen_array(self.upper))
+        object.__setattr__(self, "lower", _frozen_array("lower", self.lower))
+        object.__setattr__(self, "upper", _frozen_array("upper", self.upper))
         if self.lower.shape != self.upper.shape or self.lower.ndim != 1:
             raise DimensionMismatch("noise bounds must be two equal-length vectors")
         if not (np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper))):
@@ -285,8 +461,15 @@ class MdagModel:
     noise: NoiseComponent | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _frozen_array(self.weights))
-        object.__setattr__(self, "components", tuple(self.components))
+        object.__setattr__(self, "weights", _frozen_array("weights", self.weights))
+        try:
+            object.__setattr__(self, "components", tuple(self.components))
+        except TypeError:
+            raise DimensionMismatch(f"components {self.components!r} are not a list") from None
+        for g in self.components:
+            _check_type("component", g, GaussianDag)
+        if self.noise is not None:
+            _check_type("noise", self.noise, NoiseComponent)
         expected = len(self.components) + (1 if self.noise is not None else 0)
         if self.weights.shape != (expected,):
             raise DimensionMismatch(
@@ -327,6 +510,18 @@ class MdagModel:
     def gaussian_weights(self) -> np.ndarray:
         return self.weights[1:] if self.has_noise else self.weights
 
+    @cached_property
+    def stacked(self) -> StackedParams:
+        """The arrays the E sweep reads of this model."""
+        return StackedParams(
+            self.weights, *_stacked_components(self.components, self.n), self.noise
+        )
+
+    @cached_property
+    def plan(self) -> FamilyPlan:
+        """The node families of this model's structures, for its M steps."""
+        return FamilyPlan(tuple(g.structure for g in self.components))
+
 
 def sample(
     model: MdagModel, count: int, seed_or_rng: int | np.random.Generator
@@ -336,6 +531,7 @@ def sample(
     Labels index the weight vector (0 is noise when present).  Deterministic
     given a seed; a caller-owned Generator may be passed instead.
     """
+    _check_type("model", model, MdagModel)
     _check_count("count", count)
     if not isinstance(seed_or_rng, np.random.Generator):
         _check_count("seed", seed_or_rng)

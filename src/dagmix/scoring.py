@@ -32,10 +32,9 @@ from .bayes import (
     node_families,
 )
 from .errors import DimensionMismatch, EmptyTestSet
-from .model import DagStructure, GaussianDag, MdagModel
+from .model import LOG_2PI, DagStructure, GaussianDag, MdagModel
 from .stats import (
     COUNT_FLOOR,
-    LOG_2PI,
     CaseGroups,
     MixtureStats,
     SuffStats,
@@ -73,7 +72,7 @@ def observed_loglik(cases: CaseGroups, model: MdagModel) -> float:
     Missing coordinates are marginalized per component through the
     observed-block Gaussian marginals.
     """
-    logp = component_case_loglik(model, cases)
+    logp = component_case_loglik(model.stacked, cases)
     return float(np.sum(_normalize_responsibilities(logp, model.weights)[1]))
 
 

@@ -11,14 +11,15 @@ later during search are supported no matter which dependencies they use.
 
 Missing values are NaN cells in the data matrix.  ``group_cases`` groups
 the cases by observation mask once per data set, so a sweep only computes
-what depends on the model.  The sweep works in regression form: each DAG
-component is read as z = A x - c, its nodes' standardised regression
-residuals, so complete cases are scored with one product and no joint
-covariance.  A mask with missing cells conditions every component on the
-QR factorisation of the columns of A it misses; those factors depend on
-the model alone, so they are built once per sweep, before the cases are
-visited, with one stacked QR for all masks with the same number of
-missing cells.
+what depends on the model.  The sweep works in regression form: it reads a
+``model.StackedParams``, in which each DAG component is z = A x - c, its
+nodes' standardised regression residuals, so complete cases are scored
+with one product and no joint covariance.  The M step writes those arrays
+directly, and ``MdagModel.stacked`` builds them from a model.  A mask with
+missing cells conditions every component on the QR factorisation of the
+columns of A it misses; those factors depend on the model alone, so they
+are built once per sweep, before the cases are visited, with one stacked
+QR for all masks with the same number of missing cells.
 
 The sweep takes ``CaseGroups`` alone and checks no input: ``fit`` groups
 its checked data once, and held-out data is checked where it enters
@@ -32,9 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllComponentsZeroDensity
-from .model import MdagModel
+from .model import LOG_2PI, StackedParams
 
-LOG_2PI = float(np.log(2.0 * np.pi))
 # A count at or below this stands for no cases: a triple's posterior is its
 # prior, and neither a triple nor the noise count adds to a likelihood.
 COUNT_FLOOR = 1e-250
@@ -51,10 +51,6 @@ class SuffStats:
     @property
     def dim(self) -> int:
         return self.r.shape[0]
-
-    def scatter(self) -> np.ndarray:
-        """Centered scatter s - r r^T / n of a triple with n > 0."""
-        return self.s - np.outer(self.r, self.r) / self.n
 
 
 @dataclass(frozen=True)
@@ -153,21 +149,6 @@ def group_cases(data: np.ndarray) -> CaseGroups:
 # --- the E sweep in regression form ------------------------------------------
 
 
-def _regression_stack(model: MdagModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Gaussian components' regression forms, stacked: A, (k, n, n);
-    W, (n + 1, k n), each component's A^T over -c^T side by side, so a case
-    x with a 1 appended has the residuals z = A x - c of every component in
-    [x, 1] W; and n log 2pi + log|V|, (k,)."""
-    forms = [g.regression_form for g in model.components]
-    n = model.n
-    a = np.array([f[0] for f in forms]).reshape(-1, n, n)
-    c = np.array([f[1] for f in forms]).reshape(-1, 1, n)
-    w = np.concatenate([a.transpose(0, 2, 1), -c], axis=1)
-    w = w.transpose(1, 0, 2).reshape(n + 1, -1)
-    const = n * LOG_2PI + np.array([f[2] for f in forms])
-    return a, w, const
-
-
 _Factors = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -210,12 +191,7 @@ def _mask_factors(a: np.ndarray, groups: tuple[CaseGroup, ...]) -> list[_Factors
 
 
 def _condition(
-    model: MdagModel,
-    w: np.ndarray,
-    a: np.ndarray,
-    const: np.ndarray,
-    group: CaseGroup,
-    factors: _Factors | None,
+    params: StackedParams, group: CaseGroup, factors: _Factors | None
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """One mask's cases under every component at once, from the stacked
     regression forms and the mask's factors, which ``_mask_factors`` built
@@ -231,17 +207,17 @@ def _condition(
     - sum log|R_ii|.
     """
     obs, mis = group.obs, group.mis
-    k, n = a.shape[0], model.n
+    a, k, n = params.a, params.k, params.n
     cases = group.design.shape[0]
-    logp = np.empty((model.n_components, cases))
-    col = 1 if model.has_noise else 0
-    if model.noise is not None:  # uniform on the observed cells' box
-        rows, lo, hi = group.design[:, obs], model.noise.lower[obs], model.noise.upper[obs]
+    logp = np.empty((params.n_components, cases))
+    col = 1 if params.has_noise else 0
+    if params.noise is not None:  # uniform on the observed cells' box
+        rows, lo, hi = group.design[:, obs], params.noise.lower[obs], params.noise.upper[obs]
         inside = np.all((rows >= lo) & (rows <= hi), axis=1)
         logp[0] = np.where(inside, -np.sum(np.log(hi - lo)), -np.inf)
     # (k, cases, n) residuals of every component from one product; a
     # missing cell is 0 in the design, so z holds z_o = A_o x_o - c
-    z = (group.design @ w).reshape(cases, k, n).transpose(1, 0, 2)
+    z = (group.design @ params.w).reshape(cases, k, n).transpose(1, 0, 2)
     filled = cond_covs = None
     correction = np.zeros(k)
     if factors is not None:
@@ -250,36 +226,35 @@ def _condition(
         z = z + filled @ a[:, :, mis].transpose(0, 2, 1)
     if obs.size:
         quad = np.einsum("kij,kij->ki", z, z)
-        logp[col:] = -0.5 * (const[:, None] + quad) + correction[:, None]
+        logp[col:] = -0.5 * (params.const[:, None] + quad) + correction[:, None]
     else:  # nothing observed: every density is 1
         logp[:] = 0.0
     return logp, filled, cond_covs
 
 
 def _densities(
-    model: MdagModel, cases: CaseGroups
+    params: StackedParams, cases: CaseGroups
 ) -> tuple[np.ndarray, list[tuple[np.ndarray | None, np.ndarray | None]]]:
     """``_condition`` over every mask, in group order: the (cases,
     n_components) log densities, a transposed view, and each group's
     conditionals.  The masks' factors are built first, once per sweep, with
     one stacked QR per missing-cell count."""
-    a, w, const = _regression_stack(model)
-    factors = _mask_factors(a, cases.groups)
-    logp = np.empty((model.n_components, cases.cases))
+    factors = _mask_factors(params.a, cases.groups)
+    logp = np.empty((params.n_components, cases.cases))
     conditionals = []
     for group, group_factors in zip(cases.groups, factors):
-        logp[:, group.idx], *moments = _condition(model, w, a, const, group, group_factors)
+        logp[:, group.idx], *moments = _condition(params, group, group_factors)
         conditionals.append(moments)
     return logp.T, conditionals
 
 
-def component_case_loglik(model: MdagModel, cases: CaseGroups) -> np.ndarray:
+def component_case_loglik(params: StackedParams, cases: CaseGroups) -> np.ndarray:
     """Matrix of per-case, per-component log densities of the observed parts.
 
     Weight ordering (noise first when present); weights themselves are not
     applied.
     """
-    return _densities(model, cases)[0]
+    return _densities(params, cases)[0]
 
 
 def _normalize_responsibilities(
@@ -305,7 +280,7 @@ def _normalize_responsibilities(
     return resp.T, top + np.log(total)
 
 
-def expected_stats(cases: CaseGroups, model: MdagModel) -> tuple[MixtureStats, float]:
+def expected_stats(cases: CaseGroups, params: StackedParams) -> tuple[MixtureStats, float]:
     """Expected complete-data statistics of the mixture, one sweep over cases.
 
     Per case and component: the count gains the responsibility r; the sum
@@ -321,20 +296,20 @@ def expected_stats(cases: CaseGroups, model: MdagModel) -> tuple[MixtureStats, f
     cases; the blocks are added in order, so the statistics do not depend
     on the BLAS thread count.
 
-    Also returns the observed log likelihood at ``model``, read off the
+    Also returns the observed log likelihood at ``params``, read off the
     same densities; it equals ``scoring.observed_loglik`` bit for bit.
     """
-    n, k = model.n, model.k
-    offset = 1 if model.has_noise else 0
-    logp, conditionals = _densities(model, cases)
-    resp_all, row_loglik = _normalize_responsibilities(logp, model.weights)
-    counts = np.zeros(model.n_components)
+    n, k = params.n, params.k
+    offset = 1 if params.has_noise else 0
+    logp, conditionals = _densities(params, cases)
+    resp_all, row_loglik = _normalize_responsibilities(logp, params.weights)
+    counts = np.zeros(params.n_components)
     moments = np.zeros((k, n + 1, n + 1))
     for group, (filled, cond_covs) in zip(cases.groups, conditionals):
         size, mis = group.idx.size, group.mis
         resp = resp_all[group.idx]
         if not group.obs.size:
-            resp = np.tile(model.weights, (size, 1))
+            resp = np.tile(params.weights, (size, 1))
         counts += resp.sum(axis=0)
         completed = group.design
         if mis.size:

@@ -3,10 +3,25 @@ import pytest
 from hypothesis import settings
 from scipy import stats as sps
 
-from dagmix.bayes import FamilyMarginals, NormalWishart, local_score
-from dagmix.engine import cheeseman_stutz
-from dagmix.model import DagStructure, GaussianDag, MdagModel, empty_structure
-from dagmix.stats import LOG_2PI, MixtureStats, SuffStats, component_case_loglik, group_cases
+from dagmix.bayes import (
+    FamilyMarginals,
+    NormalWishart,
+    dirichlet_map,
+    local_score,
+    map_joint,
+    map_parameters,
+)
+from dagmix.engine import cheeseman_stutz, ratio_rule_fires
+from dagmix.errors import NonPsdScatter, NumericalOverflow, SingularParentBlock
+from dagmix.model import DagStructure, FamilyPlan, GaussianDag, MdagModel, empty_structure
+from dagmix.stats import (
+    LOG_2PI,
+    MixtureStats,
+    SuffStats,
+    component_case_loglik,
+    expected_stats,
+    group_cases,
+)
 
 # the same examples on every run, no per-example deadline (a fit's first
 # call pays for imports), and a bounded count unless a test sets its own
@@ -39,7 +54,7 @@ def labeled_stats(
 def labeled_loglik(data: np.ndarray, model: MdagModel, labels: np.ndarray) -> float:
     """Log likelihood with the component indicator observed: each case adds
     its own component's weighted density in place of the mixture's."""
-    logp = component_case_loglik(model, group_cases(data))
+    logp = component_case_loglik(model.stacked, group_cases(data))
     return float(np.sum(np.log(model.weights[labels]) + logp[np.arange(len(labels)), labels]))
 
 
@@ -105,6 +120,117 @@ def per_mask_factors(a: np.ndarray, mis: np.ndarray):
         g[:, i] = rest / r[:, i, i, None]
     logdiag = np.sum(np.log(np.abs(np.diagonal(r, axis1=1, axis2=2))), axis=1)
     return g, g @ g.transpose(0, 2, 1), 0.5 * mis.size * LOG_2PI - logdiag
+
+
+def map_component(prior: NormalWishart, t: SuffStats, structure: DagStructure) -> GaussianDag:
+    """MAP regression parameters of one component: its posterior joint mode
+    read off through the library's one-component path."""
+    return GaussianDag.from_joint(structure, *map_joint(prior, t))
+
+
+def m_step(mix_stats, structures, prior, dirichlet, noise=None) -> MdagModel:
+    """The library's M step at the given structures, as a model."""
+    plan = FamilyPlan(tuple(structures))
+    return plan.model(map_parameters(mix_stats, plan, prior, dirichlet, noise))
+
+
+# --- the M step one component and one node at a time ---------------------------
+# The reference for the stacked M step: the per-component posterior update,
+# the per-node regression read-off and the per-component regression form,
+# stacked for the sweep afterwards.
+
+
+def oracle_posterior(prior: NormalWishart, t: SuffStats):
+    """(nu', mu', alpha', T') of one triple; the prior when it is empty."""
+    if t.n <= 1e-250:
+        return prior.nu, prior.mu0, prior.alpha, prior.tau
+    scatter = t.s - np.outer(t.r, t.r) / t.n
+    if not np.isfinite(scatter.sum()):
+        raise NumericalOverflow("the statistics overflow")
+    eig = np.linalg.eigvalsh(scatter)
+    if eig[0] < -1e-8 * max(1.0, float(eig[-1])):
+        raise NonPsdScatter(f"centered scatter has eigenvalue {eig[0]:.3e}")
+    nu1 = prior.nu + t.n
+    diff = t.r / t.n - prior.mu0
+    tau1 = prior.tau + scatter + (prior.nu * t.n / nu1) * np.outer(diff, diff)
+    mu1 = (prior.nu * prior.mu0 + t.r) / nu1
+    return nu1, mu1, prior.alpha + t.n, 0.5 * (tau1 + tau1.T)
+
+
+def oracle_from_joint(structure: DagStructure, mean, cov) -> GaussianDag:
+    """Each node's regression read off the joint by its own Cholesky factor
+    and solves, with the one jitter retry."""
+    intercepts = np.empty(structure.n)
+    variances = np.empty(structure.n)
+    coefficients = []
+    for i, ps in enumerate(structure.parents):
+        if ps:
+            pa = list(ps)
+            block = cov[np.ix_(pa, pa)]
+            try:
+                chol = np.linalg.cholesky(block)
+            except np.linalg.LinAlgError:
+                try:
+                    chol = np.linalg.cholesky(block + 1e-9 * np.eye(len(pa)))
+                except np.linalg.LinAlgError:
+                    raise SingularParentBlock(f"block of side {len(pa)}") from None
+            b = np.linalg.solve(chol.T, np.linalg.solve(chol, cov[pa, i]))
+            intercepts[i] = mean[i] - b @ mean[pa]
+            variances[i] = max(cov[i, i] - cov[i, pa] @ b, 1e-12)
+            coefficients.append(b)
+        else:
+            intercepts[i] = mean[i]
+            variances[i] = max(cov[i, i], 1e-12)
+            coefficients.append(np.zeros(0))
+    return GaussianDag(structure, intercepts, tuple(coefficients), variances)
+
+
+def oracle_m_step(mix_stats, structures, prior, dirichlet, noise=None) -> MdagModel:
+    """MAP weights, then each component's MAP regressions on its own."""
+    weights = dirichlet_map(dirichlet, mix_stats.counts())
+    components = []
+    for t, structure in zip(mix_stats.triples, structures, strict=True):
+        _, mean, alpha, tau = oracle_posterior(prior, t)
+        cov = tau / (alpha + prior.dim + 2.0)
+        components.append(oracle_from_joint(structure, mean.copy(), cov))
+    return MdagModel(weights, tuple(components), noise)
+
+
+def oracle_regression_stack(model: MdagModel):
+    """Each component's (A, c, log|V|) on its own, stacked for the sweep: A,
+    (k, n, n), W, (n + 1, k n), and n log 2pi + log|V|, (k,)."""
+    n = model.n
+    forms = []
+    for g in model.components:
+        b = np.zeros((n, n))
+        for i, ps in enumerate(g.structure.parents):
+            b[i, list(ps)] = g.coefficients[i]
+        scale = 1.0 / np.sqrt(g.variances)
+        forms.append(((np.eye(n) - b) * scale[:, None], g.intercepts * scale,
+                      float(np.sum(np.log(g.variances)))))
+    a = np.array([f[0] for f in forms]).reshape(-1, n, n)
+    c = np.array([f[1] for f in forms]).reshape(-1, 1, n)
+    w = np.concatenate([a.transpose(0, 2, 1), -c], axis=1)
+    w = w.transpose(1, 0, 2).reshape(n + 1, -1)
+    return a, w, n * LOG_2PI + np.array([f[2] for f in forms])
+
+
+def oracle_run_em(cases, model, prior, dirichlet, steps=None, convergence_ratio=1e-6,
+                  max_steps=500):
+    """``run_em`` with the oracle M step building a model every step:
+    (model, log likelihoods, converged)."""
+    structures = tuple(g.structure for g in model.components)
+    mix_stats, loglik = expected_stats(cases, model.stacked)
+    logliks = [loglik]
+    converged = False
+    for _ in range(steps if steps is not None else max_steps):
+        model = oracle_m_step(mix_stats, structures, prior, dirichlet, model.noise)
+        mix_stats, loglik = expected_stats(cases, model.stacked)
+        logliks.append(loglik)
+        if steps is None and ratio_rule_fires(logliks, convergence_ratio):
+            converged = True
+            break
+    return model, logliks, converged
 
 
 def random_dag(n: int, rng: np.random.Generator, p: float = 0.4) -> DagStructure:

@@ -14,7 +14,6 @@ from dagmix.bayes import (
     DirichletPrior,
     NormalWishart,
     dirichlet_map,
-    map_parameters,
 )
 from dagmix.cli import Dataset, main, write_csv
 from dagmix.engine import (
@@ -22,7 +21,6 @@ from dagmix.engine import (
     PriorSpec,
     Schedule,
     _bind_priors,
-    _m_step,
     cheeseman_stutz,
     fit,
     initialize,
@@ -45,7 +43,14 @@ from dagmix.rng import stream
 from dagmix.scoring import complete_model_score
 from dagmix.search import greedy_component_search, apply_move
 from dagmix.stats import SuffStats, expected_stats, group_cases
-from conftest import labeled_cheeseman_stutz, labeled_stats, random_dag, structure_score
+from conftest import (
+    labeled_cheeseman_stutz,
+    labeled_stats,
+    m_step,
+    map_component,
+    random_dag,
+    structure_score,
+)
 
 
 def _report(number: int, name: str, elapsed: float, budget: float, detail: str):
@@ -155,7 +160,7 @@ def test_criterion_03_cheeseman_stutz_exact_on_complete_data():
         ms = labeled_stats(rows, labels, k)
         weights = dirichlet_map(dirichlet, ms.counts())
         comps = tuple(
-            map_parameters(prior, ms.triples[c], structures[c]) for c in range(k)
+            map_component(prior, ms.triples[c], structures[c]) for c in range(k)
         )
         m = MdagModel(weights, comps)
         cs = labeled_cheeseman_stutz(rows, labels, m, prior, dirichlet, ms)
@@ -181,21 +186,12 @@ def test_criterion_04_cheeseman_stutz_vs_importance_sampling():
     # the score's premise is MAP parameters: warm-start EM inside the
     # dominant basin and run it to convergence before scoring
     ms0 = labeled_stats(data, labels, 2)
-    m = _m_step(
-        ms0,
-        (empty_structure(1),) * 2,
-        prior,
-        dirichlet,
-        MdagModel(
-            np.array([0.5, 0.5]),
-            (GaussianDag(empty_structure(1), np.zeros(1), (np.zeros(0),), np.ones(1)),) * 2,
-        ),
-    )
+    m = m_step(ms0, (empty_structure(1),) * 2, prior, dirichlet)
     cases = group_cases(data)
     m, _ = run_em(cases, m, prior, dirichlet, steps=None, max_steps=3000, convergence_ratio=1e-10)
-    ms, _ = expected_stats(cases, m)
-    m = _m_step(ms, tuple(g.structure for g in m.components), prior, dirichlet, m)
-    ms, _ = expected_stats(cases, m)
+    ms, _ = expected_stats(cases, m.stacked)
+    m = m_step(ms, tuple(g.structure for g in m.components), prior, dirichlet)
+    ms, _ = expected_stats(cases, m.stacked)
     cs = cheeseman_stutz(cases, m, prior, dirichlet, ms)[2]
 
     nu, mu0, alpha, tau = prior.nu, float(prior.mu0[0]), prior.alpha, float(prior.tau[0, 0])

@@ -21,12 +21,23 @@ from dagmix.bayes import (
 from dagmix.errors import NonPsdScatter, SingularParentBlock
 from dagmix.model import (
     DagStructure,
+    FamilyPlan,
     GaussianDag,
+    NoiseComponent,
     _chol_with_jitter,
     empty_structure,
 )
-from dagmix.stats import SuffStats
-from conftest import chol_logdet, joint_moments, random_dag, structure_score, zero_stats
+from dagmix.stats import MixtureStats, SuffStats
+from conftest import (
+    chol_logdet,
+    joint_moments,
+    map_component,
+    oracle_m_step,
+    oracle_regression_stack,
+    random_dag,
+    structure_score,
+    zero_stats,
+)
 
 
 def stats_of(data: np.ndarray) -> SuffStats:
@@ -498,19 +509,19 @@ class TestMapParameters:
         prior = NormalWishart(2.0, np.zeros(1), 3.0, np.eye(1))
         rows = rng.normal(0, 1, (51, 1))
         rows = np.vstack([rows, -rows])  # exactly symmetric about 0
-        g = map_parameters(prior, stats_of(rows), empty_structure(1))
+        g = map_component(prior, stats_of(rows), empty_structure(1))
         assert g.intercepts[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_ols_limit(self, rng):
         x0 = rng.normal(0, 1, 20_000)
         rows = np.column_stack([x0, 2 * x0 + 0.05 * rng.normal(0, 1, x0.size)])
         prior = NormalWishart(0.5, np.zeros(2), 3.0, 0.01 * np.eye(2))
-        g = map_parameters(prior, stats_of(rows), DagStructure(2, ((), (0,))))
+        g = map_component(prior, stats_of(rows), DagStructure(2, ((), (0,))))
         assert g.coefficients[1][0] == pytest.approx(2.0, abs=0.01)
 
     def test_empty_batch_prior_mode(self):
         prior = NormalWishart(2.0, np.array([1.0, -1.0]), 4.0, 2.0 * np.eye(2))
-        g = map_parameters(prior, zero_stats(2), empty_structure(2))
+        g = map_component(prior, zero_stats(2), empty_structure(2))
         assert np.allclose(g.intercepts, prior.mu0)
         # joint-mode covariance tau/(alpha + n + 2)
         assert np.allclose(g.variances, 2.0 / (4.0 + 2 + 2))
@@ -522,7 +533,7 @@ class TestMapParameters:
             rows = rng.normal(0, 1, (30, n)) @ rng.normal(0, 1, (n, n))
             t = stats_of(rows)
             structure = random_dag(n, rng, p=0.6)
-            g = map_parameters(prior, t, structure)
+            g = map_component(prior, t, structure)
             base = expected_log_posterior(g, prior, t)
             for i in range(n):
                 for delta in (1e-4, -1e-4):
@@ -547,6 +558,111 @@ class TestMapParameters:
                             structure, g.intercepts, tuple(coeffs), g.variances
                         )
                         assert expected_log_posterior(bumped, prior, t) <= base + 1e-8
+
+
+def random_capped_dag(n: int, rng: np.random.Generator, cap: int = 4) -> DagStructure:
+    """A random DAG in which each node has 0 to ``cap`` parents, listed in
+    random order."""
+    order = rng.permutation(n)
+    parents = [()] * n
+    for pos, node in enumerate(order):
+        count = int(rng.integers(0, min(cap, pos) + 1))
+        parents[node] = tuple(int(p) for p in rng.choice(order[:pos], count, replace=False))
+    return DagStructure(n, tuple(parents))
+
+
+def weighted_stats(rng: np.random.Generator, n: int, zeros: int = 0) -> SuffStats:
+    """Statistics of correlated cases under fractional responsibilities,
+    symmetrised as the E sweep leaves them; the first ``zeros`` variables
+    are 0 in every case."""
+    count = int(rng.integers(n + 2, 3 * n + 10))
+    rows = rng.normal(0, 1, (count, n)) @ rng.normal(0, 1, (n, n)) + rng.normal(0, 3, n)
+    rows[:, :zeros] = 0.0
+    resp = rng.uniform(0, 1, count)
+    outer = (rows * resp[:, None]).T @ rows
+    return SuffStats(float(resp.sum()), resp @ rows, 0.5 * (outer + outer.T))
+
+
+def assert_m_step_is_the_oracle(mix_stats, structures, prior, dirichlet, noise=None):
+    """The stacked M step against the M step one component and one node at
+    a time, bit for bit: weights, every regression, and the sweep's A, W
+    and constants; a model rebuilt from its components gives the same."""
+    plan = FamilyPlan(tuple(structures))
+    params = map_parameters(mix_stats, plan, prior, dirichlet, noise)
+    want = oracle_m_step(mix_stats, structures, prior, dirichlet, noise)
+    assert np.array_equal(params.weights, want.weights)
+    for g, h in zip(plan.model(params).components, want.components, strict=True):
+        assert np.array_equal(g.intercepts, h.intercepts)
+        assert np.array_equal(g.variances, h.variances)
+        for got, expected in zip(g.coefficients, h.coefficients, strict=True):
+            assert np.array_equal(got, expected)
+    for got in (params, want.stacked):
+        for got_part, want_part in zip((got.a, got.w, got.const), oracle_regression_stack(want)):
+            assert np.array_equal(got_part, want_part)
+
+
+class TestStackedMStep:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_mixtures(self, seed):
+        rng = np.random.default_rng([23, seed])
+        n = int(rng.choice([2, 3, 5, 8, 13, 40]))
+        k = int(rng.integers(1, 4))
+        structures = [random_capped_dag(n, rng) for _ in range(k)]
+        mix_stats = MixtureStats(tuple(weighted_stats(rng, n) for _ in range(k)))
+        dirichlet = DirichletPrior(np.full(k, 1.0 / k))
+        assert_m_step_is_the_oracle(mix_stats, structures, random_prior(n, rng), dirichlet)
+
+    def test_zero_count_component_keeps_the_prior_mode(self, rng):
+        n = 5
+        prior = random_prior(n, rng)
+        structures = [random_capped_dag(n, rng) for _ in range(3)]
+        triples = (weighted_stats(rng, n), zero_stats(n), weighted_stats(rng, n))
+        dirichlet = DirichletPrior(np.full(3, 1.0 / 3))
+        assert_m_step_is_the_oracle(MixtureStats(triples), structures, prior, dirichlet)
+        plan = FamilyPlan((empty_structure(n),) * 3)
+        params = map_parameters(MixtureStats(triples), plan, prior, dirichlet, None)
+        assert np.array_equal(params.intercepts[1], prior.mu0)
+        assert np.array_equal(params.variances[1], np.diag(prior.tau) / (prior.alpha + n + 2.0))
+
+    def test_noise_component(self, rng):
+        n, k = 4, 2
+        structures = [random_capped_dag(n, rng) for _ in range(k)]
+        mix_stats = MixtureStats(tuple(weighted_stats(rng, n) for _ in range(k)), 3.25)
+        dirichlet = DirichletPrior(np.array([0.01, 0.495, 0.495]))
+        noise = NoiseComponent(np.full(n, -50.0), np.full(n, 50.0))
+        assert_m_step_is_the_oracle(mix_stats, structures, random_prior(n, rng), dirichlet, noise)
+
+    # tau is zero on variables 0 and 1 and so are the cases, so the (0, 1)
+    # block of the MAP covariance is 0: node 2's parent block needs the
+    # jitter retry while the other two-parent blocks of its stack do not
+    tau = np.diag([0.0, 0.0, 1.0, 1.0, 1.0])
+    structures = (
+        DagStructure(5, ((), (), (0, 1), (), (2, 3))),
+        DagStructure(5, ((), (), (3, 4), (), ())),
+    )
+
+    def test_jitter_rescued_block_beside_healthy_ones(self, rng):
+        prior = NormalWishart(1.0, np.zeros(5), 7.0, self.tau)
+        t = weighted_stats(rng, 5, zeros=2)
+        mix_stats = MixtureStats((t, weighted_stats(rng, 5)))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(map_joint(prior, t)[1][:2, :2])
+        dirichlet = DirichletPrior(np.full(2, 0.5))
+        assert_m_step_is_the_oracle(mix_stats, self.structures, prior, dirichlet)
+
+    def test_block_past_jitter_raises_singular_parent_block(self, rng):
+        # NormalWishart does not check its scale, so a negative entry pushes
+        # the zero block below the jitter
+        prior = NormalWishart(1.0, np.zeros(5), 7.0, self.tau - np.diag([0.0, 1e-6, 0, 0, 0]))
+        mix_stats = MixtureStats((weighted_stats(rng, 5, zeros=2), weighted_stats(rng, 5)))
+        dirichlet = DirichletPrior(np.full(2, 0.5))
+        plan = FamilyPlan(self.structures)
+        for m_step in (
+            lambda: map_parameters(mix_stats, plan, prior, dirichlet, None),
+            lambda: oracle_m_step(mix_stats, self.structures, prior, dirichlet),
+        ):
+            with pytest.raises(SingularParentBlock):
+                m_step()
 
 
 class TestDataInformedPrior:

@@ -48,7 +48,7 @@ from dagmix.cli import (
     model_from_json,
     model_to_json,
 )
-from dagmix.errors import DagmixError
+from dagmix.errors import DagmixError, DimensionMismatch
 from dagmix.stats import component_case_loglik, group_cases
 
 # the inputs overflow on purpose; numpy's overflow warnings are expected
@@ -245,6 +245,9 @@ def component_args(draw):
 )
 @example(args=(2, ((),), np.zeros(2), (np.zeros(0), np.zeros(0)), np.ones(2)))
 @example(args=(3, ((), ()), np.zeros(3), (np.zeros(0), np.zeros(0)), np.ones(3)))
+@example(args=(2.0, ((), ()), np.zeros(2), (np.zeros(0), np.zeros(0)), np.ones(2)))
+@example(args=(True, ((),), np.zeros(1), (np.zeros(0),), np.ones(1)))
+@example(args=(2, ((), (0,)), np.zeros(2), (np.zeros(0), ["a"]), np.ones(2)))
 def test_gaussian_dag(args):
     n, parents, *params = args
     structure = returns_or_raises_dagmix(DagStructure, n, parents)
@@ -254,7 +257,7 @@ def test_gaussian_dag(args):
     if g is not None:
         # a component that constructs has a density, not NaN, in the E sweep
         model = MdagModel(np.ones(1), (g,))
-        assert not np.isnan(component_case_loglik(model, group_cases(np.zeros((1, g.n))))).any()
+        assert not np.isnan(component_case_loglik(model.stacked, group_cases(np.zeros((1, g.n))))).any()
         returns_or_raises_dagmix(sample, model, 3, 0)
 
 
@@ -273,6 +276,8 @@ def test_gaussian_dag(args):
 @example(k=2, weights=None, noise=None, count=3, seed="x")
 @example(k=0, weights=None, noise=(np.zeros(2), np.ones(2)), count=3, seed=0)
 @example(k=0, weights=None, noise=(np.zeros(0), np.zeros(0)), count=0, seed=0)
+@example(k=2, weights="ab", noise=None, count=3, seed=0)
+@example(k=0, weights=None, noise=("a", "b"), count=3, seed=0)
 def test_mixture(k, weights, noise, count, seed):
     if noise is not None:
         noise = returns_or_raises_dagmix(NoiseComponent, *noise)
@@ -283,8 +288,26 @@ def test_mixture(k, weights, noise, count, seed):
         weights = np.full(size, 1.0 / max(size, 1))
     model = returns_or_raises_dagmix(MdagModel, weights, GOLD.model.components[:k], noise)
     if model is not None:
-        assert not np.isnan(component_case_loglik(model, group_cases(np.zeros((1, model.n))))).any()
+        assert not np.isnan(component_case_loglik(model.stacked, group_cases(np.zeros((1, model.n))))).any()
         returns_or_raises_dagmix(sample, model, count, seed)
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (DagStructure, (2.0, ((), ()))),
+        (DagStructure, (True, ((),))),
+        (DagStructure, ("a", ())),
+        (GaussianDag, ((), np.zeros(1), (np.zeros(0),), np.ones(1))),
+        (MdagModel, (np.ones(1), (3,))),
+        (sample, (3, 2, 0)),
+    ],
+)
+def test_arguments_of_the_wrong_type(call, args):
+    # each of these once raised a raw TypeError, AttributeError or a
+    # BadParentIndex that miscounted the parent sets
+    with pytest.raises(DimensionMismatch):
+        call(*args)
 
 
 # --- configuration ----------------------------------------------------------------

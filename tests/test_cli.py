@@ -120,7 +120,7 @@ class TestModelSerialization:
         assert meta["seed"] == 7
         rows = group_cases(rng.normal(5, 8, (100, 5)))
         assert np.array_equal(
-            component_case_loglik(back, rows), component_case_loglik(gold.model, rows)
+            component_case_loglik(back.stacked, rows), component_case_loglik(gold.model.stacked, rows)
         )
         # the mixture density also reads the saved weights
         assert np.array_equal(back.weights, gold.model.weights)

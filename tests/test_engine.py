@@ -32,7 +32,14 @@ from dagmix.errors import (
 from dagmix.model import MdagModel, empty_structure, sample
 from dagmix.scoring import observed_loglik
 from dagmix.stats import expected_stats, group_cases
-from conftest import joint_moments, single_node_model, two_component_1d
+from conftest import (
+    joint_moments,
+    map_component,
+    oracle_m_step,
+    oracle_run_em,
+    single_node_model,
+    two_component_1d,
+)
 
 
 class TestSchedule:
@@ -116,11 +123,10 @@ class TestEmStep:
         data = rng.normal(1.0, 2.0, (200, 1))
         config = FitConfig(k=1, seed=0)
         prior, dirichlet = _bind_priors(config, 1)
-        from dagmix.bayes import map_parameters
         from dagmix.stats import SuffStats
 
         t = SuffStats(200.0, data.sum(axis=0), data.T @ data)
-        g = map_parameters(prior, t, empty_structure(1))
+        g = map_component(prior, t, empty_structure(1))
         m = MdagModel(np.array([1.0]), (g,))
         stepped, _ = run_em(group_cases(data), m, prior, dirichlet, steps=1)
         assert np.allclose(stepped.components[0].intercepts, g.intercepts, atol=1e-10)
@@ -220,12 +226,61 @@ class TestRunEm:
         prior, dirichlet = _bind_priors(config, 1)
         cases = group_cases(data)
         out, trace = run_em(cases, initialize(data, config), prior, dirichlet, steps=6)
-        fresh, loglik = expected_stats(cases, out)
+        fresh, loglik = expected_stats(cases, out.stacked)
         assert loglik == trace.logliks[-1]
         for got, want in zip(trace.stats.triples, fresh.triples):
             assert got.n == want.n
             assert np.array_equal(got.r, want.r)
             assert np.array_equal(got.s, want.s)
+
+
+def gold_cases(missing: bool) -> np.ndarray:
+    """600 gold cases, with 20% of the cells blanked when ``missing``."""
+    from dagmix.harness import default_gold_standard
+
+    data, _ = sample(default_gold_standard().model, 600, 23)
+    if missing:
+        data[np.random.default_rng(23).random(data.shape) < 0.2] = np.nan
+    return data
+
+
+class TestRunEmOracle:
+    """``run_em`` against a loop that builds a model per step through the
+    M step one component and one node at a time, bit for bit."""
+
+    @pytest.mark.parametrize("steps", [7, None])
+    @pytest.mark.parametrize("missing", [False, True])
+    def test_matches_the_per_component_loop(self, missing, steps):
+        from dagmix.harness import default_gold_standard
+
+        data = gold_cases(missing)
+        cases = group_cases(data)
+        config = FitConfig(k=3, seed=4)
+        prior, dirichlet = _bind_priors(config, data.shape[1])
+        start = initialize(data, config)
+        # the gold structures, at parameters one M step from the start
+        gold = tuple(g.structure for g in default_gold_standard().model.components)
+        searched = oracle_m_step(
+            expected_stats(cases, start.stacked)[0], gold, prior, dirichlet
+        )
+        for model in (start, searched):
+            got, trace = run_em(cases, model, prior, dirichlet, steps=steps)
+            want, logliks, converged = oracle_run_em(cases, model, prior, dirichlet, steps=steps)
+            assert trace.logliks == tuple(logliks)
+            assert trace.converged == converged
+            assert converged == (steps is None)
+            assert np.array_equal(got.weights, want.weights)
+            for g, h in zip(got.components, want.components, strict=True):
+                assert g.structure == h.structure
+                assert np.array_equal(g.intercepts, h.intercepts)
+                assert np.array_equal(g.variances, h.variances)
+                for b, c in zip(g.coefficients, h.coefficients, strict=True):
+                    assert np.array_equal(b, c)
+            # the sweep arrays the returned model keeps from its last M step
+            # are the ones its components give
+            rebuilt = MdagModel(got.weights, got.components, got.noise).stacked
+            for part in ("a", "w", "const"):
+                assert np.array_equal(getattr(got.stacked, part), getattr(rebuilt, part))
 
 
 class TestInitialize:

@@ -54,7 +54,7 @@ def scores(data, model, prior, dirichlet):
     (complete, observed, CS) triple of ``cheeseman_stutz``, all on the
     statistics of the model's own E sweep."""
     cases = group_cases(data)
-    ms, _ = expected_stats(cases, model)
+    ms, _ = expected_stats(cases, model.stacked)
     structures = [g.structure for g in model.components]
     return np.array(
         [

@@ -38,7 +38,7 @@ def chain_model() -> GaussianDag:
 def sweep_log_density(g: GaussianDag, rows) -> np.ndarray:
     """The E sweep's log density of one component at each row."""
     cases = group_cases(np.atleast_2d(rows))
-    return component_case_loglik(MdagModel(np.ones(1), (g,)), cases)[:, 0]
+    return component_case_loglik(MdagModel(np.ones(1), (g,)).stacked, cases)[:, 0]
 
 
 class TestValidate:

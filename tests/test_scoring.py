@@ -10,7 +10,6 @@ from dagmix.bayes import (
     dirichlet_log_marglik,
     dirichlet_map,
     local_score,
-    map_parameters,
 )
 from dagmix.errors import DimensionMismatch, EmptyTestSet
 from dagmix.model import (
@@ -34,6 +33,7 @@ from conftest import (
     labeled_cheeseman_stutz,
     labeled_loglik,
     labeled_stats,
+    map_component,
     node_log_density,
     random_dag,
     random_gaussian_dag,
@@ -47,7 +47,7 @@ from test_bayes import random_prior, sequential_marginal_loglik
 
 def map_model_for(ms, structures, prior, dirichlet, noise=None):
     weights = dirichlet_map(dirichlet, ms.counts())
-    comps = tuple(map_parameters(prior, t, s) for t, s in zip(ms.triples, structures))
+    comps = tuple(map_component(prior, t, s) for t, s in zip(ms.triples, structures))
     return MdagModel(weights, comps, noise)
 
 

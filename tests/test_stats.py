@@ -24,7 +24,6 @@ from dagmix.stats import (
     _condition,
     _densities,
     _normalize_responsibilities,
-    _regression_stack,
     component_case_loglik,
     expected_stats,
     group_cases,
@@ -49,7 +48,7 @@ def chain_model():
 
 def one_case_counts(model: MdagModel, y) -> np.ndarray:
     """Responsibilities of one (partial) case: the counts of a one-case sweep."""
-    ms, _ = expected_stats(group_cases(np.asarray(y, dtype=float)[None, :]), model)
+    ms, _ = expected_stats(group_cases(np.asarray(y, dtype=float)[None, :]), model.stacked)
     return ms.counts()
 
 
@@ -58,7 +57,7 @@ def one_case_moments(g: GaussianDag, y) -> tuple[np.ndarray, np.ndarray]:
     one-case statistics of a single-component mixture: r[mis] is the mean
     and s[mis, mis] - r[mis] r[mis]^T the covariance."""
     y = np.asarray(y, dtype=float)
-    ms, _ = expected_stats(group_cases(y[None, :]), MdagModel(np.array([1.0]), (g,)))
+    ms, _ = expected_stats(group_cases(y[None, :]), MdagModel(np.array([1.0]), (g,)).stacked)
     t = ms.triples[0]
     mis = np.flatnonzero(np.isnan(y))
     mean = t.r[mis]
@@ -78,7 +77,7 @@ class TestMerge:
     def test_per_case_merge_equals_batch(self, rng):
         model = two_component_1d(0.0, 4.0)
         data, _ = sample(model, 40, rng)
-        batch, _ = expected_stats(group_cases(data), model)
+        batch, _ = expected_stats(group_cases(data), model.stacked)
         resp = bayes_rule_1d(model, data[:, 0])
         counts = resp.sum(axis=0)
         squares = resp.T @ data[:, 0] ** 2
@@ -164,7 +163,7 @@ class TestExpectedStats:
         m = two_component_1d(0.0, 3.0)
         data, _ = sample(m, 60, rng)
         data[::7, 0] = np.nan
-        ms, _ = expected_stats(group_cases(data), m)
+        ms, _ = expected_stats(group_cases(data), m.stacked)
         assert ms.counts().sum() == pytest.approx(60, abs=1e-8)
 
     def test_one_hot_equals_exact(self, rng):
@@ -172,7 +171,7 @@ class TestExpectedStats:
         a, b = single_node_model(0.0), single_node_model(50.0)
         m = MdagModel(np.array([1.0, 0.0]), (a, b))
         data = rng.normal(0, 1, (30, 1))
-        ms, _ = expected_stats(group_cases(data), m)
+        ms, _ = expected_stats(group_cases(data), m.stacked)
         exact = labeled_stats(data, np.zeros(30, dtype=int), 2)
         assert ms.triples[0].n == pytest.approx(exact.triples[0].n, rel=1e-10)
         assert np.allclose(ms.triples[0].r, exact.triples[0].r, rtol=1e-10)
@@ -181,7 +180,7 @@ class TestExpectedStats:
     def test_two_case_hand_enumeration(self):
         m = two_component_1d(0.0, 2.0)
         data = np.array([[0.5], [1.5]])
-        ms, _ = expected_stats(group_cases(data), m)
+        ms, _ = expected_stats(group_cases(data), m.stacked)
         expected_triples = [np.zeros(3), np.zeros(3)]  # n, r, s per component
         for x, r in zip(data[:, 0], bayes_rule_1d(m, data[:, 0])):
             for c in range(2):
@@ -196,7 +195,7 @@ class TestExpectedStats:
         g = chain_model()
         m = MdagModel(np.array([1.0]), (g,))
         data = np.array([[1.0, np.nan]])
-        ms, _ = expected_stats(group_cases(data), m)
+        ms, _ = expected_stats(group_cases(data), m.stacked)
         jm, jc = joint_moments(g)
         cm = jm[1] + jc[1, 0] / jc[0, 0] * (1.0 - jm[0])
         cc = jc[1, 1] - jc[1, 0] ** 2 / jc[0, 0]
@@ -210,16 +209,16 @@ class TestExpectedStats:
         data, _ = sample(m, 80, rng)
         data[rng.random(data.shape) < 0.2] = np.nan
         data = data[~np.isnan(data).all(axis=1)]
-        ms, _ = expected_stats(group_cases(data), m)
+        ms, _ = expected_stats(group_cases(data), m.stacked)
         for t in ms.triples:
             if t.n > 1e-6:
-                assert np.linalg.eigvalsh(t.scatter()).min() >= -1e-8
+                assert np.linalg.eigvalsh(t.s - np.outer(t.r, t.r) / t.n).min() >= -1e-8
 
     def test_noise_component_only_counts(self, rng):
         noise = NoiseComponent(np.full(1, -10.0), np.full(1, 10.0))
         m = MdagModel(np.array([0.4, 0.6]), (single_node_model(0.0),), noise)
         data, _ = sample(m, 50, rng)
-        ms, _ = expected_stats(group_cases(data), m)
+        ms, _ = expected_stats(group_cases(data), m.stacked)
         assert ms.noise_count > 0
         assert len(ms.triples) == 1  # one triple per Gaussian component
         assert ms.counts().tolist() == [ms.noise_count, ms.triples[0].n]
@@ -241,7 +240,7 @@ class TestExpectedStats:
             data[rng.random(data.shape) < 0.2] = np.nan
             data[0] = np.nan
         cases = group_cases(data)
-        _, loglik = expected_stats(cases, m)
+        _, loglik = expected_stats(cases, m.stacked)
         assert loglik == observed_loglik(cases, m)
 
 
@@ -264,7 +263,7 @@ def test_component_case_loglik_matches_scipy(rng):
     cov = a @ a.T + np.eye(3)
     rows = rng.normal(0, 2, (20, 3))
     g = GaussianDag.from_joint(complete_structure(3), mean, cov)
-    logp = component_case_loglik(MdagModel(np.array([1.0]), (g,)), group_cases(rows))
+    logp = component_case_loglik(MdagModel(np.array([1.0]), (g,)).stacked, group_cases(rows))
     expected = sps.multivariate_normal.logpdf(rows, mean=mean, cov=cov)
     assert np.allclose(logp[:, 0], expected, atol=1e-10)
 
@@ -397,7 +396,7 @@ for _ in range(3):
 model = MdagModel(np.array([0.3, 0.3, 0.4]), tuple(comps))
 data, _ = sample(model, 3000, rng)
 data[rng.choice(3000, 300, replace=False), rng.integers(0, n, 300)] = np.nan
-stats, loglik = expected_stats(group_cases(data), model)
+stats, loglik = expected_stats(group_cases(data), model.stacked)
 h = hashlib.sha256(np.float64(loglik).tobytes())
 for t in stats.triples:
     h.update(np.float64(t.n).tobytes() + t.r.tobytes() + t.s.tobytes())
@@ -433,14 +432,14 @@ def assert_same_sweep(data, model):
     want, want_ll = reference_expected_stats(data, model)
     want_logp = reference_component_case_loglik(model, data)
     cases = group_cases(data)
-    got, got_ll = expected_stats(cases, model)
+    got, got_ll = expected_stats(cases, model.stacked)
     assert_close(got_ll, want_ll)
     assert_close(got.counts(), want.counts())
     for tg, tw in zip(got.triples, want.triples, strict=True):
         assert_close(tg.n, tw.n)
         assert_close(tg.r, tw.r)
         assert_close(tg.s, tw.s)
-    logp = component_case_loglik(model, cases)
+    logp = component_case_loglik(model.stacked, cases)
     assert np.array_equal(np.isfinite(logp), np.isfinite(want_logp))
     assert_close(logp, want_logp)
 
@@ -485,7 +484,7 @@ class TestGroupedSweep:
             n, k = int(rng.integers(1, 9)), int(rng.integers(1, 4))
             model = self.random_model(rng, n, k, noise=rng.random() < 0.3)
             rows = rng.normal(0, 3, (int(rng.integers(1, 40)), n))
-            logp = component_case_loglik(model, group_cases(rows))
+            logp = component_case_loglik(model.stacked, group_cases(rows))
             want = np.column_stack([node_log_density(g, rows) for g in model.components])
             if model.noise is not None:
                 lo, hi = model.noise.lower, model.noise.upper
@@ -509,13 +508,13 @@ class TestGroupedSweep:
         data[rng.random(data.shape) < 0.25] = np.nan
         cases = group_cases(data)
         assert len(cases.groups) == 8
-        logp = component_case_loglik(model, cases)
+        logp = component_case_loglik(model.stacked, cases)
         assert np.all(np.isfinite(logp))
         complete = ~np.isnan(data).any(axis=1)
         want = node_log_density(odd, data[complete])
         assert max(want) < -1e15
         np.testing.assert_allclose(logp[complete, 1], want, rtol=1e-12)
-        stats, loglik = expected_stats(cases, model)
+        stats, loglik = expected_stats(cases, model.stacked)
         assert np.isfinite(loglik)
         for t in stats.triples:
             assert np.isfinite(t.n) and np.all(np.isfinite(t.r)) and np.all(np.isfinite(t.s))
@@ -526,12 +525,10 @@ class TestGroupedSweep:
 
     def assert_per_mask_bytes(self, data, model):
         cases = group_cases(data)
-        logp, conditionals = _densities(model, cases)
-        a, w, const = _regression_stack(model)
+        params = model.stacked
+        logp, conditionals = _densities(params, cases)
         for group, got in zip(cases.groups, conditionals, strict=True):
-            want_logp, *want = _condition(
-                model, w, a, const, group, per_mask_factors(a, group.mis)
-            )
+            want_logp, *want = _condition(params, group, per_mask_factors(params.a, group.mis))
             assert np.array_equal(logp[group.idx].T, want_logp)
             for got_part, want_part in zip(got, want, strict=True):
                 assert (got_part is None) == (want_part is None)
