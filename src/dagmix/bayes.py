@@ -157,13 +157,14 @@ class FamilyMarginals:
     scale tau'_Y of every family is a block of the one matrix T' that
     ``posterior_update`` builds: each term of T' is elementwise, so its
     Y-block is bit-identical to the same expression built from Y-sliced
-    inputs.  The terms that
+    inputs.  tau and T' are kept as one (2, n, n) stack.  The terms that
     depend only on |Y| are cached by size, and each family's value by its
     sorted tuple: one value per variable set, whichever order a caller
     lists it in, so set terms that cancel in exact arithmetic cancel in
     floats too.  ``fill`` is the one reader: it computes a batch of
-    families with one stacked factorisation per size, so each caller asks
-    for all the families it needs in one call.
+    families with one gather and one stacked factorisation of both scales'
+    blocks per size, so each caller asks for all the families it needs in
+    one call.
     """
 
     def __init__(self, prior: NormalWishart, t: SuffStats):
@@ -171,7 +172,7 @@ class FamilyMarginals:
         self.prior = prior
         self.n_count = t.n
         self._nu1 = post.nu
-        self._scale = post.tau
+        self._scales = np.stack([prior.tau, post.tau])
         self._memo: dict[tuple[int, ...], float] = {(): 0.0}
         self._by_size: dict[int, tuple[float, float, float]] = {}
 
@@ -196,33 +197,30 @@ class FamilyMarginals:
         factorisation per family size; return every family's value.
 
         Per size, every tau_Y block and every tau'_Y block of the sorted
-        families is gathered with one fancy index and each stack is
-        factored in one call; each log-determinant is twice the sum of the
-        logs of its own factor's diagonal, so each value equals the one its
-        family gets when filled alone.  Families come from the node families
+        families is gathered from the scale stack with one fancy index and
+        the blocks are factored in one call, which still runs LAPACK once
+        per block; each log-determinant is twice the sum of the logs of its
+        own factor's diagonal, so each value equals the one its family gets
+        when filled alone.  Families come from the node families
         of checked structures, so each is a set of integers in [0, n); the
         empty set is memoised from the start.
         """
+        memo = self._memo
         keys = [tuple(sorted(family)) for family in families]
-        todo: dict[int, dict[tuple[int, ...], None]] = {}
-        for key in keys:
-            if key in self._memo:
-                continue
-            todo.setdefault(len(key), {})[key] = None
+        todo: dict[int, list[tuple[int, ...]]] = {}
+        for key in dict.fromkeys(key for key in keys if key not in memo):
+            todo.setdefault(len(key), []).append(key)
         for size, batch in todo.items():
             if self.n_count <= COUNT_FLOOR:
-                self._memo.update(dict.fromkeys(batch, 0.0))
+                memo.update(dict.fromkeys(batch, 0.0))
                 continue
             alpha, alpha1, lead = self._size_terms(size)
-            idx = np.array(list(batch))
-            rows, cols = idx[:, :, None], idx[:, None, :]
-            values = (
-                lead
-                + 0.5 * alpha * _stacked_logdets(self.prior.tau[rows, cols])
-                - 0.5 * alpha1 * _stacked_logdets(self._scale[rows, cols])
-            )
-            self._memo.update(zip(batch, values.tolist()))
-        return [self._memo[key] for key in keys]
+            idx = np.array(batch)
+            blocks = self._scales[:, idx[:, :, None], idx[:, None, :]]
+            logdets = _stacked_logdets(blocks.reshape(-1, size, size)).reshape(2, -1)
+            values = lead + 0.5 * alpha * logdets[0] - 0.5 * alpha1 * logdets[1]
+            memo.update(zip(batch, values.tolist()))
+        return list(map(memo.__getitem__, keys))
 
 
 def _stacked_logdets(blocks: np.ndarray) -> np.ndarray:

@@ -2,13 +2,19 @@
 
 Because the criterion factors into per-component per-node terms, each
 component is searched independently and a move only touches the terms of
-the nodes whose parent sets change.  Equivalence-aware comparison goes
-through completed partially directed graphs (compelled arcs directed,
-reversible arcs undirected).  Search reads a ``MixtureStats`` as one
-triple per Gaussian component, zipped with the structures, under one
-Normal-Wishart prior.  Internal: input is validated where it enters the
-package (see its docstring).  A search state is a plain tuple of parent
-sets; only a search's result is built as a ``DagStructure``.
+the nodes whose parent sets change (Chickering 2002).  A search keeps its
+state from one move to the next: the arc and reachability matrices and the
+legality masks are updated from the state before (an added arc joins two
+sets of the closure, after Italiano 1986), and the family terms are kept
+per variable set, so a step reads only the terms its changed nodes and
+newly legal moves need.  Equivalence-aware comparison goes through
+completed partially directed graphs (compelled arcs directed, reversible
+arcs undirected).  Search reads a ``MixtureStats`` as one triple per
+Gaussian component, zipped with the structures, under one Normal-Wishart
+prior.  Internal: input is validated where it enters the package (see its
+docstring).  A search state is a plain tuple of parent sets, carried with
+its matrices (``_Graph``); only a search's result is built as a
+``DagStructure``.
 """
 
 from __future__ import annotations
@@ -56,37 +62,108 @@ class SearchStep:
     sideways: bool = False
 
 
-def _legal(parents: _Parents) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(add, delete, reverse): n x n masks, entry [u, v] for the move on u -> v.
-
-    With ``reach`` the transitive closure of the arc matrix, adding u -> v
-    is legal iff v cannot reach u, and reversing u -> v is legal iff no path
-    u ~> v of two or more arcs exists, i.e. iff (arc @ reach)[u, v] is zero
-    (such a path cannot run through u -> v itself without a cycle).  The
-    closure comes from repeated squaring of a 0/1 float matrix, which each
-    round doubles the path length covered and is exact.
-    """
-    n = len(parents)
-    arc = np.zeros((n, n))
-    for child, ps in enumerate(parents):
-        for parent in ps:
-            arc[parent, child] = 1.0
-    reach = arc
+def _closure(arc: np.ndarray) -> np.ndarray:
+    """The transitive closure of a boolean relation, by repeated squaring of
+    its 0/1 float matrix, which each round doubles the path length covered
+    and is exact."""
+    reach = arc.astype(float)
     while True:
         longer = np.minimum(reach + reach @ reach, 1.0)
         if (longer == reach).all():
-            break
+            return reach > 0
         reach = longer
-    has_arc = arc > 0
-    add = ~(has_arc | (reach > 0).T)
-    np.fill_diagonal(add, False)
-    return add, has_arc, has_arc & (arc @ reach == 0)
+
+
+class _Graph:
+    """A search state: its parent sets, its search's parent cap and four
+    boolean matrices, row v for node v.  ``arc[v, u]`` iff u -> v, so row v
+    marks the parents of v; ``reach[v, u]`` iff a path u ~> v of one or
+    more arcs exists, so row v marks the ancestors of v; ``add`` and
+    ``reverse`` mark the legal adds and reversals of u -> v under the cap
+    (``_legal``).  A state reached by a move is built from the state before
+    it (``moved``)."""
+
+    __slots__ = ("parents", "cap", "arc", "reach", "add", "reverse")
+
+    def __init__(self, parents: _Parents, cap: int | None, arc: np.ndarray,
+                 reach: np.ndarray, masks: tuple[np.ndarray, np.ndarray] | None = None):
+        self.parents, self.cap, self.arc, self.reach = parents, cap, arc, reach
+        self.add, self.reverse = _legal(self) if masks is None else masks
+
+    @classmethod
+    def of(cls, parents: _Parents, cap: int | None = None) -> _Graph:
+        n = len(parents)
+        arc = np.zeros((n, n), dtype=bool)
+        for child, ps in enumerate(parents):
+            arc[child, list(ps)] = True
+        return cls(parents, cap, arc, _closure(arc))
+
+    def moved(self, move: ArcMove) -> _Graph:
+        """The state after a legal move on u -> v.
+
+        An add gives every node that v reaches, and v, the ancestors of u
+        and u itself.  That forbids adding an arc back from the first set
+        to the second, and reversing any arc from the second to the first
+        but u -> v, which stays reversible iff u did not reach v before;
+        and once v holds the cap, nothing may grow its parent set.
+        Reversing a covered arc changes only columns u and v of ``reach``:
+        v now reaches what u reached, less v, plus u, and u reaches its
+        remaining children and what they reach.  A delete, or a reversal
+        that is not covered, recomputes the closure.  Every move but an add
+        reads its masks off the new matrices."""
+        u, v = move.source, move.target
+        parents = apply_move(self.parents, move)
+        arc, reach = self.arc.copy(), self.reach.copy()
+        arc[v, u] = move.kind == "add"
+        if move.kind == "add":
+            below, above = reach[:, v].copy(), reach[u].copy()
+            below[v] = above[u] = True
+            joined = below[:, None] & above
+            reach |= joined
+            add, reverse = self.add & ~joined.T, self.reverse & ~joined
+            add[v, u] = False
+            cap = self.cap
+            reverse[v, u] = not self.reach[v, u] and (cap is None or len(parents[u]) < cap)
+            if cap is not None and len(parents[v]) >= cap:
+                add[v] = False
+                reverse[:, v] = False
+            return _Graph(parents, cap, arc, reach, (add, reverse))
+        if move.kind == "reverse":
+            arc[u, v] = True
+            if set(self.parents[v]) - {u} == set(self.parents[u]):
+                reach[:, v] = reach[:, u]
+                reach[v, v], reach[u, v] = False, True
+                children = arc[:, u]
+                reach[:, u] = children | reach[:, children].any(axis=1)
+                return _Graph(parents, self.cap, arc, reach)
+        return _Graph(parents, self.cap, arc, _closure(arc))
+
+
+def _legal(graph: _Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(add, reverse): n x n masks, entry [v, u] for the move on u -> v, so
+    row v lists the moves that rewrite the parents of v.  Adding u -> v is
+    legal iff v cannot reach u, and reversing u -> v is legal iff no path
+    u ~> v of two or more arcs exists, i.e. iff (arc @ reach)[v, u] is zero
+    (such a path cannot run through u -> v itself without a cycle).  Under
+    the cap a move is also illegal when the parent set it grows (the
+    target's for an add, the source's for a reversal) already holds the
+    cap; a delete, legal wherever ``arc`` is set, is never capped."""
+    arc = graph.arc
+    add = ~(arc | graph.reach.T)
+    add.ravel()[:: len(add) + 1] = False
+    reverse = arc & (arc.astype(float) @ graph.reach.astype(float) == 0)
+    if graph.cap is not None:
+        grows = np.fromiter(map(len, graph.parents), int, len(add)) < graph.cap
+        add &= grows[:, None]
+        reverse &= grows
+    return add, reverse
 
 
 def neighbors(parents: _Parents) -> list[ArcMove]:
     """All single-arc moves whose result is acyclic, in (source, target)
     order with a delete before the reverse of the same arc."""
-    add, delete, reverse = _legal(parents)
+    graph = _Graph.of(parents)
+    add, delete, reverse = graph.add.T, graph.arc.T, graph.reverse.T
     sources, targets = np.nonzero(add | delete)
     has_arc, reversible = delete.tolist(), reverse.tolist()
     moves = []
@@ -124,77 +201,76 @@ def apply_move(parents: _Parents, move: ArcMove) -> _Parents:
 
 
 class _ScoreCache:
-    """The set terms of one component's gains, over one ``FamilyMarginals``.
+    """The set terms of one component's search, over one ``FamilyMarginals``,
+    kept from one scored state to the next.
 
     With F(Y) the family marginal of variable set Y (``FamilyMarginals``
     scores the empty set 0), node v with parents P scores F(v + P) - F(P).
-    ``gains`` keeps two n x n matrices from one call to the next:
-    T[0][u, v] = F(v + P') and T[1][u, v] = F(P'), where P' is v's parent
-    set with u toggled.  It swaps in only the columns whose parent set
-    changed; each (node, parents) column is cached, so a structure that
-    returns to a parent set, or an equivalent state the escape walks, reads
-    the terms already computed.
+    A row R(Y)[u] = F(Y toggled at u) is kept per sorted set Y and filled
+    only where a move reads it; a filled entry never changes, so a state
+    that returns to a parent set, or the members of an equivalence class,
+    read the terms already computed.  Node v with parents P reads two rows:
+    R(P + v), whose entry v is F(P), and R(P), whose entry v is F(v + P).
     """
 
     def __init__(self, prior: NormalWishart, t: SuffStats):
+        n = t.dim
         self.marginals = FamilyMarginals(prior, t)
-        self._columns: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
-        self._terms = np.full((2, t.dim, t.dim), np.nan)
-        self._node_terms = np.zeros((2, t.dim))
-        self._gain_parents: list[tuple[int, ...] | None] = [None] * t.dim
+        self._store = np.full((2 * n, n), np.nan)  # one row R(Y) per key
+        self._keys: list[tuple[int, ...]] = []
+        self._index: dict[tuple[int, ...], int] = {}
+        self._parents: tuple[tuple[int, ...] | None, ...] = (None,) * n
+        self._ids = np.zeros((2, n), dtype=np.intp)
 
-    def gains(
-        self, parents: Sequence[tuple[int, ...]], need: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(T, N) for the structure with these parent sets, where N[0][v] =
-        F(v + Pa(v)) and N[1][v] = F(Pa(v)).  Every entry of T that ``need``
-        marks holds its terms; the others may hold NaN or older terms.
+    def _row(self, key: tuple[int, ...]) -> int:
+        at = self._index.get(key)
+        if at is None:
+            at = self._index[key] = len(self._keys)
+            self._keys.append(key)
+            if at == len(self._store):
+                self._store = np.vstack([self._store, np.full_like(self._store, np.nan)])
+        return at
 
-        Columns whose parent set differs from the last call's (the target
-        of a move, and the source of a reversal) are swapped for the cached
-        column of the new set.  The node terms of those columns and both
-        families of every marked entry still NaN are then read in one
-        ``FamilyMarginals.fill``.
-        """
-        terms, nodes = self._terms, self._node_terms
-        changed = [v for v, ps in enumerate(parents) if self._gain_parents[v] != ps]
-        for v in changed:
-            ps = self._gain_parents[v] = parents[v]
-            col = self._columns.get((v, ps))
-            if col is None:
-                col = self._columns[(v, ps)] = np.full((2, len(parents)), np.nan)
-            terms[:, :, v] = col
-        us, vs = np.nonzero(need & np.isnan(terms[0]))
-        pairs = [(v, parents[v]) for v in changed]
-        for u, v in zip(us.tolist(), vs.tolist()):
-            ps = parents[v]
-            pairs.append((v, tuple(p for p in ps if p != u) if u in ps else ps + (u,)))
-        values = np.reshape(self.marginals.fill(node_families(pairs)), (-1, 2)).T
-        nodes[:, changed] = values[:, : len(changed)]
-        terms[:, us, vs] = values[:, len(changed) :]
-        for v in set(vs.tolist()):
-            self._columns[(v, parents[v])][:] = terms[:, :, v]
-        return terms, nodes
-
-
-def _ordered_sum(terms: list[np.ndarray]) -> np.ndarray:
-    """Elementwise sum of equal-shape arrays, each element's terms added in
-    ascending order, so the result depends only on the multiset of terms."""
-    ordered = np.sort(terms, axis=0)
-    total = ordered[0]
-    for term in ordered[1:]:
-        total = total + term
-    return total
+    def terms(self, parents: _Parents, need: np.ndarray) -> np.ndarray:
+        """The (2, n, n) terms of the state with these parent sets, target
+        first: terms[0][v] = R(Pa(v) + v) and terms[1][v] = R(Pa(v)), so
+        terms[:, v, u] is F(v + P') and F(P') for P' the parents of v with
+        u toggled, and terms[:, v, v] is F(Pa(v)) and F(v + Pa(v)).  Every
+        entry that ``need`` (target first, diagonal included) marks is
+        filled, in one ``FamilyMarginals.fill``; the others may be NaN.
+        Only the nodes whose parent tuple changed since the last call look
+        up their rows again."""
+        ids = self._ids
+        # a move rebuilds only the parent tuples it rewrites
+        for v in [v for v, (ps, old) in enumerate(zip(parents, self._parents)) if ps is not old]:
+            base = tuple(sorted(parents[v]))
+            ids[:, v] = self._row(tuple(sorted(base + (v,)))), self._row(base)
+        self._parents = parents
+        terms = self._store[ids]
+        n = len(need)
+        lack = np.flatnonzero(np.isnan(terms) & need)
+        if len(lack):
+            # one request per (row, entry), however many nodes share the row
+            rows, us = zip(*dict.fromkeys(zip(ids.ravel()[lack // n].tolist(),
+                                              (lack % n).tolist())))
+            # R(Y)[u] reads Y less u, or Y plus u, which ``fill`` sorts
+            self._store[rows, us] = self.marginals.fill([
+                key + (u,) if u not in key else tuple(p for p in key if p != u)
+                for key, u in zip(map(self._keys.__getitem__, rows), us)
+            ])
+            terms = self._store[ids]
+        return terms
 
 
-def _move_gains(
-    cache: _ScoreCache, parents: _Parents, max_parents: int | None
-) -> tuple[tuple[str, np.ndarray, np.ndarray], ...] | None:
-    """(kind, legal mask, gain matrix) for delete, reverse and add, entry
-    [u, v] for the move on u -> v; None when no add or delete is legal.
-    With ``max_parents`` a move is skipped when the parent set it grows
-    (the target's for an add, the source's for a reversal) would exceed
-    the cap; deletes are never capped.
+_KINDS = ("delete", "reverse", "add")
+
+
+def _move_gains(cache: _ScoreCache, graph: _Graph) -> tuple[list[np.ndarray], np.ndarray] | None:
+    """(moves, gains), or None when no move is legal.  ``moves`` lists each
+    kind's legal moves (see ``_legal``), in ``_KINDS`` order, as flat
+    indices target * n + source in ascending order; ``gains`` holds their
+    gains in the same order.  Only the terms that a legal move reads are
+    computed.
 
     Each gain is one canonical sum of set terms: the F terms the move adds
     to the score summed in ascending order, minus the F terms it removes
@@ -203,51 +279,50 @@ def _move_gains(
     those parents with u toggled; a reversal sums four terms a side.  Moves
     that reach Markov-equivalent structures change the same multiset of set
     terms, so their gains are equal bit for bit (a covered reversal gains
-    exactly 0) and the tie key, not rounding, decides between them.  Only
-    the terms that a legal, uncapped move reads are computed.
+    exactly 0) and the tie key, not rounding, decides between them.
     """
-    add, delete, reverse = _legal(parents)
-    if max_parents is not None:
-        grows = np.array([len(ps) < max_parents for ps in parents])
-        add &= grows[None, :]
-        reverse &= grows[:, None]
-    if not (add.any() or delete.any()):
+    add, delete, reverse = graph.add, graph.arc, graph.reverse
+    n = len(add)
+    moves = [np.flatnonzero(mask) for mask in (delete, reverse, add)]
+    if not (len(moves[0]) or len(moves[2])):
         return None
-    (top, base), (node_top, node_base) = cache.gains(
-        parents, add | delete | reverse.T
-    )
-    single = (top + node_base[None, :]) - (base + node_top[None, :])
-    reversal = np.full_like(single, -np.inf)
-    u, v = np.nonzero(reverse)
-    if len(u):
-        reversal[u, v] = _ordered_sum(
-            [top[u, v], node_base[v], top[v, u], node_base[u]]
-        ) - _ordered_sum([base[u, v], node_top[v], base[v, u], node_top[u]])
-    return ("delete", delete, single), ("reverse", reverse, reversal), ("add", add, single)
+    need = add | delete | reverse.T
+    need.ravel()[:: n + 1] = True  # the node terms
+    terms = cache.terms(graph.parents, need)
+    top, base = terms
+    single = ((top + top.diagonal()[:, None]) - (base + base.diagonal()[:, None])).ravel()
+    v, u = np.divmod(moves[1], n)
+    sides = np.sort(terms[:, (v, v, u, u), (u, v, v, u)], axis=1)
+    sums = ((sides[:, 0] + sides[:, 1]) + sides[:, 2]) + sides[:, 3]
+    return moves, np.concatenate([single[moves[0]], sums[0] - sums[1], single[moves[2]]])
 
 
-def _best_move(
-    cache: _ScoreCache, parents: _Parents, max_parents: int | None
-) -> tuple[float, ArcMove] | None:
-    """Highest-gain legal move (see ``_move_gains``); ties break on
-    (delete < reverse < add, target, source)."""
-    tables = _move_gains(cache, parents, max_parents)
-    if tables is None:
+def _best_move(cache: _ScoreCache, graph: _Graph) -> tuple[float, ArcMove] | None:
+    """Highest-gain legal move (see ``_move_gains``), or None when no move
+    is legal; ties break on (delete < reverse < add, target, source), which
+    is the order of the gains, so the first maximum is the move."""
+    found = _move_gains(cache, graph)
+    if found is None:
         return None
-    best = max(gains[mask].max() for _, mask, gains in tables if mask.any())
-    for kind, mask, gains in tables:
-        hits = np.argwhere((mask & (gains == best)).T)
-        if len(hits):
-            v, u = hits[0].tolist()
-            return gains[u, v], ArcMove(kind, u, v)
-    return None
+    moves, gains = found
+    at = int(np.argmax(gains))
+    best = gains[at]
+    for kind, flat in zip(_KINDS, moves):
+        if at < len(flat):
+            v, u = divmod(int(flat[at]), len(graph.parents))
+            return best, ArcMove(kind, u, v)
+        at -= len(flat)
+    raise AssertionError("the maximum lies in the list")
 
 
 def _covered_edges(parents: _Parents) -> list[tuple[int, int]]:
     """Arcs u -> v with Pa(v) = Pa(u) + {u}; reversing one is always legal
     and keeps the equivalence class (hence the score) unchanged."""
     return sorted(
-        (u, v) for v, ps in enumerate(parents) for u in ps if set(ps) - {u} == set(parents[u])
+        (u, v)
+        for v, ps in enumerate(parents)
+        for u in ps
+        if len(ps) == len(parents[u]) + 1 and set(ps) - {u} == set(parents[u])
     )
 
 
@@ -271,6 +346,16 @@ def _class_walk(parents: _Parents) -> Iterator[tuple[_Parents, list[ArcMove]]]:
 _ESCAPE_BUDGET = 256
 
 
+def _class_members(graph: _Graph) -> Iterator[tuple[_Graph, list[ArcMove]]]:
+    """The members after the first of ``_class_walk`` from the graph's
+    parent sets, at most ``_ESCAPE_BUDGET - 1``, each as a ``_Graph`` built
+    from the member it was reached from, with its path."""
+    graphs = {(): graph}
+    for _, path in islice(_class_walk(graph.parents), 1, _ESCAPE_BUDGET):
+        member = graphs[tuple(path)] = graphs[tuple(path[:-1])].moved(path[-1])
+        yield member, path
+
+
 def greedy_component_search(
     t: SuffStats,
     prior: NormalWishart,
@@ -291,20 +376,25 @@ def greedy_component_search(
     before it gain exactly 0 (``_move_gains``), so every accepted
     transformation still increases the criterion and the search terminates.
     The returned structure has no improving neighbor.
+
+    The climb keeps its ``_Graph`` and its ``_ScoreCache`` from one move to
+    the next, and each class member's graph is built from the member it
+    was reached from (``_class_members``).
     """
-    parents = init.parents
+    graph = _Graph.of(init.parents, max_parents)
     cache = _ScoreCache(prior, t)
-    cache.marginals.fill(node_families(enumerate(parents)))
+    cache.marginals.fill(node_families(enumerate(graph.parents)))
     node_scores = np.array(
-        [local_score(cache.marginals, i, ps) for i, ps in enumerate(parents)]
+        [local_score(cache.marginals, i, ps) for i, ps in enumerate(graph.parents)]
     )
 
     def accept(move: ArcMove, sideways: bool) -> None:
-        nonlocal parents
-        before = float(node_scores.sum())
-        for node, ps in _new_parents(parents, move):
+        nonlocal graph
+        if trace is not None:
+            before = float(node_scores.sum())
+        for node, ps in _new_parents(graph.parents, move):
             node_scores[node] = local_score(cache.marginals, node, ps)
-        parents = apply_move(parents, move)
+        graph = graph.moved(move)
         if trace is not None:
             total = float(node_scores.sum())
             trace.append(
@@ -317,16 +407,16 @@ def greedy_component_search(
             )
 
     while True:
-        found = _best_move(cache, parents, max_parents)
+        found = _best_move(cache, graph)
         if found is not None and found[0] > SCORE_EPS:
             accept(found[1], sideways=False)
             continue
-        for state, path in islice(_class_walk(parents), 1, _ESCAPE_BUDGET):
-            found = _best_move(cache, state, max_parents)
+        for member, path in _class_members(graph):
+            found = _best_move(cache, member)
             if found is not None and found[0] > SCORE_EPS:
                 break
         else:
-            return DagStructure(init.n, parents)
+            return DagStructure(init.n, graph.parents)
         for move in path:
             accept(move, sideways=True)
         accept(found[1], sideways=False)

@@ -3,6 +3,9 @@ import pytest
 from hypothesis import settings
 from scipy import stats as sps
 
+from collections import deque
+from itertools import islice
+
 from dagmix.bayes import (
     FamilyMarginals,
     NormalWishart,
@@ -10,10 +13,20 @@ from dagmix.bayes import (
     local_score,
     map_joint,
     map_parameters,
+    node_families,
 )
 from dagmix.engine import cheeseman_stutz, ratio_rule_fires
 from dagmix.errors import NonPsdScatter, NumericalOverflow, SingularParentBlock
 from dagmix.model import DagStructure, FamilyPlan, GaussianDag, MdagModel, empty_structure
+from dagmix.search import (
+    _ESCAPE_BUDGET,
+    SCORE_EPS,
+    ArcMove,
+    SearchStep,
+    _covered_edges,
+    _new_parents,
+    apply_move,
+)
 from dagmix.stats import (
     LOG_2PI,
     MixtureStats,
@@ -231,6 +244,159 @@ def oracle_run_em(cases, model, prior, dirichlet, steps=None, convergence_ratio=
             converged = True
             break
     return model, logliks, converged
+
+
+# --- greedy search with every table rebuilt at every state ----------------------
+# The reference for the search that keeps its state between moves: legality
+# from a closure computed afresh, gains from whole tables, and the class walk
+# over plain parent tuples.
+
+
+def oracle_legal(parents):
+    """(add, delete, reverse) masks, entry [u, v] for the move on u -> v,
+    from the closure of the arc matrix by repeated squaring."""
+    n = len(parents)
+    arc = np.zeros((n, n))
+    for child, ps in enumerate(parents):
+        for parent in ps:
+            arc[parent, child] = 1.0
+    reach = arc
+    while True:
+        longer = np.minimum(reach + reach @ reach, 1.0)
+        if (longer == reach).all():
+            break
+        reach = longer
+    has_arc = arc > 0
+    add = ~(has_arc | (reach > 0).T)
+    np.fill_diagonal(add, False)
+    return add, has_arc, has_arc & (arc @ reach == 0)
+
+
+class OracleScoreCache:
+    """The set terms T[0][u, v] = F(v + P') and T[1][u, v] = F(P'), P' the
+    parents of v with u toggled, cached per (node, parents) column and
+    swapped in when a column's parent set changes."""
+
+    def __init__(self, prior, t):
+        self.marginals = FamilyMarginals(prior, t)
+        self._columns = {}
+        self._terms = np.full((2, t.dim, t.dim), np.nan)
+        self._node_terms = np.zeros((2, t.dim))
+        self._gain_parents = [None] * t.dim
+
+    def gains(self, parents, need):
+        terms, nodes = self._terms, self._node_terms
+        changed = [v for v, ps in enumerate(parents) if self._gain_parents[v] != ps]
+        for v in changed:
+            ps = self._gain_parents[v] = parents[v]
+            col = self._columns.get((v, ps))
+            if col is None:
+                col = self._columns[(v, ps)] = np.full((2, len(parents)), np.nan)
+            terms[:, :, v] = col
+        us, vs = np.nonzero(need & np.isnan(terms[0]))
+        pairs = [(v, parents[v]) for v in changed]
+        for u, v in zip(us.tolist(), vs.tolist()):
+            ps = parents[v]
+            pairs.append((v, tuple(p for p in ps if p != u) if u in ps else ps + (u,)))
+        values = np.reshape(self.marginals.fill(node_families(pairs)), (-1, 2)).T
+        nodes[:, changed] = values[:, : len(changed)]
+        terms[:, us, vs] = values[:, len(changed):]
+        for v in set(vs.tolist()):
+            self._columns[(v, parents[v])][:] = terms[:, :, v]
+        return terms, nodes
+
+
+def oracle_ordered_sum(terms):
+    ordered = np.sort(terms, axis=0)
+    total = ordered[0]
+    for term in ordered[1:]:
+        total = total + term
+    return total
+
+
+def oracle_move_gains(cache, parents, max_parents):
+    """(kind, legal mask, gain matrix) for delete, reverse and add, or None
+    when no add or delete is legal."""
+    add, delete, reverse = oracle_legal(parents)
+    if max_parents is not None:
+        grows = np.array([len(ps) < max_parents for ps in parents])
+        add &= grows[None, :]
+        reverse &= grows[:, None]
+    if not (add.any() or delete.any()):
+        return None
+    (top, base), (node_top, node_base) = cache.gains(parents, add | delete | reverse.T)
+    single = (top + node_base[None, :]) - (base + node_top[None, :])
+    reversal = np.full_like(single, -np.inf)
+    u, v = np.nonzero(reverse)
+    if len(u):
+        reversal[u, v] = oracle_ordered_sum(
+            [top[u, v], node_base[v], top[v, u], node_base[u]]
+        ) - oracle_ordered_sum([base[u, v], node_top[v], base[v, u], node_top[u]])
+    return ("delete", delete, single), ("reverse", reverse, reversal), ("add", add, single)
+
+
+def oracle_best_move(cache, parents, max_parents):
+    tables = oracle_move_gains(cache, parents, max_parents)
+    if tables is None:
+        return None
+    best = max(gains[mask].max() for _, mask, gains in tables if mask.any())
+    for kind, mask, gains in tables:
+        hits = np.argwhere((mask & (gains == best)).T)
+        if len(hits):
+            v, u = hits[0].tolist()
+            return gains[u, v], ArcMove(kind, u, v)
+    return None
+
+
+def oracle_class_walk(parents):
+    seen = {parents}
+    frontier = deque([(parents, [])])
+    while frontier:
+        state, path = frontier.popleft()
+        yield state, path
+        for u, v in _covered_edges(state):
+            move = ArcMove("reverse", u, v)
+            nxt = apply_move(state, move)
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append((nxt, path + [move]))
+
+
+def oracle_search(t, prior, init, max_parents=None, trace=None, component=0):
+    """``greedy_component_search`` with every table rebuilt at every state:
+    (the structure it returns, the families its marginals memoised)."""
+    parents = init.parents
+    cache = OracleScoreCache(prior, t)
+    cache.marginals.fill(node_families(enumerate(parents)))
+    node_scores = np.array(
+        [local_score(cache.marginals, i, ps) for i, ps in enumerate(parents)]
+    )
+
+    def accept(move, sideways):
+        nonlocal parents
+        before = float(node_scores.sum())
+        for node, ps in _new_parents(parents, move):
+            node_scores[node] = local_score(cache.marginals, node, ps)
+        parents = apply_move(parents, move)
+        if trace is not None:
+            total = float(node_scores.sum())
+            trace.append(SearchStep(ArcMove(move.kind, move.source, move.target, component),
+                                    total - before, total, sideways))
+
+    while True:
+        found = oracle_best_move(cache, parents, max_parents)
+        if found is not None and found[0] > SCORE_EPS:
+            accept(found[1], sideways=False)
+            continue
+        for state, path in islice(oracle_class_walk(parents), 1, _ESCAPE_BUDGET):
+            found = oracle_best_move(cache, state, max_parents)
+            if found is not None and found[0] > SCORE_EPS:
+                break
+        else:
+            return DagStructure(init.n, parents), set(cache.marginals._memo)
+        for move in path:
+            accept(move, sideways=True)
+        accept(found[1], sideways=False)
 
 
 def random_dag(n: int, rng: np.random.Generator, p: float = 0.4) -> DagStructure:

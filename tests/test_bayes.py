@@ -351,8 +351,7 @@ class TestStackedFallback:
         prior = NormalWishart(1.0, np.zeros(5), 7.0, self.tau)
         t = alternating_twin_stats(rng, 5)
         marginals = FamilyMarginals(prior, t)
-        marginals._scale = marginals._scale.copy()
-        marginals._scale[1, 1] -= 1e-6
+        marginals._scales[1, 1, 1] -= 1e-6  # the posterior scale
         with pytest.raises(SingularParentBlock):
             marginals.fill(self.families)
         assert marginals.fill([(2, 3)])[0] == sliced_marginal_loglik(prior, t, (2, 3))

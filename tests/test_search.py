@@ -4,21 +4,33 @@ from itertools import combinations
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import dagmix.search as search_module
+import dagmix.engine as engine_module
 from dagmix.bayes import DirichletPrior, FamilyMarginals, NormalWishart, local_score
-from dagmix.engine import PriorSpec
+from dagmix.engine import FitConfig, PriorSpec, Schedule, fit
 from dagmix.errors import BadParentIndex, CycleDetected, DimensionMismatch
 from dagmix.harness import default_gold_standard
-from dagmix.model import DagStructure, complete_structure, empty_structure, sample
+from dagmix.model import (
+    DagStructure,
+    MdagModel,
+    complete_structure,
+    empty_structure,
+    sample,
+)
 from dagmix.scoring import complete_model_score
 from dagmix.search import (
+    _KINDS,
     ArcMove,
     _best_move,
+    _class_members,
+    _covered_edges,
+    _Graph,
+    _move_gains,
     _new_parents,
     _ScoreCache,
-    _covered_edges,
-    _move_gains,
     apply_move,
     greedy_component_search,
     neighbors,
@@ -27,7 +39,15 @@ from dagmix.search import (
     to_cpdag,
 )
 from dagmix.stats import MixtureStats, SuffStats
-from conftest import labeled_stats, random_dag, structure_score, zero_stats
+from conftest import (
+    labeled_stats,
+    oracle_legal,
+    oracle_search,
+    random_dag,
+    random_gaussian_dag,
+    structure_score,
+    zero_stats,
+)
 from test_bayes import random_prior, stats_of, twin_column_stats
 
 
@@ -117,6 +137,15 @@ def listed_best_move(cache, parents, max_parents):
     return None if best is None else (best[0], best[2]), ties
 
 
+def listed_gains(cache, parents, max_parents):
+    """Every legal, uncapped move's gain from ``_move_gains``, by (kind,
+    source, target)."""
+    moves, gains = _move_gains(cache, _Graph.of(parents, max_parents))
+    keys = [(kind, *divmod(int(flat), len(parents))[::-1])
+            for kind, flats in zip(_KINDS, moves) for flat in flats]
+    return dict(zip(keys, gains.tolist()))
+
+
 class TestBestMove:
     @pytest.mark.parametrize("cap", [None, 0, 1, 2])
     def test_matches_move_list(self, rng, cap):
@@ -142,7 +171,7 @@ class TestBestMove:
                 for cache in (vectorised, listed):
                     for i, ps in enumerate(parents):
                         local_score(cache.marginals, i, ps)
-                found = _best_move(vectorised, parents, cap)
+                found = _best_move(vectorised, _Graph.of(parents, cap))
                 expected, n_ties = listed_best_move(listed, parents, cap)
                 assert vectorised.marginals._memo.keys() == listed.marginals._memo.keys()
                 if expected is None:
@@ -164,27 +193,24 @@ class TestBestMove:
             rows = rng.standard_normal((80, n)) @ rng.standard_normal((n, n))
             cache = _ScoreCache(random_prior(n, rng), stats_of(rows))
             ps = random_dag(n, rng, p=float(rng.uniform(0.0, 0.6))).parents
-            tables = {kind: (mask, gains) for kind, mask, gains in
-                      _move_gains(cache, ps, None)}
-            add_mask, add_gains = tables["add"]
+            gains = listed_gains(cache, ps, None)
             for u, v in combinations(range(n), 2):
                 if set(ps[u]) == set(ps[v]) and u not in ps[v] and v not in ps[u]:
-                    assert add_mask[u, v] and add_mask[v, u]
-                    assert add_gains[u, v] == add_gains[v, u]
+                    assert ("add", u, v) in gains and ("add", v, u) in gains
+                    assert gains["add", u, v] == gains["add", v, u]
                     pairs += 1
-            reverse_mask, reverse_gains = tables["reverse"]
             for u, v in _covered_edges(ps):
-                assert reverse_mask[u, v]
-                assert reverse_gains[u, v] == 0.0
+                assert ("reverse", u, v) in gains
+                assert gains["reverse", u, v] == 0.0
                 covered += 1
         assert pairs > 20 and covered > 20
 
     def test_no_legal_move(self, rng):
         prior = random_prior(1, rng)
         cache = _ScoreCache(prior, stats_of(rng.standard_normal((5, 1))))
-        assert _best_move(cache, empty_structure(1).parents, None) is None
+        assert _best_move(cache, _Graph.of(empty_structure(1).parents)) is None
         cache = _ScoreCache(random_prior(3, rng), stats_of(rng.standard_normal((5, 3))))
-        assert _best_move(cache, empty_structure(3).parents, 0) is None
+        assert _best_move(cache, _Graph.of(empty_structure(3).parents, 0)) is None
 
 
 @pytest.mark.parametrize("parent", [5, -1], ids=["past-n", "negative"])
@@ -194,24 +220,20 @@ def test_out_of_range_parent_rejected(parent):
         DagStructure(2, ((parent,), ()))
 
 
-def rebuilt_gains(cache, parents, need):
-    """``_ScoreCache.gains`` without the kept matrices: fresh terms on
-    every call, each marked entry read through ``FamilyMarginals`` on its
-    own."""
+def rebuilt_terms(cache, parents, need):
+    """``_ScoreCache.terms`` without the kept rows: fresh terms on every
+    call, each marked entry read through ``FamilyMarginals`` on its own."""
 
     def family(nodes):
-        return cache.marginals.fill([nodes])[0]
+        return cache.marginals.fill([tuple(nodes)])[0]
 
     n = len(parents)
     terms = np.full((2, n, n), np.nan)
-    us, vs = np.nonzero(need)
-    for u, v in zip(us.tolist(), vs.tolist()):
-        ps = parents[v]
-        toggled = tuple(p for p in ps if p != u) if u in ps else ps + (u,)
-        terms[:, u, v] = family((v, *toggled)), family(toggled)
-    nodes = np.array([[family((v, *ps)) for v, ps in enumerate(parents)],
-                      [family(ps) for ps in parents]])
-    return terms, nodes
+    vs, us = np.nonzero(need)
+    for v, u in zip(vs.tolist(), us.tolist()):
+        base = set(parents[v]) ^ {u}
+        terms[:, v, u] = family(base ^ {v}), family(base)
+    return terms
 
 
 class BoundedTrace(list):
@@ -243,7 +265,7 @@ class TestGreedySearch:
                 kept_trace, rebuilt_trace = [], []
                 kept = greedy_component_search(t, prior, init, cap, kept_trace)
                 with monkeypatch.context() as patch:
-                    patch.setattr(_ScoreCache, "gains", rebuilt_gains)
+                    patch.setattr(_ScoreCache, "terms", rebuilt_terms)
                     rebuilt = greedy_component_search(t, prior, init, cap, rebuilt_trace)
                 assert kept == rebuilt
                 assert kept_trace == rebuilt_trace
@@ -623,3 +645,175 @@ class TestStructuralDifference:
             a, b = random_dag(4, rng, p=0.5), random_dag(4, rng, p=0.5)
             same_class = to_cpdag(a.parents) == to_cpdag(b.parents)
             assert (structural_difference(a, b) == 0) == same_class
+
+
+# --- the kept search state against the search that rebuilds it ----------------
+
+
+def library_search(t, prior, init, cap):
+    """``greedy_component_search`` with its trace and the families its
+    marginals memoised."""
+    made = []
+    init_marginals = FamilyMarginals.__init__
+
+    def recorded(self, *args):
+        init_marginals(self, *args)
+        made.append(self)
+
+    trace = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FamilyMarginals, "__init__", recorded)
+        out = greedy_component_search(t, prior, init, cap, trace)
+    (marginals,) = made
+    return out, trace, set(marginals._memo)
+
+
+def assert_matches_oracle(t, prior, init, cap):
+    """The same structure, the same steps (moves, gains and totals compared
+    with ==) and the same families scored as the oracle search; returns the
+    trace."""
+    out, trace, memo = library_search(t, prior, init, cap)
+    oracle_trace = []
+    expected, oracle_memo = oracle_search(t, prior, init, cap, oracle_trace)
+    assert out == expected
+    assert trace == oracle_trace
+    assert memo == oracle_memo
+    return trace
+
+
+def mixture_triples(monkeypatch, data, config):
+    """The (statistics, start, prior, cap) of every component search of one
+    ``fit``."""
+    searches = []
+    real = engine_module.search_all_components
+
+    def recorded(mix_stats, structures, prior, max_parents=None, traces=None):
+        searches.extend((t, s, prior, max_parents)
+                        for t, s in zip(mix_stats.triples, structures))
+        return real(mix_stats, structures, prior, max_parents, traces)
+
+    monkeypatch.setattr(engine_module, "search_all_components", recorded)
+    fit(data, config)
+    return searches
+
+
+def sparse_mixture(n, k, rng):
+    """k components over n variables, each node with two parents earlier
+    in a random order (the first two nodes with fewer)."""
+    components = []
+    for _ in range(k):
+        order = rng.permutation(n)
+        parents = [()] * n
+        for i in range(1, n):
+            parents[order[i]] = tuple(sorted(rng.choice(order[:i], min(i, 2), replace=False)))
+        components.append(random_gaussian_dag(DagStructure(n, tuple(parents)), rng))
+    return MdagModel(np.full(k, 1.0 / k), tuple(components))
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("cap", [None, 0, 1, 2, 3])
+    def test_small_graphs(self, rng, cap):
+        # empty, random and complete starts; fitted, twin-column and
+        # zero-count statistics
+        escapes = 0
+        for n in range(2, 13):
+            rows = rng.standard_normal((int(rng.integers(30, 300)), n))
+            rows = rows @ rng.standard_normal((n, n))
+            kind = (n + (cap or 0)) % 3
+            t = (stats_of(rows), twin_column_stats(rows), zero_stats(n))[kind]
+            prior = random_prior(n, rng)
+            if kind == 1:
+                prior = NormalWishart(2.0, np.zeros(n), n + 2.0, np.eye(n))
+            for init in (empty_structure(n), random_dag(n, rng, p=0.4), complete_structure(n)):
+                trace = assert_matches_oracle(t, prior, init, cap)
+                escapes += any(step.sideways for step in trace)
+        assert cap == 0 or escapes > 0
+
+    @pytest.mark.parametrize("cap", [None, 2])
+    def test_forty_nodes(self, rng, cap):
+        model = sparse_mixture(40, 1, rng)
+        data, _ = sample(model, 400, rng)
+        t = stats_of(data)
+        prior = PriorSpec().normal_wishart(40)
+        assert_matches_oracle(t, prior, random_dag(40, rng, p=0.05), cap)
+
+    def test_gold_fit_triples(self, monkeypatch):
+        data, _ = sample(default_gold_standard().model, 600, 0)
+        config = FitConfig(k=3, seed=0, max_outer=1, schedule=Schedule.parse("((EM)^5 Ec S* M)"))
+        searches = mixture_triples(monkeypatch, data, config)
+        assert len(searches) == 3
+        for t, init, prior, cap in searches:
+            assert_matches_oracle(t, prior, init, cap)
+
+    def test_forty_node_fit_triples(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        data, _ = sample(sparse_mixture(40, 3, rng), 900, rng)
+        config = FitConfig(k=3, seed=0, max_outer=1, max_parents=2,
+                           schedule=Schedule.parse("((EM)^3 Ec S* M)"))
+        searches = mixture_triples(monkeypatch, data, config)
+        assert len(searches) == 3
+        for t, init, prior, cap in searches:
+            assert_matches_oracle(t, prior, init, cap)
+
+
+def closure_state(parents):
+    """(arc, reach) in the search's layout, row v for node v, from
+    networkx: arc[v, u] iff u -> v, reach[v, u] iff u ~> v."""
+    n = len(parents)
+    g = nx.DiGraph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from((u, v) for v, ps in enumerate(parents) for u in ps)
+    arc = np.zeros((n, n), dtype=bool)
+    reach = np.zeros((n, n), dtype=bool)
+    for u, v in g.edges:
+        arc[v, u] = True
+    for u, v in nx.transitive_closure_dag(g).edges:
+        reach[v, u] = True
+    return arc, reach
+
+
+def assert_state_from_scratch(graph):
+    arc, reach = closure_state(graph.parents)
+    assert np.array_equal(graph.arc, arc)
+    assert np.array_equal(graph.reach, reach)
+    add, _, reverse = oracle_legal(graph.parents)
+    if graph.cap is not None:
+        grows = np.array([len(ps) < graph.cap for ps in graph.parents])
+        add &= grows[None, :]
+        reverse &= grows[:, None]
+    assert np.array_equal(graph.add, add.T)
+    assert np.array_equal(graph.reverse, reverse.T)
+
+
+class TestKeptState:
+    @given(st.integers(2, 8), st.sampled_from([None, 0, 1, 2, 3]), st.integers(0, 2**32 - 1),
+           st.lists(st.integers(0, 10**6), max_size=15))
+    def test_moves_and_class_walks_keep_the_closure(self, n, cap, seed, picks):
+        # along random legal adds, deletes and reversals, and along the class
+        # walk of the last state, the arc and reachability matrices and the
+        # legality masks kept from the state before equal a closure and
+        # masks computed from scratch, under any cap
+        graph = _Graph.of(random_dag(n, np.random.default_rng(seed), p=0.4).parents, cap)
+        assert_state_from_scratch(graph)
+        for pick in picks:
+            moves = neighbors(graph.parents)
+            graph = graph.moved(moves[pick % len(moves)])
+            assert_state_from_scratch(graph)
+        for member, _ in _class_members(graph):
+            assert_state_from_scratch(member)
+
+    def test_covered_reversal_changes_two_columns(self):
+        # 1 -> 2 is covered (Pa(2) = Pa(1) + {1}); after its reversal, 2
+        # reaches what 1 reached, less 2, plus 1, and no other node's
+        # reach changes
+        parents = ((), (0,), (0, 1), (2,), (3,))
+        assert (1, 2) in _covered_edges(parents)
+        before = _Graph.of(parents)
+        after = before.moved(ArcMove("reverse", 1, 2))
+        assert after.parents == ((), (0, 2), (0,), (2,), (3,))
+        changed = np.flatnonzero((before.reach != after.reach).any(axis=0))
+        assert set(changed.tolist()) <= {1, 2}
+        expected = before.reach[:, 1].copy()
+        expected[[2, 1]] = False, True
+        assert np.array_equal(after.reach[:, 2], expected)
+        assert_state_from_scratch(after)
