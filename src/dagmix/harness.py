@@ -10,6 +10,7 @@ covariance) and fixed complete (full covariance) structures.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from itertools import permutations
 from typing import Sequence
@@ -18,10 +19,18 @@ import numpy as np
 
 from .engine import FitConfig, SelectKResult, _checked_config, _checked_data, select_k
 from .errors import DimensionMismatch
-from .model import DagStructure, GaussianDag, MdagModel, _check_count, sample
+from .model import (
+    DagStructure,
+    GaussianDag,
+    MdagModel,
+    _check_count,
+    _check_number,
+    _check_type,
+    sample,
+)
 from .rng import stream
 from .scoring import _checked_heldout, predictive_score
-from .search import structural_difference
+from .search import _skeleton, structural_difference
 
 RECOVERY_SIZES = (93, 186, 375, 750, 1500, 3000)
 RECOVERY_PER_COMPONENT = 1000
@@ -126,22 +135,51 @@ def match_components(
 
     The top min(len(gold), k) learned structures by weight are matched
     injectively to the gold components so the total equivalence-aware
-    difference is minimal; ties resolve toward matching heavier components
-    first.
+    difference (``structural_difference``) is minimal; of the assignments
+    with that total, the first in ``itertools.permutations`` order over the
+    learned structures heaviest first is returned.  A pair's skeleton
+    difference bounds its distance from below, so the assignments are
+    visited in increasing bound sum, then in that order; a pair's exact
+    distance is computed at most once, only when a visited assignment
+    still needs it, and the visit stops at the first assignment whose
+    bound sum cannot beat the best total found.  Every structure, learned
+    or gold, must have the same n, and every weight must be a finite real
+    number (DimensionMismatch).
     Returns one difference per gold component (None where unmatched).
     """
     if len(weights) != len(learned):
         raise DimensionMismatch(f"{len(learned)} learned structures but {len(weights)} weights")
+    for weight in weights:
+        _check_number("weight", weight, numbers.Real)
+    for structure in (*learned, *gold):
+        _check_type("structure", structure, DagStructure)
+    if len({structure.n for structure in (*learned, *gold)}) > 1:
+        raise DimensionMismatch("learned and gold structures have different n")
     order = sorted(range(len(learned)), key=lambda j: -weights[j])[: len(gold)]
     top = [learned[j] for j in order]
-    cost = [[structural_difference(t, g) for g in gold] for t in top]
-    best_assign = min(
-        permutations(range(len(gold)), len(top)),
-        key=lambda perm: sum(cost[i][g] for i, g in enumerate(perm)),
-    )
+    gold_skeletons = [_skeleton(g.parents) for g in gold]
+    bound = [[len(_skeleton(t.parents) ^ s) for s in gold_skeletons] for t in top]
+    cost: dict[tuple[int, int], int] = {}
+    # (total, position in permutations order, assignment) of the best so far
+    best: tuple[float, int, tuple[int, ...]] = (float("inf"), 0, ())
+    for low, at, perm in sorted(
+        (sum(bound[i][g] for i, g in enumerate(perm)), at, perm)
+        for at, perm in enumerate(permutations(range(len(gold)), len(top)))
+    ):
+        if (low, at) > best[:2]:
+            break
+        total = low
+        for i, g in enumerate(perm):
+            if (i, g) not in cost:
+                cost[i, g] = structural_difference(top[i], gold[g])
+            total += cost[i, g] - bound[i][g]
+            if (total, at) > best[:2]:
+                break
+        else:
+            best = (total, at, perm)
     diffs: list[int | None] = [None] * len(gold)
-    for i, g in enumerate(best_assign):
-        diffs[g] = cost[i][g]
+    for i, g in enumerate(best[2]):
+        diffs[g] = cost[i, g]
     return tuple(diffs)
 
 

@@ -56,11 +56,6 @@ def _chol_with_jitter(mat: np.ndarray, error: type[Exception]) -> np.ndarray:
             raise error(f"block of side {mat.shape[0]} is not positive definite")
 
 
-def _chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (L L^T) x = rhs given the Cholesky factor L."""
-    return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
-
-
 def _check_number(name: str, value, kind: type) -> None:
     """Raise DimensionMismatch unless ``value`` is a finite ``kind`` number
     other than a bool."""

@@ -211,6 +211,9 @@ class _ScoreCache:
     that returns to a parent set, or the members of an equivalence class,
     read the terms already computed.  Node v with parents P reads two rows:
     R(P + v), whose entry v is F(P), and R(P), whose entry v is F(v + P).
+    Row w is R({w}), so the first n rows hold each pair family F({w, u})
+    twice, at [w, u] and [u, w]: it is requested once, at [min, max], and
+    copied across, until every pair family is in.
     """
 
     def __init__(self, prior: NormalWishart, t: SuffStats):
@@ -221,6 +224,9 @@ class _ScoreCache:
         self._index: dict[tuple[int, ...], int] = {}
         self._parents: tuple[tuple[int, ...] | None, ...] = (None,) * n
         self._ids = np.zeros((2, n), dtype=np.intp)
+        for v in range(n):
+            self._row((v,))
+        self._pairs_open = True  # until every pair family is in the store
 
     def _row(self, key: tuple[int, ...]) -> int:
         at = self._index.get(key)
@@ -250,14 +256,22 @@ class _ScoreCache:
         n = len(need)
         lack = np.flatnonzero(np.isnan(terms) & need)
         if len(lack):
+            rows, us = ids.ravel()[lack // n], lack % n
+            pairs = self._pairs_open and rows.min() < n
+            if pairs:  # a pair family is asked for at [min, max] only
+                swap = (rows < n) & (us < rows)
+                rows, us = np.where(swap, us, rows), np.where(swap, rows, us)
             # one request per (row, entry), however many nodes share the row
-            rows, us = zip(*dict.fromkeys(zip(ids.ravel()[lack // n].tolist(),
-                                              (lack % n).tolist())))
+            rows, us = zip(*dict.fromkeys(zip(rows.tolist(), us.tolist())))
             # R(Y)[u] reads Y less u, or Y plus u, which ``fill`` sorts
             self._store[rows, us] = self.marginals.fill([
                 key + (u,) if u not in key else tuple(p for p in key if p != u)
                 for key, u in zip(map(self._keys.__getitem__, rows), us)
             ])
+            if pairs:
+                block = self._store[:n]
+                np.copyto(block, block.T, where=np.isnan(block))
+                self._pairs_open = bool(np.isnan(block).any())
             terms = self._store[ids]
         return terms
 
@@ -503,27 +517,36 @@ def structural_difference(learned: DagStructure, gold: DagStructure) -> int:
     not counting manipulations that stay inside an equivalence class.
 
     A* over equivalence classes keyed by CPDAG, where every move of any
-    member that leaves its class (all but covered reversals) costs one.
-    The skeleton symmetric difference to ``gold`` bounds the distance left,
-    since one move changes at most one adjacency.  Zero exactly when the
-    structures are Markov equivalent; DimensionMismatch once more than
+    member that leaves its class costs one: every move but a covered
+    reversal, which stays in the class (Chickering 1995) and is skipped.
+    The bound is the skeleton symmetric difference to ``gold``.  Every
+    member of a class has the same skeleton and one move changes at most
+    one adjacency, so the bound is consistent, and a successor's bound is
+    the popped class's moved by the move alone: an add or a delete of an
+    adjacency of ``gold`` moves it by -1 or +1, of another adjacency by +1
+    or -1, and an uncovered reversal leaves it.  A successor is pushed as
+    its parent sets and keyed by its CPDAG only when it is popped; with a
+    consistent bound the first pop of a class carries its distance, and
+    later pops of the class are skipped.  Zero exactly when the structures
+    are Markov equivalent; DimensionMismatch once more than
     ``_DIFFERENCE_STATE_CAP`` class members have been walked.
     """
     if learned.n != gold.n:
         raise DimensionMismatch(f"structures have n={learned.n} and n={gold.n}")
     target, gold_skeleton = to_cpdag(gold.parents), _skeleton(gold.parents)
     h = len(_skeleton(learned.parents) ^ gold_skeleton)
-    best = {to_cpdag(learned.parents): 0}
+    closed: set[Cpdag] = set()
     # ties go to the smaller bound (the deeper class), then the parent sets
     heap = [(h, h, learned.parents)]
     walked = 0
     while heap:
         f, h, parents = heapq.heappop(heap)
         cls, d = to_cpdag(parents), f - h
-        if d > best[cls]:
+        if cls in closed:
             continue
         if cls == target:
             return d
+        closed.add(cls)
         for state, _ in _class_walk(parents):
             walked += 1
             if walked > _DIFFERENCE_STATE_CAP:
@@ -531,11 +554,14 @@ def structural_difference(learned: DagStructure, gold: DagStructure) -> int:
                     "structural difference search exceeded its state budget"
                 )
             for move in neighbors(state):
-                nxt = apply_move(state, move)
-                key = to_cpdag(nxt)  # cls again for a covered reversal
-                if key in best and best[key] <= d + 1:
-                    continue
-                best[key] = d + 1
-                h = len(_skeleton(nxt) ^ gold_skeleton)
-                heapq.heappush(heap, (d + 1 + h, h, nxt))
+                u, v = move.source, move.target
+                if move.kind == "reverse":
+                    if set(state[v]) - {u} == set(state[u]):
+                        continue  # covered
+                    step = 0
+                else:
+                    # adding one of gold's adjacencies, or deleting another
+                    closer = ((min(u, v), max(u, v)) in gold_skeleton) == (move.kind == "add")
+                    step = -1 if closer else 1
+                heapq.heappush(heap, (d + 1 + h + step, h + step, apply_move(state, move)))
     raise AssertionError("DAG space is connected; target must be reachable")

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import settings
 from scipy import stats as sps
 
+import heapq
 from collections import deque
-from itertools import islice
+from itertools import islice, permutations
 
 from dagmix.bayes import (
     FamilyMarginals,
@@ -25,7 +26,10 @@ from dagmix.search import (
     SearchStep,
     _covered_edges,
     _new_parents,
+    _skeleton,
     apply_move,
+    neighbors,
+    to_cpdag,
 )
 from dagmix.stats import (
     LOG_2PI,
@@ -83,6 +87,11 @@ def structure_score(prior: NormalWishart, t: SuffStats, structure: DagStructure)
     """Sum of family scores over all nodes of one component structure."""
     marginals = FamilyMarginals(prior, t)
     return sum(local_score(marginals, i, ps) for i, ps in enumerate(structure.parents))
+
+
+def chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (L L^T) x = rhs given the Cholesky factor L."""
+    return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
 
 
 def chol_logdet(chol: np.ndarray) -> float:
@@ -397,6 +406,54 @@ def oracle_search(t, prior, init, max_parents=None, trace=None, component=0):
         for move in path:
             accept(move, sideways=True)
         accept(found[1], sideways=False)
+
+
+# --- the structural difference keyed at every push, and every assignment ------
+# The reference for the A* that keys a class only when it is popped, and for
+# the assignment settled on skeleton bounds.
+
+
+def oracle_structural_difference(learned: DagStructure, gold: DagStructure) -> int:
+    """A* over equivalence classes with every successor keyed by its CPDAG
+    when it is generated and dropped there when its class was reached no
+    deeper; the skeleton difference to gold is the bound."""
+    target, gold_skeleton = to_cpdag(gold.parents), _skeleton(gold.parents)
+    h = len(_skeleton(learned.parents) ^ gold_skeleton)
+    best = {to_cpdag(learned.parents): 0}
+    heap = [(h, h, learned.parents)]
+    while heap:
+        f, h, parents = heapq.heappop(heap)
+        cls, d = to_cpdag(parents), f - h
+        if d > best[cls]:
+            continue
+        if cls == target:
+            return d
+        for state, _ in oracle_class_walk(parents):
+            for move in neighbors(state):
+                nxt = apply_move(state, move)
+                key = to_cpdag(nxt)
+                if key in best and best[key] <= d + 1:
+                    continue
+                best[key] = d + 1
+                h = len(_skeleton(nxt) ^ gold_skeleton)
+                heapq.heappush(heap, (d + 1 + h, h, nxt))
+    raise AssertionError("DAG space is connected; target must be reachable")
+
+
+def oracle_match_components(learned, weights, gold) -> tuple:
+    """Every pair's exact distance, then the first assignment in
+    ``permutations`` order with the least total."""
+    order = sorted(range(len(learned)), key=lambda j: -weights[j])[: len(gold)]
+    top = [learned[j] for j in order]
+    cost = [[oracle_structural_difference(t, g) for g in gold] for t in top]
+    best = min(
+        permutations(range(len(gold)), len(top)),
+        key=lambda perm: sum(cost[i][g] for i, g in enumerate(perm)),
+    )
+    diffs = [None] * len(gold)
+    for i, g in enumerate(best):
+        diffs[g] = cost[i][g]
+    return tuple(diffs)
 
 
 def random_dag(n: int, rng: np.random.Generator, p: float = 0.4) -> DagStructure:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dagmix import harness
-from dagmix.engine import FitConfig, PriorSpec
+from dagmix.engine import FitConfig, PriorSpec, Schedule, fit
 from dagmix.errors import DimensionMismatch, EmptyTestSet
 from dagmix.harness import (
     RECOVERY_SIZES,
@@ -16,7 +16,13 @@ from dagmix.harness import (
 from dagmix.model import DagStructure, MdagModel, empty_structure, sample
 from dagmix.rng import stream
 from dagmix.search import search_all_components, structural_difference
-from conftest import joint_moments, labeled_stats
+from conftest import (
+    joint_moments,
+    labeled_stats,
+    oracle_match_components,
+    oracle_structural_difference,
+    random_dag,
+)
 
 
 class TestDefaultGoldStandard:
@@ -102,6 +108,11 @@ class TestLabeledRecoveryOracle:
         assert diffs == [0, 0, 0]
 
 
+GOLD = [g.structure for g in default_gold_standard().model.components]
+# the chain with one more arc, 0 -> 2
+CHAIN_PLUS = DagStructure(5, ((), (0,), (0, 1), (2,), (3,)))
+
+
 class TestMatching:
     def test_permutation_invariance(self, rng):
         gold = default_gold_standard()
@@ -138,6 +149,85 @@ class TestMatching:
         gold = [g.structure for g in default_gold_standard().model.components]
         with pytest.raises(DimensionMismatch):
             match_components(gold, [0.5, 0.5], gold)
+
+    @pytest.mark.parametrize(
+        "learned, weights, gold",
+        [
+            (GOLD, ["a", "b", "c"], GOLD),
+            (GOLD, [0.5, np.nan, 0.2], GOLD),
+            (GOLD, [np.inf, 0.3, 0.2], GOLD),
+            (GOLD, [True, 0.3, 0.2], GOLD),
+            ([None, GOLD[1], GOLD[2]], [0.5, 0.3, 0.2], GOLD),
+            (GOLD, [0.5, 0.3, 0.2], [GOLD[0], GOLD[1].parents, GOLD[2]]),
+            # a lighter learned structure than the top three, and a gold
+            # structure no best assignment uses: neither pair is scored
+            ([*GOLD, empty_structure(4)], [0.3, 0.3, 0.3, 0.1], GOLD),
+            (GOLD, [0.5, 0.3, 0.2], [*GOLD, empty_structure(4)]),
+        ],
+        ids=["string-weights", "nan-weight", "inf-weight", "bool-weight", "learned-not-a-dag",
+             "gold-not-a-dag", "unscored-learned-n", "unscored-gold-n"],
+    )
+    def test_inputs_rejected(self, learned, weights, gold):
+        with pytest.raises(DimensionMismatch):
+            match_components(learned, weights, gold)
+
+    @pytest.mark.parametrize(
+        "learned, weights",
+        [
+            (GOLD, [0.5, 0.3, 0.2]),
+            ([GOLD[2], GOLD[1], GOLD[0]], [0.2, 0.3, 0.5]),
+            # equal totals: the chain fits either fanout equally
+            ([CHAIN_PLUS, CHAIN_PLUS], [0.5, 0.5]),
+            ([GOLD[1], empty_structure(5), GOLD[0]], [0.4, 0.4, 0.2]),
+            ([GOLD[1]], [1.0]),
+            ([empty_structure(5), GOLD[2]], [0.3, 0.7]),
+            ([*GOLD, empty_structure(5), GOLD[1]], [0.1, 0.2, 0.1, 0.4, 0.2]),
+            ([GOLD[0], GOLD[0], GOLD[0], GOLD[0]], [0.25, 0.25, 0.25, 0.25]),
+        ],
+        ids=["gold", "gold-reversed", "tied-sums", "tied-weights", "fewer-learned",
+             "two-learned", "more-learned", "all-one-class"],
+    )
+    def test_matches_every_assignment(self, learned, weights):
+        # G0 and G2 are equivalent, so most of these have tied totals
+        assert match_components(learned, weights, GOLD) == oracle_match_components(
+            learned, weights, GOLD
+        )
+
+    def test_random_assignments_match_every_assignment(self, rng):
+        for _ in range(20):
+            gold = [random_dag(5, rng, p=0.3) for _ in range(rng.integers(1, 4))]
+            gold += [gold[0]] * int(rng.integers(0, 2))
+            learned = [random_dag(5, rng, p=0.3) for _ in range(rng.integers(1, 5))]
+            learned += gold[: rng.integers(0, len(gold) + 1)]
+            weights = list(rng.integers(1, 4, len(learned)) / 4)
+            assert match_components(learned, weights, gold) == oracle_match_components(
+                learned, weights, gold
+            )
+
+    def test_exact_distances_only_where_bounds_cannot_settle(self, monkeypatch):
+        # every pair of an equal skeleton bounds its distance at 0, so the
+        # first assignment in order settles the match: each of its pairs is
+        # scored once, and no other pair is
+        scored = []
+        real = harness.structural_difference
+        monkeypatch.setattr(harness, "structural_difference",
+                            lambda a, b: scored.append((a, b)) or real(a, b))
+        assert match_components(GOLD, [0.5, 0.3, 0.2], GOLD) == (0, 0, 0)
+        assert scored == list(zip(GOLD, GOLD))
+
+    def test_gold_fit_matches_the_oracles(self):
+        # every learned/gold pair of a k = 3 gold fit, and their assignment
+        data, _ = sample(default_gold_standard().model, 600, 0)
+        config = FitConfig(k=3, seed=0, max_outer=2, schedule=Schedule.parse("((EM)^5 Ec S* M)*"))
+        model = fit(data, config).model
+        learned = [g.structure for g in model.components]
+        distances = [structural_difference(a, b) for a in learned for b in GOLD]
+        assert distances == [oracle_structural_difference(a, b) for a in learned for b in GOLD]
+        assert len(set(distances)) > 1
+        weights = list(model.weights)
+        assert match_components(learned, weights, GOLD) == oracle_match_components(
+            learned, weights, GOLD
+        )
 
 
 class TestRecoveryRun:

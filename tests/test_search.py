@@ -43,6 +43,7 @@ from conftest import (
     labeled_stats,
     oracle_legal,
     oracle_search,
+    oracle_structural_difference,
     random_dag,
     random_gaussian_dag,
     structure_score,
@@ -445,6 +446,24 @@ def test_each_caller_reads_its_families_in_one_fill(rng, monkeypatch):
     assert calls[0] == families_of(structures[0])
 
 
+def test_a_start_from_empty_asks_for_each_pair_family_once(rng, monkeypatch):
+    # F({u, v}) is entry v of row R({u}) and entry u of row R({v})
+    calls = []
+    fill = FamilyMarginals.fill
+
+    def recorded(self, families):
+        families = [tuple(sorted(f)) for f in families]
+        calls.append(families)
+        return fill(self, families)
+
+    monkeypatch.setattr(FamilyMarginals, "fill", recorded)
+    n = 6
+    rows = rng.standard_normal((90, n)) @ rng.standard_normal((n, n))
+    greedy_component_search(stats_of(rows), random_prior(n, rng), empty_structure(n))
+    first = next(families for families in calls if any(len(f) == 2 for f in families))
+    assert sorted(f for f in first if len(f) == 2) == list(combinations(range(n), 2))
+
+
 class TestSearchAllComponents:
     def test_single_component_identical(self, rng):
         rows = rng.standard_normal((200, 3))
@@ -574,6 +593,17 @@ def dag_space_difference(learned: DagStructure, gold: DagStructure) -> int:
     raise AssertionError("DAG space is connected; target must be reachable")
 
 
+@st.composite
+def sparse_dags(draw, n):
+    """DAGs over n nodes with at most n arcs, each from an earlier to a
+    later node of a drawn order; denser pairs at n = 7 can take the
+    reference A* tens of seconds."""
+    order = draw(st.permutations(range(n)))
+    arcs = [(order[i], order[j]) for j in range(n) for i in range(j)]
+    chosen = draw(st.lists(st.sampled_from(arcs), unique=True, max_size=n))
+    return DagStructure(n, tuple(tuple(sorted(u for u, w in chosen if w == v)) for v in range(n)))
+
+
 class TestStructuralDifference:
     def test_identical_zero(self, rng):
         s = random_dag(4, rng)
@@ -626,6 +656,10 @@ class TestStructuralDifference:
         assert structural_difference(chain, chain) == 0
         with pytest.raises(DimensionMismatch):
             structural_difference(empty_structure(4), complete_structure(4))
+
+    @given(st.integers(2, 7).flatmap(lambda n: st.tuples(sparse_dags(n), sparse_dags(n))))
+    def test_matches_keyed_at_push(self, pair):
+        assert structural_difference(*pair) == oracle_structural_difference(*pair)
 
     def test_pseudometric(self, rng):
         dags = [random_dag(4, rng, p=0.4) for _ in range(6)]

@@ -12,7 +12,6 @@ from dagmix.model import (
     GaussianDag,
     MdagModel,
     NoiseComponent,
-    _chol_solve,
     _chol_with_jitter,
     complete_structure,
     sample,
@@ -30,6 +29,7 @@ from dagmix.stats import (
 )
 from conftest import (
     chol_logdet,
+    chol_solve,
     joint_moments,
     labeled_stats,
     node_log_density,
@@ -293,7 +293,7 @@ def reference_blocks(model, mask):
         obs, mis = np.flatnonzero(mask), np.flatnonzero(~mask)
         chol = _chol_with_jitter(cov[np.ix_(obs, obs)], np.linalg.LinAlgError)
         if mis.size:
-            gain = _chol_solve(chol, cov[np.ix_(obs, mis)]).T
+            gain = chol_solve(chol, cov[np.ix_(obs, mis)]).T
             cond_cov = cov[np.ix_(mis, mis)] - gain @ cov[np.ix_(obs, mis)]
             cond_cov = 0.5 * (cond_cov + cond_cov.T)
         else:
