@@ -87,11 +87,12 @@ class DirichletPrior:
 
 
 def _posteriors(
-    prior: NormalWishart, triples: Sequence[SuffStats]
+    prior: NormalWishart, counts: np.ndarray, sums: np.ndarray, seconds: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The posteriors of k statistics triples under one prior, stacked: nu',
-    (k,), mu', (k, n), alpha', (k,), and T', (k, n, n).  A triple with no
-    cases keeps the prior.
+    """The posteriors of k stacked statistics under one prior, from their
+    counts, (k,), sums, (k, n), and second moments, (k, n, n): nu', (k,),
+    mu', (k, n), alpha', (k,), and T', (k, n, n).  Statistics with no cases
+    keep the prior.
 
     The posterior scale is T' = tau + (s - r r^T / N)
     + (nu N / nu') (xbar - mu0)(xbar - mu0)^T, symmetrized once at the end;
@@ -100,36 +101,41 @@ def _posteriors(
     the rounding of s - r r^T / N grows with the data's units and offset.  A
     scatter that overflowed raises NumericalOverflow.  Every step is
     elementwise, or one LAPACK call per matrix (eigvalsh, for the PSD test
-    alone), so each triple's posterior has the bytes it gets alone.
+    alone), so each component's posterior has the bytes it gets alone.
     """
-    k = len(triples)
-    nu = np.full(k, float(prior.nu))
-    mu = np.tile(prior.mu0, (k, 1))
-    alpha = np.full(k, float(prior.alpha))
-    tau = np.tile(prior.tau, (k, 1, 1))
-    live = [j for j, t in enumerate(triples) if t.n > COUNT_FLOOR]
-    if not live:
-        return nu, mu, alpha, tau
-    n_count = np.array([triples[j].n for j in live])
-    r = np.array([triples[j].r for j in live])
-    s = np.array([triples[j].s for j in live])
-    scatter = s - (r[:, :, None] * r[:, None, :]) / n_count[:, None, None]
+    live = counts > COUNT_FLOOR
+    if not live.all():  # the prior, and the posteriors of the rest
+        k = len(counts)
+        stacks = (
+            np.full(k, float(prior.nu)),
+            np.tile(prior.mu0, (k, 1)),
+            np.full(k, float(prior.alpha)),
+            np.tile(prior.tau, (k, 1, 1)),
+        )
+        if live.any():
+            posterior = _posteriors(prior, counts[live], sums[live], seconds[live])
+            for stack, values in zip(stacks, posterior):
+                stack[live] = values
+        return stacks
+    scatter = seconds - (sums[:, :, None] * sums[:, None, :]) / counts[:, None, None]
     # eigvalsh misreads non-finite input
-    if not np.isfinite(scatter.reshape(len(live), -1).sum(axis=1)).all():
+    if not np.isfinite(scatter.reshape(len(counts), -1).sum(axis=1)).all():
         raise NumericalOverflow("the statistics overflow; rescale the data")
     eig = np.linalg.eigvalsh(scatter)
     bad = eig[:, 0] < -_PSD_TOL * np.maximum(1.0, eig[:, -1])
     if bad.any():
         raise NonPsdScatter(f"centered scatter has eigenvalue {eig[bad, 0][0]:.3e}")
-    nu1 = prior.nu + n_count
-    diff = r / n_count[:, None] - prior.mu0
-    shrink = (prior.nu * n_count / nu1)[:, None, None]
+    nu1 = prior.nu + counts
+    diff = sums / counts[:, None] - prior.mu0
+    shrink = (prior.nu * counts / nu1)[:, None, None]
     tau1 = prior.tau + scatter + shrink * (diff[:, :, None] * diff[:, None, :])
-    nu[live] = nu1
-    mu[live] = (prior.nu * prior.mu0 + r) / nu1[:, None]
-    alpha[live] = prior.alpha + n_count
-    tau[live] = 0.5 * (tau1 + tau1.transpose(0, 2, 1))
-    return nu, mu, alpha, tau
+    mu1 = (prior.nu * prior.mu0 + sums) / nu1[:, None]
+    return nu1, mu1, prior.alpha + counts, 0.5 * (tau1 + tau1.transpose(0, 2, 1))
+
+
+def _as_stacks(t: SuffStats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One triple as stacks of one."""
+    return np.array([t.n], dtype=float), np.array([t.r], dtype=float), np.array([t.s], dtype=float)
 
 
 def posterior_update(prior: NormalWishart, t: SuffStats) -> NormalWishart:
@@ -137,7 +143,7 @@ def posterior_update(prior: NormalWishart, t: SuffStats) -> NormalWishart:
     identity map when it is empty."""
     if t.n <= COUNT_FLOOR:
         return prior
-    nu, mu, alpha, tau = _posteriors(prior, (t,))
+    nu, mu, alpha, tau = _posteriors(prior, *_as_stacks(t))
     return NormalWishart(float(nu[0]), mu[0], float(alpha[0]), tau[0])
 
 
@@ -282,24 +288,26 @@ def map_parameters(
     observed log likelihood plus log prior.  A component with no cases
     keeps the prior's mode.
     """
-    weights = dirichlet_map(dirichlet, mix_stats.counts())
-    means, covs = _map_joints(prior, mix_stats.triples)
+    weights = dirichlet_map(dirichlet, mix_stats.counts)
+    means, covs = _map_joints(
+        prior, mix_stats.gaussian_counts, mix_stats.sums, mix_stats.seconds
+    )
     return StackedParams(weights, *plan.read_off(means, covs), noise)
 
 
 def _map_joints(
-    prior: NormalWishart, triples: Sequence[SuffStats]
+    prior: NormalWishart, counts: np.ndarray, sums: np.ndarray, seconds: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior joint modes (means, (k, n), covariances, (k, n, n)) of k
-    triples under one prior."""
-    nu, mu, alpha, tau = _posteriors(prior, triples)
+    stacked statistics under one prior."""
+    nu, mu, alpha, tau = _posteriors(prior, counts, sums, seconds)
     return mu, tau / (alpha + prior.dim + 2.0)[:, None, None]
 
 
 def map_joint(prior: NormalWishart, t: SuffStats) -> tuple[np.ndarray, np.ndarray]:
     """Posterior joint mode (mean, covariance) of one triple: ``_map_joints``
     with k = 1."""
-    means, covs = _map_joints(prior, (t,))
+    means, covs = _map_joints(prior, *_as_stacks(t))
     return means[0], covs[0]
 
 

@@ -58,8 +58,10 @@ class Dataset:
 
 
 def _read_text(path: str) -> str:
+    """A file's UTF-8 text, without the byte-order mark that some editors
+    write first (Excel's "CSV UTF-8", for one)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise CorruptFile(f"{path} is not UTF-8 text: {exc}") from None

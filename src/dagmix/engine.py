@@ -302,20 +302,18 @@ def run_em(
     collapsed: set[int] = set()
     for _ in range(budget):
         params = map_parameters(mix_stats, plan, prior, dirichlet, model.noise)
-        for c, t in enumerate(mix_stats.triples):
-            if t.n < _COLLAPSE_THRESHOLD:
-                collapse_streaks[c] += 1
-                if collapse_streaks[c] >= _COLLAPSE_STEPS and c not in collapsed:
-                    collapsed.add(c)
-                    warnings.warn(
-                        f"component {c} collapsed (expected count below "
-                        f"{_COLLAPSE_THRESHOLD} for {_COLLAPSE_STEPS} steps); "
-                        "retained at the prior mode",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-            else:
-                collapse_streaks[c] = 0
+        low = mix_stats.gaussian_counts < _COLLAPSE_THRESHOLD
+        collapse_streaks = np.where(low, collapse_streaks + 1, 0)
+        for c in np.flatnonzero(collapse_streaks >= _COLLAPSE_STEPS).tolist():
+            if c not in collapsed:
+                collapsed.add(c)
+                warnings.warn(
+                    f"component {c} collapsed (expected count below "
+                    f"{_COLLAPSE_THRESHOLD} for {_COLLAPSE_STEPS} steps); "
+                    "retained at the prior mode",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
         mix_stats, loglik = stats.expected_stats(cases, params)
         logliks.append(loglik)
         if steps is None and ratio_rule_fires(logliks, convergence_ratio):

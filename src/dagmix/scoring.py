@@ -7,9 +7,9 @@ changes exactly one term.  The observed log likelihood and the completed
 log likelihood are the two halves of the correction that
 ``engine.cheeseman_stutz`` adds to it, both at the MAP parameters; that is
 the one place the Cheeseman-Stutz score is computed.  The functions here
-read a ``MixtureStats``: one triple per Gaussian component, zipped with the
-structures or components, and the noise component's count apart; one
-Normal-Wishart prior serves every component.
+read a ``MixtureStats`` through its triples, one per Gaussian component,
+zipped with the structures or components, and the noise component's count
+apart; one Normal-Wishart prior serves every component.
 
 These functions are internal and assume validated input: data, models and
 statistics arrive through the checked entry points that the package
@@ -33,15 +33,7 @@ from .bayes import (
 )
 from .errors import DimensionMismatch, EmptyTestSet
 from .model import LOG_2PI, DagStructure, GaussianDag, MdagModel
-from .stats import (
-    COUNT_FLOOR,
-    CaseGroups,
-    MixtureStats,
-    SuffStats,
-    _normalize_responsibilities,
-    component_case_loglik,
-    group_cases,
-)
+from .stats import COUNT_FLOOR, CaseGroups, MixtureStats, SuffStats, group_cases, mixture_loglik
 
 
 def complete_model_score(
@@ -57,7 +49,7 @@ def complete_model_score(
     component, present when ``noise`` is given, contributes its fixed
     uniform mass over ``mix_stats.noise_count`` cases, never a learned term.
     """
-    c_term = dirichlet_log_marglik(dirichlet, mix_stats.counts())
+    c_term = dirichlet_log_marglik(dirichlet, mix_stats.counts)
     noise_term = 0.0 if noise is None else -mix_stats.noise_count * noise.log_volume
     locals_ = []
     for t, structure in zip(mix_stats.triples, structures, strict=True):
@@ -72,8 +64,7 @@ def observed_loglik(cases: CaseGroups, model: MdagModel) -> float:
     Missing coordinates are marginalized per component through the
     observed-block Gaussian marginals.
     """
-    logp = component_case_loglik(model.stacked, cases)
-    return float(np.sum(_normalize_responsibilities(logp, model.weights)[1]))
+    return mixture_loglik(cases, model.stacked)
 
 
 def gaussian_complete_loglik(t: SuffStats, g: GaussianDag) -> float:

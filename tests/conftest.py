@@ -18,7 +18,14 @@ from dagmix.bayes import (
 )
 from dagmix.engine import cheeseman_stutz, ratio_rule_fires
 from dagmix.errors import NonPsdScatter, NumericalOverflow, SingularParentBlock
-from dagmix.model import DagStructure, FamilyPlan, GaussianDag, MdagModel, empty_structure
+from dagmix.model import (
+    DagStructure,
+    FamilyPlan,
+    GaussianDag,
+    MdagModel,
+    StackedParams,
+    empty_structure,
+)
 from dagmix.search import (
     _ESCAPE_BUDGET,
     SCORE_EPS,
@@ -46,6 +53,19 @@ settings.register_profile("dagmix", derandomize=True, deadline=None, max_example
 settings.load_profile("dagmix")
 
 
+def mixture_stats(triples, noise_count: float | None = None) -> MixtureStats:
+    """The stacked statistics of one triple per Gaussian component, after
+    the noise component's count when it is given."""
+    counts = [t.n for t in triples]
+    if noise_count is not None:
+        counts.insert(0, noise_count)
+    return MixtureStats(
+        np.array(counts, dtype=float),
+        np.array([t.r for t in triples], dtype=float),
+        np.array([t.s for t in triples], dtype=float),
+    )
+
+
 def zero_stats(dim: int) -> SuffStats:
     """The statistics of no cases."""
     return SuffStats(0.0, np.zeros(dim), np.zeros((dim, dim)))
@@ -65,7 +85,7 @@ def labeled_stats(
 
     first = 1 if noise else 0
     triples = tuple(triple(data[labels == c]) for c in range(first, k))
-    return MixtureStats(triples, float(np.sum(labels == 0)) if noise else None)
+    return mixture_stats(triples, float(np.sum(labels == 0)) if noise else None)
 
 
 def labeled_loglik(data: np.ndarray, model: MdagModel, labels: np.ndarray) -> float:
@@ -209,7 +229,7 @@ def oracle_from_joint(structure: DagStructure, mean, cov) -> GaussianDag:
 
 def oracle_m_step(mix_stats, structures, prior, dirichlet, noise=None) -> MdagModel:
     """MAP weights, then each component's MAP regressions on its own."""
-    weights = dirichlet_map(dirichlet, mix_stats.counts())
+    weights = dirichlet_map(dirichlet, mix_stats.counts)
     components = []
     for t, structure in zip(mix_stats.triples, structures, strict=True):
         _, mean, alpha, tau = oracle_posterior(prior, t)
@@ -253,6 +273,167 @@ def oracle_run_em(cases, model, prior, dirichlet, steps=None, convergence_ratio=
             converged = True
             break
     return model, logliks, converged
+
+
+# --- the E sweep over cases gathered by index, and the M step over triples -----
+# The reference for the sweep that keeps its cases in mask order and its
+# arrays in one workspace, and for the M step that reads stacked statistics:
+# each mask's cases scattered and gathered through their index, each mask
+# factored on its own, fresh arrays throughout, and one triple per component.
+
+_ORACLE_BLOCK = 256
+
+
+def oracle_group_cases(data):
+    """[(mask, idx, design)] per observation mask, masks in ``np.unique``
+    row order, idx ascending; design holds the cases, missing cells 0,
+    with a column of ones."""
+    cases, n = data.shape
+    observed = ~np.isnan(data)
+    masks, inverse, sizes = np.unique(
+        observed, axis=0, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(inverse.ravel(), kind="stable")
+    groups = []
+    for mask, idx in zip(masks, np.split(order, np.cumsum(sizes)[:-1])):
+        design = np.zeros((idx.size, n + 1))
+        obs = np.flatnonzero(mask)
+        design[:, obs] = data[idx][:, obs]
+        design[:, n] = 1.0
+        groups.append((mask, idx, design))
+    return groups
+
+
+def oracle_condition(params, mask, design):
+    """(log densities, (n_components, cases); conditional means of the
+    missing cells, (k, cases, m); their covariance, (k, m, m)) of one mask."""
+    obs, mis = np.flatnonzero(mask), np.flatnonzero(~mask)
+    a, k, n = params.a, params.k, params.n
+    cases = design.shape[0]
+    logp = np.empty((params.n_components, cases))
+    col = 1 if params.has_noise else 0
+    if params.noise is not None:
+        rows, lo, hi = design[:, obs], params.noise.lower[obs], params.noise.upper[obs]
+        inside = np.all((rows >= lo) & (rows <= hi), axis=1)
+        logp[0] = np.where(inside, -np.sum(np.log(hi - lo)), -np.inf)
+    z = (design @ params.w).reshape(cases, k, n).transpose(1, 0, 2)
+    filled = cond_covs = None
+    correction = np.zeros(k)
+    factors = per_mask_factors(a, mis)
+    if factors is not None:
+        g, cond_covs, correction = factors
+        filled = -(z @ g.transpose(0, 2, 1))
+        z = z + filled @ a[:, :, mis].transpose(0, 2, 1)
+    if obs.size:
+        quad = np.einsum("kij,kij->ki", z, z)
+        logp[col:] = -0.5 * (params.const[:, None] + quad) + correction[:, None]
+    else:
+        logp[:] = 0.0
+    return logp, filled, cond_covs
+
+
+def oracle_densities(params, groups):
+    """(log densities, (cases, n_components) in case order, each mask's
+    conditionals)."""
+    cases = sum(idx.size for _, idx, _ in groups)
+    logp = np.empty((params.n_components, cases))
+    conditionals = []
+    for mask, idx, design in groups:
+        logp[:, idx], *moments = oracle_condition(params, mask, design)
+        conditionals.append(moments)
+    return logp.T, conditionals
+
+
+def oracle_normalize(logp, weights):
+    """(responsibilities, (cases, n_components); per-case log mixture density)."""
+    with np.errstate(divide="ignore"):
+        logw = np.where(weights > 0, np.log(weights), -np.inf)
+    scores = logp.T + logw[:, None]
+    top = scores.max(axis=0)
+    resp = np.exp(scores - top)
+    total = resp.sum(axis=0)
+    resp /= total
+    return resp.T, top + np.log(total)
+
+
+def oracle_expected_stats(data, params):
+    """(MixtureStats, observed log likelihood) of one sweep, built from one
+    triple per component."""
+    groups = oracle_group_cases(data)
+    n, k = params.n, params.k
+    offset = 1 if params.has_noise else 0
+    logp, conditionals = oracle_densities(params, groups)
+    resp_all, row_loglik = oracle_normalize(logp, params.weights)
+    counts = np.zeros(params.n_components)
+    moments = np.zeros((k, n + 1, n + 1))
+    for (mask, idx, design), (filled, cond_covs) in zip(groups, conditionals):
+        size, mis = idx.size, np.flatnonzero(~mask)
+        resp = resp_all[idx]
+        if not mask.any():
+            resp = np.tile(params.weights, (size, 1))
+        counts += resp.sum(axis=0)
+        completed = design
+        if mis.size:
+            completed = np.repeat(completed[None], k, axis=0)
+            completed[:, :, mis] = filled
+        r = np.ascontiguousarray(resp[:, offset:].T)
+        weighted = r[:, :, None] * completed
+        full = size - size % _ORACLE_BLOCK
+        if full:
+            shape = (-1, _ORACLE_BLOCK, n + 1)
+            blocks = completed[..., :full, :].reshape(*completed.shape[:-2], *shape)
+            weighted_blocks = weighted[:, :full].reshape(k, *shape)
+            moments += (weighted_blocks.swapaxes(-1, -2) @ blocks).sum(axis=1)
+        moments += weighted[:, full:].swapaxes(-1, -2) @ completed[..., full:, :]
+        if mis.size:
+            moments[:, mis[:, None], mis[None, :]] += r.sum(axis=1)[:, None, None] * cond_covs
+    triples = []
+    for j in range(k):
+        outer = moments[j, :n, :n]
+        triples.append(
+            SuffStats(float(counts[offset + j]), moments[j, n, :n], 0.5 * (outer + outer.T))
+        )
+    noise_count = float(counts[0]) if offset else None
+    return mixture_stats(triples, noise_count), float(np.sum(row_loglik))
+
+
+def oracle_posteriors(prior: NormalWishart, triples):
+    """(nu', mu', alpha', T') of k triples, stacked from the triples."""
+    k = len(triples)
+    nu = np.full(k, float(prior.nu))
+    mu = np.tile(prior.mu0, (k, 1))
+    alpha = np.full(k, float(prior.alpha))
+    tau = np.tile(prior.tau, (k, 1, 1))
+    live = [j for j, t in enumerate(triples) if t.n > 1e-250]
+    if not live:
+        return nu, mu, alpha, tau
+    n_count = np.array([triples[j].n for j in live])
+    r = np.array([triples[j].r for j in live])
+    s = np.array([triples[j].s for j in live])
+    scatter = s - (r[:, :, None] * r[:, None, :]) / n_count[:, None, None]
+    if not np.isfinite(scatter.reshape(len(live), -1).sum(axis=1)).all():
+        raise NumericalOverflow("the statistics overflow")
+    eig = np.linalg.eigvalsh(scatter)
+    bad = eig[:, 0] < -1e-8 * np.maximum(1.0, eig[:, -1])
+    if bad.any():
+        raise NonPsdScatter(f"centered scatter has eigenvalue {eig[bad, 0][0]:.3e}")
+    nu1 = prior.nu + n_count
+    diff = r / n_count[:, None] - prior.mu0
+    shrink = (prior.nu * n_count / nu1)[:, None, None]
+    tau1 = prior.tau + scatter + shrink * (diff[:, :, None] * diff[:, None, :])
+    nu[live] = nu1
+    mu[live] = (prior.nu * prior.mu0 + r) / nu1[:, None]
+    alpha[live] = prior.alpha + n_count
+    tau[live] = 0.5 * (tau1 + tau1.transpose(0, 2, 1))
+    return nu, mu, alpha, tau
+
+
+def oracle_map_parameters(mix_stats, plan, prior, dirichlet, noise):
+    """The stacked M step with its posteriors stacked from the triples."""
+    weights = dirichlet_map(dirichlet, mix_stats.counts)
+    nu, mu, alpha, tau = oracle_posteriors(prior, mix_stats.triples)
+    covs = tau / (alpha + prior.dim + 2.0)[:, None, None]
+    return StackedParams(weights, *plan.read_off(mu, covs), noise)
 
 
 # --- greedy search with every table rebuilt at every state ----------------------

@@ -158,7 +158,7 @@ def test_criterion_03_cheeseman_stutz_exact_on_complete_data():
         prior = PriorSpec(mu0=0.0).normal_wishart(n)
         dirichlet = DirichletPrior(np.full(k, 1.0 / k))
         ms = labeled_stats(rows, labels, k)
-        weights = dirichlet_map(dirichlet, ms.counts())
+        weights = dirichlet_map(dirichlet, ms.counts)
         comps = tuple(
             map_component(prior, ms.triples[c], structures[c]) for c in range(k)
         )

@@ -27,11 +27,12 @@ from dagmix.model import (
     _chol_with_jitter,
     empty_structure,
 )
-from dagmix.stats import MixtureStats, SuffStats
+from dagmix.stats import SuffStats
 from conftest import (
     chol_logdet,
     joint_moments,
     map_component,
+    mixture_stats,
     oracle_m_step,
     oracle_regression_stack,
     random_dag,
@@ -607,7 +608,7 @@ class TestStackedMStep:
         n = int(rng.choice([2, 3, 5, 8, 13, 40]))
         k = int(rng.integers(1, 4))
         structures = [random_capped_dag(n, rng) for _ in range(k)]
-        mix_stats = MixtureStats(tuple(weighted_stats(rng, n) for _ in range(k)))
+        mix_stats = mixture_stats(tuple(weighted_stats(rng, n) for _ in range(k)))
         dirichlet = DirichletPrior(np.full(k, 1.0 / k))
         assert_m_step_is_the_oracle(mix_stats, structures, random_prior(n, rng), dirichlet)
 
@@ -617,16 +618,18 @@ class TestStackedMStep:
         structures = [random_capped_dag(n, rng) for _ in range(3)]
         triples = (weighted_stats(rng, n), zero_stats(n), weighted_stats(rng, n))
         dirichlet = DirichletPrior(np.full(3, 1.0 / 3))
-        assert_m_step_is_the_oracle(MixtureStats(triples), structures, prior, dirichlet)
+        mix_stats = mixture_stats(triples)
+        assert_m_step_is_the_oracle(mix_stats, structures, prior, dirichlet)
         plan = FamilyPlan((empty_structure(n),) * 3)
-        params = map_parameters(MixtureStats(triples), plan, prior, dirichlet, None)
+        params = map_parameters(mix_stats, plan, prior, dirichlet, None)
         assert np.array_equal(params.intercepts[1], prior.mu0)
         assert np.array_equal(params.variances[1], np.diag(prior.tau) / (prior.alpha + n + 2.0))
 
     def test_noise_component(self, rng):
         n, k = 4, 2
         structures = [random_capped_dag(n, rng) for _ in range(k)]
-        mix_stats = MixtureStats(tuple(weighted_stats(rng, n) for _ in range(k)), 3.25)
+        triples = tuple(weighted_stats(rng, n) for _ in range(k))
+        mix_stats = mixture_stats(triples, 3.25)
         dirichlet = DirichletPrior(np.array([0.01, 0.495, 0.495]))
         noise = NoiseComponent(np.full(n, -50.0), np.full(n, 50.0))
         assert_m_step_is_the_oracle(mix_stats, structures, random_prior(n, rng), dirichlet, noise)
@@ -643,7 +646,7 @@ class TestStackedMStep:
     def test_jitter_rescued_block_beside_healthy_ones(self, rng):
         prior = NormalWishart(1.0, np.zeros(5), 7.0, self.tau)
         t = weighted_stats(rng, 5, zeros=2)
-        mix_stats = MixtureStats((t, weighted_stats(rng, 5)))
+        mix_stats = mixture_stats((t, weighted_stats(rng, 5)))
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(map_joint(prior, t)[1][:2, :2])
         dirichlet = DirichletPrior(np.full(2, 0.5))
@@ -653,7 +656,8 @@ class TestStackedMStep:
         # NormalWishart does not check its scale, so a negative entry pushes
         # the zero block below the jitter
         prior = NormalWishart(1.0, np.zeros(5), 7.0, self.tau - np.diag([0.0, 1e-6, 0, 0, 0]))
-        mix_stats = MixtureStats((weighted_stats(rng, 5, zeros=2), weighted_stats(rng, 5)))
+        triples = (weighted_stats(rng, 5, zeros=2), weighted_stats(rng, 5))
+        mix_stats = mixture_stats(triples)
         dirichlet = DirichletPrior(np.full(2, 0.5))
         plan = FamilyPlan(self.structures)
         for m_step in (

@@ -73,6 +73,21 @@ class TestLoadCsv:
         with pytest.raises(EmptyFile):
             load_csv(str(path))
 
+    def test_byte_order_mark(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a BOM; it is not part of
+        # the first column's name, which a cell error then reports
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xef\xbb\xbfx0,x1\n1,2\n3,y\n")
+        with pytest.raises(NonNumericCell) as err:
+            load_csv(str(path))
+        assert err.value.column == "x1"
+        path.write_bytes(b"\xef\xbb\xbfx0,x1\nz,2\n")
+        with pytest.raises(NonNumericCell) as err:
+            load_csv(str(path))
+        assert err.value.column == "x0"
+        path.write_bytes(b"\xef\xbb\xbfx0,x1\n1,2\n")
+        assert load_csv(str(path)).names == ("x0", "x1")
+
     def test_all_missing_rows_dropped(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b\n,\n1,2\n")
@@ -142,6 +157,14 @@ class TestModelSerialization:
         path.write_text('{"format_version": "1", "n": 2}')
         with pytest.raises(CorruptFile):
             load_model(str(path))
+
+    def test_byte_order_mark(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_model(str(path), two_component_1d(0.0, 1.0), {"seed": 3})
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        back, meta = load_model(str(path))
+        assert meta["seed"] == 3
+        assert np.array_equal(back.weights, [0.5, 0.5])
 
     def test_noise_bounds_preserved(self, tmp_path):
         from dagmix.model import MdagModel, NoiseComponent
@@ -225,6 +248,14 @@ class TestConfig:
         config = config_from_dict(json.loads(block.group(1)))
         assert config.k == 3
         assert config.schedule == Schedule(em_steps=10)
+
+    def test_byte_order_mark(self, tmp_path):
+        from dagmix.cli import load_config
+
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xef\xbb\xbf" + b'{"k": 2, "schedule": "((EM)^7 Ec S* M)*"}')
+        config = load_config(str(path))
+        assert (config.k, config.schedule) == (2, Schedule(em_steps=7))
 
     def test_schedule_string(self):
         config = config_from_dict({"schedule": "((EM)^7 Ec S* M)*", "k": 2})

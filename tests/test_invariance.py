@@ -20,8 +20,8 @@ from dagmix.model import (
 from dagmix.rng import stream
 from dagmix.scoring import complete_model_score, completed_loglik, observed_loglik
 from dagmix.search import search_all_components, to_cpdag
-from dagmix.stats import MixtureStats, SuffStats, expected_stats, group_cases
-from conftest import random_dag, random_gaussian_dag
+from dagmix.stats import SuffStats, expected_stats, group_cases
+from conftest import mixture_stats, random_dag, random_gaussian_dag
 from test_bayes import random_prior
 
 # A relabelling reorders the sums and factorisations behind every score, so
@@ -118,7 +118,7 @@ def test_search_variables(data_seed):
         moved_prior = NormalWishart(
             prior.nu, prior.mu0[perm], prior.alpha, prior.tau[np.ix_(perm, perm)]
         )
-        found = search_all_components(MixtureStats(triples), empty, moved_prior)
+        found = search_all_components(mixture_stats(triples), empty, moved_prior)
         # moved variable j is variable perm[j]
         back = []
         for g in found:

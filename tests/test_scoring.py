@@ -27,13 +27,14 @@ from dagmix.scoring import (
     observed_loglik,
     predictive_score,
 )
-from dagmix.stats import MixtureStats, SuffStats, group_cases
+from dagmix.stats import SuffStats, group_cases
 from conftest import (
     joint_moments,
     labeled_cheeseman_stutz,
     labeled_loglik,
     labeled_stats,
     map_component,
+    mixture_stats,
     node_log_density,
     random_dag,
     random_gaussian_dag,
@@ -46,7 +47,7 @@ from test_bayes import random_prior, sequential_marginal_loglik
 
 
 def map_model_for(ms, structures, prior, dirichlet, noise=None):
-    weights = dirichlet_map(dirichlet, ms.counts())
+    weights = dirichlet_map(dirichlet, ms.counts)
     comps = tuple(map_component(prior, t, s) for t, s in zip(ms.triples, structures))
     return MdagModel(weights, comps, noise)
 
@@ -54,7 +55,7 @@ def map_model_for(ms, structures, prior, dirichlet, noise=None):
 class TestCompleteModelScore:
     def test_zero_stats_zero_score(self, rng):
         prior = random_prior(2, rng)
-        ms = MixtureStats((zero_stats(2), zero_stats(2)))
+        ms = mixture_stats((zero_stats(2), zero_stats(2)))
         score = complete_model_score(
             ms, (empty_structure(2),) * 2, prior, DirichletPrior(np.ones(2))
         )
@@ -79,7 +80,7 @@ class TestCompleteModelScore:
         structures = (DagStructure(2, ((), (0,))), empty_structure(2))
         d = DirichletPrior(np.ones(2))
         score = complete_model_score(ms, structures, prior, d)
-        recomputed = dirichlet_log_marglik(d, ms.counts())
+        recomputed = dirichlet_log_marglik(d, ms.counts)
         recomputed += sum(structure_score(prior, t, s) for t, s in zip(ms.triples, structures))
         assert score == pytest.approx(recomputed, abs=1e-10)
 
@@ -101,7 +102,7 @@ class TestCompleteModelScore:
         # the noise component adds its uniform mass over its count, and nothing else
         noise = NoiseComponent(np.zeros(1), np.full(1, 2.0))
         prior = random_prior(1, rng)
-        ms = MixtureStats((zero_stats(1),), noise_count=3.0)
+        ms = mixture_stats((zero_stats(1),), noise_count=3.0)
         args = (ms, (empty_structure(1),), prior, DirichletPrior(np.ones(2)))
         noise_term = complete_model_score(*args, noise) - complete_model_score(*args)
         assert noise_term == pytest.approx(-3.0 * np.log(2.0), abs=1e-12)

@@ -38,9 +38,10 @@ from dagmix.search import (
     structural_difference,
     to_cpdag,
 )
-from dagmix.stats import MixtureStats, SuffStats
+from dagmix.stats import SuffStats
 from conftest import (
     labeled_stats,
+    mixture_stats,
     oracle_legal,
     oracle_search,
     oracle_structural_difference,
@@ -438,7 +439,7 @@ def test_each_caller_reads_its_families_in_one_fill(rng, monkeypatch):
     prior = random_prior(n, rng)
     rows = rng.standard_normal((90, n)) @ rng.standard_normal((n, n))
     structures = [random_dag(n, rng, p=0.5) for _ in range(3)]
-    ms = MixtureStats(tuple(stats_of(rows[c::3]) for c in range(3)))
+    ms = mixture_stats(tuple(stats_of(rows[c::3]) for c in range(3)))
     complete_model_score(ms, structures, prior, DirichletPrior(np.ones(3)))
     assert calls == [families_of(s) for s in structures]
     calls.clear()
@@ -468,7 +469,7 @@ class TestSearchAllComponents:
     def test_single_component_identical(self, rng):
         rows = rng.standard_normal((200, 3))
         prior = random_prior(3, rng)
-        ms = MixtureStats((stats_of(rows),))
+        ms = mixture_stats((stats_of(rows),))
         via_all = search_all_components(ms, (empty_structure(3),), prior)
         direct = greedy_component_search(stats_of(rows), prior, empty_structure(3))
         assert via_all == (direct,)

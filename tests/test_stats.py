@@ -4,11 +4,16 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats as sps
 
+from dagmix.bayes import DirichletPrior, NormalWishart, map_parameters
 from dagmix.errors import AllComponentsZeroDensity
 from dagmix.model import (
     DagStructure,
+    FamilyPlan,
     GaussianDag,
     MdagModel,
     NoiseComponent,
@@ -18,27 +23,37 @@ from dagmix.model import (
 )
 from dagmix.scoring import observed_loglik
 from dagmix.stats import (
-    MixtureStats,
     SuffStats,
-    _condition,
     _densities,
-    _normalize_responsibilities,
     component_case_loglik,
     expected_stats,
     group_cases,
+    mixture_loglik,
 )
 from conftest import (
     chol_logdet,
     chol_solve,
     joint_moments,
     labeled_stats,
+    mixture_stats,
     node_log_density,
-    per_mask_factors,
+    oracle_densities,
+    oracle_expected_stats,
+    oracle_group_cases,
+    oracle_map_parameters,
+    oracle_normalize,
     random_dag,
     random_gaussian_dag,
     single_node_model,
     two_component_1d,
 )
+
+
+def case_order(cases) -> np.ndarray:
+    """The case at each place of the sweep's mask order."""
+    if cases.position is None:
+        return np.arange(cases.cases)
+    return np.argsort(cases.position)
 
 
 def chain_model():
@@ -49,7 +64,7 @@ def chain_model():
 def one_case_counts(model: MdagModel, y) -> np.ndarray:
     """Responsibilities of one (partial) case: the counts of a one-case sweep."""
     ms, _ = expected_stats(group_cases(np.asarray(y, dtype=float)[None, :]), model.stacked)
-    return ms.counts()
+    return ms.counts
 
 
 def one_case_moments(g: GaussianDag, y) -> tuple[np.ndarray, np.ndarray]:
@@ -164,7 +179,7 @@ class TestExpectedStats:
         data, _ = sample(m, 60, rng)
         data[::7, 0] = np.nan
         ms, _ = expected_stats(group_cases(data), m.stacked)
-        assert ms.counts().sum() == pytest.approx(60, abs=1e-8)
+        assert ms.counts.sum() == pytest.approx(60, abs=1e-8)
 
     def test_one_hot_equals_exact(self, rng):
         # degenerate weights make responsibilities one-hot
@@ -221,7 +236,7 @@ class TestExpectedStats:
         ms, _ = expected_stats(group_cases(data), m.stacked)
         assert ms.noise_count > 0
         assert len(ms.triples) == 1  # one triple per Gaussian component
-        assert ms.counts().tolist() == [ms.noise_count, ms.triples[0].n]
+        assert ms.counts.tolist() == [ms.noise_count, ms.triples[0].n]
 
     @pytest.mark.parametrize("case", ["complete", "missing", "noise"])
     def test_sweep_loglik_is_observed_loglik(self, rng, case):
@@ -344,7 +359,7 @@ def reference_expected_stats(data, model):
         rows = data[idx]
         blocks = reference_blocks(model, mask)
         logp = reference_group_loglik(model, blocks, mask, rows)
-        resp, row_loglik[idx] = _normalize_responsibilities(logp, model.weights)
+        resp, row_loglik[idx] = oracle_normalize(logp, model.weights)
         if not mask.any():
             resp = np.tile(model.weights, (rows.shape[0], 1))
         counts += resp.sum(axis=0)
@@ -366,7 +381,7 @@ def reference_expected_stats(data, model):
         for c in range(offset, model.n_components)
     )
     noise_count = float(counts[0]) if offset else None
-    return MixtureStats(triples, noise_count), float(np.sum(row_loglik))
+    return mixture_stats(triples, noise_count), float(np.sum(row_loglik))
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -434,7 +449,7 @@ def assert_same_sweep(data, model):
     cases = group_cases(data)
     got, got_ll = expected_stats(cases, model.stacked)
     assert_close(got_ll, want_ll)
-    assert_close(got.counts(), want.counts())
+    assert_close(got.counts, want.counts)
     for tg, tw in zip(got.triples, want.triples, strict=True):
         assert_close(tg.n, tw.n)
         assert_close(tg.r, tw.r)
@@ -524,12 +539,18 @@ class TestGroupedSweep:
         assert cov[0, 0] == pytest.approx(1e-20, rel=1e-6)
 
     def assert_per_mask_bytes(self, data, model):
+        # the sweep's densities and conditionals against the oracle's, which
+        # factors each mask on its own and scatters its cases by index
         cases = group_cases(data)
         params = model.stacked
-        logp, conditionals = _densities(params, cases)
-        for group, got in zip(cases.groups, conditionals, strict=True):
-            want_logp, *want = _condition(params, group, per_mask_factors(params.a, group.mis))
-            assert np.array_equal(logp[group.idx].T, want_logp)
+        ws = cases.workspace(params)
+        factors = _densities(params, cases, ws)
+        want_logp, want_conditionals = oracle_densities(params, oracle_group_cases(data))
+        assert np.array_equal(ws.logp, want_logp[case_order(cases)].T)
+        got_conditionals = [
+            (views.filled, None if f is None else f[1]) for views, f in zip(ws.groups, factors)
+        ]
+        for got, want in zip(got_conditionals, want_conditionals, strict=True):
             for got_part, want_part in zip(got, want, strict=True):
                 assert (got_part is None) == (want_part is None)
                 assert got_part is None or np.array_equal(got_part, want_part)
@@ -575,11 +596,112 @@ class TestGroupedSweep:
         data[rng.random(data.shape) < 0.3] = np.nan
         cases = group_cases(data)
         assert (cases.cases, cases.n) == (50, 3)
-        seen = np.concatenate([g.idx for g in cases.groups])
-        assert sorted(seen) == list(range(50))
+        order = case_order(cases)
+        assert sorted(order) == list(range(50))
+        assert [g.rows.start for g in cases.groups[1:]] == [g.rows.stop for g in cases.groups[:-1]]
+        assert (cases.groups[0].rows.start, cases.groups[-1].rows.stop) == (0, 50)
         for g in cases.groups:
-            assert np.all(np.diff(g.idx) > 0)
-            assert np.all(~np.isnan(data[g.idx]) == g.mask)
-            assert g.design.shape == (len(g.idx), 4)
-            assert np.array_equal(g.design[:, :3], np.nan_to_num(data[g.idx]))
+            idx = order[g.rows]
+            assert np.all(np.diff(idx) > 0)
+            assert np.all(~np.isnan(data[idx]) == g.mask)
+            assert g.design.shape == (len(idx), 4)
+            assert np.array_equal(g.design[:, :3], np.nan_to_num(data[idx]))
             assert np.all(g.design[:, 3] == 1.0)
+
+
+# --- the sweep and the M step against their oracles, bit for bit -------------
+
+
+def holed(rng, cases: int, n: int, fraction: float, all_missing: bool) -> np.ndarray:
+    """Random cases with each cell missing at ``fraction``; with
+    ``all_missing`` two cases have nothing observed, and with missing cells
+    one mask, cell 0 alone missing, belongs to one case only."""
+    data = rng.normal(0, 3, (cases, n))
+    data[rng.random(data.shape) < fraction] = np.nan
+    if fraction and n > 1 and cases > 4:
+        data[3] = rng.normal(0, 3, n)
+        data[3, 0] = np.nan
+        same = np.flatnonzero((np.isnan(data) == np.isnan(data[3])).all(axis=1))
+        data[same[same != 3], 0] = 1.5
+    if all_missing:
+        data[:2] = np.nan
+    return data
+
+
+def assert_sweep_is_the_oracle(data, model, prior):
+    """Statistics, log likelihoods, per-case densities and the M step read
+    off them equal the oracle's, in two sweeps over one CaseGroups."""
+    params = model.stacked
+    want, want_ll = oracle_expected_stats(data, params)
+    cases = group_cases(data)
+    for _ in range(2):  # the second sweep reuses the first one's workspace
+        got, got_ll = expected_stats(cases, params)
+        assert got_ll == want_ll
+        assert np.array_equal(got.counts, want.counts)
+        assert np.array_equal(got.sums, want.sums)
+        assert np.array_equal(got.seconds, want.seconds)
+        assert mixture_loglik(cases, params) == want_ll
+    want_logp = oracle_densities(params, oracle_group_cases(data))[0]
+    assert np.array_equal(component_case_loglik(params, cases), want_logp)
+    plan = FamilyPlan(tuple(g.structure for g in model.components))
+    dirichlet = DirichletPrior(np.full(params.n_components, 1.0 / params.n_components))
+    got_m = map_parameters(got, plan, prior, dirichlet, model.noise)
+    want_m = oracle_map_parameters(want, plan, prior, dirichlet, model.noise)
+    for name in ("weights", "intercepts", "variances", "b", "a", "w", "const"):
+        assert np.array_equal(getattr(got_m, name), getattr(want_m, name)), name
+
+
+class TestSweepOracle:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_mixtures(self, seed):
+        rng = np.random.default_rng([27, seed])
+        n = int(rng.choice([1, 2, 3, 4, 5, 6, 7, 8, 40]))
+        k = int(rng.integers(1, 5))
+        noise = bool(seed % 4 == 3)
+        comps = tuple(
+            random_gaussian_dag(random_dag(n, rng, p=min(0.5, 3.0 / n)), rng) for _ in range(k)
+        )
+        weights = rng.dirichlet(np.ones(k + noise))
+        box = NoiseComponent(np.full(n, -40.0), np.full(n, 40.0)) if noise else None
+        model = MdagModel(weights, comps, box)
+        fraction = float(rng.choice([0.0, 0.05, 0.2, 0.4, 0.6]))
+        data = holed(rng, int(rng.integers(1, 900)), n, fraction, all_missing=seed % 3 == 1)
+        prior = NormalWishart(2.0, rng.normal(0, 1, n), n + 3.0, np.eye(n))
+        assert_sweep_is_the_oracle(data, model, prior)
+
+    def test_two_component_counts_and_two_data_sets(self, rng):
+        # one CaseGroups keeps a workspace per component count, and sweeps
+        # over two data sets may alternate
+        models = [TestGroupedSweep.random_model(rng, 5, k) for k in (3, 2)]
+        sets = [holed(rng, 700, 5, 0.3, all_missing=True), rng.normal(0, 3, (300, 5))]
+        prior = NormalWishart(2.0, np.zeros(5), 8.0, np.eye(5))
+        for _ in range(2):
+            for data in sets:
+                for model in models:
+                    assert_sweep_is_the_oracle(data, model, prior)
+
+    def test_single_case_masks(self, rng):
+        model = TestGroupedSweep.random_model(rng, 6, 3, noise=True)
+        data = holed(rng, 40, 6, 0.6, all_missing=True)
+        sizes = [g.size for g in group_cases(data).groups]
+        assert sizes.count(1) >= 5
+        assert_sweep_is_the_oracle(data, model, NormalWishart(2.0, np.zeros(6), 9.0, np.eye(6)))
+
+
+@given(st.integers(1, 70).flatmap(
+    lambda n: hnp.arrays(bool, st.tuples(st.integers(1, 60), st.just(n)))
+))
+def test_groups_are_the_unique_masks(observed):
+    # packed-bit keys give np.unique(axis=0)'s masks, in its order, and its
+    # cases per mask, ascending
+    data = np.where(observed, 1.0, np.nan)
+    cases = group_cases(data)
+    masks, inverse = np.unique(observed, axis=0, return_inverse=True)
+    assert np.array_equal(np.array([g.mask for g in cases.groups]), masks)
+    order = case_order(cases)
+    for i, g in enumerate(cases.groups):
+        assert np.array_equal(order[g.rows], np.flatnonzero(inverse.ravel() == i))
+    if cases.position is not None:
+        assert np.array_equal(cases.position[order], np.arange(len(data)))
+    else:
+        assert np.array_equal(order, np.arange(len(data)))
