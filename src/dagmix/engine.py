@@ -356,7 +356,9 @@ def initialize(data: np.ndarray, config: FitConfig) -> MdagModel:
         raise InsufficientData("cannot initialize from an empty data set")
     n = data.shape[1]
     prior, dirichlet = _bind_priors(config, n)
-    complete_rows = data[~np.isnan(data).any(axis=1)]
+    missing = np.isnan(data).any(axis=1)
+    # with no missing cell, the data itself, not a copy of every row
+    complete_rows = data[~missing] if missing.any() else np.ascontiguousarray(data)
     init_prior = data_informed_prior(complete_rows, config.ess, prior)
     if config.family == "mfull":
         structure = complete_structure(n)

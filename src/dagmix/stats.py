@@ -24,7 +24,10 @@ directly, and ``MdagModel.stacked`` builds them from a model.  A mask with
 missing cells conditions every component on the QR factorisation of the
 columns of A it misses; those factors depend on the model alone, so they
 are built once per sweep, before the cases are visited, with one stacked
-QR for all masks with the same number of missing cells.
+QR for all masks with the same number of missing cells, which
+``group_cases`` lists once per data set.  Per mask the sweep runs only the
+products with that mask's cases; the log densities, the per-mask sums and
+the conditional covariance terms are formed over stacked arrays.
 
 The sweep takes ``CaseGroups`` alone and checks no input: ``fit`` groups
 its checked data once, and held-out data is checked where it enters
@@ -41,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AllComponentsZeroDensity
-from .model import LOG_2PI, StackedParams
+from .model import LOG_2PI, NoiseComponent, StackedParams
 
 # A count at or below this stands for no cases: a triple's posterior is its
 # prior, and neither a triple nor the noise count adds to a likelihood.
@@ -117,8 +120,9 @@ class CaseGroup:
 
     ``rows`` is the group's slice of the cases in mask order, in which a
     group's cases keep their case order.  ``design`` holds their data,
-    missing cells 0, with a column of ones.  ``mm`` is the index mesh of
-    the missing-missing block of an n x n matrix.
+    missing cells 0, with a column of ones.  ``slot`` is (c, j): the mask
+    is member j of ``CaseGroups.classes[c]``, so its factors are row j of
+    that class's stacked factors; None for a complete mask.
     """
 
     mask: np.ndarray
@@ -126,11 +130,18 @@ class CaseGroup:
     obs: np.ndarray
     mis: np.ndarray
     design: np.ndarray
-    mm: tuple[np.ndarray, np.ndarray]
+    slot: tuple[int, int] | None
+    size: int
 
-    @property
-    def size(self) -> int:
-        return self.design.shape[0]
+
+@dataclass(frozen=True, eq=False)
+class MissingClass:
+    """The masks with the same number m of missing cells, factored together
+    in a sweep: ``members``, their groups in group order, and ``mis``,
+    (masks, m), row j the missing cells of group ``members[j]``."""
+
+    members: np.ndarray
+    mis: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,6 +150,11 @@ class CaseGroups:
     ``np.unique`` row order), the cases sorted by mask so that each group
     is a slice.  ``position[i]`` is case i's place in mask order, or None
     when mask order is case order.
+
+    The mask plan: ``classes``, the masks with missing cells by their
+    number of missing cells, in order of first appearance; ``group_of``,
+    each case's group in mask order, or None for a single group; and
+    ``unobserved``, the group with nothing observed, or None.
 
     ``group_cases`` builds it once per data set, and every sweep over that
     data set reuses it, together with one ``_Workspace`` per component
@@ -150,6 +166,9 @@ class CaseGroups:
     cases: int
     n: int
     position: np.ndarray | None = None
+    classes: tuple[MissingClass, ...] = ()
+    group_of: np.ndarray | None = None
+    unobserved: int | None = None
     _workspaces: dict[tuple[int, int], "_Workspace"] = field(
         default_factory=dict, init=False, repr=False
     )
@@ -164,19 +183,22 @@ class CaseGroups:
         return ws
 
 
-def _case_group(mask: np.ndarray, rows: slice, data: np.ndarray) -> CaseGroup:
+def _case_group(
+    mask: np.ndarray, rows: slice, data: np.ndarray, slot: tuple[int, int] | None = None
+) -> CaseGroup:
     obs = np.flatnonzero(mask)
     mis = np.flatnonzero(~mask)
     cases, n = data.shape
     design = np.zeros((cases, n + 1))
     design[:, obs] = data[:, obs]
     design[:, n] = 1.0
-    return CaseGroup(mask, rows, obs, mis, design, np.ix_(mis, mis))
+    return CaseGroup(mask, rows, obs, mis, design, slot, cases)
 
 
 def group_cases(data: np.ndarray) -> CaseGroups:
     """Group the cases of a data matrix (NaN cells missing) by observation
-    mask, and sort them by mask with a stable sort."""
+    mask, sort them by mask with a stable sort, and plan the masks'
+    factorisation by their number of missing cells."""
     cases, n = data.shape
     observed = ~np.isnan(data)
     if observed.all():  # complete data: one group, no sorting pass
@@ -192,19 +214,40 @@ def group_cases(data: np.ndarray) -> CaseGroups:
         keys, return_index=True, return_inverse=True, return_counts=True
     )
     order = np.argsort(inverse, kind="stable")
+    masks = observed[first]
+    by_count: dict[int, list[int]] = {}
+    for i, mask in enumerate(masks):
+        if not mask.all():
+            by_count.setdefault(n - int(mask.sum()), []).append(i)
+    slots: list[tuple[int, int] | None] = [None] * len(masks)
+    classes = []
+    for c, (m, members) in enumerate(by_count.items()):
+        mis = np.nonzero(~masks[members])[1].reshape(len(members), m)
+        classes.append(MissingClass(np.array(members), mis))
+        for j, i in enumerate(members):
+            slots[i] = (c, j)
     stops = np.cumsum(sizes)
     groups = tuple(
-        _case_group(observed[i], slice(stop - size, stop), data[order[stop - size:stop]])
-        for i, size, stop in zip(first, sizes, stops)
+        _case_group(mask, slice(stop - size, stop), data[order[stop - size:stop]], slot)
+        for mask, size, stop, slot in zip(masks, sizes, stops, slots)
     )
     position = None
     if np.any(order != np.arange(cases)):
         position = np.empty(cases, dtype=np.intp)
         position[order] = np.arange(cases)
-    return CaseGroups(groups, cases, n, position)
+    return CaseGroups(
+        groups, cases, n, position, tuple(classes),
+        np.repeat(np.arange(len(groups)), sizes) if len(groups) > 1 else None,
+        next((i for i, mask in enumerate(masks) if not mask.any()), None),
+    )
 
 
 # --- the sweep's workspace ----------------------------------------------------
+
+
+# Bytes of the stacked moment terms that a sweep adds in one reduction (at
+# least four terms, one group's); past that, the groups' terms go in chunks.
+_TERM_BYTES = 1 << 20
 
 
 def _carve(buffer: np.ndarray, *shape: int) -> np.ndarray:
@@ -214,20 +257,44 @@ def _carve(buffer: np.ndarray, *shape: int) -> np.ndarray:
 
 
 class _GroupViews(NamedTuple):
-    """One group's arrays in a workspace.  ``logp`` and ``resp`` are its
-    columns of the workspace's; the rest are carved for its size, and
-    ``filled``, ``shift`` and ``completed`` are None for a complete mask."""
+    """One group's arrays in a workspace, each a view with the shape and
+    layout of the fresh array it stands for.  ``quad`` and ``resp`` are its
+    columns of the Gaussian rows of ``logp`` and ``resp``,
+    ``responsibilities`` its rows of their case-major copy, and ``counts``
+    its row of the count table.  ``block`` and ``rest`` are its terms of
+    the moment stack, the sum of its whole blocks' products (None with no
+    whole block) and the product of the remaining cases,
+    ``rest_weighted``^T ``rest_completed``.  ``filled``, ``shift``,
+    ``completed`` and ``resp_sum`` are None for a complete mask."""
 
-    logp: np.ndarray  # (n_components, cases)
-    resp: np.ndarray  # (n_components, cases)
-    z: np.ndarray  # (cases, k n)
     quad: np.ndarray  # (k, cases)
+    resp: np.ndarray  # (k, cases)
+    responsibilities: np.ndarray  # (cases, n_components)
+    counts: np.ndarray  # (n_components,)
+    z: np.ndarray  # (cases, k n)
+    residuals: np.ndarray  # (k, cases, n), over z
     weighted: np.ndarray  # (k, cases, n + 1), over z
-    rows: np.ndarray  # (cases, n_components)
     products: np.ndarray  # (k, whole blocks, n + 1, n + 1)
+    block: np.ndarray | None  # (k, n + 1, n + 1)
+    rest: np.ndarray  # (k, n + 1, n + 1)
+    rest_weighted: np.ndarray  # (k, n + 1, remaining cases), over weighted
+    rest_completed: np.ndarray  # (k, remaining cases, n + 1), or 2-d
     filled: np.ndarray | None  # (k, cases, m)
     shift: np.ndarray | None  # (k, cases, n)
     completed: np.ndarray | None  # (k, cases, n + 1), over shift
+    resp_sum: np.ndarray | None  # (k,), its summed responsibilities
+
+
+class _Chunk(NamedTuple):
+    """Groups whose moment terms one reduction adds: ``groups``, a range;
+    ``used``, the terms it adds, the running moments first; ``covariance``,
+    the terms that hold conditional covariances, and ``scatter``, per
+    (class, run of members), where in the stack those land."""
+
+    groups: range
+    used: int
+    covariance: np.ndarray
+    scatter: tuple[tuple[int, slice, np.ndarray], ...]
 
 
 class _Workspace:
@@ -235,13 +302,24 @@ class _Workspace:
     and one component count, carved from one buffer that every sweep
     overwrites: ``logp`` and ``resp``, (n_components, cases), in mask
     order; ``top``, ``total`` and ``loglik`` per case; ``ordered``, the
-    per-case log likelihoods in case order; and each group's views in
-    ``groups``.  The groups share regions sized for the largest group, and
-    the conditional means alone get a region per group, since they live
-    from the densities to the statistics.  Every view has the shape and
-    layout of the fresh array it stands for, so every BLAS, LAPACK and
-    einsum call reads what it read when the sweep allocated, and gives the
-    same bytes.
+    per-case log likelihoods in case order; ``noise``, the noise
+    component's log density per case, kept for the bounds it was computed
+    at; and each group's views in ``groups``.  The groups share regions
+    sized for the largest group, and the conditional means alone get a
+    region per group, since they live from the densities to the
+    statistics.  Every view has the shape and layout of the fresh array it
+    stands for, so every BLAS, LAPACK and einsum call reads what it read
+    when the sweep allocated, and gives the same bytes.  ``logp`` is spent
+    once the responsibilities are normalised, so their case-major copy,
+    from which each group's counts are summed, reuses its memory.
+
+    Per-group sums go to small tables: ``counts``, a row per group,
+    ``corrections`` (k, groups), each group's log density
+    correction, and ``resp_sums``, per missing-cell class, each member's
+    summed responsibilities.  ``terms`` stacks each group's moment terms
+    (its blocks' sum, its remainder, its conditional covariances) after
+    the running moments, in the order the sweep adds them; ``chunks``
+    splits the groups so the stack stays within ``_TERM_BYTES``.
 
     One buffer, not one per array: it is freed with the CaseGroups, and
     glibc's malloc then serves the next fit's allocations of up to its size
@@ -253,137 +331,221 @@ class _Workspace:
         n, count, groups = cases.n, cases.cases, cases.groups
         largest = max(group.size for group in groups)
         most_missing = max((g.size for g in groups if g.mis.size), default=0)
+        needs = [(g.size >= _CASE_BLOCK) + 1 + (g.slot is not None) for g in groups]
+        term = k * (n + 1) ** 2
+        capacity = max(4, min(1 + sum(needs), _TERM_BYTES // (8 * term or 1)))
         shapes = [
-            (n_components, count),  # logp
+            (n_components, count),  # logp, then the case-major responsibilities
             (n_components, count),  # resp
             (3, count),  # top, total, loglik
             (0 if cases.position is None else count,),  # ordered
-            (largest * n_components,),  # rows
-            (k * largest,),  # quad
+            (count if n_components > k else 0,),  # noise
+            (len(groups), n_components),  # counts
+            (k, len(groups)),  # corrections
+            (capacity, k, n + 1, n + 1),  # terms
             (k * largest * (n + 1),),  # z, then the weighted completions
             (k * (largest // _CASE_BLOCK) * (n + 1) ** 2,),  # block products
             (k * most_missing * (n + 1),),  # shift, then the completions
+            *((len(c.members), k) for c in cases.classes),  # resp_sums
             *((k, group.size, group.mis.size) for group in groups),  # filled
         ]
         sizes = [math.prod(shape) for shape in shapes]
         flat = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+        views = [view.reshape(shape) for view, shape in zip(flat, shapes)]
         (
             self.logp, self.resp, (self.top, self.total, self.loglik), self.ordered,
-            rows, quad, work, products, completed, *filled,
-        ) = (view.reshape(shape) for view, shape in zip(flat, shapes))
-        self.groups = [
-            _GroupViews(
-                self.logp[:, group.rows],
-                self.resp[:, group.rows],
-                _carve(work, group.size, k * n),
-                _carve(quad, k, group.size),
-                _carve(work, k, group.size, n + 1),
-                _carve(rows, group.size, n_components),
-                _carve(products, k, group.size // _CASE_BLOCK, n + 1, n + 1),
+            self.noise, self.counts, self.corrections, self.terms, work, products,
+            completed,
+        ) = views[:11]
+        self.resp_sums = views[11:11 + len(cases.classes)]
+        filled = views[11 + len(cases.classes):]
+        self.responsibilities = self.logp.reshape(count, n_components)
+        self.corrections[:] = 0.0
+        self._bounds: tuple[np.ndarray, np.ndarray] | None = None
+
+        slots, chunks, start, used = [], [], 0, 1
+        for i, need in enumerate(needs):
+            if used + need > capacity:
+                chunks.append(self._chunk(cases, slots, range(start, i), used))
+                start, used = i, 1
+            slots.append(range(used, used + need))
+            used += need
+        chunks.append(self._chunk(cases, slots, range(start, len(groups)), used))
+        self.chunks = tuple(chunks)
+
+        self.groups = []
+        offset = n_components - k
+        for i, (group, means, slot) in enumerate(zip(groups, filled, slots)):
+            size, masked = group.size, group.slot is not None
+            z = _carve(work, size, k * n)
+            weighted = _carve(work, k, size, n + 1)
+            completions = _carve(completed, k, size, n + 1) if masked else group.design
+            full = size - size % _CASE_BLOCK
+            self.groups.append(_GroupViews(
+                self.logp[offset:, group.rows],
+                self.resp[offset:, group.rows],
+                self.responsibilities[group.rows],
+                self.counts[i],
+                z,
+                z.reshape(size, k, n).transpose(1, 0, 2),
+                weighted,
+                _carve(products, k, size // _CASE_BLOCK, n + 1, n + 1),
+                self.terms[slot[0]] if full else None,
+                self.terms[slot[-1 - masked]],
+                weighted[:, full:].swapaxes(-1, -2),
+                completions[..., full:, :],
                 *(
-                    (means, _carve(completed, k, group.size, n),
-                     _carve(completed, k, group.size, n + 1))
-                    if group.mis.size else (None, None, None)
+                    (means, _carve(completed, k, size, n), completions,
+                     self.resp_sums[group.slot[0]][group.slot[1]])
+                    if masked else (None, None, None, None)
                 ),
-            )
-            for group, means in zip(groups, filled)
-        ]
+            ))
+
+    def _chunk(self, cases: CaseGroups, slots: list[range], span: range, used: int) -> _Chunk:
+        """The chunk of the groups in ``span``, whose terms sit in ``slots``:
+        each masked member's last term holds its conditional covariance, on
+        the missing-missing entries alone."""
+        k, n1 = self.terms.shape[1:3]
+        covariance, scatter = [], []
+        for c, cls in enumerate(cases.classes):
+            run = slice(*np.searchsorted(cls.members, [span.start, span.stop]))
+            if run.start == run.stop:
+                continue
+            at = np.array([slots[i][-1] for i in cls.members[run]])
+            covariance.append(at)
+            mis = cls.mis[run]
+            rows = (at[:, None] * k + np.arange(k))[:, :, None] * n1 + mis[:, None, :]
+            scatter.append((c, run, (rows[..., None] * n1 + mis[:, None, None, :]).ravel()))
+        return _Chunk(span, used, np.concatenate(covariance or [np.zeros(0, np.intp)]),
+                      tuple(scatter))
+
+    def noise_logp(self, cases: CaseGroups, noise: NoiseComponent) -> np.ndarray:
+        """The uniform noise component's log density of every case, on the
+        box of its observed cells, computed once per bounds."""
+        bounds = self._bounds
+        if bounds is None or not (
+            np.array_equal(bounds[0], noise.lower) and np.array_equal(bounds[1], noise.upper)
+        ):
+            for group in cases.groups:
+                rows = group.design[:, group.obs]
+                lo, hi = noise.lower[group.obs], noise.upper[group.obs]
+                inside = np.all((rows >= lo) & (rows <= hi), axis=1)
+                self.noise[group.rows] = np.where(inside, -np.sum(np.log(hi - lo)), -np.inf)
+            self._bounds = (noise.lower.copy(), noise.upper.copy())
+        return self.noise
 
 
 # --- the E sweep in regression form ------------------------------------------
 
 
-_Factors = tuple[np.ndarray, np.ndarray, np.ndarray]
+class _Factors(NamedTuple):
+    """The stacked model-only factors of one missing-cell class, row j for
+    member j: ``neg_g``, -G, (masks, k, m, n); ``covs``, G G^T, (masks, k,
+    m, m); ``correction``, (masks, k); and ``a_mis``, the columns of A each
+    mask misses, held as (masks, m, k, n), which is the layout numpy gives
+    one mask's gather ``a[:, :, mis]``, so that its product with the cases
+    reads what it read from that gather."""
+
+    neg_g: np.ndarray
+    covs: np.ndarray
+    correction: np.ndarray
+    a_mis: np.ndarray
 
 
-def _mask_factors(a: np.ndarray, groups: tuple[CaseGroup, ...]) -> list[_Factors | None]:
-    """Each group's model-only factors, built once per sweep: for a mask
-    with m missing cells, G = R^-1 Q^T, (k, m, n), the conditional
-    covariance G G^T = R^-1 R^-T, (k, m, m), and the log density correction
-    (m/2) log 2pi - sum log|R_ii|, (k,), from the QR factorisation
-    A_m = QR of the columns of A it misses; None for a complete mask.
+def _mask_factors(a: np.ndarray, classes: tuple[MissingClass, ...]) -> list[_Factors]:
+    """Each missing-cell class's model-only factors, built once per sweep:
+    for a mask with m missing cells, G = R^-1 Q^T, (k, m, n), the
+    conditional covariance G G^T = R^-1 R^-T, (k, m, m), and the log
+    density correction (m/2) log 2pi - sum log|R_ii|, (k,), from the QR
+    factorisation A_m = QR of the columns of A it misses.
 
-    The A_m of every mask with m missing cells are stacked, (masks k, n,
-    m), and factored by one QR, one back substitution and one product.
-    These call LAPACK and BLAS once per matrix, so each mask's factors have
-    the bytes that its own factorisation would give.  QR works on A_m
-    itself; the precision block A_m^T A_m would square its condition
-    number."""
+    The A_m of a class are one gather, (masks k, n, m), factored by one QR,
+    one back substitution and one product.  These call LAPACK and BLAS once
+    per matrix, so each mask's factors have the bytes that its own
+    factorisation would give.  QR works on A_m itself; the precision block
+    A_m^T A_m would square its condition number.  G is returned negated,
+    exactly, since rounding is symmetric in sign."""
     k, n = a.shape[:2]
-    by_count: dict[int, list[int]] = {}
-    for i, group in enumerate(groups):
-        if group.mis.size:
-            by_count.setdefault(group.mis.size, []).append(i)
-    factors: list[_Factors | None] = [None] * len(groups)
-    for m, members in by_count.items():
-        a_mis = np.concatenate([a[:, :, groups[i].mis] for i in members])
-        q, r = np.linalg.qr(a_mis)
-        del a_mis
-        # G = R^-1 Q^T by back substitution, one row of R at a time
-        g = np.empty((q.shape[0], m, n))
+    factors = []
+    for cls in classes:
+        masks, m = cls.mis.shape
+        a_mis = a.transpose(2, 0, 1)[cls.mis]
+        q, r = np.linalg.qr(a_mis.transpose(0, 2, 3, 1).reshape(masks * k, n, m))
+        # G = R^-1 Q^T by back substitution, one row of R at a time; the last
+        # row has nothing to subtract, and q - 0.0 is q
+        g = np.empty((masks * k, m, n))
         for i in reversed(range(m)):
-            rest = q[:, :, i] - np.einsum("kj,kjn->kn", r[:, i, i + 1:], g[:, i + 1:])
-            g[:, i] = rest / r[:, i, i, None]
+            rest = q[:, :, i]
+            if i + 1 < m:
+                rest = rest - np.einsum("kj,kjn->kn", r[:, i, i + 1:], g[:, i + 1:])
+            np.divide(rest, r[:, i, i, None], out=g[:, i])
         del q
         covs = g @ g.transpose(0, 2, 1)
-        logdiag = np.sum(np.log(np.abs(np.diagonal(r, axis1=1, axis2=2))), axis=1)
+        logdiag = np.add.reduce(np.log(np.abs(np.diagonal(r, axis1=1, axis2=2))), axis=1)
         correction = 0.5 * m * LOG_2PI - logdiag
-        for j, i in enumerate(members):
-            rows = slice(j * k, (j + 1) * k)
-            factors[i] = (g[rows], covs[rows], correction[rows])
+        factors.append(_Factors(
+            np.negative(g, out=g).reshape(masks, k, m, n), covs.reshape(masks, k, m, m),
+            correction.reshape(masks, k), a_mis,
+        ))
     return factors
 
 
 def _condition(
-    params: StackedParams, group: CaseGroup, factors: _Factors | None, views: _GroupViews
+    group: CaseGroup, views: _GroupViews, w: np.ndarray, factors: list[_Factors]
 ) -> None:
-    """One mask's cases under every component at once, from the stacked
-    regression forms and the mask's factors, which ``_mask_factors`` built
-    before the sweep; only the products with the cases are left here.
+    """One mask's products with its cases under every component at once,
+    from the stacked regression forms and the mask's factors, which
+    ``_mask_factors`` built before the sweep.
 
-    Writes the log densities of the observed cells into ``views.logp``
-    and, for a mask with missing cells, each Gaussian component's
-    conditional means of the missing cells into ``views.filled``.
-
-    With z_o = A_o x_o - c and G = R^-1 Q^T, the conditional mean is
-    x_m* = -G z_o and log p(x_o) = log p(x_o, x_m*) + (m/2) log 2pi
-    - sum log|R_ii|.
+    Writes each Gaussian component's squared residual norm into
+    ``views.quad`` (0 for a mask with nothing observed) and, for a mask
+    with missing cells, its conditional means of the missing cells into
+    ``views.filled``.  With z_o = A_o x_o - c and G = R^-1 Q^T, the
+    conditional mean is x_m* = -G z_o, and the residual of the completed
+    case is z_o + A_m x_m*.
     """
-    obs, mis = group.obs, group.mis
-    a, k, n = params.a, params.k, params.n
-    logp = views.logp
-    col = 1 if params.has_noise else 0
-    if params.noise is not None:  # uniform on the observed cells' box
-        rows, lo, hi = group.design[:, obs], params.noise.lower[obs], params.noise.upper[obs]
-        inside = np.all((rows >= lo) & (rows <= hi), axis=1)
-        logp[0] = np.where(inside, -np.sum(np.log(hi - lo)), -np.inf)
     # (k, cases, n) residuals of every component from one product; a
     # missing cell is 0 in the design, so z holds z_o = A_o x_o - c
-    z = np.matmul(group.design, params.w, out=views.z)
-    z = z.reshape(group.size, k, n).transpose(1, 0, 2)
-    correction = np.zeros(k)
-    if factors is not None:
-        g, _, correction = factors
-        filled = np.matmul(z, g.transpose(0, 2, 1), out=views.filled)
-        np.negative(filled, out=filled)
-        shift = np.matmul(filled, a[:, :, mis].transpose(0, 2, 1), out=views.shift)
+    np.matmul(group.design, w, out=views.z)
+    z = views.residuals
+    if group.slot is not None:
+        factor, j = factors[group.slot[0]], group.slot[1]
+        filled = np.matmul(z, factor.neg_g[j].transpose(0, 2, 1), out=views.filled)
+        if not group.obs.size:
+            views.quad[:] = 0.0
+            return
+        shift = np.matmul(filled, factor.a_mis[j].transpose(1, 0, 2), out=views.shift)
         z = np.add(z, shift, out=shift)
-    if obs.size:
-        quad = np.einsum("kij,kij->ki", z, z, out=views.quad)
-        np.add(params.const[:, None], quad, out=quad)
-        np.multiply(-0.5, quad, out=quad)
-        np.add(quad, correction[:, None], out=logp[col:])
-    else:  # nothing observed: every density is 1
-        logp[:] = 0.0
+    np.einsum("kij,kij->ki", z, z, out=views.quad)
 
 
-def _densities(params: StackedParams, cases: CaseGroups, ws: _Workspace) -> list[_Factors | None]:
-    """``_condition`` over every mask, in group order, into the workspace;
-    returns the masks' factors, which are built first, once per sweep, with
-    one stacked QR per missing-cell count."""
-    factors = _mask_factors(params.a, cases.groups)
-    for group, group_factors, views in zip(cases.groups, factors, ws.groups):
-        _condition(params, group, group_factors, views)
+def _densities(params: StackedParams, cases: CaseGroups, ws: _Workspace) -> list[_Factors]:
+    """The log densities of the observed cells of every case into
+    ``ws.logp``, and each masked group's conditional means; returns the
+    classes' factors, which are built first, once per sweep.
+
+    Per mask only the products with its cases run; the log density
+    -(const + |z|^2)/2 + (m/2) log 2pi - sum log|R_ii|, with z a case's
+    completed residual, is then formed for every case at once, each case
+    reading its group's correction.
+    """
+    factors = _mask_factors(params.a, cases.classes)
+    for group, views in zip(cases.groups, ws.groups):
+        _condition(group, views, params.w, factors)
+    offset = params.n_components - params.k
+    quad = ws.logp[offset:]
+    np.add(params.const[:, None], quad, out=quad)
+    np.multiply(-0.5, quad, out=quad)
+    correction = ws.corrections
+    for cls, factor in zip(cases.classes, factors):
+        correction[:, cls.members] = factor.correction.T
+    if cases.group_of is not None:
+        correction = correction.take(cases.group_of, axis=1, out=ws.resp[offset:], mode="clip")
+    np.add(quad, correction, out=quad)
+    if params.noise is not None:  # uniform on the observed cells' box
+        ws.logp[0] = ws.noise_logp(cases, params.noise)
+    if cases.unobserved is not None:  # nothing observed: every density is 1
+        ws.logp[:, cases.groups[cases.unobserved].rows] = 0.0
     return factors
 
 
@@ -439,6 +601,30 @@ def mixture_loglik(cases: CaseGroups, params: StackedParams) -> float:
     return _case_order_sum(cases, ws)
 
 
+def _moment_terms(group: CaseGroup, views: _GroupViews, n: int) -> None:
+    """One mask's sums over its cases: its counts, its summed
+    responsibilities when it has missing cells, and the weighted product of
+    its completions, with their column of ones, per block of
+    ``_CASE_BLOCK`` cases, the whole blocks summed in order."""
+    resp = views.resp
+    np.add.reduce(views.responsibilities, axis=0, out=views.counts)
+    completed = group.design
+    if group.slot is not None:
+        np.add.reduce(resp, axis=1, out=views.resp_sum)
+        completed = views.completed
+        completed[:] = group.design
+        completed[:, :, group.mis] = views.filled
+    weighted = np.multiply(resp[:, :, None], completed, out=views.weighted)
+    if views.block is not None:  # the whole blocks in one batched product
+        full = group.size - group.size % _CASE_BLOCK
+        shape = (-1, _CASE_BLOCK, n + 1)
+        blocks = completed[..., :full, :].reshape(*completed.shape[:-2], *shape)
+        weighted_blocks = weighted[:, :full].reshape(len(resp), *shape)
+        products = np.matmul(weighted_blocks.swapaxes(-1, -2), blocks, out=views.products)
+        np.add.reduce(products, axis=1, out=views.block)
+    np.matmul(views.rest_weighted, views.rest_completed, out=views.rest)
+
+
 def expected_stats(cases: CaseGroups, params: StackedParams) -> tuple[MixtureStats, float]:
     """Expected complete-data statistics of the mixture, one sweep over cases.
 
@@ -455,43 +641,36 @@ def expected_stats(cases: CaseGroups, params: StackedParams) -> tuple[MixtureSta
     from one weighted product of each completion, with its column of ones,
     per block of ``_CASE_BLOCK`` cases; the blocks are added in order, so
     the statistics do not depend on the BLAS thread count.  Each group's
-    counts add its cases one by one, as rows of a (cases, n_components)
-    array.
+    terms (its blocks' sum, its remainder, then its summed responsibilities
+    times its conditional covariances) are stacked after the running
+    moments and added by one reduction along the stack, which adds them in
+    the order a running sum would.  Each group's counts add its cases one
+    by one, as rows of a (cases, n_components) array, and the groups' in
+    group order.
 
     Also returns the observed log likelihood at ``params``, read off the
     same densities; it equals ``mixture_loglik`` bit for bit.
     """
     n, k = params.n, params.k
-    offset = 1 if params.has_noise else 0
     ws = cases.workspace(params)
     factors = _densities(params, cases, ws)
     _normalize_responsibilities(ws, params.weights)
-    counts = np.zeros(params.n_components)
-    moments = np.zeros((k, n + 1, n + 1))
-    for group, group_factors, views in zip(cases.groups, factors, ws.groups):
-        resp, mis = views.resp, group.mis
-        if not group.obs.size:
-            resp[:] = params.weights[:, None]
-        np.copyto(views.rows, resp.T)
-        counts += views.rows.sum(axis=0)
-        completed = group.design
-        if mis.size:
-            completed = views.completed
-            completed[:] = group.design
-            completed[:, :, mis] = views.filled
-        r = resp[offset:]
-        weighted = np.multiply(r[:, :, None], completed, out=views.weighted)
-        full = group.size - group.size % _CASE_BLOCK
-        if full:  # the whole blocks in one batched product
-            shape = (-1, _CASE_BLOCK, n + 1)
-            blocks = completed[..., :full, :].reshape(*completed.shape[:-2], *shape)
-            weighted_blocks = weighted[:, :full].reshape(k, *shape)
-            products = np.matmul(weighted_blocks.swapaxes(-1, -2), blocks, out=views.products)
-            moments += products.sum(axis=1)
-        moments += weighted[:, full:].swapaxes(-1, -2) @ completed[..., full:, :]
-        if mis.size:
-            cond_covs = group_factors[1]
-            moments[:, group.mm[0], group.mm[1]] += r.sum(axis=1)[:, None, None] * cond_covs
+    if cases.unobserved is not None:
+        ws.resp[:, cases.groups[cases.unobserved].rows] = params.weights[:, None]
+    np.copyto(ws.responsibilities, ws.resp.T)
+    terms = ws.terms
+    moments = np.empty((k, n + 1, n + 1))
+    terms[0] = 0.0
+    for chunk in ws.chunks:
+        for i in chunk.groups:
+            _moment_terms(cases.groups[i], ws.groups[i], n)
+        terms[chunk.covariance] = 0.0
+        for c, run, at in chunk.scatter:
+            covariance = ws.resp_sums[c][run, :, None, None] * factors[c].covs[run]
+            terms.put(at, covariance)
+        np.add.reduce(terms[:chunk.used], axis=0, out=moments)
+        terms[0] = moments
+    counts = np.add.accumulate(ws.counts, axis=0)[-1]
     outer = moments[:, :n, :n]
     mix_stats = MixtureStats(counts, moments[:, n, :n], 0.5 * (outer + outer.transpose(0, 2, 1)))
     return mix_stats, _case_order_sum(cases, ws)

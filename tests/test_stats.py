@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -548,7 +549,8 @@ class TestGroupedSweep:
         want_logp, want_conditionals = oracle_densities(params, oracle_group_cases(data))
         assert np.array_equal(ws.logp, want_logp[case_order(cases)].T)
         got_conditionals = [
-            (views.filled, None if f is None else f[1]) for views, f in zip(ws.groups, factors)
+            (views.filled, None if g.slot is None else factors[g.slot[0]].covs[g.slot[1]])
+            for g, views in zip(cases.groups, ws.groups)
         ]
         for got, want in zip(got_conditionals, want_conditionals, strict=True):
             for got_part, want_part in zip(got, want, strict=True):
@@ -574,6 +576,30 @@ class TestGroupedSweep:
         data[:, [1, 3]] = np.nan
         assert len(group_cases(data).groups) == 1
         self.assert_per_mask_bytes(data, model)
+
+    @pytest.mark.parametrize("noise", [False, True])
+    def test_sweep_after_the_first_allocates_nothing_per_case(self, noise):
+        # three masks at n = 40, k = 3: the second sweep over one CaseGroups
+        # reuses the first one's workspace, and the noise component's log
+        # densities are computed once for its bounds
+        def second_sweep_peak(count):
+            rng = np.random.default_rng(5)
+            model = self.random_model(rng, 40, 3, noise=noise)
+            data = rng.normal(0, 3, (count, 40))
+            data[1::3, 0] = np.nan
+            data[2::3, [5, 17]] = np.nan
+            cases, params = group_cases(data), model.stacked
+            expected_stats(cases, params)
+            tracemalloc.start()
+            try:
+                expected_stats(cases, params)
+                mixture_loglik(cases, params)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = second_sweep_peak(1000), second_sweep_peak(9000)
+        assert large - small < 8 * 8000  # less than one float per added case
 
     def test_sweep_bytes_do_not_depend_on_blas_threads(self):
         # one n=40 sweep over 3000 cases, then a fit of the same data, in a
@@ -628,12 +654,13 @@ def holed(rng, cases: int, n: int, fraction: float, all_missing: bool) -> np.nda
     return data
 
 
-def assert_sweep_is_the_oracle(data, model, prior):
+def assert_sweep_is_the_oracle(data, model, prior, cases=None):
     """Statistics, log likelihoods, per-case densities and the M step read
-    off them equal the oracle's, in two sweeps over one CaseGroups."""
+    off them equal the oracle's, in two sweeps over one CaseGroups (by
+    default a fresh one)."""
     params = model.stacked
     want, want_ll = oracle_expected_stats(data, params)
-    cases = group_cases(data)
+    cases = group_cases(data) if cases is None else cases
     for _ in range(2):  # the second sweep reuses the first one's workspace
         got, got_ll = expected_stats(cases, params)
         assert got_ll == want_ll
@@ -671,14 +698,31 @@ class TestSweepOracle:
 
     def test_two_component_counts_and_two_data_sets(self, rng):
         # one CaseGroups keeps a workspace per component count, and sweeps
-        # over two data sets may alternate
+        # over two data sets may alternate; a workspace's noise densities
+        # follow the noise bounds of the sweep
         models = [TestGroupedSweep.random_model(rng, 5, k) for k in (3, 2)]
+        for half in (40.0, 4.0):
+            noisy = TestGroupedSweep.random_model(rng, 5, 2, noise=True)
+            box = NoiseComponent(np.full(5, -half), np.full(5, half))
+            models.append(MdagModel(noisy.weights, noisy.components, box))
         sets = [holed(rng, 700, 5, 0.3, all_missing=True), rng.normal(0, 3, (300, 5))]
+        grouped = [group_cases(data) for data in sets]
         prior = NormalWishart(2.0, np.zeros(5), 8.0, np.eye(5))
         for _ in range(2):
-            for data in sets:
+            for data, cases in zip(sets, grouped):
                 for model in models:
-                    assert_sweep_is_the_oracle(data, model, prior)
+                    assert_sweep_is_the_oracle(data, model, prior, cases)
+
+    def test_every_case_its_own_mask(self, rng):
+        # n = 12 with 40% of cells missing: hundreds of masks, most of them
+        # single-case products on numpy's matrix-vector path, whose moment
+        # terms take more than one reduction
+        model = TestGroupedSweep.random_model(rng, 12, 3, noise=True)
+        data = holed(rng, 500, 12, 0.4, all_missing=True)
+        sizes = [g.size for g in group_cases(data).groups]
+        assert len(sizes) >= 300 and sizes.count(1) > len(sizes) / 2
+        assert_sweep_is_the_oracle(data, model, NormalWishart(2.0, np.zeros(12), 15.0, np.eye(12)))
+        TestGroupedSweep().assert_per_mask_bytes(data, model)
 
     def test_single_case_masks(self, rng):
         model = TestGroupedSweep.random_model(rng, 6, 3, noise=True)
