@@ -31,7 +31,6 @@ from .errors import (
     BadSchedule,
     DimensionMismatch,
     InsufficientData,
-    NonNumericValue,
     NonPsdScatter,
 )
 from .model import (
@@ -46,7 +45,7 @@ from .model import (
     empty_structure,
 )
 from .rng import check_seed, stream
-from .scoring import complete_model_score, completed_loglik, observed_loglik
+from .scoring import _checked_data, complete_model_score, completed_loglik, observed_loglik
 from .search import search_all_components
 
 FAMILIES = ("mdag", "mdiag", "mfull")
@@ -396,19 +395,6 @@ def cheeseman_stutz(
     complete = complete_model_score(mix_stats, structures, prior, dirichlet, model.noise)
     obs = observed_loglik(cases, model)
     return complete, obs, complete + obs - completed_loglik(mix_stats, model)
-
-
-def _checked_data(data) -> np.ndarray:
-    """Data as a cases-by-variables float matrix (n >= 1), cells finite or NaN."""
-    try:
-        data = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise NonNumericValue(f"data cells must be numbers: {exc}") from None
-    if data.ndim != 2 or data.shape[1] == 0:
-        raise DimensionMismatch(f"data must be cases by n >= 1 variables, not {data.shape}")
-    if np.isinf(data).any():
-        raise NonNumericValue("data cells must be finite numbers or NaN (missing)")
-    return data
 
 
 def _checked_config(config) -> FitConfig:

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import FitConfig, SelectKResult, _checked_config, _checked_data, select_k
+from .engine import FitConfig, SelectKResult, _checked_config, select_k
 from .errors import DimensionMismatch
 from .model import (
     DagStructure,
@@ -29,7 +29,7 @@ from .model import (
     sample,
 )
 from .rng import stream
-from .scoring import _checked_heldout, predictive_score
+from .scoring import _checked_data, _checked_heldout, predictive_score
 from .search import _skeleton, structural_difference
 
 RECOVERY_SIZES = (93, 186, 375, 750, 1500, 3000)
@@ -251,7 +251,7 @@ def run_baseline_comparison(
     """Fit each model family with its own component-count search and score
     the selected model on held-out data.  Every input is checked before
     the first fit."""
-    train, test = _checked_data(train), _checked_data(test)
+    train = _checked_data(train)
     test = _checked_heldout(test, train.shape[1])
     config = _checked_config(config)
     try:

@@ -210,23 +210,6 @@ class GaussianDag:
     def n(self) -> int:
         return self.structure.n
 
-    @cached_property
-    def regression_form(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """(A, c, log|V|) with A = V^-1/2 (I - B), c = V^-1/2 m and V =
-        diag(variances), where B[i, j] is the coefficient of parent j in
-        node i's regression: ``_regression_arrays`` with k = 1.
-
-        z = A x - c holds the standardised residual of every node's
-        regression at x, so log p(x) = -(n log 2pi + log|V| + |z|^2) / 2 with
-        no joint covariance and no factorisation; A^T A is the joint
-        precision (Heckerman & Geiger 1995).
-        """
-        a, c, log_var = _regression_arrays(*_stacked_components((self,), self.n))
-        a, c = a[0], c[0]
-        a.setflags(write=False)
-        c.setflags(write=False)
-        return a, c, float(log_var[0])
-
     @classmethod
     def from_joint(
         cls, structure: DagStructure, mean: np.ndarray, cov: np.ndarray
@@ -284,12 +267,12 @@ class StackedParams:
 
     ``intercepts`` and ``variances`` are (k, n); ``b[j, i]`` holds the
     coefficients of node i's regression in component j, 0 off its parents.
-    Built from these: ``a``, each component's A, (k, n, n); ``w``, (n + 1,
-    k n), each component's A^T over -c^T side by side, so a case x with a
-    1 appended has the residuals z = A x - c of every component in
-    [x, 1] W; and ``const``, n log 2pi + log|V|, (k,).  Unchecked: the M
-    step checks what it writes, and ``MdagModel.stacked`` reads a checked
-    model.
+    Built from these: ``a``, each component's A, (k, n, n); ``c``, each
+    component's c, (k, n); ``w``, (n + 1, k n), each component's A^T over
+    -c^T side by side, so a case x with a 1 appended has the residuals
+    z = A x - c of every component in [x, 1] W; and ``const``,
+    n log 2pi + log|V|, (k,).  Unchecked: the M step checks what it
+    writes, and ``MdagModel.stacked`` reads a checked model.
     """
 
     weights: np.ndarray
@@ -298,6 +281,7 @@ class StackedParams:
     b: np.ndarray
     noise: NoiseComponent | None
     a: np.ndarray = field(init=False, repr=False)
+    c: np.ndarray = field(init=False, repr=False)
     w: np.ndarray = field(init=False, repr=False)
     const: np.ndarray = field(init=False, repr=False)
 
@@ -306,6 +290,7 @@ class StackedParams:
         a, c, log_var = _regression_arrays(self.intercepts, self.variances, self.b)
         w = np.concatenate([a.transpose(0, 2, 1), -c[:, None, :]], axis=1)
         object.__setattr__(self, "a", a)
+        object.__setattr__(self, "c", c)
         object.__setattr__(self, "w", w.transpose(1, 0, 2).reshape(n + 1, k * n))
         object.__setattr__(self, "const", n * LOG_2PI + log_var)
 

@@ -24,6 +24,8 @@ from dagmix.model import (
     GaussianDag,
     MdagModel,
     StackedParams,
+    _regression_arrays,
+    _stacked_components,
     empty_structure,
 )
 from dagmix.search import (
@@ -39,6 +41,7 @@ from dagmix.search import (
     to_cpdag,
 )
 from dagmix.stats import (
+    COUNT_FLOOR,
     LOG_2PI,
     MixtureStats,
     SuffStats,
@@ -255,6 +258,25 @@ def oracle_regression_stack(model: MdagModel):
     w = np.concatenate([a.transpose(0, 2, 1), -c], axis=1)
     w = w.transpose(1, 0, 2).reshape(n + 1, -1)
     return a, w, n * LOG_2PI + np.array([f[2] for f in forms])
+
+
+def oracle_completed_loglik(mix_stats: MixtureStats, model: MdagModel) -> float:
+    """The completed log likelihood read off each triple, with each
+    component's regression form (A, c, log|V|) built on its own
+    (``_regression_arrays`` at k = 1): N log pi plus -(N (n log 2pi +
+    log|V|) + tr(A s A^T) - 2 c^T A r + N c^T c) / 2 per component, after
+    the noise component's uniform mass."""
+    total = 0.0
+    if model.noise is not None and mix_stats.noise_count > COUNT_FLOOR:
+        total += mix_stats.noise_count * (np.log(model.weights[0]) - model.noise.log_volume)
+    for t, g, w in zip(mix_stats.triples, model.components, model.gaussian_weights(), strict=True):
+        if t.n <= COUNT_FLOOR:
+            continue
+        a, c, log_var = _regression_arrays(*_stacked_components((g,), g.n))
+        a, c, log_var = a[0], c[0], float(log_var[0])
+        quad = np.sum((a @ t.s) * a) - 2.0 * (c @ (a @ t.r)) + t.n * (c @ c)
+        total += t.n * np.log(w) + -0.5 * (t.n * (t.dim * LOG_2PI + log_var) + quad)
+    return float(total)
 
 
 def oracle_run_em(cases, model, prior, dirichlet, steps=None, convergence_ratio=1e-6,
