@@ -33,7 +33,6 @@ from dagmix.search import (
     SCORE_EPS,
     ArcMove,
     SearchStep,
-    _covered_edges,
     _new_parents,
     _skeleton,
     apply_move,
@@ -560,13 +559,24 @@ def oracle_best_move(cache, parents, max_parents):
     return None
 
 
+def oracle_covered_edges(parents):
+    """Arcs u -> v with Pa(v) = Pa(u) + {u}, in (u, v) order; reversing one
+    is always legal and keeps the equivalence class."""
+    return sorted(
+        (u, v)
+        for v, ps in enumerate(parents)
+        for u in ps
+        if len(ps) == len(parents[u]) + 1 and set(ps) - {u} == set(parents[u])
+    )
+
+
 def oracle_class_walk(parents):
     seen = {parents}
     frontier = deque([(parents, [])])
     while frontier:
         state, path = frontier.popleft()
         yield state, path
-        for u, v in _covered_edges(state):
+        for u, v in oracle_covered_edges(state):
             move = ArcMove("reverse", u, v)
             nxt = apply_move(state, move)
             if nxt not in seen:

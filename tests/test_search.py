@@ -1,5 +1,5 @@
 from collections import deque
-from itertools import combinations
+from itertools import combinations, islice
 
 import networkx as nx
 import numpy as np
@@ -22,13 +22,15 @@ from dagmix.model import (
 )
 from dagmix.scoring import complete_model_score
 from dagmix.search import (
+    _ESCAPE_BUDGET,
     _KINDS,
+    SCORE_EPS,
     ArcMove,
     _best_move,
-    _class_members,
-    _covered_edges,
+    _gains,
     _Graph,
-    _move_gains,
+    _member_chunks,
+    _need,
     _new_parents,
     _ScoreCache,
     apply_move,
@@ -42,6 +44,8 @@ from dagmix.stats import SuffStats
 from conftest import (
     labeled_stats,
     mixture_stats,
+    oracle_class_walk,
+    oracle_covered_edges,
     oracle_legal,
     oracle_search,
     oracle_structural_difference,
@@ -140,12 +144,12 @@ def listed_best_move(cache, parents, max_parents):
 
 
 def listed_gains(cache, parents, max_parents):
-    """Every legal, uncapped move's gain from ``_move_gains``, by (kind,
-    source, target)."""
-    moves, gains = _move_gains(cache, _Graph.of(parents, max_parents))
-    keys = [(kind, *divmod(int(flat), len(parents))[::-1])
-            for kind, flats in zip(_KINDS, moves) for flat in flats]
-    return dict(zip(keys, gains.tolist()))
+    """Every legal move's gain from ``_gains``, by (kind, source, target)."""
+    graph = _Graph.of(parents, max_parents)
+    legal = graph.legal[None]
+    gains = _gains(cache.terms(cache.ids(parents)[None], _need(legal)), legal)[0]
+    return {(_KINDS[kind], u, v): gains[np.ravel_multi_index((kind, v, u), legal.shape[1:])]
+            for kind, v, u in zip(*np.nonzero(legal[0]))}
 
 
 class TestBestMove:
@@ -201,7 +205,7 @@ class TestBestMove:
                     assert ("add", u, v) in gains and ("add", v, u) in gains
                     assert gains["add", u, v] == gains["add", v, u]
                     pairs += 1
-            for u, v in _covered_edges(ps):
+            for u, v in oracle_covered_edges(ps):
                 assert ("reverse", u, v) in gains
                 assert gains["reverse", u, v] == 0.0
                 covered += 1
@@ -222,19 +226,19 @@ def test_out_of_range_parent_rejected(parent):
         DagStructure(2, ((parent,), ()))
 
 
-def rebuilt_terms(cache, parents, need):
-    """``_ScoreCache.terms`` without the kept rows: fresh terms on every
-    call, each marked entry read through ``FamilyMarginals`` on its own."""
+def rebuilt_terms(cache, ids, need):
+    """``_ScoreCache.terms`` without the kept values: fresh terms for
+    every state of the stack on every call, each marked entry read through
+    ``FamilyMarginals`` on its own, as the set its row names toggled at the
+    entry; the store is never read or filled."""
 
     def family(nodes):
         return cache.marginals.fill([tuple(nodes)])[0]
 
-    n = len(parents)
-    terms = np.full((2, n, n), np.nan)
-    vs, us = np.nonzero(need)
-    for v, u in zip(vs.tolist(), us.tolist()):
-        base = set(parents[v]) ^ {u}
-        terms[:, v, u] = family(base ^ {v}), family(base)
+    terms = np.full(ids.shape + ids.shape[-1:], np.nan)
+    for j, v, u in zip(*np.nonzero(need)):
+        for side in (0, 1):
+            terms[j, side, v, u] = family(set(cache._keys[ids[j, side, v]]) ^ {u})
     return terms
 
 
@@ -264,7 +268,7 @@ class TestGreedySearch:
                 t = twin_column_stats(rows) if trial % 4 == 3 else stats_of(rows)
                 prior = random_prior(n, rng)
                 init = random_dag(n, rng, p=float(rng.uniform(0.0, 0.6)))
-                kept_trace, rebuilt_trace = [], []
+                kept_trace, rebuilt_trace = BoundedTrace(5000), BoundedTrace(5000)
                 kept = greedy_component_search(t, prior, init, cap, kept_trace)
                 with monkeypatch.context() as patch:
                     patch.setattr(_ScoreCache, "terms", rebuilt_terms)
@@ -273,6 +277,29 @@ class TestGreedySearch:
                 assert kept_trace == rebuilt_trace
                 escapes += any(step.sideways for step in kept_trace)
         assert escapes > 0
+
+    def test_a_fill_that_fills_nothing_is_an_error(self, monkeypatch):
+        # a fill round must make progress: a fill that leaves a needed term
+        # missing raises, in a class walk, which would otherwise find the
+        # same lacking member again and again, and in the climb
+        rng = np.random.default_rng(1)  # escapes, as in the pinned trace below
+        rows = rng.standard_normal((300, 5)) @ rng.standard_normal((5, 5))
+        t, prior = stats_of(rows), random_prior(5, rng)
+        fill, escape, walking = _ScoreCache._fill, search_module._escape, []
+
+        def watched_escape(cache, graph):
+            walking.append(graph)
+            return escape(cache, graph)
+
+        monkeypatch.setattr(search_module, "_escape", watched_escape)
+        monkeypatch.setattr(_ScoreCache, "_fill",
+                            lambda cache, ids, lack: None if walking else fill(cache, ids, lack))
+        with pytest.raises(AssertionError, match="a fill left a needed term missing"):
+            greedy_component_search(t, prior, empty_structure(5))
+        assert walking
+        monkeypatch.setattr(_ScoreCache, "_fill", lambda cache, ids, lack: None)
+        with pytest.raises(AssertionError, match="a fill left a needed term missing"):
+            greedy_component_search(t, prior, empty_structure(5))
 
     def test_independent_data_stays_empty(self, rng):
         rows = rng.standard_normal((400, 3))
@@ -580,7 +607,7 @@ def dag_space_difference(learned: DagStructure, gold: DagStructure) -> int:
         d = dist[state]
         if to_cpdag(state) == target:
             return d
-        covered = set(_covered_edges(state))
+        covered = set(oracle_covered_edges(state))
         for move in neighbors(state):
             cost = int(not (move.kind == "reverse" and (move.source, move.target) in covered))
             nxt = apply_move(state, move)
@@ -687,7 +714,7 @@ class TestStructuralDifference:
 
 def library_search(t, prior, init, cap):
     """``greedy_component_search`` with its trace and the families its
-    marginals memoised."""
+    marginals memoised; a search that runs past 5000 moves fails."""
     made = []
     init_marginals = FamilyMarginals.__init__
 
@@ -695,7 +722,7 @@ def library_search(t, prior, init, cap):
         init_marginals(self, *args)
         made.append(self)
 
-    trace = []
+    trace = BoundedTrace(5000)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(FamilyMarginals, "__init__", recorded)
         out = greedy_component_search(t, prior, init, cap, trace)
@@ -787,8 +814,117 @@ class TestAgainstOracle:
                            schedule=Schedule.parse("((EM)^3 Ec S* M)"))
         searches = mixture_triples(monkeypatch, data, config)
         assert len(searches) == 3
+        watch, escapes = EscapeWatch(monkeypatch), 0
         for t, init, prior, cap in searches:
+            watch.walks.clear()
+            watch.escapes.clear()
             assert_matches_oracle(t, prior, init, cap)
+            # 40-node chunks start at one member: a walk that escapes at
+            # member e has built at most max(1, 2 (e - 1)), so one that
+            # escapes at its second member builds no more than a walk
+            # member by member
+            for walked, (found, rounds) in zip(watch.walks, watch.escapes, strict=True):
+                if found:
+                    e = sum(size for _, size, _ in rounds[:-1]) + rounds[-1][2] + 1
+                    assert walked - 1 <= max(1, 2 * (e - 1))
+                    escapes += 1
+        assert escapes > 0
+
+
+class EscapeWatch:
+    """Records, for every escape of the searches run while it is set, the
+    rounds of its stacked evaluation: whether the round's first member was
+    filled, how many members the round held, and the first of them whose
+    best move gains more than SCORE_EPS (None if none); and, for every
+    class walk, how many members it yielded."""
+
+    def __init__(self, monkeypatch):
+        self.escapes, self.walks, self._rounds, self._filled = [], [], None, False
+        terms, fill = _ScoreCache.terms, _ScoreCache._fill
+        gains_of, escape, walk = (search_module._gains, search_module._escape,
+                                  search_module._class_walk)
+
+        def watched_fill(cache, *args):
+            self._filled = True
+            return fill(cache, *args)
+
+        def watched_terms(cache, ids, need):
+            self._filled = False
+            out = terms(cache, ids, need)
+            if self._rounds is not None:
+                self._rounds.append([self._filled, len(out), None])
+            return out
+
+        def watched_gains(terms, legal):
+            gains = gains_of(terms, legal)
+            if self._rounds is not None:
+                hits = np.flatnonzero(gains.max(axis=1) > SCORE_EPS)
+                self._rounds[-1][2] = int(hits[0]) if len(hits) else None
+            return gains
+
+        def watched_escape(cache, graph):
+            self._rounds = []
+            found = escape(cache, graph)
+            self.escapes.append((found is not None, self._rounds))
+            self._rounds = None
+            return found
+
+        def watched_walk(parents):
+            self.walks.append(0)
+            for member in walk(parents):
+                self.walks[-1] += 1
+                yield member
+
+        monkeypatch.setattr(_ScoreCache, "terms", watched_terms)
+        monkeypatch.setattr(_ScoreCache, "_fill", watched_fill)
+        monkeypatch.setattr(search_module, "_gains", watched_gains)
+        monkeypatch.setattr(search_module, "_escape", watched_escape)
+        monkeypatch.setattr(search_module, "_class_walk", watched_walk)
+
+    def late_escapes(self):
+        """(escapes whose improving member follows a member that needed a
+        fill, escapes whose improving member needed one itself)."""
+        after = at = 0
+        for found, rounds in self.escapes:
+            if found:
+                filled, _, hit = rounds[-1]
+                at += filled and hit == 0
+                after += any(r[0] for r in rounds[:-1]) or (filled and hit > 0)
+        return after, at
+
+
+class TestLongWalks:
+    @pytest.mark.parametrize("cap", [None, 0, 1, 2, 3])
+    def test_late_escapes_and_cut_walks_match_the_oracle(self, cap, monkeypatch):
+        # dense starts have large classes, so walks run long: escapes whose
+        # improving member comes after members that needed a fill, escapes
+        # at a member that needed one, and walks the budget cuts, on fitted,
+        # twin-column and zero-count statistics drawn as in TestAgainstOracle
+        rng = np.random.default_rng(0)
+        watch = EscapeWatch(monkeypatch)
+        for n in range(4, 9):
+            rows = rng.standard_normal((int(rng.integers(30, 300)), n))
+            rows = rows @ rng.standard_normal((n, n))
+            kind = (n + (cap or 0)) % 3
+            t = (stats_of(rows), twin_column_stats(rows), zero_stats(n))[kind]
+            prior = random_prior(n, rng)
+            if kind == 1:
+                prior = NormalWishart(2.0, np.zeros(n), n + 2.0, np.eye(n))
+            for init in (empty_structure(n), random_dag(n, rng, p=0.7), complete_structure(n)):
+                assert_matches_oracle(t, prior, init, cap)
+        after, at = watch.late_escapes()
+        assert after > 0 and at > 0
+        assert _ESCAPE_BUDGET in watch.walks
+
+    def test_budget_cuts_the_walk_of_a_complete_dag(self, rng, monkeypatch):
+        # six equicorrelated variables: every arc of the complete DAG is
+        # needed, so no delete gains and it is a local maximum; its class has
+        # 720 members, and the walk stops at the budget
+        rows = rng.multivariate_normal(np.zeros(6), 0.1 * np.eye(6) + 0.9, 2000)
+        watch = EscapeWatch(monkeypatch)
+        trace = assert_matches_oracle(stats_of(rows), PriorSpec().normal_wishart(6),
+                                      complete_structure(6), None)
+        assert trace == [] and watch.walks == [_ESCAPE_BUDGET]
 
 
 def closure_state(parents):
@@ -807,17 +943,43 @@ def closure_state(parents):
     return arc, reach
 
 
+def capped_legal(parents, cap):
+    """``oracle_legal``'s delete, reverse and add masks under the cap, in
+    the search's layout: stacked in ``_KINDS`` order, row v for the moves
+    into v."""
+    add, delete, reverse = oracle_legal(parents)
+    if cap is not None:
+        grows = np.array([len(ps) < cap for ps in parents])
+        add &= grows[None, :]
+        reverse &= grows[:, None]
+    return np.stack((delete.T, reverse.T, add.T))
+
+
 def assert_state_from_scratch(graph):
     arc, reach = closure_state(graph.parents)
     assert np.array_equal(graph.arc, arc)
     assert np.array_equal(graph.reach, reach)
-    add, _, reverse = oracle_legal(graph.parents)
-    if graph.cap is not None:
-        grows = np.array([len(ps) < graph.cap for ps in graph.parents])
-        add &= grows[None, :]
-        reverse &= grows[:, None]
-    assert np.array_equal(graph.add, add.T)
-    assert np.array_equal(graph.reverse, reverse.T)
+    assert np.array_equal(graph.legal, capped_legal(graph.parents, graph.cap))
+
+
+def assert_walk_from_scratch(graph):
+    """The class members that ``_member_chunks`` derives from the member
+    each was reached from are the oracle walk's, in its order and within
+    the budget; each one's masks equal ``oracle_legal`` on its parent sets
+    under the cap, and its row ids name the rows of its own families."""
+    n = len(graph.parents)
+    cache = _ScoreCache(NormalWishart(1.0, np.zeros(n), n + 2.0, np.eye(n)), zero_stats(n))
+    walked = []
+    for chunk, legal, ids in _member_chunks(graph, cache):
+        for (state, _, _), masks, rows in zip(chunk, legal, ids, strict=True):
+            walked.append(state)
+            assert np.array_equal(masks, capped_legal(state, graph.cap))
+            assert rows.tolist() == [
+                [cache._index[tuple(sorted(ps + (v,)))] for v, ps in enumerate(state)],
+                [cache._index[ps] for ps in state],
+            ]
+    assert walked == [state for state, _ in
+                      islice(oracle_class_walk(graph.parents), 1, _ESCAPE_BUDGET)]
 
 
 class TestKeptState:
@@ -834,15 +996,14 @@ class TestKeptState:
             moves = neighbors(graph.parents)
             graph = graph.moved(moves[pick % len(moves)])
             assert_state_from_scratch(graph)
-        for member, _ in _class_members(graph):
-            assert_state_from_scratch(member)
+        assert_walk_from_scratch(graph)
 
     def test_covered_reversal_changes_two_columns(self):
         # 1 -> 2 is covered (Pa(2) = Pa(1) + {1}); after its reversal, 2
         # reaches what 1 reached, less 2, plus 1, and no other node's
         # reach changes
         parents = ((), (0,), (0, 1), (2,), (3,))
-        assert (1, 2) in _covered_edges(parents)
+        assert (1, 2) in oracle_covered_edges(parents)
         before = _Graph.of(parents)
         after = before.moved(ArcMove("reverse", 1, 2))
         assert after.parents == ((), (0, 2), (0,), (2,), (3,))
