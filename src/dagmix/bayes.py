@@ -167,10 +167,10 @@ class FamilyMarginals:
     depend only on |Y| are cached by size, and each family's value by its
     sorted tuple: one value per variable set, whichever order a caller
     lists it in, so set terms that cancel in exact arithmetic cancel in
-    floats too.  ``fill`` is the one reader: it computes a batch of
-    families with one gather and one stacked factorisation of both scales'
-    blocks per size, so each caller asks for all the families it needs in
-    one call.
+    floats too.  ``fill`` is the one reader that computes: it computes a
+    batch of families with one gather and one stacked factorisation of
+    both scales' blocks per size, so each caller asks for all the families
+    it needs in one call; ``memoised`` reads the memo alone.
     """
 
     def __init__(self, prior: NormalWishart, t: SuffStats):
@@ -227,6 +227,12 @@ class FamilyMarginals:
             values = lead + 0.5 * alpha * logdets[0] - 0.5 * alpha1 * logdets[1]
             memo.update(zip(batch, values.tolist()))
         return list(map(memo.__getitem__, keys))
+
+    def memoised(self, keys: Iterable[tuple[int, ...]]) -> list[float]:
+        """The memoised value of each family, given as its sorted tuple;
+        NaN for a family never filled."""
+        get = self._memo.get
+        return [get(key, np.nan) for key in keys]
 
 
 def _stacked_logdets(blocks: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
+import functools
 import json
 import math
 import os
@@ -433,6 +434,7 @@ class SystemExit2(Exception):
     """Usage error carrying exit code 1."""
 
 
+@functools.cache  # main parses with it and never changes it
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dagmix", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -39,6 +39,7 @@ from .model import (
     GaussianDag,
     MdagModel,
     NoiseComponent,
+    StackedParams,
     _check_number,
     _chol_with_jitter,
     complete_structure,
@@ -282,14 +283,22 @@ def run_em(
     """Repeat E and M steps for a fixed burst or until the ratio rule fires.
 
     One E sweep per step gives the next M step's statistics and the
-    trace's log likelihood, so b steps make b + 1 sweeps.  The convergence
-    rule compares each step's log-likelihood change with the total change
-    since initialization: stop once (l_t - l_{t-1}) / (l_t - l_0) drops
-    below ``convergence_ratio``.
+    trace's log likelihood, so b steps make at most b + 1 sweeps.  The
+    convergence rule compares each step's log-likelihood change with the
+    total change since initialization: stop once
+    (l_t - l_{t-1}) / (l_t - l_0) drops below ``convergence_ratio``.
 
     The structures stay fixed, so the whole burst uses the model's one
     ``FamilyPlan``; each M step hands its ``StackedParams`` straight to the
     next sweep, and a model is built only for the parameters returned.
+
+    A burst stops computing at an exact fixed point: once the last two
+    sweeps gave equal log likelihoods and the M step returns parameters
+    bit for bit equal to the ones just swept.  The sweep is a pure
+    function of the cases and the parameters, and the M step of the
+    statistics, so every later step would repeat the last one; each step
+    left appends the last log likelihood and counts towards the collapse
+    warnings, and the trace is the one a full burst gives.
     """
     budget = steps if steps is not None else max_steps
     plan = model.plan
@@ -297,10 +306,15 @@ def run_em(
     mix_stats, loglik = stats.expected_stats(cases, params)
     logliks = [loglik]
     converged = False
+    fixed = False
     collapse_streaks = np.zeros(model.k, dtype=int)
     collapsed: set[int] = set()
     for _ in range(budget):
-        params = map_parameters(mix_stats, plan, prior, dirichlet, model.noise)
+        if not fixed:
+            swept = params
+            params = map_parameters(mix_stats, plan, prior, dirichlet, model.noise)
+            # the float test first: a burst that never repeats pays only it
+            fixed = len(logliks) > 1 and logliks[-1] == logliks[-2] and _same_bits(params, swept)
         low = mix_stats.gaussian_counts < _COLLAPSE_THRESHOLD
         collapse_streaks = np.where(low, collapse_streaks + 1, 0)
         for c in np.flatnonzero(collapse_streaks >= _COLLAPSE_STEPS).tolist():
@@ -313,7 +327,8 @@ def run_em(
                     RuntimeWarning,
                     stacklevel=2,
                 )
-        mix_stats, loglik = stats.expected_stats(cases, params)
+        if not fixed:
+            mix_stats, loglik = stats.expected_stats(cases, params)
         logliks.append(loglik)
         if steps is None and ratio_rule_fires(logliks, convergence_ratio):
             converged = True
@@ -321,6 +336,19 @@ def run_em(
     if len(logliks) > 1:
         model = plan.model(params)
     return model, EmTrace(tuple(logliks), converged, tuple(sorted(collapsed)), mix_stats)
+
+
+def _same_bits(a: StackedParams, b: StackedParams) -> bool:
+    """Whether two parameter stacks hold the same bytes: weights,
+    intercepts, variances and coefficients compared as integers, so 0.0
+    and -0.0 differ and equal NaNs match, as a sweep sees them."""
+    return all(
+        np.array_equal(x.view(np.int64), y.view(np.int64))
+        for x, y in zip(
+            (a.weights, a.intercepts, a.variances, a.b),
+            (b.weights, b.intercepts, b.variances, b.b),
+        )
+    )
 
 
 def ratio_rule_fires(logliks: Sequence[float], ratio: float) -> bool:

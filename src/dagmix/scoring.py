@@ -102,11 +102,16 @@ def completed_loglik(mix_stats: MixtureStats, model: MdagModel) -> float:
 def _checked_data(data) -> np.ndarray:
     """Data as a cases-by-variables float matrix (n >= 1), cells finite or NaN:
     the one cell rule, for training data where a fit starts and for
-    held-out data where it is scored."""
+    held-out data where it is scored.  Complex cells are refused before the
+    cast, which would keep their real parts alone."""
     try:
-        data = np.asarray(data, dtype=float)
+        data = np.asarray(data)
+        if data.dtype.kind != "c":
+            data = data.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise NonNumericValue(f"data cells must be numbers: {exc}") from None
+    if data.dtype.kind == "c":
+        raise NonNumericValue("data cells must be real numbers, not complex")
     if data.ndim != 2 or data.shape[1] == 0:
         raise DimensionMismatch(f"data must be cases by n >= 1 variables, not {data.shape}")
     if np.isinf(data).any():

@@ -11,8 +11,9 @@ newly legal moves need.  When the climb stalls, the members of its
 equivalence class are scored as stacks: each member's masks and term rows
 are derived from the member it was reached from, with plain ints, and one
 gather and one gains routine (``_gains``, which the climb calls on a stack
-of one) score every member whose terms are in the store; a member that
-lacks terms gets the one fill it would get alone, so a stalled climb
+of one) score every member whose terms are in the store, once the terms
+whose families are memoised are copied in; a member that lacks terms
+never scored gets the one fill it would get alone, so a stalled climb
 scores the same families as one that scores its members one by one.
 Equivalence-aware comparison goes through
 completed partially directed graphs (compelled arcs directed, reversible
@@ -309,7 +310,28 @@ class _ScoreCache:
             rows, us = np.where(swap, us, rows), np.where(swap, rows, us)
         # one request per (row, entry), however many nodes share the row
         at = list(dict.fromkeys((rows * n + us).tolist()))
-        # R(Y)[u] reads Y less u, or Y plus u, which ``fill`` sorts
+        self._store.reshape(-1)[at] = self.marginals.fill(self._families(at))
+        if pairs:
+            block = self._store[:n]
+            np.copyto(block, block.T, where=np.isnan(block))
+            self._pairs_open = bool(np.isnan(block).any())
+
+    def recall(self, ids: np.ndarray, need: np.ndarray) -> None:
+        """Copy into the store every entry that a stack of states (given
+        as to ``terms``) needs and lacks, and whose family the marginals
+        have memoised; a state then lacks only families never scored, and
+        ``terms`` fills it with exactly the families it would fill."""
+        n = ids.shape[-1]
+        j, side, v, u = np.nonzero(np.isnan(self._store)[ids] & need[:, None])
+        if len(j):
+            at = np.unique(ids[j, side, v] * n + u).tolist()
+            families = [tuple(sorted(f)) for f in self._families(at)]
+            self._store.reshape(-1)[at] = self.marginals.memoised(families)
+
+    def _families(self, at: list[int]) -> list[tuple[int, ...]]:
+        """The family of each flat store place row * n + u, unsorted:
+        R(Y)[u] reads Y less u, or Y plus u."""
+        n = self._store.shape[1]
         families = []
         for row, u in (divmod(i, n) for i in at):
             key = self._keys[row]
@@ -318,11 +340,7 @@ class _ScoreCache:
                 families.append(key[:cut] + key[cut + 1:])
             else:
                 families.append(key + (u,))
-        self._store.reshape(-1)[at] = self.marginals.fill(families)
-        if pairs:
-            block = self._store[:n]
-            np.copyto(block, block.T, where=np.isnan(block))
-            self._pairs_open = bool(np.isnan(block).any())
+        return families
 
 
 _KINDS = ("delete", "reverse", "add")
@@ -540,11 +558,13 @@ def _escape(cache: _ScoreCache, graph: _Graph) -> tuple[list[ArcMove], ArcMove] 
     ``_ESCAPE_BUDGET``, whose best move gains more than SCORE_EPS, and
     that move; None when no member has one.
 
-    Each chunk of members (``_member_chunks``) is evaluated as stacks: the
-    members whose needed terms are all in the store at once, and each
-    member that lacks terms after the members before it, with exactly the
-    fill it would get alone (``_ScoreCache.terms``), so the families
-    scored are the ones a member-by-member walk scores."""
+    Each chunk of members (``_member_chunks``) is evaluated as stacks.
+    Before each stack, the needed terms whose families are memoised are
+    copied into the store (``_ScoreCache.recall``); then the members whose
+    needed terms are all in the store are evaluated at once, and each
+    member that lacks terms never scored after the members before it, with
+    exactly the fill it would get alone (``_ScoreCache.terms``), so the
+    families scored are the ones a member-by-member walk scores."""
     walked = [(graph.parents, -1, None)]
     for chunk, legal, ids in _member_chunks(graph, cache):
         first = len(walked)
@@ -552,6 +572,7 @@ def _escape(cache: _ScoreCache, graph: _Graph) -> tuple[list[ArcMove], ArcMove] 
         need = _need(legal)
         at = 0
         while at < len(chunk):
+            cache.recall(ids[at:], need[at:])
             terms = cache.terms(ids[at:], need[at:])
             gains = _gains(terms, legal[at:at + len(terms)])
             hits = np.flatnonzero(gains.max(axis=1) > SCORE_EPS)
@@ -591,8 +612,9 @@ def greedy_component_search(
     the next, and reads its best move off ``_gains`` on a stack of one.  A
     stalled climb's class is walked in chunks that grow (``_escape``):
     within a chunk, the members whose needed terms are all in the store
-    are scored in one stack, and each member that lacks terms is filled
-    alone, in walk order, after every member before it was scored.
+    or memoised are scored in one stack, and each member that lacks terms
+    never scored is filled alone, in walk order, after every member before
+    it was scored.
     """
     graph = _Graph.of(init.parents, max_parents)
     cache = _ScoreCache(prior, t)

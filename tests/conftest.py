@@ -16,7 +16,12 @@ from dagmix.bayes import (
     map_parameters,
     node_families,
 )
-from dagmix.engine import cheeseman_stutz, ratio_rule_fires
+from dagmix.engine import (
+    _COLLAPSE_STEPS,
+    _COLLAPSE_THRESHOLD,
+    cheeseman_stutz,
+    ratio_rule_fires,
+)
 from dagmix.errors import NonPsdScatter, NumericalOverflow, SingularParentBlock
 from dagmix.model import (
     DagStructure,
@@ -280,20 +285,26 @@ def oracle_completed_loglik(mix_stats: MixtureStats, model: MdagModel) -> float:
 
 def oracle_run_em(cases, model, prior, dirichlet, steps=None, convergence_ratio=1e-6,
                   max_steps=500):
-    """``run_em`` with the oracle M step building a model every step:
-    (model, log likelihoods, converged)."""
+    """``run_em`` with the oracle M step building a model and sweeping it
+    every step, a repeated step included: (model, log likelihoods,
+    converged, the last sweep's statistics, the components whose expected
+    count stayed below the collapse threshold for the collapse steps)."""
     structures = tuple(g.structure for g in model.components)
     mix_stats, loglik = expected_stats(cases, model.stacked)
     logliks = [loglik]
     converged = False
+    streaks = np.zeros(model.k, dtype=int)
+    collapsed = set()
     for _ in range(steps if steps is not None else max_steps):
         model = oracle_m_step(mix_stats, structures, prior, dirichlet, model.noise)
+        streaks = np.where(mix_stats.gaussian_counts < _COLLAPSE_THRESHOLD, streaks + 1, 0)
+        collapsed.update(np.flatnonzero(streaks >= _COLLAPSE_STEPS).tolist())
         mix_stats, loglik = expected_stats(cases, model.stacked)
         logliks.append(loglik)
         if steps is None and ratio_rule_fires(logliks, convergence_ratio):
             converged = True
             break
-    return model, logliks, converged
+    return model, logliks, converged, mix_stats, tuple(sorted(collapsed))
 
 
 # --- the E sweep over cases gathered by index, and the M step over triples -----

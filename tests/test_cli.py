@@ -291,6 +291,20 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "predictive score" in out
 
+    def test_one_parser_per_process(self, tmp_path, capsys):
+        # the parser is built at the first call and reused, each call
+        # parsing its own subcommand and arguments
+        cli._build_parser.cache_clear()
+        data_path = str(tmp_path / "gen.csv")
+        assert main(["generate", "--n", "80", "--seed", "5", "--out", data_path]) == 0
+        model_path = str(tmp_path / "m.json")
+        assert main(["fit", "--data", data_path, "--k", "1", "--out", model_path]) == 0
+        assert main(["score", "--model", model_path, "--test", data_path]) == 0
+        assert main(["generate", "--n", "80"]) == 1  # --out is still required
+        assert "predictive score" in capsys.readouterr().out
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
     def test_fit_reproducible_byte_identical(self, tmp_path):
         data_path = self._write_data(tmp_path)
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")

@@ -1,6 +1,8 @@
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from dagmix.engine import (
     FitConfig,
     PriorSpec,
     Schedule,
+    _COLLAPSE_STEPS,
     _bind_priors,
     fit,
     initialize,
@@ -244,9 +247,63 @@ def gold_cases(missing: bool) -> np.ndarray:
     return data
 
 
+def assert_run_em_is_the_oracle(cases, model, prior, dirichlet, steps, max_steps=500):
+    """``run_em`` against ``oracle_run_em``, which sweeps every step, bit
+    for bit: the log likelihoods, ``converged``, the returned parameters,
+    the last sweep's statistics and the collapsed components, each warned
+    about once; returns what ``run_em`` returned."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, trace = run_em(cases, model, prior, dirichlet, steps=steps, max_steps=max_steps)
+    want, logliks, converged, mix_stats, collapsed = oracle_run_em(
+        cases, model, prior, dirichlet, steps=steps, max_steps=max_steps
+    )
+    assert trace.logliks == tuple(logliks)
+    assert trace.converged == converged
+    assert trace.collapsed == collapsed
+    warned = [re.match(r"component (\d+) collapsed", str(w.message)) for w in caught]
+    assert sorted(int(m.group(1)) for m in warned if m) == list(collapsed)
+    for part in ("counts", "sums", "seconds"):
+        assert np.array_equal(getattr(trace.stats, part), getattr(mix_stats, part))
+    assert np.array_equal(got.weights, want.weights)
+    for g, h in zip(got.components, want.components, strict=True):
+        assert g.structure == h.structure
+        assert np.array_equal(g.intercepts, h.intercepts)
+        assert np.array_equal(g.variances, h.variances)
+        for b, c in zip(g.coefficients, h.coefficients, strict=True):
+            assert np.array_equal(b, c)
+    for part in ("weights", "intercepts", "variances", "b", "a", "w", "const"):
+        assert np.array_equal(getattr(got.stacked, part), getattr(want.stacked, part))
+    return got, trace
+
+
+def count_sweeps(monkeypatch) -> list[int]:
+    """A one-element list that counts the E sweeps ``run_em`` makes from
+    now on (the oracle's are not counted)."""
+    calls = [0]
+    real = engine_module.stats.expected_stats
+
+    def counting(cases, params):
+        calls[0] += 1
+        return real(cases, params)
+
+    monkeypatch.setattr(engine_module.stats, "expected_stats", counting)
+    return calls
+
+
+def em_inputs(data, k, seed=0, noise_bounds=None):
+    """(cases, initial model, prior, Dirichlet) of a fit's config, as
+    ``run_em`` takes them."""
+    config = FitConfig(k=k, seed=seed, noise_bounds=noise_bounds)
+    prior, dirichlet = _bind_priors(config, data.shape[1])
+    return group_cases(data), initialize(data, config), prior, dirichlet
+
+
 class TestRunEmOracle:
     """``run_em`` against a loop that builds a model per step through the
-    M step one component and one node at a time, bit for bit."""
+    M step one component and one node at a time and sweeps every step,
+    bit for bit; so a burst that stops computing at a fixed point returns
+    what the full burst returns."""
 
     @pytest.mark.parametrize("steps", [7, None])
     @pytest.mark.parametrize("missing", [False, True])
@@ -254,33 +311,89 @@ class TestRunEmOracle:
         from dagmix.harness import default_gold_standard
 
         data = gold_cases(missing)
-        cases = group_cases(data)
-        config = FitConfig(k=3, seed=4)
-        prior, dirichlet = _bind_priors(config, data.shape[1])
-        start = initialize(data, config)
+        cases, start, prior, dirichlet = em_inputs(data, 3, seed=4)
         # the gold structures, at parameters one M step from the start
         gold = tuple(g.structure for g in default_gold_standard().model.components)
         searched = oracle_m_step(
             expected_stats(cases, start.stacked)[0], gold, prior, dirichlet
         )
         for model in (start, searched):
-            got, trace = run_em(cases, model, prior, dirichlet, steps=steps)
-            want, logliks, converged = oracle_run_em(cases, model, prior, dirichlet, steps=steps)
-            assert trace.logliks == tuple(logliks)
-            assert trace.converged == converged
-            assert converged == (steps is None)
-            assert np.array_equal(got.weights, want.weights)
-            for g, h in zip(got.components, want.components, strict=True):
-                assert g.structure == h.structure
-                assert np.array_equal(g.intercepts, h.intercepts)
-                assert np.array_equal(g.variances, h.variances)
-                for b, c in zip(g.coefficients, h.coefficients, strict=True):
-                    assert np.array_equal(b, c)
+            got, trace = assert_run_em_is_the_oracle(cases, model, prior, dirichlet, steps)
+            assert trace.converged == (steps is None)
             # the sweep arrays the returned model keeps from its last M step
             # are the ones its components give
             rebuilt = MdagModel(got.weights, got.components, got.noise).stacked
             for part in ("a", "w", "const"):
                 assert np.array_equal(getattr(got.stacked, part), getattr(rebuilt, part))
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 20, None])
+    def test_one_component_on_complete_data(self, steps):
+        # every sweep of one component over complete data gives the same
+        # statistics, so the second M step repeats the first
+        assert_run_em_is_the_oracle(*em_inputs(gold_cases(False), 1), steps)
+
+    def test_one_component_burst_makes_three_sweeps(self, monkeypatch):
+        # the sweeps at the start and after steps 1 and 2; step 2's sweep
+        # repeats step 1's log likelihood, so step 3's M step, which
+        # repeats step 2's parameters, is compared and the burst stops
+        sweeps = count_sweeps(monkeypatch)
+        _, trace = run_em(*em_inputs(gold_cases(False), 1), steps=20)
+        assert sweeps[0] <= 3
+        assert len(trace.logliks) == 21 and len(set(trace.logliks[1:])) == 1
+
+    @pytest.mark.parametrize("steps", [5, 6, 20])
+    def test_two_components_reach_their_fixed_point(self, steps, monkeypatch):
+        # this draw's fifth M step returns the fourth's parameters, on the
+        # last step of a 5-step burst; the bursts skip nothing of 5 steps,
+        # the last of 6 and 14 of 20
+        sweeps = count_sweeps(monkeypatch)
+        assert_run_em_is_the_oracle(*em_inputs(gold_cases(False), 2), steps)
+        assert sweeps[0] == min(steps, 5) + 1
+
+    def test_noise_component(self, monkeypatch):
+        # the noise keeps a share of every case, and the 42nd M step repeats
+        # the 41st's parameters, so 8 of 50 steps make no sweep
+        data = gold_cases(False)
+        box = (tuple(data.min(axis=0) - 1.0), tuple(data.max(axis=0) + 1.0))
+        sweeps = count_sweeps(monkeypatch)
+        assert_run_em_is_the_oracle(*em_inputs(data, 1, noise_bounds=box), 50)
+        assert sweeps[0] == 42
+
+    def test_collapse_warned_during_skipped_steps(self, rng, monkeypatch):
+        # the stranded component keeps no responsibility, so every sweep
+        # gives the same statistics and the burst sweeps at the start and
+        # after steps 1 and 2 alone; its collapse streak reaches
+        # _COLLAPSE_STEPS at step 3, a step that makes no sweep
+        data = rng.normal(1000.0, 1.0, (100, 1))
+        prior, dirichlet = _bind_priors(FitConfig(k=2), 1)
+        stranded = MdagModel(
+            np.array([1.0 - 1e-12, 1e-12]),
+            (single_node_model(1000.0), single_node_model(-1000.0, variance=1e-6)),
+        )
+        sweeps = count_sweeps(monkeypatch)
+        _, trace = assert_run_em_is_the_oracle(
+            group_cases(data), stranded, prior, dirichlet, 8
+        )
+        assert trace.collapsed == (1,)
+        assert sweeps[0] == _COLLAPSE_STEPS == 3
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(1, 2),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2, 4, 12, None]),
+        st.booleans(),
+    )
+    def test_random_small_data(self, k, seed, steps, missing):
+        rng = np.random.default_rng(seed)
+        n, size = int(rng.integers(1, 4)), int(rng.integers(4, 40))
+        shift = 4.0 * rng.integers(0, 2, (size, 1))
+        data = rng.normal(0.0, rng.uniform(0.5, 3.0, n), (size, n)) + shift
+        if missing:
+            data[rng.random(data.shape) < 0.2] = np.nan
+        assert_run_em_is_the_oracle(
+            *em_inputs(data, k, seed=int(rng.integers(0, 100))), steps, max_steps=60
+        )
 
 
 class TestInitialize:
@@ -541,9 +654,14 @@ _WITH_INF[7, 1] = np.inf
         (np.zeros((5, 2, 2)), DimensionMismatch),
         (np.zeros((5, 0)), DimensionMismatch),
         (np.array([["0.5", "a"], ["1.0", "b"]]), NonNumericValue),
+        (_WITH_INF.real + 1j, NonNumericValue),
+        (_WITH_INF.real + 0j, NonNumericValue),
     ],
-    ids=["inf-cell", "1-d", "3-d", "no-variables", "string-cells"],
+    ids=["inf-cell", "1-d", "3-d", "no-variables", "string-cells", "complex-cells",
+         "zero-imaginary-parts"],
 )
+# a cast that keeps the real parts warns; the warning must not be the way out
+@pytest.mark.filterwarnings("error")
 def test_bad_data_is_a_data_error_at_entry(data, error):
     assert issubclass(error, DataError)
     with pytest.raises(error):

@@ -3,7 +3,7 @@ import pytest
 
 from dagmix import harness
 from dagmix.engine import FitConfig, PriorSpec, Schedule, fit
-from dagmix.errors import DimensionMismatch, EmptyTestSet
+from dagmix.errors import DimensionMismatch, EmptyTestSet, NonNumericValue
 from dagmix.harness import (
     RECOVERY_SIZES,
     count_parameters,
@@ -289,6 +289,19 @@ class TestBaselineComparison:
         test = np.zeros((test_cases, test_width))
         with pytest.raises(error):
             run_baseline_comparison(train, test, FitConfig(), families=families)
+
+    @pytest.mark.parametrize("complex_side", ["train", "test"])
+    @pytest.mark.filterwarnings("error")
+    def test_complex_cells_refused_before_fitting(self, monkeypatch, complex_side):
+        def never(*args, **kwargs):
+            raise AssertionError("fitted before the inputs were checked")
+
+        monkeypatch.setattr(harness, "select_k", never)
+        data = {"train": sample(default_gold_standard().model, 50, 0)[0]}
+        data["test"] = data["train"][:10].copy()
+        data[complex_side] = data[complex_side] + 0j  # zero imaginary parts
+        with pytest.raises(NonNumericValue):
+            run_baseline_comparison(data["train"], data["test"], FitConfig())
 
     def test_families_and_ordering(self):
         gold = default_gold_standard()

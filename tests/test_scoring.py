@@ -284,13 +284,17 @@ class TestPredictiveScore:
         with pytest.raises(EmptyTestSet):
             predictive_score(np.empty((0, 1)), m)
 
-    @pytest.mark.parametrize("cell", [np.inf, -np.inf, "a"])
+    @pytest.mark.parametrize("cell", [np.inf, -np.inf, "a", 0.5 + 2j, 0.5 + 0j])
+    @pytest.mark.filterwarnings("error")
     def test_cells_checked(self, cell):
-        # held-out data gets the training data's cell rule: finite numbers
-        # or NaN (missing)
+        # held-out data gets the training data's cell rule: finite real
+        # numbers or NaN (missing); a complex cell is refused even with a
+        # zero imaginary part, as a list or as an array
         m = MdagModel(np.array([1.0]), (single_node_model(0.0),))
         with pytest.raises(NonNumericValue):
             predictive_score([[0.5], [cell]], m)
+        with pytest.raises(NonNumericValue):
+            predictive_score(np.array([[0.5], [cell]]), m)
         assert np.isfinite(predictive_score([[0.5], [np.nan]], m))
 
 

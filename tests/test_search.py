@@ -835,18 +835,23 @@ class EscapeWatch:
     """Records, for every escape of the searches run while it is set, the
     rounds of its stacked evaluation: whether the round's first member was
     filled, how many members the round held, and the first of them whose
-    best move gains more than SCORE_EPS (None if none); and, for every
-    class walk, how many members it yielded."""
+    best move gains more than SCORE_EPS (None if none); for every class
+    walk, how many members it yielded; and how many fills within escapes
+    scored no family the memo lacked (``idle_fills``)."""
 
     def __init__(self, monkeypatch):
         self.escapes, self.walks, self._rounds, self._filled = [], [], None, False
+        self.idle_fills = 0
         terms, fill = _ScoreCache.terms, _ScoreCache._fill
         gains_of, escape, walk = (search_module._gains, search_module._escape,
                                   search_module._class_walk)
 
         def watched_fill(cache, *args):
             self._filled = True
-            return fill(cache, *args)
+            memoised = len(cache.marginals._memo)
+            fill(cache, *args)
+            if self._rounds is not None:
+                self.idle_fills += len(cache.marginals._memo) == memoised
 
         def watched_terms(cache, ids, need):
             self._filled = False
@@ -915,6 +920,9 @@ class TestLongWalks:
         after, at = watch.late_escapes()
         assert after > 0 and at > 0
         assert _ESCAPE_BUDGET in watch.walks
+        # memoised terms are copied in before a round, so a walk fills a
+        # member only for a family never scored
+        assert watch.idle_fills == 0
 
     def test_budget_cuts_the_walk_of_a_complete_dag(self, rng, monkeypatch):
         # six equicorrelated variables: every arc of the complete DAG is
