@@ -11,6 +11,14 @@ Node-family scores restrict the prior to a variable subset Y by taking
 sub-blocks of (mu0, tau) and reducing alpha by (n - |Y|); that restriction
 makes Markov-equivalent structures score identically.
 
+Statistics arrive stacked, one row per Gaussian component
+(``MixtureStats``), and every posterior comes from one ``_posteriors`` call
+over the stacks: the M step's (``map_parameters``) and the family
+marginals' (``family_marginals``), which keep one family memo per
+component.  ``fit`` builds the marginals once per outer iteration and
+shares them between search and the complete-model score of the structures
+search returns, so that score reads families search has memoised.
+
 These functions are internal and assume validated input: user
 hyperparameters are checked once, in ``PriorSpec.normal_wishart``, and
 every other value is built from them and from data checked at the entry
@@ -33,7 +41,7 @@ from .errors import (
     SingularParentBlock,
 )
 from .model import FamilyPlan, NoiseComponent, StackedParams, _chol_with_jitter
-from .stats import COUNT_FLOOR, MixtureStats, SuffStats
+from .stats import COUNT_FLOOR, MixtureStats
 
 _LOG_PI = float(np.log(np.pi))
 _PSD_TOL = 1e-8
@@ -133,23 +141,10 @@ def _posteriors(
     return nu1, mu1, prior.alpha + counts, 0.5 * (tau1 + tau1.transpose(0, 2, 1))
 
 
-def _as_stacks(t: SuffStats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One triple as stacks of one."""
-    return np.array([t.n], dtype=float), np.array([t.r], dtype=float), np.array([t.s], dtype=float)
-
-
-def posterior_update(prior: NormalWishart, t: SuffStats) -> NormalWishart:
-    """Absorb a statistics triple (``_posteriors`` with k = 1); the
-    identity map when it is empty."""
-    if t.n <= COUNT_FLOOR:
-        return prior
-    nu, mu, alpha, tau = _posteriors(prior, *_as_stacks(t))
-    return NormalWishart(float(nu[0]), mu[0], float(alpha[0]), tau[0])
-
-
 class FamilyMarginals:
-    """Log marginal likelihoods of variable subsets Y for one (prior,
-    statistics) pair.
+    """Log marginal likelihoods of variable subsets Y for one Gaussian
+    component's statistics under the prior; ``family_marginals`` builds
+    them for every component at once.
 
     Closed form for the saturated Gaussian on Y under the Y-restricted
     prior, with ratios of prior and posterior normalizing constants:
@@ -160,25 +155,24 @@ class FamilyMarginals:
 
     where primes denote the updated quantities and alpha is already
     restricted; an empty batch and the empty set score 0.  The posterior
-    scale tau'_Y of every family is a block of the one matrix T' that
-    ``posterior_update`` builds: each term of T' is elementwise, so its
-    Y-block is bit-identical to the same expression built from Y-sliced
-    inputs.  tau and T' are kept as one (2, n, n) stack.  The terms that
-    depend only on |Y| are cached by size, and each family's value by its
-    sorted tuple: one value per variable set, whichever order a caller
-    lists it in, so set terms that cancel in exact arithmetic cancel in
-    floats too.  ``fill`` is the one reader that computes: it computes a
-    batch of families with one gather and one stacked factorisation of
-    both scales' blocks per size, so each caller asks for all the families
-    it needs in one call; ``memoised`` reads the memo alone.
+    scale tau'_Y of every family is a block of the component's one matrix
+    T' from ``_posteriors``: each term of T' is elementwise, so its Y-block
+    is bit-identical to the same expression built from Y-sliced inputs.
+    tau and T' are kept as one (2, n, n) stack.  The terms that depend only
+    on |Y| are cached by size, and each family's value by its sorted tuple:
+    one value per variable set, whichever order a caller lists it in, so
+    set terms that cancel in exact arithmetic cancel in floats too.
+    ``fill`` is the one reader that computes: it computes a batch of
+    families with one gather and one stacked factorisation of both scales'
+    blocks per size, so each caller asks for all the families it needs in
+    one call; ``memoised`` reads the memo alone.
     """
 
-    def __init__(self, prior: NormalWishart, t: SuffStats):
-        post = posterior_update(prior, t)
+    def __init__(self, prior: NormalWishart, n_count: float, nu1: float, scales: np.ndarray):
         self.prior = prior
-        self.n_count = t.n
-        self._nu1 = post.nu
-        self._scales = np.stack([prior.tau, post.tau])
+        self.n_count = n_count
+        self._nu1 = nu1
+        self._scales = scales
         self._memo: dict[tuple[int, ...], float] = {(): 0.0}
         self._by_size: dict[int, tuple[float, float, float]] = {}
 
@@ -233,6 +227,21 @@ class FamilyMarginals:
         NaN for a family never filled."""
         get = self._memo.get
         return [get(key, np.nan) for key in keys]
+
+
+def family_marginals(prior: NormalWishart, mix_stats: MixtureStats) -> tuple[FamilyMarginals, ...]:
+    """The family marginals of every Gaussian component of the statistics,
+    in component order, from one ``_posteriors`` call over their stacks;
+    each component keeps its own memo.  A component at or below
+    ``COUNT_FLOOR`` keeps the prior and scores every family 0."""
+    counts = mix_stats.gaussian_counts
+    nu1, _, _, tau1 = _posteriors(prior, counts, mix_stats.sums, mix_stats.seconds)
+    scales = np.empty((len(counts), 2, prior.dim, prior.dim))
+    scales[:, 0], scales[:, 1] = prior.tau, tau1
+    return tuple(
+        FamilyMarginals(prior, count, nu, scale)
+        for count, nu, scale in zip(counts.tolist(), nu1.tolist(), scales)
+    )
 
 
 def _stacked_logdets(blocks: np.ndarray) -> np.ndarray:
@@ -310,13 +319,6 @@ def _map_joints(
     return mu, tau / (alpha + prior.dim + 2.0)[:, None, None]
 
 
-def map_joint(prior: NormalWishart, t: SuffStats) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior joint mode (mean, covariance) of one triple: ``_map_joints``
-    with k = 1."""
-    means, covs = _map_joints(prior, *_as_stacks(t))
-    return means[0], covs[0]
-
-
 def data_informed_prior(data: np.ndarray, ess: float, prior: NormalWishart) -> NormalWishart:
     """Normal-Wishart whose mode matches the data's MAP joint, at strength ess.
 
@@ -327,7 +329,10 @@ def data_informed_prior(data: np.ndarray, ess: float, prior: NormalWishart) -> N
     mode as ess grows.
     """
     count, n = data.shape
-    mean, cov = map_joint(prior, SuffStats(float(count), data.sum(axis=0), data.T @ data))
+    means, covs = _map_joints(
+        prior, np.array([float(count)]), data.sum(axis=0)[None], (data.T @ data)[None]
+    )
+    mean, cov = means[0], covs[0]
     alpha = ess + n + 1.0
     tau = (alpha + n + 2.0) * cov
     tau = 0.5 * (tau + tau.T)

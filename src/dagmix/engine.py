@@ -22,8 +22,10 @@ import numpy as np
 from . import stats
 from .bayes import (
     DirichletPrior,
+    FamilyMarginals,
     NormalWishart,
     data_informed_prior,
+    family_marginals,
     map_parameters,
     sample_joint_parameters,
 )
@@ -406,6 +408,7 @@ def cheeseman_stutz(
     prior: NormalWishart,
     dirichlet: DirichletPrior,
     mix_stats: stats.MixtureStats,
+    marginals: Sequence[FamilyMarginals] | None = None,
 ) -> tuple[float, float, float]:
     """(complete-model score, observed log likelihood, Cheeseman-Stutz score)
     of the cases at the model.
@@ -417,10 +420,13 @@ def cheeseman_stutz(
     parameters.  The caller must pass parameters that are MAP for the
     model's structures, and the statistics that produced them.  When the
     completion is the data itself the correction cancels and the exact
-    closed form is recovered.
+    closed form is recovered.  ``marginals`` are those a search of the
+    model's structures climbed on, if any (see ``complete_model_score``).
     """
     structures = tuple(g.structure for g in model.components)
-    complete = complete_model_score(mix_stats, structures, prior, dirichlet, model.noise)
+    complete = complete_model_score(
+        mix_stats, structures, prior, dirichlet, model.noise, marginals
+    )
     obs = observed_loglik(cases, model)
     return complete, obs, complete + obs - completed_loglik(mix_stats, model)
 
@@ -466,9 +472,11 @@ def fit(data: np.ndarray, config: FitConfig) -> FitResult:
         )
         collapsed.update(em_trace.collapsed)
         mix_stats = em_trace.stats
+        # shared by search and the complete-model score of what it returns
+        marginals = family_marginals(prior, mix_stats)
         if searching:
             new_structures = search_all_components(
-                mix_stats, structures, prior, max_parents=config.max_parents
+                marginals, structures, max_parents=config.max_parents
             )
         else:
             new_structures = structures
@@ -476,7 +484,7 @@ def fit(data: np.ndarray, config: FitConfig) -> FitResult:
         # one plan per structure set: the next burst reuses this one
         plan = model.plan if unchanged else FamilyPlan(new_structures)
         model = plan.model(map_parameters(mix_stats, plan, prior, dirichlet, model.noise))
-        complete, obs, cs = cheeseman_stutz(cases, model, prior, dirichlet, mix_stats)
+        complete, obs, cs = cheeseman_stutz(cases, model, prior, dirichlet, mix_stats, marginals)
         iterates.append(OuterIterate(model, new_structures, mix_stats, obs, complete, cs))
         structures = new_structures
         if unchanged and (force_full_em or config.schedule.em_steps is None):

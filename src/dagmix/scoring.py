@@ -7,12 +7,15 @@ changes exactly one term.  The observed log likelihood and the completed
 log likelihood are the two halves of the correction that
 ``engine.cheeseman_stutz`` adds to it, both at the MAP parameters; that is
 the one place the Cheeseman-Stutz score is computed.  The complete-model
-score reads a ``MixtureStats`` through its triples, one per Gaussian
-component, zipped with the structures, under one Normal-Wishart prior for
-every component; the completed log likelihood reads its stacked counts,
-sums and second moments against the model's ``StackedParams``, the
-regression forms the M step wrote and the E sweep reads.  The noise
-component's count stands apart in both.
+score reads the family marginals of a ``MixtureStats`` under one
+Normal-Wishart prior for every component (``bayes.family_marginals``),
+zipped with the structures: ``fit`` passes the marginals its search just
+climbed on, whose memos hold every family of the structures search
+returned, and a caller without them gets them built from the statistics.
+The completed log likelihood reads the stacked counts, sums and second
+moments against the model's ``StackedParams``, the regression forms the M
+step wrote and the E sweep reads.  The noise component's count stands
+apart in both.
 
 These functions are internal and assume validated input: data, models and
 statistics arrive through the checked entry points that the package
@@ -34,6 +37,7 @@ from .bayes import (
     FamilyMarginals,
     NormalWishart,
     dirichlet_log_marglik,
+    family_marginals,
     node_families,
 )
 from .errors import DimensionMismatch, EmptyTestSet, NonNumericValue
@@ -47,18 +51,23 @@ def complete_model_score(
     prior: NormalWishart,
     dirichlet: DirichletPrior,
     noise=None,
+    marginals: Sequence[FamilyMarginals] | None = None,
 ) -> float:
     """Factored score of the statistics under per-component structures.
 
-    ``structures[c]`` is scored on ``mix_stats.triples[c]``; the noise
+    ``structures[c]`` is scored on ``marginals[c]``, the family marginals
+    of Gaussian component c (``family_marginals(prior, mix_stats)``, built
+    here when not given, and read off their memos when given); the noise
     component, present when ``noise`` is given, contributes its fixed
     uniform mass over ``mix_stats.noise_count`` cases, never a learned term.
     """
+    if marginals is None:
+        marginals = family_marginals(prior, mix_stats)
     c_term = dirichlet_log_marglik(dirichlet, mix_stats.counts)
     noise_term = 0.0 if noise is None else -mix_stats.noise_count * noise.log_volume
     locals_ = []
-    for t, structure in zip(mix_stats.triples, structures, strict=True):
-        values = FamilyMarginals(prior, t).fill(node_families(enumerate(structure.parents)))
+    for component, structure in zip(marginals, structures, strict=True):
+        values = component.fill(node_families(enumerate(structure.parents)))
         locals_.append([top - base for top, base in zip(values[::2], values[1::2])])
     return c_term + noise_term + sum(sum(ls) for ls in locals_)
 

@@ -11,18 +11,17 @@ newly legal moves need.  When the climb stalls, the members of its
 equivalence class are scored as stacks: each member's masks and term rows
 are derived from the member it was reached from, with plain ints, and one
 gather and one gains routine (``_gains``, which the climb calls on a stack
-of one) score every member whose terms are in the store, once the terms
-whose families are memoised are copied in; a member that lacks terms
-never scored gets the one fill it would get alone, so a stalled climb
-scores the same families as one that scores its members one by one.
-Equivalence-aware comparison goes through
-completed partially directed graphs (compelled arcs directed, reversible
-arcs undirected).  Search reads a ``MixtureStats`` as one triple per
-Gaussian component, zipped with the structures, under one Normal-Wishart
-prior.  Internal: input is validated where it enters the package (see its
-docstring).  A search state is a plain tuple of parent sets, carried with
-its matrices (``_Graph``); only a search's result is built as a
-``DagStructure``.
+of one) score every member whose terms are in the store or memoised; a
+member that lacks terms never scored gets the one fill it would get alone,
+so a stalled climb scores the same families as one that scores its members
+one by one.  Equivalence-aware comparison goes through completed partially
+directed graphs (compelled arcs directed, reversible arcs undirected).
+Search climbs on the family marginals of each Gaussian component
+(``bayes.family_marginals``), zipped with the structures; ``fit`` scores
+the structures search returns on the same memos.  Internal: input is
+validated where it enters the package (see its docstring).  A search state
+is a plain tuple of parent sets, carried with its matrices (``_Graph``);
+only a search's result is built as a ``DagStructure``.
 """
 
 from __future__ import annotations
@@ -36,10 +35,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .bayes import FamilyMarginals, NormalWishart, local_score, node_families
+from .bayes import FamilyMarginals, local_score, node_families
 from .errors import DimensionMismatch
 from .model import DagStructure, _topological_order
-from .stats import MixtureStats, SuffStats
 
 SCORE_EPS = 1e-9
 
@@ -239,9 +237,9 @@ class _ScoreCache:
     copied across, until every pair family is in.
     """
 
-    def __init__(self, prior: NormalWishart, t: SuffStats):
-        n = t.dim
-        self.marginals = FamilyMarginals(prior, t)
+    def __init__(self, marginals: FamilyMarginals):
+        n = marginals.prior.dim
+        self.marginals = marginals
         self._store = np.full((2 * n, n), np.nan)  # one row R(Y) per key
         self._keys: list[tuple[int, ...]] = []
         self._index: dict[tuple[int, ...], int] = {}
@@ -281,22 +279,35 @@ class _ScoreCache:
         terms[j, :, v, v] is F(Pa(v)) and F(v + Pa(v)).  ``need`` marks
         the (members, n, n) entries each state reads (target first,
         diagonal included), and every marked entry of every state returned
-        is filled.  The first state's lacking entries are filled, in one
-        ``FamilyMarginals.fill``, and a fill that leaves one missing raises
-        AssertionError, since a walk would find that state lacking again;
-        the stack returned ends before the next state that lacks one, so a
-        state is filled only after every state before it was returned."""
+        is filled.  From one gather of the stack, the first state's lacking
+        entries are filled in one ``FamilyMarginals.fill`` (which reads the
+        memo), and a fill that leaves one missing raises AssertionError,
+        since a walk would find that state lacking again; the later
+        states' lacking entries whose families are memoised are copied in.
+        The stack returned ends before the next state that lacks a family
+        never scored, so a state is filled only after every state before it
+        was returned."""
         terms = self._store[ids]
-        lack = np.isnan(terms) & need[:, None]
-        short = lack.any(axis=(1, 2, 3))
-        if short[0]:
-            lack = np.flatnonzero(lack[0])
-            self._fill(ids[0], lack)
-            terms = self._store[ids]
-            if np.isnan(terms[0].take(lack)).any():
-                raise AssertionError("a fill left a needed term missing")
-            short[0] = False
-        return terms[: int(short.argmax()) or len(short)]
+        j, side, v, u = np.nonzero(np.isnan(terms) & need[:, None])
+        if not len(j):
+            return terms
+        flat = self._store.reshape(-1)
+        places = ids[j, side, v] * ids.shape[-1] + u
+        first = j == 0
+        if first[0]:
+            self._fill(ids[0], np.ravel_multi_index((side[first], v[first], u[first]),
+                                                    terms.shape[1:]))
+        later = np.unique(places[~first])
+        at = later[np.isnan(flat[later])].tolist()
+        if at:
+            flat[at] = self.marginals.memoised([tuple(sorted(f)) for f in self._families(at)])
+        terms[j, side, v, u] = values = flat[places]
+        short = j[np.isnan(values)]
+        if not len(short):
+            return terms
+        if short[0] == 0:
+            raise AssertionError("a fill left a needed term missing")
+        return terms[: short[0]]
 
     def _fill(self, ids: np.ndarray, lack: np.ndarray) -> None:
         """Fill the entries at the flat places ``lack`` of one state's
@@ -315,18 +326,6 @@ class _ScoreCache:
             block = self._store[:n]
             np.copyto(block, block.T, where=np.isnan(block))
             self._pairs_open = bool(np.isnan(block).any())
-
-    def recall(self, ids: np.ndarray, need: np.ndarray) -> None:
-        """Copy into the store every entry that a stack of states (given
-        as to ``terms``) needs and lacks, and whose family the marginals
-        have memoised; a state then lacks only families never scored, and
-        ``terms`` fills it with exactly the families it would fill."""
-        n = ids.shape[-1]
-        j, side, v, u = np.nonzero(np.isnan(self._store)[ids] & need[:, None])
-        if len(j):
-            at = np.unique(ids[j, side, v] * n + u).tolist()
-            families = [tuple(sorted(f)) for f in self._families(at)]
-            self._store.reshape(-1)[at] = self.marginals.memoised(families)
 
     def _families(self, at: list[int]) -> list[tuple[int, ...]]:
         """The family of each flat store place row * n + u, unsorted:
@@ -558,13 +557,12 @@ def _escape(cache: _ScoreCache, graph: _Graph) -> tuple[list[ArcMove], ArcMove] 
     ``_ESCAPE_BUDGET``, whose best move gains more than SCORE_EPS, and
     that move; None when no member has one.
 
-    Each chunk of members (``_member_chunks``) is evaluated as stacks.
-    Before each stack, the needed terms whose families are memoised are
-    copied into the store (``_ScoreCache.recall``); then the members whose
-    needed terms are all in the store are evaluated at once, and each
-    member that lacks terms never scored after the members before it, with
-    exactly the fill it would get alone (``_ScoreCache.terms``), so the
-    families scored are the ones a member-by-member walk scores."""
+    Each chunk of members (``_member_chunks``) is evaluated as stacks
+    (``_ScoreCache.terms``): the members whose needed terms are in the
+    store or memoised are evaluated at once, and each member that lacks
+    terms never scored after the members before it, with exactly the fill
+    it would get alone, so the families scored are the ones a
+    member-by-member walk scores."""
     walked = [(graph.parents, -1, None)]
     for chunk, legal, ids in _member_chunks(graph, cache):
         first = len(walked)
@@ -572,7 +570,6 @@ def _escape(cache: _ScoreCache, graph: _Graph) -> tuple[list[ArcMove], ArcMove] 
         need = _need(legal)
         at = 0
         while at < len(chunk):
-            cache.recall(ids[at:], need[at:])
             terms = cache.terms(ids[at:], need[at:])
             gains = _gains(terms, legal[at:at + len(terms)])
             hits = np.flatnonzero(gains.max(axis=1) > SCORE_EPS)
@@ -588,15 +585,14 @@ def _escape(cache: _ScoreCache, graph: _Graph) -> tuple[list[ArcMove], ArcMove] 
 
 
 def greedy_component_search(
-    t: SuffStats,
-    prior: NormalWishart,
+    marginals: FamilyMarginals,
     init: DagStructure,
     max_parents: int | None = None,
     trace: list[SearchStep] | None = None,
     component: int = 0,
 ) -> DagStructure:
     """Hill climbing over add/delete/reverse moves until nothing gains more
-    than SCORE_EPS.
+    than SCORE_EPS, scored on one Gaussian component's family marginals.
 
     Only the nodes whose parents change are rescored per move; the running
     total is re-derived from the per-node scores after every acceptance so
@@ -609,15 +605,16 @@ def greedy_component_search(
     The returned structure has no improving neighbor.
 
     The climb keeps its ``_Graph`` and its ``_ScoreCache`` from one move to
-    the next, and reads its best move off ``_gains`` on a stack of one.  A
-    stalled climb's class is walked in chunks that grow (``_escape``):
-    within a chunk, the members whose needed terms are all in the store
-    or memoised are scored in one stack, and each member that lacks terms
-    never scored is filled alone, in walk order, after every member before
-    it was scored.
+    the next, and reads its best move off ``_gains`` on a stack of one.
+    Every node family of the structure returned is left memoised
+    (``local_score``).  A stalled climb's class is walked in chunks that
+    grow (``_escape``): within a chunk, the members whose needed terms are
+    all in the store or memoised are scored in one stack, and each member
+    that lacks terms never scored is filled alone, in walk order, after
+    every member before it was scored.
     """
     graph = _Graph.of(init.parents, max_parents)
-    cache = _ScoreCache(prior, t)
+    cache = _ScoreCache(marginals)
     cache.marginals.fill(node_families(enumerate(graph.parents)))
     node_scores = np.array(
         [local_score(cache.marginals, i, ps) for i, ps in enumerate(graph.parents)]
@@ -656,23 +653,23 @@ def greedy_component_search(
 
 
 def search_all_components(
-    mix_stats: MixtureStats,
+    marginals: Sequence[FamilyMarginals],
     structures: Sequence[DagStructure],
-    prior: NormalWishart,
     max_parents: int | None = None,
     traces: list[list[SearchStep]] | None = None,
 ) -> tuple[DagStructure, ...]:
-    """Independent greedy search per Gaussian component, ``structures[c]``
-    from ``mix_stats.triples[c]``; the noise component has no structure."""
+    """Independent greedy search per Gaussian component, from
+    ``structures[c]`` on ``marginals[c]`` (``bayes.family_marginals``); the
+    noise component has no structure."""
     out = []
-    for c, (t, init) in enumerate(zip(mix_stats.triples, structures, strict=True)):
+    for c, (component, init) in enumerate(zip(marginals, structures, strict=True)):
         trace = None
         if traces is not None:
             trace = []
             traces.append(trace)
         out.append(
             greedy_component_search(
-                t, prior, init, max_parents=max_parents, trace=trace, component=c
+                component, init, max_parents=max_parents, trace=trace, component=c
             )
         )
     return tuple(out)

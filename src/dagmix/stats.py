@@ -1,14 +1,17 @@
-"""Sufficient-statistic triples and their expected (E-step) counterparts.
+"""Expected (E-step) sufficient statistics, stacked over components.
 
-Each Gaussian mixture component accumulates a triple (n, r, s): expected
-case count, expected sum of x, and expected sum of outer products x x^T;
-a noise component accumulates only its expected count.  A sweep returns
-them stacked (``MixtureStats``), as the M step reads them.  With
-a hidden mixture indicator and possibly missing coordinates, the exact
-statistics are replaced by expectations under the current model, taken
-per case given whatever was observed for that case.  These expected
-statistics keep the full cross-product matrix so that structures visited
-later during search are supported no matter which dependencies they use.
+Each Gaussian mixture component accumulates an expected case count, an
+expected sum of x and an expected sum of outer products x x^T; a noise
+component accumulates only its expected count.  A sweep returns them as
+(k, ...) stacks (``MixtureStats``), the one form that the M step, search
+and the scores read: the M step and the family marginals of search and of
+the complete-model score each take one stacked posterior of them
+(``bayes``).  With a hidden mixture indicator and possibly missing
+coordinates, the exact statistics are replaced by expectations under the
+current model, taken per case given whatever was observed for that case.
+These expected statistics keep the full cross-product matrix so that
+structures visited later during search are supported no matter which
+dependencies they use.
 
 Missing values are NaN cells in the data matrix.  ``group_cases`` groups
 the cases by observation mask once per data set, so a sweep only computes
@@ -38,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -46,22 +48,9 @@ import numpy as np
 from .errors import AllComponentsZeroDensity
 from .model import LOG_2PI, NoiseComponent, StackedParams
 
-# A count at or below this stands for no cases: a triple's posterior is its
-# prior, and neither a triple nor the noise count adds to a likelihood.
+# A count at or below this stands for no cases: a component's posterior is
+# its prior, and neither it nor the noise count adds to a likelihood.
 COUNT_FLOOR = 1e-250
-
-
-@dataclass(frozen=True)
-class SuffStats:
-    """(n, r, s): case count, sum of x, sum of x x^T; n may be fractional."""
-
-    n: float
-    r: np.ndarray
-    s: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.r.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,15 +59,8 @@ class MixtureStats:
     expected case count in the order of the model's weight vector (noise
     first when present); ``sums``, (k, n), and ``seconds``, (k, n, n), each
     Gaussian component's expected sums of x and of x x^T.  The noise
-    component keeps only its count.
-
-    The M step reads the stacks.  ``triples`` views them as one SuffStats
-    per Gaussian component, so that search and scoring zip
-    ``triples[c]`` with ``model.components[c]`` or its structure.  With the
-    mixture indicator as the only discrete variable, one triple per
-    component is the whole story; a model with further discrete variables
-    would instead keep a sparse map from observed discrete configurations
-    to triples.
+    component keeps only its count.  Row c of the Gaussian stacks belongs
+    to ``model.components[c]`` and its structure.
     """
 
     counts: np.ndarray
@@ -93,13 +75,6 @@ class MixtureStats:
     def noise_count(self) -> float | None:
         """The noise component's expected count; None without one."""
         return float(self.counts[0]) if len(self.counts) > len(self.sums) else None
-
-    @cached_property
-    def triples(self) -> tuple[SuffStats, ...]:
-        return tuple(
-            SuffStats(float(c), r, s)
-            for c, r, s in zip(self.gaussian_counts, self.sums, self.seconds)
-        )
 
 
 # --- cases grouped by observation mask ---------------------------------------

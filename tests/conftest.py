@@ -6,13 +6,15 @@ from scipy import stats as sps
 import heapq
 from collections import deque
 from itertools import islice, permutations
+from typing import NamedTuple
 
 from dagmix.bayes import (
     FamilyMarginals,
     NormalWishart,
+    _multigammaln,
     dirichlet_map,
+    family_marginals,
     local_score,
-    map_joint,
     map_parameters,
     node_families,
 )
@@ -29,6 +31,7 @@ from dagmix.model import (
     GaussianDag,
     MdagModel,
     StackedParams,
+    _chol_with_jitter,
     _regression_arrays,
     _stacked_components,
     empty_structure,
@@ -48,7 +51,6 @@ from dagmix.stats import (
     COUNT_FLOOR,
     LOG_2PI,
     MixtureStats,
-    SuffStats,
     component_case_loglik,
     expected_stats,
     group_cases,
@@ -60,8 +62,35 @@ settings.register_profile("dagmix", derandomize=True, deadline=None, max_example
 settings.load_profile("dagmix")
 
 
+class Triple(NamedTuple):
+    """One Gaussian component's statistics on their own: case count n, sum
+    of x r and sum of x x^T s, the form the per-component oracles read."""
+
+    n: float
+    r: np.ndarray
+    s: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.r.shape[0]
+
+
+def triples_of(mix_stats: MixtureStats) -> tuple[Triple, ...]:
+    """One Triple per Gaussian component of stacked statistics."""
+    return tuple(
+        Triple(float(c), r, s)
+        for c, r, s in zip(mix_stats.gaussian_counts, mix_stats.sums, mix_stats.seconds)
+    )
+
+
+def marginals_of(prior: NormalWishart, mix_stats: MixtureStats) -> FamilyMarginals:
+    """The library's family marginals of one-component statistics."""
+    (marginals,) = family_marginals(prior, mix_stats)
+    return marginals
+
+
 def mixture_stats(triples, noise_count: float | None = None) -> MixtureStats:
-    """The stacked statistics of one triple per Gaussian component, after
+    """The stacked statistics of one Triple per Gaussian component, after
     the noise component's count when it is given."""
     counts = [t.n for t in triples]
     if noise_count is not None:
@@ -73,9 +102,14 @@ def mixture_stats(triples, noise_count: float | None = None) -> MixtureStats:
     )
 
 
-def zero_stats(dim: int) -> SuffStats:
-    """The statistics of no cases."""
-    return SuffStats(0.0, np.zeros(dim), np.zeros((dim, dim)))
+def zero_triple(dim: int) -> Triple:
+    """One component's statistics of no cases."""
+    return Triple(0.0, np.zeros(dim), np.zeros((dim, dim)))
+
+
+def zero_stats(dim: int) -> MixtureStats:
+    """The one-component statistics of no cases."""
+    return mixture_stats((zero_triple(dim),))
 
 
 def labeled_stats(
@@ -88,7 +122,7 @@ def labeled_stats(
     keeps only its count, and labels 1..k-1 the Gaussian components.
     """
     def triple(rows):
-        return SuffStats(float(rows.shape[0]), rows.sum(axis=0), rows.T @ rows)
+        return Triple(float(rows.shape[0]), rows.sum(axis=0), rows.T @ rows)
 
     first = 1 if noise else 0
     triples = tuple(triple(data[labels == c]) for c in range(first, k))
@@ -110,9 +144,19 @@ def labeled_cheeseman_stutz(data, labels, model, prior, dirichlet, mix_stats) ->
     return cs - obs + labeled_loglik(data, model, labels)
 
 
-def structure_score(prior: NormalWishart, t: SuffStats, structure: DagStructure) -> float:
-    """Sum of family scores over all nodes of one component structure."""
-    marginals = FamilyMarginals(prior, t)
+def structure_score(prior: NormalWishart, t: Triple, structure: DagStructure) -> float:
+    """Sum of family scores over all nodes of one component structure, on
+    the per-triple oracle marginals."""
+    marginals = OracleMarginals(prior, t)
+    return sum(local_score(marginals, i, ps) for i, ps in enumerate(structure.parents))
+
+
+def library_structure_score(
+    prior: NormalWishart, mix_stats: MixtureStats, structure: DagStructure
+) -> float:
+    """``structure_score`` on the library's family marginals of
+    one-component statistics."""
+    marginals = marginals_of(prior, mix_stats)
     return sum(local_score(marginals, i, ps) for i, ps in enumerate(structure.parents))
 
 
@@ -171,9 +215,15 @@ def per_mask_factors(a: np.ndarray, mis: np.ndarray):
     return g, g @ g.transpose(0, 2, 1), 0.5 * mis.size * LOG_2PI - logdiag
 
 
-def map_component(prior: NormalWishart, t: SuffStats, structure: DagStructure) -> GaussianDag:
+def map_joint(prior: NormalWishart, t: Triple) -> tuple[np.ndarray, np.ndarray]:
+    """The posterior joint mode (mean, covariance) of one triple."""
+    _, mean, alpha, tau = oracle_posterior(prior, t)
+    return mean, tau / (alpha + prior.dim + 2.0)
+
+
+def map_component(prior: NormalWishart, t: Triple, structure: DagStructure) -> GaussianDag:
     """MAP regression parameters of one component: its posterior joint mode
-    read off through the library's one-component path."""
+    (``map_joint``) read off through the library's one-component path."""
     return GaussianDag.from_joint(structure, *map_joint(prior, t))
 
 
@@ -189,7 +239,7 @@ def m_step(mix_stats, structures, prior, dirichlet, noise=None) -> MdagModel:
 # stacked for the sweep afterwards.
 
 
-def oracle_posterior(prior: NormalWishart, t: SuffStats):
+def oracle_posterior(prior: NormalWishart, t: Triple):
     """(nu', mu', alpha', T') of one triple; the prior when it is empty."""
     if t.n <= 1e-250:
         return prior.nu, prior.mu0, prior.alpha, prior.tau
@@ -204,6 +254,57 @@ def oracle_posterior(prior: NormalWishart, t: SuffStats):
     tau1 = prior.tau + scatter + (prior.nu * t.n / nu1) * np.outer(diff, diff)
     mu1 = (prior.nu * prior.mu0 + t.r) / nu1
     return nu1, mu1, prior.alpha + t.n, 0.5 * (tau1 + tau1.T)
+
+
+def sliced_marginal_loglik(prior: NormalWishart, t: Triple, family: tuple[int, ...]) -> float:
+    """The per-family formula on Y-sliced inputs of one triple, float order
+    kept: the oracle that the library's family marginals must match bit for
+    bit.  Its gamma terms come from the library's ``_multigammaln``, which
+    ``TestLogGamma`` checks against scipy, so a match checks the blocks of
+    the one posterior scale T' against the same formula built from sliced
+    inputs."""
+    size = len(family)
+    n_count = t.n
+    if n_count <= 1e-250:
+        return 0.0
+    idx = np.asarray(family)
+    alpha = prior.alpha - (prior.dim - size)
+    nu = prior.nu
+    mu = prior.mu0[idx]
+    tau = prior.tau[np.ix_(idx, idx)]
+    r = t.r[idx]
+    s = t.s[np.ix_(idx, idx)]
+    nu1 = nu + n_count
+    alpha1 = alpha + n_count
+    scatter = s - np.outer(r, r) / n_count
+    diff = r / n_count - mu
+    tau1 = tau + scatter + (nu * n_count / nu1) * np.outer(diff, diff)
+    tau1 = 0.5 * (tau1 + tau1.T)
+    return float(
+        -0.5 * n_count * size * np.log(np.pi)
+        + 0.5 * size * (np.log(nu) - np.log(nu1))
+        + _multigammaln(alpha1 / 2.0, size)
+        - _multigammaln(alpha / 2.0, size)
+        + 0.5 * alpha * chol_logdet(_chol_with_jitter(tau, SingularParentBlock))
+        - 0.5 * alpha1 * chol_logdet(_chol_with_jitter(tau1, SingularParentBlock))
+    )
+
+
+class OracleMarginals:
+    """The family marginals of one triple, each family computed on its own
+    (``sliced_marginal_loglik``) and memoised by its sorted tuple, the
+    empty set at 0; read as the library's are, through ``fill``."""
+
+    def __init__(self, prior: NormalWishart, t: Triple):
+        self.prior, self.t = prior, t
+        self._memo = {(): 0.0}
+
+    def fill(self, families) -> list[float]:
+        keys = [tuple(sorted(int(i) for i in family)) for family in families]
+        for key in keys:
+            if key not in self._memo:
+                self._memo[key] = sliced_marginal_loglik(self.prior, self.t, key)
+        return [self._memo[key] for key in keys]
 
 
 def oracle_from_joint(structure: DagStructure, mean, cov) -> GaussianDag:
@@ -238,9 +339,8 @@ def oracle_m_step(mix_stats, structures, prior, dirichlet, noise=None) -> MdagMo
     """MAP weights, then each component's MAP regressions on its own."""
     weights = dirichlet_map(dirichlet, mix_stats.counts)
     components = []
-    for t, structure in zip(mix_stats.triples, structures, strict=True):
-        _, mean, alpha, tau = oracle_posterior(prior, t)
-        cov = tau / (alpha + prior.dim + 2.0)
+    for t, structure in zip(triples_of(mix_stats), structures, strict=True):
+        mean, cov = map_joint(prior, t)
         components.append(oracle_from_joint(structure, mean.copy(), cov))
     return MdagModel(weights, tuple(components), noise)
 
@@ -273,7 +373,8 @@ def oracle_completed_loglik(mix_stats: MixtureStats, model: MdagModel) -> float:
     total = 0.0
     if model.noise is not None and mix_stats.noise_count > COUNT_FLOOR:
         total += mix_stats.noise_count * (np.log(model.weights[0]) - model.noise.log_volume)
-    for t, g, w in zip(mix_stats.triples, model.components, model.gaussian_weights(), strict=True):
+    for t, g, w in zip(triples_of(mix_stats), model.components, model.gaussian_weights(),
+                       strict=True):
         if t.n <= COUNT_FLOOR:
             continue
         a, c, log_var = _regression_arrays(*_stacked_components((g,), g.n))
@@ -423,7 +524,7 @@ def oracle_expected_stats(data, params):
     for j in range(k):
         outer = moments[j, :n, :n]
         triples.append(
-            SuffStats(float(counts[offset + j]), moments[j, n, :n], 0.5 * (outer + outer.T))
+            Triple(float(counts[offset + j]), moments[j, n, :n], 0.5 * (outer + outer.T))
         )
     noise_count = float(counts[0]) if offset else None
     return mixture_stats(triples, noise_count), float(np.sum(row_loglik))
@@ -463,7 +564,7 @@ def oracle_posteriors(prior: NormalWishart, triples):
 def oracle_map_parameters(mix_stats, plan, prior, dirichlet, noise):
     """The stacked M step with its posteriors stacked from the triples."""
     weights = dirichlet_map(dirichlet, mix_stats.counts)
-    nu, mu, alpha, tau = oracle_posteriors(prior, mix_stats.triples)
+    nu, mu, alpha, tau = oracle_posteriors(prior, triples_of(mix_stats))
     covs = tau / (alpha + prior.dim + 2.0)[:, None, None]
     return StackedParams(weights, *plan.read_off(mu, covs), noise)
 
@@ -500,7 +601,7 @@ class OracleScoreCache:
     swapped in when a column's parent set changes."""
 
     def __init__(self, prior, t):
-        self.marginals = FamilyMarginals(prior, t)
+        self.marginals = OracleMarginals(prior, t)
         self._columns = {}
         self._terms = np.full((2, t.dim, t.dim), np.nan)
         self._node_terms = np.zeros((2, t.dim))

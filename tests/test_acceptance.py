@@ -42,14 +42,19 @@ from dagmix.model import (
 from dagmix.rng import stream
 from dagmix.scoring import complete_model_score
 from dagmix.search import greedy_component_search, apply_move
-from dagmix.stats import SuffStats, expected_stats, group_cases
+from dagmix.stats import expected_stats, group_cases
 from conftest import (
+    Triple,
     labeled_cheeseman_stutz,
     labeled_stats,
+    library_structure_score,
     m_step,
     map_component,
+    marginals_of,
+    mixture_stats,
     random_dag,
     structure_score,
+    triples_of,
 )
 
 
@@ -134,10 +139,10 @@ def test_criterion_02_score_equivalence():
             float(2 + rng.uniform(0.5, 3)), a @ a.T + 2 * np.eye(2),
         )
         rows = rng.normal(0, 2, (int(rng.integers(2, 25)), 2))
-        t = SuffStats(float(len(rows)), rows.sum(axis=0), rows.T @ rows)
+        ms = mixture_stats((Triple(float(len(rows)), rows.sum(axis=0), rows.T @ rows),))
         gap = abs(
-            structure_score(prior, t, forward_structure)
-            - structure_score(prior, t, backward_structure)
+            library_structure_score(prior, ms, forward_structure)
+            - library_structure_score(prior, ms, backward_structure)
         )
         worst = max(worst, gap)
     assert worst <= 1e-8
@@ -160,7 +165,7 @@ def test_criterion_03_cheeseman_stutz_exact_on_complete_data():
         ms = labeled_stats(rows, labels, k)
         weights = dirichlet_map(dirichlet, ms.counts)
         comps = tuple(
-            map_component(prior, ms.triples[c], structures[c]) for c in range(k)
+            map_component(prior, triples_of(ms)[c], structures[c]) for c in range(k)
         )
         m = MdagModel(weights, comps)
         cs = labeled_cheeseman_stutz(rows, labels, m, prior, dirichlet, ms)
@@ -259,11 +264,11 @@ def test_criterion_06_delta_scoring_equals_full_rescoring():
         n = int(rng.integers(3, 6))
         mixing = rng.normal(0, 1, (n, n))
         rows = rng.normal(0, 1, (300, n)) @ mixing
-        t = SuffStats(float(len(rows)), rows.sum(axis=0), rows.T @ rows)
+        t = Triple(float(len(rows)), rows.sum(axis=0), rows.T @ rows)
         prior = PriorSpec().normal_wishart(n)
         trace = []
         structure = empty_structure(n)
-        greedy_component_search(t, prior, structure, trace=trace)
+        greedy_component_search(marginals_of(prior, mixture_stats((t,))), structure, trace=trace)
         for step in trace:
             structure = DagStructure(n, apply_move(structure.parents, step.move))
             full = structure_score(prior, t, structure)

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -5,17 +7,17 @@ from scipy.special import gammaln, multigammaln
 
 from dagmix.bayes import (
     DirichletPrior,
-    FamilyMarginals,
     NormalWishart,
     _gammaln,
+    _map_joints,
     _multigammaln,
+    _posteriors,
     data_informed_prior,
     dirichlet_log_marglik,
     dirichlet_map,
+    family_marginals,
     local_score,
-    map_joint,
     map_parameters,
-    posterior_update,
     sample_joint_parameters,
 )
 from dagmix.errors import NonPsdScatter, SingularParentBlock
@@ -27,35 +29,53 @@ from dagmix.model import (
     _chol_with_jitter,
     empty_structure,
 )
-from dagmix.stats import SuffStats
+from dagmix.stats import COUNT_FLOOR, MixtureStats
 from conftest import (
-    chol_logdet,
+    OracleMarginals,
+    Triple,
     joint_moments,
+    library_structure_score,
     map_component,
+    map_joint,
+    marginals_of,
     mixture_stats,
     oracle_m_step,
+    oracle_posterior,
     oracle_regression_stack,
     random_dag,
-    structure_score,
+    sliced_marginal_loglik,
+    triples_of,
     zero_stats,
+    zero_triple,
 )
 
 
-def stats_of(data: np.ndarray) -> SuffStats:
+def triple_of(data: np.ndarray) -> Triple:
+    """One component's statistics of the cases."""
     data = np.atleast_2d(data)
-    return SuffStats(float(len(data)), data.sum(axis=0), data.T @ data)
+    return Triple(float(len(data)), data.sum(axis=0), data.T @ data)
+
+
+def stats_of(data: np.ndarray) -> MixtureStats:
+    """The one-component statistics of the cases."""
+    return mixture_stats((triple_of(data),))
+
+
+def weighted_triple(rows: np.ndarray, weights: np.ndarray) -> Triple:
+    """One component's statistics of the cases at fractional weights."""
+    return Triple(float(weights.sum()), weights @ rows, (weights[:, None] * rows).T @ rows)
 
 
 def twin_column_stats(rows):
     """Statistics in which variables 0 and 1 are exactly the same column."""
     rows = rows.copy()
     rows[:, 1] = rows[:, 0]
-    t = stats_of(rows)
+    t = triple_of(rows)
     r, s = t.r.copy(), t.s.copy()
     r[1] = r[0]
     s[1, :] = s[0, :]
     s[:, 1] = s[:, 0]
-    return SuffStats(t.n, r, s)
+    return mixture_stats((Triple(t.n, r, s),))
 
 
 def random_prior(n: int, rng: np.random.Generator) -> NormalWishart:
@@ -93,15 +113,33 @@ def sequential_marginal_loglik(
     return float(total)
 
 
+def posterior_of(prior: NormalWishart, mix_stats: MixtureStats) -> NormalWishart:
+    """The posterior of one-component statistics, off the stacked path."""
+    nu, mu, alpha, tau = _posteriors(
+        prior, mix_stats.gaussian_counts, mix_stats.sums, mix_stats.seconds
+    )
+    return NormalWishart(float(nu[0]), mu[0], float(alpha[0]), tau[0])
+
+
+def assert_posterior_is_the_oracle(prior: NormalWishart, mix_stats: MixtureStats):
+    """Every row of the stacked posterior equals the per-triple oracle's."""
+    stacked = _posteriors(prior, mix_stats.gaussian_counts, mix_stats.sums, mix_stats.seconds)
+    for c, t in enumerate(triples_of(mix_stats)):
+        for got, want in zip(stacked, oracle_posterior(prior, t), strict=True):
+            assert np.array_equal(got[c], want)
+
+
 class TestPosteriorUpdate:
     def test_empty_batch_is_identity(self, rng):
         prior = random_prior(2, rng)
-        post = posterior_update(prior, zero_stats(2))
-        assert post is prior
+        post = posterior_of(prior, zero_stats(2))
+        assert (post.nu, post.alpha) == (prior.nu, prior.alpha)
+        assert np.array_equal(post.mu0, prior.mu0)
+        assert np.array_equal(post.tau, prior.tau)
 
     def test_hand_computed_single_case(self):
         prior = NormalWishart(1.0, np.zeros(1), 1.0, np.eye(1))
-        post = posterior_update(prior, stats_of(np.array([[2.0]])))
+        post = posterior_of(prior, stats_of(np.array([[2.0]])))
         assert post.nu == pytest.approx(2.0)
         assert post.mu0[0] == pytest.approx(1.0)
         assert post.alpha == pytest.approx(2.0)
@@ -110,8 +148,8 @@ class TestPosteriorUpdate:
 
     def test_fractional_count(self):
         prior = NormalWishart(1.0, np.zeros(1), 1.0, np.eye(1))
-        t = SuffStats(0.5, np.array([1.0]), np.array([[2.0]]))
-        post = posterior_update(prior, t)
+        t = mixture_stats((Triple(0.5, np.array([1.0]), np.array([[2.0]])),))
+        post = posterior_of(prior, t)
         # scatter = 2 - 1/0.5 = 0; shift = (1*0.5/1.5)(2 - 0)^2 = 4/3
         assert post.nu == pytest.approx(1.5)
         assert post.alpha == pytest.approx(1.5)
@@ -121,29 +159,42 @@ class TestPosteriorUpdate:
     def test_batch_equals_sequential(self, rng):
         prior = random_prior(3, rng)
         rows = rng.normal(0, 2, (8, 3))
-        batch = posterior_update(prior, stats_of(rows))
+        batch = posterior_of(prior, stats_of(rows))
         seq = prior
         for row in rows:
-            seq = posterior_update(seq, stats_of(row[None, :]))
+            seq = posterior_of(seq, stats_of(row[None, :]))
         assert seq.nu == pytest.approx(batch.nu, abs=1e-10)
         assert np.allclose(seq.mu0, batch.mu0, atol=1e-10)
         assert np.allclose(seq.tau, batch.tau, atol=1e-8)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_stacked_rows_are_the_per_triple_oracle(self, rng, k):
+        # fractional weights, a component with no cases and one at the
+        # count floor (both keep the prior) beside live ones
+        for n in (1, 3, 5, 8):
+            prior = random_prior(n, rng)
+            rows = rng.normal(0, 2, (30, n)) @ rng.normal(0, 1, (n, n))
+            triples = [weighted_triple(rows, rng.uniform(0.05, 1.0, 30)) for _ in range(k)]
+            assert_posterior_is_the_oracle(prior, mixture_stats(triples))
+            triples[0] = zero_triple(n)
+            triples[-1] = Triple(COUNT_FLOOR, triples[-1].r * 1e-300, triples[-1].s * 1e-300)
+            assert_posterior_is_the_oracle(prior, mixture_stats(triples, noise_count=2.5))
+
     def test_non_psd_scatter_rejected(self):
         from dagmix.errors import NonPsdScatter
 
-        bad = SuffStats(2.0, np.zeros(2), np.array([[1.0, 0.0], [0.0, -1.0]]))
+        bad = mixture_stats((Triple(2.0, np.zeros(2), np.array([[1.0, 0.0], [0.0, -1.0]])),))
         with pytest.raises(NonPsdScatter):
-            posterior_update(NormalWishart(1.0, np.zeros(2), 3.0, np.eye(2)), bad)
+            posterior_of(NormalWishart(1.0, np.zeros(2), 3.0, np.eye(2)), bad)
 
     def test_scaled_non_psd_scatter_rejected(self):
         # the tolerance grows with the largest eigenvalue, but a negative
         # eigenvalue far above rounding still fails
         from dagmix.errors import NonPsdScatter
 
-        bad = SuffStats(2.0, np.zeros(2), np.diag([1e12, -1e6]))
+        bad = mixture_stats((Triple(2.0, np.zeros(2), np.diag([1e12, -1e6])),))
         with pytest.raises(NonPsdScatter):
-            posterior_update(NormalWishart(1.0, np.zeros(2), 3.0, np.eye(2)), bad)
+            posterior_of(NormalWishart(1.0, np.zeros(2), 3.0, np.eye(2)), bad)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_shifted_collinear_data_fits(self, seed):
@@ -162,13 +213,13 @@ class TestPosteriorUpdate:
 class TestFamilyMarginal:
     def test_empty_batch(self, rng):
         prior = random_prior(2, rng)
-        assert FamilyMarginals(prior, zero_stats(2)).fill([(0,)])[0] == 0.0
+        assert marginals_of(prior, zero_stats(2)).fill([(0,)])[0] == 0.0
 
     def test_one_case_equals_student_t(self):
         nu, mu, alpha, tau = 1.5, 0.3, 2.2, 0.8
         prior = NormalWishart(nu, np.array([mu]), alpha, np.array([[tau]]))
         x = 1.7
-        value = FamilyMarginals(prior, stats_of(np.array([[x]]))).fill([(0,)])[0]
+        value = marginals_of(prior, stats_of(np.array([[x]]))).fill([(0,)])[0]
         scale = np.sqrt(tau * (nu + 1) / (nu * alpha))
         assert value == pytest.approx(sps.t.logpdf(x, df=alpha, loc=mu, scale=scale), abs=1e-12)
 
@@ -180,44 +231,9 @@ class TestFamilyMarginal:
             rows = rng.normal(0, 2, (count, n))
             size = int(rng.integers(1, n + 1))
             family = tuple(rng.choice(n, size=size, replace=False))
-            ours = FamilyMarginals(prior, stats_of(rows)).fill([family])[0]
+            ours = marginals_of(prior, stats_of(rows)).fill([family])[0]
             oracle = sequential_marginal_loglik(prior, rows, family)
             assert ours == pytest.approx(oracle, abs=1e-8)
-
-
-def sliced_marginal_loglik(
-    prior: NormalWishart, t: SuffStats, family: tuple[int, ...]
-) -> float:
-    """The per-family formula on Y-sliced inputs, float order kept: the
-    oracle that ``FamilyMarginals`` must match bit for bit.  Its gamma terms
-    come from the library's ``_multigammaln``, which ``TestLogGamma`` checks
-    against scipy, so a match checks the blocks of the one posterior scale
-    T' against the same formula built from sliced inputs."""
-    size = len(family)
-    n_count = t.n
-    if n_count <= 1e-250:
-        return 0.0
-    idx = np.asarray(family)
-    alpha = prior.alpha - (prior.dim - size)
-    nu = prior.nu
-    mu = prior.mu0[idx]
-    tau = prior.tau[np.ix_(idx, idx)]
-    r = t.r[idx]
-    s = t.s[np.ix_(idx, idx)]
-    nu1 = nu + n_count
-    alpha1 = alpha + n_count
-    scatter = s - np.outer(r, r) / n_count
-    diff = r / n_count - mu
-    tau1 = tau + scatter + (nu * n_count / nu1) * np.outer(diff, diff)
-    tau1 = 0.5 * (tau1 + tau1.T)
-    return float(
-        -0.5 * n_count * size * np.log(np.pi)
-        + 0.5 * size * (np.log(nu) - np.log(nu1))
-        + _multigammaln(alpha1 / 2.0, size)
-        - _multigammaln(alpha / 2.0, size)
-        + 0.5 * alpha * chol_logdet(_chol_with_jitter(tau, SingularParentBlock))
-        - 0.5 * alpha1 * chol_logdet(_chol_with_jitter(tau1, SingularParentBlock))
-    )
 
 
 class TestFamilyMarginals:
@@ -230,20 +246,15 @@ class TestFamilyMarginals:
             n = int(rng.integers(2, 13))
             prior = random_prior(n, rng)
             rows = rng.normal(0, 2, (int(rng.integers(1, 40)), n))
-            weights = rng.uniform(0.05, 1.0, len(rows))
-            t = SuffStats(
-                float(weights.sum()),
-                weights @ rows,
-                (weights[:, None] * rows).T @ rows,
-            )
-            marginals = FamilyMarginals(prior, t)
+            t = weighted_triple(rows, rng.uniform(0.05, 1.0, len(rows)))
+            marginals = marginals_of(prior, mixture_stats((t,)))
             for _ in range(10):
                 size = int(rng.integers(1, n + 1))
                 family = tuple(int(i) for i in rng.choice(n, size=size, replace=False))
                 oracle = sliced_marginal_loglik(prior, t, tuple(sorted(family)))
                 assert marginals.fill([family])[0] == oracle
                 assert marginals.fill([family])[0] == oracle
-                assert FamilyMarginals(prior, t).fill([family])[0] == oracle
+                assert marginals_of(prior, mixture_stats((t,))).fill([family])[0] == oracle
                 child, parents = family[0], family[1:]
                 expected = oracle
                 if parents:
@@ -265,38 +276,53 @@ class TestFamilyMarginals:
             rows = rng.normal(0, 2, (30, n)) @ rng.normal(0, 1, (n, n))
             weights = rng.uniform(0.05, 1.0, len(rows))
             for t in (
-                stats_of(rows),
-                SuffStats(
-                    float(weights.sum()),
-                    weights @ rows,
-                    (weights[:, None] * rows).T @ rows,
-                ),
-                zero_stats(n),
+                triple_of(rows),
+                weighted_triple(rows, weights),
+                zero_triple(n),
             ):
                 families = [
                     tuple(int(i) for i in rng.choice(n, size=size, replace=False))
                     for size in range(1, min(n, 20) + 1)
                     for _ in range(4)
                 ]
-                marginals = FamilyMarginals(prior, t)
+                marginals = marginals_of(prior, mixture_stats((t,)))
                 values = marginals.fill(families + families[:5])
                 for family, value in zip(families, values):
                     expected = sliced_marginal_loglik(prior, t, tuple(sorted(family)))
                     assert marginals.fill([family])[0] == value == expected
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_stacked_components_are_the_per_triple_oracle(self, rng, k):
+        # every family of every component of one stacked build, at n <= 5
+        # over all subsets, equals the per-triple oracle; then with the last
+        # component at the count floor, where it keeps the prior, and a
+        # noise component's count ahead of the stacks
+        for n in range(1, 6):
+            prior = random_prior(n, rng)
+            rows = rng.normal(0, 2, (20, n)) @ rng.normal(0, 1, (n, n))
+            live = [weighted_triple(rows, rng.uniform(0.05, 1.0, 20)) for _ in range(k)]
+            floored = live[:-1] + [Triple(COUNT_FLOOR, np.zeros(n), np.zeros((n, n)))]
+            families = [f for size in range(n + 1) for f in combinations(range(n), size)]
+            for triples, noise in ((live, None), (floored, 1.5)):
+                stacked = family_marginals(prior, mixture_stats(triples, noise))
+                for marginals, t in zip(stacked, triples, strict=True):
+                    assert marginals.fill(families) == OracleMarginals(prior, t).fill(families)
+                if noise is not None:  # the floored component keeps the prior
+                    assert set(stacked[-1].fill(families)) == {0.0}
+
     def test_fill_skips_memoised_families(self, rng):
         prior = random_prior(4, rng)
-        marginals = FamilyMarginals(prior, stats_of(rng.normal(0, 1, (9, 4))))
+        marginals = marginals_of(prior, stats_of(rng.normal(0, 1, (9, 4))))
         first = marginals.fill([(3, 1)])[0]
         marginals.fill([(3, 1), (0, 2), (0,)])
         assert marginals.fill([(3, 1)])[0] is first
 
     def test_zero_and_fractional_counts(self, rng):
         prior = random_prior(3, rng)
-        assert FamilyMarginals(prior, zero_stats(3)).fill([(2, 0)])[0] == 0.0
+        assert marginals_of(prior, zero_stats(3)).fill([(2, 0)])[0] == 0.0
         rows = rng.normal(0, 1, (1, 3))
-        t = SuffStats(0.3, 0.3 * rows[0], 0.3 * np.outer(rows[0], rows[0]))
-        marginals = FamilyMarginals(prior, t)
+        t = Triple(0.3, 0.3 * rows[0], 0.3 * np.outer(rows[0], rows[0]))
+        marginals = marginals_of(prior, mixture_stats((t,)))
         for family in ((0,), (2, 1), (1, 0, 2)):
             expected = sliced_marginal_loglik(prior, t, tuple(sorted(family)))
             assert marginals.fill([family])[0] == expected
@@ -304,16 +330,16 @@ class TestFamilyMarginals:
     def test_memo_is_keyed_by_variable_set(self, rng):
         prior = random_prior(3, rng)
         t = stats_of(rng.normal(0, 1, (8, 3)))
-        marginals = FamilyMarginals(prior, t)
+        marginals = marginals_of(prior, t)
         first = marginals.fill([(0, 2)])[0]
         assert marginals.fill([(np.int64(0), 2)])[0] is first
         assert marginals.fill([(2, 0)])[0] is first
-        assert first == sliced_marginal_loglik(prior, t, (0, 2))
+        assert first == sliced_marginal_loglik(prior, triples_of(t)[0], (0, 2))
         assert marginals.fill([(2, 0), (1, 2, 0)])[0] is first
         assert marginals.fill([(0, 2, 1)])[0] is marginals.fill([(1, 0, 2)])[0]
 
 
-def alternating_twin_stats(rng: np.random.Generator, n: int) -> SuffStats:
+def alternating_twin_stats(rng: np.random.Generator, n: int) -> MixtureStats:
     """Twin columns 0 and 1 of 64 cases of +-1, so their centred scatter
     block is exactly [[64, 64], [64, 64]] and a plain Cholesky of it fails."""
     rows = rng.standard_normal((64, n)) @ rng.standard_normal((n, n))
@@ -330,15 +356,15 @@ class TestStackedFallback:
     def test_jitter_rescued_block_keeps_its_value(self, rng):
         prior = NormalWishart(1.0, np.zeros(5), 7.0, self.tau)
         t = alternating_twin_stats(rng, 5)
-        scale = posterior_update(prior, t).tau
+        scale = posterior_of(prior, t).tau
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(scale[:2, :2])
-        marginals = FamilyMarginals(prior, t)
+        marginals = marginals_of(prior, t)
         marginals.fill(self.families)
         for family in self.families:
-            alone = FamilyMarginals(prior, t).fill([family])[0]
+            alone = marginals_of(prior, t).fill([family])[0]
             assert marginals.fill([family])[0] == alone
-            assert alone == sliced_marginal_loglik(prior, t, tuple(sorted(family)))
+            assert alone == sliced_marginal_loglik(prior, triples_of(t)[0], tuple(sorted(family)))
         # the rescued block beside positive-definite ones: one retry each,
         # so every block of the stack gets the factor it gets alone
         blocks = np.array([scale[np.ix_(f, f)] for f in ((2, 3), (0, 1), (3, 4))])
@@ -351,31 +377,32 @@ class TestStackedFallback:
         # so the twin block is pushed below zero after construction
         prior = NormalWishart(1.0, np.zeros(5), 7.0, self.tau)
         t = alternating_twin_stats(rng, 5)
-        marginals = FamilyMarginals(prior, t)
+        marginals = marginals_of(prior, t)
         marginals._scales[1, 1, 1] -= 1e-6  # the posterior scale
         with pytest.raises(SingularParentBlock):
             marginals.fill(self.families)
-        assert marginals.fill([(2, 3)])[0] == sliced_marginal_loglik(prior, t, (2, 3))
+        (triple,) = triples_of(t)
+        assert marginals.fill([(2, 3)])[0] == sliced_marginal_loglik(prior, triple, (2, 3))
 
 
 class TestLocalScore:
     def test_orphan_equals_family(self, rng):
         prior = random_prior(2, rng)
         t = stats_of(rng.normal(0, 1, (6, 2)))
-        assert FamilyMarginals(prior, t).fill([()])[0] == 0.0
+        assert marginals_of(prior, t).fill([()])[0] == 0.0
         for v in (0, 1):
-            marginals = FamilyMarginals(prior, t)
+            marginals = marginals_of(prior, t)
             assert local_score(marginals, v, ()).hex() == marginals.fill([(v,)])[0].hex()
 
     def test_chain_rule_both_orderings(self, rng):
         prior = random_prior(2, rng)
-        marginals = FamilyMarginals(prior, stats_of(rng.normal(0, 1, (9, 2))))
+        marginals = marginals_of(prior, stats_of(rng.normal(0, 1, (9, 2))))
         forward = local_score(marginals, 1, (0,)) + local_score(marginals, 0, ())
         backward = local_score(marginals, 0, (1,)) + local_score(marginals, 1, ())
         assert forward == pytest.approx(backward, abs=1e-10)
 
     def test_empty_batch_zero(self, rng):
-        marginals = FamilyMarginals(random_prior(3, rng), zero_stats(3))
+        marginals = marginals_of(random_prior(3, rng), zero_stats(3))
         assert local_score(marginals, 0, (1, 2)) == 0.0
 
 
@@ -385,8 +412,8 @@ class TestScoreEquivalence:
         for _ in range(100):
             prior = random_prior(2, rng)
             t = stats_of(rng.normal(0, 2, (int(rng.integers(2, 20)), 2)))
-            fwd = structure_score(prior, t, DagStructure(2, ((), (0,))))
-            bwd = structure_score(prior, t, DagStructure(2, ((1,), ())))
+            fwd = library_structure_score(prior, t, DagStructure(2, ((), (0,))))
+            bwd = library_structure_score(prior, t, DagStructure(2, ((1,), ())))
             assert fwd == pytest.approx(bwd, abs=1e-8)
 
     def test_markov_equivalent_triples(self, rng):
@@ -398,11 +425,11 @@ class TestScoreEquivalence:
             prior = random_prior(3, rng)
             t = stats_of(rng.normal(0, 1, (12, 3)))
             scores = [
-                structure_score(prior, t, s) for s in (chain, reversed_chain, fork)
+                library_structure_score(prior, t, s) for s in (chain, reversed_chain, fork)
             ]
             assert max(scores) - min(scores) < 1e-8
             # the collider encodes different constraints; no equality expected
-            assert abs(structure_score(prior, t, collider) - scores[0]) > 0
+            assert abs(library_structure_score(prior, t, collider) - scores[0]) > 0
 
 
 class TestLogGamma:
@@ -478,7 +505,7 @@ class TestDirichlet:
 
 
 def expected_log_posterior(
-    g: GaussianDag, prior: NormalWishart, t: SuffStats
+    g: GaussianDag, prior: NormalWishart, t: Triple
 ) -> float:
     """Expected complete-data log posterior of the component parameters,
     written independently: Q(theta) + log NIW(mean, covariance)."""
@@ -509,19 +536,19 @@ class TestMapParameters:
         prior = NormalWishart(2.0, np.zeros(1), 3.0, np.eye(1))
         rows = rng.normal(0, 1, (51, 1))
         rows = np.vstack([rows, -rows])  # exactly symmetric about 0
-        g = map_component(prior, stats_of(rows), empty_structure(1))
+        g = map_component(prior, triple_of(rows), empty_structure(1))
         assert g.intercepts[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_ols_limit(self, rng):
         x0 = rng.normal(0, 1, 20_000)
         rows = np.column_stack([x0, 2 * x0 + 0.05 * rng.normal(0, 1, x0.size)])
         prior = NormalWishart(0.5, np.zeros(2), 3.0, 0.01 * np.eye(2))
-        g = map_component(prior, stats_of(rows), DagStructure(2, ((), (0,))))
+        g = map_component(prior, triple_of(rows), DagStructure(2, ((), (0,))))
         assert g.coefficients[1][0] == pytest.approx(2.0, abs=0.01)
 
     def test_empty_batch_prior_mode(self):
         prior = NormalWishart(2.0, np.array([1.0, -1.0]), 4.0, 2.0 * np.eye(2))
-        g = map_component(prior, zero_stats(2), empty_structure(2))
+        g = map_component(prior, zero_triple(2), empty_structure(2))
         assert np.allclose(g.intercepts, prior.mu0)
         # joint-mode covariance tau/(alpha + n + 2)
         assert np.allclose(g.variances, 2.0 / (4.0 + 2 + 2))
@@ -531,7 +558,7 @@ class TestMapParameters:
             n = 3
             prior = random_prior(n, rng)
             rows = rng.normal(0, 1, (30, n)) @ rng.normal(0, 1, (n, n))
-            t = stats_of(rows)
+            t = triple_of(rows)
             structure = random_dag(n, rng, p=0.6)
             g = map_component(prior, t, structure)
             base = expected_log_posterior(g, prior, t)
@@ -571,7 +598,7 @@ def random_capped_dag(n: int, rng: np.random.Generator, cap: int = 4) -> DagStru
     return DagStructure(n, tuple(parents))
 
 
-def weighted_stats(rng: np.random.Generator, n: int, zeros: int = 0) -> SuffStats:
+def weighted_stats(rng: np.random.Generator, n: int, zeros: int = 0) -> Triple:
     """Statistics of correlated cases under fractional responsibilities,
     symmetrised as the E sweep leaves them; the first ``zeros`` variables
     are 0 in every case."""
@@ -580,7 +607,7 @@ def weighted_stats(rng: np.random.Generator, n: int, zeros: int = 0) -> SuffStat
     rows[:, :zeros] = 0.0
     resp = rng.uniform(0, 1, count)
     outer = (rows * resp[:, None]).T @ rows
-    return SuffStats(float(resp.sum()), resp @ rows, 0.5 * (outer + outer.T))
+    return Triple(float(resp.sum()), resp @ rows, 0.5 * (outer + outer.T))
 
 
 def assert_m_step_is_the_oracle(mix_stats, structures, prior, dirichlet, noise=None):
@@ -616,7 +643,7 @@ class TestStackedMStep:
         n = 5
         prior = random_prior(n, rng)
         structures = [random_capped_dag(n, rng) for _ in range(3)]
-        triples = (weighted_stats(rng, n), zero_stats(n), weighted_stats(rng, n))
+        triples = (weighted_stats(rng, n), zero_triple(n), weighted_stats(rng, n))
         dirichlet = DirichletPrior(np.full(3, 1.0 / 3))
         mix_stats = mixture_stats(triples)
         assert_m_step_is_the_oracle(mix_stats, structures, prior, dirichlet)
@@ -672,7 +699,10 @@ class TestDataInformedPrior:
     def test_mode_is_the_map_joint_under_the_prior(self, rng):
         prior = random_prior(3, rng)
         rows = rng.normal(0, 1, (50, 3))
-        mean, cov = map_joint(prior, stats_of(rows))
+        ms = stats_of(rows)
+        means, covs = _map_joints(prior, ms.gaussian_counts, ms.sums, ms.seconds)
+        mean, cov = map_joint(prior, triple_of(rows))
+        assert np.array_equal(means[0], mean) and np.array_equal(covs[0], cov)
         informed = data_informed_prior(rows, 20.0, prior)
         assert np.array_equal(informed.mu0, mean)
         assert np.allclose(informed.tau / (informed.alpha + 3 + 2.0), cov, rtol=1e-12)

@@ -36,6 +36,7 @@ from dagmix.model import MdagModel, empty_structure, sample
 from dagmix.scoring import observed_loglik
 from dagmix.stats import expected_stats, group_cases
 from conftest import (
+    Triple,
     joint_moments,
     map_component,
     oracle_m_step,
@@ -126,9 +127,8 @@ class TestEmStep:
         data = rng.normal(1.0, 2.0, (200, 1))
         config = FitConfig(k=1, seed=0)
         prior, dirichlet = _bind_priors(config, 1)
-        from dagmix.stats import SuffStats
 
-        t = SuffStats(200.0, data.sum(axis=0), data.T @ data)
+        t = Triple(200.0, data.sum(axis=0), data.T @ data)
         g = map_component(prior, t, empty_structure(1))
         m = MdagModel(np.array([1.0]), (g,))
         stepped, _ = run_em(group_cases(data), m, prior, dirichlet, steps=1)
@@ -231,10 +231,8 @@ class TestRunEm:
         out, trace = run_em(cases, initialize(data, config), prior, dirichlet, steps=6)
         fresh, loglik = expected_stats(cases, out.stacked)
         assert loglik == trace.logliks[-1]
-        for got, want in zip(trace.stats.triples, fresh.triples):
-            assert got.n == want.n
-            assert np.array_equal(got.r, want.r)
-            assert np.array_equal(got.s, want.s)
+        for part in ("counts", "sums", "seconds"):
+            assert np.array_equal(getattr(trace.stats, part), getattr(fresh, part))
 
 
 def gold_cases(missing: bool) -> np.ndarray:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dagmix import harness
+from dagmix.bayes import family_marginals
 from dagmix.engine import FitConfig, PriorSpec, Schedule, fit
 from dagmix.errors import DimensionMismatch, EmptyTestSet, NonNumericValue
 from dagmix.harness import (
@@ -99,7 +100,7 @@ class TestLabeledRecoveryOracle:
         ms = labeled_stats(data, labels, 3)
         prior = PriorSpec().normal_wishart(5)
         learned = search_all_components(
-            ms, tuple(empty_structure(5) for _ in range(3)), prior
+            family_marginals(prior, ms), tuple(empty_structure(5) for _ in range(3))
         )
         diffs = [
             structural_difference(learned[c], gold.model.components[c].structure)

@@ -7,7 +7,7 @@ it."""
 import numpy as np
 import pytest
 
-from dagmix.bayes import DirichletPrior, NormalWishart
+from dagmix.bayes import DirichletPrior, NormalWishart, family_marginals
 from dagmix.engine import FitConfig, _bind_priors, cheeseman_stutz, fit
 from dagmix.harness import default_gold_standard
 from dagmix.model import (
@@ -20,8 +20,8 @@ from dagmix.model import (
 from dagmix.rng import stream
 from dagmix.scoring import complete_model_score, completed_loglik, observed_loglik
 from dagmix.search import search_all_components, to_cpdag
-from dagmix.stats import SuffStats, expected_stats, group_cases
-from conftest import mixture_stats, random_dag, random_gaussian_dag
+from dagmix.stats import expected_stats, group_cases
+from conftest import Triple, mixture_stats, random_dag, random_gaussian_dag, triples_of
 from test_bayes import random_prior
 
 # A relabelling reorders the sums and factorisations behind every score, so
@@ -108,17 +108,18 @@ def test_search_variables(data_seed):
     mix_stats = fit(data, config).trace[0].stats
     prior, _ = _bind_priors(config, data.shape[1])
     empty = [empty_structure(prior.dim)] * config.k
-    expected = [to_cpdag(g.parents) for g in search_all_components(mix_stats, empty, prior)]
+    expected = [to_cpdag(g.parents)
+                for g in search_all_components(family_marginals(prior, mix_stats), empty)]
     rng = stream(data_seed, "variable-order")
     for _ in range(5):
         perm = rng.permutation(prior.dim)
         triples = tuple(
-            SuffStats(t.n, t.r[perm], t.s[np.ix_(perm, perm)]) for t in mix_stats.triples
+            Triple(t.n, t.r[perm], t.s[np.ix_(perm, perm)]) for t in triples_of(mix_stats)
         )
         moved_prior = NormalWishart(
             prior.nu, prior.mu0[perm], prior.alpha, prior.tau[np.ix_(perm, perm)]
         )
-        found = search_all_components(mixture_stats(triples), empty, moved_prior)
+        found = search_all_components(family_marginals(moved_prior, mixture_stats(triples)), empty)
         # moved variable j is variable perm[j]
         back = []
         for g in found:

@@ -6,10 +6,10 @@ from scipy.integrate import quad
 
 from dagmix.bayes import (
     DirichletPrior,
-    FamilyMarginals,
     NormalWishart,
     dirichlet_log_marglik,
     dirichlet_map,
+    family_marginals,
     local_score,
     map_parameters,
 )
@@ -28,8 +28,9 @@ from dagmix.scoring import (
     observed_loglik,
     predictive_score,
 )
-from dagmix.stats import COUNT_FLOOR, SuffStats, expected_stats, group_cases
+from dagmix.stats import COUNT_FLOOR, expected_stats, group_cases
 from conftest import (
+    Triple,
     joint_moments,
     labeled_cheeseman_stutz,
     labeled_loglik,
@@ -42,8 +43,9 @@ from conftest import (
     random_gaussian_dag,
     single_node_model,
     structure_score,
+    triples_of,
     two_component_1d,
-    zero_stats,
+    zero_triple,
 )
 from test_bayes import random_prior, sequential_marginal_loglik
 from test_stats import holed
@@ -51,14 +53,14 @@ from test_stats import holed
 
 def map_model_for(ms, structures, prior, dirichlet, noise=None):
     weights = dirichlet_map(dirichlet, ms.counts)
-    comps = tuple(map_component(prior, t, s) for t, s in zip(ms.triples, structures))
+    comps = tuple(map_component(prior, t, s) for t, s in zip(triples_of(ms), structures))
     return MdagModel(weights, comps, noise)
 
 
 class TestCompleteModelScore:
     def test_zero_stats_zero_score(self, rng):
         prior = random_prior(2, rng)
-        ms = mixture_stats((zero_stats(2), zero_stats(2)))
+        ms = mixture_stats((zero_triple(2), zero_triple(2)))
         score = complete_model_score(
             ms, (empty_structure(2),) * 2, prior, DirichletPrior(np.ones(2))
         )
@@ -84,7 +86,9 @@ class TestCompleteModelScore:
         d = DirichletPrior(np.ones(2))
         score = complete_model_score(ms, structures, prior, d)
         recomputed = dirichlet_log_marglik(d, ms.counts)
-        recomputed += sum(structure_score(prior, t, s) for t, s in zip(ms.triples, structures))
+        recomputed += sum(
+            structure_score(prior, t, s) for t, s in zip(triples_of(ms), structures)
+        )
         assert score == pytest.approx(recomputed, abs=1e-10)
 
     def test_relabeling_invariance_with_symmetric_prior(self, rng):
@@ -105,7 +109,7 @@ class TestCompleteModelScore:
         # the noise component adds its uniform mass over its count, and nothing else
         noise = NoiseComponent(np.zeros(1), np.full(1, 2.0))
         prior = random_prior(1, rng)
-        ms = mixture_stats((zero_stats(1),), noise_count=3.0)
+        ms = mixture_stats((zero_triple(1),), noise_count=3.0)
         args = (ms, (empty_structure(1),), prior, DirichletPrior(np.ones(2)))
         noise_term = complete_model_score(*args, noise) - complete_model_score(*args)
         assert noise_term == pytest.approx(-3.0 * np.log(2.0), abs=1e-12)
@@ -161,7 +165,7 @@ class TestObservedLoglik:
             predictive_score(np.empty((0, 2)), m)
 
 
-def one_component_loglik(t: SuffStats, g: GaussianDag) -> float:
+def one_component_loglik(t: Triple, g: GaussianDag) -> float:
     """The completed log likelihood of one Gaussian component at weight 1,
     whose N log 1 term is exactly 0."""
     return completed_loglik(mixture_stats((t,)), MdagModel(np.ones(1), (g,)))
@@ -172,7 +176,7 @@ class TestGaussianCompleteLoglik:
         g = random_gaussian_dag(random_dag(3, rng, p=0.5), rng)
         mean, cov = joint_moments(g)
         rows = rng.normal(0, 2, (15, 3))
-        t = SuffStats(15.0, rows.sum(axis=0), rows.T @ rows)
+        t = Triple(15.0, rows.sum(axis=0), rows.T @ rows)
         expected = sps.multivariate_normal.logpdf(rows, mean=mean, cov=cov).sum()
         assert one_component_loglik(t, g) == pytest.approx(expected, abs=1e-8)
 
@@ -184,7 +188,7 @@ class TestGaussianCompleteLoglik:
             g = random_gaussian_dag(random_dag(n, rng, p=0.5), rng)
             rows = rng.normal(0, 3, (int(rng.integers(1, 50)), n))
             w = rng.uniform(0.0, 1.0, rows.shape[0])
-            t = SuffStats(float(w.sum()), w @ rows, (w[:, None] * rows).T @ rows)
+            t = Triple(float(w.sum()), w @ rows, (w[:, None] * rows).T @ rows)
             expected = w @ node_log_density(g, rows)
             assert one_component_loglik(t, g) == pytest.approx(expected, rel=1e-10)
 
@@ -230,6 +234,47 @@ class TestCheesemanStutz:
             again = cheeseman_stutz(cases, it.model, prior, dirichlet, it.stats)
             assert again == (it.complete_model_score, it.observed_loglik, it.cheeseman_stutz)
 
+    @pytest.mark.parametrize("noise", [False, True], ids=["plain", "noise"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_score_reads_the_search_memo(self, monkeypatch, seed, noise):
+        # fit scores the searched structures on the marginals search just
+        # climbed on: the complete-model score of every iterate equals one
+        # built fresh from the statistics, and inside cheeseman_stutz no
+        # block is factored, since search memoised every node family of the
+        # structures it returned
+        from dagmix import bayes, engine
+        from dagmix.harness import default_gold_standard
+
+        data, _ = sample(default_gold_standard().model, 600, 0)
+        bounds = (data.min(axis=0) - 1.0, data.max(axis=0) + 1.0) if noise else None
+        config = engine.FitConfig(k=3, seed=seed, noise_bounds=bounds)
+        factored, inside, scored = [], [], []
+        logdets, real_cs = bayes._stacked_logdets, engine.cheeseman_stutz
+
+        def counted(blocks):
+            factored.append(bool(inside))
+            return logdets(blocks)
+
+        def watched(*args):
+            inside.append(True)
+            try:
+                return real_cs(*args)
+            finally:
+                inside.pop()
+                scored.append(True)
+
+        monkeypatch.setattr(bayes, "_stacked_logdets", counted)
+        monkeypatch.setattr(engine, "cheeseman_stutz", watched)
+        result = engine.fit(data, config)
+        assert len(scored) == len(result.trace) > 1
+        assert factored and not any(factored)
+        prior, dirichlet = engine._bind_priors(config, data.shape[1])
+        for it in result.trace:
+            factored.clear()
+            fresh = complete_model_score(it.stats, it.structures, prior, dirichlet, it.model.noise)
+            assert fresh == it.complete_model_score
+            assert factored  # a fresh score factors its families
+
 
 class TestFactorability:
     def test_single_local_term_changes(self, rng):
@@ -241,7 +286,7 @@ class TestFactorability:
         after_structure = DagStructure(3, ((), (0,), (1,)))
 
         def node_scores(structure):
-            marginals = FamilyMarginals(prior, ms.triples[0])
+            (marginals,) = family_marginals(prior, ms)
             return [local_score(marginals, i, ps) for i, ps in enumerate(structure.parents)]
 
         before, after = node_scores(before_structure), node_scores(after_structure)

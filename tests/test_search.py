@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 import dagmix.search as search_module
 import dagmix.engine as engine_module
-from dagmix.bayes import DirichletPrior, FamilyMarginals, NormalWishart, local_score
+from dagmix.bayes import (
+    DirichletPrior,
+    FamilyMarginals,
+    NormalWishart,
+    family_marginals,
+    local_score,
+)
 from dagmix.engine import FitConfig, PriorSpec, Schedule, fit
 from dagmix.errors import BadParentIndex, CycleDetected, DimensionMismatch
 from dagmix.harness import default_gold_standard
@@ -40,9 +46,9 @@ from dagmix.search import (
     structural_difference,
     to_cpdag,
 )
-from dagmix.stats import SuffStats
 from conftest import (
     labeled_stats,
+    marginals_of,
     mixture_stats,
     oracle_class_walk,
     oracle_covered_edges,
@@ -52,9 +58,10 @@ from conftest import (
     random_dag,
     random_gaussian_dag,
     structure_score,
+    triples_of,
     zero_stats,
 )
-from test_bayes import random_prior, stats_of, twin_column_stats
+from test_bayes import random_prior, stats_of, triple_of, twin_column_stats
 
 
 def skeleton_and_vstructs(s: DagStructure):
@@ -171,7 +178,8 @@ class TestBestMove:
                 prior = NormalWishart(2.0, np.zeros(n), n + 2.0, np.eye(n))
             else:
                 t = zero_stats(n)
-            vectorised, listed = _ScoreCache(prior, t), _ScoreCache(prior, t)
+            vectorised = _ScoreCache(marginals_of(prior, t))
+            listed = _ScoreCache(marginals_of(prior, t))
             parents = random_dag(n, rng, p=float(rng.uniform(0.0, 0.8))).parents
             for _ in range(6):
                 for cache in (vectorised, listed):
@@ -197,7 +205,7 @@ class TestBestMove:
         for _ in range(40):
             n = int(rng.integers(3, 9))
             rows = rng.standard_normal((80, n)) @ rng.standard_normal((n, n))
-            cache = _ScoreCache(random_prior(n, rng), stats_of(rows))
+            cache = _ScoreCache(marginals_of(random_prior(n, rng), stats_of(rows)))
             ps = random_dag(n, rng, p=float(rng.uniform(0.0, 0.6))).parents
             gains = listed_gains(cache, ps, None)
             for u, v in combinations(range(n), 2):
@@ -213,9 +221,10 @@ class TestBestMove:
 
     def test_no_legal_move(self, rng):
         prior = random_prior(1, rng)
-        cache = _ScoreCache(prior, stats_of(rng.standard_normal((5, 1))))
+        cache = _ScoreCache(marginals_of(prior, stats_of(rng.standard_normal((5, 1)))))
         assert _best_move(cache, _Graph.of(empty_structure(1).parents)) is None
-        cache = _ScoreCache(random_prior(3, rng), stats_of(rng.standard_normal((5, 3))))
+        cache = _ScoreCache(marginals_of(random_prior(3, rng),
+                                         stats_of(rng.standard_normal((5, 3)))))
         assert _best_move(cache, _Graph.of(empty_structure(3).parents, 0)) is None
 
 
@@ -269,10 +278,11 @@ class TestGreedySearch:
                 prior = random_prior(n, rng)
                 init = random_dag(n, rng, p=float(rng.uniform(0.0, 0.6)))
                 kept_trace, rebuilt_trace = BoundedTrace(5000), BoundedTrace(5000)
-                kept = greedy_component_search(t, prior, init, cap, kept_trace)
+                kept = greedy_component_search(marginals_of(prior, t), init, cap, kept_trace)
                 with monkeypatch.context() as patch:
                     patch.setattr(_ScoreCache, "terms", rebuilt_terms)
-                    rebuilt = greedy_component_search(t, prior, init, cap, rebuilt_trace)
+                    rebuilt = greedy_component_search(marginals_of(prior, t), init, cap,
+                                                      rebuilt_trace)
                 assert kept == rebuilt
                 assert kept_trace == rebuilt_trace
                 escapes += any(step.sideways for step in kept_trace)
@@ -295,30 +305,31 @@ class TestGreedySearch:
         monkeypatch.setattr(_ScoreCache, "_fill",
                             lambda cache, ids, lack: None if walking else fill(cache, ids, lack))
         with pytest.raises(AssertionError, match="a fill left a needed term missing"):
-            greedy_component_search(t, prior, empty_structure(5))
+            greedy_component_search(marginals_of(prior, t), empty_structure(5))
         assert walking
         monkeypatch.setattr(_ScoreCache, "_fill", lambda cache, ids, lack: None)
         with pytest.raises(AssertionError, match="a fill left a needed term missing"):
-            greedy_component_search(t, prior, empty_structure(5))
+            greedy_component_search(marginals_of(prior, t), empty_structure(5))
 
     def test_independent_data_stays_empty(self, rng):
         rows = rng.standard_normal((400, 3))
         prior = random_prior(3, rng)
-        out = greedy_component_search(stats_of(rows), prior, empty_structure(3))
+        out = greedy_component_search(marginals_of(prior, stats_of(rows)), empty_structure(3))
         assert out.arc_count() == 0
 
     def test_correlated_pair_gets_one_arc(self, rng):
         x0 = rng.standard_normal(500)
         rows = np.column_stack([x0, 2 * x0 + 0.1 * rng.standard_normal(500)])
         prior = random_prior(2, rng)
-        out = greedy_component_search(stats_of(rows), prior, empty_structure(2))
+        out = greedy_component_search(marginals_of(prior, stats_of(rows)), empty_structure(2))
         assert out.arc_count() == 1
 
     def test_accepted_steps_strictly_increase(self, rng):
         rows = rng.standard_normal((300, 4)) @ rng.standard_normal((4, 4))
         prior = random_prior(4, rng)
         trace = []
-        greedy_component_search(stats_of(rows), prior, empty_structure(4), trace=trace)
+        greedy_component_search(marginals_of(prior, stats_of(rows)), empty_structure(4),
+                                trace=trace)
         assert trace, "expected at least one accepted move"
         # improving steps gain more than the threshold; sideways class moves
         # must be followed by a strict improvement on the compound
@@ -338,10 +349,10 @@ class TestGreedySearch:
         t = stats_of(rows)
         trace = []
         structure = empty_structure(4)
-        final = greedy_component_search(t, prior, structure, trace=trace)
+        final = greedy_component_search(marginals_of(prior, t), structure, trace=trace)
         for step in trace:
             structure = DagStructure(4, apply_move(structure.parents, step.move))
-            assert structure_score(prior, t, structure) == pytest.approx(
+            assert structure_score(prior, triple_of(rows), structure) == pytest.approx(
                 step.total, abs=1e-10
             )
         assert structure == final
@@ -350,7 +361,7 @@ class TestGreedySearch:
         rows = rng.standard_normal((300, 4)) @ rng.standard_normal((4, 4))
         prior = random_prior(4, rng)
         out = greedy_component_search(
-            stats_of(rows), prior, empty_structure(4), max_parents=1
+            marginals_of(prior, stats_of(rows)), empty_structure(4), max_parents=1
         )
         assert all(len(ps) <= 1 for ps in out.parents)
 
@@ -363,7 +374,7 @@ class TestGreedySearch:
         trace = []
         structure = complete_structure(5)
         greedy_component_search(
-            stats_of(rows), prior, structure, max_parents=1, trace=trace
+            marginals_of(prior, stats_of(rows)), structure, max_parents=1, trace=trace
         )
         deleted_above_cap = False
         parents = structure.parents
@@ -384,7 +395,8 @@ class TestGreedySearch:
         rows = rng.standard_normal((300, 5)) @ rng.standard_normal((5, 5))
         prior = random_prior(5, rng)
         trace = []
-        greedy_component_search(stats_of(rows), prior, empty_structure(5), trace=trace)
+        greedy_component_search(marginals_of(prior, stats_of(rows)), empty_structure(5),
+                                trace=trace)
         assert [(s.move.kind, s.move.source, s.move.target, s.sideways) for s in trace] == [
             ("add", 4, 1, False),
             ("add", 3, 2, False),
@@ -405,21 +417,21 @@ class TestGreedySearch:
         # read as a gain, that took the covered reversal 0 -> 2 and back
         # forever
         data, _ = sample(default_gold_standard().model, 200, 0)
-        t = SuffStats(200.0, data.sum(axis=0), data.T @ data)
+        t = stats_of(data)
         prior = PriorSpec(alpha=1e15).normal_wishart(5)
         trace = BoundedTrace(1000)
-        out = greedy_component_search(t, prior, empty_structure(5), trace=trace)
+        out = greedy_component_search(marginals_of(prior, t), empty_structure(5), trace=trace)
         assert out.arc_count() > 0
 
     def test_returns_local_maximum(self, rng):
         rows = rng.standard_normal((250, 3)) @ rng.standard_normal((3, 3))
         prior = random_prior(3, rng)
         t = stats_of(rows)
-        out = greedy_component_search(t, prior, empty_structure(3))
-        base = structure_score(prior, t, out)
+        out = greedy_component_search(marginals_of(prior, t), empty_structure(3))
+        base = structure_score(prior, triple_of(rows), out)
         for move in neighbors(out.parents):
             neighbor = DagStructure(3, apply_move(out.parents, move))
-            assert structure_score(prior, t, neighbor) <= base + 1e-9
+            assert structure_score(prior, triple_of(rows), neighbor) <= base + 1e-9
 
 
 def test_search_states_are_not_structures(monkeypatch):
@@ -439,7 +451,7 @@ def test_search_states_are_not_structures(monkeypatch):
 
     monkeypatch.setattr(DagStructure, "__post_init__", counted)
     trace = []
-    out = greedy_component_search(stats_of(rows), prior, start, trace=trace)
+    out = greedy_component_search(marginals_of(prior, stats_of(rows)), start, trace=trace)
     assert any(step.sideways for step in trace)
     assert built == [out.parents]
     built.clear()
@@ -466,11 +478,11 @@ def test_each_caller_reads_its_families_in_one_fill(rng, monkeypatch):
     prior = random_prior(n, rng)
     rows = rng.standard_normal((90, n)) @ rng.standard_normal((n, n))
     structures = [random_dag(n, rng, p=0.5) for _ in range(3)]
-    ms = mixture_stats(tuple(stats_of(rows[c::3]) for c in range(3)))
+    ms = mixture_stats(tuple(triple_of(rows[c::3]) for c in range(3)))
     complete_model_score(ms, structures, prior, DirichletPrior(np.ones(3)))
     assert calls == [families_of(s) for s in structures]
     calls.clear()
-    greedy_component_search(stats_of(rows), prior, structures[0])
+    greedy_component_search(marginals_of(prior, stats_of(rows)), structures[0])
     assert calls[0] == families_of(structures[0])
 
 
@@ -487,7 +499,8 @@ def test_a_start_from_empty_asks_for_each_pair_family_once(rng, monkeypatch):
     monkeypatch.setattr(FamilyMarginals, "fill", recorded)
     n = 6
     rows = rng.standard_normal((90, n)) @ rng.standard_normal((n, n))
-    greedy_component_search(stats_of(rows), random_prior(n, rng), empty_structure(n))
+    greedy_component_search(marginals_of(random_prior(n, rng), stats_of(rows)),
+                            empty_structure(n))
     first = next(families for families in calls if any(len(f) == 2 for f in families))
     assert sorted(f for f in first if len(f) == 2) == list(combinations(range(n), 2))
 
@@ -496,9 +509,9 @@ class TestSearchAllComponents:
     def test_single_component_identical(self, rng):
         rows = rng.standard_normal((200, 3))
         prior = random_prior(3, rng)
-        ms = mixture_stats((stats_of(rows),))
-        via_all = search_all_components(ms, (empty_structure(3),), prior)
-        direct = greedy_component_search(stats_of(rows), prior, empty_structure(3))
+        via_all = search_all_components(family_marginals(prior, stats_of(rows)),
+                                        (empty_structure(3),))
+        direct = greedy_component_search(marginals_of(prior, stats_of(rows)), empty_structure(3))
         assert via_all == (direct,)
 
     def test_disjoint_dependence_patterns(self, rng):
@@ -513,7 +526,7 @@ class TestSearchAllComponents:
         from dagmix.bayes import NormalWishart, local_score
 
         prior = NormalWishart(2.0, np.zeros(3), 5.0, np.eye(3))
-        out = search_all_components(ms, (empty_structure(3),) * 2, prior)
+        out = search_all_components(family_marginals(prior, ms), (empty_structure(3),) * 2)
 
         def adjacent(s, u, v):
             return u in s.parents[v] or v in s.parents[u]
@@ -526,8 +539,8 @@ class TestSearchAllComponents:
         labels = rng.integers(0, 2, 300)
         ms = labeled_stats(data, labels, 2)
         prior = random_prior(3, rng)
-        first = search_all_components(ms, (empty_structure(3),) * 2, prior)
-        second = search_all_components(ms, (empty_structure(3),) * 2, prior)
+        first = search_all_components(family_marginals(prior, ms), (empty_structure(3),) * 2)
+        second = search_all_components(family_marginals(prior, ms), (empty_structure(3),) * 2)
         assert first == second
 
 
@@ -713,30 +726,22 @@ class TestStructuralDifference:
 
 
 def library_search(t, prior, init, cap):
-    """``greedy_component_search`` with its trace and the families its
-    marginals memoised; a search that runs past 5000 moves fails."""
-    made = []
-    init_marginals = FamilyMarginals.__init__
-
-    def recorded(self, *args):
-        init_marginals(self, *args)
-        made.append(self)
-
+    """``greedy_component_search`` on the one-component statistics with its
+    trace and the families its marginals memoised; a search that runs past
+    5000 moves fails."""
+    marginals = marginals_of(prior, t)
     trace = BoundedTrace(5000)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(FamilyMarginals, "__init__", recorded)
-        out = greedy_component_search(t, prior, init, cap, trace)
-    (marginals,) = made
+    out = greedy_component_search(marginals, init, cap, trace)
     return out, trace, set(marginals._memo)
 
 
 def assert_matches_oracle(t, prior, init, cap):
     """The same structure, the same steps (moves, gains and totals compared
-    with ==) and the same families scored as the oracle search; returns the
-    trace."""
+    with ==) and the same families scored as the oracle search on the one
+    triple of ``t``; returns the trace."""
     out, trace, memo = library_search(t, prior, init, cap)
     oracle_trace = []
-    expected, oracle_memo = oracle_search(t, prior, init, cap, oracle_trace)
+    expected, oracle_memo = oracle_search(triples_of(t)[0], prior, init, cap, oracle_trace)
     assert out == expected
     assert trace == oracle_trace
     assert memo == oracle_memo
@@ -744,17 +749,26 @@ def assert_matches_oracle(t, prior, init, cap):
 
 
 def mixture_triples(monkeypatch, data, config):
-    """The (statistics, start, prior, cap) of every component search of one
-    ``fit``."""
-    searches = []
-    real = engine_module.search_all_components
+    """The (one-component statistics, start, prior, cap) of every component
+    search of one ``fit``, read off the statistics its marginals were built
+    from."""
+    searches, built = [], []
+    real_marginals = engine_module.family_marginals
+    real_search = engine_module.search_all_components
 
-    def recorded(mix_stats, structures, prior, max_parents=None, traces=None):
-        searches.extend((t, s, prior, max_parents)
-                        for t, s in zip(mix_stats.triples, structures))
-        return real(mix_stats, structures, prior, max_parents, traces)
+    def recorded_marginals(prior, mix_stats):
+        built.append((real_marginals(prior, mix_stats), prior, mix_stats))
+        return built[-1][0]
 
-    monkeypatch.setattr(engine_module, "search_all_components", recorded)
+    def recorded_search(marginals, structures, max_parents=None, traces=None):
+        made, prior, mix_stats = built[-1]
+        assert marginals is made
+        searches.extend((mixture_stats((t,)), s, prior, max_parents)
+                        for t, s in zip(triples_of(mix_stats), structures, strict=True))
+        return real_search(marginals, structures, max_parents, traces)
+
+    monkeypatch.setattr(engine_module, "family_marginals", recorded_marginals)
+    monkeypatch.setattr(engine_module, "search_all_components", recorded_search)
     fit(data, config)
     return searches
 
@@ -831,33 +845,40 @@ class TestAgainstOracle:
         assert escapes > 0
 
 
+def served_by_memo(cache, ids, need) -> bool:
+    """Whether every needed term that one state, given by its (2, n) row
+    ids, lacks in the store has its family memoised."""
+    side, v, u = np.nonzero(np.isnan(cache._store[ids]) & need)
+    families = cache._families((ids[side, v] * ids.shape[-1] + u).tolist())
+    return all(tuple(sorted(f)) in cache.marginals._memo for f in families)
+
+
 class EscapeWatch:
     """Records, for every escape of the searches run while it is set, the
     rounds of its stacked evaluation: whether the round's first member was
     filled, how many members the round held, and the first of them whose
     best move gains more than SCORE_EPS (None if none); for every class
-    walk, how many members it yielded; and how many fills within escapes
-    scored no family the memo lacked (``idle_fills``)."""
+    walk, how many members it yielded; and how many rounds ended before a
+    member whose lacking terms all have memoised families (``memo_cuts``)."""
 
     def __init__(self, monkeypatch):
         self.escapes, self.walks, self._rounds, self._filled = [], [], None, False
-        self.idle_fills = 0
+        self.memo_cuts = 0
         terms, fill = _ScoreCache.terms, _ScoreCache._fill
         gains_of, escape, walk = (search_module._gains, search_module._escape,
                                   search_module._class_walk)
 
         def watched_fill(cache, *args):
             self._filled = True
-            memoised = len(cache.marginals._memo)
             fill(cache, *args)
-            if self._rounds is not None:
-                self.idle_fills += len(cache.marginals._memo) == memoised
 
         def watched_terms(cache, ids, need):
             self._filled = False
             out = terms(cache, ids, need)
             if self._rounds is not None:
                 self._rounds.append([self._filled, len(out), None])
+                if len(out) < len(ids):
+                    self.memo_cuts += served_by_memo(cache, ids[len(out)], need[len(out)])
             return out
 
         def watched_gains(terms, legal):
@@ -920,9 +941,9 @@ class TestLongWalks:
         after, at = watch.late_escapes()
         assert after > 0 and at > 0
         assert _ESCAPE_BUDGET in watch.walks
-        # memoised terms are copied in before a round, so a walk fills a
-        # member only for a family never scored
-        assert watch.idle_fills == 0
+        # memoised terms are copied in from a round's own gather, so a round
+        # ends only before a member that needs a family never scored
+        assert watch.memo_cuts == 0
 
     def test_budget_cuts_the_walk_of_a_complete_dag(self, rng, monkeypatch):
         # six equicorrelated variables: every arc of the complete DAG is
@@ -976,7 +997,8 @@ def assert_walk_from_scratch(graph):
     the budget; each one's masks equal ``oracle_legal`` on its parent sets
     under the cap, and its row ids name the rows of its own families."""
     n = len(graph.parents)
-    cache = _ScoreCache(NormalWishart(1.0, np.zeros(n), n + 2.0, np.eye(n)), zero_stats(n))
+    cache = _ScoreCache(marginals_of(NormalWishart(1.0, np.zeros(n), n + 2.0, np.eye(n)),
+                                     zero_stats(n)))
     walked = []
     for chunk, legal, ids in _member_chunks(graph, cache):
         for (state, _, _), masks, rows in zip(chunk, legal, ids, strict=True):

@@ -24,7 +24,6 @@ from dagmix.model import (
 )
 from dagmix.scoring import observed_loglik
 from dagmix.stats import (
-    SuffStats,
     _densities,
     component_case_loglik,
     expected_stats,
@@ -32,6 +31,7 @@ from dagmix.stats import (
     mixture_loglik,
 )
 from conftest import (
+    Triple,
     chol_logdet,
     chol_solve,
     joint_moments,
@@ -46,6 +46,7 @@ from conftest import (
     random_dag,
     random_gaussian_dag,
     single_node_model,
+    triples_of,
     two_component_1d,
 )
 
@@ -74,7 +75,7 @@ def one_case_moments(g: GaussianDag, y) -> tuple[np.ndarray, np.ndarray]:
     and s[mis, mis] - r[mis] r[mis]^T the covariance."""
     y = np.asarray(y, dtype=float)
     ms, _ = expected_stats(group_cases(y[None, :]), MdagModel(np.array([1.0]), (g,)).stacked)
-    t = ms.triples[0]
+    t = triples_of(ms)[0]
     mis = np.flatnonzero(np.isnan(y))
     mean = t.r[mis]
     return mean, t.s[np.ix_(mis, mis)] - np.outer(mean, mean)
@@ -97,7 +98,7 @@ class TestMerge:
         resp = bayes_rule_1d(model, data[:, 0])
         counts = resp.sum(axis=0)
         squares = resp.T @ data[:, 0] ** 2
-        for c, tb in enumerate(batch.triples):
+        for c, tb in enumerate(triples_of(batch)):
             assert counts[c] == pytest.approx(tb.n, abs=1e-10)
             assert np.allclose(squares[c], tb.s, atol=1e-8)
 
@@ -189,9 +190,9 @@ class TestExpectedStats:
         data = rng.normal(0, 1, (30, 1))
         ms, _ = expected_stats(group_cases(data), m.stacked)
         exact = labeled_stats(data, np.zeros(30, dtype=int), 2)
-        assert ms.triples[0].n == pytest.approx(exact.triples[0].n, rel=1e-10)
-        assert np.allclose(ms.triples[0].r, exact.triples[0].r, rtol=1e-10)
-        assert np.allclose(ms.triples[0].s, exact.triples[0].s, rtol=1e-10)
+        assert triples_of(ms)[0].n == pytest.approx(triples_of(exact)[0].n, rel=1e-10)
+        assert np.allclose(triples_of(ms)[0].r, triples_of(exact)[0].r, rtol=1e-10)
+        assert np.allclose(triples_of(ms)[0].s, triples_of(exact)[0].s, rtol=1e-10)
 
     def test_two_case_hand_enumeration(self):
         m = two_component_1d(0.0, 2.0)
@@ -202,9 +203,9 @@ class TestExpectedStats:
             for c in range(2):
                 expected_triples[c] += r[c] * np.array([1.0, x, x * x])
         for c in range(2):
-            assert ms.triples[c].n == pytest.approx(expected_triples[c][0], abs=1e-12)
-            assert ms.triples[c].r[0] == pytest.approx(expected_triples[c][1], abs=1e-12)
-            assert ms.triples[c].s[0, 0] == pytest.approx(expected_triples[c][2], abs=1e-12)
+            assert triples_of(ms)[c].n == pytest.approx(expected_triples[c][0], abs=1e-12)
+            assert triples_of(ms)[c].r[0] == pytest.approx(expected_triples[c][1], abs=1e-12)
+            assert triples_of(ms)[c].s[0, 0] == pytest.approx(expected_triples[c][2], abs=1e-12)
 
     def test_missing_coordinate_adds_conditional_covariance(self):
         # with x1 missing, the second-moment must include Var(x1 | x0)
@@ -215,8 +216,8 @@ class TestExpectedStats:
         jm, jc = joint_moments(g)
         cm = jm[1] + jc[1, 0] / jc[0, 0] * (1.0 - jm[0])
         cc = jc[1, 1] - jc[1, 0] ** 2 / jc[0, 0]
-        assert ms.triples[0].s[1, 1] == pytest.approx(cm**2 + cc, abs=1e-12)
-        assert ms.triples[0].s[0, 1] == pytest.approx(1.0 * cm, abs=1e-12)
+        assert triples_of(ms)[0].s[1, 1] == pytest.approx(cm**2 + cc, abs=1e-12)
+        assert triples_of(ms)[0].s[0, 1] == pytest.approx(1.0 * cm, abs=1e-12)
 
     def test_centered_scatter_psd(self, rng):
         g = random_gaussian_dag(random_dag(3, rng, p=0.5), rng)
@@ -226,7 +227,7 @@ class TestExpectedStats:
         data[rng.random(data.shape) < 0.2] = np.nan
         data = data[~np.isnan(data).all(axis=1)]
         ms, _ = expected_stats(group_cases(data), m.stacked)
-        for t in ms.triples:
+        for t in triples_of(ms):
             if t.n > 1e-6:
                 assert np.linalg.eigvalsh(t.s - np.outer(t.r, t.r) / t.n).min() >= -1e-8
 
@@ -236,8 +237,8 @@ class TestExpectedStats:
         data, _ = sample(m, 50, rng)
         ms, _ = expected_stats(group_cases(data), m.stacked)
         assert ms.noise_count > 0
-        assert len(ms.triples) == 1  # one triple per Gaussian component
-        assert ms.counts.tolist() == [ms.noise_count, ms.triples[0].n]
+        assert len(triples_of(ms)) == 1  # one triple per Gaussian component
+        assert ms.counts.tolist() == [ms.noise_count, triples_of(ms)[0].n]
 
     @pytest.mark.parametrize("case", ["complete", "missing", "noise"])
     def test_sweep_loglik_is_observed_loglik(self, rng, case):
@@ -268,9 +269,9 @@ class TestLabeledStats:
         ms = labeled_stats(data, labels, 2)
         for c in range(2):
             rows = data[labels == c]
-            assert ms.triples[c].n == len(rows)
-            assert np.allclose(ms.triples[c].r, rows.sum(axis=0))
-            assert np.allclose(ms.triples[c].s, rows.T @ rows)
+            assert triples_of(ms)[c].n == len(rows)
+            assert np.allclose(triples_of(ms)[c].r, rows.sum(axis=0))
+            assert np.allclose(triples_of(ms)[c].s, rows.T @ rows)
 
 
 def test_component_case_loglik_matches_scipy(rng):
@@ -378,7 +379,7 @@ def reference_expected_stats(data, model):
                 pad[np.ix_(mis, mis)] = cond_cov
                 outers[col] += r.sum() * pad
     triples = tuple(
-        SuffStats(float(counts[c]), sums[c], 0.5 * (outers[c] + outers[c].T))
+        Triple(float(counts[c]), sums[c], 0.5 * (outers[c] + outers[c].T))
         for c in range(offset, model.n_components)
     )
     noise_count = float(counts[0]) if offset else None
@@ -414,8 +415,8 @@ data, _ = sample(model, 3000, rng)
 data[rng.choice(3000, 300, replace=False), rng.integers(0, n, 300)] = np.nan
 stats, loglik = expected_stats(group_cases(data), model.stacked)
 h = hashlib.sha256(np.float64(loglik).tobytes())
-for t in stats.triples:
-    h.update(np.float64(t.n).tobytes() + t.r.tobytes() + t.s.tobytes())
+for count, r, s in zip(stats.gaussian_counts, stats.sums, stats.seconds):
+    h.update(np.float64(count).tobytes() + r.tobytes() + s.tobytes())
 print(h.hexdigest())
 # a whole fit of three outer iterations: E sweeps, M steps, search and CS
 config = FitConfig(k=3, max_parents=2, max_outer=3, schedule=Schedule(em_steps=10))
@@ -451,7 +452,7 @@ def assert_same_sweep(data, model):
     got, got_ll = expected_stats(cases, model.stacked)
     assert_close(got_ll, want_ll)
     assert_close(got.counts, want.counts)
-    for tg, tw in zip(got.triples, want.triples, strict=True):
+    for tg, tw in zip(triples_of(got), triples_of(want), strict=True):
         assert_close(tg.n, tw.n)
         assert_close(tg.r, tw.r)
         assert_close(tg.s, tw.s)
@@ -532,7 +533,7 @@ class TestGroupedSweep:
         np.testing.assert_allclose(logp[complete, 1], want, rtol=1e-12)
         stats, loglik = expected_stats(cases, model.stacked)
         assert np.isfinite(loglik)
-        for t in stats.triples:
+        for t in triples_of(stats):
             assert np.isfinite(t.n) and np.all(np.isfinite(t.r)) and np.all(np.isfinite(t.s))
         # x1 missing and x0 observed: x1 = x0 up to a variance of 1e-20
         mean, cov = one_case_moments(odd, np.array([0.7, np.nan, -1.2]))

@@ -36,6 +36,7 @@ def test_local_score_calls_per_search(monkeypatch):
 
     from dagmix import search
     from dagmix.model import empty_structure
+    from conftest import marginals_of
     from test_bayes import random_prior, stats_of
 
     rng = np.random.default_rng(1)  # its search escapes a local maximum
@@ -46,7 +47,8 @@ def test_local_score_calls_per_search(monkeypatch):
     monkeypatch.setattr(search, "local_score",
                         lambda marginals, node, ps: calls.append(node) or real(marginals, node, ps))
     trace = []
-    search.greedy_component_search(stats_of(rows), prior, empty_structure(5), trace=trace)
+    search.greedy_component_search(marginals_of(prior, stats_of(rows)), empty_structure(5),
+                                   trace=trace)
     assert any(step.sideways for step in trace)
     rewritten = sum(2 if step.move.kind == "reverse" else 1 for step in trace)
     assert len(calls) == 5 + rewritten
