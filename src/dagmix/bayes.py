@@ -12,12 +12,11 @@ sub-blocks of (mu0, tau) and reducing alpha by (n - |Y|); that restriction
 makes Markov-equivalent structures score identically.
 
 Statistics arrive stacked, one row per Gaussian component
-(``MixtureStats``), and every posterior comes from one ``_posteriors`` call
-over the stacks: the M step's (``map_parameters``) and the family
-marginals' (``family_marginals``), which keep one family memo per
-component.  ``fit`` builds the marginals once per outer iteration and
-shares them between search and the complete-model score of the structures
-search returns, so that score reads families search has memoised.
+(``MixtureStats``), and each set of statistics gets one ``Posterior``, from
+one ``_posteriors`` call over the stacks.  The M step (``map_parameters``)
+and the family marginals (``family_marginals``, one memo per component)
+read it and build none, so search, the M step after it and the
+complete-model score of what search returns share one posterior.
 
 These functions are internal and assume validated input: user
 hyperparameters are checked once, in ``PriorSpec.normal_wishart``, and
@@ -141,6 +140,31 @@ def _posteriors(
     return nu1, mu1, prior.alpha + counts, 0.5 * (tau1 + tau1.transpose(0, 2, 1))
 
 
+@dataclass(frozen=True, eq=False)
+class Posterior:
+    """The posterior of every Gaussian component of one ``MixtureStats``
+    under one prior, as ``_posteriors`` stacks it: ``nu``, (k,), ``mu``,
+    (k, n), ``alpha``, (k,), and ``tau``, (k, n, n)."""
+
+    prior: NormalWishart
+    stats: MixtureStats
+    nu: np.ndarray
+    mu: np.ndarray
+    alpha: np.ndarray
+    tau: np.ndarray
+
+    def joint_modes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each component's posterior joint mode over (mean, covariance):
+        means mu', (k, n), and covariances T'/(alpha' + n + 2), (k, n, n)."""
+        return self.mu, self.tau / (self.alpha + self.prior.dim + 2.0)[:, None, None]
+
+
+def posterior(prior: NormalWishart, mix_stats: MixtureStats) -> Posterior:
+    """The one posterior of the statistics under the prior."""
+    counts, sums, seconds = mix_stats.gaussian_counts, mix_stats.sums, mix_stats.seconds
+    return Posterior(prior, mix_stats, *_posteriors(prior, counts, sums, seconds))
+
+
 class FamilyMarginals:
     """Log marginal likelihoods of variable subsets Y for one Gaussian
     component's statistics under the prior; ``family_marginals`` builds
@@ -229,18 +253,17 @@ class FamilyMarginals:
         return [get(key, np.nan) for key in keys]
 
 
-def family_marginals(prior: NormalWishart, mix_stats: MixtureStats) -> tuple[FamilyMarginals, ...]:
-    """The family marginals of every Gaussian component of the statistics,
-    in component order, from one ``_posteriors`` call over their stacks;
-    each component keeps its own memo.  A component at or below
-    ``COUNT_FLOOR`` keeps the prior and scores every family 0."""
-    counts = mix_stats.gaussian_counts
-    nu1, _, _, tau1 = _posteriors(prior, counts, mix_stats.sums, mix_stats.seconds)
+def family_marginals(post: Posterior) -> tuple[FamilyMarginals, ...]:
+    """The family marginals of every Gaussian component of the posterior's
+    statistics, in component order, read off the posterior; each component
+    keeps its own memo.  A component at or below ``COUNT_FLOOR`` keeps the
+    prior and scores every family 0."""
+    prior, counts = post.prior, post.stats.gaussian_counts
     scales = np.empty((len(counts), 2, prior.dim, prior.dim))
-    scales[:, 0], scales[:, 1] = prior.tau, tau1
+    scales[:, 0], scales[:, 1] = prior.tau, post.tau
     return tuple(
         FamilyMarginals(prior, count, nu, scale)
-        for count, nu, scale in zip(counts.tolist(), nu1.tolist(), scales)
+        for count, nu, scale in zip(counts.tolist(), post.nu.tolist(), scales)
     )
 
 
@@ -285,38 +308,26 @@ def dirichlet_map(prior: DirichletPrior, counts: np.ndarray) -> np.ndarray:
 
 
 def map_parameters(
-    mix_stats: MixtureStats,
+    post: Posterior,
     plan: FamilyPlan,
-    prior: NormalWishart,
     dirichlet: DirichletPrior,
     noise: NoiseComponent | None,
 ) -> StackedParams:
     """The M step: MAP weights and regression parameters of the structures
-    in ``plan`` given (expected) statistics, written straight into the
-    arrays the E sweep reads.
+    in ``plan``, read off the one posterior of (expected) statistics that
+    search and the complete-model score also read in ``fit``, and written
+    straight into the arrays the E sweep reads.
 
     Each component's posterior joint mode over (mean, covariance) is mean
-    mu' with covariance tau'/(alpha'+n+2) (``_map_joints``), and
+    mu' with covariance tau'/(alpha'+n+2) (``Posterior.joint_modes``), and
     ``FamilyPlan.read_off`` reads every node's regression off it.  With
     this divisor the output exactly maximizes the expected complete-data
     log posterior, which also makes the EM that uses it monotone in
     observed log likelihood plus log prior.  A component with no cases
     keeps the prior's mode.
     """
-    weights = dirichlet_map(dirichlet, mix_stats.counts)
-    means, covs = _map_joints(
-        prior, mix_stats.gaussian_counts, mix_stats.sums, mix_stats.seconds
-    )
-    return StackedParams(weights, *plan.read_off(means, covs), noise)
-
-
-def _map_joints(
-    prior: NormalWishart, counts: np.ndarray, sums: np.ndarray, seconds: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior joint modes (means, (k, n), covariances, (k, n, n)) of k
-    stacked statistics under one prior."""
-    nu, mu, alpha, tau = _posteriors(prior, counts, sums, seconds)
-    return mu, tau / (alpha + prior.dim + 2.0)[:, None, None]
+    weights = dirichlet_map(dirichlet, post.stats.counts)
+    return StackedParams(weights, *plan.read_off(*post.joint_modes()), noise)
 
 
 def data_informed_prior(data: np.ndarray, ess: float, prior: NormalWishart) -> NormalWishart:
@@ -329,10 +340,8 @@ def data_informed_prior(data: np.ndarray, ess: float, prior: NormalWishart) -> N
     mode as ess grows.
     """
     count, n = data.shape
-    means, covs = _map_joints(
-        prior, np.array([float(count)]), data.sum(axis=0)[None], (data.T @ data)[None]
-    )
-    mean, cov = means[0], covs[0]
+    stacks = MixtureStats(np.array([float(count)]), data.sum(axis=0)[None], (data.T @ data)[None])
+    (mean,), (cov,) = posterior(prior, stacks).joint_modes()
     alpha = ess + n + 1.0
     tau = (alpha + n + 2.0) * cov
     tau = 0.5 * (tau + tau.T)

@@ -197,12 +197,12 @@ def _write_json(path: str, doc: dict) -> None:
 
 def _check_writable(path: str) -> None:
     """Raise the OSError that opening ``path`` for writing would raise, for
-    a directory, a missing parent directory or no write permission; create
-    nothing."""
+    an empty path, a directory, a missing parent directory or no write
+    permission; create nothing."""
     parent = os.path.dirname(path) or "."
     if os.path.isdir(path):
         code = errno.EISDIR
-    elif not os.path.isdir(parent):
+    elif not (path and os.path.isdir(parent)):
         code = errno.ENOENT
     elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
         code = errno.EACCES
@@ -368,7 +368,7 @@ def _cmd_select_k(args) -> int:
     for k, cs in result.report:
         marker = " *" if k == result.best_k else ""
         print(f"{k:>3} {cs:>16.4f}{marker}")
-    if args.out:
+    if args.out is not None:
         meta = _fit_metadata(dataclasses.replace(config, k=result.best_k), result.best)
         meta["per_k"] = [[k, cs] for k, cs in result.report]
         save_model(args.out, result.best.model, meta)
@@ -395,7 +395,7 @@ def _cmd_recover(args) -> int:
         diffs = ["-" if d is None else str(d) for d in row.arc_differences]
         cells = [str(row.sample_size), str(row.learned_k), f"{row.top_weight_sum:.2f}"] + diffs
         print(" ".join(f"{c:>12}" for c in cells))
-    if args.out:
+    if args.out is not None:
         rows_json = [dataclasses.asdict(row) for row in report.rows]
         _write_json(
             args.out, {"format_version": FORMAT_VERSION, "seed": report.seed, "rows": rows_json}
@@ -419,7 +419,7 @@ def _cmd_compare(args) -> int:
             f"{s.predictive:>12.6f} {s.parameters:>7}"
         )
         rows_json.append(dataclasses.asdict(s))
-    if args.out:
+    if args.out is not None:
         _write_json(args.out, {"format_version": FORMAT_VERSION, "families": rows_json})
     return 0
 
@@ -503,7 +503,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "out", None):  # fail before the computation, not after
+        if getattr(args, "out", None) is not None:  # fail before the computation, not after
             _check_writable(args.out)
         return args.func(args)
     except SystemExit2 as exc:

@@ -1,12 +1,11 @@
 """EM steps, schedules, initialization, and the interleaved fitting loop.
 
-One outer iteration runs a burst of EM at fixed structures, computes the
-expected complete-data statistics once, searches each component's
-structure over those statistics, and re-estimates parameters from the very
-same statistics.  The loop stops when structures stop changing across two
-consecutive search phases (after forcing one EM-to-convergence pass) or
-when the approximate marginal likelihood stops increasing, and the
-best-scoring iterate is returned.
+One outer iteration runs a burst of EM at fixed structures, whose last
+expected complete-data statistics get one posterior; search, the M step
+after it and the score all read that posterior.  The loop stops when
+structures stop changing across two consecutive search phases (after
+forcing one EM-to-convergence pass) or when the approximate marginal
+likelihood stops increasing, and the best-scoring iterate is returned.
 """
 
 from __future__ import annotations
@@ -24,9 +23,11 @@ from .bayes import (
     DirichletPrior,
     FamilyMarginals,
     NormalWishart,
+    Posterior,
     data_informed_prior,
     family_marginals,
     map_parameters,
+    posterior,
     sample_joint_parameters,
 )
 from .errors import (
@@ -264,13 +265,13 @@ def _bind_priors(config: FitConfig, n: int) -> tuple[NormalWishart, DirichletPri
 @dataclass(frozen=True)
 class EmTrace:
     """``logliks[t]``: the observed log likelihood from the E sweep at the
-    model after t steps (index 0 = before any step); ``stats``: the last
-    sweep's statistics, taken at the returned model."""
+    model after t steps (index 0 = before any step); ``posterior``: that of
+    the last sweep's statistics (``.stats``), taken at the returned model."""
 
     logliks: tuple[float, ...]
     converged: bool
     collapsed: tuple[int, ...]
-    stats: stats.MixtureStats
+    posterior: Posterior
 
 
 def run_em(
@@ -285,9 +286,10 @@ def run_em(
     """Repeat E and M steps for a fixed burst or until the ratio rule fires.
 
     One E sweep per step gives the next M step's statistics and the
-    trace's log likelihood, so b steps make at most b + 1 sweeps.  The
-    convergence rule compares each step's log-likelihood change with the
-    total change since initialization: stop once
+    trace's log likelihood, so b steps make at most b + 1 sweeps, and each
+    sweep's statistics get one posterior, for the next M step or the trace.
+    The convergence rule compares each step's log-likelihood change with
+    the total change since initialization: stop once
     (l_t - l_{t-1}) / (l_t - l_0) drops below ``convergence_ratio``.
 
     The structures stay fixed, so the whole burst uses the model's one
@@ -306,6 +308,7 @@ def run_em(
     plan = model.plan
     params = model.stacked
     mix_stats, loglik = stats.expected_stats(cases, params)
+    post = posterior(prior, mix_stats)
     logliks = [loglik]
     converged = False
     fixed = False
@@ -314,7 +317,7 @@ def run_em(
     for _ in range(budget):
         if not fixed:
             swept = params
-            params = map_parameters(mix_stats, plan, prior, dirichlet, model.noise)
+            params = map_parameters(post, plan, dirichlet, model.noise)
             # the float test first: a burst that never repeats pays only it
             fixed = len(logliks) > 1 and logliks[-1] == logliks[-2] and _same_bits(params, swept)
         low = mix_stats.gaussian_counts < _COLLAPSE_THRESHOLD
@@ -331,13 +334,14 @@ def run_em(
                 )
         if not fixed:
             mix_stats, loglik = stats.expected_stats(cases, params)
+            post = posterior(prior, mix_stats)
         logliks.append(loglik)
         if steps is None and ratio_rule_fires(logliks, convergence_ratio):
             converged = True
             break
     if len(logliks) > 1:
         model = plan.model(params)
-    return model, EmTrace(tuple(logliks), converged, tuple(sorted(collapsed)), mix_stats)
+    return model, EmTrace(tuple(logliks), converged, tuple(sorted(collapsed)), post)
 
 
 def _same_bits(a: StackedParams, b: StackedParams) -> bool:
@@ -405,10 +409,9 @@ def initialize(data: np.ndarray, config: FitConfig) -> MdagModel:
 def cheeseman_stutz(
     cases: stats.CaseGroups,
     model: MdagModel,
-    prior: NormalWishart,
+    marginals: Sequence[FamilyMarginals],
     dirichlet: DirichletPrior,
     mix_stats: stats.MixtureStats,
-    marginals: Sequence[FamilyMarginals] | None = None,
 ) -> tuple[float, float, float]:
     """(complete-model score, observed log likelihood, Cheeseman-Stutz score)
     of the cases at the model.
@@ -420,13 +423,11 @@ def cheeseman_stutz(
     parameters.  The caller must pass parameters that are MAP for the
     model's structures, and the statistics that produced them.  When the
     completion is the data itself the correction cancels and the exact
-    closed form is recovered.  ``marginals`` are those a search of the
-    model's structures climbed on, if any (see ``complete_model_score``).
+    closed form is recovered.  ``marginals`` are those of ``mix_stats``; in
+    ``fit``, the ones its search climbed on (see ``complete_model_score``).
     """
     structures = tuple(g.structure for g in model.components)
-    complete = complete_model_score(
-        mix_stats, structures, prior, dirichlet, model.noise, marginals
-    )
+    complete = complete_model_score(mix_stats, structures, marginals, dirichlet, model.noise)
     obs = observed_loglik(cases, model)
     return complete, obs, complete + obs - completed_loglik(mix_stats, model)
 
@@ -471,9 +472,9 @@ def fit(data: np.ndarray, config: FitConfig) -> FitResult:
             max_steps=config.max_em_steps,
         )
         collapsed.update(em_trace.collapsed)
-        mix_stats = em_trace.stats
-        # shared by search and the complete-model score of what it returns
-        marginals = family_marginals(prior, mix_stats)
+        # the last statistics' one posterior: search, the M step and the score read it
+        post, mix_stats = em_trace.posterior, em_trace.posterior.stats
+        marginals = family_marginals(post)
         if searching:
             new_structures = search_all_components(
                 marginals, structures, max_parents=config.max_parents
@@ -483,8 +484,8 @@ def fit(data: np.ndarray, config: FitConfig) -> FitResult:
         unchanged = new_structures == structures
         # one plan per structure set: the next burst reuses this one
         plan = model.plan if unchanged else FamilyPlan(new_structures)
-        model = plan.model(map_parameters(mix_stats, plan, prior, dirichlet, model.noise))
-        complete, obs, cs = cheeseman_stutz(cases, model, prior, dirichlet, mix_stats, marginals)
+        model = plan.model(map_parameters(post, plan, dirichlet, model.noise))
+        complete, obs, cs = cheeseman_stutz(cases, model, marginals, dirichlet, mix_stats)
         iterates.append(OuterIterate(model, new_structures, mix_stats, obs, complete, cs))
         structures = new_structures
         if unchanged and (force_full_em or config.schedule.em_steps is None):

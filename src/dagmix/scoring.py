@@ -7,15 +7,14 @@ changes exactly one term.  The observed log likelihood and the completed
 log likelihood are the two halves of the correction that
 ``engine.cheeseman_stutz`` adds to it, both at the MAP parameters; that is
 the one place the Cheeseman-Stutz score is computed.  The complete-model
-score reads the family marginals of a ``MixtureStats`` under one
-Normal-Wishart prior for every component (``bayes.family_marginals``),
-zipped with the structures: ``fit`` passes the marginals its search just
-climbed on, whose memos hold every family of the structures search
-returned, and a caller without them gets them built from the statistics.
-The completed log likelihood reads the stacked counts, sums and second
-moments against the model's ``StackedParams``, the regression forms the M
-step wrote and the E sweep reads.  The noise component's count stands
-apart in both.
+score reads the family marginals of every Gaussian component, zipped with
+the structures, off the one posterior of the statistics that search and
+the M step after it read too (``bayes.family_marginals``): ``fit`` passes
+the marginals its search just climbed on, whose memos hold every family
+of the structures search returned.  The completed log likelihood reads
+the stacked counts, sums and second moments against the model's
+``StackedParams``, the regression forms the M step wrote and the E sweep
+reads.  The noise component's count stands apart in both.
 
 These functions are internal and assume validated input: data, models and
 statistics arrive through the checked entry points that the package
@@ -32,14 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bayes import (
-    DirichletPrior,
-    FamilyMarginals,
-    NormalWishart,
-    dirichlet_log_marglik,
-    family_marginals,
-    node_families,
-)
+from .bayes import DirichletPrior, FamilyMarginals, dirichlet_log_marglik, node_families
 from .errors import DimensionMismatch, EmptyTestSet, NonNumericValue
 from .model import DagStructure, MdagModel
 from .stats import COUNT_FLOOR, CaseGroups, MixtureStats, group_cases, mixture_loglik
@@ -48,21 +40,18 @@ from .stats import COUNT_FLOOR, CaseGroups, MixtureStats, group_cases, mixture_l
 def complete_model_score(
     mix_stats: MixtureStats,
     structures: Sequence[DagStructure],
-    prior: NormalWishart,
+    marginals: Sequence[FamilyMarginals],
     dirichlet: DirichletPrior,
     noise=None,
-    marginals: Sequence[FamilyMarginals] | None = None,
 ) -> float:
     """Factored score of the statistics under per-component structures.
 
     ``structures[c]`` is scored on ``marginals[c]``, the family marginals
-    of Gaussian component c (``family_marginals(prior, mix_stats)``, built
-    here when not given, and read off their memos when given); the noise
-    component, present when ``noise`` is given, contributes its fixed
-    uniform mass over ``mix_stats.noise_count`` cases, never a learned term.
+    of Gaussian component c of the statistics (``family_marginals``), read
+    off their memos where they hold a family; the noise component, present
+    when ``noise`` is given, contributes its fixed uniform mass over
+    ``mix_stats.noise_count`` cases, never a learned term.
     """
-    if marginals is None:
-        marginals = family_marginals(prior, mix_stats)
     c_term = dirichlet_log_marglik(dirichlet, mix_stats.counts)
     noise_term = 0.0 if noise is None else -mix_stats.noise_count * noise.log_volume
     locals_ = []

@@ -17,6 +17,7 @@ from dagmix.bayes import (
     local_score,
     map_parameters,
     node_families,
+    posterior,
 )
 from dagmix.engine import (
     _COLLAPSE_STEPS,
@@ -83,9 +84,17 @@ def triples_of(mix_stats: MixtureStats) -> tuple[Triple, ...]:
     )
 
 
+def mixture_marginals(
+    prior: NormalWishart, mix_stats: MixtureStats
+) -> tuple[FamilyMarginals, ...]:
+    """The library's family marginals of every Gaussian component of the
+    statistics, read off their one posterior."""
+    return family_marginals(posterior(prior, mix_stats))
+
+
 def marginals_of(prior: NormalWishart, mix_stats: MixtureStats) -> FamilyMarginals:
     """The library's family marginals of one-component statistics."""
-    (marginals,) = family_marginals(prior, mix_stats)
+    (marginals,) = mixture_marginals(prior, mix_stats)
     return marginals
 
 
@@ -140,7 +149,8 @@ def labeled_cheeseman_stutz(data, labels, model, prior, dirichlet, mix_stats) ->
     """The Cheeseman-Stutz score with the component indicator observed: the
     library's score with its observed-data term swapped for the labelled
     one.  On exact labelled statistics the correction then cancels."""
-    _, obs, cs = cheeseman_stutz(group_cases(data), model, prior, dirichlet, mix_stats)
+    marginals = mixture_marginals(prior, mix_stats)
+    _, obs, cs = cheeseman_stutz(group_cases(data), model, marginals, dirichlet, mix_stats)
     return cs - obs + labeled_loglik(data, model, labels)
 
 
@@ -230,7 +240,7 @@ def map_component(prior: NormalWishart, t: Triple, structure: DagStructure) -> G
 def m_step(mix_stats, structures, prior, dirichlet, noise=None) -> MdagModel:
     """The library's M step at the given structures, as a model."""
     plan = FamilyPlan(tuple(structures))
-    return plan.model(map_parameters(mix_stats, plan, prior, dirichlet, noise))
+    return plan.model(map_parameters(posterior(prior, mix_stats), plan, dirichlet, noise))
 
 
 # --- the M step one component and one node at a time ---------------------------

@@ -51,6 +51,7 @@ from conftest import (
     m_step,
     map_component,
     marginals_of,
+    mixture_marginals,
     mixture_stats,
     random_dag,
     structure_score,
@@ -113,7 +114,7 @@ def test_criterion_01_conjugate_oracle_equivalence():
         )
         dirichlet = DirichletPrior(rng.uniform(0.3, 2.0, k))
         ms = labeled_stats(rows, labels, k)
-        factored = complete_model_score(ms, structures, prior, dirichlet)
+        factored = complete_model_score(ms, structures, mixture_marginals(prior, ms), dirichlet)
         oracle = _polya_urn_oracle(dirichlet.alphas, labels)
         for c, structure in enumerate(structures):
             comp_rows = rows[labels == c]
@@ -169,7 +170,7 @@ def test_criterion_03_cheeseman_stutz_exact_on_complete_data():
         )
         m = MdagModel(weights, comps)
         cs = labeled_cheeseman_stutz(rows, labels, m, prior, dirichlet, ms)
-        closed = complete_model_score(ms, structures, prior, dirichlet)
+        closed = complete_model_score(ms, structures, mixture_marginals(prior, ms), dirichlet)
         worst = max(worst, abs(cs - closed))
     assert worst <= 1e-8
     _report(3, "cheeseman-stutz-exactness", time.time() - start, 10, f"worst gap {worst:.2e}")
@@ -197,7 +198,7 @@ def test_criterion_04_cheeseman_stutz_vs_importance_sampling():
     ms, _ = expected_stats(cases, m.stacked)
     m = m_step(ms, tuple(g.structure for g in m.components), prior, dirichlet)
     ms, _ = expected_stats(cases, m.stacked)
-    cs = cheeseman_stutz(cases, m, prior, dirichlet, ms)[2]
+    cs = cheeseman_stutz(cases, m, mixture_marginals(prior, ms), dirichlet, ms)[2]
 
     nu, mu0, alpha, tau = prior.nu, float(prior.mu0[0]), prior.alpha, float(prior.tau[0, 0])
     rng = stream(2, "c4is")

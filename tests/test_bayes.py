@@ -9,15 +9,14 @@ from dagmix.bayes import (
     DirichletPrior,
     NormalWishart,
     _gammaln,
-    _map_joints,
     _multigammaln,
     _posteriors,
     data_informed_prior,
     dirichlet_log_marglik,
     dirichlet_map,
-    family_marginals,
     local_score,
     map_parameters,
+    posterior,
     sample_joint_parameters,
 )
 from dagmix.errors import NonPsdScatter, SingularParentBlock
@@ -38,6 +37,7 @@ from conftest import (
     map_component,
     map_joint,
     marginals_of,
+    mixture_marginals,
     mixture_stats,
     oracle_m_step,
     oracle_posterior,
@@ -304,7 +304,7 @@ class TestFamilyMarginals:
             floored = live[:-1] + [Triple(COUNT_FLOOR, np.zeros(n), np.zeros((n, n)))]
             families = [f for size in range(n + 1) for f in combinations(range(n), size)]
             for triples, noise in ((live, None), (floored, 1.5)):
-                stacked = family_marginals(prior, mixture_stats(triples, noise))
+                stacked = mixture_marginals(prior, mixture_stats(triples, noise))
                 for marginals, t in zip(stacked, triples, strict=True):
                     assert marginals.fill(families) == OracleMarginals(prior, t).fill(families)
                 if noise is not None:  # the floored component keeps the prior
@@ -615,7 +615,7 @@ def assert_m_step_is_the_oracle(mix_stats, structures, prior, dirichlet, noise=N
     a time, bit for bit: weights, every regression, and the sweep's A, W
     and constants; a model rebuilt from its components gives the same."""
     plan = FamilyPlan(tuple(structures))
-    params = map_parameters(mix_stats, plan, prior, dirichlet, noise)
+    params = map_parameters(posterior(prior, mix_stats), plan, dirichlet, noise)
     want = oracle_m_step(mix_stats, structures, prior, dirichlet, noise)
     assert np.array_equal(params.weights, want.weights)
     for g, h in zip(plan.model(params).components, want.components, strict=True):
@@ -648,7 +648,7 @@ class TestStackedMStep:
         mix_stats = mixture_stats(triples)
         assert_m_step_is_the_oracle(mix_stats, structures, prior, dirichlet)
         plan = FamilyPlan((empty_structure(n),) * 3)
-        params = map_parameters(mix_stats, plan, prior, dirichlet, None)
+        params = map_parameters(posterior(prior, mix_stats), plan, dirichlet, None)
         assert np.array_equal(params.intercepts[1], prior.mu0)
         assert np.array_equal(params.variances[1], np.diag(prior.tau) / (prior.alpha + n + 2.0))
 
@@ -688,7 +688,7 @@ class TestStackedMStep:
         dirichlet = DirichletPrior(np.full(2, 0.5))
         plan = FamilyPlan(self.structures)
         for m_step in (
-            lambda: map_parameters(mix_stats, plan, prior, dirichlet, None),
+            lambda: map_parameters(posterior(prior, mix_stats), plan, dirichlet, None),
             lambda: oracle_m_step(mix_stats, self.structures, prior, dirichlet),
         ):
             with pytest.raises(SingularParentBlock):
@@ -700,7 +700,7 @@ class TestDataInformedPrior:
         prior = random_prior(3, rng)
         rows = rng.normal(0, 1, (50, 3))
         ms = stats_of(rows)
-        means, covs = _map_joints(prior, ms.gaussian_counts, ms.sums, ms.seconds)
+        means, covs = posterior(prior, ms).joint_modes()
         mean, cov = map_joint(prior, triple_of(rows))
         assert np.array_equal(means[0], mean) and np.array_equal(covs[0], cov)
         informed = data_informed_prior(rows, 20.0, prior)

@@ -383,8 +383,14 @@ class TestCommands:
                 ["compare", "--data", "{data}", "--test", "{data}", "--out", "{dir}"],
                 "IsADirectoryError",
             ),
+            # an empty path names no file, though its parent "." is writable
+            (["fit", "--data", "{data}", "--k", "2", "--out", ""], "FileNotFound"),
+            (["select-k", "--data", "{data}", "--k-max", "2", "--out", ""], "FileNotFound"),
+            (["recover", "--sizes", "93", "--out", ""], "FileNotFound"),
+            (["compare", "--data", "{data}", "--test", "{data}", "--out", ""], "FileNotFound"),
         ],
-        ids=["fit-dir", "fit-no-parent", "select-k-no-parent", "recover-dir", "compare-dir"],
+        ids=["fit-dir", "fit-no-parent", "select-k-no-parent", "recover-dir", "compare-dir",
+             "fit-empty", "select-k-empty", "recover-empty", "compare-empty"],
     )
     def test_out_checked_before_computing(self, tmp_path, capsys, monkeypatch, argv, category):
         # an --out that cannot be written fails at once, with nothing computed

@@ -232,7 +232,7 @@ class TestRunEm:
         fresh, loglik = expected_stats(cases, out.stacked)
         assert loglik == trace.logliks[-1]
         for part in ("counts", "sums", "seconds"):
-            assert np.array_equal(getattr(trace.stats, part), getattr(fresh, part))
+            assert np.array_equal(getattr(trace.posterior.stats, part), getattr(fresh, part))
 
 
 def gold_cases(missing: bool) -> np.ndarray:
@@ -262,7 +262,7 @@ def assert_run_em_is_the_oracle(cases, model, prior, dirichlet, steps, max_steps
     warned = [re.match(r"component (\d+) collapsed", str(w.message)) for w in caught]
     assert sorted(int(m.group(1)) for m in warned if m) == list(collapsed)
     for part in ("counts", "sums", "seconds"):
-        assert np.array_equal(getattr(trace.stats, part), getattr(mix_stats, part))
+        assert np.array_equal(getattr(trace.posterior.stats, part), getattr(mix_stats, part))
     assert np.array_equal(got.weights, want.weights)
     for g, h in zip(got.components, want.components, strict=True):
         assert g.structure == h.structure
@@ -548,6 +548,43 @@ class TestFit:
         data, _ = sample(two_component_1d(0.0, 5.0), 150, rng)
         fit(data, FitConfig(k=2, seed=0, max_outer=1, schedule=Schedule(em_steps=4)))
         assert calls["n"] == 4 + 1
+
+    @pytest.mark.parametrize(
+        "k, family, schedule",
+        [(3, "mdag", Schedule(em_steps=3)), (1, "mdag", Schedule(em_steps=6)),
+         (3, "mdiag", Schedule())],
+        ids=["mdag-repeating", "mdag-fixed-point", "mdiag"],
+    )
+    def test_one_posterior_per_set_of_statistics(self, monkeypatch, k, family, schedule):
+        # every E sweep's statistics get exactly one posterior, in sweep
+        # order: the M step, search and the score of an outer iteration
+        # read the one its last sweep got.  With k = 1 each burst reaches
+        # an exact fixed point, so its last statistics are those its last
+        # M step read
+        from dagmix import bayes
+        from dagmix.harness import default_gold_standard
+
+        swept, posteriors = [], []
+        real_sweep, real_posteriors = engine_module.stats.expected_stats, bayes._posteriors
+
+        def sweep(cases, params):
+            swept.append(real_sweep(cases, params))
+            return swept[-1]
+
+        def posterior(prior, counts, sums, seconds):
+            posteriors.append(sums)
+            return real_posteriors(prior, counts, sums, seconds)
+
+        monkeypatch.setattr(engine_module.stats, "expected_stats", sweep)
+        monkeypatch.setattr(bayes, "_posteriors", posterior)
+        data, _ = sample(default_gold_standard().model, 600, 4)
+        result = fit(data, FitConfig(k=k, seed=0, family=family, schedule=schedule))
+        assert len(result.trace) > 1 or family == "mdiag"
+        if k == 1:
+            assert len(swept) < len(result.trace) * (schedule.em_steps + 1)
+        # the first posterior is the data's, in initialize
+        assert len(posteriors) == 1 + len(swept)
+        assert all(got is mix_stats.sums for got, (mix_stats, _) in zip(posteriors[1:], swept))
 
     def test_one_observed_loglik_per_outer_iteration(self, rng, monkeypatch):
         # EM traces read the log likelihood off the E sweeps; only the

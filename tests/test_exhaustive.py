@@ -18,7 +18,12 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from dagmix.bayes import data_informed_prior, map_parameters, sample_joint_parameters
+from dagmix.bayes import (
+    data_informed_prior,
+    family_marginals,
+    map_parameters,
+    sample_joint_parameters,
+)
 from dagmix.engine import FitConfig, _bind_priors, cheeseman_stutz, fit, run_em
 from dagmix.errors import CycleDetected
 from dagmix.model import DagStructure, GaussianDag, MdagModel, sample
@@ -98,8 +103,10 @@ def exhaustive_scores(data: np.ndarray, config: FitConfig) -> np.ndarray:
             convergence_ratio=config.convergence_ratio,
             max_steps=config.max_em_steps,
         )
-        model = model.plan.model(map_parameters(trace.stats, model.plan, prior, dirichlet, None))
-        scores[index] = cheeseman_stutz(cases, model, prior, dirichlet, trace.stats)[2]
+        post = trace.posterior
+        model = model.plan.model(map_parameters(post, model.plan, dirichlet, None))
+        scores[index] = cheeseman_stutz(cases, model, family_marginals(post), dirichlet,
+                                        post.stats)[2]
     return scores
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dagmix import harness
-from dagmix.bayes import family_marginals
 from dagmix.engine import FitConfig, PriorSpec, Schedule, fit
 from dagmix.errors import DimensionMismatch, EmptyTestSet, NonNumericValue
 from dagmix.harness import (
@@ -20,6 +19,7 @@ from dagmix.search import search_all_components, structural_difference
 from conftest import (
     joint_moments,
     labeled_stats,
+    mixture_marginals,
     oracle_match_components,
     oracle_structural_difference,
     random_dag,
@@ -100,7 +100,7 @@ class TestLabeledRecoveryOracle:
         ms = labeled_stats(data, labels, 3)
         prior = PriorSpec().normal_wishart(5)
         learned = search_all_components(
-            family_marginals(prior, ms), tuple(empty_structure(5) for _ in range(3))
+            mixture_marginals(prior, ms), tuple(empty_structure(5) for _ in range(3))
         )
         diffs = [
             structural_difference(learned[c], gold.model.components[c].structure)

@@ -7,7 +7,7 @@ it."""
 import numpy as np
 import pytest
 
-from dagmix.bayes import DirichletPrior, NormalWishart, family_marginals
+from dagmix.bayes import DirichletPrior, NormalWishart
 from dagmix.engine import FitConfig, _bind_priors, cheeseman_stutz, fit
 from dagmix.harness import default_gold_standard
 from dagmix.model import (
@@ -21,7 +21,14 @@ from dagmix.rng import stream
 from dagmix.scoring import complete_model_score, completed_loglik, observed_loglik
 from dagmix.search import search_all_components, to_cpdag
 from dagmix.stats import expected_stats, group_cases
-from conftest import Triple, mixture_stats, random_dag, random_gaussian_dag, triples_of
+from conftest import (
+    Triple,
+    mixture_marginals,
+    mixture_stats,
+    random_dag,
+    random_gaussian_dag,
+    triples_of,
+)
 from test_bayes import random_prior
 
 # A relabelling reorders the sums and factorisations behind every score, so
@@ -59,9 +66,9 @@ def scores(data, model, prior, dirichlet):
     return np.array(
         [
             observed_loglik(cases, model),
-            complete_model_score(ms, structures, prior, dirichlet),
+            complete_model_score(ms, structures, mixture_marginals(prior, ms), dirichlet),
             completed_loglik(ms, model),
-            *cheeseman_stutz(cases, model, prior, dirichlet, ms),
+            *cheeseman_stutz(cases, model, mixture_marginals(prior, ms), dirichlet, ms),
         ]
     )
 
@@ -109,7 +116,7 @@ def test_search_variables(data_seed):
     prior, _ = _bind_priors(config, data.shape[1])
     empty = [empty_structure(prior.dim)] * config.k
     expected = [to_cpdag(g.parents)
-                for g in search_all_components(family_marginals(prior, mix_stats), empty)]
+                for g in search_all_components(mixture_marginals(prior, mix_stats), empty)]
     rng = stream(data_seed, "variable-order")
     for _ in range(5):
         perm = rng.permutation(prior.dim)
@@ -119,7 +126,8 @@ def test_search_variables(data_seed):
         moved_prior = NormalWishart(
             prior.nu, prior.mu0[perm], prior.alpha, prior.tau[np.ix_(perm, perm)]
         )
-        found = search_all_components(family_marginals(moved_prior, mixture_stats(triples)), empty)
+        found = search_all_components(mixture_marginals(moved_prior, mixture_stats(triples)),
+                                      empty)
         # moved variable j is variable perm[j]
         back = []
         for g in found:

@@ -9,9 +9,9 @@ from dagmix.bayes import (
     NormalWishart,
     dirichlet_log_marglik,
     dirichlet_map,
-    family_marginals,
     local_score,
     map_parameters,
+    posterior,
 )
 from dagmix.errors import DimensionMismatch, EmptyTestSet, NonNumericValue
 from dagmix.model import (
@@ -36,6 +36,7 @@ from conftest import (
     labeled_loglik,
     labeled_stats,
     map_component,
+    mixture_marginals,
     mixture_stats,
     node_log_density,
     oracle_completed_loglik,
@@ -62,7 +63,7 @@ class TestCompleteModelScore:
         prior = random_prior(2, rng)
         ms = mixture_stats((zero_triple(2), zero_triple(2)))
         score = complete_model_score(
-            ms, (empty_structure(2),) * 2, prior, DirichletPrior(np.ones(2))
+            ms, (empty_structure(2),) * 2, mixture_marginals(prior, ms), DirichletPrior(np.ones(2))
         )
         assert score == 0.0
 
@@ -71,7 +72,8 @@ class TestCompleteModelScore:
         rows = rng.normal(0, 1.5, (9, 3))
         ms = labeled_stats(rows, np.zeros(9, dtype=int), 1)
         structure = DagStructure(3, ((), (0,), (0, 1)))
-        score = complete_model_score(ms, (structure,), prior, DirichletPrior(np.ones(1)))
+        marginals = mixture_marginals(prior, ms)
+        score = complete_model_score(ms, (structure,), marginals, DirichletPrior(np.ones(1)))
         # saturated family: full-set marginal via an independent sequential oracle
         oracle = sequential_marginal_loglik(prior, rows, (0, 1, 2))
         assert score == pytest.approx(oracle, abs=1e-8)
@@ -84,7 +86,7 @@ class TestCompleteModelScore:
         ms = labeled_stats(rows, labels, 2)
         structures = (DagStructure(2, ((), (0,))), empty_structure(2))
         d = DirichletPrior(np.ones(2))
-        score = complete_model_score(ms, structures, prior, d)
+        score = complete_model_score(ms, structures, mixture_marginals(prior, ms), d)
         recomputed = dirichlet_log_marglik(d, ms.counts)
         recomputed += sum(
             structure_score(prior, t, s) for t, s in zip(triples_of(ms), structures)
@@ -97,12 +99,9 @@ class TestCompleteModelScore:
         labels = rng.integers(0, 2, 10)
         structures = (DagStructure(2, ((), (0,))), empty_structure(2))
         d = DirichletPrior(np.full(2, 0.7))
-        a = complete_model_score(
-            labeled_stats(rows, labels, 2), structures, prior, d
-        )
-        b = complete_model_score(
-            labeled_stats(rows, 1 - labels, 2), structures[::-1], prior, d
-        )
+        ms_a, ms_b = labeled_stats(rows, labels, 2), labeled_stats(rows, 1 - labels, 2)
+        a = complete_model_score(ms_a, structures, mixture_marginals(prior, ms_a), d)
+        b = complete_model_score(ms_b, structures[::-1], mixture_marginals(prior, ms_b), d)
         assert a == pytest.approx(b, abs=1e-10)
 
     def test_noise_term(self, rng):
@@ -110,7 +109,7 @@ class TestCompleteModelScore:
         noise = NoiseComponent(np.zeros(1), np.full(1, 2.0))
         prior = random_prior(1, rng)
         ms = mixture_stats((zero_triple(1),), noise_count=3.0)
-        args = (ms, (empty_structure(1),), prior, DirichletPrior(np.ones(2)))
+        args = (ms, (empty_structure(1),), mixture_marginals(prior, ms), DirichletPrior(np.ones(2)))
         noise_term = complete_model_score(*args, noise) - complete_model_score(*args)
         assert noise_term == pytest.approx(-3.0 * np.log(2.0), abs=1e-12)
 
@@ -209,7 +208,7 @@ class TestCheesemanStutz:
             ms = labeled_stats(rows, labels, k)
             m = map_model_for(ms, structures, prior, dirichlet)
             cs = labeled_cheeseman_stutz(rows, labels, m, prior, dirichlet, ms)
-            closed = complete_model_score(ms, structures, prior, dirichlet)
+            closed = complete_model_score(ms, structures, mixture_marginals(prior, ms), dirichlet)
             assert cs == pytest.approx(closed, abs=1e-8)
 
     @pytest.mark.parametrize("case", ["complete", "missing", "noise"])
@@ -231,7 +230,8 @@ class TestCheesemanStutz:
         prior, dirichlet = _bind_priors(config, data.shape[1])
         cases = group_cases(data)
         for it in result.trace:
-            again = cheeseman_stutz(cases, it.model, prior, dirichlet, it.stats)
+            marginals = mixture_marginals(prior, it.stats)
+            again = cheeseman_stutz(cases, it.model, marginals, dirichlet, it.stats)
             assert again == (it.complete_model_score, it.observed_loglik, it.cheeseman_stutz)
 
     @pytest.mark.parametrize("noise", [False, True], ids=["plain", "noise"])
@@ -271,7 +271,9 @@ class TestCheesemanStutz:
         prior, dirichlet = engine._bind_priors(config, data.shape[1])
         for it in result.trace:
             factored.clear()
-            fresh = complete_model_score(it.stats, it.structures, prior, dirichlet, it.model.noise)
+            marginals = mixture_marginals(prior, it.stats)
+            fresh = complete_model_score(it.stats, it.structures, marginals, dirichlet,
+                                         it.model.noise)
             assert fresh == it.complete_model_score
             assert factored  # a fresh score factors its families
 
@@ -286,7 +288,7 @@ class TestFactorability:
         after_structure = DagStructure(3, ((), (0,), (1,)))
 
         def node_scores(structure):
-            (marginals,) = family_marginals(prior, ms)
+            (marginals,) = mixture_marginals(prior, ms)
             return [local_score(marginals, i, ps) for i, ps in enumerate(structure.parents)]
 
         before, after = node_scores(before_structure), node_scores(after_structure)
@@ -295,7 +297,8 @@ class TestFactorability:
         assert before[2] != after[2]
         # and the model score moves by that one term
         scores = [
-            complete_model_score(ms, (s,), prior, d) for s in (before_structure, after_structure)
+            complete_model_score(ms, (s,), mixture_marginals(prior, ms), d)
+            for s in (before_structure, after_structure)
         ]
         assert scores[1] - scores[0] == pytest.approx(after[2] - before[2], abs=1e-10)
 
@@ -391,7 +394,7 @@ class TestCompletedLoglik:
         plan = model.plan
         prior = NormalWishart(2.0, np.zeros(n), n + 3.0, np.eye(n))
         dirichlet = DirichletPrior(np.full(k + noise, 2.0))
-        stepped = plan.model(map_parameters(ms, plan, prior, dirichlet, box))
+        stepped = plan.model(map_parameters(posterior(prior, ms), plan, dirichlet, box))
         ms, _ = expected_stats(cases, stepped.stacked)
         assert completed_loglik(ms, stepped) == oracle_completed_loglik(ms, stepped)
 

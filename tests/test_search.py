@@ -13,7 +13,6 @@ from dagmix.bayes import (
     DirichletPrior,
     FamilyMarginals,
     NormalWishart,
-    family_marginals,
     local_score,
 )
 from dagmix.engine import FitConfig, PriorSpec, Schedule, fit
@@ -49,6 +48,7 @@ from dagmix.search import (
 from conftest import (
     labeled_stats,
     marginals_of,
+    mixture_marginals,
     mixture_stats,
     oracle_class_walk,
     oracle_covered_edges,
@@ -479,7 +479,7 @@ def test_each_caller_reads_its_families_in_one_fill(rng, monkeypatch):
     rows = rng.standard_normal((90, n)) @ rng.standard_normal((n, n))
     structures = [random_dag(n, rng, p=0.5) for _ in range(3)]
     ms = mixture_stats(tuple(triple_of(rows[c::3]) for c in range(3)))
-    complete_model_score(ms, structures, prior, DirichletPrior(np.ones(3)))
+    complete_model_score(ms, structures, mixture_marginals(prior, ms), DirichletPrior(np.ones(3)))
     assert calls == [families_of(s) for s in structures]
     calls.clear()
     greedy_component_search(marginals_of(prior, stats_of(rows)), structures[0])
@@ -509,7 +509,7 @@ class TestSearchAllComponents:
     def test_single_component_identical(self, rng):
         rows = rng.standard_normal((200, 3))
         prior = random_prior(3, rng)
-        via_all = search_all_components(family_marginals(prior, stats_of(rows)),
+        via_all = search_all_components(mixture_marginals(prior, stats_of(rows)),
                                         (empty_structure(3),))
         direct = greedy_component_search(marginals_of(prior, stats_of(rows)), empty_structure(3))
         assert via_all == (direct,)
@@ -526,7 +526,7 @@ class TestSearchAllComponents:
         from dagmix.bayes import NormalWishart, local_score
 
         prior = NormalWishart(2.0, np.zeros(3), 5.0, np.eye(3))
-        out = search_all_components(family_marginals(prior, ms), (empty_structure(3),) * 2)
+        out = search_all_components(mixture_marginals(prior, ms), (empty_structure(3),) * 2)
 
         def adjacent(s, u, v):
             return u in s.parents[v] or v in s.parents[u]
@@ -539,8 +539,8 @@ class TestSearchAllComponents:
         labels = rng.integers(0, 2, 300)
         ms = labeled_stats(data, labels, 2)
         prior = random_prior(3, rng)
-        first = search_all_components(family_marginals(prior, ms), (empty_structure(3),) * 2)
-        second = search_all_components(family_marginals(prior, ms), (empty_structure(3),) * 2)
+        first = search_all_components(mixture_marginals(prior, ms), (empty_structure(3),) * 2)
+        second = search_all_components(mixture_marginals(prior, ms), (empty_structure(3),) * 2)
         assert first == second
 
 
@@ -750,14 +750,14 @@ def assert_matches_oracle(t, prior, init, cap):
 
 def mixture_triples(monkeypatch, data, config):
     """The (one-component statistics, start, prior, cap) of every component
-    search of one ``fit``, read off the statistics its marginals were built
+    search of one ``fit``, read off the posterior its marginals were built
     from."""
     searches, built = [], []
     real_marginals = engine_module.family_marginals
     real_search = engine_module.search_all_components
 
-    def recorded_marginals(prior, mix_stats):
-        built.append((real_marginals(prior, mix_stats), prior, mix_stats))
+    def recorded_marginals(post):
+        built.append((real_marginals(post), post.prior, post.stats))
         return built[-1][0]
 
     def recorded_search(marginals, structures, max_parents=None, traces=None):

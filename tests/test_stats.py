@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats as sps
 
-from dagmix.bayes import DirichletPrior, NormalWishart, map_parameters
+from dagmix.bayes import DirichletPrior, NormalWishart, map_parameters, posterior
 from dagmix.errors import AllComponentsZeroDensity
 from dagmix.model import (
     DagStructure,
@@ -673,7 +673,7 @@ def assert_sweep_is_the_oracle(data, model, prior, cases=None):
     assert np.array_equal(component_case_loglik(params, cases), want_logp)
     plan = FamilyPlan(tuple(g.structure for g in model.components))
     dirichlet = DirichletPrior(np.full(params.n_components, 1.0 / params.n_components))
-    got_m = map_parameters(got, plan, prior, dirichlet, model.noise)
+    got_m = map_parameters(posterior(prior, got), plan, dirichlet, model.noise)
     want_m = oracle_map_parameters(want, plan, prior, dirichlet, model.noise)
     for name in ("weights", "intercepts", "variances", "b", "a", "w", "const"):
         assert np.array_equal(getattr(got_m, name), getattr(want_m, name)), name
