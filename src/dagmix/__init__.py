@@ -8,8 +8,9 @@ whose category names the problem: a ``DataError`` for bad input, a
 ``NumericalError`` for a computation the input drove out of range.
 Everything else is internal and assumes validated input; inside the EM and
 search loops only the PSD test of each posterior and one finiteness check
-of the arrays each M step writes still run; the public model constructors
-run only on the model an EM burst returns.  A ``DagStructure`` is a DAG by
+of the arrays each M step writes still run; EM bursts run on stacked
+arrays, and the public model constructors run only on the start and on the
+model ``fit`` records after each search.  A ``DagStructure`` is a DAG by
 construction, and search builds one only for each result it returns.
 """
 

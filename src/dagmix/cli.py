@@ -382,7 +382,7 @@ def _cmd_recover(args) -> int:
     else:
         gold = default_gold_standard()
     sizes = RECOVERY_SIZES
-    if args.sizes:
+    if args.sizes is not None:
         try:
             sizes = tuple(int(s) for s in args.sizes.split(","))
         except ValueError:

@@ -39,7 +39,6 @@ from .errors import (
 from .model import (
     DagStructure,
     FamilyPlan,
-    GaussianDag,
     MdagModel,
     NoiseComponent,
     StackedParams,
@@ -265,8 +264,9 @@ def _bind_priors(config: FitConfig, n: int) -> tuple[NormalWishart, DirichletPri
 @dataclass(frozen=True)
 class EmTrace:
     """``logliks[t]``: the observed log likelihood from the E sweep at the
-    model after t steps (index 0 = before any step); ``posterior``: that of
-    the last sweep's statistics (``.stats``), taken at the returned model."""
+    parameters after t steps (index 0 = before any step); ``posterior``:
+    that of the last sweep's statistics (``.stats``), taken at the returned
+    parameters."""
 
     logliks: tuple[float, ...]
     converged: bool
@@ -276,13 +276,14 @@ class EmTrace:
 
 def run_em(
     cases: stats.CaseGroups,
-    model: MdagModel,
+    plan: FamilyPlan,
+    params: StackedParams,
     prior: NormalWishart,
     dirichlet: DirichletPrior,
     steps: int | None = None,
     convergence_ratio: float = 1e-6,
     max_steps: int = 500,
-) -> tuple[MdagModel, EmTrace]:
+) -> tuple[StackedParams, EmTrace]:
     """Repeat E and M steps for a fixed burst or until the ratio rule fires.
 
     One E sweep per step gives the next M step's statistics and the
@@ -292,34 +293,30 @@ def run_em(
     the total change since initialization: stop once
     (l_t - l_{t-1}) / (l_t - l_0) drops below ``convergence_ratio``.
 
-    The structures stay fixed, so the whole burst uses the model's one
-    ``FamilyPlan``; each M step hands its ``StackedParams`` straight to the
-    next sweep, and a model is built only for the parameters returned.
+    The structures stay fixed, so the whole burst runs on ``plan``, the
+    family plan of ``params``' structures; each M step hands its
+    ``StackedParams`` straight to the next sweep, and no model is built.
 
-    A burst stops computing at an exact fixed point: once the last two
-    sweeps gave equal log likelihoods and the M step returns parameters
-    bit for bit equal to the ones just swept.  The sweep is a pure
-    function of the cases and the parameters, and the M step of the
-    statistics, so every later step would repeat the last one; each step
-    left appends the last log likelihood and counts towards the collapse
-    warnings, and the trace is the one a full burst gives.
+    A burst stops computing at an exact fixed point: once an M step
+    returns parameters bit for bit equal to the ones just swept.  The
+    sweep is a pure function of the cases and the parameters, and the M
+    step of the statistics, so every later step would repeat the last one;
+    each step left appends the last log likelihood and counts towards the
+    collapse warnings, and the trace is the one a full burst gives.
     """
     budget = steps if steps is not None else max_steps
-    plan = model.plan
-    params = model.stacked
     mix_stats, loglik = stats.expected_stats(cases, params)
     post = posterior(prior, mix_stats)
     logliks = [loglik]
     converged = False
     fixed = False
-    collapse_streaks = np.zeros(model.k, dtype=int)
+    collapse_streaks = np.zeros(params.k, dtype=int)
     collapsed: set[int] = set()
     for _ in range(budget):
         if not fixed:
             swept = params
-            params = map_parameters(post, plan, dirichlet, model.noise)
-            # the float test first: a burst that never repeats pays only it
-            fixed = len(logliks) > 1 and logliks[-1] == logliks[-2] and _same_bits(params, swept)
+            params = map_parameters(post, plan, dirichlet, params.noise)
+            fixed = _same_bits(params, swept)
         low = mix_stats.gaussian_counts < _COLLAPSE_THRESHOLD
         collapse_streaks = np.where(low, collapse_streaks + 1, 0)
         for c in np.flatnonzero(collapse_streaks >= _COLLAPSE_STEPS).tolist():
@@ -339,9 +336,7 @@ def run_em(
         if steps is None and ratio_rule_fires(logliks, convergence_ratio):
             converged = True
             break
-    if len(logliks) > 1:
-        model = plan.model(params)
-    return model, EmTrace(tuple(logliks), converged, tuple(sorted(collapsed)), post)
+    return params, EmTrace(tuple(logliks), converged, tuple(sorted(collapsed)), post)
 
 
 def _same_bits(a: StackedParams, b: StackedParams) -> bool:
@@ -381,8 +376,9 @@ def initialize(data: np.ndarray, config: FitConfig) -> MdagModel:
 
     Each component draws its own (mean, covariance) from a Normal-Wishart
     whose mode matches the complete-case MAP joint, which breaks the
-    symmetry between components; the weights start at the Dirichlet
-    prior's mean.  Deterministic given the seed.
+    symmetry between components, and one stacked read-off gives every
+    component's regressions; the weights start at the Dirichlet prior's
+    mean.  Deterministic given the seed.
     """
     data = np.asarray(data, dtype=float)
     if data.shape[0] == 0:
@@ -397,13 +393,16 @@ def initialize(data: np.ndarray, config: FitConfig) -> MdagModel:
         structure = complete_structure(n)
     else:
         structure = empty_structure(n)
-    components = []
-    for c in range(config.k):
-        rng = stream(config.seed, "init-params", c)
-        mean, cov = sample_joint_parameters(init_prior, rng)
-        components.append(GaussianDag.from_joint(structure, mean, cov))
+    draws = [
+        sample_joint_parameters(init_prior, stream(config.seed, "init-params", c))
+        for c in range(config.k)
+    ]
+    means, covs = map(np.array, zip(*draws))
+    plan = FamilyPlan((structure,) * config.k)
     weights = dirichlet.alphas / dirichlet.alphas.sum()
-    return MdagModel(weights, tuple(components), config.noise_component())
+    return plan.model(
+        StackedParams(weights, *plan.read_off(means, covs), config.noise_component())
+    )
 
 
 def cheeseman_stutz(
@@ -450,9 +449,9 @@ def fit(data: np.ndarray, config: FitConfig) -> FitResult:
     data = _checked_data(data)
     config = _checked_config(config)
     prior, dirichlet = _bind_priors(config, data.shape[1])
-    model = initialize(data, config)
+    start = initialize(data, config)
+    plan, params = start.plan, start.stacked
     cases = stats.group_cases(data)
-    structures = tuple(g.structure for g in model.components)
     searching = config.family == "mdag"
     # fixed structures never change, so their first pass is the forced one
     force_full_em = not searching
@@ -462,9 +461,10 @@ def fit(data: np.ndarray, config: FitConfig) -> FitResult:
     prev_cs = None
     for _ in range(config.max_outer):
         steps = None if force_full_em else config.schedule.em_steps
-        model, em_trace = run_em(
+        params, em_trace = run_em(
             cases,
-            model,
+            plan,
+            params,
             prior,
             dirichlet,
             steps=steps,
@@ -477,17 +477,18 @@ def fit(data: np.ndarray, config: FitConfig) -> FitResult:
         marginals = family_marginals(post)
         if searching:
             new_structures = search_all_components(
-                marginals, structures, max_parents=config.max_parents
+                marginals, plan.structures, max_parents=config.max_parents
             )
         else:
-            new_structures = structures
-        unchanged = new_structures == structures
+            new_structures = plan.structures
+        unchanged = new_structures == plan.structures
         # one plan per structure set: the next burst reuses this one
-        plan = model.plan if unchanged else FamilyPlan(new_structures)
-        model = plan.model(map_parameters(post, plan, dirichlet, model.noise))
+        if not unchanged:
+            plan = FamilyPlan(new_structures)
+        params = map_parameters(post, plan, dirichlet, params.noise)
+        model = plan.model(params)
         complete, obs, cs = cheeseman_stutz(cases, model, marginals, dirichlet, mix_stats)
         iterates.append(OuterIterate(model, new_structures, mix_stats, obs, complete, cs))
-        structures = new_structures
         if unchanged and (force_full_em or config.schedule.em_steps is None):
             termination = "structure-stable"
             break

@@ -234,18 +234,14 @@ def _carve(buffer: np.ndarray, *shape: int) -> np.ndarray:
 class _GroupViews(NamedTuple):
     """One group's arrays in a workspace, each a view with the shape and
     layout of the fresh array it stands for.  ``quad`` and ``resp`` are its
-    columns of the Gaussian rows of ``logp`` and ``resp``,
-    ``responsibilities`` its rows of their case-major copy, and ``counts``
-    its row of the count table.  ``block`` and ``rest`` are its terms of
-    the moment stack, the sum of its whole blocks' products (None with no
-    whole block) and the product of the remaining cases,
-    ``rest_weighted``^T ``rest_completed``.  ``filled``, ``shift``,
+    columns of the Gaussian rows of ``logp`` and ``resp``.  ``block`` and
+    ``rest`` are its terms of the moment stack, the sum of its whole blocks'
+    products (None with no whole block) and the product of the remaining
+    cases, ``rest_weighted``^T ``rest_completed``.  ``filled``, ``shift``,
     ``completed`` and ``resp_sum`` are None for a complete mask."""
 
     quad: np.ndarray  # (k, cases)
     resp: np.ndarray  # (k, cases)
-    responsibilities: np.ndarray  # (cases, n_components)
-    counts: np.ndarray  # (n_components,)
     z: np.ndarray  # (cases, k n)
     residuals: np.ndarray  # (k, cases, n), over z
     weighted: np.ndarray  # (k, cases, n + 1), over z
@@ -285,8 +281,9 @@ class _Workspace:
     statistics.  Every view has the shape and layout of the fresh array it
     stands for, so every BLAS, LAPACK and einsum call reads what it read
     when the sweep allocated, and gives the same bytes.  ``logp`` is spent
-    once the responsibilities are normalised, so their case-major copy,
-    from which each group's counts are summed, reuses its memory.
+    once the responsibilities are normalised, so the running sums along
+    each group's cases, whose last column is the group's counts, reuse its
+    memory.
 
     Per-group sums go to small tables: ``counts``, a row per group,
     ``corrections`` (k, groups), each group's log density
@@ -310,7 +307,7 @@ class _Workspace:
         term = k * (n + 1) ** 2
         capacity = max(4, min(1 + sum(needs), _TERM_BYTES // (8 * term or 1)))
         shapes = [
-            (n_components, count),  # logp, then the case-major responsibilities
+            (n_components, count),  # logp, then the running counts
             (n_components, count),  # resp
             (3, count),  # top, total, loglik
             (0 if cases.position is None else count,),  # ordered
@@ -334,7 +331,6 @@ class _Workspace:
         ) = views[:11]
         self.resp_sums = views[11:11 + len(cases.classes)]
         filled = views[11 + len(cases.classes):]
-        self.responsibilities = self.logp.reshape(count, n_components)
         self.corrections[:] = 0.0
         self._bounds: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -350,7 +346,7 @@ class _Workspace:
 
         self.groups = []
         offset = n_components - k
-        for i, (group, means, slot) in enumerate(zip(groups, filled, slots)):
+        for group, means, slot in zip(groups, filled, slots):
             size, masked = group.size, group.slot is not None
             z = _carve(work, size, k * n)
             weighted = _carve(work, k, size, n + 1)
@@ -359,8 +355,6 @@ class _Workspace:
             self.groups.append(_GroupViews(
                 self.logp[offset:, group.rows],
                 self.resp[offset:, group.rows],
-                self.responsibilities[group.rows],
-                self.counts[i],
                 z,
                 z.reshape(size, k, n).transpose(1, 0, 2),
                 weighted,
@@ -577,12 +571,11 @@ def mixture_loglik(cases: CaseGroups, params: StackedParams) -> float:
 
 
 def _moment_terms(group: CaseGroup, views: _GroupViews, n: int) -> None:
-    """One mask's sums over its cases: its counts, its summed
-    responsibilities when it has missing cells, and the weighted product of
-    its completions, with their column of ones, per block of
-    ``_CASE_BLOCK`` cases, the whole blocks summed in order."""
+    """One mask's sums over its cases: its summed responsibilities when it
+    has missing cells, and the weighted product of its completions, with
+    their column of ones, per block of ``_CASE_BLOCK`` cases, the whole
+    blocks summed in order."""
     resp = views.resp
-    np.add.reduce(views.responsibilities, axis=0, out=views.counts)
     completed = group.design
     if group.slot is not None:
         np.add.reduce(resp, axis=1, out=views.resp_sum)
@@ -620,8 +613,8 @@ def expected_stats(cases: CaseGroups, params: StackedParams) -> tuple[MixtureSta
     times its conditional covariances) are stacked after the running
     moments and added by one reduction along the stack, which adds them in
     the order a running sum would.  Each group's counts add its cases one
-    by one, as rows of a (cases, n_components) array, and the groups' in
-    group order.
+    by one, as running sums along its cases written over the spent log
+    densities, and the groups' counts are added in group order.
 
     Also returns the observed log likelihood at ``params``, read off the
     same densities; it equals ``mixture_loglik`` bit for bit.
@@ -632,12 +625,14 @@ def expected_stats(cases: CaseGroups, params: StackedParams) -> tuple[MixtureSta
     _normalize_responsibilities(ws, params.weights)
     if cases.unobserved is not None:
         ws.resp[:, cases.groups[cases.unobserved].rows] = params.weights[:, None]
-    np.copyto(ws.responsibilities, ws.resp.T)
     terms = ws.terms
     moments = np.empty((k, n + 1, n + 1))
     terms[0] = 0.0
     for chunk in ws.chunks:
         for i in chunk.groups:
+            rows = cases.groups[i].rows
+            running = np.add.accumulate(ws.resp[:, rows], axis=1, out=ws.logp[:, rows])
+            ws.counts[i] = running[:, -1]
             _moment_terms(cases.groups[i], ws.groups[i], n)
         terms[chunk.covariance] = 0.0
         for c, run, at in chunk.scatter:

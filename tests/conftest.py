@@ -12,16 +12,19 @@ from dagmix.bayes import (
     FamilyMarginals,
     NormalWishart,
     _multigammaln,
+    data_informed_prior,
     dirichlet_map,
     family_marginals,
     local_score,
     map_parameters,
     node_families,
     posterior,
+    sample_joint_parameters,
 )
 from dagmix.engine import (
     _COLLAPSE_STEPS,
     _COLLAPSE_THRESHOLD,
+    _bind_priors,
     cheeseman_stutz,
     ratio_rule_fires,
 )
@@ -35,8 +38,10 @@ from dagmix.model import (
     _chol_with_jitter,
     _regression_arrays,
     _stacked_components,
+    complete_structure,
     empty_structure,
 )
+from dagmix.rng import stream
 from dagmix.search import (
     _ESCAPE_BUDGET,
     SCORE_EPS,
@@ -392,6 +397,23 @@ def oracle_completed_loglik(mix_stats: MixtureStats, model: MdagModel) -> float:
         quad = np.sum((a @ t.s) * a) - 2.0 * (c @ (a @ t.r)) + t.n * (c @ c)
         total += t.n * np.log(w) + -0.5 * (t.n * (t.dim * LOG_2PI + log_var) + quad)
     return float(total)
+
+
+def oracle_initialize(data, config) -> MdagModel:
+    """``initialize`` one component at a time: each draw read off by
+    ``GaussianDag.from_joint``, the model built from its components."""
+    n = data.shape[1]
+    prior, dirichlet = _bind_priors(config, n)
+    init_prior = data_informed_prior(data[~np.isnan(data).any(axis=1)], config.ess, prior)
+    structure = complete_structure(n) if config.family == "mfull" else empty_structure(n)
+    components = tuple(
+        GaussianDag.from_joint(
+            structure, *sample_joint_parameters(init_prior, stream(config.seed, "init-params", c))
+        )
+        for c in range(config.k)
+    )
+    weights = dirichlet.alphas / dirichlet.alphas.sum()
+    return MdagModel(weights, components, config.noise_component())
 
 
 def oracle_run_em(cases, model, prior, dirichlet, steps=None, convergence_ratio=1e-6,

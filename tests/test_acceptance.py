@@ -194,7 +194,11 @@ def test_criterion_04_cheeseman_stutz_vs_importance_sampling():
     ms0 = labeled_stats(data, labels, 2)
     m = m_step(ms0, (empty_structure(1),) * 2, prior, dirichlet)
     cases = group_cases(data)
-    m, _ = run_em(cases, m, prior, dirichlet, steps=None, max_steps=3000, convergence_ratio=1e-10)
+    params, _ = run_em(
+        cases, m.plan, m.stacked, prior, dirichlet, steps=None, max_steps=3000,
+        convergence_ratio=1e-10,
+    )
+    m = m.plan.model(params)
     ms, _ = expected_stats(cases, m.stacked)
     m = m_step(ms, tuple(g.structure for g in m.components), prior, dirichlet)
     ms, _ = expected_stats(cases, m.stacked)
@@ -231,9 +235,9 @@ def test_criterion_05_em_correctness():
         config = FitConfig(k=3, seed=seed)
         prior, dirichlet = _bind_priors(config, 5)
         m = initialize(data, config)
-        m, trace = run_em(
-            group_cases(data), m, prior, dirichlet, steps=None, convergence_ratio=1e-6,
-            max_steps=400,
+        _, trace = run_em(
+            group_cases(data), m.plan, m.stacked, prior, dirichlet, steps=None,
+            convergence_ratio=1e-6, max_steps=400,
         )
         steps = np.diff(trace.logliks)
         if steps.size:

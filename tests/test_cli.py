@@ -494,6 +494,17 @@ class TestCommands:
         assert len(lines) == 1
         assert lines[0].startswith(f"{category}: ")
 
+    def test_empty_sizes_rejected_before_any_fit(self, capsys, monkeypatch):
+        # an empty --sizes names no size; it must not fall back to the
+        # default ladder
+        def never(*args, **kwargs):
+            raise AssertionError("recovery ran on an empty --sizes")
+
+        monkeypatch.setattr(cli, "run_recovery", never)
+        assert main(["recover", "--sizes", ""]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("DimensionMismatch: ") and err.count("\n") == 1
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["fit"]) == 1
 

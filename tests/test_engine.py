@@ -17,6 +17,7 @@ from dagmix.engine import (
     Schedule,
     _COLLAPSE_STEPS,
     _bind_priors,
+    _same_bits,
     fit,
     initialize,
     ratio_rule_fires,
@@ -32,13 +33,14 @@ from dagmix.errors import (
     NonPsdScatter,
     NumericalOverflow,
 )
-from dagmix.model import MdagModel, empty_structure, sample
+from dagmix.model import MdagModel, StackedParams, empty_structure, sample
 from dagmix.scoring import observed_loglik
 from dagmix.stats import expected_stats, group_cases
 from conftest import (
     Triple,
     joint_moments,
     map_component,
+    oracle_initialize,
     oracle_m_step,
     oracle_run_em,
     single_node_model,
@@ -131,9 +133,9 @@ class TestEmStep:
         t = Triple(200.0, data.sum(axis=0), data.T @ data)
         g = map_component(prior, t, empty_structure(1))
         m = MdagModel(np.array([1.0]), (g,))
-        stepped, _ = run_em(group_cases(data), m, prior, dirichlet, steps=1)
-        assert np.allclose(stepped.components[0].intercepts, g.intercepts, atol=1e-10)
-        assert np.allclose(stepped.components[0].variances, g.variances, atol=1e-10)
+        stepped, _ = run_em(group_cases(data), m.plan, m.stacked, prior, dirichlet, steps=1)
+        assert np.allclose(stepped.intercepts[0], g.intercepts, atol=1e-10)
+        assert np.allclose(stepped.variances[0], g.variances, atol=1e-10)
 
     def test_penalized_loglik_nondecreasing(self, rng):
         # the rigorous MAP-EM guarantee (log likelihood plus log prior),
@@ -146,7 +148,8 @@ class TestEmStep:
         cases = group_cases(data)
         prev = None
         for _ in range(40):
-            m, _ = run_em(cases, m, prior, dirichlet, steps=1)
+            params, _ = run_em(cases, m.plan, m.stacked, prior, dirichlet, steps=1)
+            m = m.plan.model(params)
             value = observed_loglik(cases, m) + _log_prior_density(m, prior, dirichlet)
             if prev is not None:
                 assert value >= prev - 1e-9
@@ -164,9 +167,10 @@ class TestEmStep:
             (single_node_model(float(lo)), single_node_model(float(hi))),
         )
         cases = group_cases(data)
+        params = m.stacked
         for _ in range(50):
-            m, _ = run_em(cases, m, prior, dirichlet, steps=1)
-        means = sorted(float(g.intercepts[0]) for g in m.components)
+            params, _ = run_em(cases, m.plan, params, prior, dirichlet, steps=1)
+        means = sorted(float(mean) for mean in params.intercepts[:, 0])
         assert abs(means[0] - 0.0) < 0.1
         assert abs(means[1] - 6.0) < 0.1
 
@@ -191,8 +195,8 @@ class TestRunEm:
         config = FitConfig(k=2, seed=0)
         prior, dirichlet = _bind_priors(config, 1)
         m = initialize(data, config)
-        out, trace = run_em(group_cases(data), m, prior, dirichlet, steps=0)
-        assert out is m
+        out, trace = run_em(group_cases(data), m.plan, m.stacked, prior, dirichlet, steps=0)
+        assert out is m.stacked
         assert len(trace.logliks) == 1
 
     def test_ratio_rule_matches_recomputation(self, rng):
@@ -201,7 +205,8 @@ class TestRunEm:
         prior, dirichlet = _bind_priors(config, 1)
         m = initialize(data, config)
         _, trace = run_em(
-            group_cases(data), m, prior, dirichlet, steps=None, convergence_ratio=1e-6
+            group_cases(data), m.plan, m.stacked, prior, dirichlet, steps=None,
+            convergence_ratio=1e-6,
         )
         assert trace.converged
         logliks = trace.logliks
@@ -218,7 +223,7 @@ class TestRunEm:
         config = FitConfig(k=3, seed=5)
         prior, dirichlet = _bind_priors(config, 5)
         m = initialize(data, config)
-        _, trace = run_em(group_cases(data), m, prior, dirichlet, steps=None)
+        _, trace = run_em(group_cases(data), m.plan, m.stacked, prior, dirichlet, steps=None)
         assert np.all(np.diff(trace.logliks) >= -1e-7)
 
     def test_returned_stats_are_a_fresh_sweep(self, rng):
@@ -228,8 +233,9 @@ class TestRunEm:
         config = FitConfig(k=2, seed=0)
         prior, dirichlet = _bind_priors(config, 1)
         cases = group_cases(data)
-        out, trace = run_em(cases, initialize(data, config), prior, dirichlet, steps=6)
-        fresh, loglik = expected_stats(cases, out.stacked)
+        m = initialize(data, config)
+        out, trace = run_em(cases, m.plan, m.stacked, prior, dirichlet, steps=6)
+        fresh, loglik = expected_stats(cases, out)
         assert loglik == trace.logliks[-1]
         for part in ("counts", "sums", "seconds"):
             assert np.array_equal(getattr(trace.posterior.stats, part), getattr(fresh, part))
@@ -246,13 +252,18 @@ def gold_cases(missing: bool) -> np.ndarray:
 
 
 def assert_run_em_is_the_oracle(cases, model, prior, dirichlet, steps, max_steps=500):
-    """``run_em`` against ``oracle_run_em``, which sweeps every step, bit
-    for bit: the log likelihoods, ``converged``, the returned parameters,
-    the last sweep's statistics and the collapsed components, each warned
-    about once; returns what ``run_em`` returned."""
+    """``run_em`` from ``model``'s plan and parameters against
+    ``oracle_run_em``, which sweeps every step, bit for bit: the log
+    likelihoods, ``converged``, the returned parameters, the last sweep's
+    statistics and the collapsed components, each warned about once;
+    returns the model of the returned parameters and the trace."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got, trace = run_em(cases, model, prior, dirichlet, steps=steps, max_steps=max_steps)
+        params, trace = run_em(
+            cases, model.plan, model.stacked, prior, dirichlet, steps=steps,
+            max_steps=max_steps,
+        )
+    got = model.plan.model(params)
     want, logliks, converged, mix_stats, collapsed = oracle_run_em(
         cases, model, prior, dirichlet, steps=steps, max_steps=max_steps
     )
@@ -290,8 +301,7 @@ def count_sweeps(monkeypatch) -> list[int]:
 
 
 def em_inputs(data, k, seed=0, noise_bounds=None):
-    """(cases, initial model, prior, Dirichlet) of a fit's config, as
-    ``run_em`` takes them."""
+    """(cases, initial model, prior, Dirichlet) of a fit's config."""
     config = FitConfig(k=k, seed=seed, noise_bounds=noise_bounds)
     prior, dirichlet = _bind_priors(config, data.shape[1])
     return group_cases(data), initialize(data, config), prior, dirichlet
@@ -330,23 +340,24 @@ class TestRunEmOracle:
         # statistics, so the second M step repeats the first
         assert_run_em_is_the_oracle(*em_inputs(gold_cases(False), 1), steps)
 
-    def test_one_component_burst_makes_three_sweeps(self, monkeypatch):
-        # the sweeps at the start and after steps 1 and 2; step 2's sweep
-        # repeats step 1's log likelihood, so step 3's M step, which
-        # repeats step 2's parameters, is compared and the burst stops
+    def test_one_component_burst_makes_two_sweeps(self, monkeypatch):
+        # the sweeps at the start and after step 1; every sweep of one
+        # component over complete data gives the same statistics, so step
+        # 2's M step repeats step 1's parameters and the burst stops
+        cases, model, prior, dirichlet = em_inputs(gold_cases(False), 1)
         sweeps = count_sweeps(monkeypatch)
-        _, trace = run_em(*em_inputs(gold_cases(False), 1), steps=20)
-        assert sweeps[0] <= 3
+        _, trace = run_em(cases, model.plan, model.stacked, prior, dirichlet, steps=20)
+        assert sweeps[0] == 2
         assert len(trace.logliks) == 21 and len(set(trace.logliks[1:])) == 1
 
     @pytest.mark.parametrize("steps", [5, 6, 20])
     def test_two_components_reach_their_fixed_point(self, steps, monkeypatch):
         # this draw's fifth M step returns the fourth's parameters, on the
-        # last step of a 5-step burst; the bursts skip nothing of 5 steps,
-        # the last of 6 and 14 of 20
+        # last step of a 5-step burst; the bursts skip the last sweep of 5
+        # steps, the last two of 6 and 16 of 20
         sweeps = count_sweeps(monkeypatch)
         assert_run_em_is_the_oracle(*em_inputs(gold_cases(False), 2), steps)
-        assert sweeps[0] == min(steps, 5) + 1
+        assert sweeps[0] == min(steps, 4) + 1
 
     def test_noise_component(self, monkeypatch):
         # the noise keeps a share of every case, and the 42nd M step repeats
@@ -360,8 +371,8 @@ class TestRunEmOracle:
     def test_collapse_warned_during_skipped_steps(self, rng, monkeypatch):
         # the stranded component keeps no responsibility, so every sweep
         # gives the same statistics and the burst sweeps at the start and
-        # after steps 1 and 2 alone; its collapse streak reaches
-        # _COLLAPSE_STEPS at step 3, a step that makes no sweep
+        # after step 1 alone; its collapse streak reaches _COLLAPSE_STEPS
+        # at step 3, a step that makes no sweep
         data = rng.normal(1000.0, 1.0, (100, 1))
         prior, dirichlet = _bind_priors(FitConfig(k=2), 1)
         stranded = MdagModel(
@@ -373,7 +384,7 @@ class TestRunEmOracle:
             group_cases(data), stranded, prior, dirichlet, 8
         )
         assert trace.collapsed == (1,)
-        assert sweeps[0] == _COLLAPSE_STEPS == 3
+        assert sweeps[0] == _COLLAPSE_STEPS - 1 == 2
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -394,7 +405,66 @@ class TestRunEmOracle:
         )
 
 
+_PARTS = ("weights", "intercepts", "variances", "b")
+
+
+def _with_value(params: StackedParams, part: str, value: float) -> StackedParams:
+    """``params`` with the first entry of ``part`` set to ``value``."""
+    arrays = {name: getattr(params, name).copy() for name in _PARTS}
+    arrays[part].flat[0] = value
+    return StackedParams(**arrays, noise=params.noise)
+
+
+class TestSameBits:
+    """The burst's stop test compares bytes, as a sweep sees them."""
+
+    @pytest.fixture
+    def params(self):
+        return initialize(gold_cases(False)[:100], FitConfig(k=2, seed=0)).stacked
+
+    def test_signed_zeros_differ(self, params):
+        zero = _with_value(params, "b", 0.0)
+        assert _same_bits(zero, _with_value(params, "b", 0.0))
+        assert not _same_bits(zero, _with_value(params, "b", -0.0))
+
+    def test_equal_nan_payloads_match(self, params):
+        nan = np.array([0x7FF8000000000123]).view(np.float64)[0]
+        other = np.array([0x7FF8000000000456]).view(np.float64)[0]
+        got = _with_value(params, "intercepts", nan)
+        assert _same_bits(got, _with_value(params, "intercepts", nan))
+        assert not _same_bits(got, _with_value(params, "intercepts", other))
+
+    @pytest.mark.parametrize("part", _PARTS)
+    def test_one_ulp_differs(self, params, part):
+        value = getattr(params, part).flat[0]
+        assert _same_bits(params, _with_value(params, part, value))
+        assert not _same_bits(params, _with_value(params, part, np.nextafter(value, np.inf)))
+
+
 class TestInitialize:
+    @pytest.mark.parametrize("noise", [False, True], ids=["plain", "noise"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("family", ["mdag", "mdiag", "mfull"])
+    def test_matches_the_per_component_build(self, family, k, noise):
+        # one stacked read-off of every draw gives the bytes of reading
+        # each draw off on its own
+        data = gold_cases(True)
+        box = (tuple(np.nanmin(data, axis=0) - 1.0), tuple(np.nanmax(data, axis=0) + 1.0))
+        config = FitConfig(k=k, seed=k, family=family, noise_bounds=box if noise else None)
+        got, want = initialize(data, config), oracle_initialize(data, config)
+        assert (got.noise is None) == (not noise)
+        if noise:
+            assert np.array_equal(got.noise.lower, want.noise.lower)
+            assert np.array_equal(got.noise.upper, want.noise.upper)
+        for g, h in zip(got.components, want.components, strict=True):
+            assert g.structure == h.structure
+            assert np.array_equal(g.intercepts, h.intercepts)
+            assert np.array_equal(g.variances, h.variances)
+            for b, c in zip(g.coefficients, h.coefficients, strict=True):
+                assert np.array_equal(b, c)
+        for part in ("weights", "intercepts", "variances", "b", "a", "w", "const"):
+            assert np.array_equal(getattr(got.stacked, part), getattr(want.stacked, part))
+
     def test_deterministic(self, rng):
         data, _ = sample(two_component_1d(0.0, 3.0), 60, rng)
         config = FitConfig(k=2, seed=9)
@@ -534,9 +604,9 @@ class TestFit:
 
     def test_one_search_stats_per_outer_iteration(self, rng, monkeypatch):
         # one outer iteration with a burst of 4 EM steps sweeps once per
-        # model run_em visits: 4 + 1 sweeps.  The last one, at the model
-        # run_em returns, feeds the search and the M step after it, so fit
-        # computes no statistics of its own
+        # set of parameters run_em visits: 4 + 1 sweeps.  The last one, at
+        # the parameters run_em returns, feeds the search and the M step
+        # after it, so fit computes no statistics of its own
         calls = {"n": 0}
         real = engine_module.stats.expected_stats
 
@@ -585,6 +655,29 @@ class TestFit:
         # the first posterior is the data's, in initialize
         assert len(posteriors) == 1 + len(swept)
         assert all(got is mix_stats.sums for got, (mix_stats, _) in zip(posteriors[1:], swept))
+
+    @pytest.mark.parametrize(
+        "family, schedule", [("mdag", Schedule(em_steps=3)), ("mdiag", Schedule())],
+        ids=["mdag-repeating", "mdiag"],
+    )
+    def test_one_model_per_recorded_iterate(self, monkeypatch, family, schedule):
+        # EM bursts run on stacked parameters; fit builds a model for the
+        # start and for each iterate it records, and no other
+        from dagmix.harness import default_gold_standard
+
+        built = [0]
+        real = MdagModel.__post_init__
+
+        def counting(self):
+            built[0] += 1
+            real(self)
+
+        monkeypatch.setattr(MdagModel, "__post_init__", counting)
+        data, _ = sample(default_gold_standard().model, 600, 4)
+        built[0] = 0  # the gold model is one
+        result = fit(data, FitConfig(k=3, seed=0, family=family, schedule=schedule))
+        assert len(result.trace) > 1 or family == "mdiag"
+        assert built[0] == 1 + len(result.trace)
 
     def test_one_observed_loglik_per_outer_iteration(self, rng, monkeypatch):
         # EM traces read the log likelihood off the E sweeps; only the
@@ -643,10 +736,12 @@ class TestComponentCollapse:
             np.array([1.0 - 1e-12, 1e-12]),
             (single_node_model(1000.0), single_node_model(-1000.0, variance=1e-6)),
         )
-        out, trace = run_em(group_cases(data), stranded, prior, dirichlet, steps=5)
+        out, trace = run_em(
+            group_cases(data), stranded.plan, stranded.stacked, prior, dirichlet, steps=5
+        )
         assert 1 in trace.collapsed
         assert out.k == 2  # still present, parameters at the prior mode
-        assert abs(out.components[1].intercepts[0]) < 1.0
+        assert abs(out.intercepts[1, 0]) < 1.0
 
 
 class TestWideModels:

@@ -94,9 +94,11 @@ def exhaustive_scores(data: np.ndarray, config: FitConfig) -> np.ndarray:
         components = tuple(
             GaussianDag.from_joint(CLASSES[i], *draw) for i, draw in zip(index, draws)
         )
-        model, trace = run_em(
+        start = MdagModel(weights, components)
+        _, trace = run_em(
             cases,
-            MdagModel(weights, components),
+            start.plan,
+            start.stacked,
             prior,
             dirichlet,
             steps=None,
@@ -104,7 +106,7 @@ def exhaustive_scores(data: np.ndarray, config: FitConfig) -> np.ndarray:
             max_steps=config.max_em_steps,
         )
         post = trace.posterior
-        model = model.plan.model(map_parameters(post, model.plan, dirichlet, None))
+        model = start.plan.model(map_parameters(post, start.plan, dirichlet, None))
         scores[index] = cheeseman_stutz(cases, model, family_marginals(post), dirichlet,
                                         post.stats)[2]
     return scores
